@@ -4,7 +4,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import DynamicsError, EmptyCloud
 from .pwlmap import BcnfParams, PwlMap, bcnf, orbit
@@ -19,10 +18,9 @@ __all__ = [
 ]
 
 # Fixed nudge off the first coordinate axis, keeping the default start away
-# from measure-zero invariant lines of the normal form.
+# from measure-zero invariant lines of the normal form.  A one-dimensional
+# map has no second coordinate, so its only coordinate is nudged.
 X0_OFFSET = 1e-3
-
-_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -39,7 +37,7 @@ class AttractorCloud:
 
 def default_x0(pwl: PwlMap) -> np.ndarray:
     x0 = pwl.b.copy()
-    x0[1] += X0_OFFSET
+    x0[1 if pwl.n > 1 else 0] += X0_OFFSET
     return x0
 
 
@@ -70,18 +68,25 @@ def _cloud_points(obj) -> np.ndarray:
 
 
 def hausdorff(a, b) -> float:
-    """Hausdorff distance between two finite point clouds (brute force)."""
+    """Exact Hausdorff distance between two finite point clouds.
+
+    Each direction is one exact nearest-neighbour query of every point of
+    one cloud against a KD-tree (``scipy.spatial.cKDTree``) of the other;
+    the larger of the two directed distances is returned.  Memory stays
+    linear in the cloud sizes.  Empty clouds raise EmptyCloud, clouds with
+    NaN or infinite coordinates raise ValueError.
+    """
+    from scipy.spatial import cKDTree
+
     A = _cloud_points(a)
     B = _cloud_points(b)
     if A.shape[0] == 0 or B.shape[0] == 0:
         raise EmptyCloud("both clouds must contain at least one point")
-    best_ab = np.empty(A.shape[0])
-    best_ba = np.full(B.shape[0], np.inf)
-    for i in range(0, A.shape[0], _CHUNK):
-        d = cdist(A[i : i + _CHUNK], B)
-        best_ab[i : i + _CHUNK] = d.min(axis=1)
-        np.minimum(best_ba, d.min(axis=0), out=best_ba)
-    return float(max(best_ab.max(), best_ba.max()))
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ValueError("point clouds must have finite coordinates")
+    d_ab, _ = cKDTree(B).query(A)
+    d_ba, _ = cKDTree(A).query(B)
+    return float(max(d_ab.max(), d_ba.max()))
 
 
 @dataclass(frozen=True)

@@ -561,6 +561,10 @@ def _default_induced_grid(pwl, plane, chart, cfg: RunConfig) -> np.ndarray:
 
 def cmd_induced(cfg: RunConfig, out: str | None) -> int:
     pwl = build_map(cfg)
+    if pwl.n < 2:
+        raise UnsupportedDimension(
+            "induced needs dimension 2 or more: the section of a 1-D map is a point"
+        )
     plane = zero_eig_reduction(pwl, cfg.tol)
     chart = plane_chart(plane)
     if cfg.grid is not None:

@@ -7,6 +7,7 @@ rank-one update along ``c``, which :func:`validate_continuity` checks.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,29 +187,31 @@ def orbit(
         raise ValueError(f"x0 must be a vector of length {pwl.n}")
     A_L, A_R, b, c = pwl.A_L, pwl.A_R, pwl.b, pwl.c
     pts = np.empty((n_keep, pwl.n))
-    its = np.empty(n_keep, dtype="<U1")
+    lefts = np.empty(n_keep, dtype=bool)
     kept = 0
     escaped = False
     escape_index = None
     total = n_transient + n_keep
-    for k in range(total):
-        r = float(np.linalg.norm(x))
-        if r > escape_radius:
-            escaped = True
-            escape_index = k
-            break
-        if not np.isfinite(r):
-            raise NonFinite(f"orbit iterate {k} is not finite")
-        cx = float(c @ x)
-        if k >= n_transient:
-            pts[kept] = x
-            its[kept] = LEFT if cx < 0.0 else RIGHT
-            kept += 1
-        x = (A_L if cx < 0.0 else A_R) @ x + b
+    # Overflow is handled below as an escape or NonFinite, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(total):
+            r = math.sqrt(x @ x)
+            if r > escape_radius:
+                escaped = True
+                escape_index = k
+                break
+            if not math.isfinite(r):
+                raise NonFinite(f"orbit iterate {k} is not finite")
+            left = c @ x < 0.0
+            if k >= n_transient:
+                pts[kept] = x
+                lefts[kept] = left
+                kept += 1
+            x = (A_L if left else A_R) @ x + b
     discarded = n_transient if not escaped else min(n_transient, escape_index)
     return OrbitData(
         points=pts[:kept].copy(),
-        itinerary=its[:kept].copy(),
+        itinerary=np.where(lefts[:kept], LEFT, RIGHT),
         transient_discarded=discarded,
         escaped=escaped,
         escape_index=escape_index,

@@ -10,6 +10,7 @@ boundary-crossing type.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -313,23 +314,25 @@ def reduced_orbit(
     kept = 0
     escaped = False
     escape_index = None
-    for k in range(n_transient + n_keep):
-        r = float(np.linalg.norm(xi))
-        if r > escape_radius:
-            escaped = True
-            escape_index = k
-            break
-        if not np.isfinite(r):
-            raise NonFinite(f"reduced orbit iterate {k} is not finite")
-        sym = rmap.side(xi)
-        if k >= n_transient:
-            pts[kept] = xi
-            its[kept] = sym
-            kept += 1
-        if sym == LEFT:
-            xi = rmap.matrix_left @ xi + rmap.offset_left
-        else:
-            xi = rmap.matrix_right @ xi + rmap.offset_right
+    # Overflow is handled below as an escape or NonFinite, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_transient + n_keep):
+            r = math.sqrt(xi @ xi)
+            if r > escape_radius:
+                escaped = True
+                escape_index = k
+                break
+            if not math.isfinite(r):
+                raise NonFinite(f"reduced orbit iterate {k} is not finite")
+            sym = rmap.side(xi)
+            if k >= n_transient:
+                pts[kept] = xi
+                its[kept] = sym
+                kept += 1
+            if sym == LEFT:
+                xi = rmap.matrix_left @ xi + rmap.offset_left
+            else:
+                xi = rmap.matrix_right @ xi + rmap.offset_right
     discarded = n_transient if not escaped else min(n_transient, escape_index)
     return OrbitData(pts[:kept].copy(), its[:kept].copy(), discarded, escaped, escape_index)
 
@@ -397,17 +400,20 @@ def induced_map(
     if not plane.contains(y, membership_tol):
         raise ValueError("start point is not on the section")
     syms: list[str] = []
-    for j in range(1, j_max + 1):
-        sym = pwl.side(y)
-        syms.append(sym)
-        y = pwl(y)
-        r = float(np.linalg.norm(y))
-        if r > escape_radius:
-            raise Escaped(f"excursion left |x| <= {escape_radius:g} after {j} steps")
-        if not np.isfinite(r):
-            raise NonFinite(f"excursion iterate {j} is not finite")
-        if (absorb_side is not None and sym == absorb_side) or plane.contains(y, membership_tol):
-            return InducedMapResult(image=y, return_time=j, itinerary=tuple(syms))
+    # Overflow is handled below as an escape or NonFinite, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, j_max + 1):
+            sym = pwl.side(y)
+            syms.append(sym)
+            y = pwl(y)
+            r = math.sqrt(y @ y)
+            if r > escape_radius:
+                raise Escaped(f"excursion left |x| <= {escape_radius:g} after {j} steps")
+            if not math.isfinite(r):
+                raise NonFinite(f"excursion iterate {j} is not finite")
+            absorbed = absorb_side is not None and sym == absorb_side
+            if absorbed or plane.contains(y, membership_tol):
+                return InducedMapResult(image=y, return_time=j, itinerary=tuple(syms))
     raise NoReturn(f"no return to the section within {j_max} iterations")
 
 

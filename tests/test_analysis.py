@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from pwldyn import (
     EmptyCloud,
@@ -13,12 +14,17 @@ from pwldyn import (
     scan,
 )
 
-from conftest import SHARED_2D
+from conftest import SHARED_2D, shared_3d_params
 
 
 def test_default_x0(shared_map):
     x0 = default_x0(shared_map)
     assert x0 == pytest.approx([1.0, 0.001])
+
+
+def test_default_x0_one_dimensional():
+    pwl = PwlMap([[0.5]], [[-1.5]], [1.0], [1.0])
+    assert default_x0(pwl).tolist() == [1.001]
 
 
 def test_attractor_sits_on_invariant_plane(shared_map):
@@ -70,6 +76,67 @@ def test_hausdorff_accepts_clouds(shared_map):
 def test_hausdorff_empty():
     with pytest.raises(EmptyCloud):
         hausdorff(np.zeros((0, 2)), np.zeros((1, 2)))
+
+
+def _brute_hausdorff(a, b):
+    a = np.asarray(a, dtype=float).reshape(len(a), -1)
+    b = np.asarray(b, dtype=float).reshape(len(b), -1)
+    d = cdist(a, b)
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+
+
+def _assert_matches_brute(a, b, n):
+    got = hausdorff(a, b)
+    ref = _brute_hausdorff(a, b)
+    if n <= 3:
+        assert got == ref
+    else:
+        assert abs(got - ref) <= 4 * np.spacing(ref)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_hausdorff_matches_brute_force(n, rng):
+    for size_a, size_b in [(1, 1), (1, 40), (40, 1), (2, 3), (60, 45), (300, 250)]:
+        a = rng.standard_normal((size_a, n))
+        b = rng.standard_normal((size_b, n))
+        _assert_matches_brute(a, b, n)
+        # duplicated points, and a cloud that nearly overlaps the other one
+        dup = np.concatenate([a, a[rng.integers(0, size_a, size_a)]])
+        near = a + 1e-9 * rng.standard_normal(a.shape)
+        _assert_matches_brute(dup, b, n)
+        _assert_matches_brute(a, dup, n)
+        _assert_matches_brute(a, near, n)
+        # coarse integer grids give many exact distance ties
+        grid_a = rng.integers(-3, 4, (size_a, n)).astype(float)
+        grid_b = rng.integers(-3, 4, (size_b, n)).astype(float)
+        _assert_matches_brute(grid_a, grid_b, n)
+
+
+def test_hausdorff_flat_input_is_one_dimensional(rng):
+    a = rng.standard_normal(70)
+    b = rng.standard_normal(30)
+    assert hausdorff(a, b) == _brute_hausdorff(a, b)
+    assert hausdorff(a, b) == hausdorff(a[:, None], b[:, None])
+
+
+@pytest.mark.parametrize("base", [SHARED_2D, shared_3d_params()], ids=["2d", "3d"])
+def test_hausdorff_matches_brute_force_on_scan_clouds(base):
+    values = np.linspace(base.tl - 0.05, base.tl + 0.05, 4)
+    result = scan(base, "tl", values, n_transient=500, n_keep=1000)
+    for left, right, dist in zip(result.clouds, result.clouds[1:],
+                                 result.consecutive_hausdorff):
+        assert dist == _brute_hausdorff(left.points, right.points)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_hausdorff_rejects_non_finite(bad):
+    good = np.zeros((3, 2))
+    cloud = np.ones((4, 2))
+    cloud[2, 1] = bad
+    for a, b in ((cloud, good), (good, cloud)):
+        with pytest.raises(ValueError) as info:
+            hausdorff(a, b)
+        assert "\n" not in str(info.value)
 
 
 def test_scan_bounded_family():

@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -290,6 +294,76 @@ def test_scan_needs_normal_form(tmp_path):
     path.write_text("2\n1 0\n0 1\n1 0\n0 1\n1 0\n1 0\n")
     assert main(["scan", "--matrix-file", str(path), "--param", "tl",
                  "--values", "1.0"]) == 2
+
+
+# One-dimensional maps: singular left piece, identical pieces (every
+# eigenvalue shared), and an expanding map whose orbit escapes.
+ONE_D_MAPS = {
+    "singular": "1\n0.0\n-1.5\n1.0\n1.0\n",
+    "identical": "1\n0.5\n0.5\n1.0\n1.0\n",
+    "expanding": "1\n2.0\n-3.0\n1.0\n1.0\n",
+}
+
+
+@pytest.mark.parametrize("command",
+                         ["analyze", "orbit", "portrait", "restrict", "induced", "scan"])
+@pytest.mark.parametrize("name", sorted(ONE_D_MAPS))
+def test_one_dimensional_matrix_file(tmp_path, capsys, name, command):
+    path = tmp_path / "map.txt"
+    path.write_text(ONE_D_MAPS[name])
+    code = main([command, "--matrix-file", str(path), "--param", "tl",
+                 "--values", "1.0", "--out", str(tmp_path / "out.txt")])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == (code != 0)
+
+
+def test_one_dimensional_orbit_default_start(tmp_path):
+    path = tmp_path / "map.txt"
+    path.write_text(ONE_D_MAPS["singular"])
+    out = tmp_path / "orbit.csv"
+    assert main(["orbit", "--matrix-file", str(path), "--transient", "1",
+                 "--keep", "1", "--out", str(out)]) == 0
+    rows = read_csv(out)
+    assert rows[:2] == [["k", "x1", "symbol"], ["0", "1.001", "R"]]
+    assert len(rows) == 3
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+LAZY_IMPORT_PROBE = """
+import runpy, sys
+
+def run(*argv):
+    sys.argv = ["pwldyn", *argv]
+    try:
+        runpy.run_module("pwldyn", run_name="__main__")
+    except SystemExit as exc:
+        print(exc.code)
+
+import pwldyn
+print("scipy.spatial" in sys.modules)
+run("analyze", *ANCHOR, "--out", OUT + ".json")
+print("scipy.spatial" in sys.modules)
+run("scan", *ANCHOR, "--param", "tl", "--values", "2.1,2.2", "--transient", "100",
+    "--keep", "200", "--out", OUT + ".csv")
+print("scipy.spatial" in sys.modules)
+"""
+
+
+def test_scipy_spatial_imported_only_by_hausdorff(tmp_path):
+    out = str(tmp_path / "out")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    code = f"ANCHOR = {ANCHOR!r}\nOUT = {out!r}\n" + LAZY_IMPORT_PROBE
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.stderr == ""
+    assert proc.stdout.split() == ["False", "0", "False", "0", "True"]
+    rows = read_csv(out + ".csv")
+    assert len(rows) == 3
+    assert float(rows[2][8]) > 0.0
 
 
 def test_dump_config_roundtrip(tmp_path):

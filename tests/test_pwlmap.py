@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwldyn import (
     BcnfParams,
@@ -14,6 +16,7 @@ from pwldyn import (
     orbit,
     validate_continuity,
 )
+from pwldyn.pwlmap import LEFT, RIGHT
 
 from conftest import FLAT_LEFT_2D, SHARED_2D, shared_3d_params
 
@@ -181,9 +184,68 @@ def test_orbit_escape_discards_only_seen_transient():
 def test_orbit_nonfinite_without_escape_radius():
     two = 2.0 * np.eye(2)
     pwl = PwlMap(two, two, np.zeros(2), np.array([1.0, 0.0]))
-    with pytest.raises(NonFinite):
+    # |x_k|^2 = 2 * 4^k first overflows at k = 512.
+    with pytest.raises(NonFinite, match=r"^orbit iterate 512 is not finite$"):
         orbit(pwl, np.array([1.0, 1.0]), n_transient=0, n_keep=3000,
               escape_radius=np.inf)
+
+
+def _reference_orbit(pwl, x0, n_transient, n_keep, escape_radius):
+    """Scalar loop with a NumPy norm and a per-point itinerary write."""
+    x = np.asarray(x0, dtype=float).copy()
+    pts = np.empty((n_keep, pwl.n))
+    its = np.empty(n_keep, dtype="<U1")
+    kept = 0
+    escape_index = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_transient + n_keep):
+            r = float(np.linalg.norm(x))
+            if r > escape_radius:
+                escape_index = k
+                break
+            if not np.isfinite(r):
+                raise NonFinite(f"orbit iterate {k} is not finite")
+            cx = float(pwl.c @ x)
+            if k >= n_transient:
+                pts[kept] = x
+                its[kept] = LEFT if cx < 0.0 else RIGHT
+                kept += 1
+            x = (pwl.A_L if cx < 0.0 else pwl.A_R) @ x + pwl.b
+    discarded = n_transient if escape_index is None else min(n_transient, escape_index)
+    return pts[:kept], its[:kept], discarded, escape_index
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([0.5, 0.95, 1.05, 2.0, 8.0]),
+    n_transient=st.integers(0, 60),
+    n_keep=st.integers(1, 400),
+    escape_radius=st.sampled_from([10.0, 1e12, np.inf]),
+)
+def test_orbit_matches_reference_loop(n, seed, scale, n_transient, n_keep, escape_radius):
+    rng = np.random.default_rng(seed)
+    A_L = rng.standard_normal((n, n)) * (scale / np.sqrt(n))
+    c = rng.standard_normal(n)
+    A_R = A_L + np.outer(rng.standard_normal(n), c)
+    pwl = PwlMap(A_L, A_R, rng.standard_normal(n), c)
+    x0 = rng.standard_normal(n)
+    try:
+        ref = _reference_orbit(pwl, x0, n_transient, n_keep, escape_radius)
+    except NonFinite as exc:
+        with pytest.raises(NonFinite, match=f"^{exc}$"):
+            orbit(pwl, x0, n_transient, n_keep, escape_radius)
+        return
+    pts, its, discarded, escape_index = ref
+    got = orbit(pwl, x0, n_transient, n_keep, escape_radius)
+    assert got.points.shape == pts.shape
+    assert got.points.tobytes() == pts.tobytes()
+    assert got.itinerary.dtype == its.dtype
+    assert np.array_equal(got.itinerary, its)
+    assert got.transient_discarded == discarded
+    assert got.escape_index == escape_index
+    assert got.escaped == (escape_index is not None)
 
 
 def test_orbit_deterministic(shared_map):
