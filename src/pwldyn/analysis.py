@@ -5,8 +5,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DynamicsError, EmptyCloud
-from .pwlmap import BcnfParams, PwlMap, bcnf, orbit
+from .errors import EmptyCloud
+from .pwlmap import ESCAPE_RADIUS, BcnfParams, OrbitData, PwlMap, _orbits, bcnf, orbit
 
 __all__ = [
     "AttractorCloud",
@@ -41,15 +41,7 @@ def default_x0(pwl: PwlMap) -> np.ndarray:
     return x0
 
 
-def attractor(
-    pwl: PwlMap,
-    x0,
-    n_transient: int = 1000,
-    n_keep: int = 3000,
-    escape_radius: float = 1e12,
-) -> AttractorCloud:
-    """Sample the attractor reached from ``x0``; empty only when the orbit escapes."""
-    orb = orbit(pwl, x0, n_transient, n_keep, escape_radius)
+def _cloud(orb: OrbitData, x0, n_transient: int, n_keep: int) -> AttractorCloud:
     return AttractorCloud(
         points=orb.points,
         escaped=orb.escaped,
@@ -58,6 +50,17 @@ def attractor(
         n_transient=n_transient,
         n_keep=n_keep,
     )
+
+
+def attractor(
+    pwl: PwlMap,
+    x0,
+    n_transient: int = 1000,
+    n_keep: int = 3000,
+    escape_radius: float = ESCAPE_RADIUS,
+) -> AttractorCloud:
+    """Sample the attractor reached from ``x0``; empty only when the orbit escapes."""
+    return _cloud(orbit(pwl, x0, n_transient, n_keep, escape_radius), x0, n_transient, n_keep)
 
 
 def _cloud_points(obj) -> np.ndarray:
@@ -93,6 +96,7 @@ def hausdorff(a, b) -> float:
 class ScanResult:
     parameter: str
     values: tuple[float, ...]
+    maps: tuple[PwlMap, ...]
     clouds: tuple[AttractorCloud | None, ...]
     consecutive_hausdorff: tuple[float, ...]
     errors: tuple[str | None, ...]
@@ -105,31 +109,34 @@ def scan(
     x0=None,
     n_transient: int = 1000,
     n_keep: int = 3000,
-    escape_radius: float = 1e12,
+    escape_radius: float = ESCAPE_RADIUS,
 ) -> ScanResult:
     """Attractor clouds along a one-parameter family of normal-form maps.
 
-    One cloud per value; a failed orbit (non-finite iterate) is recorded as
-    an error string with a None cloud instead of aborting the scan.  The
-    consecutive Hausdorff column gets NaN wherever either neighbour is empty.
+    One cloud per value, every value's orbit stepped in lockstep and each
+    bit-identical to ``attractor`` on that value alone.  A failed orbit
+    (non-finite iterate) is recorded as an error string with a None cloud
+    instead of aborting the scan.  The consecutive Hausdorff column gets NaN
+    wherever either neighbour is empty.
     """
     allowed = {"tl", "dl", "tr", "dr"} | ({"sl", "sr"} if base.dim == 3 else set())
     if parameter not in allowed:
         raise ValueError(f"unknown scan parameter {parameter!r} for dimension {base.dim}")
     vals = tuple(float(v) for v in values)
+    maps = tuple(bcnf(replace(base, **{parameter: v})) for v in vals)
+    starts = [default_x0(pwl) if x0 is None else np.asarray(x0, dtype=float) for pwl in maps]
     clouds: list[AttractorCloud | None] = []
     errors: list[str | None] = []
-    for v in vals:
-        pwl = bcnf(replace(base, **{parameter: v}))
-        start = default_x0(pwl) if x0 is None else np.asarray(x0, dtype=float)
-        try:
-            cloud = attractor(pwl, start, n_transient, n_keep, escape_radius)
-        except DynamicsError as exc:
-            clouds.append(None)
-            errors.append(f"{type(exc).__name__}: {exc}")
-        else:
-            clouds.append(cloud)
-            errors.append(None)
+    if maps:
+        orbits = _orbits([pwl._pieces for pwl in maps], starts, n_transient, n_keep,
+                         escape_radius)
+        for start, orb in zip(starts, orbits):
+            if isinstance(orb, OrbitData):
+                clouds.append(_cloud(orb, start, n_transient, n_keep))
+                errors.append(None)
+            else:
+                clouds.append(None)
+                errors.append(f"{type(orb).__name__}: {orb}")
     dists: list[float] = []
     for left, right in zip(clouds, clouds[1:]):
         if (
@@ -144,6 +151,7 @@ def scan(
     return ScanResult(
         parameter=parameter,
         values=vals,
+        maps=maps,
         clouds=tuple(clouds),
         consecutive_hausdorff=tuple(dists),
         errors=tuple(errors),

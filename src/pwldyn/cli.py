@@ -15,6 +15,7 @@ import configparser
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -34,7 +35,15 @@ from .errors import (
     UnsupportedDimension,
 )
 from .linalg import Spectrum, real_eigen
-from .pwlmap import BcnfParams, PwlMap, bcnf, fixed_points, orbit, validate_continuity
+from .pwlmap import (
+    ESCAPE_RADIUS,
+    BcnfParams,
+    PwlMap,
+    bcnf,
+    fixed_points,
+    orbit,
+    validate_continuity,
+)
 from .reduction import (
     Chart,
     classify_unit_modulus,
@@ -55,6 +64,9 @@ EXIT_REDUCTION = 4
 
 _BCNF_KEYS = ("tl", "dl", "sl", "tr", "dr", "sr")
 
+# Largest sampling grid accepted, checked before anything is allocated.
+MAX_GRID_SAMPLES = 10**6
+
 
 @dataclass
 class RunConfig:
@@ -71,12 +83,11 @@ class RunConfig:
     x0: tuple[float, ...] | None = None
     transient: int = 1000
     keep: int = 3000
-    escape_radius: float = 1e12
+    escape_radius: float = ESCAPE_RADIUS
     tol: float = 1e-9
     grid: str | None = None
     param: str | None = None
     values: tuple[float, ...] | None = None
-    seed: int | None = None
     format: str | None = None
 
 
@@ -111,8 +122,6 @@ def dump_config(cfg: RunConfig) -> str:
         parser["sampling"]["param"] = cfg.param
     if cfg.values is not None:
         parser["sampling"]["values"] = ",".join(repr(float(v)) for v in cfg.values)
-    if cfg.seed is not None:
-        parser["sampling"]["seed"] = str(cfg.seed)
     parser["output"] = {}
     if cfg.format is not None:
         parser["output"]["format"] = cfg.format
@@ -150,8 +159,6 @@ def load_config(path: str) -> RunConfig:
         cfg.param = sec.get("param", cfg.param)
         if "values" in sec:
             cfg.values = _parse_floats(sec["values"], "values")
-        if "seed" in sec:
-            cfg.seed = sec.getint("seed")
     if parser.has_section("output"):
         cfg.format = parser["output"].get("format", cfg.format)
     return cfg
@@ -189,7 +196,7 @@ def resolve_config(args: argparse.Namespace, command: str) -> RunConfig:
                 setattr(cfg, key, val)
     if args.x0 is not None:
         cfg.x0 = _parse_floats(args.x0, "x0")
-    for key in ("transient", "keep", "escape_radius", "tol", "grid", "param", "seed"):
+    for key in ("transient", "keep", "escape_radius", "tol", "grid", "param"):
         val = getattr(args, key)
         if val is not None:
             setattr(cfg, key, val)
@@ -487,7 +494,7 @@ def cmd_restrict(cfg: RunConfig, out: str | None) -> int:
             lo, hi, count = _parse_grid_axis(cfg.grid)
             pad = 0.0
         xs = np.linspace(lo - pad, hi + pad, count)
-        fxs = np.array([float(rmap(np.array([x]))[0]) for x in xs])
+        fxs = rmap(xs[:, None])[:, 0]
         cobweb = {"x": xs.tolist(), "fx": fxs.tolist()}
     if cfg.format == "json":
         payload = {
@@ -520,19 +527,26 @@ def _parse_grid_axis(spec: str) -> tuple[float, float, int]:
     if len(bits) != 3:
         raise ValueError(f"grid axis must be lo:hi:count, got {spec!r}")
     lo, hi, count = float(bits[0]), float(bits[1]), int(bits[2])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"grid bounds must be finite, got {spec!r}")
     if count < 1:
         raise ValueError("grid count must be at least 1")
+    _check_grid_size(count)
     return lo, hi, count
+
+
+def _check_grid_size(total: int) -> None:
+    if total > MAX_GRID_SAMPLES:
+        raise ValueError(f"grid has {total} samples, more than the limit {MAX_GRID_SAMPLES}")
 
 
 def _parse_grid(spec: str, dims: int) -> np.ndarray:
     parts = spec.split(",")
     if len(parts) != dims:
         raise ValueError(f"grid needs {dims} axis specs lo:hi:count, got {len(parts)}")
-    axes = []
-    for part in parts:
-        lo, hi, count = _parse_grid_axis(part)
-        axes.append(np.linspace(lo, hi, count))
+    specs = [_parse_grid_axis(part) for part in parts]
+    _check_grid_size(math.prod(count for _, _, count in specs))
+    axes = [np.linspace(lo, hi, count) for lo, hi, count in specs]
     if dims == 1:
         return axes[0][:, None]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -626,24 +640,16 @@ def cmd_scan(cfg: RunConfig, out: str | None) -> int:
         n_keep=cfg.keep,
         escape_radius=cfg.escape_radius,
     )
-    from dataclasses import replace as _replace
-
-    n = bcnf(base).n
-    plane_stat: list[float] = []
-    for v in result.values:
-        pwl = bcnf(_replace(base, **{cfg.param: v}))
-        stat = float("nan")
+    n = base.dim
+    rows = []
+    for i, (v, pwl, cloud) in enumerate(zip(result.values, result.maps, result.clouds)):
+        plane_stat = float("nan")
         try:
             red = detect_shared_eigenvalue(pwl, cfg.tol)
         except PwldynError:
             red = None
-        cloud = result.clouds[result.values.index(v)]
         if red is not None and cloud is not None and cloud.points.shape[0] > 0:
-            stat = float(np.max(np.abs(red.manifold.distances(cloud.points))))
-        plane_stat.append(stat)
-    rows = []
-    for i, v in enumerate(result.values):
-        cloud = result.clouds[i]
+            plane_stat = float(np.max(np.abs(red.manifold.distances(cloud.points))))
         if cloud is None or cloud.points.shape[0] == 0:
             size = 0 if cloud is not None else None
             bbox = [float("nan")] * (2 * n)
@@ -656,7 +662,7 @@ def cmd_scan(cfg: RunConfig, out: str | None) -> int:
             escaped = cloud.escaped
         prev = result.consecutive_hausdorff[i - 1] if i > 0 else float("nan")
         rows.append(
-            [v, size, escaped, *bbox, plane_stat[i], prev, result.errors[i]]
+            [v, size, escaped, *bbox, plane_stat, prev, result.errors[i]]
         )
     header = (
         ["value", "cloud_size", "escaped"]
@@ -699,13 +705,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--transient", type=int, help="iterates to discard (default 1000)")
     run.add_argument("--keep", type=int, help="iterates to keep (default 3000)")
     run.add_argument("--escape-radius", dest="escape_radius", type=float,
-                     help="divergence radius (default 1e12)")
+                     help=f"divergence radius (default {ESCAPE_RADIUS:g})")
     run.add_argument("--tol", type=float, help="detection/membership tolerance (default 1e-9)")
     run.add_argument("--grid", metavar="LO:HI:N[,LO:HI:N]", help="sampling grid")
     run.add_argument("--param", choices=("tl", "dl", "sl", "tr", "dr", "sr"),
                      help="scan parameter")
     run.add_argument("--values", metavar="V1,V2,...", help="scan parameter values")
-    run.add_argument("--seed", type=int, help="seed recorded for randomized sampling")
     output = common.add_argument_group("output")
     output.add_argument("--format", choices=("csv", "json"), help="output format")
     output.add_argument("--out", metavar="FILE", help="output path (default: stdout)")

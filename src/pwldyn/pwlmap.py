@@ -7,8 +7,10 @@ rank-one update along ``c``, which :func:`validate_continuity` checks.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,6 +18,7 @@ from . import linalg
 from .errors import NonFinite, NotContinuous, SingularMatrix, UnsupportedDimension
 
 __all__ = [
+    "ESCAPE_RADIUS",
     "LEFT",
     "RIGHT",
     "BcnfParams",
@@ -34,6 +37,70 @@ RIGHT = "R"
 
 # A fixed point closer to the switching plane than this is flagged borderline.
 BORDERLINE_ATOL = 1e-12
+
+# Default radius beyond which an orbit or excursion counts as escaped.
+ESCAPE_RADIUS = 1e12
+
+# Iterates stepped between two escape tests of an orbit.  Transient iterates
+# are buffered for one chunk only, so memory stays O(P (n_keep + chunk) n).
+_CHUNK = 256
+
+
+class _Pieces(NamedTuple):
+    """Two affine pieces ``x -> A_s x + d_s``; the left one applies where
+    ``c . x + c0 < 0``, stored as the threshold ``t = -c0`` of ``c . x < t``.
+
+    The two tests agree exactly in floating point: a sum of two doubles is
+    zero only when they cancel, so it has the sign of the exact sum.
+    One member holds ``(n, n)``, ``(n,)``, ``(n, n)``, ``(n,)``, ``(n,)`` and
+    a float; :func:`_stacked` gives the ``(P, ...)`` form of P members.
+    """
+
+    A_L: np.ndarray
+    d_L: np.ndarray
+    A_R: np.ndarray
+    d_R: np.ndarray
+    c: np.ndarray
+    t: float
+
+
+def _stacked(members, P: int) -> _Pieces:
+    """Pieces of P members as ``(P, n, n)`` matrices, ``(P, n, 1)`` offsets,
+    ``(P, 1, n)`` normals and ``(P, 1, 1)`` thresholds; one member is
+    broadcast to all P without a copy."""
+    n = members[0].d_L.size
+    shapes = ((n, n), (n, 1), (n, n), (n, 1), (1, n), (1, 1))
+    return _Pieces(*(
+        np.broadcast_to(np.reshape([m[i] for m in members], (-1, *shape)), (P, *shape))
+        for i, shape in enumerate(shapes)
+    ))
+
+
+def _step(S: _Pieces, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One step of every member: ``X`` is ``(P, n, 1)``, ``S`` stacked.
+
+    Returns the images and the ``(P, 1, 1)`` left-piece mask.  Only stacked
+    ``matmul`` is used: it makes the same BLAS call per member as the
+    one-point ``A @ x`` and ``c @ x``, so each row is bit-identical to a
+    one-point step (``X @ A.T``, ``einsum`` or Python arithmetic are not).
+    """
+    left = S.c @ X < S.t
+    return np.where(left, S.A_L, S.A_R) @ X + np.where(left, S.d_L, S.d_R), left
+
+
+def _apply(p: _Pieces, x) -> np.ndarray:
+    """Image of a point ``(n,)``, or of each row of ``(P, n)``."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        A_L, d_L, A_R, d_R, c, t = p
+        return A_L @ x + d_L if c @ x < t else A_R @ x + d_R
+    return _step(_stacked([p], x.shape[0]), x[:, :, None])[0][:, :, 0]
+
+
+def _norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each vector along the last axis, bit-identical to
+    ``np.linalg.norm`` of that vector alone."""
+    return np.sqrt(np.matmul(X[..., None, :], X[..., :, None]))[..., 0, 0]
 
 
 @dataclass(frozen=True)
@@ -72,21 +139,21 @@ class PwlMap:
     def n(self) -> int:
         return self.b.size
 
+    @cached_property
+    def _pieces(self) -> _Pieces:
+        return _Pieces(self.A_L, self.b, self.A_R, self.b, self.c, 0.0)
+
     def side(self, x) -> str:
         return LEFT if float(self.c @ np.asarray(x, dtype=float)) < 0.0 else RIGHT
 
     def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        A = self.A_L if float(self.c @ x) < 0.0 else self.A_R
-        return A @ x + self.b
+        """Image of a point, or of each row of a ``(P, n)`` array."""
+        return _apply(self._pieces, x)
 
     def map_points(self, X) -> np.ndarray:
-        """Apply the map to each row of ``X`` at once."""
-        X = np.asarray(X, dtype=float)
-        right = (X @ self.c) >= 0.0
-        Y = X @ self.A_L.T
-        Y[right] = X[right] @ self.A_R.T
-        return Y + self.b
+        """Apply the map to each row of ``X`` at once, bit-identical to calling
+        it on each row."""
+        return _apply(self._pieces, X)
 
 
 @dataclass(frozen=True)
@@ -161,12 +228,99 @@ class OrbitData:
     escape_index: int | None = None
 
 
+def _orbits(
+    members,
+    X0,
+    n_transient: int,
+    n_keep: int,
+    escape_radius: float,
+    what: str = "orbit",
+) -> list[OrbitData | NonFinite]:
+    """Orbits of P members in lockstep, member ``i`` from row ``i`` of ``X0``.
+
+    Returns per member its OrbitData, or the NonFinite error that ended it.
+    The rule is ``orbit``'s: iterate ``k`` escapes when its norm exceeds
+    ``escape_radius`` and is non-finite otherwise when the norm is not
+    finite.  It is applied to each chunk of stored iterates after the chunk
+    is stepped; a member that stopped steps on as garbage to the end of the
+    chunk and nothing past its stop is kept.  One member takes a plain
+    one-point step, more members the stacked :func:`_step`.
+    """
+    if n_transient < 0:
+        raise ValueError("n_transient must be non-negative")
+    if n_keep < 1:
+        raise ValueError("n_keep must be at least 1")
+    if not escape_radius > 0.0:
+        raise ValueError("escape_radius must be positive")
+    P, n = len(members), members[0].d_L.size
+    X0 = np.asarray(X0, dtype=float)
+    if X0.shape != (P, n):
+        raise ValueError(f"x0 must be a vector of length {n}")
+    pts = np.empty((P, n_keep, n))
+    lefts = np.empty((P, n_keep), dtype=bool)
+    transient_buf = np.empty((P, min(n_transient, _CHUNK), n))
+    transient_lefts = np.empty(transient_buf.shape[:2], dtype=bool)
+    stop = np.full(P, -1)
+    escaped = np.zeros(P, dtype=bool)
+    if P == 1:
+        A_L, d_L, A_R, d_R, c, t = members[0]
+        x = X0[0]
+    else:
+        S = _stacked(members, P)
+        x = X0[:, :, None]
+    total = n_transient + n_keep
+    # Overflow ends in an escape or NonFinite below, not in a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in chain(range(0, n_transient, _CHUNK), range(n_transient, total, _CHUNK)):
+            hi = min(lo + _CHUNK, n_transient if lo < n_transient else total)
+            if lo < n_transient:
+                buf, lbuf = transient_buf[:, : hi - lo], transient_lefts[:, : hi - lo]
+            else:
+                buf = pts[:, lo - n_transient : hi - n_transient]
+                lbuf = lefts[:, lo - n_transient : hi - n_transient]
+            if P == 1:
+                buf1, lbuf1 = buf[0], lbuf[0]
+                for k in range(hi - lo):
+                    left = c @ x < t
+                    buf1[k] = x
+                    lbuf1[k] = left
+                    x = A_L @ x + d_L if left else A_R @ x + d_R
+            else:
+                for k in range(hi - lo):
+                    buf[:, k] = x[:, :, 0]
+                    x, left = _step(S, x)
+                    lbuf[:, k] = left[:, 0, 0]
+            r = _norms(buf)
+            bad = (r > escape_radius) | ~np.isfinite(r)
+            first = bad.argmax(axis=1)
+            new = (stop < 0) & bad.any(axis=1)
+            stop[new] = lo + first[new]
+            escaped[new] = r[new, first[new]] > escape_radius
+            if (stop >= 0).all():
+                break
+    out: list[OrbitData | NonFinite] = []
+    for i in range(P):
+        k = int(stop[i])
+        if k >= 0 and not escaped[i]:
+            out.append(NonFinite(f"{what} iterate {k} is not finite"))
+            continue
+        kept = n_keep if k < 0 else max(0, k - n_transient)
+        out.append(OrbitData(
+            points=pts[i, :kept],
+            itinerary=np.where(lefts[i, :kept], LEFT, RIGHT),
+            transient_discarded=n_transient if k < 0 else min(n_transient, k),
+            escaped=k >= 0,
+            escape_index=None if k < 0 else k,
+        ))
+    return out
+
+
 def orbit(
     pwl: PwlMap,
     x0,
     n_transient: int = 1000,
     n_keep: int = 3000,
-    escape_radius: float = 1e12,
+    escape_radius: float = ESCAPE_RADIUS,
 ) -> OrbitData:
     """Iterate the map, discard ``n_transient`` points, keep up to ``n_keep``.
 
@@ -176,46 +330,11 @@ def orbit(
     image of ``points[k]`` and ``itinerary[k]`` records which piece applies
     at ``points[k]``.
     """
-    if n_transient < 0:
-        raise ValueError("n_transient must be non-negative")
-    if n_keep < 1:
-        raise ValueError("n_keep must be at least 1")
-    if not escape_radius > 0.0:
-        raise ValueError("escape_radius must be positive")
-    x = np.asarray(x0, dtype=float).copy()
-    if x.shape != (pwl.n,):
-        raise ValueError(f"x0 must be a vector of length {pwl.n}")
-    A_L, A_R, b, c = pwl.A_L, pwl.A_R, pwl.b, pwl.c
-    pts = np.empty((n_keep, pwl.n))
-    lefts = np.empty(n_keep, dtype=bool)
-    kept = 0
-    escaped = False
-    escape_index = None
-    total = n_transient + n_keep
-    # Overflow is handled below as an escape or NonFinite, not as a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(total):
-            r = math.sqrt(x @ x)
-            if r > escape_radius:
-                escaped = True
-                escape_index = k
-                break
-            if not math.isfinite(r):
-                raise NonFinite(f"orbit iterate {k} is not finite")
-            left = c @ x < 0.0
-            if k >= n_transient:
-                pts[kept] = x
-                lefts[kept] = left
-                kept += 1
-            x = (A_L if left else A_R) @ x + b
-    discarded = n_transient if not escaped else min(n_transient, escape_index)
-    return OrbitData(
-        points=pts[:kept].copy(),
-        itinerary=np.where(lefts[:kept], LEFT, RIGHT),
-        transient_discarded=discarded,
-        escaped=escaped,
-        escape_index=escape_index,
-    )
+    (res,) = _orbits([pwl._pieces], np.asarray(x0, dtype=float)[None],
+                     n_transient, n_keep, escape_radius)
+    if isinstance(res, NonFinite):
+        raise res
+    return res
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ boundary-crossing type.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +28,21 @@ from .errors import (
     NotSingular,
     SingularMatrix,
 )
-from .pwlmap import LEFT, RIGHT, OrbitData, PwlMap, fixed_points, validate_continuity
+from .pwlmap import (
+    ESCAPE_RADIUS,
+    LEFT,
+    RIGHT,
+    OrbitData,
+    PwlMap,
+    _apply,
+    _norms,
+    _orbits,
+    _Pieces,
+    _stacked,
+    _step,
+    fixed_points,
+    validate_continuity,
+)
 
 __all__ = [
     "AffineHyperplane",
@@ -49,8 +63,11 @@ __all__ = [
 ]
 
 MEMBERSHIP_TOL = 1e-9
-ESCAPE_RADIUS = 1e12
 J_MAX = 10**6
+
+# Grid samples stepped together by the induced sampler; bounds its per-step
+# temporaries, which hold an (n, n) matrix per sample, at any grid size.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -142,15 +159,18 @@ class ReducedPwlMap:
     def dimension(self) -> int:
         return self.matrix_left.shape[0]
 
+    @cached_property
+    def _pieces(self) -> _Pieces:
+        return _Pieces(self.matrix_left, self.offset_left, self.matrix_right,
+                       self.offset_right, self.switch_normal, -self.switch_offset)
+
     def side(self, xi) -> str:
         margin = float(self.switch_normal @ np.asarray(xi, dtype=float)) + self.switch_offset
         return LEFT if margin < 0.0 else RIGHT
 
     def __call__(self, xi) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        if self.side(xi) == LEFT:
-            return self.matrix_left @ xi + self.offset_left
-        return self.matrix_right @ xi + self.offset_right
+        """Image of a chart point, or of each row of a ``(P, d)`` array."""
+        return _apply(self._pieces, xi)
 
     def slopes(self) -> tuple[float, float] | None:
         """Piece slopes for one-dimensional restrictions, else None."""
@@ -303,38 +323,11 @@ def reduced_orbit(
     escape_radius: float = ESCAPE_RADIUS,
 ) -> OrbitData:
     """Orbit of a restricted map in chart coordinates, same contract as ``orbit``."""
-    if n_transient < 0 or n_keep < 1 or not escape_radius > 0.0:
-        raise ValueError("invalid orbit settings")
-    xi = np.asarray(xi0, dtype=float).copy()
-    d = rmap.dimension
-    if xi.shape != (d,):
-        raise ValueError(f"xi0 must be a vector of length {d}")
-    pts = np.empty((n_keep, d))
-    its = np.empty(n_keep, dtype="<U1")
-    kept = 0
-    escaped = False
-    escape_index = None
-    # Overflow is handled below as an escape or NonFinite, not as a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_transient + n_keep):
-            r = math.sqrt(xi @ xi)
-            if r > escape_radius:
-                escaped = True
-                escape_index = k
-                break
-            if not math.isfinite(r):
-                raise NonFinite(f"reduced orbit iterate {k} is not finite")
-            sym = rmap.side(xi)
-            if k >= n_transient:
-                pts[kept] = xi
-                its[kept] = sym
-                kept += 1
-            if sym == LEFT:
-                xi = rmap.matrix_left @ xi + rmap.offset_left
-            else:
-                xi = rmap.matrix_right @ xi + rmap.offset_right
-    discarded = n_transient if not escaped else min(n_transient, escape_index)
-    return OrbitData(pts[:kept].copy(), its[:kept].copy(), discarded, escaped, escape_index)
+    (res,) = _orbits([rmap._pieces], np.asarray(xi0, dtype=float)[None], n_transient,
+                     n_keep, escape_radius, what="reduced orbit")
+    if isinstance(res, NonFinite):
+        raise res
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +372,68 @@ class InducedMapResult:
     itinerary: tuple[str, ...]
 
 
+# Per-sample outcome codes of _first_returns, indexing _STATUSES.
+_RUNNING, _OK, _ESCAPED, _NON_FINITE = range(4)
+_STATUSES = ("no_return", "ok", "escaped", "non_finite")
+
+
+def _on_plane(plane: AffineHyperplane, Y: np.ndarray, r: np.ndarray, tol: float) -> np.ndarray:
+    """``plane.contains`` for each ``(n, 1)`` vector of ``Y`` with norm ``r``."""
+    N = np.broadcast_to(plane.normal, (len(Y), 1, plane.normal.size))
+    return np.abs((N @ Y)[:, 0, 0] - plane.offset) <= tol * (1.0 + r)
+
+
+def _first_returns(pwl, plane, X, j_max, escape_radius, membership_tol):
+    """First return to ``plane`` of every row of ``X``, stepped together.
+
+    Returns the outcome code, ambient image, return time and last piece
+    (True for left) of each row; a row still running after ``j_max`` steps
+    keeps the code ``_RUNNING``.  A step by the left piece returns at once,
+    because the plane is that piece's range; any other step returns when
+    ``|normal . y - offset| <= tol (1 + |y|)``.  Escape and a non-finite
+    image are tested before the return.  Rows leave the active set as they
+    finish, and each is bit-identical to stepping it alone.
+    """
+    P, n = X.shape
+    status = np.full(P, _RUNNING)
+    images = np.empty((P, n))
+    times = np.zeros(P, dtype=int)
+    last_left = np.zeros(P, dtype=bool)
+    # Overflow ends in an escape or NonFinite below, not in a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not _on_plane(plane, X[:, :, None], _norms(X), membership_tol).all():
+            raise ValueError("start point is not on the section")
+        for lo in range(0, P, _BLOCK):
+            idx = np.arange(lo, min(lo + _BLOCK, P))
+            S = _stacked([pwl._pieces], idx.size)
+            Y = X[idx, :, None]
+            for j in range(1, j_max + 1):
+                Y, left = _step(S, Y)
+                left = left[:, 0, 0]
+                r = _norms(Y[:, :, 0])
+                escaped = r > escape_radius
+                non_finite = ~escaped & ~np.isfinite(r)
+                done = escaped | non_finite | left | _on_plane(plane, Y, r, membership_tol)
+                if not done.any():
+                    continue
+                code = np.where(escaped, _ESCAPED, np.where(non_finite, _NON_FINITE, _OK))
+                fin = idx[done]
+                status[fin] = code[done]
+                images[fin] = Y[done, :, 0]
+                times[fin] = j
+                last_left[fin] = left[done]
+                idx, Y = idx[~done], Y[~done]
+                if not idx.size:
+                    break
+                S = _Pieces(*(a[: idx.size] for a in S))
+    return status, images, times, last_left
+
+
+def _itinerary(return_time: int, last_left: bool) -> tuple[str, ...]:
+    # Every step before the last is a right step: a left step returns at once.
+    return (RIGHT,) * (return_time - 1) + (LEFT if last_left else RIGHT,)
+
+
 def induced_map(
     pwl: PwlMap,
     plane: AffineHyperplane,
@@ -386,35 +441,26 @@ def induced_map(
     j_max: int = J_MAX,
     escape_radius: float = ESCAPE_RADIUS,
     membership_tol: float = MEMBERSHIP_TOL,
-    absorb_side: str | None = LEFT,
 ) -> InducedMapResult:
     """First return to ``plane`` of the orbit starting at ``x`` (on the plane).
 
-    A step taken with the ``absorb_side`` piece lands on the plane by
-    construction when the plane is that piece's range, so such steps return
-    immediately without a tolerance test; any other step returns when the
-    membership test ``|normal . y - offset| <= tol (1 + |y|)`` passes.  Pass
-    ``absorb_side=None`` to rely on the tolerance test alone.
+    The plane is the range of the left piece, so a step taken with the left
+    piece returns immediately without a tolerance test; any other step
+    returns when the membership test ``|normal . y - offset| <= tol (1 + |y|)``
+    passes.
     """
-    y = np.asarray(x, dtype=float).copy()
-    if not plane.contains(y, membership_tol):
-        raise ValueError("start point is not on the section")
-    syms: list[str] = []
-    # Overflow is handled below as an escape or NonFinite, not as a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, j_max + 1):
-            sym = pwl.side(y)
-            syms.append(sym)
-            y = pwl(y)
-            r = math.sqrt(y @ y)
-            if r > escape_radius:
-                raise Escaped(f"excursion left |x| <= {escape_radius:g} after {j} steps")
-            if not math.isfinite(r):
-                raise NonFinite(f"excursion iterate {j} is not finite")
-            absorbed = absorb_side is not None and sym == absorb_side
-            if absorbed or plane.contains(y, membership_tol):
-                return InducedMapResult(image=y, return_time=j, itinerary=tuple(syms))
-    raise NoReturn(f"no return to the section within {j_max} iterations")
+    status, images, times, last_left = _first_returns(
+        pwl, plane, np.asarray(x, dtype=float)[None], j_max, escape_radius, membership_tol
+    )
+    j = int(times[0])
+    if status[0] == _ESCAPED:
+        raise Escaped(f"excursion left |x| <= {escape_radius:g} after {j} steps")
+    if status[0] == _NON_FINITE:
+        raise NonFinite(f"excursion iterate {j} is not finite")
+    if status[0] == _RUNNING:
+        raise NoReturn(f"no return to the section within {j_max} iterations")
+    return InducedMapResult(image=images[0], return_time=j,
+                            itinerary=_itinerary(j, last_left[0]))
 
 
 @dataclass(frozen=True)
@@ -437,37 +483,35 @@ def sample_induced(
 ) -> list[InducedSample]:
     """Evaluate the induced return map on chart-coordinate grid points.
 
-    Failures are recorded per sample instead of aborting the sweep.
+    All points are stepped together, each bit-identical to ``induced_map``
+    on its lifted point.  Failures are recorded per sample instead of
+    aborting the sweep.
     """
     if chart is None:
         chart = plane_chart(plane)
-    pts = np.asarray(grid, dtype=float)
+    pts = np.array(grid, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.shape[1] != pwl.n - 1:
         raise ValueError(f"grid points must have {pwl.n - 1} chart coordinates")
-    out: list[InducedSample] = []
-    for xi in pts:
-        x = chart.lift(xi)
-        try:
-            res = induced_map(pwl, plane, x, j_max, escape_radius, membership_tol)
-        except NoReturn:
-            out.append(InducedSample(xi.copy(), None, None, None, "no_return"))
-        except Escaped:
-            out.append(InducedSample(xi.copy(), None, None, None, "escaped"))
-        except NonFinite:
-            out.append(InducedSample(xi.copy(), None, None, None, "non_finite"))
-        else:
-            out.append(
-                InducedSample(
-                    point=xi.copy(),
-                    image=chart.project(res.image),
-                    return_time=res.return_time,
-                    itinerary=res.itinerary,
-                    status="ok",
-                )
-            )
-    return out
+    P, d = pts.shape
+    # Stacked forms of Chart.lift and Chart.project, row for row identical.
+    basis = np.broadcast_to(chart.basis, (P, pwl.n, d))
+    X = chart.base + (basis @ pts[:, :, None])[:, :, 0]
+    status, images, times, last_left = _first_returns(
+        pwl, plane, X, j_max, escape_radius, membership_tol
+    )
+    ok = status == _OK
+    proj = np.empty((P, d))
+    basis_t = np.broadcast_to(chart.basis.T, (int(ok.sum()), d, pwl.n))
+    proj[ok] = (basis_t @ (images[ok] - chart.base)[:, :, None])[:, :, 0]
+    return [
+        InducedSample(pts[i], proj[i], j, _itinerary(j, left), "ok")
+        if code == _OK
+        else InducedSample(pts[i], None, None, None, _STATUSES[code])
+        for i, (code, j, left) in enumerate(zip(status.tolist(), times.tolist(),
+                                                last_left.tolist()))
+    ]
 
 
 # ---------------------------------------------------------------------------

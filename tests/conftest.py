@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pwldyn import BcnfParams, bcnf, real_eigen
+from pwldyn import BcnfParams, NonFinite, bcnf, real_eigen
+from pwldyn.pwlmap import LEFT, RIGHT
 
 # Two-piece normal form with the left piece sharing the eigenvalue 0.2
 # with the right piece (right spectrum {0.2, -1.5}, left {2, 0.2}).
@@ -45,3 +46,31 @@ def flat_left_map_3d():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+def reference_orbit(pwl, x0, n_transient, n_keep, escape_radius, what="orbit"):
+    """The one-point orbit loop that ``orbit`` replaced, kept as its oracle:
+    a NumPy norm and escape test before every step and a per-point
+    itinerary write.  Returns points, itinerary, transient_discarded and
+    escape_index, or raises NonFinite."""
+    x = np.asarray(x0, dtype=float).copy()
+    pts = np.empty((n_keep, pwl.n))
+    its = np.empty(n_keep, dtype="<U1")
+    kept = 0
+    escape_index = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_transient + n_keep):
+            r = float(np.linalg.norm(x))
+            if r > escape_radius:
+                escape_index = k
+                break
+            if not np.isfinite(r):
+                raise NonFinite(f"{what} iterate {k} is not finite")
+            cx = float(pwl.c @ x)
+            if k >= n_transient:
+                pts[kept] = x
+                its[kept] = LEFT if cx < 0.0 else RIGHT
+                kept += 1
+            x = (pwl.A_L if cx < 0.0 else pwl.A_R) @ x + pwl.b
+    discarded = n_transient if escape_index is None else min(n_transient, escape_index)
+    return pts[:kept], its[:kept], discarded, escape_index

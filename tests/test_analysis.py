@@ -1,20 +1,27 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from pwldyn import (
+    BcnfParams,
     EmptyCloud,
+    NonFinite,
     PwlMap,
     attractor,
+    bcnf,
     default_x0,
     detect_shared_eigenvalue,
     hausdorff,
     scan,
 )
 
-from conftest import SHARED_2D, shared_3d_params
+from conftest import SHARED_2D, reference_orbit, shared_3d_params
 
 
 def test_default_x0(shared_map):
@@ -208,3 +215,44 @@ def test_scan_refinement_tightens_steps():
         maxima.append(max(result.consecutive_hausdorff))
     assert maxima[1] <= maxima[0] + 1e-12
     assert maxima[2] <= maxima[1] + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+    P=st.integers(1, 6),
+    n_transient=st.integers(0, 400),
+    n_keep=st.integers(1, 400),
+    escape_radius=st.sampled_from([10.0, 1e12, np.inf]),
+)
+def test_scan_matches_reference_loop_per_value(dim, seed, P, n_transient, n_keep,
+                                               escape_radius):
+    # Values from contracting to strongly expanding, so a scan mixes bounded
+    # clouds, escapes and (without an escape radius) non-finite orbits.
+    rng = np.random.default_rng(seed)
+    coeffs = rng.uniform(-1.5, 1.5, 6)
+    base = BcnfParams(dim=dim, tl=coeffs[0], dl=coeffs[1], tr=coeffs[2], dr=coeffs[3],
+                      sl=coeffs[4] if dim == 3 else None,
+                      sr=coeffs[5] if dim == 3 else None)
+    parameter = str(rng.choice(["tl", "dl", "tr", "dr"] + (["sl", "sr"] if dim == 3 else [])))
+    values = rng.uniform(-8.0, 8.0, P)
+    result = scan(base, parameter, values, n_transient=n_transient, n_keep=n_keep,
+                  escape_radius=escape_radius)
+    assert result.values == tuple(values)
+    for v, pwl, cloud, err in zip(values, result.maps, result.clouds, result.errors):
+        expected = bcnf(replace(base, **{parameter: v}))
+        assert np.array_equal(pwl.A_L, expected.A_L)
+        assert np.array_equal(pwl.A_R, expected.A_R)
+        try:
+            pts, _, _, escape_index = reference_orbit(pwl, default_x0(pwl), n_transient,
+                                                      n_keep, escape_radius)
+        except NonFinite as exc:
+            assert cloud is None
+            assert err == f"NonFinite: {exc}"
+            continue
+        assert err is None
+        assert cloud.points.tobytes() == pts.tobytes()
+        assert cloud.points.shape == pts.shape
+        assert cloud.escape_index == escape_index
+        assert cloud.escaped is (escape_index is not None)

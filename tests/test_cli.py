@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -250,6 +251,39 @@ def test_induced_grid_at_fixed_point(capsys):
     assert s["image"] == pytest.approx(s["point"], abs=1e-10)
 
 
+@pytest.mark.parametrize("argv", [
+    ["induced", *FLAT, "--grid=0:1:10000000000"],
+    ["induced", "--dim", "3", "--tl", "1.6", "--dl", "0.0", "--sl", "0.8", "--tr", "-1.5",
+     "--dr", "1.0", "--sr", "0.0", "--grid=0:1:100000,0:1:100000"],
+    ["restrict", *ANCHOR, "--grid=0:1:10000000000"],
+])
+def test_huge_grid_rejected_before_allocating(capsys, argv):
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and "more than the limit" in err
+    assert peak < 10**6
+
+
+@pytest.mark.parametrize("grid", ["nan:1:5", "0:inf:5", "-inf:0:5"])
+def test_grid_bounds_must_be_finite(capsys, grid):
+    for command, spec in (("induced", FLAT), ("restrict", ANCHOR)):
+        assert main([command, *spec, f"--grid={grid}"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "finite" in err
+
+
+def test_seed_option_removed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", *ANCHOR, "--seed", "1"])
+    assert exc.value.code == 2
+
+
 def test_induced_not_singular():
     assert main(["induced", "--dim", "2", "--tl", "1.3", "--dl", "0.08",
                  "--tr", "-1.4", "--dr", "1.5"]) == 4
@@ -281,6 +315,22 @@ def test_scan_escaping_values(tmp_path):
     rows = read_csv(out)
     assert all(r[2] == "True" for r in rows[1:])
     assert all(r[1] == "0" for r in rows[1:])
+
+
+def test_scan_repeated_values(tmp_path):
+    # One row per value, in order; a repeated value repeats its row except
+    # for the distance to the previous cloud, which is 0 between equal ones.
+    out = tmp_path / "scan.csv"
+    code = main(["scan", *ANCHOR, "--param", "tl", "--values", "2.2,2.1,2.2,2.2",
+                 "--transient", "200", "--keep", "300", "--out", str(out)])
+    assert code == 0
+    rows = read_csv(out)[1:]
+    assert [r[0] for r in rows] == ["2.2", "2.1", "2.2", "2.2"]
+    drop_prev = [r[:8] + r[9:] for r in rows]
+    assert drop_prev[0] == drop_prev[2] == drop_prev[3]
+    assert drop_prev[0] != drop_prev[1]
+    assert float(rows[3][8]) == 0.0
+    assert float(rows[2][8]) == float(rows[1][8]) > 0.0
 
 
 def test_scan_requires_values():

@@ -16,9 +16,9 @@ from pwldyn import (
     orbit,
     validate_continuity,
 )
-from pwldyn.pwlmap import LEFT, RIGHT
+from pwldyn.pwlmap import _orbits
 
-from conftest import FLAT_LEFT_2D, SHARED_2D, shared_3d_params
+from conftest import FLAT_LEFT_2D, SHARED_2D, reference_orbit, shared_3d_params
 
 
 def test_bcnf_2d_matrices(shared_map):
@@ -118,9 +118,12 @@ def test_evaluation_unit_axis_points(shared_map):
 
 def test_map_points_matches_loop(shared_map, rng):
     pts = rng.uniform(-2.0, 2.0, (200, 2))
+    # points within a few ulps of the switching line exercise the side test
+    pts[:20, 0] = rng.uniform(-1e-15, 1e-15, 20)
     batched = shared_map.map_points(pts)
+    assert batched.shape == pts.shape
     for x, y in zip(pts, batched):
-        assert np.abs(shared_map(x) - y).max() <= 1e-14
+        assert shared_map(x).tobytes() == y.tobytes()
 
 
 def test_map_data_immutable(shared_map):
@@ -190,31 +193,6 @@ def test_orbit_nonfinite_without_escape_radius():
               escape_radius=np.inf)
 
 
-def _reference_orbit(pwl, x0, n_transient, n_keep, escape_radius):
-    """Scalar loop with a NumPy norm and a per-point itinerary write."""
-    x = np.asarray(x0, dtype=float).copy()
-    pts = np.empty((n_keep, pwl.n))
-    its = np.empty(n_keep, dtype="<U1")
-    kept = 0
-    escape_index = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_transient + n_keep):
-            r = float(np.linalg.norm(x))
-            if r > escape_radius:
-                escape_index = k
-                break
-            if not np.isfinite(r):
-                raise NonFinite(f"orbit iterate {k} is not finite")
-            cx = float(pwl.c @ x)
-            if k >= n_transient:
-                pts[kept] = x
-                its[kept] = LEFT if cx < 0.0 else RIGHT
-                kept += 1
-            x = (pwl.A_L if cx < 0.0 else pwl.A_R) @ x + pwl.b
-    discarded = n_transient if escape_index is None else min(n_transient, escape_index)
-    return pts[:kept], its[:kept], discarded, escape_index
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     n=st.integers(1, 5),
@@ -232,7 +210,7 @@ def test_orbit_matches_reference_loop(n, seed, scale, n_transient, n_keep, escap
     pwl = PwlMap(A_L, A_R, rng.standard_normal(n), c)
     x0 = rng.standard_normal(n)
     try:
-        ref = _reference_orbit(pwl, x0, n_transient, n_keep, escape_radius)
+        ref = reference_orbit(pwl, x0, n_transient, n_keep, escape_radius)
     except NonFinite as exc:
         with pytest.raises(NonFinite, match=f"^{exc}$"):
             orbit(pwl, x0, n_transient, n_keep, escape_radius)
@@ -246,6 +224,79 @@ def test_orbit_matches_reference_loop(n, seed, scale, n_transient, n_keep, escap
     assert got.transient_discarded == discarded
     assert got.escape_index == escape_index
     assert got.escaped == (escape_index is not None)
+
+
+def _random_continuous_map(rng, n, scale):
+    A_L = rng.standard_normal((n, n)) * (scale / np.sqrt(n))
+    c = rng.standard_normal(n)
+    A_R = A_L + np.outer(rng.standard_normal(n), c)
+    return PwlMap(A_L, A_R, rng.standard_normal(n), c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    P=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    n_transient=st.integers(0, 600),
+    n_keep=st.integers(1, 600),
+    escape_radius=st.sampled_from([10.0, 1e12, np.inf]),
+)
+def test_lockstep_orbits_match_reference_loop(n, P, seed, n_transient, n_keep, escape_radius):
+    # Members mix bounded, escaping and overflowing maps, and NaN starts;
+    # transient and keep lengths cross the escape-test chunk boundary.
+    rng = np.random.default_rng(seed)
+    maps = [_random_continuous_map(rng, n, rng.choice([0.5, 0.95, 1.05, 2.0, 8.0]))
+            for _ in range(P)]
+    X0 = rng.standard_normal((P, n))
+    X0[rng.random(P) < 0.15] = np.nan
+    got = _orbits([m._pieces for m in maps], X0, n_transient, n_keep, escape_radius)
+    assert len(got) == P
+    for pwl, x0, res in zip(maps, X0, got):
+        try:
+            pts, its, discarded, escape_index = reference_orbit(
+                pwl, x0, n_transient, n_keep, escape_radius)
+        except NonFinite as exc:
+            assert isinstance(res, NonFinite)
+            assert str(res) == str(exc)
+            continue
+        assert res.points.shape == pts.shape
+        assert res.points.tobytes() == pts.tobytes()
+        assert np.array_equal(res.itinerary, its)
+        assert res.itinerary.dtype == its.dtype
+        assert res.transient_discarded == discarded
+        assert res.escape_index == escape_index
+        assert res.escaped is (escape_index is not None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 5), P=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_orbits_escape_radius_at_an_iterate_norm(n, P, seed):
+    # An escape radius equal to the NumPy norm of some iterate puts the
+    # escape test on its boundary: a norm rounded any other way moves the
+    # escape index.
+    rng = np.random.default_rng(seed)
+    maps = [_random_continuous_map(rng, n, 0.95) for _ in range(P)]
+    X0 = rng.standard_normal((P, n))
+    pts, _, _, _ = reference_orbit(maps[0], X0[0], 0, 300, 1e12)
+    radius = float(np.linalg.norm(pts[rng.integers(len(pts))]))
+    got = _orbits([m._pieces for m in maps], X0, 0, 300, radius)
+    for pwl, x0, res in zip(maps, X0, got):
+        ref_pts, _, _, escape_index = reference_orbit(pwl, x0, 0, 300, radius)
+        assert res.escape_index == escape_index
+        assert res.points.tobytes() == ref_pts.tobytes()
+
+
+def test_orbit_huge_transient_allocates_one_chunk():
+    # The escape test runs per chunk, so a transient far beyond memory is fine
+    # as long as the orbit escapes.
+    two = 2.0 * np.eye(2)
+    pwl = PwlMap(two, two, np.zeros(2), np.array([1.0, 0.0]))
+    orb = orbit(pwl, np.array([1.0, 1.0]), n_transient=10**15, n_keep=5,
+                escape_radius=1e3)
+    assert orb.escape_index == 10
+    assert orb.transient_discarded == 10
+    assert orb.points.shape == (0, 2)
 
 
 def test_orbit_deterministic(shared_map):

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwldyn import (
     AffineHyperplane,
@@ -10,6 +15,7 @@ from pwldyn import (
     HypothesisViolated,
     MultipleZero,
     NoFixedPoint,
+    NonFinite,
     NonTransversal,
     NoReturn,
     NotSingular,
@@ -25,6 +31,7 @@ from pwldyn import (
     sample_induced,
     zero_eig_reduction,
 )
+from pwldyn import reduction
 
 from conftest import FLAT_LEFT_2D, SHARED_2D, shared_3d_params
 
@@ -332,6 +339,18 @@ def test_induced_map_failure_statuses(flat_left_map):
         induced_map(flat_left_map, plane, np.array([1e6, 0.0]), escape_radius=1e3)
 
 
+def test_induced_map_left_step_overflow_is_non_finite():
+    # A left step returns at once, but an image that overflowed is reported
+    # first, as without an escape radius it is not an escape.
+    a_l = np.array([[1e300, 0.0], [0.0, 0.0]])
+    pwl = PwlMap(a_l, a_l, np.zeros(2), np.array([1.0, 0.0]))
+    plane = AffineHyperplane.from_normal_point([0.0, 1.0], [0.0, 0.0])
+    with pytest.raises(NonFinite, match=r"^excursion iterate 1 is not finite$"):
+        induced_map(pwl, plane, np.array([-1e10, 0.0]), escape_radius=np.inf)
+    with pytest.raises(Escaped):
+        induced_map(pwl, plane, np.array([-1e10, 0.0]))
+
+
 def test_sample_induced(flat_left_map):
     # Grid points and images are chart coordinates on the plane.
     plane = zero_eig_reduction(flat_left_map)
@@ -356,6 +375,105 @@ def test_sample_induced_without_chart(flat_left_map):
     assert all(s.status == "ok" for s in samples)
     assert samples[0].point.shape == (1,)
     assert samples[0].image.shape == (1,)
+
+
+def _reference_induced(pwl, plane, x, j_max, escape_radius, tol):
+    """The one-point excursion loop that the batched sampler replaced."""
+    y = np.asarray(x, dtype=float).copy()
+    if not plane.contains(y, tol):
+        raise ValueError("start point is not on the section")
+    syms = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, j_max + 1):
+            sym = pwl.side(y)
+            syms.append(sym)
+            y = (pwl.A_L if float(pwl.c @ y) < 0.0 else pwl.A_R) @ y + pwl.b
+            r = math.sqrt(y @ y)
+            if r > escape_radius:
+                raise Escaped(f"excursion left |x| <= {escape_radius:g} after {j} steps")
+            if not math.isfinite(r):
+                raise NonFinite(f"excursion iterate {j} is not finite")
+            if sym == "L" or plane.contains(y, tol):
+                return y, j, tuple(syms)
+    raise NoReturn(f"no return to the section within {j_max} iterations")
+
+
+def _reference_samples(pwl, plane, chart, grid, j_max, escape_radius, tol):
+    out = []
+    for xi in grid:
+        try:
+            y, j, syms = _reference_induced(pwl, plane, chart.lift(xi), j_max,
+                                            escape_radius, tol)
+        except (NoReturn, Escaped, NonFinite) as exc:
+            status = {NoReturn: "no_return", Escaped: "escaped", NonFinite: "non_finite"}
+            out.append((xi, None, None, None, status[type(exc)]))
+        else:
+            out.append((xi, chart.project(y), j, syms, "ok"))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(0, 40),
+    j_max=st.integers(0, 300),
+    escape_radius=st.sampled_from([10.0, 1e12, np.inf]),
+    tol=st.sampled_from([1e-9, 0.05]),
+    block=st.sampled_from([3, reduction._BLOCK]),
+)
+def test_sample_induced_matches_reference_loop(n, seed, count, j_max, escape_radius, tol,
+                                               block):
+    # A rank n-1 left piece maps everything onto the plane w . x = w . b, w its
+    # left null vector.  Right pieces from contracting to strongly expanding
+    # mix returns, escapes, overflows and j_max caps.
+    rng = np.random.default_rng(seed)
+    U = rng.standard_normal((n, n - 1))
+    A_L = U @ rng.standard_normal((n - 1, n)) / n
+    c = rng.standard_normal(n)
+    A_R = A_L + np.outer(rng.standard_normal(n) * rng.choice([0.5, 2.0, 8.0]), c)
+    b = rng.standard_normal(n)
+    pwl = PwlMap(A_L, A_R, b, c)
+    w = np.linalg.svd(U.T)[2][-1]
+    plane = AffineHyperplane.from_normal_point(w, b)
+    chart = plane_chart(plane)
+    grid = rng.uniform(-3.0, 3.0, (count, n - 1))
+    ref = _reference_samples(pwl, plane, chart, grid, j_max, escape_radius, tol)
+    with mock.patch.object(reduction, "_BLOCK", block):
+        got = sample_induced(pwl, plane, grid, chart=chart, j_max=j_max,
+                             escape_radius=escape_radius, membership_tol=tol)
+    assert len(got) == count
+    for s, (xi, image, j, syms, status) in zip(got, ref):
+        assert s.point.tobytes() == xi.tobytes()
+        assert s.status == status
+        assert s.return_time == j
+        assert s.itinerary == syms
+        if image is None:
+            assert s.image is None
+        else:
+            assert s.image.shape == image.shape
+            assert s.image.tobytes() == image.tobytes()
+
+
+def test_induced_map_matches_reference_loop(flat_left_map):
+    plane = zero_eig_reduction(flat_left_map)
+    chart = plane_chart(plane)
+    for xi in np.linspace(-6.0, 2.0, 41):
+        x = chart.lift([xi])
+        y, j, syms = _reference_induced(flat_left_map, plane, x, 100, 1e12, 1e-9)
+        res = induced_map(flat_left_map, plane, x, j_max=100)
+        assert res.image.tobytes() == y.tobytes()
+        assert (res.return_time, res.itinerary) == (j, syms)
+
+
+def test_reduced_map_rows_match_points(shared_map, rng):
+    for pwl in (shared_map, bcnf(shared_3d_params())):
+        rmap = restrict_to_manifold(detect_shared_eigenvalue(pwl))
+        pts = rng.uniform(-2.0, 2.0, (300, rmap.dimension))
+        rows = rmap(pts)
+        assert rows.shape == pts.shape
+        for xi, y in zip(pts, rows):
+            assert rmap(xi).tobytes() == y.tobytes()
 
 
 def test_induced_slopes_expand(flat_left_map):
