@@ -208,6 +208,10 @@ def resolve_config(args: argparse.Namespace, command: str) -> RunConfig:
         cfg.format = "json" if command in ("analyze", "restrict") else "csv"
     if cfg.format not in ("csv", "json"):
         raise ValueError(f"unknown output format {cfg.format!r}")
+    if not (math.isfinite(cfg.tol) and cfg.tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {cfg.tol!r}")
+    if not cfg.escape_radius > 0.0:
+        raise ValueError(f"escape radius must be positive, got {cfg.escape_radius!r}")
     return cfg
 
 
@@ -403,8 +407,8 @@ def cmd_analyze(cfg: RunConfig, out: str | None) -> int:
     except NotContinuous as exc:
         report["continuity"] = {"error": f"NotContinuous: {exc}"}
     report["eigenvalues"] = {
-        "L": _spectrum_dict(real_eigen(pwl.A_L, cfg.tol)),
-        "R": _spectrum_dict(real_eigen(pwl.A_R, cfg.tol)),
+        "L": _spectrum_dict(real_eigen(pwl.A_L)),
+        "R": _spectrum_dict(real_eigen(pwl.A_R)),
     }
     fp = fixed_points(pwl)
     report["fixed_points"] = {
@@ -477,25 +481,24 @@ def cmd_orbit(cfg: RunConfig, out: str | None, portrait: bool) -> int:
 
 
 def cmd_restrict(cfg: RunConfig, out: str | None) -> int:
+    grid = None if cfg.grid is None else _parse_grid(cfg.grid, 1)
     pwl = build_map(cfg)
     red = detect_shared_eigenvalue(pwl, cfg.tol)
     if red is None:
         raise ReductionError("no eigenvalue is shared by the two pieces at this tolerance")
     rmap = restrict_to_manifold(red)
+    if grid is not None and rmap.dimension != 1:
+        raise ValueError(f"--grid needs a one-dimensional restriction, not {rmap.dimension}-D")
     x0 = np.asarray(cfg.x0, dtype=float) if cfg.x0 is not None else default_x0(pwl)
     orb = reduced_orbit(rmap, rmap.chart.project(x0), cfg.transient, cfg.keep, cfg.escape_radius)
-    cobweb = None
-    if rmap.dimension == 1 and orb.points.shape[0] > 0:
+    if grid is None and rmap.dimension == 1 and orb.points.shape[0] > 0:
         lo = float(orb.points.min())
         hi = float(orb.points.max())
         pad = 0.05 * (hi - lo) + 1e-9
-        count = 512
-        if cfg.grid is not None:
-            lo, hi, count = _parse_grid_axis(cfg.grid)
-            pad = 0.0
-        xs = np.linspace(lo - pad, hi + pad, count)
-        fxs = rmap(xs[:, None])[:, 0]
-        cobweb = {"x": xs.tolist(), "fx": fxs.tolist()}
+        grid = _grid_points([(lo - pad, hi + pad, 512)])
+    cobweb = None
+    if grid is not None:
+        cobweb = {"x": grid[:, 0].tolist(), "fx": rmap(grid)[:, 0].tolist()}
     if cfg.format == "json":
         payload = {
             "shared": _shared_dict(red),
@@ -509,7 +512,7 @@ def cmd_restrict(cfg: RunConfig, out: str | None) -> int:
         }
         _emit_json(payload, out)
         return EXIT_OK
-    if rmap.dimension == 1 and cobweb is not None:
+    if cobweb is not None:
         rows = ([x, fx] for x, fx in zip(cobweb["x"], cobweb["fx"]))
         _emit_csv(["x", "fx"], rows, out)
     else:
@@ -546,9 +549,12 @@ def _parse_grid(spec: str, dims: int) -> np.ndarray:
         raise ValueError(f"grid needs {dims} axis specs lo:hi:count, got {len(parts)}")
     specs = [_parse_grid_axis(part) for part in parts]
     _check_grid_size(math.prod(count for _, _, count in specs))
+    return _grid_points(specs)
+
+
+def _grid_points(specs) -> np.ndarray:
+    """Points of the product grid of ``(lo, hi, count)`` axes, one per row."""
     axes = [np.linspace(lo, hi, count) for lo, hi, count in specs]
-    if dims == 1:
-        return axes[0][:, None]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.column_stack([m.ravel() for m in mesh])
 
@@ -566,11 +572,7 @@ def _default_induced_grid(pwl, plane, chart, cfg: RunConfig) -> np.ndarray:
     pad = 0.02 * (hi - lo) + 1e-9
     dims = coords.shape[1]
     count = 500 if dims == 1 else 40
-    axes = [np.linspace(lo[d] - pad[d], hi[d] + pad[d], count) for d in range(dims)]
-    if dims == 1:
-        return axes[0][:, None]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([m.ravel() for m in mesh])
+    return _grid_points([(lo[d] - pad[d], hi[d] + pad[d], count) for d in range(dims)])
 
 
 def cmd_induced(cfg: RunConfig, out: str | None) -> int:
@@ -585,7 +587,8 @@ def cmd_induced(cfg: RunConfig, out: str | None) -> int:
         grid = _parse_grid(cfg.grid, pwl.n - 1)
     else:
         grid = _default_induced_grid(pwl, plane, chart, cfg)
-    samples = sample_induced(pwl, plane, grid, chart=chart, membership_tol=cfg.tol)
+    samples = sample_induced(pwl, plane, grid, chart=chart, escape_radius=cfg.escape_radius,
+                             membership_tol=cfg.tol)
     if all(s.status != "ok" for s in samples):
         print("error: every grid sample failed to return to the section", file=sys.stderr)
         return EXIT_DYNAMICS

@@ -196,14 +196,13 @@ class Spectrum:
         return [t.value for t in self.real]
 
 
-def real_eigen(a, tol: float = 1e-9) -> Spectrum:
+def real_eigen(a) -> Spectrum:
     """Eigen decomposition keeping real eigenvalues as full triples.
 
     Roots of the characteristic polynomial are clustered at
     ``CLUSTER_RTOL * (1 + ||A||_F)``; clusters whose mean is real within that
     threshold become EigenTriple entries, the rest are reported as
-    ComplexPair summaries.  ``tol`` bounds the eigen-residual scale callers
-    may rely on for simple eigenvalues.
+    ComplexPair summaries.
     """
     A = _as_square(a)
     roots = _char_roots(A)
@@ -280,15 +279,19 @@ def _cubic_roots(a: float, b: float, c: float) -> np.ndarray:
 
 
 def _polish_cubic(roots: np.ndarray, a: float, b: float, c: float) -> np.ndarray:
-    r = roots.astype(float).copy()
+    r = roots.astype(float)
+    f = ((r + a) * r + b) * r + c
     for _ in range(2):
-        f = ((r + a) * r + b) * r + c
         df = (3.0 * r + 2.0 * a) * r + b
         safe = np.abs(df) > 1e-30
         step = np.where(safe, f / np.where(safe, df, 1.0), 0.0)
         # skip steps that would jump away from the bracketing estimate
         step = np.where(np.abs(step) < 1.0 + np.abs(r), step, 0.0)
-        r -= step
+        # and steps that raise |f|: at a double root f' ~ 0 and the step is noise
+        r_new = r - step
+        f_new = ((r_new + a) * r_new + b) * r_new + c
+        keep = np.abs(f_new) <= np.abs(f)
+        r, f = np.where(keep, r_new, r), np.where(keep, f_new, f)
     return r
 
 

@@ -86,15 +86,9 @@ class AffineHyperplane:
     @classmethod
     def from_normal_point(cls, normal, point) -> "AffineHyperplane":
         w = np.asarray(normal, dtype=float)
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0.0:
+        if float(np.linalg.norm(w)) == 0.0:
             raise ValueError("hyperplane normal is zero")
-        w = w / nrm
-        for comp in w:
-            if abs(comp) > 1e-12:
-                if comp < 0.0:
-                    w = -w
-                break
+        w = linalg._sign_fixed(w)
         p = np.array(point, dtype=float)
         w.setflags(write=False)
         p.setflags(write=False)
@@ -208,42 +202,33 @@ class SharedEigReduction:
 def detect_shared_eigenvalue(pwl: PwlMap, tol: float = 1e-9) -> SharedEigReduction | None:
     """Find a simple real eigenvalue common to both pieces and build the reduction.
 
-    Eigenvalues of the two pieces are matched at relative tolerance ``tol``.
-    Returns None when nothing matches.  When matches exist but every one of
-    them violates a hypothesis (eigenvalue one, multiplicity above one, or
-    the right eigenvector orthogonal to the switching normal) raises
-    HypothesisViolated naming the failure.  With several usable matches the
-    smallest in absolute value wins and the rest are listed in
-    ``other_shared``.
+    Only ``A_R`` is decomposed.  With ``A_R - A_L = p c^T``, a real
+    eigenvalue ``lam`` of ``A_R`` is shared when ``det(lam I - A_L) =
+    c^T adj(lam I - A_R) p`` vanishes: for a simple ``lam``, whose adjugate
+    is ``right left^T``, when ``|left . p|`` or ``|c . right|`` is at most
+    ``tol`` times the product of the two norms, else when
+    ``|c^T B p| <= tol |B| |c| |p|`` with ``B`` the adjugate.  Returns None
+    when nothing is shared.  Shared values go smallest in absolute value
+    first; the first one meeting the hypotheses (simple in ``A_R``, not one,
+    ``c . right`` not negligible) wins and the rest are listed in
+    ``other_shared``.  When none meets them raises HypothesisViolated
+    naming the failure of the first.
     """
-    validate_continuity(pwl)
-    spec_l = linalg.real_eigen(pwl.A_L, tol)
-    spec_r = linalg.real_eigen(pwl.A_R, tol)
-    cands = []
-    for tr in spec_r.real:
-        best = None
-        for tl in spec_l.real:
-            if abs(tl.value - tr.value) <= tol * (1.0 + abs(tl.value)):
-                if best is None or abs(tl.value - tr.value) < abs(best.value - tr.value):
-                    best = tl
-        if best is not None:
-            cands.append((tr, best))
-    if not cands:
+    p = validate_continuity(pwl)
+    shared = sorted(
+        (t for t in linalg.real_eigen(pwl.A_R).real if _is_shared(pwl, p, t, tol)),
+        key=lambda t: (abs(t.value), t.value),
+    )
+    if not shared:
         return None
-    cands.sort(key=lambda pair: (abs(pair[0].value), pair[0].value))
-    chosen = None
-    first_failure = None
-    for tr, tl in cands:
-        failure = _hypothesis_failure(pwl, tr, tl, tol)
-        if failure is None:
-            chosen = (tr, tl)
+    for tr in shared:
+        if _hypothesis_failure(pwl, tr, tol) is None:
             break
-        if first_failure is None:
-            first_failure = (tr.value, failure)
-    if chosen is None:
-        val, failure = first_failure
-        raise HypothesisViolated(f"shared eigenvalue {val:.6g}: {failure}")
-    tr, _ = chosen
+    else:
+        first = shared[0]
+        raise HypothesisViolated(
+            f"shared eigenvalue {first.value:.6g}: {_hypothesis_failure(pwl, first, tol)}"
+        )
     lam, u, v = tr.value, tr.left, tr.right
     offset = float(u @ pwl.b) / (1.0 - lam)
     fp = fixed_points(pwl)
@@ -254,7 +239,7 @@ def detect_shared_eigenvalue(pwl: PwlMap, tol: float = 1e-9) -> SharedEigReducti
     manifold = AffineHyperplane.from_normal_point(u, base)
     transversal = _transversal(u, pwl.c, tol)
     restricted = _build_restricted(pwl, u, base) if transversal else None
-    others = tuple(t.value for t, _ in cands if t is not tr)
+    others = tuple(t.value for t in shared if t is not tr)
     return SharedEigReduction(
         pwl=pwl,
         value=lam,
@@ -268,13 +253,26 @@ def detect_shared_eigenvalue(pwl: PwlMap, tol: float = 1e-9) -> SharedEigReducti
     )
 
 
-def _hypothesis_failure(pwl: PwlMap, tr, tl, tol: float) -> str | None:
-    if tr.multiplicity > 1 or tl.multiplicity > 1 or not tr.canonical:
+def _negligible(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
+    """Whether ``|x . y| <= tol |x| |y|``."""
+    return abs(float(x @ y)) <= tol * float(np.linalg.norm(x)) * float(np.linalg.norm(y))
+
+
+def _is_shared(pwl: PwlMap, p: np.ndarray, t: linalg.EigenTriple, tol: float) -> bool:
+    """Whether ``det(t.value I - A_L) = c^T adj(t.value I - A_R) p`` vanishes."""
+    if t.canonical:  # adj(t.value I - A_R) = right left^T: test each factor
+        return _negligible(t.left, p, tol) or _negligible(pwl.c, t.right, tol)
+    B = linalg.adjugate(t.value * np.eye(pwl.n) - pwl.A_R)
+    scale = float(np.linalg.norm(B)) * float(np.linalg.norm(pwl.c)) * float(np.linalg.norm(p))
+    return abs(float(pwl.c @ B @ p)) <= tol * scale
+
+
+def _hypothesis_failure(pwl: PwlMap, tr: linalg.EigenTriple, tol: float) -> str | None:
+    if tr.multiplicity > 1 or not tr.canonical:
         return "algebraic multiplicity exceeds one"
     if abs(1.0 - tr.value) <= tol * (1.0 + abs(tr.value)):
         return "the shared eigenvalue equals one"
-    cv = abs(float(pwl.c @ tr.right))
-    if cv <= tol * float(np.linalg.norm(pwl.c)) * float(np.linalg.norm(tr.right)):
+    if _negligible(pwl.c, tr.right, tol):
         return "the right eigenvector is orthogonal to the switching normal"
     return None
 
@@ -310,9 +308,7 @@ def restrict_to_manifold(red: SharedEigReduction) -> ReducedPwlMap:
             "the two pieces then share every eigenvalue and the plane never "
             "crosses the switching boundary transversally"
         )
-    if red.restricted is not None:
-        return red.restricted
-    return _build_restricted(red.pwl, red.left, red.manifold.base_point)
+    return red.restricted
 
 
 def reduced_orbit(
@@ -345,7 +341,7 @@ def zero_eig_reduction(pwl: PwlMap, tol: float = 1e-9) -> AffineHyperplane:
     det_l = linalg.determinant(pwl.A_L)
     if abs(det_l) > tol:
         raise NotSingular(f"det A_L = {det_l:.3e} exceeds the tolerance {tol:.1e}")
-    spec_l = linalg.real_eigen(pwl.A_L, tol)
+    spec_l = linalg.real_eigen(pwl.A_L)
     zeros = [t for t in spec_l.real if abs(t.value) <= tol]
     if not zeros:
         raise NotSingular("no real eigenvalue of A_L within tolerance of zero")
@@ -542,7 +538,7 @@ def classify_unit_modulus(pwl: PwlMap, tol: float = 1e-9) -> list[UnitModulusRep
     """Report every eigenvalue of either piece within ``tol`` of modulus one."""
     out: list[UnitModulusReport] = []
     for side, A in ((LEFT, pwl.A_L), (RIGHT, pwl.A_R)):
-        spec = linalg.real_eigen(A, tol)
+        spec = linalg.real_eigen(A)
         for t in spec.real:
             if abs(abs(t.value) - 1.0) <= tol:
                 kind = "SN" if t.value > 0.0 else "PD"

@@ -3,7 +3,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pwldyn import BcnfParams, NonFinite, bcnf, real_eigen
+from pwldyn import (
+    AffineHyperplane,
+    BcnfParams,
+    HypothesisViolated,
+    NonFinite,
+    SharedEigReduction,
+    bcnf,
+    fixed_points,
+    real_eigen,
+    reduction,
+    validate_continuity,
+)
 from pwldyn.pwlmap import LEFT, RIGHT
 
 # Two-piece normal form with the left piece sharing the eigenvalue 0.2
@@ -74,3 +85,64 @@ def reference_orbit(pwl, x0, n_transient, n_keep, escape_radius, what="orbit"):
             x = (pwl.A_L if cx < 0.0 else pwl.A_R) @ x + pwl.b
     discarded = n_transient if escape_index is None else min(n_transient, escape_index)
     return pts[:kept], its[:kept], discarded, escape_index
+
+
+def reference_detect_shared(pwl, tol=1e-9):
+    """The two-spectrum matching that ``detect_shared_eigenvalue`` replaced,
+    kept as its oracle: both pieces decomposed, every real eigenvalue of
+    ``A_R`` matched to the nearest one of ``A_L`` within
+    ``tol (1 + |value|)``, and a match rejected when either side has
+    multiplicity above one."""
+    validate_continuity(pwl)
+    spec_l = real_eigen(pwl.A_L)
+    spec_r = real_eigen(pwl.A_R)
+    cands = []
+    for tr in spec_r.real:
+        best = None
+        for tl in spec_l.real:
+            if abs(tl.value - tr.value) <= tol * (1.0 + abs(tl.value)):
+                if best is None or abs(tl.value - tr.value) < abs(best.value - tr.value):
+                    best = tl
+        if best is not None:
+            cands.append((tr, best))
+    if not cands:
+        return None
+    cands.sort(key=lambda pair: (abs(pair[0].value), pair[0].value))
+    chosen = None
+    first_failure = None
+    for tr, tl in cands:
+        failure = _reference_failure(pwl, tr, tl, tol)
+        if failure is None:
+            chosen = (tr, tl)
+            break
+        if first_failure is None:
+            first_failure = (tr.value, failure)
+    if chosen is None:
+        val, failure = first_failure
+        raise HypothesisViolated(f"shared eigenvalue {val:.6g}: {failure}")
+    tr, _ = chosen
+    lam, u, v = tr.value, tr.left, tr.right
+    offset = float(u @ pwl.b) / (1.0 - lam)
+    fp = fixed_points(pwl)
+    if fp.right.point is not None:
+        base = fp.right.point
+    else:
+        base = u * (offset / float(u @ u))
+    manifold = AffineHyperplane.from_normal_point(u, base)
+    transversal = reduction._transversal(u, pwl.c, tol)
+    restricted = reduction._build_restricted(pwl, u, base) if transversal else None
+    others = tuple(t.value for t, _ in cands if t is not tr)
+    return SharedEigReduction(pwl=pwl, value=lam, left=u, right=v, offset=offset,
+                              manifold=manifold, transversal=transversal,
+                              restricted=restricted, other_shared=others)
+
+
+def _reference_failure(pwl, tr, tl, tol):
+    if tr.multiplicity > 1 or tl.multiplicity > 1 or not tr.canonical:
+        return "algebraic multiplicity exceeds one"
+    if abs(1.0 - tr.value) <= tol * (1.0 + abs(tr.value)):
+        return "the shared eigenvalue equals one"
+    cv = abs(float(pwl.c @ tr.right))
+    if cv <= tol * float(np.linalg.norm(pwl.c)) * float(np.linalg.norm(tr.right)):
+        return "the right eigenvector is orthogonal to the switching normal"
+    return None

@@ -213,6 +213,43 @@ def test_restrict_3d_chart_orbit(tmp_path):
     assert len(rows) == 3001
 
 
+SHARED_3D_ARGS = ["--dim", "3", "--tl", "0", "--dl", "0.18973854901443662", "--sl", "-1",
+                  "--tr", "0", "--dr", "-0.6", "--sr", "3"]
+
+
+def test_restrict_grid_parsed_before_detection(capsys):
+    # nothing is shared here: without the grid check first this exits 4
+    code = main(["restrict", "--dim", "2", "--tl", "1.5", "--dl", "0.4",
+                 "--tr", "-1.3", "--dr", "-0.3", "--grid=garbage"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and "lo:hi:count" in err
+
+
+@pytest.mark.parametrize("grid", ["garbage", "0:1:5"])
+def test_restrict_grid_needs_one_dimensional_restriction(capsys, grid):
+    code = main(["restrict", *SHARED_3D_ARGS, f"--grid={grid}"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and "Traceback" not in err
+    if grid == "0:1:5":
+        assert "one-dimensional" in err
+
+
+def test_restrict_grid_cobweb_without_orbit_points(capsys):
+    # the chart orbit escapes at once, the explicit grid is still evaluated
+    argv = ["restrict", *ANCHOR, "--escape-radius", "0.01", "--grid=-1:1:5"]
+    code, payload = run_json(capsys, argv)
+    assert code == 0
+    assert payload["orbit"]["points"] == []
+    assert payload["cobweb"]["x"] == [-1.0, -0.5, 0.0, 0.5, 1.0]
+    assert payload["cobweb"]["fx"][:4] == pytest.approx([1.5, 0.75, 0.0, -0.75], abs=1e-12)
+    assert main([*argv, "--format", "csv"]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert rows[0] == ["x", "fx"]
+    assert [float(r[0]) for r in rows[1:]] == payload["cobweb"]["x"]
+
+
 def test_restrict_no_shared_eigenvalue():
     assert main(["restrict", "--dim", "2", "--tl", "1.5", "--dl", "0.4",
                  "--tr", "-1.3", "--dr", "-0.3"]) == 4
@@ -249,6 +286,48 @@ def test_induced_grid_at_fixed_point(capsys):
     assert s["status"] == "ok"
     assert s["return_time"] == 1
     assert s["image"] == pytest.approx(s["point"], abs=1e-10)
+
+
+def test_induced_escape_radius_marks_escapes(capsys):
+    argv = ["induced", *FLAT, "--grid=-1:1:5", "--format", "json"]
+    code, payload = run_json(capsys, argv)
+    assert code == 0
+    assert [s["status"] for s in payload["samples"]] == ["ok"] * 5
+    code, payload = run_json(capsys, [*argv, "--escape-radius", "3"])
+    assert code == 0
+    statuses = [s["status"] for s in payload["samples"]]
+    assert statuses == ["ok", "ok", "escaped", "escaped", "escaped"]
+    assert all(s["image"] is None for s in payload["samples"][2:])
+
+
+BAD_SETTINGS = [("--tol", v) for v in ("nan", "0", "-1", "inf")] + [
+    ("--escape-radius", v) for v in ("nan", "0", "-1")
+]
+
+
+@pytest.mark.parametrize("command",
+                         ["analyze", "orbit", "portrait", "restrict", "induced", "scan"])
+@pytest.mark.parametrize("option, value", BAD_SETTINGS)
+def test_bad_tol_or_escape_radius_rejected(capsys, command, option, value):
+    spec = FLAT if command == "induced" else ANCHOR
+    code = main([command, *spec, "--param", "tl", "--values", "2.2", f"{option}={value}"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+
+
+def test_bad_tol_in_config_file_rejected(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[tolerances]\ntol = 0\n")
+    assert main(["analyze", *ANCHOR, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_infinite_escape_radius_allowed(capsys):
+    code = main(["orbit", *ANCHOR, "--escape-radius=inf", "--transient", "1", "--keep", "2",
+                 "--format", "json"])
+    assert code == 0
+    assert not json.loads(capsys.readouterr().out)["escaped"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
 from pwldyn import (
+    BcnfParams,
     IllConditioned,
     SingularMatrix,
     ZeroNormal,
@@ -151,17 +154,43 @@ def test_eigenvectors_canonical_factorization(rng):
                 assert l_res <= 1e-8 * scale * np.linalg.norm(t.left)
 
 
-def test_eigen_double_root():
-    # Companion of (mu - 1)**2 (mu - 3) = mu**3 - 5 mu**2 + 7 mu - 3.
-    from pwldyn import BcnfParams
+def _root_multiset(spec) -> np.ndarray:
+    roots = [complex(t.value) for t in spec.real for _ in range(t.multiplicity)]
+    for p in spec.complex_pairs:
+        roots += [complex(p.real, p.imag), complex(p.real, -p.imag)] * p.multiplicity
+    roots = np.array(roots)
+    return roots[np.lexsort((roots.imag, roots.real))]
 
-    a = bcnf(BcnfParams(dim=3, tl=5.0, dl=3.0, sl=7.0, tr=0.0, dr=0.0, sr=0.0)).A_L
-    spec = real_eigen(a)
-    by_mult = {t.multiplicity: t for t in spec.real}
-    assert set(by_mult) == {1, 2}
-    assert by_mult[2].value == pytest.approx(1.0, abs=1e-6)
-    assert by_mult[1].value == pytest.approx(3.0, abs=1e-9)
-    assert not by_mult[2].canonical
+
+# (r, s) for the left piece of the normal form with characteristic polynomial
+# (mu - r)**2 (mu - s): (1, 3), then every pair
+# on the half-integer grid in [-3, 3] (s == r: a triple root).  The
+# coefficients are exact, so the multiple root is exact.  Newton polishing
+# used to jump off such roots by up to 0.9 (r = -2, s = -0.5 gave -2.9 and
+# -1.922).
+DOUBLE_ROOTS = [(1.0, 3.0)] + [(k / 2.0, m / 2.0) for k in range(-6, 7) for m in range(-6, 7)]
+
+
+def test_eigen_double_root():
+    for r, s in DOUBLE_ROOTS:
+        a = bcnf(BcnfParams(dim=3, tl=2.0 * r + s, dl=r * r * s, sl=r * r + 2.0 * r * s,
+                            tr=0.0, dr=0.0, sr=0.0)).A_L
+        spec = real_eigen(a)
+        scale = 1.0 + max(abs(r), abs(s))
+        want = [(r, 3)] if s == r else sorted([(r, 2), (s, 1)])
+        assert [t.multiplicity for t in spec.real] == [m for _, m in want]
+        for t, (value, mult) in zip(spec.real, want):
+            assert abs(t.value - value) <= (1e-9 if mult == 1 else 1e-6)
+            assert t.canonical == (mult == 1)
+        # numpy.linalg.eigvals as oracle; it is itself only about eps**(1/2)
+        # (double) or eps**(1/3) (triple) accurate at these roots
+        ref = np.linalg.eigvals(a)
+        ref = ref[np.lexsort((ref.imag, ref.real))]
+        assert np.abs(_root_multiset(spec) - ref).max() <= (1e-5 if s == r else 1e-7) * scale
+
+
+def test_real_eigen_takes_only_the_matrix():
+    assert list(inspect.signature(real_eigen).parameters) == ["a"]
 
 
 def test_hyperplane_basis_orthonormal(rng):

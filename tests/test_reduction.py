@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pwldyn import (
@@ -33,7 +33,7 @@ from pwldyn import (
 )
 from pwldyn import reduction
 
-from conftest import FLAT_LEFT_2D, SHARED_2D, shared_3d_params
+from conftest import FLAT_LEFT_2D, SHARED_2D, reference_detect_shared, shared_3d_params
 
 # ---------------------------------------------------------------------------
 # shared eigenvalue
@@ -215,6 +215,232 @@ def test_reduced_orbit_contract(shared_map):
     assert set(orb.itinerary) == {"L", "R"}
     again = reduced_orbit(rmap, np.array([0.1]), n_transient=200, n_keep=500)
     assert np.array_equal(orb.points, again.points)
+
+
+def test_detection_decomposes_only_the_right_piece(shared_map):
+    maps = [
+        shared_map,
+        bcnf(shared_3d_params()),
+        bcnf(BcnfParams(dim=2, tl=1.5, dl=0.4, tr=-1.3, dr=-0.3)),  # nothing shared
+        bcnf(BcnfParams(dim=3, tl=5.0, dl=4.0, sl=8.0, tr=5.0, dr=4.0, sr=8.0)),  # violated
+    ]
+    for pwl in maps:
+        with mock.patch.object(reduction.linalg, "real_eigen",
+                               wraps=reduction.linalg.real_eigen) as spy:
+            try:
+                detect_shared_eigenvalue(pwl)
+            except HypothesisViolated:
+                pass
+        assert spy.call_count == 1
+        assert spy.call_args.args[0] is pwl.A_R
+
+
+def test_shared_value_double_in_left_piece(rng):
+    # 0.5 is a double root of A_L (tl = 1, dl = 0.25) and a simple one of
+    # A_R (spectrum {0.5, -1.5}).  Matching the two spectra rejected it for
+    # multiplicity; the reduction needs only left A_L = left A_R = 0.5 left,
+    # which left . p = 0 gives.
+    pwl = bcnf(BcnfParams(dim=2, tl=1.0, dl=0.25, tr=-1.0, dr=-0.75))
+    with pytest.raises(HypothesisViolated, match="multiplicity"):
+        reference_detect_shared(pwl)
+    red = detect_shared_eigenvalue(pwl)
+    assert red.value == pytest.approx(0.5, abs=1e-12)
+    assert red.transversal
+    assert red.other_shared == ()
+    for a in (pwl.A_L, pwl.A_R):
+        assert np.abs(red.left @ a - red.value * red.left).max() <= 1e-12
+    for _ in range(500):
+        x = rng.uniform(-3.0, 3.0, 2)
+        before = red.deviation(x)
+        assert abs(red.deviation(pwl(x)) - red.value * before) <= 1e-12 * (1.0 + abs(before))
+    rmap = restrict_to_manifold(red)
+    assert rmap.slopes() == pytest.approx((0.5, -1.5), abs=1e-12)
+    for _ in range(500):
+        xi = rng.uniform(-5.0, 5.0, 1)
+        x = rmap.chart.lift(xi)
+        assert rmap.side(xi) == pwl.side(x)
+        assert np.abs(rmap(xi) - rmap.chart.project(pwl(x))).max() <= 1e-10
+
+
+def test_small_update_shares_only_the_planted_value():
+    # A_R - A_L = s p c^T with left . p = 0 only for 0.2.  The test is
+    # relative to |p|, so no other value becomes shared as s shrinks;
+    # matching the two spectra at a tolerance called all three shared.
+    a_l = np.diag([0.2, 0.5, -0.7])
+    p, c = np.array([0.0, 1.0, 1.0]), np.array([1.0, 1.0, 1.0])
+    for s in (1.0, 1e-12):
+        pwl = PwlMap(a_l, a_l + s * np.outer(p, c), np.array([1.0, 0.5, 0.25]), c)
+        red = detect_shared_eigenvalue(pwl)
+        assert red.value == pytest.approx(0.2, abs=1e-12)
+        assert red.other_shared == ()
+    assert reference_detect_shared(pwl).other_shared == pytest.approx((0.5, -0.7))
+
+
+@pytest.mark.parametrize("a_r, p, match", [
+    # double root 0.5 of A_R with one eigenvector; A_L has 0.5 +- 0.71i
+    (np.array([[1.0, 1.0], [-0.25, 0.0]]), np.array([0.0, 0.5]), None),
+    # A_R = 0.5 I: the adjugate of 0.5 I - A_R vanishes, 0.5 is in A_L
+    (0.5 * np.eye(2), np.array([0.3, -0.2]), "multiplicity"),
+    # p = 0: identical pieces share the double root
+    (np.array([[1.0, 1.0], [-0.25, 0.0]]), np.zeros(2), "multiplicity"),
+])
+def test_multiple_root_of_right_piece(a_r, p, match):
+    # A multiple real eigenvalue of A_R is shared when c^T adj(lam I - A_R) p
+    # vanishes, and a shared one always fails the simplicity requirement.
+    c = np.array([1.0, 0.0])
+    pwl = PwlMap(a_r - np.outer(p, c), a_r, np.array([1.0, 0.5]), c)
+    if match is None:
+        assert detect_shared_eigenvalue(pwl) is None
+    else:
+        with pytest.raises(HypothesisViolated, match=match):
+            detect_shared_eigenvalue(pwl)
+
+
+# Eigenvalues of the left piece: multiples of 1/4 in [-2, 2], 0 and 1 included.
+_GRID = np.linspace(-2.0, 2.0, 17)
+
+
+def _planted_map(seed: int, n: int, shared: int, orthogonal: int) -> PwlMap:
+    """Continuous map with ``A_L = S diag(r) S^-1``, ``r`` a quarter-spaced
+    draw with distinct absolute values.  In the eigenbasis of ``A_L``, bit
+    ``i`` of ``shared`` zeroes ``p_i`` (``r_i`` is shared, left eigenvector
+    orthogonal to ``p``) and bit ``i`` of ``orthogonal`` zeroes ``c_i``
+    (``r_i`` is shared, right eigenvector orthogonal to ``c``)."""
+    g = np.random.default_rng(seed)
+    r = g.choice(_GRID, n, replace=False)
+    while len(set(np.abs(r))) < n:  # +-lam would tie in the smallest-first order
+        r = g.choice(_GRID, n, replace=False)
+    sign = g.choice([-1.0, 1.0], (2, n))
+    p_t, c_t = sign * g.uniform(0.3, 1.5, (2, n))
+    for i in range(n):
+        if shared >> i & 1:
+            p_t[i] = 0.0
+        if orthogonal >> i & 1:
+            c_t[i] = 0.0
+    if not c_t.any():
+        c_t[0] = 1.0
+    while True:
+        S = np.eye(n) + 0.3 * g.standard_normal((n, n))
+        if np.linalg.cond(S) <= 20.0:
+            break
+    S_inv = np.linalg.inv(S)
+    a_l = S @ np.diag(r) @ S_inv
+    p, c = S @ p_t, S_inv.T @ c_t
+    return PwlMap(a_l, a_l + np.outer(p, c), g.standard_normal(n), c)
+
+
+def _well_separated(pwl: PwlMap) -> bool:
+    """Right eigenvalues 0.01 apart, and each one either an eigenvalue of
+    the left piece (to rounding) or 1e-3 away from all of them and from 1."""
+    left = np.linalg.eigvals(pwl.A_L)
+    right = np.linalg.eigvals(pwl.A_R)
+    gaps = np.abs(np.subtract.outer(right, right)) + np.eye(pwl.n)
+    if gaps.min() < 0.01:
+        return False
+    for mu in right:
+        d = np.abs(left - mu).min()
+        if 1e-10 < d < 1e-3 or 1e-10 < abs(mu - 1.0) < 1e-3:
+            return False
+    return True
+
+
+_planted = st.builds(
+    _planted_map,
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 5),
+    shared=st.integers(0, 31),
+    orthogonal=st.sampled_from([0, 0, 1, 2, 4]),
+)
+
+
+def _outcome(detect, pwl):
+    """Every field of the detection result as bytes, or the failure text."""
+    try:
+        red = detect(pwl)
+    except HypothesisViolated as exc:
+        return str(exc)
+    if red is None:
+        return None
+    rm = red.restricted
+    arrays = [red.left, red.right, red.manifold.normal, red.manifold.base_point]
+    if rm is not None:
+        arrays += [rm.matrix_left, rm.offset_left, rm.matrix_right, rm.offset_right,
+                   rm.switch_normal, rm.chart.base, rm.chart.basis]
+    floats = [red.value, red.offset, red.manifold.offset, *red.other_shared]
+    if rm is not None:
+        floats.append(rm.switch_offset)
+    return ([a.tobytes() for a in arrays], [float(v).hex() for v in floats],
+            red.transversal, rm is None, len(red.other_shared))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pwl=_planted)
+def test_detection_matches_two_spectrum_reference(pwl):
+    assume(_well_separated(pwl))
+    assert _outcome(detect_shared_eigenvalue, pwl) == _outcome(reference_detect_shared, pwl)
+
+
+def _close_sets(a, b, tol: float) -> bool:
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    if a.size != b.size:
+        return False
+    if a.size == 0:
+        return True
+    dist = np.abs(np.subtract.outer(a, b))
+    return dist.min(axis=1).max() <= tol and dist.min(axis=0).max() <= tol
+
+
+def _assert_same_detection(pwl, other):
+    """Same verdict, shared values, transversality and restricted slopes
+    or spectra on two maps related by a change of coordinates."""
+    results = []
+    for m in (pwl, other):
+        try:
+            results.append(detect_shared_eigenvalue(m))
+        except HypothesisViolated as exc:
+            results.append(str(exc).split(": ", 1)[1])
+    red, red_q = results
+    if red is None or isinstance(red, str):
+        assert red_q == red
+        return
+    assert red_q is not None and not isinstance(red_q, str)
+    assert red_q.value == pytest.approx(red.value, abs=1e-9 * (1.0 + abs(red.value)))
+    assert _close_sets(red_q.other_shared, red.other_shared, 1e-9)
+    assert red_q.transversal == red.transversal
+    if not red.transversal:
+        return
+    rm, rm_q = red.restricted, red_q.restricted
+    if rm.dimension == 1:
+        assert rm_q.slopes() == pytest.approx(rm.slopes(), abs=1e-8)
+    for m, m_q in ((rm.matrix_left, rm_q.matrix_left), (rm.matrix_right, rm_q.matrix_right)):
+        assert _close_sets(np.linalg.eigvals(m_q), np.linalg.eigvals(m), 1e-8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pwl=_planted, qseed=st.integers(0, 2**32 - 1))
+def test_detection_invariant_under_orthogonal_conjugation(pwl, qseed):
+    assume(_well_separated(pwl))
+    Q, _ = np.linalg.qr(np.random.default_rng(qseed).standard_normal((pwl.n, pwl.n)))
+    turned = PwlMap(Q @ pwl.A_L @ Q.T, Q @ pwl.A_R @ Q.T, Q @ pwl.b, Q @ pwl.c)
+    _assert_same_detection(pwl, turned)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pwl=_planted, scale=st.sampled_from([1e-6, 1e-3, 1e3, 1e6]))
+def test_detection_invariant_under_switching_normal_scale(pwl, scale):
+    # c -> scale c leaves the map unchanged (p -> p / scale), so every
+    # decision must stay the same.
+    assume(_well_separated(pwl))
+    _assert_same_detection(pwl, PwlMap(pwl.A_L, pwl.A_R, pwl.b, scale * pwl.c))
+
+
+def test_plane_normal_sign_rule():
+    # unit length, first component above 1e-12 in size made positive
+    plane = AffineHyperplane.from_normal_point([1e-13, -3.0, 4.0], [0.0, 0.0, 0.0])
+    assert plane.normal.tolist() == [-1e-13 / 5.0, 0.6, -0.8]
+    assert not plane.normal.flags.writeable
+    with pytest.raises(ValueError, match="zero"):
+        AffineHyperplane.from_normal_point([0.0, 0.0], [1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
