@@ -19,7 +19,9 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,7 +47,6 @@ from .pwlmap import (
     validate_continuity,
 )
 from .reduction import (
-    Chart,
     classify_unit_modulus,
     detect_shared_eigenvalue,
     plane_chart,
@@ -62,33 +63,74 @@ EXIT_USAGE = 2
 EXIT_DYNAMICS = 3
 EXIT_REDUCTION = 4
 
-_BCNF_KEYS = ("tl", "dl", "sl", "tr", "dr", "sr")
+# The normal-form source of a map; the other source is a matrix file.
+_MAP_KEYS = ("dim", "tl", "dl", "sl", "tr", "dr", "sr")
 
 # Largest sampling grid accepted, checked before anything is allocated.
 MAX_GRID_SAMPLES = 10**6
 
 
+def _float_list(text: str) -> tuple[float, ...]:
+    items = [s for s in text.split(",") if s.strip()]
+    if not items:
+        raise ValueError("empty list")
+    return tuple(float(s) for s in items)
+
+
+# How each parser's values are written to an INI file; floats at full precision.
+_TEXT = {
+    float: lambda v: repr(float(v)),
+    _float_list: lambda v: ",".join(repr(float(x)) for x in v),
+}
+
+
+def _setting(section: str, parse, default=None, **flag):
+    """A run setting: INI section and key, text parser and command-line flag."""
+    return field(default=default, metadata={"section": section, "parse": parse, "flag": flag})
+
+
 @dataclass
 class RunConfig:
-    """Effective settings of one invocation; serializable to an INI file."""
+    """Effective settings of one invocation; serializable to an INI file.
 
-    dim: int | None = None
-    tl: float | None = None
-    dl: float | None = None
-    sl: float | None = None
-    tr: float | None = None
-    dr: float | None = None
-    sr: float | None = None
-    matrix_file: str | None = None
-    x0: tuple[float, ...] | None = None
-    transient: int = 1000
-    keep: int = 3000
-    escape_radius: float = ESCAPE_RADIUS
-    tol: float = 1e-9
-    grid: str | None = None
-    param: str | None = None
-    values: tuple[float, ...] | None = None
-    format: str | None = None
+    Each field is one setting: flag ``--a-b`` is key ``a_b`` of its section.
+    """
+
+    dim: int | None = _setting("map", int, choices=("2", "3"), help="normal-form dimension")
+    tl: float | None = _setting("map", float, help="left trace")
+    dl: float | None = _setting("map", float, help="left determinant")
+    sl: float | None = _setting("map", float, help="left second trace (dimension 3)")
+    tr: float | None = _setting("map", float, help="right trace")
+    dr: float | None = _setting("map", float, help="right determinant")
+    sr: float | None = _setting("map", float, help="right second trace (dimension 3)")
+    matrix_file: str | None = _setting(
+        "map", str, metavar="FILE", help="explicit map file: n, then rows of A_L, A_R, b, c"
+    )
+    transient: int = _setting("orbit", int, 1000, help="iterates to discard (default 1000)")
+    keep: int = _setting("orbit", int, 3000, help="iterates to keep (default 3000)")
+    escape_radius: float = _setting(
+        "orbit", float, ESCAPE_RADIUS, help=f"divergence radius (default {ESCAPE_RADIUS:g})"
+    )
+    x0: tuple[float, ...] | None = _setting(
+        "orbit", _float_list, metavar="V1,V2,...",
+        help="initial point (default: b nudged off the axis)",
+    )
+    tol: float = _setting(
+        "tolerances", float, 1e-9, help="detection/membership tolerance (default 1e-9)"
+    )
+    grid: str | None = _setting("sampling", str, metavar="LO:HI:N[,LO:HI:N]", help="sampling grid")
+    param: str | None = _setting("sampling", str, choices=_MAP_KEYS[1:], help="scan parameter")
+    values: tuple[float, ...] | None = _setting(
+        "sampling", _float_list, metavar="V1,V2,...", help="scan parameter values"
+    )
+    format: str | None = _setting("output", str, choices=("csv", "json"), help="output format")
+
+
+def _parse_setting(f, text: str):
+    try:
+        return f.metadata["parse"](text)
+    except ValueError as exc:
+        raise ValueError(f"could not parse {f.name}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -96,35 +138,14 @@ class RunConfig:
 
 
 def dump_config(cfg: RunConfig) -> str:
+    sections: dict[str, dict[str, str]] = {}
+    for f in fields(RunConfig):
+        keys = sections.setdefault(f.metadata["section"], {})
+        value = getattr(cfg, f.name)
+        if value is not None:
+            keys[f.name] = _TEXT.get(f.metadata["parse"], str)(value)
     parser = configparser.ConfigParser()
-    parser["map"] = {}
-    if cfg.matrix_file is not None:
-        parser["map"]["matrix_file"] = cfg.matrix_file
-    else:
-        if cfg.dim is not None:
-            parser["map"]["dim"] = str(cfg.dim)
-        for key in _BCNF_KEYS:
-            val = getattr(cfg, key)
-            if val is not None:
-                parser["map"][key] = repr(float(val))
-    parser["orbit"] = {
-        "transient": str(cfg.transient),
-        "keep": str(cfg.keep),
-        "escape_radius": repr(float(cfg.escape_radius)),
-    }
-    if cfg.x0 is not None:
-        parser["orbit"]["x0"] = ",".join(repr(float(v)) for v in cfg.x0)
-    parser["tolerances"] = {"tol": repr(float(cfg.tol))}
-    parser["sampling"] = {}
-    if cfg.grid is not None:
-        parser["sampling"]["grid"] = cfg.grid
-    if cfg.param is not None:
-        parser["sampling"]["param"] = cfg.param
-    if cfg.values is not None:
-        parser["sampling"]["values"] = ",".join(repr(float(v)) for v in cfg.values)
-    parser["output"] = {}
-    if cfg.format is not None:
-        parser["output"]["format"] = cfg.format
+    parser.read_dict(sections)
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
@@ -135,77 +156,33 @@ def load_config(path: str) -> RunConfig:
     with open(path, encoding="utf-8") as fh:
         parser.read_file(fh)
     cfg = RunConfig()
-    if parser.has_section("map"):
-        sec = parser["map"]
-        if "matrix_file" in sec:
-            cfg.matrix_file = sec["matrix_file"]
-        if "dim" in sec:
-            cfg.dim = sec.getint("dim")
-        for key in _BCNF_KEYS:
-            if key in sec:
-                setattr(cfg, key, sec.getfloat(key))
-    if parser.has_section("orbit"):
-        sec = parser["orbit"]
-        cfg.transient = sec.getint("transient", cfg.transient)
-        cfg.keep = sec.getint("keep", cfg.keep)
-        cfg.escape_radius = sec.getfloat("escape_radius", cfg.escape_radius)
-        if "x0" in sec:
-            cfg.x0 = _parse_floats(sec["x0"], "x0")
-    if parser.has_section("tolerances"):
-        cfg.tol = parser["tolerances"].getfloat("tol", cfg.tol)
-    if parser.has_section("sampling"):
-        sec = parser["sampling"]
-        cfg.grid = sec.get("grid", cfg.grid)
-        cfg.param = sec.get("param", cfg.param)
-        if "values" in sec:
-            cfg.values = _parse_floats(sec["values"], "values")
-    if parser.has_section("output"):
-        cfg.format = parser["output"].get("format", cfg.format)
+    for f in fields(RunConfig):
+        section = f.metadata["section"]
+        if parser.has_option(section, f.name):
+            setattr(cfg, f.name, _parse_setting(f, parser[section][f.name]))
     return cfg
-
-
-def _parse_floats(text: str, what: str) -> tuple[float, ...]:
-    items = [s for s in text.split(",") if s.strip()]
-    if not items:
-        raise ValueError(f"empty {what} list")
-    try:
-        return tuple(float(s) for s in items)
-    except ValueError as exc:
-        raise ValueError(f"could not parse {what}: {text!r}") from exc
 
 
 def resolve_config(args: argparse.Namespace, command: str) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    inline_bcnf = args.dim is not None or any(
-        getattr(args, key) is not None for key in _BCNF_KEYS
-    )
-    if inline_bcnf and args.matrix_file:
-        raise ValueError("give either normal-form coefficients or --matrix-file, not both")
-    if args.matrix_file:
-        cfg.matrix_file = args.matrix_file
-        cfg.dim = None
-        for key in _BCNF_KEYS:
-            setattr(cfg, key, None)
-    elif inline_bcnf:
-        cfg.matrix_file = None
-        if args.dim is not None:
-            cfg.dim = args.dim
-        for key in _BCNF_KEYS:
-            val = getattr(args, key)
-            if val is not None:
-                setattr(cfg, key, val)
-    if args.x0 is not None:
-        cfg.x0 = _parse_floats(args.x0, "x0")
-    for key in ("transient", "keep", "escape_radius", "tol", "grid", "param"):
-        val = getattr(args, key)
-        if val is not None:
-            setattr(cfg, key, val)
-    if args.values is not None:
-        cfg.values = _parse_floats(args.values, "values")
-    if args.format is not None:
-        cfg.format = args.format
+    inline = {
+        f.name: _parse_setting(f, getattr(args, f.name))
+        for f in fields(RunConfig)
+        if getattr(args, f.name) is not None
+    }
+    for given in (vars(cfg), inline):
+        if given.get("matrix_file") is not None and any(
+            given.get(key) is not None for key in _MAP_KEYS
+        ):
+            raise ValueError("give either normal-form coefficients or a matrix file, not both")
+    # an inline map source replaces the other source of the config file
+    if "matrix_file" in inline:
+        inline.update(dict.fromkeys(_MAP_KEYS))
+    elif not inline.keys().isdisjoint(_MAP_KEYS):
+        inline["matrix_file"] = None
+    cfg = replace(cfg, **inline)
     if cfg.format is None:
-        cfg.format = "json" if command in ("analyze", "restrict") else "csv"
+        cfg.format = COMMANDS[command].format
     if cfg.format not in ("csv", "json"):
         raise ValueError(f"unknown output format {cfg.format!r}")
     if not (math.isfinite(cfg.tol) and cfg.tol > 0.0):
@@ -615,14 +592,11 @@ def cmd_induced(cfg: RunConfig, out: str | None) -> int:
         + [f"out{i + 1}" for i in range(d)]
         + ["j", "status"]
     )
-    rows = []
-    for s in samples:
-        row = list(float(v) for v in s.point)
-        if s.image is None:
-            row += [None] * d + [None, s.status]
-        else:
-            row += [float(v) for v in s.image] + [s.return_time, s.status]
-        rows.append(row)
+    rows = (
+        _floats(s.point) + ([None] * d if s.image is None else _floats(s.image))
+        + [s.return_time, s.status]
+        for s in samples
+    )
     _emit_csv(header, rows, out)
     return EXIT_OK
 
@@ -659,9 +633,7 @@ def cmd_scan(cfg: RunConfig, out: str | None) -> int:
             escaped = cloud.escaped if cloud is not None else None
         else:
             size = cloud.points.shape[0]
-            bbox = [float(x) for x in cloud.points.min(axis=0)] + [
-                float(x) for x in cloud.points.max(axis=0)
-            ]
+            bbox = _floats(cloud.points.min(axis=0)) + _floats(cloud.points.max(axis=0))
             escaped = cloud.escaped
         prev = result.consecutive_hausdorff[i - 1] if i > 0 else float("nan")
         rows.append(
@@ -690,74 +662,65 @@ def cmd_scan(cfg: RunConfig, out: str | None) -> int:
 # argument parsing
 
 
+class Command(NamedTuple):
+    run: Callable[[RunConfig, str | None], int]
+    format: str  # default output format
+    help: str
+
+
+COMMANDS = {
+    "analyze": Command(cmd_analyze, "json", "spectral, fixed-point and reduction report (JSON)"),
+    "orbit": Command(partial(cmd_orbit, portrait=False), "csv",
+                     "orbit samples with iterate index (CSV)"),
+    "portrait": Command(partial(cmd_orbit, portrait=True), "csv",
+                        "post-transient orbit samples without index (CSV)"),
+    "restrict": Command(cmd_restrict, "json",
+                        "restriction to the shared-eigenvalue invariant plane"),
+    "induced": Command(cmd_induced, "csv", "induced return map on the zero-eigenvalue plane"),
+    "scan": Command(cmd_scan, "csv", "one-parameter attractor sweep"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are one line: ``error: <message>``."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     spec = common.add_argument_group("map specification")
     spec.add_argument("--config", metavar="FILE", help="read settings from an INI file")
-    spec.add_argument("--dim", type=int, choices=(2, 3), help="normal-form dimension")
-    spec.add_argument("--tl", type=float, help="left trace")
-    spec.add_argument("--dl", type=float, help="left determinant")
-    spec.add_argument("--sl", type=float, help="left second trace (dimension 3)")
-    spec.add_argument("--tr", type=float, help="right trace")
-    spec.add_argument("--dr", type=float, help="right determinant")
-    spec.add_argument("--sr", type=float, help="right second trace (dimension 3)")
-    spec.add_argument("--matrix-file", metavar="FILE",
-                      help="explicit map file: n, then rows of A_L, A_R, b, c")
     run = common.add_argument_group("run settings")
-    run.add_argument("--x0", metavar="V1,V2,...", help="initial point (default: b nudged off the axis)")
-    run.add_argument("--transient", type=int, help="iterates to discard (default 1000)")
-    run.add_argument("--keep", type=int, help="iterates to keep (default 3000)")
-    run.add_argument("--escape-radius", dest="escape_radius", type=float,
-                     help=f"divergence radius (default {ESCAPE_RADIUS:g})")
-    run.add_argument("--tol", type=float, help="detection/membership tolerance (default 1e-9)")
-    run.add_argument("--grid", metavar="LO:HI:N[,LO:HI:N]", help="sampling grid")
-    run.add_argument("--param", choices=("tl", "dl", "sl", "tr", "dr", "sr"),
-                     help="scan parameter")
-    run.add_argument("--values", metavar="V1,V2,...", help="scan parameter values")
     output = common.add_argument_group("output")
-    output.add_argument("--format", choices=("csv", "json"), help="output format")
+    groups = {"map": spec, "output": output}
+    # every setting is taken as text and parsed in resolve_config
+    for f in fields(RunConfig):
+        groups.get(f.metadata["section"], run).add_argument(
+            "--" + f.name.replace("_", "-"), dest=f.name, **f.metadata["flag"]
+        )
     output.add_argument("--out", metavar="FILE", help="output path (default: stdout)")
     output.add_argument("--dump-config", dest="dump_config", metavar="FILE",
                         help="write the effective config before running")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pwldyn",
         description="Analyze continuous piecewise-linear maps near border collisions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("analyze", parents=[common],
-                   help="spectral, fixed-point and reduction report (JSON)")
-    sub.add_parser("orbit", parents=[common], help="orbit samples with iterate index (CSV)")
-    sub.add_parser("portrait", parents=[common],
-                   help="post-transient orbit samples without index (CSV)")
-    sub.add_parser("restrict", parents=[common],
-                   help="restriction to the shared-eigenvalue invariant plane")
-    sub.add_parser("induced", parents=[common],
-                   help="induced return map on the zero-eigenvalue plane")
-    sub.add_parser("scan", parents=[common], help="one-parameter attractor sweep")
+    for name, command in COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=command.help)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args, args.command)
         if args.dump_config:
             _write_text(dump_config(cfg), args.dump_config)
-        if args.command == "analyze":
-            return cmd_analyze(cfg, args.out)
-        if args.command == "orbit":
-            return cmd_orbit(cfg, args.out, portrait=False)
-        if args.command == "portrait":
-            return cmd_orbit(cfg, args.out, portrait=True)
-        if args.command == "restrict":
-            return cmd_restrict(cfg, args.out)
-        if args.command == "induced":
-            return cmd_induced(cfg, args.out)
-        if args.command == "scan":
-            return cmd_scan(cfg, args.out)
-        raise ValueError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command].run(cfg, args.out)
     except (ValueError, UnsupportedDimension, NotContinuous, OSError,
             configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -116,13 +116,19 @@ class Chart:
         return self.base + self.basis @ np.asarray(xi, dtype=float)
 
     def lift_many(self, Xi) -> np.ndarray:
-        return np.asarray(Xi, dtype=float) @ self.basis.T + self.base
+        """``lift`` of each row, bit for bit: a stacked product, not one gemm."""
+        Xi = np.asarray(Xi, dtype=float)
+        basis = np.broadcast_to(self.basis, (len(Xi), *self.basis.shape))
+        return self.base + (basis @ Xi[:, :, None])[:, :, 0]
 
     def project(self, x) -> np.ndarray:
         return self.basis.T @ (np.asarray(x, dtype=float) - self.base)
 
     def project_many(self, X) -> np.ndarray:
-        return (np.asarray(X, dtype=float) - self.base) @ self.basis
+        """``project`` of each row, bit for bit."""
+        X = np.asarray(X, dtype=float)
+        basis_t = np.broadcast_to(self.basis.T, (len(X), *self.basis.T.shape))
+        return (basis_t @ (X - self.base)[:, :, None])[:, :, 0]
 
 
 def plane_chart(plane: AffineHyperplane) -> Chart:
@@ -209,16 +215,20 @@ def detect_shared_eigenvalue(pwl: PwlMap, tol: float = 1e-9) -> SharedEigReducti
     ``tol`` times the product of the two norms, else when
     ``|c^T B p| <= tol |B| |c| |p|`` with ``B`` the adjugate.  Returns None
     when nothing is shared.  Shared values go smallest in absolute value
-    first; the first one meeting the hypotheses (simple in ``A_R``, not one,
-    ``c . right`` not negligible) wins and the rest are listed in
+    first; magnitudes within ``tol (1 + |lam|)`` tie, and a tie goes to the
+    larger value, so ``+lam`` precedes ``-lam`` whatever the rounding.  The
+    first one meeting the hypotheses (simple in ``A_R``, not one, ``c .
+    right`` not negligible) wins and the rest are listed in
     ``other_shared``.  When none meets them raises HypothesisViolated
     naming the failure of the first.
     """
     p = validate_continuity(pwl)
-    shared = sorted(
-        (t for t in linalg.real_eigen(pwl.A_R).real if _is_shared(pwl, p, t, tol)),
-        key=lambda t: (abs(t.value), t.value),
-    )
+    shared = [t for t in linalg.real_eigen(pwl.A_R).real if _is_shared(pwl, p, t, tol)]
+    tied_to: list[float] = []
+    for mag in sorted(abs(t.value) for t in shared):
+        if not tied_to or mag - tied_to[-1] > tol * (1.0 + mag):
+            tied_to.append(mag)
+    shared.sort(key=lambda t: (max(m for m in tied_to if m <= abs(t.value)), -t.value))
     if not shared:
         return None
     for tr in shared:
@@ -490,17 +500,12 @@ def sample_induced(
         pts = pts[:, None]
     if pts.shape[1] != pwl.n - 1:
         raise ValueError(f"grid points must have {pwl.n - 1} chart coordinates")
-    P, d = pts.shape
-    # Stacked forms of Chart.lift and Chart.project, row for row identical.
-    basis = np.broadcast_to(chart.basis, (P, pwl.n, d))
-    X = chart.base + (basis @ pts[:, :, None])[:, :, 0]
     status, images, times, last_left = _first_returns(
-        pwl, plane, X, j_max, escape_radius, membership_tol
+        pwl, plane, chart.lift_many(pts), j_max, escape_radius, membership_tol
     )
     ok = status == _OK
-    proj = np.empty((P, d))
-    basis_t = np.broadcast_to(chart.basis.T, (int(ok.sum()), d, pwl.n))
-    proj[ok] = (basis_t @ (images[ok] - chart.base)[:, :, None])[:, :, 0]
+    proj = np.empty(pts.shape)
+    proj[ok] = chart.project_many(images[ok])
     return [
         InducedSample(pts[i], proj[i], j, _itinerary(j, left), "ok")
         if code == _OK

@@ -425,6 +425,27 @@ def test_detection_invariant_under_orthogonal_conjugation(pwl, qseed):
     _assert_same_detection(pwl, turned)
 
 
+def _plus_minus_half_map() -> PwlMap:
+    """A_R = S diag(0.5, -0.5, 2, 3) S^-1 with p orthogonal to the left
+    eigenvectors of +-0.5: both are shared, with equal magnitudes."""
+    S = np.random.default_rng(7).standard_normal((4, 4))
+    a_r = S @ np.diag([0.5, -0.5, 2.0, 3.0]) @ np.linalg.inv(S)
+    p = S[:, 2] - 0.5 * S[:, 3]
+    c = np.array([1.0, 0.3, -0.2, 0.7])
+    return PwlMap(a_r - np.outer(p, c), a_r, np.array([1.0, 0.0, 0.5, -1.0]), c)
+
+
+@pytest.mark.parametrize("qseed", range(50))
+def test_plus_minus_tie_goes_to_the_positive_value(qseed):
+    pwl = _plus_minus_half_map()
+    Q, _ = np.linalg.qr(np.random.default_rng(qseed).standard_normal((4, 4)))
+    turned = PwlMap(Q @ pwl.A_L @ Q.T, Q @ pwl.A_R @ Q.T, Q @ pwl.b, Q @ pwl.c)
+    for m in (pwl, turned):
+        red = detect_shared_eigenvalue(m)
+        assert red.value == pytest.approx(0.5, abs=1e-9)
+        assert red.other_shared == pytest.approx((-0.5,), abs=1e-9)
+
+
 @settings(max_examples=100, deadline=None)
 @given(pwl=_planted, scale=st.sampled_from([1e-6, 1e-3, 1e3, 1e6]))
 def test_detection_invariant_under_switching_normal_scale(pwl, scale):
@@ -747,6 +768,18 @@ def test_chart_roundtrip(rng):
         assert np.abs(plane.distances(lifted)).max() <= 1e-10
         back = chart.project_many(lifted)
         assert np.abs(back - xi).max() <= 1e-10
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_chart_many_rows_equal_one_point_forms(n):
+    rng = np.random.default_rng(n)
+    chart = plane_chart(AffineHyperplane.from_normal_point(rng.standard_normal(n),
+                                                           rng.standard_normal(n)))
+    xi = rng.standard_normal((500, n - 1))
+    x = 10.0 * rng.standard_normal((500, n))
+    assert chart.lift_many(xi).tobytes() == np.array([chart.lift(r) for r in xi]).tobytes()
+    assert chart.project_many(x).tobytes() == np.array([chart.project(r) for r in x]).tobytes()
+    assert chart.lift_many(np.empty((0, n - 1))).shape == (0, n)
 
 
 # ---------------------------------------------------------------------------
