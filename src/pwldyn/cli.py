@@ -155,11 +155,18 @@ def load_config(path: str) -> RunConfig:
     parser = configparser.ConfigParser()
     with open(path, encoding="utf-8") as fh:
         parser.read_file(fh)
+    known = {(f.metadata["section"], f.name): f for f in fields(RunConfig)}
+    if parser.defaults():
+        raise ValueError(f"unknown section [{parser.default_section}] in {path}")
     cfg = RunConfig()
-    for f in fields(RunConfig):
-        section = f.metadata["section"]
-        if parser.has_option(section, f.name):
-            setattr(cfg, f.name, _parse_setting(f, parser[section][f.name]))
+    for section in parser.sections():
+        if section not in {s for s, _ in known}:
+            raise ValueError(f"unknown section [{section}] in {path}")
+        for key, text in parser[section].items():
+            if (section, key) not in known:
+                raise ValueError(f"unknown key {key!r} in section [{section}] of {path}")
+            f = known[section, key]
+            setattr(cfg, f.name, _parse_setting(f, text))
     return cfg
 
 

@@ -1,10 +1,14 @@
 """Dense linear algebra for small real matrices.
 
-Determinants and adjugates use cofactor closed forms so they stay meaningful
-arbitrarily close to singular configurations.  Eigenvalues come from
+Determinants and adjugates use cofactor closed forms up to 3x3.  Above that
+the determinant is LAPACK's LU and the adjugate comes from one SVD
+(G. W. Stewart, "On the adjugate matrix", Linear Algebra Appl. 283, 1998),
+which stays accurate at rank n - 1.  Eigenvalues come from
 characteristic-polynomial closed forms up to 3x3 and from LAPACK above that;
 eigenvectors of simple eigenvalues are read off the adjugate of
-``value * I - A``, which fixes their relative scaling.
+``value * I - A``, which fixes their relative scaling.  Two adjacent real
+roots whose eigenvalue condition numbers ``s = |u . v| / (|u| |v|)`` are
+both tiny are one defective double root.
 """
 from __future__ import annotations
 
@@ -17,6 +21,7 @@ from .errors import IllConditioned, SingularMatrix, ZeroNormal
 
 __all__ = [
     "CLUSTER_RTOL",
+    "DEFECTIVE_S",
     "ComplexPair",
     "EigenTriple",
     "Spectrum",
@@ -32,6 +37,13 @@ __all__ = [
 # a single eigenvalue with summed multiplicity.
 CLUSTER_RTOL = 1e-8
 
+# Two adjacent simple real roots whose eigenvalue condition numbers
+# s = |u . v| / (|u| |v|) both fall below this are one defective double
+# root split by rounding: splitting a double root by d gives s of order d,
+# about sqrt(eps) = 1.5e-8, while s of a simple root of a random matrix is
+# rarely below 1e-2.
+DEFECTIVE_S = 1e-5
+
 
 def _as_square(a) -> np.ndarray:
     A = np.asarray(a, dtype=float)
@@ -45,7 +57,7 @@ def _as_square(a) -> np.ndarray:
 
 
 def determinant(a) -> float:
-    """Determinant, via closed forms for n <= 3 and partial-pivot LU above."""
+    """Determinant, via closed forms for n <= 3 and LAPACK's LU above."""
     A = _as_square(a)
     n = A.shape[0]
     if n == 1:
@@ -58,38 +70,44 @@ def determinant(a) -> float:
             - A[0, 1] * (A[1, 0] * A[2, 2] - A[1, 2] * A[2, 0])
             + A[0, 2] * (A[1, 0] * A[2, 1] - A[1, 1] * A[2, 0])
         )
-    return _det_lu(A)
+    return float(np.linalg.det(A))
 
 
-def _det_lu(A: np.ndarray) -> float:
-    U = A.copy()
-    n = U.shape[0]
-    sign = 1.0
-    for k in range(n - 1):
-        piv = k + int(np.argmax(np.abs(U[k:, k])))
-        if U[piv, k] == 0.0:
-            return 0.0
-        if piv != k:
-            U[[k, piv]] = U[[piv, k]]
-            sign = -sign
-        mult = U[k + 1 :, k] / U[k, k]
-        U[k + 1 :, k:] -= np.outer(mult, U[k, k:])
-    return float(sign * np.prod(np.diag(U)))
+# _KEEP[n][d] lists the indices other than d, ascending; _SIGN[n] is the
+# cofactor sign pattern (-1)^(i+j).
+_KEEP = {n: np.array([[k for k in range(n) if k != d] for d in range(n)]) for n in (2, 3)}
+_SIGN = {n: (-1.0) ** np.add.outer(np.arange(n), np.arange(n)) for n in (2, 3)}
 
 
 def adjugate(a) -> np.ndarray:
-    """Adjugate (transposed cofactor matrix): ``adjugate(A) @ A == determinant(A) * I``."""
+    """Adjugate (transposed cofactor matrix): ``adjugate(A) @ A == determinant(A) * I``.
+
+    Up to 3x3 the cofactors are closed forms over the minors.  Above that it
+    is ``det(U) det(V) V diag(prod_{j != i} s_j) U^T`` from one SVD
+    ``A = U diag(s) V^T`` (G. W. Stewart, "On the adjugate matrix", Linear
+    Algebra Appl. 283, 1998).  The products skip ``s_i`` rather than divide
+    by it, so the adjugate stays accurate at rank n - 1 and is exactly zero
+    when two singular values are.
+    """
     A = _as_square(a)
     n = A.shape[0]
     if n == 1:
         return np.ones((1, 1))
-    adj = np.empty((n, n))
-    idx = np.arange(n)
-    for i in range(n):
-        for j in range(n):
-            minor = A[np.ix_(idx != j, idx != i)]  # drop row j and column i
-            adj[i, j] = (-1.0) ** (i + j) * determinant(minor)
-    return adj
+    if n <= 3:
+        keep = _KEEP[n]
+        # minors[i, j] is A without row j and column i
+        minors = A[keep[None, :, :, None], keep[:, None, None, :]]
+        if n == 2:
+            cof = minors[..., 0, 0]
+        else:
+            cof = minors[..., 0, 0] * minors[..., 1, 1] - minors[..., 0, 1] * minors[..., 1, 0]
+        return _SIGN[n] * cof
+    U, s, Vt = np.linalg.svd(A)
+    # head[i] = s_0 ... s_{i-1} and tail[i] = s_{i+1} ... s_{n-1}
+    head = np.concatenate(([1.0], np.cumprod(s[:-1])))
+    tail = np.concatenate((np.cumprod(s[:0:-1])[::-1], [1.0]))
+    sign = np.sign(np.linalg.det(U) * np.linalg.det(Vt))
+    return (sign * Vt.T * (head * tail)) @ U.T
 
 
 def matrix_det_lemma_check(a, q, r) -> tuple[float, float]:
@@ -202,7 +220,9 @@ def real_eigen(a) -> Spectrum:
     Roots of the characteristic polynomial are clustered at
     ``CLUSTER_RTOL * (1 + ||A||_F)``; clusters whose mean is real within that
     threshold become EigenTriple entries, the rest are reported as
-    ComplexPair summaries.
+    ComplexPair summaries.  Two adjacent simple real values whose eigenvalue
+    condition numbers (Golub & Van Loan, *Matrix Computations*, 7.2.2) are
+    both below ``DEFECTIVE_S`` become one value of multiplicity two.
     """
     A = _as_square(a)
     roots = _char_roots(A)
@@ -218,7 +238,31 @@ def real_eigen(a) -> Spectrum:
             pairs.append(ComplexPair(float(val.real), float(val.imag), float(abs(val)), mult))
     triples.sort(key=lambda t: t.value)
     pairs.sort(key=lambda p: (p.real, p.imag))
-    return Spectrum(tuple(triples), tuple(pairs))
+    return Spectrum(_merge_defective(A, triples), tuple(pairs))
+
+
+def _merge_defective(A: np.ndarray, triples: list[EigenTriple]) -> tuple[EigenTriple, ...]:
+    """Merge each adjacent pair of simple values that both have s(lam) below
+    ``DEFECTIVE_S`` into their mean with multiplicity two, left to right."""
+    out: list[EigenTriple] = []
+    pending = False  # out[-1] is simple with s(lam) below DEFECTIVE_S
+    for t in triples:
+        defective = t.multiplicity == 1 and _condition(t) < DEFECTIVE_S
+        if defective and pending:
+            lam = 0.5 * (out[-1].value + t.value)
+            left, right, canonical = _eigen_vectors(A, lam, 2)
+            out[-1] = EigenTriple(lam, left, right, 2, canonical)
+            pending = False
+        else:
+            out.append(t)
+            pending = defective
+    return tuple(out)
+
+
+def _condition(t: EigenTriple) -> float:
+    """Wilkinson's s(lam) = |u . v| / (|u| |v|) of a simple value."""
+    u, v = t.left, t.right
+    return abs(float(u @ v)) / (math.sqrt(float(u @ u)) * math.sqrt(float(v @ v)))
 
 
 def _char_roots(A: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ from pwldyn import (
     NonFinite,
     SharedEigReduction,
     bcnf,
+    determinant,
     fixed_points,
     real_eigen,
     reduction,
@@ -146,3 +147,20 @@ def _reference_failure(pwl, tr, tl, tol):
     if cv <= tol * float(np.linalg.norm(pwl.c)) * float(np.linalg.norm(tr.right)):
         return "the right eigenvector is orthogonal to the switching normal"
     return None
+
+
+def reference_adjugate(a):
+    """The cofactor loop that ``adjugate`` replaced, kept as its oracle:
+    entry (i, j) is (-1)^(i + j) times the determinant of ``a`` without row
+    j and column i."""
+    A = np.asarray(a, dtype=float)
+    n = A.shape[0]
+    if n == 1:
+        return np.ones((1, 1))
+    adj = np.empty((n, n))
+    idx = np.arange(n)
+    for i in range(n):
+        for j in range(n):
+            minor = A[np.ix_(idx != j, idx != i)]  # drop row j and column i
+            adj[i, j] = (-1.0) ** (i + j) * determinant(minor)
+    return adj

@@ -162,6 +162,32 @@ def test_inline_map_source_replaces_the_config_one(tmp_path, capsys):
     assert (tmp_path / "c.json").read_bytes() == (tmp_path / "a.json").read_bytes()
 
 
+@pytest.mark.parametrize("text, named", [
+    ("[orbit]\nkeeps = 5\n", "'keeps'"),
+    ("[orbit]\ntol = 1e-8\n", "'tol'"),
+    ("[orbits]\nkeep = 5\n", "[orbits]"),
+    ("[DEFAULT]\nkeep = 5\n", "[DEFAULT]"),
+], ids=["key", "key-of-another-section", "section", "default-section"])
+def test_unknown_config_section_or_key_rejected(tmp_path, capsys, text, named):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[map]\ndim = 2\ntl = 2.2\ndl = 0.4\ntr = -1.3\ndr = -0.3\n\n" + text)
+    assert main(["portrait", "--config", str(cfg), "--out", str(tmp_path / "p.csv")]) == 2
+    err = capsys.readouterr().err
+    assert one_error_line(err) and named in err
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_dumped_config_loads_back(tmp_path):
+    dump = tmp_path / "run.ini"
+    argv = ["scan", "--dim", "3", "--tl", "1.6", "--dl", "0.0", "--sl", "0.8",
+            "--tr", "-1.5", "--dr", "1.0", "--sr", "0.0", "--x0", "0.1,0.2,0.3",
+            "--tol", "1e-8", "--param", "tl", "--values", "1.5,1.6",
+            "--transient", "10", "--keep", "20"]
+    assert main(argv + ["--dump-config", str(dump), "--out", str(tmp_path / "a.csv")]) == 0
+    assert main(["scan", "--config", str(dump), "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--dim", "4"],
     ["analyze", *ANCHOR, "--seed", "1"],

@@ -20,7 +20,7 @@ from pwldyn import (
 )
 from pwldyn.linalg import _cubic_roots
 
-from conftest import SHARED_2D
+from conftest import SHARED_2D, reference_adjugate
 
 
 def test_determinant_closed_form():
@@ -30,7 +30,7 @@ def test_determinant_closed_form():
 
 
 def test_determinant_matches_numpy(rng):
-    for n in (1, 2, 3, 4, 5):
+    for n in range(1, 9):
         for _ in range(20):
             a = rng.standard_normal((n, n))
             assert determinant(a) == pytest.approx(np.linalg.det(a), rel=1e-10, abs=1e-12)
@@ -61,8 +61,38 @@ def test_adjugate_inverse_oracle(rng):
             assert np.allclose(adjugate(a), d * np.linalg.inv(a), rtol=1e-9, atol=1e-9)
 
 
+def _adjugate_inputs(rng, n):
+    """100 random matrices, and ``lam I - A`` at a real eigenvalue of each."""
+    out = []
+    for _ in range(100):
+        a = rng.standard_normal((n, n))
+        out.append(a)
+        reals = real_eigen(a).real_values()
+        if reals:
+            out.append(reals[0] * np.eye(n) - a)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_adjugate_matches_cofactor_reference(rng, n):
+    # Closed forms up to 3x3 repeat the cofactor arithmetic exactly; the SVD
+    # form above agrees to a few ulps, also at rank n - 1.
+    for m in _adjugate_inputs(rng, n):
+        got, want = adjugate(m), reference_adjugate(m)
+        if n <= 3:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_adjugate_exactly_zero_at_rank_n_minus_2():
+    m = 0.5 * np.eye(4) - np.diag([0.5, 0.5, 1.0, 2.0])
+    assert np.all(adjugate(m) == 0.0)
+    assert np.all(reference_adjugate(m) == 0.0)
+
+
 def test_adjugate_identity_property(rng):
-    for n in (2, 3, 4, 5):
+    for n in range(2, 9):
         for _ in range(30):
             a = rng.standard_normal((n, n))
             lhs = adjugate(a) @ a
@@ -187,6 +217,36 @@ def test_eigen_double_root():
         ref = np.linalg.eigvals(a)
         ref = ref[np.lexsort((ref.imag, ref.real))]
         assert np.abs(_root_multiset(spec) - ref).max() <= (1e-5 if s == r else 1e-7) * scale
+
+
+# Characteristic polynomial (mu + 2)^2 (mu + 1), one eigenvector for -2.  The
+# closed-form cubic returns -2 -+ 3e-8, farther apart than the cluster
+# threshold 4.9e-8, and both halves have s(lam) = 3.6e-8; LAPACK returns
+# -2 +- 2.9e-8 i for an orthogonally embedded 4x4 copy.
+DEFECTIVE_3D = np.array([[-1.0, 0.0, 0.0], [2.0, -2.0, -1.5], [-0.5, 0.0, -2.0]])
+
+
+def test_defective_double_root_is_one_value(rng):
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    embedded = q @ np.block([[DEFECTIVE_3D, np.zeros((3, 1))],
+                             [np.zeros((1, 3)), np.full((1, 1), 0.5)]]) @ q.T
+    for a, want in ((DEFECTIVE_3D, [(-2.0, 2), (-1.0, 1)]),
+                    (embedded, [(-2.0, 2), (-1.0, 1), (0.5, 1)])):
+        spec = real_eigen(a)
+        assert [t.multiplicity for t in spec.real] == [m for _, m in want]
+        for t, (value, mult) in zip(spec.real, want):
+            assert abs(t.value - value) <= (1e-9 if mult == 1 else 1e-6)
+            assert t.canonical == (mult == 1)
+        ref = np.linalg.eigvals(a)
+        ref = ref[np.lexsort((ref.imag, ref.real))]
+        assert np.abs(_root_multiset(spec) - ref).max() <= 1e-7 * 3.0
+
+
+def test_close_well_conditioned_roots_stay_apart():
+    # s(lam) = 1 for a symmetric matrix, however close its eigenvalues
+    spec = real_eigen(np.diag([1.0, 1.0 + 1e-7, 3.0]))
+    assert [t.multiplicity for t in spec.real] == [1, 1, 1]
+    assert all(t.canonical for t in spec.real)
 
 
 def test_real_eigen_takes_only_the_matrix():

@@ -283,12 +283,15 @@ def test_small_update_shares_only_the_planted_value():
     (0.5 * np.eye(2), np.array([0.3, -0.2]), "multiplicity"),
     # p = 0: identical pieces share the double root
     (np.array([[1.0, 1.0], [-0.25, 0.0]]), np.zeros(2), "multiplicity"),
+    # 0.5 I - A_R has rank n - 2, so its adjugate must vanish exactly
+    (np.diag([0.5, 0.5, 1.0, 2.0]), np.array([0.3, -0.2, 0.1, 0.4]), "multiplicity"),
 ])
 def test_multiple_root_of_right_piece(a_r, p, match):
     # A multiple real eigenvalue of A_R is shared when c^T adj(lam I - A_R) p
     # vanishes, and a shared one always fails the simplicity requirement.
-    c = np.array([1.0, 0.0])
-    pwl = PwlMap(a_r - np.outer(p, c), a_r, np.array([1.0, 0.5]), c)
+    n = len(p)
+    c = np.eye(n)[0]
+    pwl = PwlMap(a_r - np.outer(p, c), a_r, np.r_[1.0, 0.5, np.zeros(n - 2)], c)
     if match is None:
         assert detect_shared_eigenvalue(pwl) is None
     else:
