@@ -8,7 +8,8 @@ characteristic-polynomial closed forms up to 3x3 and from LAPACK above that;
 eigenvectors of simple eigenvalues are read off the adjugate of
 ``value * I - A``, which fixes their relative scaling.  Two adjacent real
 roots whose eigenvalue condition numbers ``s = |u . v| / (|u| |v|)`` are
-both tiny are one defective double root.
+both tiny, and which lie no farther apart than rounding splits a double
+root, are one defective double root.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from .errors import IllConditioned, SingularMatrix, ZeroNormal
 __all__ = [
     "CLUSTER_RTOL",
     "DEFECTIVE_S",
+    "DEFECTIVE_SPLIT",
     "ComplexPair",
     "EigenTriple",
     "Spectrum",
@@ -38,11 +40,18 @@ __all__ = [
 CLUSTER_RTOL = 1e-8
 
 # Two adjacent simple real roots whose eigenvalue condition numbers
-# s = |u . v| / (|u| |v|) both fall below this are one defective double
+# s = |u . v| / (|u| |v|) both fall below this may be one defective double
 # root split by rounding: splitting a double root by d gives s of order d,
 # about sqrt(eps) = 1.5e-8, while s of a simple root of a random matrix is
 # rarely below 1e-2.
 DEFECTIVE_S = 1e-5
+
+# ... and are one only when their separation d is what rounding makes of a
+# double root.  A perturbation of size delta splits a 2x2 Jordan block by
+# d ~ 2 sqrt(delta) with s ~ d, so d * s ~ delta; the pair merges when
+# d * min(s) <= DEFECTIVE_SPLIT * eps * ||A||_F.  Distinct roots of a
+# non-normal matrix also have small s but lie much farther apart.
+DEFECTIVE_SPLIT = 100.0
 
 
 def _as_square(a) -> np.ndarray:
@@ -222,7 +231,9 @@ def real_eigen(a) -> Spectrum:
     threshold become EigenTriple entries, the rest are reported as
     ComplexPair summaries.  Two adjacent simple real values whose eigenvalue
     condition numbers (Golub & Van Loan, *Matrix Computations*, 7.2.2) are
-    both below ``DEFECTIVE_S`` become one value of multiplicity two.
+    both below ``DEFECTIVE_S`` and whose separation is within rounding of a
+    defective double root (``DEFECTIVE_SPLIT``) become one value of
+    multiplicity two.
     """
     A = _as_square(a)
     roots = _char_roots(A)
@@ -242,20 +253,23 @@ def real_eigen(a) -> Spectrum:
 
 
 def _merge_defective(A: np.ndarray, triples: list[EigenTriple]) -> tuple[EigenTriple, ...]:
-    """Merge each adjacent pair of simple values that both have s(lam) below
-    ``DEFECTIVE_S`` into their mean with multiplicity two, left to right."""
+    """Merge each adjacent pair of simple values that is a defective double
+    root split by rounding into their mean with multiplicity two, left to
+    right: both s(lam) below ``DEFECTIVE_S`` and
+    ``d * min(s) <= DEFECTIVE_SPLIT * eps * ||A||_F``."""
+    split = DEFECTIVE_SPLIT * np.finfo(float).eps * float(np.linalg.norm(A))
     out: list[EigenTriple] = []
-    pending = False  # out[-1] is simple with s(lam) below DEFECTIVE_S
+    prev_s = math.inf  # s(lam) of out[-1] if it is simple and not merged
     for t in triples:
-        defective = t.multiplicity == 1 and _condition(t) < DEFECTIVE_S
-        if defective and pending:
+        s = _condition(t) if t.multiplicity == 1 else math.inf
+        if max(s, prev_s) < DEFECTIVE_S and (t.value - out[-1].value) * min(s, prev_s) <= split:
             lam = 0.5 * (out[-1].value + t.value)
             left, right, canonical = _eigen_vectors(A, lam, 2)
             out[-1] = EigenTriple(lam, left, right, 2, canonical)
-            pending = False
+            prev_s = math.inf
         else:
             out.append(t)
-            pending = defective
+            prev_s = s
     return tuple(out)
 
 

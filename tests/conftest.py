@@ -149,6 +149,26 @@ def _reference_failure(pwl, tr, tl, tol):
     return None
 
 
+def _reference_det(a: np.ndarray) -> float:
+    """Determinant as ``adjugate``'s cofactor loop took it: the closed forms
+    up to 3x3 and Gaussian elimination with partial pivoting above."""
+    n = a.shape[0]
+    if n <= 3:
+        return determinant(a)
+    U = a.copy()
+    sign = 1.0
+    for k in range(n - 1):
+        piv = k + int(np.argmax(np.abs(U[k:, k])))
+        if U[piv, k] == 0.0:
+            return 0.0
+        if piv != k:
+            U[[k, piv]] = U[[piv, k]]
+            sign = -sign
+        mult = U[k + 1 :, k] / U[k, k]
+        U[k + 1 :, k:] -= np.outer(mult, U[k, k:])
+    return float(sign * np.prod(np.diag(U)))
+
+
 def reference_adjugate(a):
     """The cofactor loop that ``adjugate`` replaced, kept as its oracle:
     entry (i, j) is (-1)^(i + j) times the determinant of ``a`` without row
@@ -162,5 +182,5 @@ def reference_adjugate(a):
     for i in range(n):
         for j in range(n):
             minor = A[np.ix_(idx != j, idx != i)]  # drop row j and column i
-            adj[i, j] = (-1.0) ** (i + j) * determinant(minor)
+            adj[i, j] = (-1.0) ** (i + j) * _reference_det(minor)
     return adj

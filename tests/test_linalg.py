@@ -249,6 +249,21 @@ def test_close_well_conditioned_roots_stay_apart():
     assert all(t.canonical for t in spec.real)
 
 
+# Distinct roots of non-normal matrices with small s(lam), far farther apart
+# than rounding splits a double root: [[1, 1e6], [0, 2]] has s = 1e-6 at 1
+# and 2; the companion piece with trace 1 and determinant 1/4 - 1e-12 has
+# roots 1/2 -+ 1e-6 with s = 1.6e-6.
+@pytest.mark.parametrize("a, values", [
+    ([[1.0, 1e6], [0.0, 2.0]], [1.0, 2.0]),
+    ([[1.0, 1.0], [-(0.25 - 1e-12), 0.0]], [0.5 - 1e-6, 0.5 + 1e-6]),
+])
+def test_close_ill_conditioned_roots_stay_apart(a, values):
+    spec = real_eigen(a)
+    assert [t.multiplicity for t in spec.real] == [1, 1]
+    assert all(t.canonical for t in spec.real)
+    assert spec.real_values() == pytest.approx(values, abs=1e-10)
+
+
 def test_real_eigen_takes_only_the_matrix():
     assert list(inspect.signature(real_eigen).parameters) == ["a"]
 

@@ -299,6 +299,17 @@ def test_multiple_root_of_right_piece(a_r, p, match):
             detect_shared_eigenvalue(pwl)
 
 
+def test_shared_root_next_to_a_close_simple_root():
+    # A_R has roots 1/2 -+ 1e-6 with s(lam) = 1.6e-6; A_L (trace 0) shares
+    # 1/2 + 1e-6.  Both roots are simple, too far apart for rounding to have
+    # split a double root, so the shared value is simple.
+    lam = 0.5 + 1e-6
+    pwl = bcnf(BcnfParams(2, 0.0, -lam * lam, 1.0, 0.25 - 1e-12))
+    red = detect_shared_eigenvalue(pwl)
+    assert red.value == pytest.approx(lam, abs=1e-10)
+    assert red.other_shared == ()
+
+
 # Eigenvalues of the left piece: multiples of 1/4 in [-2, 2], 0 and 1 included.
 _GRID = np.linspace(-2.0, 2.0, 17)
 
