@@ -175,7 +175,7 @@ def resolve_config(args: argparse.Namespace, command: str) -> RunConfig:
     inline = {
         f.name: _parse_setting(f, getattr(args, f.name))
         for f in fields(RunConfig)
-        if getattr(args, f.name) is not None
+        if getattr(args, f.name, None) is not None
     }
     for given in (vars(cfg), inline):
         if given.get("matrix_file") is not None and any(
@@ -673,18 +673,29 @@ class Command(NamedTuple):
     run: Callable[[RunConfig, str | None], int]
     format: str  # default output format
     help: str
+    settings: tuple[str, ...]  # the RunConfig fields it reads; only these are flags
 
+
+_MAP_SETTINGS = (*_MAP_KEYS, "matrix_file")
+_ORBIT_SETTINGS = ("transient", "keep", "escape_radius", "x0")
 
 COMMANDS = {
-    "analyze": Command(cmd_analyze, "json", "spectral, fixed-point and reduction report (JSON)"),
+    "analyze": Command(cmd_analyze, "json", "spectral, fixed-point and reduction report (JSON)",
+                       (*_MAP_SETTINGS, "tol")),
     "orbit": Command(partial(cmd_orbit, portrait=False), "csv",
-                     "orbit samples with iterate index (CSV)"),
+                     "orbit samples with iterate index (CSV)",
+                     (*_MAP_SETTINGS, *_ORBIT_SETTINGS, "format")),
     "portrait": Command(partial(cmd_orbit, portrait=True), "csv",
-                        "post-transient orbit samples without index (CSV)"),
+                        "post-transient orbit samples without index (CSV)",
+                        (*_MAP_SETTINGS, *_ORBIT_SETTINGS, "format")),
     "restrict": Command(cmd_restrict, "json",
-                        "restriction to the shared-eigenvalue invariant plane"),
-    "induced": Command(cmd_induced, "csv", "induced return map on the zero-eigenvalue plane"),
-    "scan": Command(cmd_scan, "csv", "one-parameter attractor sweep"),
+                        "restriction to the shared-eigenvalue invariant plane",
+                        (*_MAP_SETTINGS, *_ORBIT_SETTINGS, "tol", "grid", "format")),
+    "induced": Command(cmd_induced, "csv", "induced return map on the zero-eigenvalue plane",
+                       (*_MAP_SETTINGS, "transient", "keep", "escape_radius", "tol", "grid",
+                        "format")),
+    "scan": Command(cmd_scan, "csv", "one-parameter attractor sweep",
+                    (*_MAP_SETTINGS, *_ORBIT_SETTINGS, "tol", "param", "values", "format")),
 }
 
 
@@ -696,28 +707,27 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    spec = common.add_argument_group("map specification")
-    spec.add_argument("--config", metavar="FILE", help="read settings from an INI file")
-    run = common.add_argument_group("run settings")
-    output = common.add_argument_group("output")
-    groups = {"map": spec, "output": output}
-    # every setting is taken as text and parsed in resolve_config
-    for f in fields(RunConfig):
-        groups.get(f.metadata["section"], run).add_argument(
-            "--" + f.name.replace("_", "-"), dest=f.name, **f.metadata["flag"]
-        )
-    output.add_argument("--out", metavar="FILE", help="output path (default: stdout)")
-    output.add_argument("--dump-config", dest="dump_config", metavar="FILE",
-                        help="write the effective config before running")
-
     parser = _Parser(
         prog="pwldyn",
         description="Analyze continuous piecewise-linear maps near border collisions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        sub.add_parser(name, parents=[common], help=command.help)
+        cmd = sub.add_parser(name, help=command.help)
+        spec = cmd.add_argument_group("map specification")
+        spec.add_argument("--config", metavar="FILE", help="read settings from an INI file")
+        run = cmd.add_argument_group("run settings")
+        output = cmd.add_argument_group("output")
+        groups = {"map": spec, "output": output}
+        # every setting is taken as text and parsed in resolve_config
+        for f in fields(RunConfig):
+            if f.name in command.settings:
+                groups.get(f.metadata["section"], run).add_argument(
+                    "--" + f.name.replace("_", "-"), dest=f.name, **f.metadata["flag"]
+                )
+        output.add_argument("--out", metavar="FILE", help="output path (default: stdout)")
+        output.add_argument("--dump-config", dest="dump_config", metavar="FILE",
+                            help="write the effective config before running")
     return parser
 
 

@@ -10,6 +10,12 @@ eigenvectors of simple eigenvalues are read off the adjugate of
 roots whose eigenvalue condition numbers ``s = |u . v| / (|u| |v|)`` are
 both tiny, and which lie no farther apart than rounding splits a double
 root, are one defective double root.
+
+Every public function validates its matrix once and passes the validated
+array to the private helpers.  The closed forms up to 3x3, the Newton
+polish of cubic roots and the clustering of roots run on Python floats and
+complex numbers (``A.tolist()``): at these sizes NumPy's per-call overhead,
+not the arithmetic, would dominate.
 """
 from __future__ import annotations
 
@@ -67,25 +73,23 @@ def _as_square(a) -> np.ndarray:
 
 def determinant(a) -> float:
     """Determinant, via closed forms for n <= 3 and LAPACK's LU above."""
-    A = _as_square(a)
+    return _det(_as_square(a))
+
+
+def _det(A: np.ndarray) -> float:
     n = A.shape[0]
+    if n > 3:
+        return float(np.linalg.det(A))
+    r = A.tolist()
     if n == 1:
-        return float(A[0, 0])
+        return r[0][0]
     if n == 2:
-        return float(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
-    if n == 3:
-        return float(
-            A[0, 0] * (A[1, 1] * A[2, 2] - A[1, 2] * A[2, 1])
-            - A[0, 1] * (A[1, 0] * A[2, 2] - A[1, 2] * A[2, 0])
-            + A[0, 2] * (A[1, 0] * A[2, 1] - A[1, 1] * A[2, 0])
-        )
-    return float(np.linalg.det(A))
-
-
-# _KEEP[n][d] lists the indices other than d, ascending; _SIGN[n] is the
-# cofactor sign pattern (-1)^(i+j).
-_KEEP = {n: np.array([[k for k in range(n) if k != d] for d in range(n)]) for n in (2, 3)}
-_SIGN = {n: (-1.0) ** np.add.outer(np.arange(n), np.arange(n)) for n in (2, 3)}
+        return r[0][0] * r[1][1] - r[0][1] * r[1][0]
+    return (
+        r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
+        - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
+        + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
+    )
 
 
 def adjugate(a) -> np.ndarray:
@@ -98,19 +102,24 @@ def adjugate(a) -> np.ndarray:
     by it, so the adjugate stays accurate at rank n - 1 and is exactly zero
     when two singular values are.
     """
-    A = _as_square(a)
+    return _adj(_as_square(a))
+
+
+def _adj(A: np.ndarray) -> np.ndarray:
     n = A.shape[0]
     if n == 1:
         return np.ones((1, 1))
-    if n <= 3:
-        keep = _KEEP[n]
-        # minors[i, j] is A without row j and column i
-        minors = A[keep[None, :, :, None], keep[:, None, None, :]]
-        if n == 2:
-            cof = minors[..., 0, 0]
-        else:
-            cof = minors[..., 0, 0] * minors[..., 1, 1] - minors[..., 0, 1] * minors[..., 1, 0]
-        return _SIGN[n] * cof
+    # entry (i, j) is (-1)^(i + j) times the minor without row j and column i
+    if n == 2:
+        (a, b), (c, d) = A.tolist()
+        return np.array([[d, -b], [-c, a]])
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = A.tolist()
+        return np.array([
+            [e * i - f * h, -(b * i - c * h), b * f - c * e],
+            [-(d * i - f * g), a * i - c * g, -(a * f - c * d)],
+            [d * h - e * g, -(a * h - b * g), a * e - b * d],
+        ])
     U, s, Vt = np.linalg.svd(A)
     # head[i] = s_0 ... s_{i-1} and tail[i] = s_{i+1} ... s_{n-1}
     head = np.concatenate(([1.0], np.cumprod(s[:-1])))
@@ -131,7 +140,7 @@ def matrix_det_lemma_check(a, q, r) -> tuple[float, float]:
     if qv.shape != (A.shape[0],) or rv.shape != (A.shape[0],):
         raise ValueError("q and r must be vectors matching the matrix size")
     lhs = determinant(A + np.outer(rv, qv))
-    rhs = determinant(A) + float(qv @ adjugate(A) @ rv)
+    rhs = _det(A) + float(qv @ _adj(A) @ rv)
     return lhs, rhs
 
 
@@ -227,37 +236,38 @@ def real_eigen(a) -> Spectrum:
     """Eigen decomposition keeping real eigenvalues as full triples.
 
     Roots of the characteristic polynomial are clustered at
-    ``CLUSTER_RTOL * (1 + ||A||_F)``; clusters whose mean is real within that
-    threshold become EigenTriple entries, the rest are reported as
-    ComplexPair summaries.  Two adjacent simple real values whose eigenvalue
-    condition numbers (Golub & Van Loan, *Matrix Computations*, 7.2.2) are
-    both below ``DEFECTIVE_S`` and whose separation is within rounding of a
-    defective double root (``DEFECTIVE_SPLIT``) become one value of
-    multiplicity two.
+    ``CLUSTER_RTOL * (1 + ||A||_F)``; roots within that threshold of the
+    real axis are real, so a conjugate pair there is one real value of
+    multiplicity two.  Real clusters become EigenTriple entries, the rest
+    are reported as ComplexPair summaries.  Two adjacent simple real values
+    whose eigenvalue condition numbers (Golub & Van Loan, *Matrix
+    Computations*, 7.2.2) are both below ``DEFECTIVE_S`` and whose
+    separation is within rounding of a defective double root
+    (``DEFECTIVE_SPLIT``) become one value of multiplicity two.
     """
     A = _as_square(a)
-    roots = _char_roots(A)
-    thr = CLUSTER_RTOL * (1.0 + float(np.linalg.norm(A)))
+    norm = float(np.linalg.norm(A))
+    reals, uppers = _cluster(_char_roots(A), CLUSTER_RTOL * (1.0 + norm))
     triples: list[EigenTriple] = []
-    pairs: list[ComplexPair] = []
-    for val, mult in _cluster(roots, thr):
-        if abs(val.imag) <= thr:
-            lam = float(val.real)
-            left, right, canonical = _eigen_vectors(A, lam, mult)
-            triples.append(EigenTriple(lam, left, right, mult, canonical))
-        elif val.imag > 0.0:
-            pairs.append(ComplexPair(float(val.real), float(val.imag), float(abs(val)), mult))
+    for lam, mult in reals:
+        left, right, canonical = _eigen_vectors(A, lam, mult)
+        triples.append(EigenTriple(lam, left, right, mult, canonical))
+    pairs = [ComplexPair(z.real, z.imag, abs(z), mult) for z, mult in uppers]
     triples.sort(key=lambda t: t.value)
     pairs.sort(key=lambda p: (p.real, p.imag))
-    return Spectrum(_merge_defective(A, triples), tuple(pairs))
+    return Spectrum(_merge_defective(A, norm, triples), tuple(pairs))
 
 
-def _merge_defective(A: np.ndarray, triples: list[EigenTriple]) -> tuple[EigenTriple, ...]:
+def _merge_defective(A: np.ndarray, norm: float,
+                     triples: list[EigenTriple]) -> tuple[EigenTriple, ...]:
     """Merge each adjacent pair of simple values that is a defective double
     root split by rounding into their mean with multiplicity two, left to
     right: both s(lam) below ``DEFECTIVE_S`` and
-    ``d * min(s) <= DEFECTIVE_SPLIT * eps * ||A||_F``."""
-    split = DEFECTIVE_SPLIT * np.finfo(float).eps * float(np.linalg.norm(A))
+    ``d * min(s) <= DEFECTIVE_SPLIT * eps * norm``, ``norm`` being
+    ``||A||_F``."""
+    if sum(t.multiplicity == 1 for t in triples) < 2:
+        return tuple(triples)
+    split = DEFECTIVE_SPLIT * np.finfo(float).eps * norm
     out: list[EigenTriple] = []
     prev_s = math.inf  # s(lam) of out[-1] if it is simple and not merged
     for t in triples:
@@ -279,40 +289,40 @@ def _condition(t: EigenTriple) -> float:
     return abs(float(u @ v)) / (math.sqrt(float(u @ u)) * math.sqrt(float(v @ v)))
 
 
-def _char_roots(A: np.ndarray) -> np.ndarray:
+def _char_roots(A: np.ndarray) -> list[complex]:
     n = A.shape[0]
+    if n > 3:
+        try:
+            return np.asarray(np.linalg.eigvals(A), dtype=complex).tolist()
+        except np.linalg.LinAlgError as exc:
+            raise IllConditioned(f"eigenvalue iteration did not converge: {exc}") from exc
+    r = A.tolist()
     if n == 1:
-        return np.array([complex(A[0, 0])])
+        return [complex(r[0][0])]
     if n == 2:
-        tr = float(A[0, 0] + A[1, 1])
-        return _quadratic_roots(-tr, determinant(A))
-    if n == 3:
-        tr = float(np.trace(A))
-        e2 = float(
-            A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-            + A[0, 0] * A[2, 2] - A[0, 2] * A[2, 0]
-            + A[1, 1] * A[2, 2] - A[1, 2] * A[2, 1]
-        )
-        return _cubic_roots(-tr, e2, -determinant(A))
-    try:
-        return np.asarray(np.linalg.eigvals(A), dtype=complex)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditioned(f"eigenvalue iteration did not converge: {exc}") from exc
+        return _quadratic_roots(-(r[0][0] + r[1][1]), _det(A))
+    tr = 0.0 + r[0][0] + r[1][1] + r[2][2]  # summed from +0.0 as np.trace does
+    e2 = (
+        r[0][0] * r[1][1] - r[0][1] * r[1][0]
+        + r[0][0] * r[2][2] - r[0][2] * r[2][0]
+        + r[1][1] * r[2][2] - r[1][2] * r[2][1]
+    )
+    return _cubic_roots(-tr, e2, -_det(A))
 
 
-def _quadratic_roots(a: float, b: float) -> np.ndarray:
+def _quadratic_roots(a: float, b: float) -> list[complex]:
     """Roots of x^2 + a x + b, cancellation-safe."""
     disc = a * a - 4.0 * b
     if disc >= 0.0:
         s = math.sqrt(disc)
         r1 = (-a - s) / 2.0 if a >= 0.0 else (-a + s) / 2.0
         r2 = b / r1 if r1 != 0.0 else -a - r1
-        return np.array([complex(r1), complex(r2)])
+        return [complex(r1), complex(r2)]
     s = math.sqrt(-disc) / 2.0
-    return np.array([complex(-a / 2.0, -s), complex(-a / 2.0, s)])
+    return [complex(-a / 2.0, -s), complex(-a / 2.0, s)]
 
 
-def _cubic_roots(a: float, b: float, c: float) -> np.ndarray:
+def _cubic_roots(a: float, b: float, c: float) -> list[complex]:
     """Roots of x^3 + a x^2 + b x + c via trigonometric/Cardano closed forms."""
     p = b - a * a / 3.0
     q = 2.0 * a**3 / 27.0 - a * b / 3.0 + c
@@ -320,48 +330,60 @@ def _cubic_roots(a: float, b: float, c: float) -> np.ndarray:
     disc = -4.0 * p**3 - 27.0 * q * q
     if disc >= 0.0:
         if p == 0.0:  # disc >= 0 with p == 0 forces q == 0: triple root
-            t = np.zeros(3)
+            t = [0.0, 0.0, 0.0]
         else:
             m = 2.0 * math.sqrt(-p / 3.0)
             theta = math.acos(min(1.0, max(-1.0, 3.0 * q / (p * m))))
-            t = m * np.cos((theta - 2.0 * np.pi * np.arange(3)) / 3.0)
-        roots = _polish_cubic(t + shift, a, b, c)
-        return roots.astype(complex)
+            t = (m * np.cos((theta - 2.0 * np.pi * np.arange(3)) / 3.0)).tolist()
+        return [complex(r) for r in _polish_cubic([x + shift for x in t], a, b, c)]
     s = math.sqrt(q * q / 4.0 + p**3 / 27.0)
     w = -q / 2.0 - s if q > 0.0 else -q / 2.0 + s  # larger-magnitude branch
     wr = float(np.cbrt(w))
     t0 = wr - p / (3.0 * wr) if wr != 0.0 else 0.0
-    r = float(_polish_cubic(np.array([t0 + shift]), a, b, c)[0])
-    quad = _quadratic_roots(a + r, b + r * (a + r))  # deflated factor
-    return np.array([complex(r), quad[0], quad[1]])
+    r = _polish_cubic([t0 + shift], a, b, c)[0]
+    return [complex(r), *_quadratic_roots(a + r, b + r * (a + r))]  # deflated factor
 
 
-def _polish_cubic(roots: np.ndarray, a: float, b: float, c: float) -> np.ndarray:
-    r = roots.astype(float)
-    f = ((r + a) * r + b) * r + c
-    for _ in range(2):
-        df = (3.0 * r + 2.0 * a) * r + b
-        safe = np.abs(df) > 1e-30
-        step = np.where(safe, f / np.where(safe, df, 1.0), 0.0)
-        # skip steps that would jump away from the bracketing estimate
-        step = np.where(np.abs(step) < 1.0 + np.abs(r), step, 0.0)
-        # and steps that raise |f|: at a double root f' ~ 0 and the step is noise
-        r_new = r - step
-        f_new = ((r_new + a) * r_new + b) * r_new + c
-        keep = np.abs(f_new) <= np.abs(f)
-        r, f = np.where(keep, r_new, r), np.where(keep, f_new, f)
-    return r
+def _polish_cubic(roots: list[float], a: float, b: float, c: float) -> list[float]:
+    """Up to two guarded Newton steps on each root of x^3 + a x^2 + b x + c."""
+    out = []
+    for r in roots:
+        f = ((r + a) * r + b) * r + c
+        for _ in range(2):
+            df = (3.0 * r + 2.0 * a) * r + b
+            step = f / df if abs(df) > 1e-30 else 0.0
+            # skip steps that would jump away from the bracketing estimate
+            if not abs(step) < 1.0 + abs(r):
+                step = 0.0
+            # and steps that raise |f|: at a double root f' ~ 0 and the step is noise
+            r_new = r - step
+            f_new = ((r_new + a) * r_new + b) * r_new + c
+            if abs(f_new) <= abs(f):
+                r, f = r_new, f_new
+        out.append(r)
+    return out
 
 
-def _cluster(roots: np.ndarray, thr: float) -> list[tuple[complex, int]]:
-    """Single-linkage clusters of the root multiset; returns (mean, size) pairs."""
-    order = [int(i) for i in np.lexsort((roots.imag, roots.real))]
-    assigned = np.zeros(len(roots), dtype=bool)
-    out: list[tuple[complex, int]] = []
+def _cluster(
+    roots: list[complex], thr: float
+) -> tuple[list[tuple[float, int]], list[tuple[complex, int]]]:
+    """Single-linkage clusters of the root multiset at distance ``thr``.
+
+    Returns ``(mean, size)`` pairs, first of the real clusters, then of the
+    clusters above the real axis.  A root within ``thr`` of the real axis is
+    real: it is projected onto the axis before clustering, so that a
+    conjugate pair there joins into one real value of multiplicity two, never
+    two simple real values.
+    """
+    roots = [complex(z.real) if abs(z.imag) <= thr else z for z in roots]
+    order = sorted(range(len(roots)), key=lambda i: (roots[i].real, roots[i].imag))
+    assigned = [False] * len(roots)
+    reals: list[tuple[float, int]] = []
+    uppers: list[tuple[complex, int]] = []
     for i in order:
         if assigned[i]:
             continue
-        group = [i]
+        group = [roots[i]]
         assigned[i] = True
         frontier = [i]
         while frontier:
@@ -369,20 +391,55 @@ def _cluster(roots: np.ndarray, thr: float) -> list[tuple[complex, int]]:
             for j in order:
                 if not assigned[j] and abs(roots[j] - roots[k]) <= thr:
                     assigned[j] = True
-                    group.append(j)
+                    group.append(roots[j])
                     frontier.append(j)
-        out.append((complex(np.mean(roots[group])), len(group)))
-    return out
+        mean = _mean(group)
+        if abs(mean.imag) <= thr:
+            reals.append((mean.real, len(group)))
+        elif mean.imag > 0.0:
+            uppers.append((mean, len(group)))
+    return reals, uppers
+
+
+def _mean(zs: list[complex]) -> complex:
+    """NumPy's complex mean, bit for bit: each part summed pairwise and added
+    to +0.0, then times 1 / size, so a lone -0.0 root has mean +0.0."""
+    scale = 1.0 / len(zs)
+    return complex((0.0 + _pairwise([z.real for z in zs])) * scale,
+                   (0.0 + _pairwise([z.imag for z in zs])) * scale)
+
+
+def _pairwise(xs: list[float]) -> float:
+    """NumPy's pairwise sum of one part of a complex array: in order below
+    four terms, four running sums up to 64 terms, and two halves above."""
+    m = len(xs)
+    if m < 4:
+        total = 0.0
+        for x in xs:
+            total += x
+        return total
+    if m > 64:
+        half = (m - m % 8) // 2
+        return _pairwise(xs[:half]) + _pairwise(xs[half:])
+    acc = xs[:4]
+    i = 4
+    while i < m - m % 4:
+        acc = [acc[k] + xs[i + k] for k in range(4)]
+        i += 4
+    total = (acc[0] + acc[1]) + (acc[2] + acc[3])
+    for x in xs[i:]:
+        total += x
+    return total
 
 
 def _eigen_vectors(A: np.ndarray, lam: float, mult: int) -> tuple[np.ndarray, np.ndarray, bool]:
     n = A.shape[0]
     M = lam * np.eye(n) - A
     if mult == 1:
-        B = adjugate(M)
-        i, j = np.unravel_index(int(np.argmax(np.abs(B))), B.shape)
+        B = _adj(M)
+        i, j = divmod(int(np.argmax(np.abs(B))), n)
         piv = B[i, j]
-        if piv != 0.0 and np.isfinite(piv):
+        if piv != 0.0 and math.isfinite(piv):
             right = B[:, j].copy()
             left = B[i, :] / piv
             return left, right, True

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,8 @@ from pwldyn import (
     NonFinite,
     SharedEigReduction,
     bcnf,
-    determinant,
     fixed_points,
+    linalg,
     real_eigen,
     reduction,
     validate_continuity,
@@ -154,7 +156,7 @@ def _reference_det(a: np.ndarray) -> float:
     up to 3x3 and Gaussian elimination with partial pivoting above."""
     n = a.shape[0]
     if n <= 3:
-        return determinant(a)
+        return _reference_closed_det(a)
     U = a.copy()
     sign = 1.0
     for k in range(n - 1):
@@ -184,3 +186,186 @@ def reference_adjugate(a):
             minor = A[np.ix_(idx != j, idx != i)]  # drop row j and column i
             adj[i, j] = (-1.0) ** (i + j) * _reference_det(minor)
     return adj
+
+
+# ---------------------------------------------------------------------------
+# The NumPy forms of ``real_eigen`` and its helpers that the scalar closed
+# forms replaced, kept as bit-identity oracles: every closed form up to 3x3
+# on NumPy scalars and arrays, realness decided at ``|imag| <= thr``, and the
+# SVD adjugate above 3x3.
+
+_REF_KEEP = {n: np.array([[k for k in range(n) if k != d] for d in range(n)]) for n in (2, 3)}
+_REF_SIGN = {n: (-1.0) ** np.add.outer(np.arange(n), np.arange(n)) for n in (2, 3)}
+
+
+def _reference_closed_det(a: np.ndarray) -> float:
+    n = a.shape[0]
+    if n == 1:
+        return float(a[0, 0])
+    if n == 2:
+        return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
+    if n == 3:
+        return float(
+            a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
+            - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
+            + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
+        )
+    return float(np.linalg.det(a))
+
+
+def _reference_vectorised_adjugate(a: np.ndarray) -> np.ndarray:
+    n = a.shape[0]
+    if n == 1:
+        return np.ones((1, 1))
+    if n <= 3:
+        keep = _REF_KEEP[n]
+        minors = a[keep[None, :, :, None], keep[:, None, None, :]]
+        if n == 2:
+            cof = minors[..., 0, 0]
+        else:
+            cof = minors[..., 0, 0] * minors[..., 1, 1] - minors[..., 0, 1] * minors[..., 1, 0]
+        return _REF_SIGN[n] * cof
+    U, s, Vt = np.linalg.svd(a)
+    head = np.concatenate(([1.0], np.cumprod(s[:-1])))
+    tail = np.concatenate((np.cumprod(s[:0:-1])[::-1], [1.0]))
+    sign = np.sign(np.linalg.det(U) * np.linalg.det(Vt))
+    return (sign * Vt.T * (head * tail)) @ U.T
+
+
+def reference_char_roots(a) -> np.ndarray:
+    """Characteristic roots as the NumPy closed forms computed them."""
+    A = np.asarray(a, dtype=float)
+    n = A.shape[0]
+    if n == 1:
+        return np.array([complex(A[0, 0])])
+    if n == 2:
+        tr = float(A[0, 0] + A[1, 1])
+        return _reference_quadratic_roots(-tr, _reference_closed_det(A))
+    if n == 3:
+        tr = float(np.trace(A))
+        e2 = float(
+            A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+            + A[0, 0] * A[2, 2] - A[0, 2] * A[2, 0]
+            + A[1, 1] * A[2, 2] - A[1, 2] * A[2, 1]
+        )
+        return _reference_cubic_roots(-tr, e2, -_reference_closed_det(A))
+    return np.asarray(np.linalg.eigvals(A), dtype=complex)
+
+
+def _reference_quadratic_roots(a: float, b: float) -> np.ndarray:
+    disc = a * a - 4.0 * b
+    if disc >= 0.0:
+        s = math.sqrt(disc)
+        r1 = (-a - s) / 2.0 if a >= 0.0 else (-a + s) / 2.0
+        r2 = b / r1 if r1 != 0.0 else -a - r1
+        return np.array([complex(r1), complex(r2)])
+    s = math.sqrt(-disc) / 2.0
+    return np.array([complex(-a / 2.0, -s), complex(-a / 2.0, s)])
+
+
+def _reference_cubic_roots(a: float, b: float, c: float) -> np.ndarray:
+    p = b - a * a / 3.0
+    q = 2.0 * a**3 / 27.0 - a * b / 3.0 + c
+    shift = -a / 3.0
+    disc = -4.0 * p**3 - 27.0 * q * q
+    if disc >= 0.0:
+        if p == 0.0:
+            t = np.zeros(3)
+        else:
+            m = 2.0 * math.sqrt(-p / 3.0)
+            theta = math.acos(min(1.0, max(-1.0, 3.0 * q / (p * m))))
+            t = m * np.cos((theta - 2.0 * np.pi * np.arange(3)) / 3.0)
+        return _reference_polish_cubic(t + shift, a, b, c).astype(complex)
+    s = math.sqrt(q * q / 4.0 + p**3 / 27.0)
+    w = -q / 2.0 - s if q > 0.0 else -q / 2.0 + s
+    wr = float(np.cbrt(w))
+    t0 = wr - p / (3.0 * wr) if wr != 0.0 else 0.0
+    r = float(_reference_polish_cubic(np.array([t0 + shift]), a, b, c)[0])
+    quad = _reference_quadratic_roots(a + r, b + r * (a + r))
+    return np.array([complex(r), quad[0], quad[1]])
+
+
+def _reference_polish_cubic(roots: np.ndarray, a: float, b: float, c: float) -> np.ndarray:
+    r = roots.astype(float)
+    f = ((r + a) * r + b) * r + c
+    for _ in range(2):
+        df = (3.0 * r + 2.0 * a) * r + b
+        safe = np.abs(df) > 1e-30
+        step = np.where(safe, f / np.where(safe, df, 1.0), 0.0)
+        step = np.where(np.abs(step) < 1.0 + np.abs(r), step, 0.0)
+        r_new = r - step
+        f_new = ((r_new + a) * r_new + b) * r_new + c
+        keep = np.abs(f_new) <= np.abs(f)
+        r, f = np.where(keep, r_new, r), np.where(keep, f_new, f)
+    return r
+
+
+def _reference_cluster(roots: np.ndarray, thr: float) -> list[tuple[complex, int]]:
+    order = [int(i) for i in np.lexsort((roots.imag, roots.real))]
+    assigned = np.zeros(len(roots), dtype=bool)
+    out: list[tuple[complex, int]] = []
+    for i in order:
+        if assigned[i]:
+            continue
+        group = [i]
+        assigned[i] = True
+        frontier = [i]
+        while frontier:
+            k = frontier.pop()
+            for j in order:
+                if not assigned[j] and abs(roots[j] - roots[k]) <= thr:
+                    assigned[j] = True
+                    group.append(j)
+                    frontier.append(j)
+        out.append((complex(np.mean(roots[group])), len(group)))
+    return out
+
+
+def _reference_eigen_vectors(A: np.ndarray, lam: float, mult: int):
+    n = A.shape[0]
+    M = lam * np.eye(n) - A
+    if mult == 1:
+        B = _reference_vectorised_adjugate(M)
+        i, j = np.unravel_index(int(np.argmax(np.abs(B))), B.shape)
+        piv = B[i, j]
+        if piv != 0.0 and np.isfinite(piv):
+            return B[i, :] / piv, B[:, j].copy(), True
+    U, _, Vt = np.linalg.svd(M)
+    return linalg._sign_fixed(U[:, -1]), linalg._sign_fixed(Vt[-1, :]), False
+
+
+def _reference_condition(t) -> float:
+    u, v = t.left, t.right
+    return abs(float(u @ v)) / (math.sqrt(float(u @ u)) * math.sqrt(float(v @ v)))
+
+
+def reference_real_eigen(a) -> linalg.Spectrum:
+    """``real_eigen`` as the NumPy forms computed it."""
+    A = np.asarray(a, dtype=float)
+    roots = reference_char_roots(A)
+    thr = linalg.CLUSTER_RTOL * (1.0 + float(np.linalg.norm(A)))
+    triples, pairs = [], []
+    for val, mult in _reference_cluster(roots, thr):
+        if abs(val.imag) <= thr:
+            lam = float(val.real)
+            left, right, canonical = _reference_eigen_vectors(A, lam, mult)
+            triples.append(linalg.EigenTriple(lam, left, right, mult, canonical))
+        elif val.imag > 0.0:
+            pairs.append(linalg.ComplexPair(float(val.real), float(val.imag),
+                                            float(abs(val)), mult))
+    triples.sort(key=lambda t: t.value)
+    pairs.sort(key=lambda p: (p.real, p.imag))
+    split = linalg.DEFECTIVE_SPLIT * np.finfo(float).eps * float(np.linalg.norm(A))
+    out = []
+    prev_s = math.inf
+    for t in triples:
+        s = _reference_condition(t) if t.multiplicity == 1 else math.inf
+        if max(s, prev_s) < linalg.DEFECTIVE_S and (t.value - out[-1].value) * min(s, prev_s) <= split:
+            lam = 0.5 * (out[-1].value + t.value)
+            left, right, canonical = _reference_eigen_vectors(A, lam, 2)
+            out[-1] = linalg.EigenTriple(lam, left, right, 2, canonical)
+            prev_s = math.inf
+        else:
+            out.append(t)
+            prev_s = s
+    return linalg.Spectrum(tuple(out), tuple(pairs))

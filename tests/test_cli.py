@@ -30,6 +30,14 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def exit_code(argv) -> int:
+    """The code ``main`` returns, or the one its usage error exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def test_analyze_shared(capsys):
     code, report = run_json(capsys, ["analyze", *ANCHOR])
     assert code == 0
@@ -309,8 +317,10 @@ BAD_SETTINGS = [("--tol", v) for v in ("nan", "0", "-1", "inf")] + [
                          ["analyze", "orbit", "portrait", "restrict", "induced", "scan"])
 @pytest.mark.parametrize("option, value", BAD_SETTINGS)
 def test_bad_tol_or_escape_radius_rejected(capsys, command, option, value):
+    # a command that does not read the setting rejects the flag itself
     spec = FLAT if command == "induced" else ANCHOR
-    code = main([command, *spec, "--param", "tl", "--values", "2.2", f"{option}={value}"])
+    sweep = ["--param", "tl", "--values", "2.2"] if command == "scan" else []
+    code = exit_code([command, *spec, *sweep, f"{option}={value}"])
     err = capsys.readouterr().err
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
@@ -440,8 +450,9 @@ ONE_D_MAPS = {
 def test_one_dimensional_matrix_file(tmp_path, capsys, name, command):
     path = tmp_path / "map.txt"
     path.write_text(ONE_D_MAPS[name])
-    code = main([command, "--matrix-file", str(path), "--param", "tl",
-                 "--values", "1.0", "--out", str(tmp_path / "out.txt")])
+    sweep = ["--param", "tl", "--values", "1.0"] if command == "scan" else []
+    code = main([command, "--matrix-file", str(path), *sweep,
+                 "--out", str(tmp_path / "out.txt")])
     err = capsys.readouterr().err
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err

@@ -6,7 +6,7 @@ from dataclasses import fields
 
 import pytest
 
-from pwldyn.cli import RunConfig, dump_config, load_config, main
+from pwldyn.cli import COMMANDS, RunConfig, dump_config, load_config, main
 
 ANCHOR = ["--dim", "2", "--tl", "2.2", "--dl", "0.4", "--tr", "-1.3", "--dr", "-0.3"]
 
@@ -62,10 +62,13 @@ IDENTITY_MAP = "2\n1 0\n0 1\n1 0\n0 1\n1 0\n1 0\n"
 
 
 def test_dump_config_golden_every_section(tmp_path):
+    # scan reads every setting but the grid, which comes from a config file
     dump = tmp_path / "run.ini"
-    argv = ["scan", "--dim", "3", "--tl", "1.6", "--dl", "0.0", "--sl", "0.8",
-            "--tr", "-1.5", "--dr", "1.0", "--sr", "0.0", "--x0", "0.1,0.2,0.3",
-            "--escape-radius", "inf", "--tol", "1e-8", "--grid=0:1:5,0:1:5",
+    cfg = tmp_path / "grid.ini"
+    cfg.write_text("[sampling]\ngrid = 0:1:5,0:1:5\n")
+    argv = ["scan", "--config", str(cfg), "--dim", "3", "--tl", "1.6", "--dl", "0.0",
+            "--sl", "0.8", "--tr", "-1.5", "--dr", "1.0", "--sr", "0.0", "--x0", "0.1,0.2,0.3",
+            "--escape-radius", "inf", "--tol", "1e-8",
             "--param", "tl", "--values", "1.5,1.6", "--format", "json",
             "--transient", "10", "--keep", "20", "--dump-config", str(dump),
             "--out", str(tmp_path / "scan.json")]
@@ -202,6 +205,43 @@ def test_usage_error_is_one_line(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert one_error_line(captured.err)
+
+
+def test_unread_flags_are_usage_errors(capsys):
+    # analyze writes only JSON and reads no grid or scan parameter
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", *ANCHOR, "--format", "csv", "--grid=garbage", "--param", "tl"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert one_error_line(err) and "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_each_command_takes_only_the_settings_it_reads(capsys, command):
+    settings = COMMANDS[command].settings
+    for f in fields(RunConfig):
+        if f.name in settings:
+            continue
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--" + f.name.replace("_", "-"), "1"])
+        assert exc.value.code == 2
+        assert one_error_line(capsys.readouterr().err)
+
+
+def test_every_setting_is_read_by_some_command():
+    read = {name for command in COMMANDS.values() for name in command.settings}
+    assert read == {f.name for f in fields(RunConfig)}
+
+
+def test_config_file_is_shared_across_commands(tmp_path):
+    # keys a command does not read stay valid in its config file
+    dump = tmp_path / "run.ini"
+    assert main(["scan", *ANCHOR, "--param", "tl", "--values", "2.2", "--keep", "20",
+                 "--transient", "10", "--dump-config", str(dump),
+                 "--out", str(tmp_path / "scan.csv")]) == 0
+    assert main(["analyze", *ANCHOR, "--out", str(tmp_path / "a.json")]) == 0
+    assert main(["analyze", "--config", str(dump), "--out", str(tmp_path / "b.json")]) == 0
+    assert (tmp_path / "b.json").read_bytes() == (tmp_path / "a.json").read_bytes()
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["scan", "--help"]])

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import inspect
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from pwldyn import (
     BcnfParams,
@@ -18,9 +21,10 @@ from pwldyn import (
     real_eigen,
     solve,
 )
-from pwldyn.linalg import _cubic_roots
+from pwldyn import linalg
+from pwldyn.linalg import _cubic_roots, _quadratic_roots
 
-from conftest import SHARED_2D, reference_adjugate
+from conftest import SHARED_2D, reference_adjugate, reference_char_roots, reference_real_eigen
 
 
 def test_determinant_closed_form():
@@ -306,6 +310,31 @@ def test_solve_matches_numpy(rng):
             assert np.allclose(solve(a, rhs), np.linalg.solve(a, rhs), atol=1e-10)
 
 
+def test_solve_graded_matches_numpy(rng):
+    # Rows and columns scaled by 1e-8 .. 1e8.  Either both solvers agree
+    # within eps times Skeel's condition number || |A^-1| |A| |x| ||, which
+    # no row or column scaling changes, or a pivot fell below 1e-12 max|A|,
+    # which needs cond_2(A) >= 1e12 / ||L^-1||_2 >= 1e12 / (n 2^(n-1)).
+    eps = np.finfo(float).eps
+    rejected = 0
+    for trial in range(300):
+        n = int(rng.integers(2, 7))
+        rows = 10.0 ** rng.uniform(-8.0, 8.0, n) if trial % 3 != 1 else np.ones(n)
+        cols = 10.0 ** rng.uniform(-8.0, 8.0, n) if trial % 3 != 0 else np.ones(n)
+        a = rows[:, None] * rng.standard_normal((n, n)) * cols[None, :]
+        rhs = rng.standard_normal(n)
+        want = np.linalg.solve(a, rhs)
+        try:
+            got = solve(a, rhs)
+        except SingularMatrix:
+            rejected += 1
+            assert np.linalg.cond(a) >= 1e12 / (n * 2.0 ** (n - 1))
+            continue
+        skeel = np.abs(np.linalg.inv(a)) @ (np.abs(a) @ np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e3 * eps * np.max(skeel)
+    assert 0 < rejected < 300
+
+
 def test_solve_singular():
     a = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(SingularMatrix):
@@ -331,3 +360,154 @@ def test_real_eigen_complex_pair():
     assert pair.real == pytest.approx(0.0, abs=1e-12)
     assert abs(pair.imag) == pytest.approx(2.0, abs=1e-12)
     assert pair.modulus == pytest.approx(2.0, abs=1e-12)
+
+
+# x^2 - 2 c x + c^2 (1 - delta) has roots c (1 -+ sqrt(delta)): a double
+# root at delta = 0, a complex pair below it.
+@pytest.mark.parametrize("c", [1.0, -3.0, 0.1, 250.0, -7.5e4])
+@pytest.mark.parametrize("delta", [0.0] + [sign * 10.0 ** -k for k in range(0, 18, 2)
+                                           for sign in (1.0, -1.0)])
+def test_quadratic_roots_near_double_root(c, delta):
+    # Against the companion matrix's LAPACK eigenvalues, each root within
+    # eps times its condition number (|r|^2 + |a| |r| + |b|) / |r1 - r2|,
+    # the separation floored at sqrt(eps) where both are sqrt(eps) accurate.
+    a, b = -2.0 * c, c * c * (1.0 - delta)
+    got = np.array(_quadratic_roots(a, b))
+    want = np.linalg.eigvals(np.array([[-a, -b], [1.0, 0.0]]))
+    got = got[np.lexsort((got.imag, got.real))]
+    want = want[np.lexsort((want.imag, want.real))]
+    eps = np.finfo(float).eps
+    size = np.abs(want) ** 2 + abs(a) * np.abs(want) + abs(b)
+    sep = max(abs(want[1] - want[0]), math.sqrt(eps * size.max()))
+    assert np.all(np.abs(got - want) <= 10.0 * eps * size / sep)
+
+
+# ---------------------------------------------------------------------------
+# real_eigen against the NumPy forms it replaced, bit for bit
+
+
+def _spectrum_bytes(spec):
+    return (
+        [(np.float64(t.value).tobytes(), t.left.tobytes(), t.right.tobytes(),
+          t.multiplicity, t.canonical) for t in spec.real],
+        [(np.array([p.real, p.imag, p.modulus]).tobytes(), p.multiplicity)
+         for p in spec.complex_pairs],
+    )
+
+
+def _near_axis_pair(a) -> bool:
+    """Whether a root lies within the cluster threshold of the real axis but
+    more than half of it away: the NumPy forms gave two simple real values
+    there, the scalar forms one of multiplicity two."""
+    thr = linalg.CLUSTER_RTOL * (1.0 + np.linalg.norm(a))
+    try:
+        roots = reference_char_roots(a)
+    except (ArithmeticError, ValueError):
+        return False
+    return any(thr / 2.0 < abs(z.imag) <= thr for z in roots)
+
+
+def _assert_bit_identical(a):
+    try:
+        want = _spectrum_bytes(reference_real_eigen(a))
+    except (ArithmeticError, ValueError) as exc:
+        # the closed forms under- or overflow at extreme scales, alike in both
+        with pytest.raises(type(exc)):
+            real_eigen(a)
+    else:
+        assert _spectrum_bytes(real_eigen(a)) == want
+
+
+# Exact grid entries give exact multiple roots, singular pieces and signed
+# zeros; bounded floats give generic spectra.
+_GRID = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 3.0])
+_FLOATS = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _matrices(draw, sizes):
+    n = draw(sizes)
+    entries = draw(st.sampled_from([_GRID, _FLOATS]))
+    return np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=_matrices(st.integers(1, 3)))
+@example(a=np.array([[-0.0]]))
+@example(a=np.array([[-0.0, 1.0], [0.0, 2.0]]))
+@example(a=np.array([[0.0, -2.0], [2.0, 0.0]]))
+@example(a=np.diag([0.0, 0.0, 1.2416809e-139]))
+@example(a=np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0046794e-131], [0.0, 1.0, 0.0]]))
+def test_real_eigen_bit_identical_small(a):
+    assume(not _near_axis_pair(a))
+    _assert_bit_identical(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_matrices(st.integers(4, 8)))
+def test_real_eigen_bit_identical_large(a):
+    assume(not _near_axis_pair(a))
+    _assert_bit_identical(a)
+
+
+def test_real_eigen_bit_identical_at_four_or_more_fold_values(rng):
+    # NumPy's mean sums four or more roots pairwise
+    for _ in range(100):
+        n = int(rng.integers(4, 9))
+        k = int(rng.integers(4, n + 1))
+        values = np.concatenate([np.full(k, rng.uniform(-2.0, 2.0)), rng.uniform(-2.0, 2.0, n - k)])
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = q @ np.diag(values) @ q.T
+        if not _near_axis_pair(a):
+            _assert_bit_identical(a)
+
+
+def _signed_zero_root(a) -> bool:
+    return any(z.real == 0.0 and math.copysign(1.0, z.real) < 0.0 for z in reference_char_roots(a))
+
+
+def test_real_eigen_bit_identical_at_special_spectra():
+    double_and_triple = [
+        bcnf(BcnfParams(dim=3, tl=2.0 * r + s, dl=r * r * s, sl=r * r + 2.0 * r * s,
+                        tr=0.0, dr=0.0, sr=0.0)).A_L
+        for r, s in DOUBLE_ROOTS
+    ] + [np.array([[r, 1.0], [0.0, r]]) for r in (-1.0, 0.0, 0.5)] + [DEFECTIVE_3D]
+    # singular pieces whose zero root is -0.0, which the mean turns into +0.0
+    signed_zero = [np.array([[-0.0]]), np.array([[-0.0, 1.0], [0.0, 2.0]])]
+    assert all(_signed_zero_root(a) for a in signed_zero)
+    pairs = [np.array([[x, -y], [y, x]]) for x in (0.0, -0.5, 2.0) for y in (1e-3, 1.0, 3.0)]
+    pairs += [np.array([[0.0, 0.0, 0.2], [1.0, 0.0, -3.0], [0.0, 1.0, 0.0]])]
+    for a in double_and_triple + signed_zero + pairs:
+        assert not _near_axis_pair(a)
+        _assert_bit_identical(a)
+
+
+def test_real_eigen_validates_once(monkeypatch):
+    calls = []
+    as_square = linalg._as_square
+
+    def counting(a):
+        calls.append(a)
+        return as_square(a)
+
+    monkeypatch.setattr(linalg, "_as_square", counting)
+    spec = real_eigen(np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 3.0]]))
+    assert [t.multiplicity for t in spec.real] == [1, 1, 1]
+    assert len(calls) == 1
+
+
+def test_close_conjugate_pair_is_never_two_real_values():
+    # A pair a -+ i b with b just inside the cluster threshold used to be
+    # reported as the real value a twice, each simple (9 of these 200).
+    rng = np.random.default_rng(3)
+    r = np.array([[0.7, -3e-8, 0.0], [3e-8, 0.7, 0.0], [0.0, 0.0, -0.4]])
+    for _ in range(200):
+        s = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
+        a = s @ r @ np.linalg.inv(s)
+        spec = real_eigen(a)
+        near = [t.multiplicity for t in spec.real if abs(t.value - 0.7) < 1e-4]
+        pairs = [p.multiplicity for p in spec.complex_pairs if abs(p.real - 0.7) < 1e-4]
+        assert (near, pairs) in (([2], []), ([], [1]))
+        ref = np.linalg.eigvals(a)
+        ref = ref[np.lexsort((ref.imag, ref.real))]
+        assert np.abs(_root_multiset(spec) - ref).max() <= 1e-7
