@@ -16,9 +16,19 @@ array to the private helpers.  The closed forms up to 3x3, the Newton
 polish of cubic roots and the clustering of roots run on Python floats and
 complex numbers (``A.tolist()``): at these sizes NumPy's per-call overhead,
 not the arithmetic, would dominate.
+
+``real_eigen`` remembers the spectra of the last two matrices it decomposed,
+the two pieces of the map being analysed, so the several analyses of one map
+decompose each piece once.  The vectors it returns are read-only, because
+every caller that asks again for one matrix shares them.  Where the closed
+forms, the Frobenius norm or an eigenvalue condition number fail at extreme
+scales (an exception or a non-finite value from over- or underflow), they
+are computed again on data rescaled by powers of two; wherever they succeed
+no bit changes.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,10 +87,13 @@ def determinant(a) -> float:
 
 
 def _det(A: np.ndarray) -> float:
-    n = A.shape[0]
-    if n > 3:
+    if A.shape[0] > 3:
         return float(np.linalg.det(A))
-    r = A.tolist()
+    return _det_rows(A.tolist())
+
+
+def _det_rows(r: list[list[float]]) -> float:
+    n = len(r)
     if n == 1:
         return r[0][0]
     if n == 2:
@@ -203,7 +216,9 @@ class EigenTriple:
     ``outer(right, left) == adjugate(value * I - A)`` and ``canonical`` is
     True.  When that adjugate degenerates (multiplicity above one) the
     vectors fall back to unit norm with the first significant component
-    positive and ``canonical`` is False.
+    positive and ``canonical`` is False.  The vectors are read-only:
+    ``real_eigen`` hands the same triple to every caller that asks about the
+    same matrix.
     """
 
     value: float
@@ -244,9 +259,26 @@ def real_eigen(a) -> Spectrum:
     Computations*, 7.2.2) are both below ``DEFECTIVE_S`` and whose
     separation is within rounding of a defective double root
     (``DEFECTIVE_SPLIT``) become one value of multiplicity two.
+
+    The spectra of the last two matrices decomposed are remembered, keyed by
+    the matrix bytes (so ``-0.0`` and ``+0.0`` differ), and asking again for
+    one of them returns the same Spectrum object.  Raises IllConditioned
+    when a characteristic root or the norm is not finite.
     """
     A = _as_square(a)
-    norm = float(np.linalg.norm(A))
+    return _spectrum(A.tobytes(), A.shape[0])
+
+
+@functools.lru_cache(maxsize=2)
+def _spectrum(key: bytes, n: int) -> Spectrum:
+    """``real_eigen`` of the n x n matrix whose C-order bytes are ``key``.
+
+    Two entries hold the two pieces of one map, which ``pwldyn analyze`` and
+    the detections it calls each ask for up to three times.  Threads that
+    miss on one matrix at once may each compute it; the results are equal.
+    """
+    A = np.frombuffer(key).reshape(n, n)
+    norm = _norm(A)
     reals, uppers = _cluster(_char_roots(A), CLUSTER_RTOL * (1.0 + norm))
     triples: list[EigenTriple] = []
     for lam, mult in reals:
@@ -284,30 +316,124 @@ def _merge_defective(A: np.ndarray, norm: float,
 
 
 def _condition(t: EigenTriple) -> float:
-    """Wilkinson's s(lam) = |u . v| / (|u| |v|) of a simple value."""
-    u, v = t.left, t.right
-    return abs(float(u @ v)) / (math.sqrt(float(u @ u)) * math.sqrt(float(v @ v)))
+    """Wilkinson's s(lam) = |u . v| / (|u| |v|) of a simple value; taken on
+    ``u / 2^e`` and ``v / 2^f`` when the products of ``u`` and ``v``
+    themselves overflow, or underflow to a zero norm."""
+    with np.errstate(over="ignore"):
+        s = _cosine(t.left, t.right)
+    if s is None:
+        s = _cosine(_rescaled(t.left)[0], _rescaled(t.right)[0])
+    return s
+
+
+def _cosine(u: np.ndarray, v: np.ndarray) -> float | None:
+    """``|u . v| / (|u| |v|)``, or None when a product is not finite or the
+    norms underflow to zero."""
+    uv = abs(float(u @ v))
+    norms = math.sqrt(float(u @ u)) * math.sqrt(float(v @ v))
+    if 0.0 < norms < math.inf and uv < math.inf:
+        return uv / norms
+    return None
+
+
+def _rescaled(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(v / 2^e, e)``, ``2^e`` the power of two just above the largest
+    magnitude in the nonzero ``v``: its largest entry lies in [0.5, 1), so
+    its squares neither overflow nor all underflow.  Dividing by a power of
+    two is exact for every entry that stays normal."""
+    e = math.frexp(max(map(abs, v.ravel().tolist())))[1]
+    return np.ldexp(v, -e), e
+
+
+def _norm(A: np.ndarray) -> float:
+    """Frobenius norm; summed for ``A / 2^e`` and scaled back when the
+    squares of ``A`` overflow."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(A))
+    if math.isfinite(norm):
+        return norm
+    B, e = _rescaled(A)
+    try:
+        return math.ldexp(float(np.linalg.norm(B)), e)
+    except OverflowError as exc:
+        raise IllConditioned("the Frobenius norm of the matrix overflows") from exc
 
 
 def _char_roots(A: np.ndarray) -> list[complex]:
+    """Roots of the characteristic polynomial; raises IllConditioned when
+    one is not finite.
+
+    Up to 3x3 the closed forms run on the coefficients as they are.  Where
+    they raise (``p * m`` underflowing to zero, the square root of an
+    underflowed negative, ``a**3`` overflowing) or return a non-finite root,
+    they run again on ``_scaled_char_poly``, so wherever they succeed no bit
+    changes.
+    """
     n = A.shape[0]
     if n > 3:
         try:
-            return np.asarray(np.linalg.eigvals(A), dtype=complex).tolist()
+            roots = np.asarray(np.linalg.eigvals(A), dtype=complex).tolist()
         except np.linalg.LinAlgError as exc:
             raise IllConditioned(f"eigenvalue iteration did not converge: {exc}") from exc
-    r = A.tolist()
-    if n == 1:
-        return [complex(r[0][0])]
-    if n == 2:
-        return _quadratic_roots(-(r[0][0] + r[1][1]), _det(A))
+    elif n == 1:
+        roots = [complex(A[0, 0])]
+    else:
+        r = A.tolist()
+        try:
+            roots = _poly_roots(_char_coeffs(r))
+        except (ArithmeticError, ValueError):
+            roots = [complex(math.nan)]
+        if not _finite(roots):
+            coeffs, k = _scaled_char_poly(r)
+            try:
+                roots = [complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+                         for z in _poly_roots(coeffs)]
+            except (ArithmeticError, ValueError) as exc:
+                raise IllConditioned(f"a characteristic root is out of range: {exc}") from exc
+    if not _finite(roots):
+        raise IllConditioned("a characteristic root is not finite")
+    return roots
+
+
+def _finite(roots: list[complex]) -> bool:
+    return all(math.isfinite(z.real) and math.isfinite(z.imag) for z in roots)
+
+
+def _poly_roots(coeffs: list[float]) -> list[complex]:
+    return _quadratic_roots(*coeffs) if len(coeffs) == 2 else _cubic_roots(*coeffs)
+
+
+def _scaled_char_poly(r: list[list[float]]) -> tuple[list[float], int]:
+    """Coefficients of the characteristic polynomial of the 2x2 or 3x3
+    matrix with rows ``r`` (nonzero) as a polynomial in ``y = x / 2^k``,
+    and ``k``.
+
+    The rows are first divided by the power of two just above their largest
+    entry, which bounds coefficient ``i`` by 6, and coefficient ``i`` is then
+    divided by ``2^(i k')`` for the power of two ``2^k'`` just above the
+    roots' scale ``max |coefficient_i|^(1/i)``, which brings every
+    coefficient to at most 1 and one of them to at least 1/8, so that the
+    degree-six discriminant of the cubic stays representable.  Both steps
+    are exact up to subnormal coefficients, so the roots ``2^k y`` are those
+    of the matrix.
+    """
+    e = math.frexp(max(abs(x) for row in r for x in row))[1]
+    coeffs = _char_coeffs([[math.ldexp(x, -e) for x in row] for row in r])
+    k = math.frexp(max(abs(c) ** (1.0 / i) for i, c in enumerate(coeffs, 1)))[1]
+    return [math.ldexp(c, -i * k) for i, c in enumerate(coeffs, 1)], e + k
+
+
+def _char_coeffs(r: list[list[float]]) -> list[float]:
+    """Coefficients below the leading 1 of the characteristic polynomial."""
+    if len(r) == 2:
+        return [-(r[0][0] + r[1][1]), _det_rows(r)]
     tr = 0.0 + r[0][0] + r[1][1] + r[2][2]  # summed from +0.0 as np.trace does
     e2 = (
         r[0][0] * r[1][1] - r[0][1] * r[1][0]
         + r[0][0] * r[2][2] - r[0][2] * r[2][0]
         + r[1][1] * r[2][2] - r[1][2] * r[2][1]
     )
-    return _cubic_roots(-tr, e2, -_det(A))
+    return [-tr, e2, -_det_rows(r)]
 
 
 def _quadratic_roots(a: float, b: float) -> list[complex]:
@@ -440,14 +566,15 @@ def _eigen_vectors(A: np.ndarray, lam: float, mult: int) -> tuple[np.ndarray, np
         i, j = divmod(int(np.argmax(np.abs(B))), n)
         piv = B[i, j]
         if piv != 0.0 and math.isfinite(piv):
-            right = B[:, j].copy()
-            left = B[i, :] / piv
-            return left, right, True
+            return _read_only(B[i, :] / piv), _read_only(B[:, j].copy()), True
     # multiplicity above one, or a degenerate adjugate: SVD null vectors
     U, _, Vt = np.linalg.svd(M)
-    left = _sign_fixed(U[:, -1])
-    right = _sign_fixed(Vt[-1, :])
-    return left, right, False
+    return _read_only(_sign_fixed(U[:, -1])), _read_only(_sign_fixed(Vt[-1, :])), False
+
+
+def _read_only(v: np.ndarray) -> np.ndarray:
+    v.setflags(write=False)
+    return v
 
 
 def _sign_fixed(v: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -40,6 +41,12 @@ def shared_3d_params() -> BcnfParams:
     assert len(reals) == 1
     lam = reals[0]
     return BcnfParams(dim=3, tl=0.0, dl=lam**3 - lam, sl=-1.0, tr=0.0, dr=-0.6, sr=3.0)
+
+
+def bcnf_argv(params: BcnfParams) -> list[str]:
+    """The CLI flags that give the normal form ``params``, values as their repr."""
+    return [arg for key, value in dataclasses.asdict(params).items() if value is not None
+            for arg in (f"--{key}", repr(value))]
 
 
 @pytest.fixture

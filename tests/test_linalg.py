@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import inspect
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -22,9 +24,18 @@ from pwldyn import (
     solve,
 )
 from pwldyn import linalg
+from pwldyn.cli import main
 from pwldyn.linalg import _cubic_roots, _quadratic_roots
 
-from conftest import SHARED_2D, reference_adjugate, reference_char_roots, reference_real_eigen
+from conftest import (
+    FLAT_LEFT_2D,
+    FLAT_LEFT_3D,
+    SHARED_2D,
+    bcnf_argv,
+    reference_adjugate,
+    reference_char_roots,
+    reference_real_eigen,
+)
 
 
 def test_determinant_closed_form():
@@ -346,6 +357,7 @@ def test_large_eigen_backend_failure(monkeypatch):
         raise np.linalg.LinAlgError("did not converge")
 
     monkeypatch.setattr(np.linalg, "eigvals", boom)
+    linalg._spectrum.cache_clear()  # an earlier test may have decomposed np.eye(4)
     with pytest.raises(IllConditioned):
         real_eigen(np.eye(4))
 
@@ -399,23 +411,54 @@ def _near_axis_pair(a) -> bool:
     """Whether a root lies within the cluster threshold of the real axis but
     more than half of it away: the NumPy forms gave two simple real values
     there, the scalar forms one of multiplicity two."""
-    thr = linalg.CLUSTER_RTOL * (1.0 + np.linalg.norm(a))
     try:
+        thr = linalg.CLUSTER_RTOL * (1.0 + np.linalg.norm(a))
         roots = reference_char_roots(a)
-    except (ArithmeticError, ValueError):
+    except (ArithmeticError, ValueError, RuntimeWarning):
         return False
     return any(thr / 2.0 < abs(z.imag) <= thr for z in roots)
 
 
-def _assert_bit_identical(a):
+def _reference_or_none(a):
+    """``reference_real_eigen(a)``, or None where the NumPy forms raise
+    (under- or overflow, warnings being errors here) or a root or value they
+    give is not finite (a NaN root was dropped, not reported)."""
     try:
-        want = _spectrum_bytes(reference_real_eigen(a))
-    except (ArithmeticError, ValueError) as exc:
-        # the closed forms under- or overflow at extreme scales, alike in both
-        with pytest.raises(type(exc)):
-            real_eigen(a)
+        roots = reference_char_roots(a)
+        spec = reference_real_eigen(a)
+    except (ArithmeticError, ValueError, RuntimeWarning):
+        return None
+    values = [t.value for t in spec.real] + [x for p in spec.complex_pairs
+                                             for x in (p.real, p.imag, p.modulus)]
+    if not (np.all(np.isfinite(roots)) and np.all(np.isfinite(values))):
+        return None
+    return spec
+
+
+def _assert_near_numpy(a):
+    """``real_eigen`` returns, its multiplicities (two per pair) sum to n and
+    every value lies within n times the cluster threshold of a root that
+    ``numpy.linalg.eigvals`` finds."""
+    n = a.shape[0]
+    spec = real_eigen(a)
+    assert sum(t.multiplicity for t in spec.real) + sum(
+        2 * p.multiplicity for p in spec.complex_pairs) == n
+    top = float(np.max(np.abs(a)))
+    thr = linalg.CLUSTER_RTOL * (1.0 + (top * float(np.linalg.norm(a / top)) if top else 0.0))
+    ref = np.linalg.eigvals(a)
+    values = [complex(t.value) for t in spec.real]
+    values += [complex(p.real, p.imag) for p in spec.complex_pairs]
+    for z in values:
+        assert np.min(np.abs(ref - z)) <= n * thr
+
+
+def _assert_bit_identical(a):
+    want = _reference_or_none(a)
+    if want is None:
+        # the NumPy forms failed at these scales; the rescaled forms return
+        _assert_near_numpy(a)
     else:
-        assert _spectrum_bytes(real_eigen(a)) == want
+        assert _spectrum_bytes(real_eigen(a)) == _spectrum_bytes(want)
 
 
 # Exact grid entries give exact multiple roots, singular pieces and signed
@@ -438,6 +481,9 @@ def _matrices(draw, sizes):
 @example(a=np.array([[0.0, -2.0], [2.0, 0.0]]))
 @example(a=np.diag([0.0, 0.0, 1.2416809e-139]))
 @example(a=np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0046794e-131], [0.0, 1.0, 0.0]]))
+@example(a=np.array([[1.0, 2.0, 0.0], [0.0, 1e110, 3.0], [1.0, 0.0, 2.0]]))
+@example(a=np.array([[1e160, 2e160], [3e160, 1e161]]))
+@example(a=np.array([[1e165]]))
 def test_real_eigen_bit_identical_small(a):
     assume(not _near_axis_pair(a))
     _assert_bit_identical(a)
@@ -511,3 +557,112 @@ def test_close_conjugate_pair_is_never_two_real_values():
         ref = np.linalg.eigvals(a)
         ref = ref[np.lexsort((ref.imag, ref.real))]
         assert np.abs(_root_multiset(spec) - ref).max() <= 1e-7
+
+
+# ---------------------------------------------------------------------------
+# the spectrum memo
+
+
+def _analyze(params, tmp_path) -> None:
+    assert main(["analyze", *bcnf_argv(params), "--out", str(tmp_path / "analyze.json")]) == 0
+
+
+def test_analyze_decomposes_each_piece_once(monkeypatch, tmp_path):
+    # real_eigen(A_L) and real_eigen(A_R), then detect_shared_eigenvalue,
+    # zero_eig_reduction (A_L is singular) and classify_unit_modulus ask again
+    calls = []
+    char_roots = linalg._char_roots
+
+    def counting(A):
+        calls.append(A.tobytes())
+        return char_roots(A)
+
+    monkeypatch.setattr(linalg, "_char_roots", counting)
+    linalg._spectrum.cache_clear()
+    _analyze(FLAT_LEFT_3D, tmp_path)
+    pwl = bcnf(FLAT_LEFT_3D)
+    assert sorted(calls) == sorted([pwl.A_L.tobytes(), pwl.A_R.tobytes()])
+
+
+@pytest.mark.parametrize("a, mults", [(bcnf(SHARED_2D).A_R, [1, 1]), (DEFECTIVE_3D, [2, 1])],
+                         ids=["simple", "merged-defective"])
+def test_returned_vectors_are_read_only(a, mults):
+    spec = real_eigen(a)
+    assert [t.multiplicity for t in spec.real] == mults
+    for t in spec.real:
+        for v in (t.left, t.right):
+            with pytest.raises(ValueError):
+                v[0] = 1.0
+    assert real_eigen(a) is spec
+
+
+def test_memo_ignores_memory_layout(rng):
+    # equal content in C, Fortran, transposed and reversed-stride layouts
+    mats = [rng.standard_normal((n, n)) for n in range(1, 9) for _ in range(5)] + [DEFECTIVE_3D]
+    for a in mats:
+        if _near_axis_pair(a):
+            continue
+        c = np.ascontiguousarray(a)
+        want = _spectrum_bytes(reference_real_eigen(c))
+        layouts = [c, np.asfortranarray(a), np.ascontiguousarray(a.T).T,
+                   np.ascontiguousarray(a[::-1, ::-1])[::-1, ::-1]]
+        for x in layouts:
+            assert np.array_equal(x, c)
+            linalg._spectrum.cache_clear()
+            assert _spectrum_bytes(real_eigen(x)) == want
+
+
+def test_memo_keeps_signed_zeros_apart():
+    pos, neg = np.array([[0.0]]), np.array([[-0.0]])
+    spec_pos, spec_neg = real_eigen(pos), real_eigen(neg)
+    assert spec_pos is not spec_neg
+    assert _spectrum_bytes(spec_pos) == _spectrum_bytes(reference_real_eigen(pos))
+    assert _spectrum_bytes(spec_neg) == _spectrum_bytes(reference_real_eigen(neg))
+    # here the sign reaches a right eigenvector
+    pos, neg = np.array([[0.0, 0.0], [0.0, -1.0]]), np.array([[0.0, -0.0], [0.0, -1.0]])
+    spec_pos, spec_neg = real_eigen(pos), real_eigen(neg)
+    assert _spectrum_bytes(spec_pos) != _spectrum_bytes(spec_neg)
+    assert _spectrum_bytes(spec_pos) == _spectrum_bytes(reference_real_eigen(pos))
+    assert _spectrum_bytes(spec_neg) == _spectrum_bytes(reference_real_eigen(neg))
+
+
+def test_memo_holds_two_spectra(tmp_path):
+    for params in (SHARED_2D, FLAT_LEFT_2D, FLAT_LEFT_3D):
+        _analyze(params, tmp_path)
+    info = linalg._spectrum.cache_info()
+    assert info.maxsize == 2
+    assert info.currsize <= 2
+
+
+def test_real_eigen_threads_share_the_memo(rng):
+    # eight threads, more than the cores, over four alternating matrices
+    # with a two-entry memo: every call evicts or finds what another thread
+    # just stored
+    mats = [rng.standard_normal((n, n)) for n in (2, 3, 4, 3)]
+    want = [_spectrum_bytes(reference_real_eigen(a)) for a in mats]
+    rounds = 100
+    got: list[list] = [[] for _ in range(8)]
+    errors: list[Exception] = []
+
+    def work(k):
+        try:
+            for i in range(rounds):
+                j = (i + k) % len(mats)
+                got[k].append((j, _spectrum_bytes(real_eigen(mats[j]))))
+        except Exception as exc:  # reported by the assertions below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert [len(g) for g in got] == [rounds] * 8
+    assert all(spec == want[j] for g in got for j, spec in g)
