@@ -24,7 +24,9 @@ every caller that asks again for one matrix shares them.  Where the closed
 forms, the Frobenius norm or an eigenvalue condition number fail at extreme
 scales (an exception or a non-finite value from over- or underflow), they
 are computed again on data rescaled by powers of two; wherever they succeed
-no bit changes.
+no bit changes.  So is the adjugate that an eigenvector is read off, when it
+overflows; its canonical scaling cannot be stored then, and the vectors come
+back unit-norm.
 """
 from __future__ import annotations
 
@@ -134,11 +136,13 @@ def _adj(A: np.ndarray) -> np.ndarray:
             [d * h - e * g, -(a * h - b * g), a * e - b * d],
         ])
     U, s, Vt = np.linalg.svd(A)
-    # head[i] = s_0 ... s_{i-1} and tail[i] = s_{i+1} ... s_{n-1}
-    head = np.concatenate(([1.0], np.cumprod(s[:-1])))
-    tail = np.concatenate((np.cumprod(s[:0:-1])[::-1], [1.0]))
-    sign = np.sign(np.linalg.det(U) * np.linalg.det(Vt))
-    return (sign * Vt.T * (head * tail)) @ U.T
+    # head[i] = s_0 ... s_{i-1} and tail[i] = s_{i+1} ... s_{n-1}; past the
+    # float range they are inf, as the closed forms' products are
+    with np.errstate(over="ignore", invalid="ignore"):
+        head = np.concatenate(([1.0], np.cumprod(s[:-1])))
+        tail = np.concatenate((np.cumprod(s[:0:-1])[::-1], [1.0]))
+        sign = np.sign(np.linalg.det(U) * np.linalg.det(Vt))
+        return (sign * Vt.T * (head * tail)) @ U.T
 
 
 def matrix_det_lemma_check(a, q, r) -> tuple[float, float]:
@@ -214,9 +218,9 @@ class EigenTriple:
 
     For a simple eigenvalue the vectors are scaled so that
     ``outer(right, left) == adjugate(value * I - A)`` and ``canonical`` is
-    True.  When that adjugate degenerates (multiplicity above one) the
-    vectors fall back to unit norm with the first significant component
-    positive and ``canonical`` is False.  The vectors are read-only:
+    True.  When that adjugate degenerates (multiplicity above one), or
+    overflows, the vectors fall back to unit norm with the first significant
+    component positive and ``canonical`` is False.  The vectors are read-only:
     ``real_eigen`` hands the same triple to every caller that asks about the
     same matrix.
     """
@@ -567,6 +571,13 @@ def _eigen_vectors(A: np.ndarray, lam: float, mult: int) -> tuple[np.ndarray, np
         piv = B[i, j]
         if piv != 0.0 and math.isfinite(piv):
             return _read_only(B[i, :] / piv), _read_only(B[:, j].copy()), True
+        if not math.isfinite(piv):
+            # adj(M) overflows, so its canonical factors cannot be stored;
+            # adj(M / 2^e) has the same row and column directions
+            B = _adj(_rescaled(M)[0])
+            i, j = divmod(int(np.argmax(np.abs(B))), n)
+            if B[i, j] != 0.0:
+                return _read_only(_sign_fixed(B[i, :])), _read_only(_sign_fixed(B[:, j])), False
     # multiplicity above one, or a degenerate adjugate: SVD null vectors
     U, _, Vt = np.linalg.svd(M)
     return _read_only(_sign_fixed(U[:, -1])), _read_only(_sign_fixed(Vt[-1, :])), False

@@ -7,6 +7,7 @@ rank-one update along ``c``, which :func:`validate_continuity` checks.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -208,9 +209,12 @@ def validate_continuity(pwl: PwlMap, tol: float = 1e-10) -> np.ndarray:
     """
     dA = pwl.A_R - pwl.A_L
     p = dA @ pwl.c / float(pwl.c @ pwl.c)
-    resid = float(np.linalg.norm(dA - np.outer(p, pwl.c)))
-    scale = max(1.0, float(np.linalg.norm(dA)))
-    if resid > tol * scale:
+    R = dA - np.outer(p, pwl.c)
+    with np.errstate(over="ignore"):
+        resid, scale = float(np.linalg.norm(R)), float(np.linalg.norm(dA))
+    if not math.isfinite(resid + scale):  # past about 1e154: take them on rescaled entries
+        resid, scale = linalg._norm(R), linalg._norm(dA)
+    if resid > tol * max(1.0, scale):
         raise NotContinuous(
             f"A_R - A_L is not a rank-one update along c (residual {resid:.3e})"
         )

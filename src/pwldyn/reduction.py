@@ -10,6 +10,7 @@ boundary-crossing type.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -223,22 +224,25 @@ def detect_shared_eigenvalue(pwl: PwlMap, tol: float = 1e-9) -> SharedEigReducti
     naming the failure of the first.
     """
     p = validate_continuity(pwl)
-    shared = [t for t in linalg.real_eigen(pwl.A_R).real if _is_shared(pwl, p, t, tol)]
-    tied_to: list[float] = []
-    for mag in sorted(abs(t.value) for t in shared):
-        if not tied_to or mag - tied_to[-1] > tol * (1.0 + mag):
-            tied_to.append(mag)
-    shared.sort(key=lambda t: (max(m for m in tied_to if m <= abs(t.value)), -t.value))
-    if not shared:
-        return None
-    for tr in shared:
-        if _hypothesis_failure(pwl, tr, tol) is None:
-            break
-    else:
-        first = shared[0]
-        raise HypothesisViolated(
-            f"shared eigenvalue {first.value:.6g}: {_hypothesis_failure(pwl, first, tol)}"
-        )
+    # the decisions' plain norms and dot products overflow past about 1e154;
+    # they are then taken again on rescaled vectors, with no warning
+    with np.errstate(over="ignore"):
+        shared = [t for t in linalg.real_eigen(pwl.A_R).real if _is_shared(pwl, p, t, tol)]
+        tied_to: list[float] = []
+        for mag in sorted(abs(t.value) for t in shared):
+            if not tied_to or mag - tied_to[-1] > tol * (1.0 + mag):
+                tied_to.append(mag)
+        shared.sort(key=lambda t: (max(m for m in tied_to if m <= abs(t.value)), -t.value))
+        if not shared:
+            return None
+        for tr in shared:
+            if _hypothesis_failure(pwl, tr, tol) is None:
+                break
+        else:
+            first = shared[0]
+            raise HypothesisViolated(
+                f"shared eigenvalue {first.value:.6g}: {_hypothesis_failure(pwl, first, tol)}"
+            )
     lam, u, v = tr.value, tr.left, tr.right
     offset = float(u @ pwl.b) / (1.0 - lam)
     fp = fixed_points(pwl)
@@ -247,7 +251,8 @@ def detect_shared_eigenvalue(pwl: PwlMap, tol: float = 1e-9) -> SharedEigReducti
     else:  # 1 in the right spectrum: any zero of the deviation functional works
         base = u * (offset / float(u @ u))
     manifold = AffineHyperplane.from_normal_point(u, base)
-    transversal = _transversal(u, pwl.c, tol)
+    with np.errstate(over="ignore"):
+        transversal = _transversal(u, pwl.c, tol)
     restricted = _build_restricted(pwl, u, base) if transversal else None
     others = tuple(t.value for t in shared if t is not tr)
     return SharedEigReduction(
@@ -263,18 +268,41 @@ def detect_shared_eigenvalue(pwl: PwlMap, tol: float = 1e-9) -> SharedEigReducti
     )
 
 
-def _negligible(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
-    """Whether ``|x . y| <= tol |x| |y|``."""
-    return abs(float(x @ y)) <= tol * float(np.linalg.norm(x)) * float(np.linalg.norm(y))
+def _negligible(x: np.ndarray, y: np.ndarray, tol: float, B: np.ndarray | None = None) -> bool:
+    """Whether ``|x . y| <= tol |x| |y|``, or with ``B`` whether
+    ``|x^T B y| <= tol |B| |x| |y|``.
+
+    Both sides are homogeneous in each factor.  Where a product overflows,
+    or the norms of nonzero factors underflow to zero, they are taken again
+    on each factor divided by the power of two above its largest entry
+    (``linalg._rescaled``), so wherever the plain form works no bit changes.
+    The caller turns NumPy's overflow warnings off.
+    """
+    factors = (x, y) if B is None else (x, B, y)
+    lhs, rhs = _negligible_sides(factors, tol)
+    if not (lhs < math.inf and 0.0 < rhs < math.inf) and all(f.any() for f in factors):
+        lhs, rhs = _negligible_sides([linalg._rescaled(f)[0] for f in factors], tol)
+    return lhs <= rhs
+
+
+def _negligible_sides(factors, tol: float) -> tuple[float, float]:
+    if len(factors) == 2:
+        x, y = factors
+        return abs(float(x @ y)), tol * float(np.linalg.norm(x)) * float(np.linalg.norm(y))
+    x, B, y = factors
+    scale = float(np.linalg.norm(B)) * float(np.linalg.norm(x)) * float(np.linalg.norm(y))
+    return abs(float(x @ B @ y)), tol * scale
 
 
 def _is_shared(pwl: PwlMap, p: np.ndarray, t: linalg.EigenTriple, tol: float) -> bool:
     """Whether ``det(t.value I - A_L) = c^T adj(t.value I - A_R) p`` vanishes."""
     if t.canonical:  # adj(t.value I - A_R) = right left^T: test each factor
         return _negligible(t.left, p, tol) or _negligible(pwl.c, t.right, tol)
-    B = linalg.adjugate(t.value * np.eye(pwl.n) - pwl.A_R)
-    scale = float(np.linalg.norm(B)) * float(np.linalg.norm(pwl.c)) * float(np.linalg.norm(p))
-    return abs(float(pwl.c @ B @ p)) <= tol * scale
+    M = t.value * np.eye(pwl.n) - pwl.A_R
+    B = linalg.adjugate(M)
+    if not np.isfinite(B).all():  # the test is homogeneous in B
+        B = linalg.adjugate(linalg._rescaled(M)[0])
+    return _negligible(pwl.c, p, tol, B)
 
 
 def _hypothesis_failure(pwl: PwlMap, tr: linalg.EigenTriple, tol: float) -> str | None:
@@ -288,7 +316,16 @@ def _hypothesis_failure(pwl: PwlMap, tr: linalg.EigenTriple, tol: float) -> str 
 
 
 def _transversal(u: np.ndarray, c: np.ndarray, tol: float) -> bool:
-    rej = u - c * (float(u @ c) / float(c @ c))
+    """Whether ``u`` has a component off ``c`` above ``tol |u|``.  The test
+    does not change when ``c`` is scaled, so where ``c . c`` overflows or
+    underflows to zero it runs on ``c`` divided by a power of two instead.
+    ``u`` is a left eigenvector with largest entry 1.  The caller turns
+    NumPy's overflow warnings off."""
+    cc = float(c @ c)
+    if not 0.0 < cc < math.inf:
+        c, _ = linalg._rescaled(c)
+        cc = float(c @ c)
+    rej = u - c * (float(u @ c) / cc)
     return float(np.linalg.norm(rej)) > tol * float(np.linalg.norm(u))
 
 

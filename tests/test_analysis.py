@@ -119,6 +119,44 @@ def test_hausdorff_matches_brute_force(n, rng):
         _assert_matches_brute(grid_a, grid_b, n)
 
 
+@st.composite
+def _cloud_pairs(draw):
+    """Two clouds of one dimension n = 1..8, of one of several shapes, scaled
+    by 2^-300, 1 or 2^300."""
+    n = draw(st.integers(1, 8))
+    sizes = st.one_of(st.just(1), st.integers(1, 300))
+    m_a, m_b = draw(sizes), draw(sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["normal", "collinear", "duplicates", "grid", "far", "offset"]))
+    a = rng.standard_normal((m_a, n))
+    b = rng.standard_normal((m_b, n))
+    if shape == "collinear":  # one line, as the 2-D attractor on its invariant line
+        direction, base = rng.standard_normal(n), rng.standard_normal(n)
+        a = base + rng.standard_normal((m_a, 1)) * direction
+        b = base + rng.standard_normal((m_b, 1)) * direction
+    elif shape == "duplicates":
+        a = a[rng.integers(0, m_a, m_a)]
+        b = np.concatenate([b, a])[rng.integers(0, m_a + m_b, m_b)]
+    elif shape == "grid":  # many exact distance ties
+        a = rng.integers(-3, 4, (m_a, n)).astype(float)
+        b = rng.integers(-3, 4, (m_b, n)).astype(float)
+    elif shape == "far":
+        b += 1e6 * rng.standard_normal(n)
+    elif shape == "offset":  # spread far below the rounding of the coordinates
+        offset = 1e8 * rng.standard_normal(n)
+        a = offset + 1e-3 * a
+        b = offset + 1e-3 * b
+    scale = 2.0 ** draw(st.sampled_from([-300, 0, 300]))
+    return scale * a, scale * b
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_cloud_pairs())
+def test_hausdorff_matches_brute_force_on_drawn_clouds(pair):
+    a, b = pair
+    _assert_matches_brute(a, b, a.shape[1])
+
+
 def test_hausdorff_flat_input_is_one_dimensional(rng):
     a = rng.standard_normal(70)
     b = rng.standard_normal(30)
@@ -129,10 +167,12 @@ def test_hausdorff_flat_input_is_one_dimensional(rng):
 @pytest.mark.parametrize("base", [SHARED_2D, shared_3d_params()], ids=["2d", "3d"])
 def test_hausdorff_matches_brute_force_on_scan_clouds(base):
     values = np.linspace(base.tl - 0.05, base.tl + 0.05, 4)
-    result = scan(base, "tl", values, n_transient=500, n_keep=1000)
-    for left, right, dist in zip(result.clouds, result.clouds[1:],
-                                 result.consecutive_hausdorff):
-        assert dist == _brute_hausdorff(left.points, right.points)
+    for keep in (1000, 3000):
+        result = scan(base, "tl", values, n_transient=500, n_keep=keep)
+        for left, right, dist in zip(result.clouds, result.clouds[1:],
+                                     result.consecutive_hausdorff):
+            assert dist == _brute_hausdorff(left.points, right.points)
+            assert dist == hausdorff(left, right)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -1,5 +1,6 @@
-"""Every module-level import of the package is used or re-exported, and
-every module-level private name is referenced somewhere in the package."""
+"""Every module-level import of the package is used or re-exported, every
+module-level private name is referenced somewhere in the package, and no
+module imports SciPy."""
 from __future__ import annotations
 
 import ast
@@ -83,3 +84,34 @@ def test_guard_sees_an_unused_private_name():
         "b.py": "from a import _C\nimport a\n_L: int = 2\nprint(_L, a._K)\n",
     }
     assert unused_private_names(sources) == ["_M (a.py line 6)", "_f (a.py line 1)"]
+
+
+def scipy_imports(source: str) -> list[str]:
+    """Imports of ``scipy`` or its submodules anywhere in the module, function
+    bodies included."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name == "scipy" or name.startswith("scipy.")]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_scipy_imports(path):
+    assert scipy_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_guard_sees_a_scipy_import():
+    source = ("import numpy\n"
+              "def f():\n"
+              "    from scipy.spatial import cKDTree\n"
+              "    import scipy.linalg as la\n"
+              "from .scipy_like import g\n"
+              "import scipyx\n")
+    assert scipy_imports(source) == ["scipy.spatial (line 3)", "scipy.linalg (line 4)"]

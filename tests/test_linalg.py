@@ -491,6 +491,9 @@ def test_real_eigen_bit_identical_small(a):
 
 @settings(max_examples=60, deadline=None)
 @given(a=_matrices(st.integers(4, 8)))
+# the SVD adjugate of value * I - a overflows at the simple value
+@example(a=np.full((4, 4), 1e160))
+@example(a=np.diag([1e160, -2e160, 3e160, 0.5, 0.25]) + np.triu(np.full((5, 5), 1e159), 1))
 def test_real_eigen_bit_identical_large(a):
     assume(not _near_axis_pair(a))
     _assert_bit_identical(a)
