@@ -280,12 +280,12 @@ def _emit_json(payload, out: str | None) -> None:
     _write_text(json.dumps(payload, indent=2, default=_json_default) + "\n", out)
 
 
-def _emit_csv(header: list[str], rows, out: str | None) -> None:
+def _emit_csv(header: list[str], rows: list, out: str | None) -> None:
+    """Header and rows of Python scalars in one pass; None is written empty."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(["" if v is None else v for v in row])
+    writer.writerows(rows)
     _write_text(buf.getvalue(), out)
 
 
@@ -449,19 +449,20 @@ def cmd_orbit(cfg: RunConfig, out: str | None, portrait: bool) -> int:
             payload["first_index"] = 0
         _emit_json(payload, out)
         return EXIT_OK
+    rows = _point_rows(orb)
     if portrait:
-        rows = (
-            [*(float(v) for v in pt), sym]
-            for pt, sym in zip(orb.points, orb.itinerary)
-        )
         _emit_csv(coords + ["symbol"], rows, out)
     else:
-        rows = (
-            [k, *(float(v) for v in pt), sym]
-            for k, (pt, sym) in enumerate(zip(orb.points, orb.itinerary))
-        )
-        _emit_csv(["k"] + coords + ["symbol"], rows, out)
+        _emit_csv(["k"] + coords + ["symbol"], [[k, *row] for k, row in enumerate(rows)], out)
     return EXIT_OK
+
+
+def _point_rows(orb) -> list[list]:
+    """One ``[x1, ..., xn, symbol]`` row per retained orbit point."""
+    rows = orb.points.tolist()
+    for row, sym in zip(rows, orb.itinerary.tolist()):
+        row.append(sym)
+    return rows
 
 
 def cmd_restrict(cfg: RunConfig, out: str | None) -> int:
@@ -497,15 +498,10 @@ def cmd_restrict(cfg: RunConfig, out: str | None) -> int:
         _emit_json(payload, out)
         return EXIT_OK
     if cobweb is not None:
-        rows = ([x, fx] for x, fx in zip(cobweb["x"], cobweb["fx"]))
-        _emit_csv(["x", "fx"], rows, out)
+        _emit_csv(["x", "fx"], list(zip(cobweb["x"], cobweb["fx"])), out)
     else:
         coords = [f"xi{i + 1}" for i in range(rmap.dimension)]
-        rows = (
-            [*(float(v) for v in pt), sym]
-            for pt, sym in zip(orb.points, orb.itinerary)
-        )
-        _emit_csv(coords + ["symbol"], rows, out)
+        _emit_csv(coords + ["symbol"], _point_rows(orb), out)
     return EXIT_OK
 
 
@@ -599,11 +595,12 @@ def cmd_induced(cfg: RunConfig, out: str | None) -> int:
         + [f"out{i + 1}" for i in range(d)]
         + ["j", "status"]
     )
-    rows = (
-        _floats(s.point) + ([None] * d if s.image is None else _floats(s.image))
-        + [s.return_time, s.status]
+    failed = [None] * d
+    rows = [
+        [*s.point.tolist(), *(failed if s.image is None else s.image.tolist()),
+         s.return_time, s.status]
         for s in samples
-    )
+    ]
     _emit_csv(header, rows, out)
     return EXIT_OK
 

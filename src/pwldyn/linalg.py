@@ -13,9 +13,13 @@ root, are one defective double root.
 
 Every public function validates its matrix once and passes the validated
 array to the private helpers.  The closed forms up to 3x3, the Newton
-polish of cubic roots and the clustering of roots run on Python floats and
-complex numbers (``A.tolist()``): at these sizes NumPy's per-call overhead,
-not the arithmetic, would dominate.
+polish of cubic roots, the clustering of roots, the eigenvector readout and
+the Gaussian elimination of ``solve`` run on Python floats and complex
+numbers (``A.tolist()``): at these sizes NumPy's per-call overhead, not the
+arithmetic, would dominate.  They return the bits the NumPy forms returned:
+``solve`` pivots as ``np.argmax`` does and rounds each update as
+``np.outer`` and ``-=`` do, and its back-substitution keeps NumPy's dot for
+row tails longer than one term, whose BLAS may fuse multiply-adds.
 
 ``real_eigen`` remembers the spectra of the last two matrices it decomposed,
 the two pieces of the map being analysed, so the several analyses of one map
@@ -64,11 +68,19 @@ CLUSTER_RTOL = 1e-8
 # rarely below 1e-2.
 DEFECTIVE_S = 1e-5
 
-# ... and are one only when their separation d is what rounding makes of a
-# double root.  A perturbation of size delta splits a 2x2 Jordan block by
-# d ~ 2 sqrt(delta) with s ~ d, so d * s ~ delta; the pair merges when
-# d * min(s) <= DEFECTIVE_SPLIT * eps * ||A||_F.  Distinct roots of a
-# non-normal matrix also have small s but lie much farther apart.
+# ... and are one only when their separation is what rounding makes of a
+# double root, up to this factor.  LAPACK (n > 3) is backward stable: an
+# error delta in A splits a 2x2 Jordan block by d ~ 2 sqrt(delta) with s ~ d,
+# so the pair merges when d * min(s) <= DEFECTIVE_SPLIT * eps * ||A||_F.
+# The closed forms (n <= 3) round the characteristic coefficients, which can
+# split a double root much farther, so there the midpoint mu of the pair must
+# be a root to within that rounding: |p(mu)| <= DEFECTIVE_SPLIT * eps *
+# sum_i g_i |mu|^(n-i), g_i the sum of the absolute values of the products
+# that coefficient i adds up.  Over random orthogonal conjugates of
+# J_2(lam) + D (n = 2..8, Jordan coupling 1e-3..1e3, scaled by up to 2^300)
+# a rounding split reads at most 9 on the closed forms and 14 on LAPACK.  The
+# distinct roots 6.9e10 and 2.7e-41 of a triangular 2x2 with coupling 5.5e17
+# read 1.5e15 on the closed forms, where the LAPACK rule would read 72.
 DEFECTIVE_SPLIT = 100.0
 
 
@@ -90,7 +102,8 @@ def determinant(a) -> float:
 
 def _det(A: np.ndarray) -> float:
     if A.shape[0] > 3:
-        return float(np.linalg.det(A))
+        with np.errstate(over="ignore"):  # past the float range it is inf, as the closed forms are
+            return float(np.linalg.det(A))
     return _det_rows(A.tolist())
 
 
@@ -121,20 +134,8 @@ def adjugate(a) -> np.ndarray:
 
 
 def _adj(A: np.ndarray) -> np.ndarray:
-    n = A.shape[0]
-    if n == 1:
-        return np.ones((1, 1))
-    # entry (i, j) is (-1)^(i + j) times the minor without row j and column i
-    if n == 2:
-        (a, b), (c, d) = A.tolist()
-        return np.array([[d, -b], [-c, a]])
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = A.tolist()
-        return np.array([
-            [e * i - f * h, -(b * i - c * h), b * f - c * e],
-            [-(d * i - f * g), a * i - c * g, -(a * f - c * d)],
-            [d * h - e * g, -(a * h - b * g), a * e - b * d],
-        ])
+    if A.shape[0] <= 3:
+        return np.array(_adj_rows(A.tolist()))
     U, s, Vt = np.linalg.svd(A)
     # head[i] = s_0 ... s_{i-1} and tail[i] = s_{i+1} ... s_{n-1}; past the
     # float range they are inf, as the closed forms' products are
@@ -143,6 +144,42 @@ def _adj(A: np.ndarray) -> np.ndarray:
         tail = np.concatenate((np.cumprod(s[:0:-1])[::-1], [1.0]))
         sign = np.sign(np.linalg.det(U) * np.linalg.det(Vt))
         return (sign * Vt.T * (head * tail)) @ U.T
+
+
+def _adj_rows(r: list[list[float]]) -> list[list[float]]:
+    """Adjugate of the 1x1, 2x2 or 3x3 matrix with rows ``r``, as rows."""
+    n = len(r)
+    if n == 1:
+        return [[1.0]]
+    # entry (i, j) is (-1)^(i + j) times the minor without row j and column i
+    if n == 2:
+        (a, b), (c, d) = r
+        return [[d, -b], [-c, a]]
+    (a, b, c), (d, e, f), (g, h, i) = r
+    return [
+        [e * i - f * h, -(b * i - c * h), b * f - c * e],
+        [-(d * i - f * g), a * i - c * g, -(a * f - c * d)],
+        [d * h - e * g, -(a * h - b * g), a * e - b * d],
+    ]
+
+
+def _shifted_rows(r: list[list[float]], lam: float) -> list[list[float]]:
+    """Rows of ``lam I - A`` from the rows ``r`` of ``A``, rounded as
+    ``lam * np.eye(n) - A`` rounds them: ``lam * 1.0 - a`` on the diagonal
+    and ``lam * 0.0 - a`` off it, so that signed zeros come out alike."""
+    return [[lam * (1.0 if i == j else 0.0) - a for j, a in enumerate(row)]
+            for i, row in enumerate(r)]
+
+
+def _argmax(xs: list[float]) -> int:
+    """``np.argmax`` of a list: the first maximum, or the first NaN."""
+    best = 0
+    for i, x in enumerate(xs):
+        if x != x:
+            return i
+        if x > xs[best]:
+            best = i
+    return best
 
 
 def matrix_det_lemma_check(a, q, r) -> tuple[float, float]:
@@ -165,29 +202,51 @@ def solve(a, rhs, pivot_rtol: float = 1e-12) -> np.ndarray:
     """Solve ``A x = rhs`` by Gaussian elimination with partial pivoting.
 
     Raises SingularMatrix when a pivot falls below ``pivot_rtol`` relative to
-    the largest entry of ``A``.
+    the largest entry of ``A``; ``pivot_rtol`` must not be negative.
     """
     A = _as_square(a)
-    b = np.asarray(rhs, dtype=float).copy()
-    n = A.shape[0]
-    if b.shape != (n,):
+    b = np.asarray(rhs, dtype=float)
+    if b.shape != (A.shape[0],):
         raise ValueError("right-hand side must be a vector matching the matrix size")
-    U = A.copy()
-    floor = pivot_rtol * float(np.max(np.abs(A)))
+    if not pivot_rtol >= 0.0:
+        raise ValueError(f"pivot_rtol must be a non-negative number, not {pivot_rtol!r}")
+    return _solve_rows(A.tolist(), b.tolist(), pivot_rtol)
+
+
+def _solve_rows(U: list[list[float]], y: list[float], pivot_rtol: float = 1e-12) -> np.ndarray:
+    """``solve`` on the rows of a finite matrix and a right-hand side, both
+    Python lists, which it overwrites.
+
+    Every float is the one that NumPy's elimination makes: the pivot is the
+    first largest ``|U[i][k]|``, or the first NaN once elimination overflows,
+    as ``np.argmax`` picks it; each entry becomes ``u - m * r`` and each
+    right-hand side ``y - m * y_k``, as ``np.outer`` and ``-=`` round them.
+    Entries below a pivot are never read again and are not updated.
+    """
+    n = len(U)
+    floor = pivot_rtol * max(abs(x) for row in U for x in row)
     for k in range(n):
-        piv = k + int(np.argmax(np.abs(U[k:, k])))
-        if abs(U[piv, k]) <= floor:
-            raise SingularMatrix(f"pivot {U[piv, k]:.3e} below threshold in column {k}")
-        if piv != k:
-            U[[k, piv]] = U[[piv, k]]
-            b[[k, piv]] = b[[piv, k]]
-        mult = U[k + 1 :, k] / U[k, k]
-        U[k + 1 :, k:] -= np.outer(mult, U[k, k:])
-        b[k + 1 :] -= mult * b[k]
-    x = np.empty(n)
+        piv = k + _argmax([abs(U[i][k]) for i in range(k, n)])
+        if abs(U[piv][k]) <= floor:
+            raise SingularMatrix(f"pivot {U[piv][k]:.3e} below threshold in column {k}")
+        U[k], U[piv] = U[piv], U[k]
+        y[k], y[piv] = y[piv], y[k]
+        r, d, yk = U[k], U[k][k], y[k]
+        for i in range(k + 1, n):
+            u = U[i]
+            m = u[k] / d
+            for j in range(k + 1, n):
+                u[j] = u[j] - m * r[j]
+            y[i] = y[i] - m * yk
+    x = [0.0] * n
     for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - U[k, k + 1 :] @ x[k + 1 :]) / U[k, k]
-    return x
+        r = U[k]
+        if k >= n - 2:  # NumPy's dot of one term is 0.0 + product, of none 0.0
+            dot = 0.0 + r[k + 1] * x[k + 1] if k == n - 2 else 0.0
+        else:  # NumPy's own dot: its BLAS may fuse the multiply-adds
+            dot = float(np.dot(r[k + 1 :], x[k + 1 :]))
+        x[k] = (y[k] - dot) / r[k]
+    return np.array(x)
 
 
 def hyperplane_basis(normal) -> np.ndarray:
@@ -261,7 +320,7 @@ def real_eigen(a) -> Spectrum:
     are reported as ComplexPair summaries.  Two adjacent simple real values
     whose eigenvalue condition numbers (Golub & Van Loan, *Matrix
     Computations*, 7.2.2) are both below ``DEFECTIVE_S`` and whose
-    separation is within rounding of a defective double root
+    separation is what rounding makes of a defective double root
     (``DEFECTIVE_SPLIT``) become one value of multiplicity two.
 
     The spectra of the last two matrices decomposed are remembered, keyed by
@@ -298,17 +357,16 @@ def _merge_defective(A: np.ndarray, norm: float,
                      triples: list[EigenTriple]) -> tuple[EigenTriple, ...]:
     """Merge each adjacent pair of simple values that is a defective double
     root split by rounding into their mean with multiplicity two, left to
-    right: both s(lam) below ``DEFECTIVE_S`` and
-    ``d * min(s) <= DEFECTIVE_SPLIT * eps * norm``, ``norm`` being
-    ``||A||_F``."""
+    right: both s(lam) below ``DEFECTIVE_S`` and ``_rounding_split`` true,
+    ``norm`` being ``||A||_F``."""
     if sum(t.multiplicity == 1 for t in triples) < 2:
         return tuple(triples)
-    split = DEFECTIVE_SPLIT * np.finfo(float).eps * norm
     out: list[EigenTriple] = []
     prev_s = math.inf  # s(lam) of out[-1] if it is simple and not merged
     for t in triples:
         s = _condition(t) if t.multiplicity == 1 else math.inf
-        if max(s, prev_s) < DEFECTIVE_S and (t.value - out[-1].value) * min(s, prev_s) <= split:
+        if max(s, prev_s) < DEFECTIVE_S and _rounding_split(A, norm, out[-1].value, t.value,
+                                                             min(s, prev_s)):
             lam = 0.5 * (out[-1].value + t.value)
             left, right, canonical = _eigen_vectors(A, lam, 2)
             out[-1] = EigenTriple(lam, left, right, 2, canonical)
@@ -317,6 +375,43 @@ def _merge_defective(A: np.ndarray, norm: float,
             out.append(t)
             prev_s = s
     return tuple(out)
+
+
+def _rounding_split(A: np.ndarray, norm: float, lo: float, hi: float, s: float) -> bool:
+    """Whether rounding can have split one double root into ``lo < hi``,
+    ``s`` being the smaller condition number (see ``DEFECTIVE_SPLIT``).
+
+    On the closed forms the test runs on ``A / 2^e`` and ``mu / 2^e``, 2^e
+    the power of two just above the largest entry: both sides are
+    homogeneous of degree n, and nothing overflows."""
+    eps = np.finfo(float).eps
+    if A.shape[0] > 3:
+        return (hi - lo) * s <= DEFECTIVE_SPLIT * eps * norm
+    r = A.tolist()
+    e = math.frexp(max(abs(x) for row in r for x in row))[1]
+    r = [[math.ldexp(x, -e) for x in row] for row in r]
+    mu = math.ldexp(0.5 * (lo + hi), -e)
+    p = bound = 1.0
+    for c, g in zip(_char_coeffs(r), _char_term_sums(r)):
+        p = p * mu + c
+        bound = bound * abs(mu) + g
+    return abs(p) <= DEFECTIVE_SPLIT * eps * bound
+
+
+def _char_term_sums(r: list[list[float]]) -> list[float]:
+    """For each coefficient of ``_char_coeffs(r)``, the sum of the absolute
+    values of the products it adds up: eps times it is the scale of the
+    coefficient's rounding error."""
+    if len(r) == 2:
+        (a, b), (c, d) = r
+        return [abs(a) + abs(d), abs(a * d) + abs(b * c)]
+    pairs = ((0, 1), (0, 2), (1, 2))
+    return [
+        abs(r[0][0]) + abs(r[1][1]) + abs(r[2][2]),
+        sum(abs(r[i][i] * r[j][j]) + abs(r[i][j] * r[j][i]) for i, j in pairs),
+        sum(abs(r[0][j]) * (abs(r[1][k] * r[2][m]) + abs(r[1][m] * r[2][k]))
+            for j, k, m in ((0, 1, 2), (1, 0, 2), (2, 0, 1))),
+    ]
 
 
 def _condition(t: EigenTriple) -> float:
@@ -564,22 +659,27 @@ def _pairwise(xs: list[float]) -> float:
 
 def _eigen_vectors(A: np.ndarray, lam: float, mult: int) -> tuple[np.ndarray, np.ndarray, bool]:
     n = A.shape[0]
-    M = lam * np.eye(n) - A
     if mult == 1:
-        B = _adj(M)
-        i, j = divmod(int(np.argmax(np.abs(B))), n)
-        piv = B[i, j]
+        # adj(lam I - A) = right left^T, read off its largest entry's row and column
+        if n <= 3:
+            B = _adj_rows(_shifted_rows(A.tolist(), lam))
+        else:
+            B = _adj(lam * np.eye(n) - A).tolist()
+        i, j = divmod(_argmax([abs(x) for row in B for x in row]), n)
+        piv = B[i][j]
         if piv != 0.0 and math.isfinite(piv):
-            return _read_only(B[i, :] / piv), _read_only(B[:, j].copy()), True
+            left = np.array([x / piv for x in B[i]])
+            return _read_only(left), _read_only(np.array([row[j] for row in B])), True
         if not math.isfinite(piv):
-            # adj(M) overflows, so its canonical factors cannot be stored;
-            # adj(M / 2^e) has the same row and column directions
-            B = _adj(_rescaled(M)[0])
+            # adj(lam I - A) overflows, so its canonical factors cannot be
+            # stored; adj of lam I - A over 2^e has the same row and column
+            # directions
+            B = _adj(_rescaled(lam * np.eye(n) - A)[0])
             i, j = divmod(int(np.argmax(np.abs(B))), n)
             if B[i, j] != 0.0:
                 return _read_only(_sign_fixed(B[i, :])), _read_only(_sign_fixed(B[:, j])), False
     # multiplicity above one, or a degenerate adjugate: SVD null vectors
-    U, _, Vt = np.linalg.svd(M)
+    U, _, Vt = np.linalg.svd(lam * np.eye(n) - A)
     return _read_only(_sign_fixed(U[:, -1])), _read_only(_sign_fixed(Vt[-1, :])), False
 
 

@@ -208,8 +208,17 @@ def validate_continuity(pwl: PwlMap, tol: float = 1e-10) -> np.ndarray:
     ``max(1, ||A_R - A_L||)``, otherwise NotContinuous is raised.
     """
     dA = pwl.A_R - pwl.A_L
-    p = dA @ pwl.c / float(pwl.c @ pwl.c)
-    R = dA - np.outer(p, pwl.c)
+    c = pwl.c
+    with np.errstate(over="ignore"):
+        cc = float(c @ c)
+    if np.finfo(float).tiny <= cc < math.inf:
+        q = p = dA @ c / cc
+    else:  # c . c under- or overflows: fit q = 2^e p to c / 2^e instead
+        c, e = linalg._rescaled(c)
+        q = dA @ c / float(c @ c)
+        with np.errstate(over="ignore"):
+            p = np.ldexp(q, -e)
+    R = dA - np.outer(q, c)
     with np.errstate(over="ignore"):
         resid, scale = float(np.linalg.norm(R)), float(np.linalg.norm(dA))
     if not math.isfinite(resid + scale):  # past about 1e154: take them on rescaled entries
@@ -357,6 +366,16 @@ class FixedPoints:
     left: FixedPointInfo
 
 
+def _fixed_point(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Fixed point of ``x -> A x + b``, bit for bit ``linalg.solve(np.eye(n) - A, b)``.
+
+    The rows of ``I - A`` are built on Python floats as NumPy rounds them and
+    go to the elimination without a second validation: the piece is finite,
+    so ``I - A`` is.  Raises SingularMatrix when 1 is an eigenvalue of ``A``.
+    """
+    return linalg._solve_rows(linalg._shifted_rows(A.tolist(), 1.0), b.tolist())
+
+
 def fixed_points(pwl: PwlMap) -> FixedPoints:
     """Fixed points of both pieces with admissibility flags.
 
@@ -365,11 +384,10 @@ def fixed_points(pwl: PwlMap) -> FixedPoints:
     sign test.  Points within ``BORDERLINE_ATOL`` of the switching plane
     are additionally flagged borderline.
     """
-    eye = np.eye(pwl.n)
     infos = {}
     for key, A in (("right", pwl.A_R), ("left", pwl.A_L)):
         try:
-            pt = linalg.solve(eye - A, pwl.b)
+            pt = _fixed_point(A, pwl.b)
         except SingularMatrix:
             infos[key] = FixedPointInfo(
                 point=None,

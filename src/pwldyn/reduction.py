@@ -36,12 +36,12 @@ from .pwlmap import (
     OrbitData,
     PwlMap,
     _apply,
+    _fixed_point,
     _norms,
     _orbits,
     _Pieces,
     _stacked,
     _step,
-    fixed_points,
     validate_continuity,
 )
 
@@ -245,10 +245,9 @@ def detect_shared_eigenvalue(pwl: PwlMap, tol: float = 1e-9) -> SharedEigReducti
             )
     lam, u, v = tr.value, tr.left, tr.right
     offset = float(u @ pwl.b) / (1.0 - lam)
-    fp = fixed_points(pwl)
-    if fp.right.point is not None:
-        base = fp.right.point
-    else:  # 1 in the right spectrum: any zero of the deviation functional works
+    try:
+        base = _fixed_point(pwl.A_R, pwl.b)
+    except SingularMatrix:  # 1 in the right spectrum: any zero of the deviation functional works
         base = u * (offset / float(u @ u))
     manifold = AffineHyperplane.from_normal_point(u, base)
     with np.errstate(over="ignore"):
@@ -306,7 +305,9 @@ def _is_shared(pwl: PwlMap, p: np.ndarray, t: linalg.EigenTriple, tol: float) ->
 
 
 def _hypothesis_failure(pwl: PwlMap, tr: linalg.EigenTriple, tol: float) -> str | None:
-    if tr.multiplicity > 1 or not tr.canonical:
+    # a simple value whose adjugate overflows has unit-norm vectors, not the
+    # canonical ones, and they fix the same plane
+    if tr.multiplicity > 1:
         return "algebraic multiplicity exceeds one"
     if abs(1.0 - tr.value) <= tol * (1.0 + abs(tr.value)):
         return "the shared eigenvalue equals one"
@@ -319,8 +320,8 @@ def _transversal(u: np.ndarray, c: np.ndarray, tol: float) -> bool:
     """Whether ``u`` has a component off ``c`` above ``tol |u|``.  The test
     does not change when ``c`` is scaled, so where ``c . c`` overflows or
     underflows to zero it runs on ``c`` divided by a power of two instead.
-    ``u`` is a left eigenvector with largest entry 1.  The caller turns
-    NumPy's overflow warnings off."""
+    ``u`` is a left eigenvector, with largest entry 1 or of unit norm.  The
+    caller turns NumPy's overflow warnings off."""
     cc = float(c @ c)
     if not 0.0 < cc < math.inf:
         c, _ = linalg._rescaled(c)
@@ -396,7 +397,7 @@ def zero_eig_reduction(pwl: PwlMap, tol: float = 1e-9) -> AffineHyperplane:
         raise MultipleZero("zero is an eigenvalue of A_L with multiplicity above one")
     w = zeros[0].left
     try:
-        y = linalg.solve(np.eye(pwl.n) - pwl.A_L, pwl.b)
+        y = _fixed_point(pwl.A_L, pwl.b)
     except SingularMatrix as exc:
         raise NoFixedPoint("1 is an eigenvalue of A_L, the left piece has no fixed point") from exc
     plane = AffineHyperplane.from_normal_point(w, y)

@@ -35,6 +35,7 @@ from conftest import (
     reference_adjugate,
     reference_char_roots,
     reference_real_eigen,
+    reference_solve,
 )
 
 
@@ -279,6 +280,59 @@ def test_close_ill_conditioned_roots_stay_apart(a, values):
     assert spec.real_values() == pytest.approx(values, abs=1e-10)
 
 
+# Distinct diagonal entries close relative to a huge coupling: both have
+# s(lam) = 1.3e-7 and d * min(s) = 72 eps |A|_F, inside the backward-stable
+# rule's bound, yet the characteristic polynomial of a triangular matrix is
+# exact and its midpoint is no root at all.
+NON_NORMAL_2D = np.array([[69144191434.51833, 5.458939329237027e17],
+                          [0.0, 2.6689977581717297e-41]])
+
+
+@pytest.mark.parametrize("k", [0, 600])
+def test_distinct_non_normal_roots_stay_apart(k):
+    a = math.ldexp(1.0, k) * NON_NORMAL_2D
+    spec = real_eigen(a)
+    assert [t.multiplicity for t in spec.real] == [1, 1]
+    assert spec.real_values() == pytest.approx(sorted(np.diag(a)), rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_close_roots_of_triangular_matrices_stay_apart(seed):
+    # separation over coupling from 10^-7.5 to 10^-5.5: both s(lam) are below
+    # DEFECTIVE_S and the pair lies beyond the cluster threshold; the
+    # diagonal is the spectrum
+    g = np.random.default_rng(seed)
+    n = int(g.integers(2, 4))
+    lam = g.choice([-1.0, 1.0]) * 10.0 ** g.uniform(-3.0, 4.0)
+    a = np.triu(g.standard_normal((n, n)))
+    a[0, 0], a[1, 1], a[0, 1] = lam, lam + 1.0, 10.0 ** g.uniform(5.5, 7.5)
+    if n == 3:
+        a[2, 2] = lam + g.choice([-1.0, 1.0]) * g.uniform(5.0, 10.0) * max(1.0, abs(lam))
+    a *= math.ldexp(1.0, int(g.integers(0, 400)))
+    spec = real_eigen(a)
+    assert [t.multiplicity for t in spec.real] == [1] * n
+    assert spec.real_values() == pytest.approx(sorted(np.diag(a)), rel=1e-6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4))
+def test_rounding_split_jordan_blocks_merge(seed, n):
+    # Q (J_2(lam) + D) Q^T with coupling 0.1 to 1000, scaled by up to 2^300:
+    # rounding splits lam into two close real values or a conjugate pair,
+    # and two real values must come back as one of multiplicity two
+    g = np.random.default_rng(seed)
+    lam = g.uniform(-2.0, 2.0)
+    d = lam + g.choice([-1.0, 1.0], n - 2) * g.uniform(0.3, 1.0, n - 2) * [1.0, 2.0][: n - 2]
+    m = np.diag([lam, lam, *d])
+    m[0, 1] = 10.0 ** g.uniform(-1.0, 3.0)
+    q, _ = np.linalg.qr(g.standard_normal((n, n)))
+    scale = math.ldexp(1.0, int(g.integers(0, 300)))
+    spec = real_eigen(scale * (q @ m @ q.T))
+    near = [t.multiplicity for t in spec.real if abs(t.value - scale * lam) <= 1e-6 * scale]
+    assert near == [2] or (near == [] and len(spec.complex_pairs) == 1)
+
+
 def test_real_eigen_takes_only_the_matrix():
     assert list(inspect.signature(real_eigen).parameters) == ["a"]
 
@@ -350,6 +404,60 @@ def test_solve_singular():
     a = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(SingularMatrix):
         solve(a, np.array([1.0, 1.0]))
+
+
+def test_solve_rejects_a_negative_pivot_tolerance():
+    for rtol in (-1e-12, math.nan):
+        with pytest.raises(ValueError, match="pivot_rtol"):
+            solve(np.eye(2), np.ones(2), pivot_rtol=rtol)
+
+
+_SOLVE_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+# magnitudes whose eliminated differences pass the float range: inf, then NaN
+_HUGE = st.builds(lambda x, sign: sign * x, st.floats(1e306, 1.7976931348623157e308),
+                  st.sampled_from([1.0, -1.0]))
+
+
+@st.composite
+def _systems(draw):
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["plain", "graded", "zero row", "overflow"]))
+    entries = st.one_of(_HUGE, _SOLVE_ENTRIES) if kind == "overflow" else _SOLVE_ENTRIES
+    a = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    b = np.array(draw(st.lists(_SOLVE_ENTRIES, min_size=n, max_size=n)))
+    if kind == "graded":  # rows from 1e-8 to 1e8
+        a *= 10.0 ** np.array(draw(st.lists(st.floats(-8.0, 8.0), min_size=n, max_size=n)))[:, None]
+    elif kind == "zero row":
+        a[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0.0, -0.0]))
+    return a, b
+
+
+def _solve_outcome(f, a, b):
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # NumPy's dot of inf and NaN
+            return f(a, b).tobytes()
+    except SingularMatrix as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=_systems())
+# NumPy's dot of one term is +0.0 where -1.0 * 0.0 is -0.0
+@example(system=(np.array([[1.0, -1.0], [0.0, 1.0]]), np.array([-0.0, 0.0])))
+# a dot of two terms with fused multiply-adds differs from a Python sum
+@example(system=(np.array([[3.0, 4.0 / 7.0, 4.0 / 7.0], [0.0, 5.0, -1.0], [0.0, 0.0, 7.0]]),
+                 np.array([0.0, -2.0 / 3.0, -4.0 / 3.0])))
+@example(system=(np.array([[1.7e308, -1.7e308], [-1.7e308, -1.7e308]]), np.array([1.0, 1.0])))
+# in column 2 the first NaN is the pivot, not the zero below it
+@example(system=(np.array([[-1e308, -1e308, 0.0, -1.7e308], [1e308, 1.7e308, 0.0, 0.0],
+                           [0.0, 0.0, 0.0, -1e308], [-1.7e308, 1.7e308, 0.0, -1.7e308]]),
+                 np.ones(4)))
+def test_solve_matches_reference_bit_for_bit(system):
+    a, b = system
+    assert _solve_outcome(solve, a, b) == _solve_outcome(reference_solve, a, b)
 
 
 def test_large_eigen_backend_failure(monkeypatch):

@@ -31,9 +31,16 @@ from pwldyn import (
     sample_induced,
     zero_eig_reduction,
 )
-from pwldyn import reduction
+from pwldyn import linalg, reduction
+from pwldyn.cli import main
 
-from conftest import FLAT_LEFT_2D, SHARED_2D, reference_detect_shared, shared_3d_params
+from conftest import (
+    FLAT_LEFT_2D,
+    SHARED_2D,
+    bcnf_argv,
+    reference_detect_shared,
+    shared_3d_params,
+)
 
 # ---------------------------------------------------------------------------
 # shared eigenvalue
@@ -233,6 +240,51 @@ def test_detection_decomposes_only_the_right_piece(shared_map):
                 pass
         assert spy.call_count == 1
         assert spy.call_args.args[0] is pwl.A_R
+
+
+def test_analyze_solves_three_systems(monkeypatch, tmp_path):
+    # fixed_points solves both pieces; detection solves only the right one
+    # and zero_eig_reduction none, as A_L is not singular
+    calls = []
+    solve_rows = linalg._solve_rows
+
+    def counting(rows, rhs, *args):
+        calls.append(len(rows))
+        return solve_rows(rows, rhs, *args)
+
+    monkeypatch.setattr(linalg, "_solve_rows", counting)
+    assert main(["analyze", *bcnf_argv(SHARED_2D), "--out", str(tmp_path / "a.json")]) == 0
+    assert calls == [2, 2, 2]
+
+
+def _planted_4d(scale: float) -> PwlMap:
+    """A random 4x4 right piece times ``scale``, and the left piece that
+    shares its real eigenvalue 1.656 (times ``scale``): ``A_L = A_R - p
+    c^T`` with ``p`` orthogonal to that value's left eigenvector."""
+    g = np.random.default_rng(1)
+    a_r = g.standard_normal((4, 4))
+    values, vectors = np.linalg.eig(a_r.T)
+    w = vectors[:, np.argmin(np.abs(values.imag))].real
+    p, c, b = g.standard_normal((3, 4))
+    p -= w * (w @ p) / (w @ w)
+    return PwlMap(scale * (a_r - np.outer(p, c)), scale * a_r, b, c)
+
+
+def test_simple_value_with_overflowing_adjugate_is_shared():
+    # At 2^400 the adjugate of value * I - A_R, cubic in the entries,
+    # overflows: the value's vectors are unit-norm, not canonical, and still
+    # fix the plane
+    verdicts = []
+    for k in (0, 200, 400):
+        pwl = _planted_4d(math.ldexp(1.0, k))
+        red = detect_shared_eigenvalue(pwl)
+        triple = next(t for t in linalg.real_eigen(pwl.A_R).real if t.value == red.value)
+        assert triple.canonical == (k < 400)
+        verdicts.append((math.ldexp(red.value, -k), red.transversal))
+    assert verdicts[0][0] == pytest.approx(1.6564175659644693, rel=1e-12)
+    assert all(v == pytest.approx(verdicts[0][0], rel=1e-12) and t == verdicts[0][1]
+               for v, t in verdicts)
+    assert verdicts[0][1]
 
 
 def test_shared_value_double_in_left_piece(rng):
