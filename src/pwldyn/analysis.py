@@ -7,8 +7,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptyCloud
-from .pwlmap import ESCAPE_RADIUS, BcnfParams, OrbitData, PwlMap, _orbits, bcnf, orbit
+from .errors import EmptyCloud, NonFinite
+from .pwlmap import ESCAPE_RADIUS, BcnfParams, PwlMap, bcnf, orbit
 
 __all__ = [
     "AttractorCloud",
@@ -43,17 +43,6 @@ def default_x0(pwl: PwlMap) -> np.ndarray:
     return x0
 
 
-def _cloud(orb: OrbitData, x0, n_transient: int, n_keep: int) -> AttractorCloud:
-    return AttractorCloud(
-        points=orb.points,
-        escaped=orb.escaped,
-        escape_index=orb.escape_index,
-        x0=np.asarray(x0, dtype=float),
-        n_transient=n_transient,
-        n_keep=n_keep,
-    )
-
-
 def attractor(
     pwl: PwlMap,
     x0,
@@ -62,7 +51,15 @@ def attractor(
     escape_radius: float = ESCAPE_RADIUS,
 ) -> AttractorCloud:
     """Sample the attractor reached from ``x0``; empty only when the orbit escapes."""
-    return _cloud(orbit(pwl, x0, n_transient, n_keep, escape_radius), x0, n_transient, n_keep)
+    orb = orbit(pwl, x0, n_transient, n_keep, escape_radius)
+    return AttractorCloud(
+        points=orb.points,
+        escaped=orb.escaped,
+        escape_index=orb.escape_index,
+        x0=np.asarray(x0, dtype=float),
+        n_transient=n_transient,
+        n_keep=n_keep,
+    )
 
 
 def _cloud_points(obj) -> np.ndarray:
@@ -290,8 +287,7 @@ def scan(
 ) -> ScanResult:
     """Attractor clouds along a one-parameter family of normal-form maps.
 
-    One cloud per value, every value's orbit stepped in lockstep and each
-    bit-identical to ``attractor`` on that value alone.  A failed orbit
+    One cloud per value: ``attractor`` on each value alone.  A failed orbit
     (non-finite iterate) is recorded as an error string with a None cloud
     instead of aborting the scan.  The consecutive Hausdorff column is
     ``hausdorff`` of neighbouring clouds, each cloud indexed once for both of
@@ -302,19 +298,16 @@ def scan(
         raise ValueError(f"unknown scan parameter {parameter!r} for dimension {base.dim}")
     vals = tuple(float(v) for v in values)
     maps = tuple(bcnf(replace(base, **{parameter: v})) for v in vals)
-    starts = [default_x0(pwl) if x0 is None else np.asarray(x0, dtype=float) for pwl in maps]
     clouds: list[AttractorCloud | None] = []
     errors: list[str | None] = []
-    if maps:
-        orbits = _orbits([pwl._pieces for pwl in maps], starts, n_transient, n_keep,
-                         escape_radius)
-        for start, orb in zip(starts, orbits):
-            if isinstance(orb, OrbitData):
-                clouds.append(_cloud(orb, start, n_transient, n_keep))
-                errors.append(None)
-            else:
-                clouds.append(None)
-                errors.append(f"{type(orb).__name__}: {orb}")
+    for pwl in maps:
+        start = default_x0(pwl) if x0 is None else x0
+        try:
+            clouds.append(attractor(pwl, start, n_transient, n_keep, escape_radius))
+            errors.append(None)
+        except NonFinite as exc:
+            clouds.append(None)
+            errors.append(f"{type(exc).__name__}: {exc}")
     # each cloud is indexed once and serves both of its neighbours
     dists: list[float] = []
     prev = None

@@ -739,6 +739,9 @@ def main(argv=None) -> int:
             configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:  # settings too large for this machine: a usage error
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (DynamicsError, IllConditioned) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DYNAMICS

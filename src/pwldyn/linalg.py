@@ -244,7 +244,8 @@ def _solve_rows(U: list[list[float]], y: list[float], pivot_rtol: float = 1e-12)
         if k >= n - 2:  # NumPy's dot of one term is 0.0 + product, of none 0.0
             dot = 0.0 + r[k + 1] * x[k + 1] if k == n - 2 else 0.0
         else:  # NumPy's own dot: its BLAS may fuse the multiply-adds
-            dot = float(np.dot(r[k + 1 :], x[k + 1 :]))
+            with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN pass silently
+                dot = float(np.dot(r[k + 1 :], x[k + 1 :]))
         x[k] = (y[k] - dot) / r[k]
     return np.array(x)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 from typing import NamedTuple
 
@@ -43,7 +43,7 @@ BORDERLINE_ATOL = 1e-12
 ESCAPE_RADIUS = 1e12
 
 # Iterates stepped between two escape tests of an orbit.  Transient iterates
-# are buffered for one chunk only, so memory stays O(P (n_keep + chunk) n).
+# are buffered for one chunk only, so memory stays O((n_keep + chunk) n).
 _CHUNK = 256
 
 
@@ -53,8 +53,9 @@ class _Pieces(NamedTuple):
 
     The two tests agree exactly in floating point: a sum of two doubles is
     zero only when they cancel, so it has the sign of the exact sum.
-    One member holds ``(n, n)``, ``(n,)``, ``(n, n)``, ``(n,)``, ``(n,)`` and
-    a float; :func:`_stacked` gives the ``(P, ...)`` form of P members.
+    ``flat`` holds every entry as a Python float in the order the kernel
+    takes them: ``A_L`` by rows, ``d_L``, ``A_R`` by rows, ``d_R``, ``c``
+    and ``t``.  Build it with :func:`_pieces`.
     """
 
     A_L: np.ndarray
@@ -63,39 +64,112 @@ class _Pieces(NamedTuple):
     d_R: np.ndarray
     c: np.ndarray
     t: float
+    flat: tuple[float, ...]
 
 
-def _stacked(members, P: int) -> _Pieces:
-    """Pieces of P members as ``(P, n, n)`` matrices, ``(P, n, 1)`` offsets,
-    ``(P, 1, n)`` normals and ``(P, 1, 1)`` thresholds; one member is
-    broadcast to all P without a copy."""
-    n = members[0].d_L.size
-    shapes = ((n, n), (n, 1), (n, n), (n, 1), (1, n), (1, 1))
-    return _Pieces(*(
-        np.broadcast_to(np.reshape([m[i] for m in members], (-1, *shape)), (P, *shape))
-        for i, shape in enumerate(shapes)
-    ))
+def _pieces(A_L, d_L, A_R, d_R, c, t: float) -> _Pieces:
+    arrays = [np.asarray(a, dtype=float) for a in (A_L, d_L, A_R, d_R, c)]
+    flat = (*chain.from_iterable(a.ravel().tolist() for a in arrays), float(t))
+    return _Pieces(*arrays, float(t), flat)
 
 
-def _step(S: _Pieces, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One step of every member: ``X`` is ``(P, n, 1)``, ``S`` stacked.
+# The step.  Each image row is the in-order sum ``((a_i0 x_0 + a_i1 x_1) +
+# ...) + d_i`` and the side test is ``((c_0 x_0 + c_1 x_1) + ...) < t``; every
+# product and sum is rounded once and none is fused.  One orbit steps on
+# Python floats (_kernel); many points step as NumPy elementwise operations
+# over the point axis (_step_rows, _left_rows), which also give the
+# itinerary of an orbit's stored points.  Neither CPython floats nor ufuncs
+# contract to FMA, so the two layouts give the same bits, and no BLAS call
+# is made: the bits do not depend on the BLAS build or the CPU.
 
-    Returns the images and the ``(P, 1, 1)`` left-piece mask.  Only stacked
-    ``matmul`` is used: it makes the same BLAS call per member as the
-    one-point ``A @ x`` and ``c @ x``, so each row is bit-identical to a
-    one-point step (``X @ A.T``, ``einsum`` or Python arithmetic are not).
+
+@cache
+def _kernel(n: int):
+    """The step of an ``n``-dimensional map on Python floats, unrolled.
+
+    ``steps(flat, x, k, out)`` takes ``k`` steps from the point ``x`` (``n``
+    floats) with the coefficients ``_Pieces.flat``, appends the coordinates
+    of each point it steps to the list ``out`` and returns the last image as
+    a tuple.  Python floats overflow to inf and NaN without raising.
     """
-    left = S.c @ X < S.t
-    return np.where(left, S.A_L, S.A_R) @ X + np.where(left, S.d_L, S.d_R), left
+    xs = [f"x{j}" for j in range(n)]
+    point = "".join(f"{x}, " for x in xs)
+
+    def row(coeffs):  # Python's + groups to the left: the in-order sum
+        return " + ".join(f"{a} * {x}" for a, x in zip(coeffs, xs))
+
+    def matrix(s):
+        return [[f"{s}{i}_{j}" for j in range(n)] for i in range(n)]
+
+    def image(s):
+        return "".join(f"{row(r)} + {s}{i}, " for i, r in enumerate(matrix(s)))
+
+    normal = [f"c{j}" for j in range(n)]
+    names = [*chain.from_iterable(matrix("L")), *(f"L{i}" for i in range(n)),
+             *chain.from_iterable(matrix("R")), *(f"R{i}" for i in range(n)), *normal, "t"]
+    source = "\n".join([
+        "def steps(flat, x, k, out):",
+        f"    {', '.join(names)} = flat",
+        f"    {point}= x",
+        "    put = out.append",
+        "    for _ in range(k):",
+        *(f"        put({x})" for x in xs),
+        f"        if {row(normal)} < t:",
+        f"            {point}= {image('L')}",
+        "        else:",
+        f"            {point}= {image('R')}",
+        f"    return {point}",
+    ])
+    namespace: dict = {}
+    exec(compile(source, f"<pwldyn step, n = {n}>", "exec"), namespace)
+    return namespace["steps"]
+
+
+def _left_rows(p: _Pieces, X: np.ndarray) -> np.ndarray:
+    """The kernel's side test on each row of ``X`` ``(P, n)``, as elementwise
+    operations over the rows: True where the left piece applies."""
+    s = p.c[0] * X[:, 0]
+    for j in range(1, X.shape[1]):
+        s += p.c[j] * X[:, j]
+    return s < p.t
+
+
+def _step_rows(p: _Pieces, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One step of each row of ``X`` ``(P, n)``: the kernel's in-order sums
+    as elementwise operations over the rows, so each row is bit-identical to
+    stepping it alone.  Returns the images and the left-piece mask."""
+    left = _left_rows(p, X)
+    M = np.where(left[:, None, None], p.A_L, p.A_R)
+    Y = M[:, :, 0] * X[:, :1]
+    for j in range(1, X.shape[1]):
+        Y += M[:, :, j] * X[:, j : j + 1]
+    Y += np.where(left[:, None], p.d_L, p.d_R)
+    return Y, left
+
+
+def _points(p: _Pieces, x) -> np.ndarray:
+    """``x`` as a float point ``(n,)`` or rows ``(P, n)`` of the pieces' dimension."""
+    x = np.asarray(x, dtype=float)
+    n = p.c.size
+    if x.ndim not in (1, 2) or x.shape[-1] != n:
+        raise ValueError(f"points must have {n} coordinates, got shape {x.shape}")
+    return x
 
 
 def _apply(p: _Pieces, x) -> np.ndarray:
     """Image of a point ``(n,)``, or of each row of ``(P, n)``."""
-    x = np.asarray(x, dtype=float)
+    x = _points(p, x)
     if x.ndim == 1:
-        A_L, d_L, A_R, d_R, c, t = p
-        return A_L @ x + d_L if c @ x < t else A_R @ x + d_R
-    return _step(_stacked([p], x.shape[0]), x[:, :, None])[0][:, :, 0]
+        return np.array(_kernel(x.size)(p.flat, x.tolist(), 1, []))
+    return _step_rows(p, x)[0]
+
+
+def _is_left(p: _Pieces, x) -> bool:
+    """The kernel's side test at one point ``(n,)``."""
+    x = _points(p, x)
+    if x.ndim != 1:
+        raise ValueError(f"side takes one point, got shape {x.shape}")
+    return bool(_left_rows(p, x[None])[0])
 
 
 def _norms(X: np.ndarray) -> np.ndarray:
@@ -142,10 +216,11 @@ class PwlMap:
 
     @cached_property
     def _pieces(self) -> _Pieces:
-        return _Pieces(self.A_L, self.b, self.A_R, self.b, self.c, 0.0)
+        return _pieces(self.A_L, self.b, self.A_R, self.b, self.c, 0.0)
 
     def side(self, x) -> str:
-        return LEFT if float(self.c @ np.asarray(x, dtype=float)) < 0.0 else RIGHT
+        """The piece that applies at ``x``, as the itinerary of an orbit records it."""
+        return LEFT if _is_left(self._pieces, x) else RIGHT
 
     def __call__(self, x) -> np.ndarray:
         """Image of a point, or of each row of a ``(P, n)`` array."""
@@ -241,23 +316,21 @@ class OrbitData:
     escape_index: int | None = None
 
 
-def _orbits(
-    members,
-    X0,
+def _orbit(
+    p: _Pieces,
+    x0,
     n_transient: int,
     n_keep: int,
     escape_radius: float,
     what: str = "orbit",
-) -> list[OrbitData | NonFinite]:
-    """Orbits of P members in lockstep, member ``i`` from row ``i`` of ``X0``.
+) -> OrbitData:
+    """``orbit`` of the pieces ``p``; ``what`` names the orbit in NonFinite.
 
-    Returns per member its OrbitData, or the NonFinite error that ended it.
-    The rule is ``orbit``'s: iterate ``k`` escapes when its norm exceeds
+    The kernel steps a chunk of iterates on Python floats, then the chunk is
+    tested at once: iterate ``k`` escapes when its norm exceeds
     ``escape_radius`` and is non-finite otherwise when the norm is not
-    finite.  It is applied to each chunk of stored iterates after the chunk
-    is stepped; a member that stopped steps on as garbage to the end of the
-    chunk and nothing past its stop is kept.  One member takes a plain
-    one-point step, more members the stacked :func:`_step`.
+    finite.  Iterates past the stop are garbage and are not kept.  The
+    itinerary is the side test on the kept points, in the columnar layout.
     """
     if n_transient < 0:
         raise ValueError("n_transient must be non-negative")
@@ -265,67 +338,41 @@ def _orbits(
         raise ValueError("n_keep must be at least 1")
     if not escape_radius > 0.0:
         raise ValueError("escape_radius must be positive")
-    P, n = len(members), members[0].d_L.size
-    X0 = np.asarray(X0, dtype=float)
-    if X0.shape != (P, n):
+    n = p.c.size
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (n,):
         raise ValueError(f"x0 must be a vector of length {n}")
-    pts = np.empty((P, n_keep, n))
-    lefts = np.empty((P, n_keep), dtype=bool)
-    transient_buf = np.empty((P, min(n_transient, _CHUNK), n))
-    transient_lefts = np.empty(transient_buf.shape[:2], dtype=bool)
-    stop = np.full(P, -1)
-    escaped = np.zeros(P, dtype=bool)
-    if P == 1:
-        A_L, d_L, A_R, d_R, c, t = members[0]
-        x = X0[0]
-    else:
-        S = _stacked(members, P)
-        x = X0[:, :, None]
+    steps = _kernel(n)
+    pts = np.empty((n_keep, n))
+    x = x0.tolist()
     total = n_transient + n_keep
+    stop = None
     # Overflow ends in an escape or NonFinite below, not in a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in chain(range(0, n_transient, _CHUNK), range(n_transient, total, _CHUNK)):
-            hi = min(lo + _CHUNK, n_transient if lo < n_transient else total)
-            if lo < n_transient:
-                buf, lbuf = transient_buf[:, : hi - lo], transient_lefts[:, : hi - lo]
-            else:
-                buf = pts[:, lo - n_transient : hi - n_transient]
-                lbuf = lefts[:, lo - n_transient : hi - n_transient]
-            if P == 1:
-                buf1, lbuf1 = buf[0], lbuf[0]
-                for k in range(hi - lo):
-                    left = c @ x < t
-                    buf1[k] = x
-                    lbuf1[k] = left
-                    x = A_L @ x + d_L if left else A_R @ x + d_R
-            else:
-                for k in range(hi - lo):
-                    buf[:, k] = x[:, :, 0]
-                    x, left = _step(S, x)
-                    lbuf[:, k] = left[:, 0, 0]
+            k = min(lo + _CHUNK, n_transient if lo < n_transient else total) - lo
+            coords: list[float] = []
+            x = steps(p.flat, x, k, coords)
+            buf = np.fromiter(coords, float, k * n).reshape(k, n)
+            if lo >= n_transient:
+                pts[lo - n_transient : lo - n_transient + k] = buf
             r = _norms(buf)
             bad = (r > escape_radius) | ~np.isfinite(r)
-            first = bad.argmax(axis=1)
-            new = (stop < 0) & bad.any(axis=1)
-            stop[new] = lo + first[new]
-            escaped[new] = r[new, first[new]] > escape_radius
-            if (stop >= 0).all():
+            if bad.any():
+                i = int(bad.argmax())
+                stop = lo + i
+                if not r[i] > escape_radius:
+                    raise NonFinite(f"{what} iterate {stop} is not finite")
+                pts = pts[: max(0, stop - n_transient)]
                 break
-    out: list[OrbitData | NonFinite] = []
-    for i in range(P):
-        k = int(stop[i])
-        if k >= 0 and not escaped[i]:
-            out.append(NonFinite(f"{what} iterate {k} is not finite"))
-            continue
-        kept = n_keep if k < 0 else max(0, k - n_transient)
-        out.append(OrbitData(
-            points=pts[i, :kept],
-            itinerary=np.where(lefts[i, :kept], LEFT, RIGHT),
-            transient_discarded=n_transient if k < 0 else min(n_transient, k),
-            escaped=k >= 0,
-            escape_index=None if k < 0 else k,
-        ))
-    return out
+        lefts = _left_rows(p, pts)
+    return OrbitData(
+        points=pts,
+        itinerary=np.where(lefts, LEFT, RIGHT),
+        transient_discarded=n_transient if stop is None else min(n_transient, stop),
+        escaped=stop is not None,
+        escape_index=stop,
+    )
 
 
 def orbit(
@@ -343,11 +390,7 @@ def orbit(
     image of ``points[k]`` and ``itinerary[k]`` records which piece applies
     at ``points[k]``.
     """
-    (res,) = _orbits([pwl._pieces], np.asarray(x0, dtype=float)[None],
-                     n_transient, n_keep, escape_radius)
-    if isinstance(res, NonFinite):
-        raise res
-    return res
+    return _orbit(pwl._pieces, x0, n_transient, n_keep, escape_radius)
 
 
 @dataclass(frozen=True)

@@ -37,11 +37,12 @@ from .pwlmap import (
     PwlMap,
     _apply,
     _fixed_point,
+    _is_left,
     _norms,
-    _orbits,
+    _orbit,
+    _pieces,
     _Pieces,
-    _stacked,
-    _step,
+    _step_rows,
     validate_continuity,
 )
 
@@ -162,12 +163,12 @@ class ReducedPwlMap:
 
     @cached_property
     def _pieces(self) -> _Pieces:
-        return _Pieces(self.matrix_left, self.offset_left, self.matrix_right,
+        return _pieces(self.matrix_left, self.offset_left, self.matrix_right,
                        self.offset_right, self.switch_normal, -self.switch_offset)
 
     def side(self, xi) -> str:
-        margin = float(self.switch_normal @ np.asarray(xi, dtype=float)) + self.switch_offset
-        return LEFT if margin < 0.0 else RIGHT
+        """The piece that applies at ``xi``, as the itinerary of an orbit records it."""
+        return LEFT if _is_left(self._pieces, xi) else RIGHT
 
     def __call__(self, xi) -> np.ndarray:
         """Image of a chart point, or of each row of a ``(P, d)`` array."""
@@ -367,11 +368,7 @@ def reduced_orbit(
     escape_radius: float = ESCAPE_RADIUS,
 ) -> OrbitData:
     """Orbit of a restricted map in chart coordinates, same contract as ``orbit``."""
-    (res,) = _orbits([rmap._pieces], np.asarray(xi0, dtype=float)[None], n_transient,
-                     n_keep, escape_radius, what="reduced orbit")
-    if isinstance(res, NonFinite):
-        raise res
-    return res
+    return _orbit(rmap._pieces, xi0, n_transient, n_keep, escape_radius, what="reduced orbit")
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +419,9 @@ _STATUSES = ("no_return", "ok", "escaped", "non_finite")
 
 
 def _on_plane(plane: AffineHyperplane, Y: np.ndarray, r: np.ndarray, tol: float) -> np.ndarray:
-    """``plane.contains`` for each ``(n, 1)`` vector of ``Y`` with norm ``r``."""
+    """``plane.contains`` for each row of ``Y`` with norm ``r``."""
     N = np.broadcast_to(plane.normal, (len(Y), 1, plane.normal.size))
-    return np.abs((N @ Y)[:, 0, 0] - plane.offset) <= tol * (1.0 + r)
+    return np.abs((N @ Y[:, :, None])[:, 0, 0] - plane.offset) <= tol * (1.0 + r)
 
 
 def _first_returns(pwl, plane, X, j_max, escape_radius, membership_tol):
@@ -435,8 +432,9 @@ def _first_returns(pwl, plane, X, j_max, escape_radius, membership_tol):
     keeps the code ``_RUNNING``.  A step by the left piece returns at once,
     because the plane is that piece's range; any other step returns when
     ``|normal . y - offset| <= tol (1 + |y|)``.  Escape and a non-finite
-    image are tested before the return.  Rows leave the active set as they
-    finish, and each is bit-identical to stepping it alone.
+    image are tested before the return.  Rows step together in the columnar
+    layout of the step (``_step_rows``) and leave the active set as they
+    finish, so each is bit-identical to stepping it alone.
     """
     P, n = X.shape
     status = np.full(P, _RUNNING)
@@ -445,16 +443,14 @@ def _first_returns(pwl, plane, X, j_max, escape_radius, membership_tol):
     last_left = np.zeros(P, dtype=bool)
     # Overflow ends in an escape or NonFinite below, not in a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        if not _on_plane(plane, X[:, :, None], _norms(X), membership_tol).all():
+        if not _on_plane(plane, X, _norms(X), membership_tol).all():
             raise ValueError("start point is not on the section")
         for lo in range(0, P, _BLOCK):
             idx = np.arange(lo, min(lo + _BLOCK, P))
-            S = _stacked([pwl._pieces], idx.size)
-            Y = X[idx, :, None]
+            Y = X[idx]
             for j in range(1, j_max + 1):
-                Y, left = _step(S, Y)
-                left = left[:, 0, 0]
-                r = _norms(Y[:, :, 0])
+                Y, left = _step_rows(pwl._pieces, Y)
+                r = _norms(Y)
                 escaped = r > escape_radius
                 non_finite = ~escaped & ~np.isfinite(r)
                 done = escaped | non_finite | left | _on_plane(plane, Y, r, membership_tol)
@@ -463,13 +459,12 @@ def _first_returns(pwl, plane, X, j_max, escape_radius, membership_tol):
                 code = np.where(escaped, _ESCAPED, np.where(non_finite, _NON_FINITE, _OK))
                 fin = idx[done]
                 status[fin] = code[done]
-                images[fin] = Y[done, :, 0]
+                images[fin] = Y[done]
                 times[fin] = j
                 last_left[fin] = left[done]
                 idx, Y = idx[~done], Y[~done]
                 if not idx.size:
                     break
-                S = _Pieces(*(a[: idx.size] for a in S))
     return status, images, times, last_left
 
 
@@ -527,9 +522,10 @@ def sample_induced(
 ) -> list[InducedSample]:
     """Evaluate the induced return map on chart-coordinate grid points.
 
-    All points are stepped together, each bit-identical to ``induced_map``
-    on its lifted point.  Failures are recorded per sample instead of
-    aborting the sweep.
+    All points are stepped together in the columnar layout of the step, as
+    elementwise operations over the points, so each sample is bit-identical
+    to ``induced_map`` on its lifted point.  Failures are recorded per
+    sample instead of aborting the sweep.
     """
     if chart is None:
         chart = plane_chart(plane)

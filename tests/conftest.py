@@ -70,10 +70,29 @@ def rng():
     return np.random.default_rng(0)
 
 
+def _in_order(coeffs, x):
+    """``((coeffs[0] x[0] + coeffs[1] x[1]) + ...)`` on Python floats."""
+    total = coeffs[0] * x[0]
+    for a, v in zip(coeffs[1:], x[1:]):
+        total = total + a * v
+    return total
+
+
+def reference_step(A_L, d_L, A_R, d_R, c, t, x):
+    """One step as the stepping kernel defines it, in plain Python: the
+    side test ``((c_0 x_0 + c_1 x_1) + ...) < t`` and image rows
+    ``((a_i0 x_0 + a_i1 x_1) + ...) + d_i``, every product and sum rounded
+    once.  Returns whether the left piece applied and the image as a list."""
+    x = np.asarray(x, dtype=float).tolist()
+    left = _in_order(np.asarray(c).tolist(), x) < t
+    A, d = (A_L, d_L) if left else (A_R, d_R)
+    return left, [_in_order(row, x) + di for row, di in zip(A.tolist(), d.tolist())]
+
+
 def reference_orbit(pwl, x0, n_transient, n_keep, escape_radius, what="orbit"):
-    """The one-point orbit loop that ``orbit`` replaced, kept as its oracle:
-    a NumPy norm and escape test before every step and a per-point
-    itinerary write.  Returns points, itinerary, transient_discarded and
+    """The one-point orbit loop, kept as the oracle of ``orbit``: a NumPy
+    norm and escape test before every step, a per-point itinerary write and
+    ``reference_step``.  Returns points, itinerary, transient_discarded and
     escape_index, or raises NonFinite."""
     x = np.asarray(x0, dtype=float).copy()
     pts = np.empty((n_keep, pwl.n))
@@ -88,12 +107,12 @@ def reference_orbit(pwl, x0, n_transient, n_keep, escape_radius, what="orbit"):
                 break
             if not np.isfinite(r):
                 raise NonFinite(f"{what} iterate {k} is not finite")
-            cx = float(pwl.c @ x)
+            left, image = reference_step(pwl.A_L, pwl.b, pwl.A_R, pwl.b, pwl.c, 0.0, x)
             if k >= n_transient:
                 pts[kept] = x
-                its[kept] = LEFT if cx < 0.0 else RIGHT
+                its[kept] = LEFT if left else RIGHT
                 kept += 1
-            x = (pwl.A_L if cx < 0.0 else pwl.A_R) @ x + pwl.b
+            x = np.array(image)
     discarded = n_transient if escape_index is None else min(n_transient, escape_index)
     return pts[:kept], its[:kept], discarded, escape_index
 

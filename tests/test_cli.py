@@ -8,6 +8,11 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import numpy as np
 import pytest
 
@@ -548,6 +553,27 @@ def test_scipy_spatial_imported_only_by_hausdorff(tmp_path):
     rows = read_csv(out + ".csv")
     assert len(rows) == 3
     assert float(rows[2][8]) > 0.0
+
+
+def _limit_address_space():
+    # this child only: room for the interpreter and NumPy, not for the orbit
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+def test_memory_error_is_a_usage_error(tmp_path):
+    # --keep 1e9 asks for a 14.9 GiB orbit buffer
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pwldyn", "portrait", *ANCHOR, "--keep", "1000000000",
+         "--out", str(tmp_path / "portrait.csv")],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=_limit_address_space)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: out of memory")
 
 
 def test_dump_config_roundtrip(tmp_path):

@@ -460,6 +460,20 @@ def test_solve_matches_reference_bit_for_bit(system):
     assert _solve_outcome(solve, a, b) == _solve_outcome(reference_solve, a, b)
 
 
+@pytest.mark.parametrize("a, b", [
+    # elimination overflows; the tail dot of x[0] overflows
+    ([[-1.7e308, 1.7e308, -1e308], [0.5, 0.5, -1e308], [-1e308, 1.7e308, -1.0]],
+     [3.0, -1e308, 1.0]),
+    # the tail dot of x[0] meets inf - inf
+    ([[-1.7e308, 0.5, 1.7e308, 1.7e308], [-1.7e308, -1.0, -1.0, 1.0],
+      [2.0, -1e308, 1.0, 0.5], [1e308, -1e308, -1e308, 1e-300]],
+     [1.0, 1e308, -1e308, 1e308]),
+])
+def test_solve_overflowing_elimination_does_not_warn(a, b):
+    # warnings are errors in this suite
+    assert solve(a, b).tobytes() == reference_solve(a, b).tobytes()
+
+
 def test_large_eigen_backend_failure(monkeypatch):
     def boom(_):
         raise np.linalg.LinAlgError("did not converge")

@@ -6,19 +6,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pwldyn import (
+    AffineHyperplane,
     BcnfParams,
     NonFinite,
     NotContinuous,
     PwlMap,
+    ReducedPwlMap,
     UnsupportedDimension,
     bcnf,
     fixed_points,
     orbit,
+    plane_chart,
+    reduced_orbit,
     validate_continuity,
 )
-from pwldyn.pwlmap import _orbits
+from pwldyn.pwlmap import _orbit
 
-from conftest import FLAT_LEFT_2D, SHARED_2D, reference_orbit, shared_3d_params
+from conftest import (
+    FLAT_LEFT_2D,
+    SHARED_2D,
+    reference_orbit,
+    reference_step,
+    shared_3d_params,
+)
 
 
 def test_bcnf_2d_matrices(shared_map):
@@ -243,23 +253,23 @@ def _random_continuous_map(rng, n, scale):
     escape_radius=st.sampled_from([10.0, 1e12, np.inf]),
 )
 def test_lockstep_orbits_match_reference_loop(n, P, seed, n_transient, n_keep, escape_radius):
-    # Members mix bounded, escaping and overflowing maps, and NaN starts;
-    # transient and keep lengths cross the escape-test chunk boundary.
+    # P orbits, each stepped alone as ``scan`` steps its values.  They mix
+    # bounded, escaping and overflowing maps, and NaN starts; transient and
+    # keep lengths cross the escape-test chunk boundary.
     rng = np.random.default_rng(seed)
     maps = [_random_continuous_map(rng, n, rng.choice([0.5, 0.95, 1.05, 2.0, 8.0]))
             for _ in range(P)]
     X0 = rng.standard_normal((P, n))
     X0[rng.random(P) < 0.15] = np.nan
-    got = _orbits([m._pieces for m in maps], X0, n_transient, n_keep, escape_radius)
-    assert len(got) == P
-    for pwl, x0, res in zip(maps, X0, got):
+    for pwl, x0 in zip(maps, X0):
         try:
             pts, its, discarded, escape_index = reference_orbit(
                 pwl, x0, n_transient, n_keep, escape_radius)
         except NonFinite as exc:
-            assert isinstance(res, NonFinite)
-            assert str(res) == str(exc)
+            with pytest.raises(NonFinite, match=f"^{exc}$"):
+                _orbit(pwl._pieces, x0, n_transient, n_keep, escape_radius)
             continue
+        res = _orbit(pwl._pieces, x0, n_transient, n_keep, escape_radius)
         assert res.points.shape == pts.shape
         assert res.points.tobytes() == pts.tobytes()
         assert np.array_equal(res.itinerary, its)
@@ -280,11 +290,76 @@ def test_orbits_escape_radius_at_an_iterate_norm(n, P, seed):
     X0 = rng.standard_normal((P, n))
     pts, _, _, _ = reference_orbit(maps[0], X0[0], 0, 300, 1e12)
     radius = float(np.linalg.norm(pts[rng.integers(len(pts))]))
-    got = _orbits([m._pieces for m in maps], X0, 0, 300, radius)
-    for pwl, x0, res in zip(maps, X0, got):
+    for pwl, x0 in zip(maps, X0):
+        res = orbit(pwl, x0, 0, 300, radius)
         ref_pts, _, _, escape_index = reference_orbit(pwl, x0, 0, 300, radius)
         assert res.escape_index == escape_index
         assert res.points.tobytes() == ref_pts.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-100, 1e-3, 1.0, 1e3, 1e100]),
+)
+def test_step_within_rounding_of_blas(n, seed, scale):
+    # The kernel's in-order sums and BLAS's A @ x + d each lie within
+    # (n + 1) eps (|A| |x| + |d|) of the exact row, so they differ by at most
+    # twice that; rows and one-point steps agree bit for bit.
+    rng = np.random.default_rng(seed)
+    pwl = _random_continuous_map(rng, n, 1.0)
+    X = scale * rng.standard_normal((40, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (40, 1))
+    eps = np.finfo(float).eps
+    rows = pwl.map_points(X)
+    for x, row in zip(X, rows):
+        A = pwl.A_L if pwl.side(x) == "L" else pwl.A_R
+        y = pwl(x)
+        assert row.tobytes() == y.tobytes()
+        bound = 2 * (n + 1) * eps * (np.abs(A) @ np.abs(x) + np.abs(pwl.b))
+        assert np.all(np.abs(y - (A @ x + pwl.b)) <= bound)
+
+
+def _near_plane(rng, c, offset, ulps):
+    """A random point moved onto ``c . x = offset`` along its largest
+    coordinate of ``c``, then ``ulps`` steps of one ulp off it."""
+    x = rng.standard_normal(c.size)
+    k = int(np.argmax(np.abs(c)))
+    x[k] -= (float(c @ x) - offset) / c[k]
+    for _ in range(abs(ulps)):
+        x[k] = np.nextafter(x[k], np.copysign(np.inf, ulps))
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), ulps=st.integers(-4, 4))
+def test_side_matches_itinerary_near_the_plane(n, seed, ulps):
+    # Within a few ulps of the switching plane the side test is decided by
+    # the rounding of c . x: side() must round it as the step does.
+    rng = np.random.default_rng(seed)
+    pwl = _random_continuous_map(rng, n, 1.0)
+    x = _near_plane(rng, pwl.c, 0.0, ulps)
+    left, image = reference_step(pwl.A_L, pwl.b, pwl.A_R, pwl.b, pwl.c, 0.0, x)
+    assert pwl.side(x) == orbit(pwl, x, 0, 1).itinerary[0] == ("L" if left else "R")
+    assert pwl(x).tobytes() == np.array(image).tobytes()
+    # a restricted map with a nonzero switching offset, in chart coordinates
+    m_l = rng.standard_normal((n, n))
+    normal = rng.standard_normal(n)
+    offset = float(rng.standard_normal())
+    rmap = ReducedPwlMap(
+        matrix_left=m_l,
+        offset_left=rng.standard_normal(n),
+        matrix_right=m_l + np.outer(rng.standard_normal(n), normal),
+        offset_right=rng.standard_normal(n),
+        switch_normal=normal,
+        switch_offset=offset,
+        chart=plane_chart(AffineHyperplane.from_normal_point(np.ones(n + 1), np.zeros(n + 1))),
+    )
+    xi = _near_plane(rng, normal, -offset, ulps)
+    left, image = reference_step(rmap.matrix_left, rmap.offset_left, rmap.matrix_right,
+                                 rmap.offset_right, normal, -offset, xi)
+    assert rmap.side(xi) == reduced_orbit(rmap, xi, 0, 1).itinerary[0] == ("L" if left else "R")
+    assert rmap(xi).tobytes() == np.array(image).tobytes()
 
 
 def test_orbit_huge_transient_allocates_one_chunk():

@@ -39,6 +39,7 @@ from conftest import (
     SHARED_2D,
     bcnf_argv,
     reference_detect_shared,
+    reference_step,
     shared_3d_params,
 )
 
@@ -691,16 +692,18 @@ def test_sample_induced_without_chart(flat_left_map):
 
 
 def _reference_induced(pwl, plane, x, j_max, escape_radius, tol):
-    """The one-point excursion loop that the batched sampler replaced."""
+    """The one-point excursion loop, kept as the oracle of the batched
+    sampler: ``reference_step`` and one return test per step."""
     y = np.asarray(x, dtype=float).copy()
     if not plane.contains(y, tol):
         raise ValueError("start point is not on the section")
     syms = []
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, j_max + 1):
-            sym = pwl.side(y)
+            left, image = reference_step(pwl.A_L, pwl.b, pwl.A_R, pwl.b, pwl.c, 0.0, y)
+            sym = "L" if left else "R"
             syms.append(sym)
-            y = (pwl.A_L if float(pwl.c @ y) < 0.0 else pwl.A_R) @ y + pwl.b
+            y = np.array(image)
             r = math.sqrt(y @ y)
             if r > escape_radius:
                 raise Escaped(f"excursion left |x| <= {escape_radius:g} after {j} steps")
