@@ -47,6 +47,7 @@ from .pwlmap import (
     validate_continuity,
 )
 from .reduction import (
+    _itinerary,
     classify_unit_modulus,
     detect_shared_eigenvalue,
     plane_chart,
@@ -540,6 +541,12 @@ def _grid_points(specs) -> np.ndarray:
 
 
 def _default_induced_grid(pwl, plane, chart, cfg: RunConfig) -> np.ndarray:
+    """Grid over the bounding box of the attractor's points on the section,
+    padded by 2%: 500 points in a 1-D chart, 40 per axis above.  Its size is
+    checked before the attractor is stepped."""
+    dims = pwl.n - 1
+    count = 500 if dims == 1 else 40
+    _check_grid_size(count**dims)
     cloud = attractor(pwl, default_x0(pwl), cfg.transient, cfg.keep, cfg.escape_radius)
     mask = np.abs(plane.distances(cloud.points)) <= cfg.tol * (
         1.0 + np.linalg.norm(cloud.points, axis=1)
@@ -550,8 +557,6 @@ def _default_induced_grid(pwl, plane, chart, cfg: RunConfig) -> np.ndarray:
     lo = coords.min(axis=0)
     hi = coords.max(axis=0)
     pad = 0.02 * (hi - lo) + 1e-9
-    dims = coords.shape[1]
-    count = 500 if dims == 1 else 40
     return _grid_points([(lo[d] - pad[d], hi[d] + pad[d], count) for d in range(dims)])
 
 
@@ -569,27 +574,28 @@ def cmd_induced(cfg: RunConfig, out: str | None) -> int:
         grid = _default_induced_grid(pwl, plane, chart, cfg)
     samples = sample_induced(pwl, plane, grid, chart=chart, escape_radius=cfg.escape_radius,
                              membership_tol=cfg.tol)
-    if all(s.status != "ok" for s in samples):
+    ok = (samples.status == "ok").tolist()
+    if not any(ok):
         print("error: every grid sample failed to return to the section", file=sys.stderr)
         return EXIT_DYNAMICS
-    d = pwl.n - 1
+    points = samples.points.tolist()
+    images = [image if good else None for image, good in zip(samples.images.tolist(), ok)]
+    steps = [step if good else None for step, good in zip(samples.steps.tolist(), ok)]
+    status = samples.status.tolist()
     if cfg.format == "json":
         payload = {
             "plane": _plane_dict(plane),
             "chart": {"base_point": _floats(chart.base), "basis": chart.basis.tolist()},
             "samples": [
-                {
-                    "point": _floats(s.point),
-                    "image": None if s.image is None else _floats(s.image),
-                    "return_time": s.return_time,
-                    "itinerary": None if s.itinerary is None else list(s.itinerary),
-                    "status": s.status,
-                }
-                for s in samples
+                {"point": point, "image": image, "return_time": step,
+                 "itinerary": list(_itinerary(step, left)) if good else None, "status": code}
+                for point, image, step, left, good, code in zip(
+                    points, images, steps, samples.last_left.tolist(), ok, status)
             ],
         }
         _emit_json(payload, out)
         return EXIT_OK
+    d = pwl.n - 1
     header = (
         [f"in{i + 1}" for i in range(d)]
         + [f"out{i + 1}" for i in range(d)]
@@ -597,9 +603,8 @@ def cmd_induced(cfg: RunConfig, out: str | None) -> int:
     )
     failed = [None] * d
     rows = [
-        [*s.point.tolist(), *(failed if s.image is None else s.image.tolist()),
-         s.return_time, s.status]
-        for s in samples
+        [*point, *(failed if image is None else image), step, code]
+        for point, image, step, code in zip(points, images, steps, status)
     ]
     _emit_csv(header, rows, out)
     return EXIT_OK

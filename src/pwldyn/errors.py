@@ -1,5 +1,25 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DynamicsError",
+    "EmptyCloud",
+    "Escaped",
+    "HypothesisViolated",
+    "IllConditioned",
+    "MultipleZero",
+    "NoFixedPoint",
+    "NoReturn",
+    "NonFinite",
+    "NonTransversal",
+    "NotContinuous",
+    "NotSingular",
+    "PwldynError",
+    "ReductionError",
+    "SingularMatrix",
+    "UnsupportedDimension",
+    "ZeroNormal",
+]
+
 
 class PwldynError(Exception):
     """Base class for all package-specific errors."""

@@ -11,6 +11,8 @@ boundary-crossing type.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,6 +53,7 @@ __all__ = [
     "Chart",
     "InducedMapResult",
     "InducedSample",
+    "InducedSamples",
     "ReducedPwlMap",
     "SharedEigReduction",
     "UnitModulusReport",
@@ -427,9 +430,9 @@ def _on_plane(plane: AffineHyperplane, Y: np.ndarray, r: np.ndarray, tol: float)
 def _first_returns(pwl, plane, X, j_max, escape_radius, membership_tol):
     """First return to ``plane`` of every row of ``X``, stepped together.
 
-    Returns the outcome code, ambient image, return time and last piece
-    (True for left) of each row; a row still running after ``j_max`` steps
-    keeps the code ``_RUNNING``.  A step by the left piece returns at once,
+    Returns the outcome code, ambient image, the step it finished at and
+    the piece of that step (True for left) of each row; a row still running
+    after ``j_max`` steps keeps the code ``_RUNNING`` and step 0.  A step by the left piece returns at once,
     because the plane is that piece's range; any other step returns when
     ``|normal . y - offset| <= tol (1 + |y|)``.  Escape and a non-finite
     image are tested before the return.  Rows step together in the columnar
@@ -511,6 +514,49 @@ class InducedSample:
     status: str  # "ok" | "no_return" | "escaped" | "non_finite"
 
 
+@dataclass(frozen=True, eq=False)
+class InducedSamples(Sequence):
+    """Outcomes of ``sample_induced``, one read-only column per field.
+
+    ``points`` and ``images`` are ``(P, d)`` chart coordinates, an image row
+    NaN wherever the sample did not return; ``steps`` is the step at which
+    each sample finished (0 while still running at ``j_max``), ``last_left``
+    whether that step was taken by the left piece, and ``status`` the
+    outcome ("ok", "no_return", "escaped" or "non_finite").  Counters are
+    reductions over these columns.  As a sequence it gives one
+    ``InducedSample`` per grid point, built when it is read.
+    """
+
+    points: np.ndarray
+    images: np.ndarray
+    steps: np.ndarray
+    last_left: np.ndarray
+    status: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.status)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self._views(i))
+        i = operator.index(i)
+        if not -len(self) <= i < len(self):
+            raise IndexError("induced sample index out of range")
+        return next(self._views(slice(i, i + 1 or None)))
+
+    def __iter__(self):
+        return self._views(slice(None))
+
+    def _views(self, rows: slice):
+        for point, image, step, left, status in zip(
+                self.points[rows], self.images[rows], self.steps[rows].tolist(),
+                self.last_left[rows].tolist(), self.status[rows].tolist()):
+            if status == "ok":
+                yield InducedSample(point, image, step, _itinerary(step, left), status)
+            else:
+                yield InducedSample(point, None, None, None, status)
+
+
 def sample_induced(
     pwl: PwlMap,
     plane: AffineHyperplane,
@@ -519,13 +565,15 @@ def sample_induced(
     j_max: int = J_MAX,
     escape_radius: float = ESCAPE_RADIUS,
     membership_tol: float = MEMBERSHIP_TOL,
-) -> list[InducedSample]:
+) -> InducedSamples:
     """Evaluate the induced return map on chart-coordinate grid points.
 
     All points are stepped together in the columnar layout of the step, as
     elementwise operations over the points, so each sample is bit-identical
     to ``induced_map`` on its lifted point.  Failures are recorded per
-    sample instead of aborting the sweep.
+    sample instead of aborting the sweep.  The result holds the outcome
+    columns as they come out of the stepping; its per-sample
+    ``InducedSample`` views are built only when read.
     """
     if chart is None:
         chart = plane_chart(plane)
@@ -534,19 +582,16 @@ def sample_induced(
         pts = pts[:, None]
     if pts.shape[1] != pwl.n - 1:
         raise ValueError(f"grid points must have {pwl.n - 1} chart coordinates")
-    status, images, times, last_left = _first_returns(
+    status, images, steps, last_left = _first_returns(
         pwl, plane, chart.lift_many(pts), j_max, escape_radius, membership_tol
     )
     ok = status == _OK
-    proj = np.empty(pts.shape)
+    proj = np.full(pts.shape, np.nan)
     proj[ok] = chart.project_many(images[ok])
-    return [
-        InducedSample(pts[i], proj[i], j, _itinerary(j, left), "ok")
-        if code == _OK
-        else InducedSample(pts[i], None, None, None, _STATUSES[code])
-        for i, (code, j, left) in enumerate(zip(status.tolist(), times.tolist(),
-                                                last_left.tolist()))
-    ]
+    columns = (pts, proj, steps, last_left, np.array(_STATUSES)[status])
+    for column in columns:
+        column.flags.writeable = False
+    return InducedSamples(*columns)
 
 
 # ---------------------------------------------------------------------------

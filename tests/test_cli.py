@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 try:
     import resource
@@ -16,7 +17,7 @@ except ImportError:  # not on Windows
 import numpy as np
 import pytest
 
-from pwldyn import bcnf
+from pwldyn import bcnf, cli
 from pwldyn.cli import main
 
 from conftest import SHARED_2D, shared_3d_params
@@ -352,6 +353,14 @@ def test_induced_escape_radius_marks_escapes(capsys):
     assert all(s["image"] is None for s in payload["samples"][2:])
 
 
+def test_induced_every_sample_failed(capsys):
+    code = main(["induced", *FLAT, "--grid=-1:1:5", "--escape-radius", "1e-3"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: every grid sample failed to return to the section\n"
+
+
 BAD_SETTINGS = [("--tol", v) for v in ("nan", "0", "-1", "inf")] + [
     ("--escape-radius", v) for v in ("nan", "0", "-1")
 ]
@@ -401,6 +410,32 @@ def test_huge_grid_rejected_before_allocating(capsys, argv):
     assert code == 2
     assert err.count("\n") == 1 and "more than the limit" in err
     assert peak < 10**6
+
+
+def _singular_left_map_file(path: Path, n: int, seed: int) -> None:
+    """A random continuous map whose left piece has a zero column."""
+    rng = np.random.default_rng(seed)
+    a_l = rng.uniform(-1.0, 1.0, (n, n))
+    a_l[:, 0] = 0.0
+    b, c = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+    a_r = a_l + np.outer(rng.uniform(-1.0, 1.0, n), c)
+    rows = [*a_l, *a_r, b, c]
+    path.write_text(f"{n}\n" + "".join(" ".join(repr(float(x)) for x in row) + "\n"
+                                       for row in rows))
+
+
+def test_default_induced_grid_size_checked_before_stepping(tmp_path, capsys):
+    # n = 5 gives a 4-D chart, whose default grid has 40^4 = 2.56e6 samples
+    path = tmp_path / "map.txt"
+    _singular_left_map_file(path, 5, seed=3)
+    with mock.patch.object(cli, "attractor") as attractor, \
+            mock.patch.object(cli, "sample_induced") as sampler:
+        code = main(["induced", "--matrix-file", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: grid has {40**4} samples, more than the limit {cli.MAX_GRID_SAMPLES}\n"
+    attractor.assert_not_called()
+    sampler.assert_not_called()
 
 
 @pytest.mark.parametrize("grid", ["nan:1:5", "0:inf:5", "-inf:0:5"])

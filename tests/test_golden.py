@@ -1,9 +1,11 @@
-"""``pwldyn analyze`` output, byte for byte.
+"""``pwldyn analyze`` and ``pwldyn induced`` output, byte for byte.
 
 The files under ``golden/`` hold the JSON that ``pwldyn analyze`` wrote for
-five reference maps before the spectrum memo of ``linalg.real_eigen``, so a
-change that moves any printed digit fails here.  They pin one NumPy build:
-another build may round a last digit of ``cos`` or LAPACK differently.
+five reference maps before the spectrum memo of ``linalg.real_eigen``, and
+the CSV and JSON that ``pwldyn induced`` wrote for the two singular-left
+normal forms before the induced sampler returned columns, so a change that
+moves any printed digit fails here.  They pin one NumPy build: another build
+may round a last digit of ``cos`` or LAPACK differently.
 """
 from __future__ import annotations
 
@@ -48,3 +50,24 @@ def test_analyze_bytes_match_golden(tmp_path, name):
     out = tmp_path / "analyze.json"
     assert main(["analyze", *_argv(name, tmp_path), "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"analyze_{name}.json").read_bytes()
+
+
+# The default grid of a short attractor in a 1-D chart, and explicit grids
+# with a small escape radius, so rows without a return are pinned too.
+INDUCED = {
+    "flat_left_2d.csv": (FLAT_LEFT_2D, ["--transient", "100", "--keep", "300"]),
+    "flat_left_2d.json": (FLAT_LEFT_2D, ["--grid=-5:2:25", "--escape-radius", "3",
+                                         "--format", "json"]),
+    "flat_left_3d.csv": (FLAT_LEFT_3D, ["--grid=3.5:14.5:14,-0.5:14.5:14",
+                                        "--escape-radius", "20"]),
+    "flat_left_3d.json": (FLAT_LEFT_3D, ["--grid=0:12:5,0:12:5", "--escape-radius", "15",
+                                         "--format", "json"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INDUCED))
+def test_induced_bytes_match_golden(tmp_path, name):
+    params, options = INDUCED[name]
+    out = tmp_path / name
+    assert main(["induced", *bcnf_argv(params), *options, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"induced_{name}").read_bytes()

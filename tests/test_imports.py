@@ -1,12 +1,16 @@
 """Every module-level import of the package is used or re-exported, every
-module-level private name is referenced somewhere in the package, and no
-module imports SciPy."""
+module-level private name is referenced somewhere in the package, every
+public name of a library module is exported by the package, and no module
+imports SciPy."""
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import pwldyn
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pwldyn"
 
@@ -115,3 +119,23 @@ def test_guard_sees_a_scipy_import():
               "from .scipy_like import g\n"
               "import scipyx\n")
     assert scipy_imports(source) == ["scipy.spatial (line 3)", "scipy.linalg (line 4)"]
+
+
+# The command-line front end is the program, not library API: the package
+# does not import it, so ``import pwldyn`` loads no argparse.
+LIBRARY_MODULES = sorted(p.stem for p in PACKAGE.glob("*.py")
+                         if p.stem not in ("__init__", "__main__", "cli"))
+
+
+@pytest.mark.parametrize("module", LIBRARY_MODULES)
+def test_public_names_are_exported_by_the_package(module):
+    mod = importlib.import_module(f"pwldyn.{module}")
+    assert sorted(set(mod.__all__) - set(pwldyn.__all__)) == []
+    for name in mod.__all__:
+        assert getattr(pwldyn, name) is getattr(mod, name)
+
+
+def test_package_names_resolve():
+    assert len(set(pwldyn.__all__)) == len(pwldyn.__all__)
+    for name in pwldyn.__all__:
+        getattr(pwldyn, name)

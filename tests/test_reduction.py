@@ -13,6 +13,8 @@ from pwldyn import (
     BcnfParams,
     Escaped,
     HypothesisViolated,
+    InducedSample,
+    InducedSamples,
     MultipleZero,
     NoFixedPoint,
     NonFinite,
@@ -683,6 +685,70 @@ def test_sample_induced(flat_left_map):
     assert "no_return" in statuses
 
 
+def _mixed_samples(flat_left_map):
+    """Induced samples on the flat 2-D map whose statuses are ok, escaped and
+    no_return."""
+    plane = zero_eig_reduction(flat_left_map)
+    grid = np.linspace(-5.0, 1.0, 21)
+    samples = sample_induced(flat_left_map, plane, grid, j_max=2, escape_radius=4.0)
+    assert {"ok", "escaped", "no_return"} <= set(samples.status.tolist())
+    return samples
+
+
+def _same_sample(a, b) -> bool:
+    def key(s):
+        image = None if s.image is None else s.image.tobytes()
+        return s.point.tobytes(), image, s.return_time, s.itinerary, s.status
+    return key(a) == key(b)
+
+
+def test_induced_samples_sequence_protocol(flat_left_map):
+    samples = _mixed_samples(flat_left_map)
+    assert isinstance(samples, InducedSamples)
+    assert len(samples) == 21
+    items = list(samples)
+    assert len(items) == 21
+    assert all(type(s) is InducedSample for s in items)
+    for i, s in enumerate(items):
+        assert _same_sample(samples[i], s)
+        assert _same_sample(samples[i - 21], s)
+    sliced = samples[3:17:4]
+    assert isinstance(sliced, list) and len(sliced) == 4
+    assert all(_same_sample(a, b) for a, b in zip(sliced, items[3:17:4]))
+    assert samples[30:] == []
+    for i in (21, -22):
+        with pytest.raises(IndexError):
+            samples[i]
+    # the views have Python fields, as the list of samples had
+    for s in items:
+        assert type(s.status) is str
+        assert s.return_time is None or type(s.return_time) is int
+
+
+def test_induced_samples_columns_are_read_only(flat_left_map):
+    samples = _mixed_samples(flat_left_map)
+    for name in ("points", "images", "steps", "last_left", "status"):
+        column = getattr(samples, name)
+        assert len(column) == 21
+        assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = column[1]
+    assert not samples[0].point.flags.writeable
+
+
+def test_induced_samples_columns_agree_with_views(flat_left_map):
+    samples = _mixed_samples(flat_left_map)
+    ok = samples.status == "ok"
+    assert np.array_equal(np.isnan(samples.images).any(axis=1), ~ok)
+    assert np.array_equal(np.isnan(samples.images).all(axis=1), ~ok)
+    views = list(samples)
+    for code in ("ok", "escaped", "no_return", "non_finite"):
+        assert int(np.count_nonzero(samples.status == code)) == sum(
+            s.status == code for s in views)
+    assert int(samples.steps[ok].sum()) == sum(s.return_time for s in views if s.status == "ok")
+    assert np.all(samples.steps[samples.status == "no_return"] == 0)
+
+
 def test_sample_induced_without_chart(flat_left_map):
     plane = zero_eig_reduction(flat_left_map)
     samples = sample_induced(flat_left_map, plane, np.linspace(-1.0, 1.0, 11))
@@ -691,9 +757,11 @@ def test_sample_induced_without_chart(flat_left_map):
     assert samples[0].image.shape == (1,)
 
 
-def _reference_induced(pwl, plane, x, j_max, escape_radius, tol):
+def _reference_excursion(pwl, plane, x, j_max, escape_radius, tol):
     """The one-point excursion loop, kept as the oracle of the batched
-    sampler: ``reference_step`` and one return test per step."""
+    sampler: ``reference_step`` and one return test per step.  Returns the
+    outcome, the last iterate, the step it ended at (0 when it ran out) and
+    the symbols taken."""
     y = np.asarray(x, dtype=float).copy()
     if not plane.contains(y, tol):
         raise ValueError("start point is not on the section")
@@ -706,25 +774,38 @@ def _reference_induced(pwl, plane, x, j_max, escape_radius, tol):
             y = np.array(image)
             r = math.sqrt(y @ y)
             if r > escape_radius:
-                raise Escaped(f"excursion left |x| <= {escape_radius:g} after {j} steps")
+                return "escaped", y, j, tuple(syms)
             if not math.isfinite(r):
-                raise NonFinite(f"excursion iterate {j} is not finite")
+                return "non_finite", y, j, tuple(syms)
             if sym == "L" or plane.contains(y, tol):
-                return y, j, tuple(syms)
-    raise NoReturn(f"no return to the section within {j_max} iterations")
+                return "ok", y, j, tuple(syms)
+    return "no_return", y, 0, tuple(syms)
+
+
+def _reference_induced(pwl, plane, x, j_max, escape_radius, tol):
+    status, y, j, syms = _reference_excursion(pwl, plane, x, j_max, escape_radius, tol)
+    if status == "escaped":
+        raise Escaped(f"excursion left |x| <= {escape_radius:g} after {j} steps")
+    if status == "non_finite":
+        raise NonFinite(f"excursion iterate {j} is not finite")
+    if status == "no_return":
+        raise NoReturn(f"no return to the section within {j_max} iterations")
+    return y, j, syms
 
 
 def _reference_samples(pwl, plane, chart, grid, j_max, escape_radius, tol):
+    """Per grid point ``(xi, image, return_time, itinerary, status, step,
+    last_left)``: the first five as the sample view gives them, the last two
+    as the columns hold them."""
     out = []
     for xi in grid:
-        try:
-            y, j, syms = _reference_induced(pwl, plane, chart.lift(xi), j_max,
-                                            escape_radius, tol)
-        except (NoReturn, Escaped, NonFinite) as exc:
-            status = {NoReturn: "no_return", Escaped: "escaped", NonFinite: "non_finite"}
-            out.append((xi, None, None, None, status[type(exc)]))
+        status, y, j, syms = _reference_excursion(pwl, plane, chart.lift(xi), j_max,
+                                                  escape_radius, tol)
+        last_left = status != "no_return" and syms[-1] == "L"
+        if status == "ok":
+            out.append((xi, chart.project(y), j, syms, status, j, last_left))
         else:
-            out.append((xi, chart.project(y), j, syms, "ok"))
+            out.append((xi, None, None, None, status, j, last_left))
     return out
 
 
@@ -759,7 +840,7 @@ def test_sample_induced_matches_reference_loop(n, seed, count, j_max, escape_rad
         got = sample_induced(pwl, plane, grid, chart=chart, j_max=j_max,
                              escape_radius=escape_radius, membership_tol=tol)
     assert len(got) == count
-    for s, (xi, image, j, syms, status) in zip(got, ref):
+    for s, (xi, image, j, syms, status, _, _) in zip(got, ref):
         assert s.point.tobytes() == xi.tobytes()
         assert s.status == status
         assert s.return_time == j
@@ -769,6 +850,15 @@ def test_sample_induced_matches_reference_loop(n, seed, count, j_max, escape_rad
         else:
             assert s.image.shape == image.shape
             assert s.image.tobytes() == image.tobytes()
+    # the columns themselves
+    assert got.points.shape == got.images.shape == (count, n - 1)
+    assert got.points.tobytes() == grid.tobytes()
+    assert got.status.tolist() == [r[4] for r in ref]
+    assert got.steps.tolist() == [r[5] for r in ref]
+    assert got.last_left.tolist() == [r[6] for r in ref]
+    nan_row = np.full(n - 1, np.nan).tobytes()
+    for row, r in zip(got.images, ref):
+        assert row.tobytes() == (nan_row if r[1] is None else r[1].tobytes())
 
 
 def test_induced_map_matches_reference_loop(flat_left_map):
