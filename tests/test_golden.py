@@ -1,9 +1,11 @@
-"""``pwldyn analyze`` and ``pwldyn induced`` output, byte for byte.
+"""``pwldyn`` output of every subcommand, byte for byte.
 
 The files under ``golden/`` hold the JSON that ``pwldyn analyze`` wrote for
-five reference maps before the spectrum memo of ``linalg.real_eigen``, and
-the CSV and JSON that ``pwldyn induced`` wrote for the two singular-left
-normal forms before the induced sampler returned columns, so a change that
+five reference maps before the spectrum memo of ``linalg.real_eigen``, the
+CSV and JSON that ``pwldyn induced`` wrote for the two singular-left normal
+forms before the induced sampler returned columns, and the output of
+``orbit``, ``portrait``, ``restrict`` and ``scan`` on the reference maps
+from before the package stated its public names once, so a change that
 moves any printed digit fails here.  They pin one NumPy build: another build
 may round a last digit of ``cos`` or LAPACK differently.
 """
@@ -71,3 +73,38 @@ def test_induced_bytes_match_golden(tmp_path, name):
     out = tmp_path / name
     assert main(["induced", *bcnf_argv(params), *options, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"induced_{name}").read_bytes()
+
+
+SHORT = ["--transient", "100", "--keep", "100"]
+MAPS = {"shared_2d": SHARED_2D, "shared_3d": shared_3d_params(),
+        "flat_left_2d": FLAT_LEFT_2D, "flat_left_3d": FLAT_LEFT_3D}
+
+# Short orbits of every reference map; an explicit start, a cobweb on the
+# default grid (CSV) and on an explicit one (JSON); scans through the shared
+# value, an escape after some kept points and one in the transient (CSV), and
+# through orbits that overflow to NaN under an infinite escape radius (JSON).
+ORBITS = {
+    **{f"{cmd}_{name}.csv": (cmd, MAPS[name], SHORT)
+       for cmd in ("orbit", "portrait") for name in MAPS},
+    "portrait_flat_left_3d_x0.csv": ("portrait", FLAT_LEFT_3D, [*SHORT, "--x0", "0.1,0.2,-0.1"]),
+    "restrict_shared_2d.csv": ("restrict", SHARED_2D, [*SHORT, "--format", "csv"]),
+    "restrict_shared_2d.json": ("restrict", SHARED_2D, [*SHORT, "--x0", "0.3,-0.2",
+                                                        "--grid=-1:1.5:11"]),
+    "restrict_shared_3d.csv": ("restrict", MAPS["shared_3d"], [*SHORT, "--format", "csv"]),
+    "scan_shared_2d.csv": ("scan", SHARED_2D, [*SHORT, "--param", "tl",
+                                               "--values=2.2,2.0,3.5,-3",
+                                               "--escape-radius", "1e20"]),
+    "scan_flat_left_3d.json": ("scan", FLAT_LEFT_3D, [*SHORT, "--param", "dr",
+                                                      "--values=0,1,1e10,0.5",
+                                                      "--escape-radius", "inf",
+                                                      "--x0", "0.1,0.2,-0.1",
+                                                      "--format", "json"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBITS))
+def test_orbit_commands_bytes_match_golden(tmp_path, name):
+    command, params, options = ORBITS[name]
+    out = tmp_path / name
+    assert main([command, *bcnf_argv(params), *options, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
