@@ -3,148 +3,18 @@
 The package builds two-piece piecewise-linear maps on R^n, detects when the
 two pieces share an eigenvalue, restricts the dynamics to the resulting
 invariant plane, constructs the induced return map when one piece is
-singular, and classifies eigenvalues on the unit circle.
+singular, and classifies eigenvalues on the unit circle.  Its public names
+are those of its library modules, each listed once in the module's
+``__all__``.
 """
-from __future__ import annotations
-
-from .analysis import (
-    AttractorCloud,
-    ScanResult,
-    attractor,
-    default_x0,
-    hausdorff,
-    scan,
-)
-from .errors import (
-    DynamicsError,
-    EmptyCloud,
-    Escaped,
-    HypothesisViolated,
-    IllConditioned,
-    MultipleZero,
-    NoFixedPoint,
-    NonFinite,
-    NonTransversal,
-    NoReturn,
-    NotContinuous,
-    NotSingular,
-    PwldynError,
-    ReductionError,
-    SingularMatrix,
-    UnsupportedDimension,
-    ZeroNormal,
-)
-from .linalg import (
-    CLUSTER_RTOL,
-    DEFECTIVE_S,
-    DEFECTIVE_SPLIT,
-    ComplexPair,
-    EigenTriple,
-    Spectrum,
-    adjugate,
-    determinant,
-    hyperplane_basis,
-    matrix_det_lemma_check,
-    real_eigen,
-    solve,
-)
-from .pwlmap import (
-    ESCAPE_RADIUS,
-    LEFT,
-    RIGHT,
-    BcnfParams,
-    FixedPointInfo,
-    FixedPoints,
-    OrbitData,
-    PwlMap,
-    bcnf,
-    fixed_points,
-    orbit,
-    validate_continuity,
-)
-from .reduction import (
-    AffineHyperplane,
-    Chart,
-    InducedMapResult,
-    InducedSample,
-    InducedSamples,
-    ReducedPwlMap,
-    SharedEigReduction,
-    UnitModulusReport,
-    classify_unit_modulus,
-    detect_shared_eigenvalue,
-    induced_map,
-    plane_chart,
-    reduced_orbit,
-    restrict_to_manifold,
-    sample_induced,
-    zero_eig_reduction,
-)
+from . import analysis, errors, linalg, pwlmap, reduction
+from .analysis import *
+from .errors import *
+from .linalg import *
+from .pwlmap import *
+from .reduction import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CLUSTER_RTOL",
-    "DEFECTIVE_S",
-    "DEFECTIVE_SPLIT",
-    "ESCAPE_RADIUS",
-    "LEFT",
-    "RIGHT",
-    "AffineHyperplane",
-    "AttractorCloud",
-    "BcnfParams",
-    "Chart",
-    "ComplexPair",
-    "DynamicsError",
-    "EigenTriple",
-    "EmptyCloud",
-    "Escaped",
-    "FixedPointInfo",
-    "FixedPoints",
-    "HypothesisViolated",
-    "IllConditioned",
-    "InducedMapResult",
-    "InducedSample",
-    "InducedSamples",
-    "MultipleZero",
-    "NoFixedPoint",
-    "NonFinite",
-    "NonTransversal",
-    "NoReturn",
-    "NotContinuous",
-    "NotSingular",
-    "OrbitData",
-    "PwlMap",
-    "PwldynError",
-    "ReducedPwlMap",
-    "ReductionError",
-    "ScanResult",
-    "SharedEigReduction",
-    "SingularMatrix",
-    "Spectrum",
-    "UnitModulusReport",
-    "UnsupportedDimension",
-    "ZeroNormal",
-    "adjugate",
-    "attractor",
-    "bcnf",
-    "classify_unit_modulus",
-    "default_x0",
-    "detect_shared_eigenvalue",
-    "determinant",
-    "fixed_points",
-    "hausdorff",
-    "hyperplane_basis",
-    "induced_map",
-    "matrix_det_lemma_check",
-    "orbit",
-    "plane_chart",
-    "real_eigen",
-    "reduced_orbit",
-    "restrict_to_manifold",
-    "sample_induced",
-    "scan",
-    "solve",
-    "validate_continuity",
-    "zero_eig_reduction",
-]
+__all__ = [*analysis.__all__, *errors.__all__, *linalg.__all__, *pwlmap.__all__,
+           *reduction.__all__]

@@ -8,10 +8,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EmptyCloud, NonFinite
-from .pwlmap import ESCAPE_RADIUS, BcnfParams, PwlMap, bcnf, orbit
+from .pwlmap import ESCAPE_RADIUS, BcnfParams, OrbitData, PwlMap, bcnf, orbit
 
 __all__ = [
-    "AttractorCloud",
     "ScanResult",
     "attractor",
     "default_x0",
@@ -25,41 +24,15 @@ __all__ = [
 X0_OFFSET = 1e-3
 
 
-@dataclass(frozen=True)
-class AttractorCloud:
-    """Post-transient orbit samples plus the settings that generated them."""
-
-    points: np.ndarray
-    escaped: bool
-    escape_index: int | None
-    x0: np.ndarray
-    n_transient: int
-    n_keep: int
-
-
 def default_x0(pwl: PwlMap) -> np.ndarray:
     x0 = pwl.b.copy()
     x0[1 if pwl.n > 1 else 0] += X0_OFFSET
     return x0
 
 
-def attractor(
-    pwl: PwlMap,
-    x0,
-    n_transient: int = 1000,
-    n_keep: int = 3000,
-    escape_radius: float = ESCAPE_RADIUS,
-) -> AttractorCloud:
-    """Sample the attractor reached from ``x0``; empty only when the orbit escapes."""
-    orb = orbit(pwl, x0, n_transient, n_keep, escape_radius)
-    return AttractorCloud(
-        points=orb.points,
-        escaped=orb.escaped,
-        escape_index=orb.escape_index,
-        x0=np.asarray(x0, dtype=float),
-        n_transient=n_transient,
-        n_keep=n_keep,
-    )
+# A sample of the attractor reached from ``x0`` is the orbit after its
+# transient, empty only when the orbit escapes.
+attractor = orbit
 
 
 def _cloud_points(obj) -> np.ndarray:
@@ -266,12 +239,12 @@ def hausdorff(a, b) -> float:
     return math.sqrt(_hausdorff_sq(_Indexed(A), _Indexed(B)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanResult:
     parameter: str
     values: tuple[float, ...]
     maps: tuple[PwlMap, ...]
-    clouds: tuple[AttractorCloud | None, ...]
+    clouds: tuple[OrbitData | None, ...]
     consecutive_hausdorff: tuple[float, ...]
     errors: tuple[str | None, ...]
 
@@ -287,23 +260,24 @@ def scan(
 ) -> ScanResult:
     """Attractor clouds along a one-parameter family of normal-form maps.
 
-    One cloud per value: ``attractor`` on each value alone.  A failed orbit
-    (non-finite iterate) is recorded as an error string with a None cloud
-    instead of aborting the scan.  The consecutive Hausdorff column is
-    ``hausdorff`` of neighbouring clouds, each cloud indexed once for both of
-    its neighbours, and gets NaN wherever either neighbour is empty.
+    One cloud per value: the ``OrbitData`` of ``orbit`` on each value alone.
+    A failed orbit (non-finite iterate) is recorded as an error string with
+    a None cloud instead of aborting the scan.  The consecutive Hausdorff
+    column is ``hausdorff`` of neighbouring clouds, each cloud indexed once
+    for both of its neighbours, and gets NaN wherever either neighbour is
+    empty.
     """
     allowed = {"tl", "dl", "tr", "dr"} | ({"sl", "sr"} if base.dim == 3 else set())
     if parameter not in allowed:
         raise ValueError(f"unknown scan parameter {parameter!r} for dimension {base.dim}")
     vals = tuple(float(v) for v in values)
     maps = tuple(bcnf(replace(base, **{parameter: v})) for v in vals)
-    clouds: list[AttractorCloud | None] = []
+    clouds: list[OrbitData | None] = []
     errors: list[str | None] = []
     for pwl in maps:
         start = default_x0(pwl) if x0 is None else x0
         try:
-            clouds.append(attractor(pwl, start, n_transient, n_keep, escape_radius))
+            clouds.append(orbit(pwl, start, n_transient, n_keep, escape_radius))
             errors.append(None)
         except NonFinite as exc:
             clouds.append(None)

@@ -290,10 +290,6 @@ def _emit_csv(header: list[str], rows: list, out: str | None) -> None:
     _write_text(buf.getvalue(), out)
 
 
-def _floats(arr) -> list:
-    return [float(v) for v in np.asarray(arr).ravel()]
-
-
 # ---------------------------------------------------------------------------
 # report builders
 
@@ -305,8 +301,8 @@ def _spectrum_dict(spec: Spectrum) -> dict:
                 "value": t.value,
                 "multiplicity": t.multiplicity,
                 "canonical": t.canonical,
-                "left": _floats(t.left),
-                "right": _floats(t.right),
+                "left": t.left.tolist(),
+                "right": t.right.tolist(),
             }
             for t in spec.real
         ],
@@ -326,7 +322,7 @@ def _fixed_point_dict(info) -> dict:
     if info.point is None:
         return {"point": None, "admissible": None, "borderline": False, "reason": info.reason}
     return {
-        "point": _floats(info.point),
+        "point": info.point.tolist(),
         "admissible": info.admissible,
         "borderline": info.borderline,
     }
@@ -334,8 +330,8 @@ def _fixed_point_dict(info) -> dict:
 
 def _plane_dict(plane) -> dict:
     return {
-        "normal": _floats(plane.normal),
-        "base_point": _floats(plane.base_point),
+        "normal": plane.normal.tolist(),
+        "base_point": plane.base_point.tolist(),
         "offset": plane.offset,
     }
 
@@ -344,13 +340,13 @@ def _restricted_dict(rmap) -> dict:
     payload = {
         "dimension": rmap.dimension,
         "matrix_left": rmap.matrix_left.tolist(),
-        "offset_left": _floats(rmap.offset_left),
+        "offset_left": rmap.offset_left.tolist(),
         "matrix_right": rmap.matrix_right.tolist(),
-        "offset_right": _floats(rmap.offset_right),
-        "switch_normal": _floats(rmap.switch_normal),
+        "offset_right": rmap.offset_right.tolist(),
+        "switch_normal": rmap.switch_normal.tolist(),
         "switch_offset": rmap.switch_offset,
         "chart": {
-            "base_point": _floats(rmap.chart.base),
+            "base_point": rmap.chart.base.tolist(),
             "basis": rmap.chart.basis.tolist(),
         },
     }
@@ -363,8 +359,8 @@ def _shared_dict(red) -> dict:
     return {
         "value": red.value,
         "other_shared": list(red.other_shared),
-        "left_eigenvector": _floats(red.left),
-        "right_eigenvector": _floats(red.right),
+        "left_eigenvector": red.left.tolist(),
+        "right_eigenvector": red.right.tolist(),
         "offset": red.offset,
         "manifold": _plane_dict(red.manifold),
         "transversal": red.transversal,
@@ -383,12 +379,12 @@ def cmd_analyze(cfg: RunConfig, out: str | None) -> int:
             "n": pwl.n,
             "A_L": pwl.A_L.tolist(),
             "A_R": pwl.A_R.tolist(),
-            "b": _floats(pwl.b),
-            "c": _floats(pwl.c),
+            "b": pwl.b.tolist(),
+            "c": pwl.c.tolist(),
         }
     }
     try:
-        report["continuity"] = {"p": _floats(validate_continuity(pwl))}
+        report["continuity"] = {"p": validate_continuity(pwl).tolist()}
     except NotContinuous as exc:
         report["continuity"] = {"error": f"NotContinuous: {exc}"}
     report["eigenvalues"] = {
@@ -426,9 +422,14 @@ def cmd_analyze(cfg: RunConfig, out: str | None) -> int:
     return EXIT_OK
 
 
+def _x0(cfg: RunConfig, pwl: PwlMap) -> np.ndarray | tuple[float, ...]:
+    """The start ``--x0``, else the default start of ``pwl``."""
+    return default_x0(pwl) if cfg.x0 is None else cfg.x0
+
+
 def cmd_orbit(cfg: RunConfig, out: str | None, portrait: bool) -> int:
     pwl = build_map(cfg)
-    x0 = np.asarray(cfg.x0, dtype=float) if cfg.x0 is not None else default_x0(pwl)
+    x0 = _x0(cfg, pwl)
     if portrait:
         orb = orbit(pwl, x0, cfg.transient, cfg.keep, cfg.escape_radius)
     else:
@@ -475,13 +476,10 @@ def cmd_restrict(cfg: RunConfig, out: str | None) -> int:
     rmap = restrict_to_manifold(red)
     if grid is not None and rmap.dimension != 1:
         raise ValueError(f"--grid needs a one-dimensional restriction, not {rmap.dimension}-D")
-    x0 = np.asarray(cfg.x0, dtype=float) if cfg.x0 is not None else default_x0(pwl)
-    orb = reduced_orbit(rmap, rmap.chart.project(x0), cfg.transient, cfg.keep, cfg.escape_radius)
+    orb = reduced_orbit(rmap, rmap.chart.project(_x0(cfg, pwl)), cfg.transient, cfg.keep,
+                        cfg.escape_radius)
     if grid is None and rmap.dimension == 1 and orb.points.shape[0] > 0:
-        lo = float(orb.points.min())
-        hi = float(orb.points.max())
-        pad = 0.05 * (hi - lo) + 1e-9
-        grid = _grid_points([(lo - pad, hi + pad, 512)])
+        grid = _box_grid(orb.points, 0.05, 512)
     cobweb = None
     if grid is not None:
         cobweb = {"x": grid[:, 0].tolist(), "fx": rmap(grid)[:, 0].tolist()}
@@ -540,6 +538,14 @@ def _grid_points(specs) -> np.ndarray:
     return np.column_stack([m.ravel() for m in mesh])
 
 
+def _box_grid(coords: np.ndarray, pad: float, count: int) -> np.ndarray:
+    """Grid of ``count`` points per axis over the bounding box of the rows of
+    ``coords``, widened on each side by ``pad`` times its width plus 1e-9."""
+    lo, hi = coords.min(axis=0), coords.max(axis=0)
+    margin = pad * (hi - lo) + 1e-9
+    return _grid_points([(a, b, count) for a, b in zip(lo - margin, hi + margin)])
+
+
 def _default_induced_grid(pwl, plane, chart, cfg: RunConfig) -> np.ndarray:
     """Grid over the bounding box of the attractor's points on the section,
     padded by 2%: 500 points in a 1-D chart, 40 per axis above.  Its size is
@@ -553,11 +559,7 @@ def _default_induced_grid(pwl, plane, chart, cfg: RunConfig) -> np.ndarray:
     )
     if not np.any(mask):
         raise NoReturn("the sampled attractor never visits the section; give --grid explicitly")
-    coords = chart.project_many(cloud.points[mask])
-    lo = coords.min(axis=0)
-    hi = coords.max(axis=0)
-    pad = 0.02 * (hi - lo) + 1e-9
-    return _grid_points([(lo[d] - pad[d], hi[d] + pad[d], count) for d in range(dims)])
+    return _box_grid(chart.project_many(cloud.points[mask]), 0.02, count)
 
 
 def cmd_induced(cfg: RunConfig, out: str | None) -> int:
@@ -585,7 +587,7 @@ def cmd_induced(cfg: RunConfig, out: str | None) -> int:
     if cfg.format == "json":
         payload = {
             "plane": _plane_dict(plane),
-            "chart": {"base_point": _floats(chart.base), "basis": chart.basis.tolist()},
+            "chart": {"base_point": chart.base.tolist(), "basis": chart.basis.tolist()},
             "samples": [
                 {"point": point, "image": image, "return_time": step,
                  "itinerary": list(_itinerary(step, left)) if good else None, "status": code}
@@ -616,12 +618,11 @@ def cmd_scan(cfg: RunConfig, out: str | None) -> int:
         raise ValueError("scan needs --param")
     if not cfg.values:
         raise ValueError("scan needs a non-empty --values list")
-    x0 = np.asarray(cfg.x0, dtype=float) if cfg.x0 is not None else None
     result = scan(
         base,
         cfg.param,
         cfg.values,
-        x0=x0,
+        x0=cfg.x0,
         n_transient=cfg.transient,
         n_keep=cfg.keep,
         escape_radius=cfg.escape_radius,
@@ -642,7 +643,7 @@ def cmd_scan(cfg: RunConfig, out: str | None) -> int:
             escaped = cloud.escaped if cloud is not None else None
         else:
             size = cloud.points.shape[0]
-            bbox = _floats(cloud.points.min(axis=0)) + _floats(cloud.points.max(axis=0))
+            bbox = cloud.points.min(axis=0).tolist() + cloud.points.max(axis=0).tolist()
             escaped = cloud.escaped
         prev = result.consecutive_hausdorff[i - 1] if i > 0 else float("nan")
         rows.append(

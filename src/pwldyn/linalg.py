@@ -272,7 +272,7 @@ def hyperplane_basis(normal) -> np.ndarray:
 # eigenvalues
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenTriple:
     """A real eigenvalue with left/right eigenvectors.
 
@@ -302,7 +302,7 @@ class ComplexPair:
     multiplicity: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     real: tuple[EigenTriple, ...]
     complex_pairs: tuple[ComplexPair, ...]

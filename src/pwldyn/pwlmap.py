@@ -178,7 +178,7 @@ def _norms(X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(X[..., None, :], X[..., :, None]))[..., 0, 0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PwlMap:
     """Immutable piecewise-linear map ``x -> A_side x + b``."""
 
@@ -223,13 +223,11 @@ class PwlMap:
         return LEFT if _is_left(self._pieces, x) else RIGHT
 
     def __call__(self, x) -> np.ndarray:
-        """Image of a point, or of each row of a ``(P, n)`` array."""
+        """Image of a point, or of each row of a ``(P, n)`` array, each row
+        bit-identical to calling the map on it alone."""
         return _apply(self._pieces, x)
 
-    def map_points(self, X) -> np.ndarray:
-        """Apply the map to each row of ``X`` at once, bit-identical to calling
-        it on each row."""
-        return _apply(self._pieces, X)
+    map_points = __call__
 
 
 @dataclass(frozen=True)
@@ -305,7 +303,7 @@ def validate_continuity(pwl: PwlMap, tol: float = 1e-10) -> np.ndarray:
     return p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrbitData:
     """Retained orbit samples, one itinerary symbol per point."""
 
@@ -393,7 +391,7 @@ def orbit(
     return _orbit(pwl._pieces, x0, n_transient, n_keep, escape_radius)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FixedPointInfo:
     """Fixed point of one affine piece; absent when 1 is an eigenvalue."""
 
@@ -403,7 +401,7 @@ class FixedPointInfo:
     reason: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FixedPoints:
     right: FixedPointInfo
     left: FixedPointInfo

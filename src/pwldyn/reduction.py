@@ -75,7 +75,7 @@ J_MAX = 10**6
 _BLOCK = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineHyperplane:
     """Hyperplane ``{x : normal . x = offset}`` with a distinguished base point.
 
@@ -110,7 +110,7 @@ class AffineHyperplane:
         return abs(self.signed_distance(x)) <= tol * (1.0 + float(np.linalg.norm(x)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Chart:
     """Orthonormal coordinates on an affine hyperplane."""
 
@@ -144,7 +144,7 @@ def plane_chart(plane: AffineHyperplane) -> Chart:
 # shared eigenvalue
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReducedPwlMap:
     """Restriction of a map to an invariant hyperplane, in chart coordinates.
 
@@ -184,7 +184,7 @@ class ReducedPwlMap:
         return float(self.matrix_left[0, 0]), float(self.matrix_right[0, 0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SharedEigReduction:
     """Invariant-plane data for an eigenvalue shared by both pieces.
 
@@ -409,7 +409,7 @@ def zero_eig_reduction(pwl: PwlMap, tol: float = 1e-9) -> AffineHyperplane:
     return plane
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InducedMapResult:
     image: np.ndarray
     return_time: int
@@ -505,7 +505,7 @@ def induced_map(
                             itinerary=_itinerary(j, last_left[0]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InducedSample:
     point: np.ndarray
     image: np.ndarray | None

@@ -596,13 +596,17 @@ def _limit_address_space():
 
 
 @pytest.mark.skipif(resource is None, reason="needs the resource module")
-def test_memory_error_is_a_usage_error(tmp_path):
-    # --keep 1e9 asks for a 14.9 GiB orbit buffer
+@pytest.mark.parametrize("argv", [
+    # a 14.9 GiB orbit buffer
+    ["portrait", *ANCHOR, "--keep", "1000000000"],
+    # a 3 GiB orbit buffer for the first value of the scan
+    ["scan", *ANCHOR, "--param", "tl", "--values", "1,2", "--keep", "200000000"],
+], ids=["portrait", "scan"])
+def test_memory_error_is_a_usage_error(tmp_path, argv):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
-        [sys.executable, "-m", "pwldyn", "portrait", *ANCHOR, "--keep", "1000000000",
-         "--out", str(tmp_path / "portrait.csv")],
+        [sys.executable, "-m", "pwldyn", *argv, "--out", str(tmp_path / "out.csv")],
         capture_output=True, text=True, env=env, timeout=120,
         preexec_fn=_limit_address_space)
     assert proc.returncode == 2

@@ -17,7 +17,12 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pwldyn"
 
 def unused_imports(source: str) -> list[str]:
     """Names bound by a module-level import that the module neither
-    references nor lists in ``__all__``."""
+    references nor lists in ``__all__``.
+
+    ``from m import *`` binds the names that ``m`` exports, a re-export.
+    Only the string entries of ``__all__`` are read; a computed entry such
+    as ``*m.__all__`` references ``m``.
+    """
     tree = ast.parse(source)
     bound = {}
     exported: set[str] = set()
@@ -26,12 +31,13 @@ def unused_imports(source: str) -> list[str]:
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
             for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
-                bound[name] = node.lineno
+                if alias.name != "*":
+                    bound[alias.asname or alias.name.split(".")[0]] = node.lineno
         elif isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            exported |= set(ast.literal_eval(node.value))
+            exported |= {e.value for e in getattr(node.value, "elts", ())
+                         if isinstance(e, ast.Constant)}
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return sorted(f"{name} (line {line})" for name, line in bound.items()
                   if name not in used and name not in exported)
@@ -45,6 +51,10 @@ def test_no_unused_module_imports(path):
 def test_guard_sees_an_unused_import():
     assert unused_imports("import os\nimport sys\nsys.exit()\n") == ["os (line 1)"]
     assert unused_imports("from a import b\n__all__ = ['b']\n") == []
+    assert unused_imports("import os\nfrom . import a\nfrom .a import *\n"
+                          "__all__ = [*a.__all__]\n") == ["os (line 1)"]
+    assert unused_imports("import os\nfrom . import a, b\nfrom .a import *\n"
+                          "__all__ = [*a.__all__, 'os']\n") == ["b (line 2)"]
 
 
 def unused_private_names(sources: dict[str, str]) -> list[str]:
@@ -133,6 +143,13 @@ def test_public_names_are_exported_by_the_package(module):
     assert sorted(set(mod.__all__) - set(pwldyn.__all__)) == []
     for name in mod.__all__:
         assert getattr(pwldyn, name) is getattr(mod, name)
+
+
+def test_package_exports_each_library_name_once():
+    names = [name for module in LIBRARY_MODULES
+             for name in importlib.import_module(f"pwldyn.{module}").__all__]
+    assert pwldyn.__all__ == names
+    assert len(set(names)) == len(names)
 
 
 def test_package_names_resolve():

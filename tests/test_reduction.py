@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import math
 from unittest import mock
 
@@ -24,13 +25,16 @@ from pwldyn import (
     PwlMap,
     bcnf,
     classify_unit_modulus,
+    default_x0,
     detect_shared_eigenvalue,
     fixed_points,
     induced_map,
+    orbit,
     plane_chart,
     reduced_orbit,
     restrict_to_manifold,
     sample_induced,
+    scan,
     zero_eig_reduction,
 )
 from pwldyn import linalg, reduction
@@ -38,6 +42,7 @@ from pwldyn.cli import main
 
 from conftest import (
     FLAT_LEFT_2D,
+    FLAT_LEFT_3D,
     SHARED_2D,
     bcnf_argv,
     reference_detect_shared,
@@ -755,6 +760,36 @@ def test_sample_induced_without_chart(flat_left_map):
     assert all(s.status == "ok" for s in samples)
     assert samples[0].point.shape == (1,)
     assert samples[0].image.shape == (1,)
+
+
+def test_result_objects_compare_by_identity():
+    # Each result type holding arrays, its arrays of two or more entries: a
+    # generated __eq__ would compare them elementwise and raise ValueError.
+    flat = bcnf(FLAT_LEFT_3D)
+    plane = zero_eig_reduction(flat)
+    chart = plane_chart(plane)
+    samples = sample_induced(flat, plane, [[0.0, 0.0], [1.0, 2.0], [3.0, 4.0]], chart=chart)
+    i = samples.status.tolist().index("ok")
+    fp = fixed_points(flat)
+    spectrum = linalg.real_eigen(flat.A_R)
+    red = detect_shared_eigenvalue(bcnf(shared_3d_params()))
+    objects = [
+        flat, orbit(flat, default_x0(flat), 10, 10), fp.right, fp, spectrum.real[0], spectrum,
+        plane, chart, red.restricted, red, induced_map(flat, plane, chart.lift(samples.points[i])),
+        samples[i], scan(FLAT_LEFT_3D, "dr", [0.5, 1.0], n_transient=10, n_keep=10),
+    ]
+    assert [type(obj).__name__ for obj in objects] == [
+        "PwlMap", "OrbitData", "FixedPointInfo", "FixedPoints", "EigenTriple", "Spectrum",
+        "AffineHyperplane", "Chart", "ReducedPwlMap", "SharedEigReduction",
+        "InducedMapResult", "InducedSample", "ScanResult"]
+    for obj in objects:
+        twin = copy.copy(obj)  # the same field values in another object
+        assert (obj == obj) is True and (obj != obj) is False
+        assert (obj == twin) is False and (obj != twin) is True
+        assert (obj in [twin, obj]) is True and (obj in [twin]) is False
+        assert hash(obj) == hash(obj) and len({obj, twin, obj}) == 2
+    assert (samples[i] == samples[i]) is False  # two views of one sample
+    assert (samples[i] in samples) is False
 
 
 def _reference_excursion(pwl, plane, x, j_max, escape_radius, tol):
