@@ -53,8 +53,10 @@ _NEAR = np.arange(-1, 1)[:, None]
 _WIDE = np.arange(-8, 8)[:, None]
 # Open queries settled exactly in the first round; each round takes 8 times more.
 _FIRST_ROUND = 16
-# Most candidate pairs one window search holds at once.
-_WINDOW_BLOCK = 1 << 20
+# Most candidate pairs that one window search or witness gather holds at once;
+# below 2^14 the peak of scan's keep-10000 pairs falls by under 0.7 MB while
+# searches on concentric circles slow down.
+_WINDOW_BLOCK = 1 << 14
 _EPS = float(np.finfo(float).eps)
 _FLOAT_MAX = float(np.finfo(float).max)
 
@@ -120,6 +122,10 @@ class _Indexed:
         """Squared distance from each query point to the nearest of the points
         at ``pos + offsets`` in Morton order: an upper bound on its
         nearest-neighbour distance."""
+        if offsets.size * pos.size > _WINDOW_BLOCK and pos.size > 1:  # halve the queries
+            h = pos.size // 2
+            return np.concatenate([self.witnessed(cols[:, :h], pos[:h], offsets),
+                                   self.witnessed(cols[:, h:], pos[h:], offsets)])
         idx = np.clip(pos + offsets, 0, self.m - 1)
         return _sq_dists([q[None, :] for q in cols], [c.take(idx) for c in self.morton]).min(axis=0)
 
@@ -221,7 +227,9 @@ def hausdorff(a, b) -> float:
     ``_hausdorff_sq``), and squared distances are summed as
     ``scipy.spatial.distance.cdist`` sums them, so that up to three
     dimensions the result equals the brute-force one bit for bit.  Memory
-    stays linear in the cloud sizes.  Empty clouds raise EmptyCloud; clouds
+    is the sorted copies of the two clouds, linear in their sizes, plus at
+    most one block of ``_WINDOW_BLOCK`` candidate pairs, or one query's
+    window where that alone is larger.  Empty clouds raise EmptyCloud; clouds
     with NaN or infinite coordinates, or of different dimensions, raise
     ValueError.
     """

@@ -17,6 +17,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from dataclasses import dataclass, field, fields, replace
@@ -197,6 +198,8 @@ def resolve_config(args: argparse.Namespace, command: str) -> RunConfig:
         raise ValueError(f"tol must be finite and positive, got {cfg.tol!r}")
     if not cfg.escape_radius > 0.0:
         raise ValueError(f"escape radius must be positive, got {cfg.escape_radius!r}")
+    if cfg.x0 is not None and not all(map(math.isfinite, cfg.x0)):
+        raise ValueError(f"x0 must be finite, got {','.join(map(repr, cfg.x0))}")
     return cfg
 
 
@@ -627,6 +630,10 @@ def cmd_scan(cfg: RunConfig, out: str | None) -> int:
         n_keep=cfg.keep,
         escape_radius=cfg.escape_radius,
     )
+    if all(result.errors):  # an escaped orbit is a result, not an error
+        print(f"error: the orbit failed at every value, first with {result.errors[0]}",
+              file=sys.stderr)
+        return EXIT_DYNAMICS
     n = base.dim
     rows = []
     for i, (v, pwl, cloud) in enumerate(zip(result.values, result.maps, result.clouds)):
@@ -703,7 +710,16 @@ COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors are one line: ``error: <message>``."""
+    """Argument parser whose usage errors are one line: ``error: <message>``.
+
+    No flag starts with a digit or ``.``, so every word that starts with
+    ``-`` and then a digit, or ``-.`` and a digit, is a value: ``-2.5e-05``,
+    ``-1,2`` and ``-1:1:3`` as well as argparse's own ``-1`` and ``-.5``.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         self.exit(EXIT_USAGE, f"error: {message}\n")

@@ -45,6 +45,10 @@ ESCAPE_RADIUS = 1e12
 # Iterates stepped between two escape tests of an orbit.  Transient iterates
 # are buffered for one chunk only, so memory stays O((n_keep + chunk) n).
 _CHUNK = 256
+# Largest coordinate bound of the cheap escape test; the squares of smaller
+# coordinates cannot overflow.
+_QUIET_MAX = 1e150
+_EPS = float(np.finfo(float).eps)
 
 
 class _Pieces(NamedTuple):
@@ -327,8 +331,11 @@ def _orbit(
     The kernel steps a chunk of iterates on Python floats, then the chunk is
     tested at once: iterate ``k`` escapes when its norm exceeds
     ``escape_radius`` and is non-finite otherwise when the norm is not
-    finite.  Iterates past the stop are garbage and are not kept.  The
-    itinerary is the side test on the kept points, in the columnar layout.
+    finite.  A chunk whose coordinates all lie below ``quiet`` needs no
+    norms: each computed norm is then finite and at most ``sqrt(n)
+    max|x_i| (1 + (n + 2) eps)``, below the radius.  Iterates past the stop
+    are garbage and are not kept.  The itinerary is the side test on the
+    kept points, in the columnar layout.
     """
     if n_transient < 0:
         raise ValueError("n_transient must be non-negative")
@@ -341,6 +348,7 @@ def _orbit(
     if x0.shape != (n,):
         raise ValueError(f"x0 must be a vector of length {n}")
     steps = _kernel(n)
+    quiet = min(escape_radius, _QUIET_MAX) / math.sqrt(n) * (1.0 - 16 * n * _EPS)
     pts = np.empty((n_keep, n))
     x = x0.tolist()
     total = n_transient + n_keep
@@ -354,6 +362,8 @@ def _orbit(
             buf = np.fromiter(coords, float, k * n).reshape(k, n)
             if lo >= n_transient:
                 pts[lo - n_transient : lo - n_transient + k] = buf
+            if np.abs(buf).max() < quiet:  # NaN is not below it
+                continue
             r = _norms(buf)
             bad = (r > escape_radius) | ~np.isfinite(r)
             if bad.any():

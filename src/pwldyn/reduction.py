@@ -127,7 +127,10 @@ class Chart:
         return self.base + (basis @ Xi[:, :, None])[:, :, 0]
 
     def project(self, x) -> np.ndarray:
-        return self.basis.T @ (np.asarray(x, dtype=float) - self.base)
+        x = np.asarray(x, dtype=float)
+        if x.shape != self.base.shape:
+            raise ValueError(f"x0 must be a vector of length {self.base.size}")
+        return self.basis.T @ (x - self.base)
 
     def project_many(self, X) -> np.ndarray:
         """``project`` of each row, bit for bit."""

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -173,6 +174,39 @@ def test_hausdorff_matches_brute_force_on_scan_clouds(base):
                                      result.consecutive_hausdorff):
             assert dist == _brute_hausdorff(left.points, right.points)
             assert dist == hausdorff(left, right)
+
+
+def _concentric_circles(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``m`` random points on each of two circles of radii 0.5 and 1: nearly
+    every nearest-neighbour distance sits near the maximum, so the early
+    break settles little and the windows are wide."""
+    rng = np.random.default_rng(0)
+    inner, outer = rng.uniform(0.0, 2.0 * np.pi, (2, m))
+    return (0.5 * np.column_stack([np.cos(inner), np.sin(inner)]),
+            np.column_stack([np.cos(outer), np.sin(outer)]))
+
+
+def _gaussians_3d(m: int) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(1)
+    return rng.standard_normal((m, 3)), rng.standard_normal((m, 3)) + 0.01
+
+
+# Measured traced peaks: 1.6 MB on the circles and 8.3 MB on the Gaussians,
+# where the sorted copies of the two clouds take most of it; 39 and 24 MB
+# when a window block held 2^20 candidate pairs.
+@pytest.mark.parametrize("make, m, limit_mb", [
+    (_concentric_circles, 3000, 3.0),
+    (_gaussians_3d, 40000, 11.0),
+], ids=["circles", "gaussians"])
+def test_hausdorff_memory_is_bounded(make, m, limit_mb):
+    clouds = make(m)
+    tracemalloc.start()
+    try:
+        hausdorff(*clouds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 1e6
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

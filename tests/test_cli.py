@@ -361,6 +361,45 @@ def test_induced_every_sample_failed(capsys):
     assert captured.err == "error: every grid sample failed to return to the section\n"
 
 
+# Negative values that argparse alone takes for flags: exponent notation,
+# lists and grid specs.
+NEGATIVE_WORDS = [
+    ("portrait", ["--tl", "-2.5e-05"]),
+    ("portrait", ["--tl", "2.2", "--x0", "-1,2"]),
+    ("scan", ["--tl", "2.2", "--param", "tl", "--values", "-0.5,0.5"]),
+    ("restrict", ["--tl", "2.2", "--grid", "-1:1:3"]),
+]
+
+
+@pytest.mark.parametrize("command, words", NEGATIVE_WORDS)
+def test_negative_value_as_its_own_word(tmp_path, command, words):
+    the_rest = ["--dim", "2", "--dl", "0.4", "--tr", "-1.3", "--dr", "-0.3",
+                "--transient", "20", "--keep", "30"]
+    flag, value = words[-2:]
+    outputs = []
+    for form in ([flag, value], [f"{flag}={value}"]):
+        out = tmp_path / f"{len(form)}.out"
+        assert main([command, *the_rest, *words[:-2], *form, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["orbit", "portrait", "restrict", "scan"])
+@pytest.mark.parametrize("x0", ["nan,2", "1,inf", "-inf,0"])
+def test_non_finite_x0_rejected(capsys, command, x0):
+    sweep = ["--param", "tl", "--values", "2.2"] if command == "scan" else []
+    code = exit_code([command, *ANCHOR, *sweep, f"--x0={x0}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: x0 must be finite")
+
+
+def test_restrict_x0_of_wrong_length(capsys):
+    assert main(["restrict", *ANCHOR, "--x0", "1,2,3"]) == 2
+    assert capsys.readouterr().err == "error: x0 must be a vector of length 2\n"
+
+
 BAD_SETTINGS = [("--tol", v) for v in ("nan", "0", "-1", "inf")] + [
     ("--escape-radius", v) for v in ("nan", "0", "-1")
 ]
@@ -483,6 +522,19 @@ def test_scan_escaping_values(tmp_path):
     rows = read_csv(out)
     assert all(r[2] == "True" for r in rows[1:])
     assert all(r[1] == "0" for r in rows[1:])
+
+
+def test_scan_every_orbit_failed(tmp_path, capsys):
+    # without an escape radius every orbit of this family overflows
+    out = tmp_path / "scan.csv"
+    code = main(["scan", "--dim", "2", "--tl", "3.0", "--dl", "-4.0",
+                 "--tr", "3.0", "--dr", "-4.0", "--param", "tl",
+                 "--values", "3.0,3.1", "--escape-radius=inf", "--out", str(out)])
+    assert code == 3
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "error: the orbit failed at every value, "
+        "first with NonFinite: orbit iterate 256 is not finite\n")
 
 
 def test_scan_repeated_values(tmp_path):

@@ -58,15 +58,16 @@ def _write_map(path: Path, n, a_l, a_r, b, c) -> None:
                                        for row in rows))
 
 
-# Degenerate values of the settings each subcommand reads.
+# Degenerate values of the settings each subcommand reads, negative ones in
+# exponent notation and lists among them.
 _DEGENERATE = {
     "transient": ["0", "-1"],
     "keep": ["0", "1", "-1"],
-    "escape_radius": ["inf", "1e-300", "0", "nan", "-1"],
-    "tol": ["1e-300", "1", "0", "nan", "inf"],
-    "x0": ["nan", "1e300", "0.1,0.2,0.3,0.4,0.5,0.6"],
+    "escape_radius": ["inf", "1e-300", "0", "nan", "-1", "-2.5e-05"],
+    "tol": ["1e-300", "1", "0", "nan", "inf", "-2.5e-05"],
+    "x0": ["nan", "1e300", "0.1,0.2,0.3,0.4,0.5,0.6", "-1,2", "-2.5e-05"],
     "grid": ["0:0:1", "1:-1:2", "nan:1:2", "-1:1:0", "0:1:2,0:1:2,0:1:2,0:1:2,0:1:2"],
-    "values": ["nan", "inf,1e300", "1.0"],
+    "values": ["nan", "inf,1e300", "1.0", "-2.5e-05", "-1,2"],
     "param": ["tl", "dr"],
     "format": ["csv", "json"],
 }
@@ -81,7 +82,9 @@ def _options(draw, command: str, n: int) -> list[str]:
         argv.append("--grid=" + ",".join(["-1:1:3"] * (n - 1)))
     keys = sorted(key for key in _DEGENERATE if key in settings_read)
     for key in draw(st.lists(st.sampled_from(keys), max_size=3, unique=True)):
-        argv.append(f"--{key.replace('_', '-')}={draw(st.sampled_from(_DEGENERATE[key]))}")
+        flag, value = f"--{key.replace('_', '-')}", draw(st.sampled_from(_DEGENERATE[key]))
+        # ``--flag=value``, or the value as its own word
+        argv.extend(draw(st.sampled_from([[f"{flag}={value}"], [flag, value]])))
     return argv
 
 
@@ -110,4 +113,5 @@ def test_cli_ends_in_an_exit_code_and_one_line(call):
                 code = exc.code
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
+    assert "expected one argument" not in err.getvalue()  # each value reached its flag
     assert len(err.getvalue().splitlines()) <= 1

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +23,7 @@ from pwldyn import (
     reduced_orbit,
     validate_continuity,
 )
+from pwldyn import pwlmap
 from pwldyn.pwlmap import _orbit
 
 from conftest import (
@@ -277,6 +281,35 @@ def test_lockstep_orbits_match_reference_loop(n, P, seed, n_transient, n_keep, e
         assert res.transient_discarded == discarded
         assert res.escape_index == escape_index
         assert res.escaped is (escape_index is not None)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_orbit_escape_radius_at_the_cheap_test_bound(n):
+    # x -> 0.99 x + 0.01 a climbs towards (a, ..., a) over many chunks.  At
+    # radii within a few ulps of sqrt(n) max|x_i| of the last iterates the
+    # early chunks pass the cheap coordinate test, and the norms decide the
+    # late ones, as the reference loop does.
+    a, steps = 0.7, 5000
+    eye = np.eye(n)
+    pwl = PwlMap(0.99 * eye, 0.99 * eye, np.full(n, 0.01 * a), eye[0])
+    x0 = np.zeros(n)
+    pts, _, _, _ = reference_orbit(pwl, x0, 0, steps, 1e12)
+    top = math.sqrt(n) * float(np.abs(pts[-1]).max())
+    escapes = set()
+    for ulps in range(-3, 4):
+        radius = top + ulps * math.ulp(top)
+        ref_pts, _, _, escape_index = reference_orbit(pwl, x0, 0, steps, radius)
+        with mock.patch.object(pwlmap, "_norms", wraps=pwlmap._norms) as norms:
+            got = orbit(pwl, x0, 0, steps, radius)
+        assert got.escape_index == escape_index
+        assert got.points.tobytes() == ref_pts.tobytes()
+        assert 0 < norms.call_count < steps // pwlmap._CHUNK
+        escapes.add(escape_index)
+    assert len(escapes) > 1
+    # far inside the radius no chunk needs its norms
+    with mock.patch.object(pwlmap, "_norms", wraps=pwlmap._norms) as norms:
+        assert not orbit(pwl, x0, 0, steps, 2.0 * top).escaped
+    assert norms.call_count == 0
 
 
 @settings(max_examples=100, deadline=None)
