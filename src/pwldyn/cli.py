@@ -42,6 +42,7 @@ from .pwlmap import (
     ESCAPE_RADIUS,
     BcnfParams,
     PwlMap,
+    _norms,
     bcnf,
     fixed_points,
     orbit,
@@ -49,10 +50,10 @@ from .pwlmap import (
 )
 from .reduction import (
     _itinerary,
+    _on_plane,
     classify_unit_modulus,
     detect_shared_eigenvalue,
     plane_chart,
-    reduced_orbit,
     restrict_to_manifold,
     sample_induced,
     zero_eig_reduction,
@@ -256,14 +257,6 @@ def build_map(cfg: RunConfig) -> PwlMap:
 # output helpers
 
 
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
 def _write_text(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -281,7 +274,7 @@ def _write_text(text: str, out: str | None) -> None:
 
 
 def _emit_json(payload, out: str | None) -> None:
-    _write_text(json.dumps(payload, indent=2, default=_json_default) + "\n", out)
+    _write_text(json.dumps(payload, indent=2) + "\n", out)
 
 
 def _emit_csv(header: list[str], rows: list, out: str | None) -> None:
@@ -479,8 +472,8 @@ def cmd_restrict(cfg: RunConfig, out: str | None) -> int:
     rmap = restrict_to_manifold(red)
     if grid is not None and rmap.dimension != 1:
         raise ValueError(f"--grid needs a one-dimensional restriction, not {rmap.dimension}-D")
-    orb = reduced_orbit(rmap, rmap.chart.project(_x0(cfg, pwl)), cfg.transient, cfg.keep,
-                        cfg.escape_radius)
+    orb = orbit(rmap, rmap.chart.project(_x0(cfg, pwl)), cfg.transient, cfg.keep,
+                cfg.escape_radius)
     if grid is None and rmap.dimension == 1 and orb.points.shape[0] > 0:
         grid = _box_grid(orb.points, 0.05, 512)
     cobweb = None
@@ -557,9 +550,7 @@ def _default_induced_grid(pwl, plane, chart, cfg: RunConfig) -> np.ndarray:
     count = 500 if dims == 1 else 40
     _check_grid_size(count**dims)
     cloud = attractor(pwl, default_x0(pwl), cfg.transient, cfg.keep, cfg.escape_radius)
-    mask = np.abs(plane.distances(cloud.points)) <= cfg.tol * (
-        1.0 + np.linalg.norm(cloud.points, axis=1)
-    )
+    mask = _on_plane(plane, cloud.points, _norms(cloud.points), cfg.tol)
     if not np.any(mask):
         raise NoReturn("the sampled attractor never visits the section; give --grid explicitly")
     return _box_grid(chart.project_many(cloud.points[mask]), 0.02, count)
@@ -712,14 +703,15 @@ COMMANDS = {
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors are one line: ``error: <message>``.
 
-    No flag starts with a digit or ``.``, so every word that starts with
-    ``-`` and then a digit, or ``-.`` and a digit, is a value: ``-2.5e-05``,
-    ``-1,2`` and ``-1:1:3`` as well as argparse's own ``-1`` and ``-.5``.
+    No flag starts with a digit, ``.``, ``inf`` or ``nan``, so every word
+    that starts with ``-`` and then a digit, ``-.`` and a digit, or ``-inf``
+    or ``-nan`` in any case is a value: ``-2.5e-05``, ``-1,2``, ``-1:1:3``
+    and ``-Infinity,1`` as well as argparse's own ``-1`` and ``-.5``.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         self.exit(EXIT_USAGE, f"error: {message}\n")
@@ -770,7 +762,3 @@ def main(argv=None) -> int:
     except ReductionError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_REDUCTION
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -26,9 +26,9 @@ the two pieces of the map being analysed, so the several analyses of one map
 decompose each piece once.  The vectors it returns are read-only, because
 every caller that asks again for one matrix shares them.  Where the closed
 forms, the Frobenius norm or an eigenvalue condition number fail at extreme
-scales (an exception or a non-finite value from over- or underflow), they
-are computed again on data rescaled by powers of two; wherever they succeed
-no bit changes.  So is the adjugate that an eigenvector is read off, when it
+scales (an exception, or a non-finite or subnormal value), they are
+computed again on data rescaled by powers of two; wherever they succeed no
+bit changes.  So is the adjugate that an eigenvector is read off, when it
 overflows; its canonical scaling cannot be stored then, and the vectors come
 back unit-norm.
 """
@@ -52,7 +52,6 @@ __all__ = [
     "adjugate",
     "determinant",
     "hyperplane_basis",
-    "matrix_det_lemma_check",
     "real_eigen",
     "solve",
 ]
@@ -82,6 +81,12 @@ DEFECTIVE_S = 1e-5
 # distinct roots 6.9e10 and 2.7e-41 of a triangular 2x2 with coupling 5.5e17
 # read 1.5e15 on the closed forms, where the LAPACK rule would read 72.
 DEFECTIVE_SPLIT = 100.0
+
+# solve raises SingularMatrix at a pivot this small relative to the largest
+# entry of the matrix.
+PIVOT_RTOL = 1e-12
+
+_TINY = float(np.finfo(float).tiny)
 
 
 def _as_square(a) -> np.ndarray:
@@ -182,38 +187,20 @@ def _argmax(xs: list[float]) -> int:
     return best
 
 
-def matrix_det_lemma_check(a, q, r) -> tuple[float, float]:
-    """Evaluate both sides of det(A + r q^T) = det(A) + q^T adjugate(A) r.
-
-    Returns ``(lhs, rhs)`` so callers can compare them at whatever tolerance
-    suits the context; nothing is asserted here.
-    """
-    A = _as_square(a)
-    qv = np.asarray(q, dtype=float)
-    rv = np.asarray(r, dtype=float)
-    if qv.shape != (A.shape[0],) or rv.shape != (A.shape[0],):
-        raise ValueError("q and r must be vectors matching the matrix size")
-    lhs = determinant(A + np.outer(rv, qv))
-    rhs = _det(A) + float(qv @ _adj(A) @ rv)
-    return lhs, rhs
-
-
-def solve(a, rhs, pivot_rtol: float = 1e-12) -> np.ndarray:
+def solve(a, rhs) -> np.ndarray:
     """Solve ``A x = rhs`` by Gaussian elimination with partial pivoting.
 
-    Raises SingularMatrix when a pivot falls below ``pivot_rtol`` relative to
-    the largest entry of ``A``; ``pivot_rtol`` must not be negative.
+    Raises SingularMatrix when a pivot falls below ``PIVOT_RTOL`` relative to
+    the largest entry of ``A``.
     """
     A = _as_square(a)
     b = np.asarray(rhs, dtype=float)
     if b.shape != (A.shape[0],):
         raise ValueError("right-hand side must be a vector matching the matrix size")
-    if not pivot_rtol >= 0.0:
-        raise ValueError(f"pivot_rtol must be a non-negative number, not {pivot_rtol!r}")
-    return _solve_rows(A.tolist(), b.tolist(), pivot_rtol)
+    return _solve_rows(A.tolist(), b.tolist())
 
 
-def _solve_rows(U: list[list[float]], y: list[float], pivot_rtol: float = 1e-12) -> np.ndarray:
+def _solve_rows(U: list[list[float]], y: list[float]) -> np.ndarray:
     """``solve`` on the rows of a finite matrix and a right-hand side, both
     Python lists, which it overwrites.
 
@@ -224,7 +211,7 @@ def _solve_rows(U: list[list[float]], y: list[float], pivot_rtol: float = 1e-12)
     Entries below a pivot are never read again and are not updated.
     """
     n = len(U)
-    floor = pivot_rtol * max(abs(x) for row in U for x in row)
+    floor = PIVOT_RTOL * max(abs(x) for row in U for x in row)
     for k in range(n):
         piv = k + _argmax([abs(U[i][k]) for i in range(k, n)])
         if abs(U[piv][k]) <= floor:
@@ -416,24 +403,32 @@ def _char_term_sums(r: list[list[float]]) -> list[float]:
 
 
 def _condition(t: EigenTriple) -> float:
-    """Wilkinson's s(lam) = |u . v| / (|u| |v|) of a simple value; taken on
-    ``u / 2^e`` and ``v / 2^f`` when the products of ``u`` and ``v``
-    themselves overflow, or underflow to a zero norm."""
+    """Wilkinson's s(lam) = |u . v| / (|u| |v|) of a simple value."""
+    def sides(u, v):
+        return abs(float(u @ v)), math.sqrt(float(u @ u)) * math.sqrt(float(v @ v))
     with np.errstate(over="ignore"):
-        s = _cosine(t.left, t.right)
-    if s is None:
-        s = _cosine(_rescaled(t.left)[0], _rescaled(t.right)[0])
-    return s
+        uv, norms = _scaled_sides(sides, t.left, t.right)
+    return uv / norms
 
 
-def _cosine(u: np.ndarray, v: np.ndarray) -> float | None:
-    """``|u . v| / (|u| |v|)``, or None when a product is not finite or the
-    norms underflow to zero."""
-    uv = abs(float(u @ v))
-    norms = math.sqrt(float(u @ u)) * math.sqrt(float(v @ v))
-    if 0.0 < norms < math.inf and uv < math.inf:
-        return uv / norms
-    return None
+def _scaled_sides(sides, *factors: np.ndarray) -> tuple[float, float]:
+    """``sides(*factors)``: a quantity and the scale it is measured against,
+    both homogeneous in each factor.  Where the quantity overflows, or the
+    scale is not ``_full_precision``, and no factor is zero, they are taken
+    again on each factor divided by the power of two above its largest
+    entry (``_rescaled``), so wherever the plain form works no bit changes.
+    The caller turns NumPy's overflow warnings off."""
+    lhs, rhs = sides(*factors)
+    if not (lhs < math.inf and _full_precision(rhs)) and all(f.any() for f in factors):
+        lhs, rhs = sides(*(_rescaled(f)[0] for f in factors))
+    return lhs, rhs
+
+
+def _full_precision(s: float) -> bool:
+    """Whether ``s`` is finite and not subnormal, so that a quotient by it
+    keeps full precision; the one test after which a scale-free decision is
+    taken again on data rescaled by powers of two."""
+    return _TINY <= s < math.inf
 
 
 def _rescaled(v: np.ndarray) -> tuple[np.ndarray, int]:

@@ -39,6 +39,10 @@ RIGHT = "R"
 # A fixed point closer to the switching plane than this is flagged borderline.
 BORDERLINE_ATOL = 1e-12
 
+# Largest residual of A_R - A_L = p c^T, relative to max(1, ||A_R - A_L||),
+# that validate_continuity accepts.
+CONTINUITY_TOL = 1e-10
+
 # Default radius beyond which an orbit or excursion counts as escaped.
 ESCAPE_RADIUS = 1e12
 
@@ -151,39 +155,45 @@ def _step_rows(p: _Pieces, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return Y, left
 
 
-def _points(p: _Pieces, x) -> np.ndarray:
-    """``x`` as a float point ``(n,)`` or rows ``(P, n)`` of the pieces' dimension."""
-    x = np.asarray(x, dtype=float)
-    n = p.c.size
-    if x.ndim not in (1, 2) or x.shape[-1] != n:
-        raise ValueError(f"points must have {n} coordinates, got shape {x.shape}")
-    return x
-
-
-def _apply(p: _Pieces, x) -> np.ndarray:
-    """Image of a point ``(n,)``, or of each row of ``(P, n)``."""
-    x = _points(p, x)
-    if x.ndim == 1:
-        return np.array(_kernel(x.size)(p.flat, x.tolist(), 1, []))
-    return _step_rows(p, x)[0]
-
-
-def _is_left(p: _Pieces, x) -> bool:
-    """The kernel's side test at one point ``(n,)``."""
-    x = _points(p, x)
-    if x.ndim != 1:
-        raise ValueError(f"side takes one point, got shape {x.shape}")
-    return bool(_left_rows(p, x[None])[0])
-
-
 def _norms(X: np.ndarray) -> np.ndarray:
     """Euclidean norm of each vector along the last axis, bit-identical to
     ``np.linalg.norm`` of that vector alone."""
     return np.sqrt(np.matmul(X[..., None, :], X[..., :, None]))[..., 0, 0]
 
 
+class _TwoPieces:
+    """The step interface of a two-piece map, read off its ``_pieces``: a
+    map (``PwlMap``) and its restriction to an invariant plane
+    (``ReducedPwlMap``) step alike and iterate with the one ``orbit``."""
+
+    _pieces: _Pieces
+
+    def _checked(self, x) -> np.ndarray:
+        """``x`` as a float point ``(n,)`` or rows ``(P, n)`` of the map's dimension."""
+        x = np.asarray(x, dtype=float)
+        n = self._pieces.c.size
+        if x.ndim not in (1, 2) or x.shape[-1] != n:
+            raise ValueError(f"points must have {n} coordinates, got shape {x.shape}")
+        return x
+
+    def side(self, x) -> str:
+        """The piece that applies at ``x``, as the itinerary of an orbit records it."""
+        x = self._checked(x)
+        if x.ndim != 1:
+            raise ValueError(f"side takes one point, got shape {x.shape}")
+        return LEFT if _left_rows(self._pieces, x[None])[0] else RIGHT
+
+    def __call__(self, x) -> np.ndarray:
+        """Image of a point ``(n,)``, or of each row of a ``(P, n)`` array,
+        each row bit-identical to calling the map on it alone."""
+        x = self._checked(x)
+        if x.ndim == 1:
+            return np.array(_kernel(x.size)(self._pieces.flat, x.tolist(), 1, []))
+        return _step_rows(self._pieces, x)[0]
+
+
 @dataclass(frozen=True, eq=False)
-class PwlMap:
+class PwlMap(_TwoPieces):
     """Immutable piecewise-linear map ``x -> A_side x + b``."""
 
     A_L: np.ndarray
@@ -222,16 +232,7 @@ class PwlMap:
     def _pieces(self) -> _Pieces:
         return _pieces(self.A_L, self.b, self.A_R, self.b, self.c, 0.0)
 
-    def side(self, x) -> str:
-        """The piece that applies at ``x``, as the itinerary of an orbit records it."""
-        return LEFT if _is_left(self._pieces, x) else RIGHT
-
-    def __call__(self, x) -> np.ndarray:
-        """Image of a point, or of each row of a ``(P, n)`` array, each row
-        bit-identical to calling the map on it alone."""
-        return _apply(self._pieces, x)
-
-    map_points = __call__
+    map_points = _TwoPieces.__call__
 
 
 @dataclass(frozen=True)
@@ -278,17 +279,17 @@ def bcnf(params: BcnfParams) -> PwlMap:
     return PwlMap(A_L, A_R, e1, e1.copy())
 
 
-def validate_continuity(pwl: PwlMap, tol: float = 1e-10) -> np.ndarray:
+def validate_continuity(pwl: PwlMap) -> np.ndarray:
     """Return the rank-one update direction ``p`` with ``A_R - A_L = p c^T``.
 
-    The residual of the factorization must stay below ``tol`` relative to
-    ``max(1, ||A_R - A_L||)``, otherwise NotContinuous is raised.
+    The residual of the factorization must stay below ``CONTINUITY_TOL``
+    relative to ``max(1, ||A_R - A_L||)``, otherwise NotContinuous is raised.
     """
     dA = pwl.A_R - pwl.A_L
     c = pwl.c
     with np.errstate(over="ignore"):
         cc = float(c @ c)
-    if np.finfo(float).tiny <= cc < math.inf:
+    if linalg._full_precision(cc):
         q = p = dA @ c / cc
     else:  # c . c under- or overflows: fit q = 2^e p to c / 2^e instead
         c, e = linalg._rescaled(c)
@@ -300,7 +301,7 @@ def validate_continuity(pwl: PwlMap, tol: float = 1e-10) -> np.ndarray:
         resid, scale = float(np.linalg.norm(R)), float(np.linalg.norm(dA))
     if not math.isfinite(resid + scale):  # past about 1e154: take them on rescaled entries
         resid, scale = linalg._norm(R), linalg._norm(dA)
-    if resid > tol * max(1.0, scale):
+    if resid > CONTINUITY_TOL * max(1.0, scale):
         raise NotContinuous(
             f"A_R - A_L is not a rank-one update along c (residual {resid:.3e})"
         )
@@ -318,15 +319,21 @@ class OrbitData:
     escape_index: int | None = None
 
 
-def _orbit(
-    p: _Pieces,
+def orbit(
+    pwl: _TwoPieces,
     x0,
-    n_transient: int,
-    n_keep: int,
-    escape_radius: float,
-    what: str = "orbit",
+    n_transient: int = 1000,
+    n_keep: int = 3000,
+    escape_radius: float = ESCAPE_RADIUS,
 ) -> OrbitData:
-    """``orbit`` of the pieces ``p``; ``what`` names the orbit in NonFinite.
+    """Iterate a map or a restricted map, discard ``n_transient`` points,
+    keep up to ``n_keep``.
+
+    Iteration stops early with ``escaped=True`` as soon as an iterate leaves
+    the ball of radius ``escape_radius``; a non-finite iterate that slips past
+    that test (NaN only) raises NonFinite.  ``points[k+1]`` is always the
+    image of ``points[k]`` and ``itinerary[k]`` records which piece applies
+    at ``points[k]``.
 
     The kernel steps a chunk of iterates on Python floats, then the chunk is
     tested at once: iterate ``k`` escapes when its norm exceeds
@@ -343,6 +350,7 @@ def _orbit(
         raise ValueError("n_keep must be at least 1")
     if not escape_radius > 0.0:
         raise ValueError("escape_radius must be positive")
+    p = pwl._pieces
     n = p.c.size
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n,):
@@ -370,7 +378,7 @@ def _orbit(
                 i = int(bad.argmax())
                 stop = lo + i
                 if not r[i] > escape_radius:
-                    raise NonFinite(f"{what} iterate {stop} is not finite")
+                    raise NonFinite(f"orbit iterate {stop} is not finite")
                 pts = pts[: max(0, stop - n_transient)]
                 break
         lefts = _left_rows(p, pts)
@@ -381,24 +389,6 @@ def _orbit(
         escaped=stop is not None,
         escape_index=stop,
     )
-
-
-def orbit(
-    pwl: PwlMap,
-    x0,
-    n_transient: int = 1000,
-    n_keep: int = 3000,
-    escape_radius: float = ESCAPE_RADIUS,
-) -> OrbitData:
-    """Iterate the map, discard ``n_transient`` points, keep up to ``n_keep``.
-
-    Iteration stops early with ``escaped=True`` as soon as an iterate leaves
-    the ball of radius ``escape_radius``; a non-finite iterate that slips past
-    that test (NaN only) raises NonFinite.  ``points[k+1]`` is always the
-    image of ``points[k]`` and ``itinerary[k]`` records which piece applies
-    at ``points[k]``.
-    """
-    return _orbit(pwl._pieces, x0, n_transient, n_keep, escape_radius)
 
 
 @dataclass(frozen=True, eq=False)

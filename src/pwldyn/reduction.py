@@ -10,7 +10,6 @@ boundary-crossing type.
 """
 from __future__ import annotations
 
-import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -35,16 +34,14 @@ from .pwlmap import (
     ESCAPE_RADIUS,
     LEFT,
     RIGHT,
-    OrbitData,
     PwlMap,
-    _apply,
     _fixed_point,
-    _is_left,
     _norms,
-    _orbit,
     _pieces,
     _Pieces,
     _step_rows,
+    _TwoPieces,
+    orbit,
     validate_continuity,
 )
 
@@ -106,8 +103,8 @@ class AffineHyperplane:
         return np.asarray(X, dtype=float) @ self.normal - self.offset
 
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        x = np.asarray(x, dtype=float)
-        return abs(self.signed_distance(x)) <= tol * (1.0 + float(np.linalg.norm(x)))
+        X = np.asarray(x, dtype=float)[None]
+        return bool(_on_plane(self, X, _norms(X), tol)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +115,7 @@ class Chart:
     basis: np.ndarray  # (n, n-1), orthonormal columns
 
     def lift(self, xi) -> np.ndarray:
-        return self.base + self.basis @ np.asarray(xi, dtype=float)
+        return self.lift_many(np.asarray(xi, dtype=float)[None])[0]
 
     def lift_many(self, Xi) -> np.ndarray:
         """``lift`` of each row, bit for bit: a stacked product, not one gemm."""
@@ -130,7 +127,7 @@ class Chart:
         x = np.asarray(x, dtype=float)
         if x.shape != self.base.shape:
             raise ValueError(f"x0 must be a vector of length {self.base.size}")
-        return self.basis.T @ (x - self.base)
+        return self.project_many(x[None])[0]
 
     def project_many(self, X) -> np.ndarray:
         """``project`` of each row, bit for bit."""
@@ -148,7 +145,7 @@ def plane_chart(plane: AffineHyperplane) -> Chart:
 
 
 @dataclass(frozen=True, eq=False)
-class ReducedPwlMap:
+class ReducedPwlMap(_TwoPieces):
     """Restriction of a map to an invariant hyperplane, in chart coordinates.
 
     The left piece applies where ``switch_normal . xi + switch_offset < 0``,
@@ -172,14 +169,6 @@ class ReducedPwlMap:
         return _pieces(self.matrix_left, self.offset_left, self.matrix_right,
                        self.offset_right, self.switch_normal, -self.switch_offset)
 
-    def side(self, xi) -> str:
-        """The piece that applies at ``xi``, as the itinerary of an orbit records it."""
-        return LEFT if _is_left(self._pieces, xi) else RIGHT
-
-    def __call__(self, xi) -> np.ndarray:
-        """Image of a chart point, or of each row of a ``(P, d)`` array."""
-        return _apply(self._pieces, xi)
-
     def slopes(self) -> tuple[float, float] | None:
         """Piece slopes for one-dimensional restrictions, else None."""
         if self.dimension != 1:
@@ -196,7 +185,6 @@ class SharedEigReduction:
     invariant plane and is multiplied by ``value`` under one map step.
     """
 
-    pwl: PwlMap
     value: float
     left: np.ndarray
     right: np.ndarray
@@ -262,7 +250,6 @@ def detect_shared_eigenvalue(pwl: PwlMap, tol: float = 1e-9) -> SharedEigReducti
     restricted = _build_restricted(pwl, u, base) if transversal else None
     others = tuple(t.value for t in shared if t is not tr)
     return SharedEigReduction(
-        pwl=pwl,
         value=lam,
         left=u,
         right=v,
@@ -274,41 +261,29 @@ def detect_shared_eigenvalue(pwl: PwlMap, tol: float = 1e-9) -> SharedEigReducti
     )
 
 
-def _negligible(x: np.ndarray, y: np.ndarray, tol: float, B: np.ndarray | None = None) -> bool:
-    """Whether ``|x . y| <= tol |x| |y|``, or with ``B`` whether
-    ``|x^T B y| <= tol |B| |x| |y|``.
-
-    Both sides are homogeneous in each factor.  Where a product overflows,
-    or the norms of nonzero factors underflow to zero, they are taken again
-    on each factor divided by the power of two above its largest entry
-    (``linalg._rescaled``), so wherever the plain form works no bit changes.
-    The caller turns NumPy's overflow warnings off.
-    """
-    factors = (x, y) if B is None else (x, B, y)
-    lhs, rhs = _negligible_sides(factors, tol)
-    if not (lhs < math.inf and 0.0 < rhs < math.inf) and all(f.any() for f in factors):
-        lhs, rhs = _negligible_sides([linalg._rescaled(f)[0] for f in factors], tol)
+def _negligible(tol: float, *factors: np.ndarray) -> bool:
+    """Whether ``|x . y| <= tol |x| |y|`` for the factors ``(x, y)``, or
+    ``|x^T B y| <= tol |B| |x| |y|`` for ``(x, B, y)``.  Both sides are
+    homogeneous in each factor: ``linalg._scaled_sides`` takes them.  The
+    caller turns NumPy's overflow warnings off."""
+    def sides(*fs):
+        norms = [float(np.linalg.norm(f)) for f in fs]
+        if len(fs) == 2:
+            return abs(float(fs[0] @ fs[1])), tol * norms[0] * norms[1]
+        return abs(float(fs[0] @ fs[1] @ fs[2])), tol * (norms[1] * norms[0] * norms[2])
+    lhs, rhs = linalg._scaled_sides(sides, *factors)
     return lhs <= rhs
-
-
-def _negligible_sides(factors, tol: float) -> tuple[float, float]:
-    if len(factors) == 2:
-        x, y = factors
-        return abs(float(x @ y)), tol * float(np.linalg.norm(x)) * float(np.linalg.norm(y))
-    x, B, y = factors
-    scale = float(np.linalg.norm(B)) * float(np.linalg.norm(x)) * float(np.linalg.norm(y))
-    return abs(float(x @ B @ y)), tol * scale
 
 
 def _is_shared(pwl: PwlMap, p: np.ndarray, t: linalg.EigenTriple, tol: float) -> bool:
     """Whether ``det(t.value I - A_L) = c^T adj(t.value I - A_R) p`` vanishes."""
     if t.canonical:  # adj(t.value I - A_R) = right left^T: test each factor
-        return _negligible(t.left, p, tol) or _negligible(pwl.c, t.right, tol)
+        return _negligible(tol, t.left, p) or _negligible(tol, pwl.c, t.right)
     M = t.value * np.eye(pwl.n) - pwl.A_R
     B = linalg.adjugate(M)
     if not np.isfinite(B).all():  # the test is homogeneous in B
         B = linalg.adjugate(linalg._rescaled(M)[0])
-    return _negligible(pwl.c, p, tol, B)
+    return _negligible(tol, pwl.c, B, p)
 
 
 def _hypothesis_failure(pwl: PwlMap, tr: linalg.EigenTriple, tol: float) -> str | None:
@@ -318,19 +293,19 @@ def _hypothesis_failure(pwl: PwlMap, tr: linalg.EigenTriple, tol: float) -> str 
         return "algebraic multiplicity exceeds one"
     if abs(1.0 - tr.value) <= tol * (1.0 + abs(tr.value)):
         return "the shared eigenvalue equals one"
-    if _negligible(pwl.c, tr.right, tol):
+    if _negligible(tol, pwl.c, tr.right):
         return "the right eigenvector is orthogonal to the switching normal"
     return None
 
 
 def _transversal(u: np.ndarray, c: np.ndarray, tol: float) -> bool:
     """Whether ``u`` has a component off ``c`` above ``tol |u|``.  The test
-    does not change when ``c`` is scaled, so where ``c . c`` overflows or
-    underflows to zero it runs on ``c`` divided by a power of two instead.
-    ``u`` is a left eigenvector, with largest entry 1 or of unit norm.  The
-    caller turns NumPy's overflow warnings off."""
+    does not change when ``c`` is scaled, so where ``c . c`` is not
+    ``linalg._full_precision`` it runs on ``c`` divided by a power of two
+    instead.  ``u`` is a left eigenvector, with largest entry 1 or of unit
+    norm.  The caller turns NumPy's overflow warnings off."""
     cc = float(c @ c)
-    if not 0.0 < cc < math.inf:
+    if not linalg._full_precision(cc):
         c, _ = linalg._rescaled(c)
         cc = float(c @ c)
     rej = u - c * (float(u @ c) / cc)
@@ -366,15 +341,7 @@ def restrict_to_manifold(red: SharedEigReduction) -> ReducedPwlMap:
     return red.restricted
 
 
-def reduced_orbit(
-    rmap: ReducedPwlMap,
-    xi0,
-    n_transient: int = 1000,
-    n_keep: int = 3000,
-    escape_radius: float = ESCAPE_RADIUS,
-) -> OrbitData:
-    """Orbit of a restricted map in chart coordinates, same contract as ``orbit``."""
-    return _orbit(rmap._pieces, xi0, n_transient, n_keep, escape_radius, what="reduced orbit")
+reduced_orbit = orbit  # a restricted map iterates in chart coordinates like any map
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,12 @@ from pwldyn import (
     BcnfParams,
     HypothesisViolated,
     NonFinite,
+    ReducedPwlMap,
     SharedEigReduction,
     SingularMatrix,
+    adjugate,
     bcnf,
+    determinant,
     fixed_points,
     linalg,
     real_eigen,
@@ -89,13 +92,23 @@ def reference_step(A_L, d_L, A_R, d_R, c, t, x):
     return left, [_in_order(row, x) + di for row, di in zip(A.tolist(), d.tolist())]
 
 
-def reference_orbit(pwl, x0, n_transient, n_keep, escape_radius, what="orbit"):
+def pieces(m):
+    """The six arguments ``A_L, d_L, A_R, d_R, c, t`` of ``reference_step``
+    for a map or a restricted map ``m``."""
+    if isinstance(m, ReducedPwlMap):
+        return (m.matrix_left, m.offset_left, m.matrix_right, m.offset_right,
+                m.switch_normal, -m.switch_offset)
+    return m.A_L, m.b, m.A_R, m.b, m.c, 0.0
+
+
+def reference_orbit(A_L, d_L, A_R, d_R, c, t, x0, n_transient, n_keep, escape_radius):
     """The one-point orbit loop, kept as the oracle of ``orbit``: a NumPy
     norm and escape test before every step, a per-point itinerary write and
-    ``reference_step``.  Returns points, itinerary, transient_discarded and
-    escape_index, or raises NonFinite."""
+    ``reference_step`` on the pieces ``A_L, d_L, A_R, d_R, c, t``.  Returns
+    points, itinerary, transient_discarded and escape_index, or raises
+    NonFinite."""
     x = np.asarray(x0, dtype=float).copy()
-    pts = np.empty((n_keep, pwl.n))
+    pts = np.empty((n_keep, len(c)))
     its = np.empty(n_keep, dtype="<U1")
     kept = 0
     escape_index = None
@@ -106,8 +119,8 @@ def reference_orbit(pwl, x0, n_transient, n_keep, escape_radius, what="orbit"):
                 escape_index = k
                 break
             if not np.isfinite(r):
-                raise NonFinite(f"{what} iterate {k} is not finite")
-            left, image = reference_step(pwl.A_L, pwl.b, pwl.A_R, pwl.b, pwl.c, 0.0, x)
+                raise NonFinite(f"orbit iterate {k} is not finite")
+            left, image = reference_step(A_L, d_L, A_R, d_R, c, t, x)
             if k >= n_transient:
                 pts[kept] = x
                 its[kept] = LEFT if left else RIGHT
@@ -162,7 +175,7 @@ def reference_detect_shared(pwl, tol=1e-9):
     transversal = reduction._transversal(u, pwl.c, tol)
     restricted = reduction._build_restricted(pwl, u, base) if transversal else None
     others = tuple(t.value for t, _ in cands if t is not tr)
-    return SharedEigReduction(pwl=pwl, value=lam, left=u, right=v, offset=offset,
+    return SharedEigReduction(value=lam, left=u, right=v, offset=offset,
                               manifold=manifold, transversal=transversal,
                               restricted=restricted, other_shared=others)
 
@@ -178,7 +191,13 @@ def _reference_failure(pwl, tr, tl, tol):
     return None
 
 
-def reference_solve(a, rhs, pivot_rtol=1e-12):
+def det_lemma_sides(a, q, r) -> tuple[float, float]:
+    """Both sides of the matrix determinant lemma ``det(A + r q^T) =
+    det(A) + q^T adj(A) r``, through ``determinant`` and ``adjugate``."""
+    return determinant(a + np.outer(r, q)), determinant(a) + float(q @ adjugate(a) @ r)
+
+
+def reference_solve(a, rhs):
     """The NumPy elimination that ``solve`` replaced, kept as its oracle:
     partial pivoting by ``np.argmax``, row updates by ``np.outer`` and a
     NumPy dot per row in the back-substitution.  Overflow and invalid
@@ -187,7 +206,7 @@ def reference_solve(a, rhs, pivot_rtol=1e-12):
     b = np.asarray(rhs, dtype=float).copy()
     n = A.shape[0]
     U = A.copy()
-    floor = pivot_rtol * float(np.max(np.abs(A)))
+    floor = linalg.PIVOT_RTOL * float(np.max(np.abs(A)))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
             piv = k + int(np.argmax(np.abs(U[k:, k])))

@@ -22,7 +22,6 @@ from pwldyn import (
     classify_unit_modulus,
     default_x0,
     detect_shared_eigenvalue,
-    matrix_det_lemma_check,
     plane_chart,
     real_eigen,
     restrict_to_manifold,
@@ -32,7 +31,7 @@ from pwldyn import (
 )
 from pwldyn.cli import main
 
-from conftest import FLAT_LEFT_2D, FLAT_LEFT_3D, SHARED_2D, shared_3d_params
+from conftest import FLAT_LEFT_2D, FLAT_LEFT_3D, SHARED_2D, det_lemma_sides, shared_3d_params
 
 
 def _report(capsys, number: int, label: str, t0: float, cap: float) -> None:
@@ -105,7 +104,7 @@ def test_criterion_2_adjugate_identities(capsys):
         assert np.abs(lhs - rhs).max() <= 1e-10 * max(1.0, np.abs(lhs).max())
         q = rng.standard_normal(n)
         r = rng.standard_normal(n)
-        left, right = matrix_det_lemma_check(a, q, r)
+        left, right = det_lemma_sides(a, q, r)
         assert abs(left - right) <= 1e-10 * max(1.0, abs(left), abs(right))
     built = 0
     while built < 200:

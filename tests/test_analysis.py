@@ -22,7 +22,7 @@ from pwldyn import (
     scan,
 )
 
-from conftest import SHARED_2D, reference_orbit, shared_3d_params
+from conftest import SHARED_2D, pieces, reference_orbit, shared_3d_params
 
 
 def test_default_x0(shared_map):
@@ -319,8 +319,8 @@ def test_scan_matches_reference_loop_per_value(dim, seed, P, n_transient, n_keep
         assert np.array_equal(pwl.A_L, expected.A_L)
         assert np.array_equal(pwl.A_R, expected.A_R)
         try:
-            pts, _, _, escape_index = reference_orbit(pwl, default_x0(pwl), n_transient,
-                                                      n_keep, escape_radius)
+            pts, _, _, escape_index = reference_orbit(*pieces(pwl), default_x0(pwl),
+                                                      n_transient, n_keep, escape_radius)
         except NonFinite as exc:
             assert cloud is None
             assert err == f"NonFinite: {exc}"

@@ -395,6 +395,28 @@ def test_non_finite_x0_rejected(capsys, command, x0):
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: x0 must be finite")
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    *((command, "--x0", x0) for command in ("orbit", "portrait", "restrict", "scan")
+      for x0 in ("-inf,0", "-nan,1", "-Infinity,2", "-NaN,3")),
+    ("scan", "--values", "-inf,1"),
+])
+def test_non_finite_value_as_its_own_word(capsys, command, flag, value):
+    # -inf and -nan are values, not flags: each word form ends in the same
+    # one-line rejection as the --flag=value form
+    sweep = []
+    if command == "scan":
+        sweep = ["--param", "tl"] + (["--values", "2.2"] if flag == "--x0" else [])
+    errors = []
+    for form in ([flag, value], [f"{flag}={value}"]):
+        assert exit_code([command, *ANCHOR, *sweep, *form]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: x0 must be finite" if flag == "--x0"
+                                else "error: map data must be finite")
+
+
 def test_restrict_x0_of_wrong_length(capsys):
     assert main(["restrict", *ANCHOR, "--x0", "1,2,3"]) == 2
     assert capsys.readouterr().err == "error: x0 must be a vector of length 2\n"

@@ -63,11 +63,11 @@ def _write_map(path: Path, n, a_l, a_r, b, c) -> None:
 _DEGENERATE = {
     "transient": ["0", "-1"],
     "keep": ["0", "1", "-1"],
-    "escape_radius": ["inf", "1e-300", "0", "nan", "-1", "-2.5e-05"],
+    "escape_radius": ["inf", "1e-300", "0", "nan", "-1", "-2.5e-05", "-inf"],
     "tol": ["1e-300", "1", "0", "nan", "inf", "-2.5e-05"],
-    "x0": ["nan", "1e300", "0.1,0.2,0.3,0.4,0.5,0.6", "-1,2", "-2.5e-05"],
+    "x0": ["nan", "1e300", "0.1,0.2,0.3,0.4,0.5,0.6", "-1,2", "-2.5e-05", "-inf", "-nan,1"],
     "grid": ["0:0:1", "1:-1:2", "nan:1:2", "-1:1:0", "0:1:2,0:1:2,0:1:2,0:1:2,0:1:2"],
-    "values": ["nan", "inf,1e300", "1.0", "-2.5e-05", "-1,2"],
+    "values": ["nan", "inf,1e300", "1.0", "-2.5e-05", "-1,2", "-inf,1"],
     "param": ["tl", "dr"],
     "format": ["csv", "json"],
 }

@@ -1,7 +1,7 @@
 """Every module-level import of the package is used or re-exported, every
 module-level private name is referenced somewhere in the package, every
-public name of a library module is exported by the package, and no module
-imports SciPy."""
+dataclass field is read somewhere, every public name of a library module is
+exported by the package, and no module imports SciPy."""
 from __future__ import annotations
 
 import ast
@@ -98,6 +98,47 @@ def test_guard_sees_an_unused_private_name():
         "b.py": "from a import _C\nimport a\n_L: int = 2\nprint(_L, a._K)\n",
     }
     assert unused_private_names(sources) == ["_M (a.py line 6)", "_f (a.py line 1)"]
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def unread_fields(package: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """Fields of the dataclasses defined in the ``package`` sources that no
+    source of ``package`` or ``readers`` reads as ``.field``.  Passing a
+    field to the constructor does not count as reading it."""
+    fields = {}
+    for module, source in package.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        fields[f"{node.name}.{item.target.id}"] = f"{module} line {item.lineno}"
+    read = {node.attr for source in (*package.values(), *readers.values())
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{name} ({where})" for name, where in fields.items()
+                  if name.split(".")[1] not in read)
+
+
+def test_every_dataclass_field_is_read():
+    root = PACKAGE.parents[1]
+    package = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    readers = {str(p.relative_to(root)): p.read_text(encoding="utf-8")
+               for directory in ("bench", "tests") for p in sorted((root / directory).glob("*.py"))}
+    assert unread_fields(package, readers) == []
+
+
+def test_guard_sees_an_unread_field():
+    package = {"a.py": "from dataclasses import dataclass\n"
+                       "@dataclass(frozen=True)\nclass C:\n    x: int\n    y: int = 0\n"
+                       "@dataclass\nclass D:\n    z: int\n"
+                       "class E:\n    w: int\n"}
+    readers = {"b.py": "c = C(x=1, y=2)\nc.y = 3\nprint(c.x, D(z=1).z)\n"}
+    assert unread_fields(package, readers) == ["C.y (a.py line 5)"]
 
 
 def scipy_imports(source: str) -> list[str]:

@@ -17,18 +17,20 @@ from pwldyn import (
     ReducedPwlMap,
     UnsupportedDimension,
     bcnf,
+    detect_shared_eigenvalue,
     fixed_points,
     orbit,
     plane_chart,
     reduced_orbit,
+    restrict_to_manifold,
     validate_continuity,
 )
 from pwldyn import pwlmap
-from pwldyn.pwlmap import _orbit
 
 from conftest import (
     FLAT_LEFT_2D,
     SHARED_2D,
+    pieces,
     reference_orbit,
     reference_step,
     shared_3d_params,
@@ -224,7 +226,7 @@ def test_orbit_matches_reference_loop(n, seed, scale, n_transient, n_keep, escap
     pwl = PwlMap(A_L, A_R, rng.standard_normal(n), c)
     x0 = rng.standard_normal(n)
     try:
-        ref = reference_orbit(pwl, x0, n_transient, n_keep, escape_radius)
+        ref = reference_orbit(*pieces(pwl), x0, n_transient, n_keep, escape_radius)
     except NonFinite as exc:
         with pytest.raises(NonFinite, match=f"^{exc}$"):
             orbit(pwl, x0, n_transient, n_keep, escape_radius)
@@ -247,6 +249,27 @@ def _random_continuous_map(rng, n, scale):
     return PwlMap(A_L, A_R, rng.standard_normal(n), c)
 
 
+def _random_restricted_map(rng, n, scale):
+    """Restriction to the invariant plane of a random continuous map on
+    R^(n+1) whose pieces share the eigenvalue -0.5; the other eigenvalues of
+    the right piece are ``scale`` times draws from (-1, 1), all 0.02 apart."""
+    r = np.zeros(n + 1)
+    while np.abs(np.subtract.outer(r, r) + np.eye(n + 1)).min() < 0.02:
+        r = np.concatenate(([-0.5], scale * rng.uniform(-1.0, 1.0, n)))
+    while True:
+        S = np.eye(n + 1) + 0.3 * rng.standard_normal((n + 1, n + 1))
+        if np.linalg.cond(S) <= 20.0:
+            break
+    S_inv = np.linalg.inv(S)
+    u = S_inv[0]  # the left eigenvector of -0.5, orthogonal to p
+    p = rng.standard_normal(n + 1)
+    p -= u * (u @ p) / (u @ u)
+    c = rng.standard_normal(n + 1)
+    A_R = S @ np.diag(r) @ S_inv
+    pwl = PwlMap(A_R - np.outer(p, c), A_R, rng.standard_normal(n + 1), c)
+    return restrict_to_manifold(detect_shared_eigenvalue(pwl))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     n=st.integers(1, 5),
@@ -257,23 +280,25 @@ def _random_continuous_map(rng, n, scale):
     escape_radius=st.sampled_from([10.0, 1e12, np.inf]),
 )
 def test_lockstep_orbits_match_reference_loop(n, P, seed, n_transient, n_keep, escape_radius):
-    # P orbits, each stepped alone as ``scan`` steps its values.  They mix
-    # bounded, escaping and overflowing maps, and NaN starts; transient and
-    # keep lengths cross the escape-test chunk boundary.
+    # P orbits of maps and P of restricted maps, each stepped alone as
+    # ``scan`` steps its values.  They mix bounded, escaping and overflowing
+    # maps, and NaN starts; transient and keep lengths cross the escape-test
+    # chunk boundary.
     rng = np.random.default_rng(seed)
-    maps = [_random_continuous_map(rng, n, rng.choice([0.5, 0.95, 1.05, 2.0, 8.0]))
-            for _ in range(P)]
-    X0 = rng.standard_normal((P, n))
-    X0[rng.random(P) < 0.15] = np.nan
-    for pwl, x0 in zip(maps, X0):
+    scales = [0.5, 0.95, 1.05, 2.0, 8.0]
+    maps = [_random_continuous_map(rng, n, rng.choice(scales)) for _ in range(P)]
+    maps += [_random_restricted_map(rng, n, rng.choice(scales)) for _ in range(P)]
+    X0 = rng.standard_normal((2 * P, n))
+    X0[rng.random(2 * P) < 0.15] = np.nan
+    for two_pieces, x0 in zip(maps, X0):
         try:
             pts, its, discarded, escape_index = reference_orbit(
-                pwl, x0, n_transient, n_keep, escape_radius)
+                *pieces(two_pieces), x0, n_transient, n_keep, escape_radius)
         except NonFinite as exc:
             with pytest.raises(NonFinite, match=f"^{exc}$"):
-                _orbit(pwl._pieces, x0, n_transient, n_keep, escape_radius)
+                orbit(two_pieces, x0, n_transient, n_keep, escape_radius)
             continue
-        res = _orbit(pwl._pieces, x0, n_transient, n_keep, escape_radius)
+        res = orbit(two_pieces, x0, n_transient, n_keep, escape_radius)
         assert res.points.shape == pts.shape
         assert res.points.tobytes() == pts.tobytes()
         assert np.array_equal(res.itinerary, its)
@@ -293,12 +318,12 @@ def test_orbit_escape_radius_at_the_cheap_test_bound(n):
     eye = np.eye(n)
     pwl = PwlMap(0.99 * eye, 0.99 * eye, np.full(n, 0.01 * a), eye[0])
     x0 = np.zeros(n)
-    pts, _, _, _ = reference_orbit(pwl, x0, 0, steps, 1e12)
+    pts, _, _, _ = reference_orbit(*pieces(pwl), x0, 0, steps, 1e12)
     top = math.sqrt(n) * float(np.abs(pts[-1]).max())
     escapes = set()
     for ulps in range(-3, 4):
         radius = top + ulps * math.ulp(top)
-        ref_pts, _, _, escape_index = reference_orbit(pwl, x0, 0, steps, radius)
+        ref_pts, _, _, escape_index = reference_orbit(*pieces(pwl), x0, 0, steps, radius)
         with mock.patch.object(pwlmap, "_norms", wraps=pwlmap._norms) as norms:
             got = orbit(pwl, x0, 0, steps, radius)
         assert got.escape_index == escape_index
@@ -321,11 +346,11 @@ def test_orbits_escape_radius_at_an_iterate_norm(n, P, seed):
     rng = np.random.default_rng(seed)
     maps = [_random_continuous_map(rng, n, 0.95) for _ in range(P)]
     X0 = rng.standard_normal((P, n))
-    pts, _, _, _ = reference_orbit(maps[0], X0[0], 0, 300, 1e12)
+    pts, _, _, _ = reference_orbit(*pieces(maps[0]), X0[0], 0, 300, 1e12)
     radius = float(np.linalg.norm(pts[rng.integers(len(pts))]))
     for pwl, x0 in zip(maps, X0):
         res = orbit(pwl, x0, 0, 300, radius)
-        ref_pts, _, _, escape_index = reference_orbit(pwl, x0, 0, 300, radius)
+        ref_pts, _, _, escape_index = reference_orbit(*pieces(pwl), x0, 0, 300, radius)
         assert res.escape_index == escape_index
         assert res.points.tobytes() == ref_pts.tobytes()
 

@@ -182,6 +182,24 @@ def test_non_transversal_parallel_normal():
         restrict_to_manifold(red)
 
 
+@pytest.mark.parametrize("k", [525, 530])
+def test_non_transversal_at_subnormal_scale(k):
+    # c parallel to the left eigenvector of the shared value 0.2, scaled so
+    # that c . c = 2^(-2k) is subnormal: dividing by it loses precision, so
+    # c is rescaled first, as past the other end of the float range.
+    for seed in range(100):
+        g = np.random.default_rng(seed)
+        Q, _ = np.linalg.qr(g.standard_normal((3, 3)))
+        a_r = Q @ np.diag([0.2, 2.0, -0.7]) @ Q.T
+        c = math.ldexp(1.0, -k) * Q[:, 0]
+        p = math.ldexp(1.0, k) * (Q @ np.array([0.0, 0.3, -0.4]))
+        red = detect_shared_eigenvalue(PwlMap(a_r - np.outer(p, c), a_r, g.standard_normal(3), c))
+        assert red.value == pytest.approx(0.2, rel=1e-9)
+        assert not red.transversal and red.restricted is None
+        with pytest.raises(NonTransversal):
+            restrict_to_manifold(red)
+
+
 def test_hypothesis_shared_value_one():
     a_r = np.diag([1.0, 0.3])
     c = np.array([0.0, 1.0])
