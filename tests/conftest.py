@@ -92,6 +92,24 @@ def reference_step(A_L, d_L, A_R, d_R, c, t, x):
     return left, [_in_order(row, x) + di for row, di in zip(A.tolist(), d.tolist())]
 
 
+def reference_contains(plane, x, tol):
+    """Plane membership of one point, ``|normal . x - offset| <= tol (1 + |x|)``,
+    with a 1-D dot and ``np.linalg.norm``, apart from the sampler's stacked
+    products."""
+    x = np.asarray(x, dtype=float)
+    return abs(float(plane.normal @ x) - plane.offset) <= tol * (1.0 + float(np.linalg.norm(x)))
+
+
+def reference_lift(chart, xi):
+    """Chart coordinates to a point, ``base + basis xi``, one matrix-vector product."""
+    return chart.base + chart.basis @ np.asarray(xi, dtype=float)
+
+
+def reference_project(chart, x):
+    """A point to chart coordinates, ``basis^T (x - base)``, one matrix-vector product."""
+    return chart.basis.T @ (np.asarray(x, dtype=float) - chart.base)
+
+
 def pieces(m):
     """The six arguments ``A_L, d_L, A_R, d_R, c, t`` of ``reference_step``
     for a map or a restricted map ``m``."""

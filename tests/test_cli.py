@@ -362,59 +362,50 @@ def test_induced_every_sample_failed(capsys):
 
 
 # Negative values that argparse alone takes for flags: exponent notation,
-# lists and grid specs.
+# lists, grid specs and non-finite values.
 NEGATIVE_WORDS = [
     ("portrait", ["--tl", "-2.5e-05"]),
     ("portrait", ["--tl", "2.2", "--x0", "-1,2"]),
     ("scan", ["--tl", "2.2", "--param", "tl", "--values", "-0.5,0.5"]),
     ("restrict", ["--tl", "2.2", "--grid", "-1:1:3"]),
+    ("scan", ["--tl", "2.2", "--param", "tl", "--values", "-inf,1"]),
 ]
 
 
 @pytest.mark.parametrize("command, words", NEGATIVE_WORDS)
-def test_negative_value_as_its_own_word(tmp_path, command, words):
+def test_negative_value_as_its_own_word(tmp_path, capsys, command, words):
+    # each form runs alike; a non-finite value is rejected as map data
     the_rest = ["--dim", "2", "--dl", "0.4", "--tr", "-1.3", "--dr", "-0.3",
                 "--transient", "20", "--keep", "30"]
     flag, value = words[-2:]
-    outputs = []
+    outcomes = []
     for form in ([flag, value], [f"{flag}={value}"]):
         out = tmp_path / f"{len(form)}.out"
-        assert main([command, *the_rest, *words[:-2], *form, "--out", str(out)]) == 0
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+        code = exit_code([command, *the_rest, *words[:-2], *form, "--out", str(out)])
+        outcomes.append((code, out.read_bytes() if out.exists() else None, capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    code, written, captured = outcomes[0]
+    if "inf" in value:
+        assert (code, written) == (2, None)
+        assert captured == ("", "error: map data must be finite\n")
+    else:
+        assert code == 0 and written and captured.err == ""
 
 
 @pytest.mark.parametrize("command", ["orbit", "portrait", "restrict", "scan"])
-@pytest.mark.parametrize("x0", ["nan,2", "1,inf", "-inf,0"])
-def test_non_finite_x0_rejected(capsys, command, x0):
+@pytest.mark.parametrize("form", [
+    *(pytest.param([f"--x0={x0}"], id=x0)
+      for x0 in ("nan,2", "1,inf", "-inf,0", "-nan,1", "-Infinity,2", "-NaN,3")),
+    *(pytest.param(["--x0", x0], id=f"--x0 {x0}")
+      for x0 in ("-inf,0", "-nan,1", "-Infinity,2", "-NaN,3")),
+])
+def test_non_finite_x0_rejected(capsys, command, form):
     sweep = ["--param", "tl", "--values", "2.2"] if command == "scan" else []
-    code = exit_code([command, *ANCHOR, *sweep, f"--x0={x0}"])
+    code = exit_code([command, *ANCHOR, *sweep, *form])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: x0 must be finite")
-
-
-@pytest.mark.parametrize("command, flag, value", [
-    *((command, "--x0", x0) for command in ("orbit", "portrait", "restrict", "scan")
-      for x0 in ("-inf,0", "-nan,1", "-Infinity,2", "-NaN,3")),
-    ("scan", "--values", "-inf,1"),
-])
-def test_non_finite_value_as_its_own_word(capsys, command, flag, value):
-    # -inf and -nan are values, not flags: each word form ends in the same
-    # one-line rejection as the --flag=value form
-    sweep = []
-    if command == "scan":
-        sweep = ["--param", "tl"] + (["--values", "2.2"] if flag == "--x0" else [])
-    errors = []
-    for form in ([flag, value], [f"{flag}={value}"]):
-        assert exit_code([command, *ANCHOR, *sweep, *form]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.count("\n") == 1
-        errors.append(captured.err)
-    assert errors[0] == errors[1]
-    assert errors[0].startswith("error: x0 must be finite" if flag == "--x0"
-                                else "error: map data must be finite")
 
 
 def test_restrict_x0_of_wrong_length(capsys):

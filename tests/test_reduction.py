@@ -45,7 +45,10 @@ from conftest import (
     FLAT_LEFT_3D,
     SHARED_2D,
     bcnf_argv,
+    reference_contains,
     reference_detect_shared,
+    reference_lift,
+    reference_project,
     reference_step,
     shared_3d_params,
 )
@@ -816,7 +819,7 @@ def _reference_excursion(pwl, plane, x, j_max, escape_radius, tol):
     outcome, the last iterate, the step it ended at (0 when it ran out) and
     the symbols taken."""
     y = np.asarray(x, dtype=float).copy()
-    if not plane.contains(y, tol):
+    if not reference_contains(plane, y, tol):
         raise ValueError("start point is not on the section")
     syms = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -830,7 +833,7 @@ def _reference_excursion(pwl, plane, x, j_max, escape_radius, tol):
                 return "escaped", y, j, tuple(syms)
             if not math.isfinite(r):
                 return "non_finite", y, j, tuple(syms)
-            if sym == "L" or plane.contains(y, tol):
+            if sym == "L" or reference_contains(plane, y, tol):
                 return "ok", y, j, tuple(syms)
     return "no_return", y, 0, tuple(syms)
 
@@ -852,11 +855,11 @@ def _reference_samples(pwl, plane, chart, grid, j_max, escape_radius, tol):
     as the columns hold them."""
     out = []
     for xi in grid:
-        status, y, j, syms = _reference_excursion(pwl, plane, chart.lift(xi), j_max,
-                                                  escape_radius, tol)
+        status, y, j, syms = _reference_excursion(pwl, plane, reference_lift(chart, xi),
+                                                  j_max, escape_radius, tol)
         last_left = status != "no_return" and syms[-1] == "L"
         if status == "ok":
-            out.append((xi, chart.project(y), j, syms, status, j, last_left))
+            out.append((xi, reference_project(chart, y), j, syms, status, j, last_left))
         else:
             out.append((xi, None, None, None, status, j, last_left))
     return out
@@ -989,8 +992,10 @@ def test_chart_many_rows_equal_one_point_forms(n):
                                                            rng.standard_normal(n)))
     xi = rng.standard_normal((500, n - 1))
     x = 10.0 * rng.standard_normal((500, n))
-    assert chart.lift_many(xi).tobytes() == np.array([chart.lift(r) for r in xi]).tobytes()
-    assert chart.project_many(x).tobytes() == np.array([chart.project(r) for r in x]).tobytes()
+    lifted = np.array([reference_lift(chart, r) for r in xi])
+    projected = np.array([reference_project(chart, r) for r in x])
+    assert chart.lift_many(xi).tobytes() == lifted.tobytes()
+    assert chart.project_many(x).tobytes() == projected.tobytes()
     assert chart.lift_many(np.empty((0, n - 1))).shape == (0, n)
 
 
