@@ -5,10 +5,10 @@ the determinant is LAPACK's LU and the adjugate comes from one SVD
 (G. W. Stewart, "On the adjugate matrix", Linear Algebra Appl. 283, 1998),
 which stays accurate at rank n - 1.  Eigenvalues come from
 characteristic-polynomial closed forms up to 3x3 and from LAPACK above that;
-eigenvectors of simple eigenvalues are read off the adjugate of
-``value * I - A``, which fixes their relative scaling.  Two adjacent real
-roots whose eigenvalue condition numbers ``s = |u . v| / (|u| |v|)`` are
-both tiny, and which lie no farther apart than rounding splits a double
+eigenvectors of a real root are read off the adjugate of ``value * I - A``,
+which fixes the relative scaling of a simple root's vectors.  Two adjacent
+real roots whose eigenvalue condition numbers ``s = |u . v| / (|u| |v|)``
+are both tiny, and which lie no farther apart than rounding splits a double
 root, are one defective double root.
 
 Every public function validates its matrix once and passes the validated
@@ -16,10 +16,15 @@ array to the private helpers.  The closed forms up to 3x3, the Newton
 polish of cubic roots, the clustering of roots, the eigenvector readout and
 the Gaussian elimination of ``solve`` run on Python floats and complex
 numbers (``A.tolist()``): at these sizes NumPy's per-call overhead, not the
-arithmetic, would dominate.  They return the bits the NumPy forms returned:
-``solve`` pivots as ``np.argmax`` does and rounds each update as
-``np.outer`` and ``-=`` do, and its back-substitution keeps NumPy's dot for
-row tails longer than one term, whose BLAS may fuse multiply-adds.
+arithmetic, would dominate.
+
+Every inner product of the package is the step's in-order sum
+``(x_0 y_0 + x_1 y_1) + ...``, each product and each sum rounded once and
+none fused: ``_dot`` on Python floats, ``_rows_dot`` and ``_matmul`` as
+elementwise NumPy sums of columns, which round alike.  Up to 3x3 the only
+LAPACK call is the SVD of a semisimple multiple root, and no bit depends on
+the BLAS build or the CPU.  Above 3x3 LAPACK's ``eigvals``, ``svd`` and
+``det`` and the matrix product inside the SVD adjugate remain.
 
 ``real_eigen`` remembers the spectra of the last two matrices it decomposed,
 the two pieces of the map being analysed, so the several analyses of one map
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +93,41 @@ DEFECTIVE_SPLIT = 100.0
 PIVOT_RTOL = 1e-12
 
 _TINY = float(np.finfo(float).tiny)
+
+
+def _dot(x, y) -> float:
+    """``(x_0 y_0 + x_1 y_1) + ...`` on Python floats, the step's sum: each
+    product and each sum rounded once.  ``x`` and ``y`` are lists, or arrays
+    read in C order; no terms give 0.0."""
+    if not isinstance(x, list):
+        x = x.ravel().tolist()
+    if not isinstance(y, list):
+        y = y.ravel().tolist()
+    terms = map(operator.mul, x, y)
+    return functools.reduce(operator.add, terms, next(terms, 0.0))
+
+
+def _length(v) -> float:
+    """Euclidean norm of the entries of ``v``, ``sqrt(_dot(v, v))``."""
+    return math.sqrt(_dot(v, v))
+
+
+def _rows_dot(X, Y) -> np.ndarray:
+    """``_dot`` along the last axis of ``X`` and ``Y``, broadcast over the
+    other axes, as elementwise sums of columns: each entry has the bits of
+    ``_dot`` of its two rows, and no terms give zeros."""
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    if not X.shape[-1]:
+        return np.zeros(np.broadcast_shapes(X.shape[:-1], Y.shape[:-1]))
+    total = X[..., 0] * Y[..., 0]
+    for j in range(1, X.shape[-1]):
+        total += X[..., j] * Y[..., j]
+    return total
+
+
+def _matmul(A, B) -> np.ndarray:
+    """``A @ B`` of two matrices, each entry ``_dot`` of a row and a column."""
+    return _rows_dot(np.asarray(A, dtype=float)[:, None, :], np.asarray(B, dtype=float).T)
 
 
 def _as_square(a) -> np.ndarray:
@@ -169,22 +210,8 @@ def _adj_rows(r: list[list[float]]) -> list[list[float]]:
 
 
 def _shifted_rows(r: list[list[float]], lam: float) -> list[list[float]]:
-    """Rows of ``lam I - A`` from the rows ``r`` of ``A``, rounded as
-    ``lam * np.eye(n) - A`` rounds them: ``lam * 1.0 - a`` on the diagonal
-    and ``lam * 0.0 - a`` off it, so that signed zeros come out alike."""
-    return [[lam * (1.0 if i == j else 0.0) - a for j, a in enumerate(row)]
-            for i, row in enumerate(r)]
-
-
-def _argmax(xs: list[float]) -> int:
-    """``np.argmax`` of a list: the first maximum, or the first NaN."""
-    best = 0
-    for i, x in enumerate(xs):
-        if x != x:
-            return i
-        if x > xs[best]:
-            best = i
-    return best
+    """Rows of ``lam I - A`` from the rows ``r`` of ``A``."""
+    return [[lam - a if i == j else -a for j, a in enumerate(row)] for i, row in enumerate(r)]
 
 
 def solve(a, rhs) -> np.ndarray:
@@ -204,16 +231,16 @@ def _solve_rows(U: list[list[float]], y: list[float]) -> np.ndarray:
     """``solve`` on the rows of a finite matrix and a right-hand side, both
     Python lists, which it overwrites.
 
-    Every float is the one that NumPy's elimination makes: the pivot is the
-    first largest ``|U[i][k]|``, or the first NaN once elimination overflows,
-    as ``np.argmax`` picks it; each entry becomes ``u - m * r`` and each
-    right-hand side ``y - m * y_k``, as ``np.outer`` and ``-=`` round them.
-    Entries below a pivot are never read again and are not updated.
+    The pivot is the first largest ``|U[i][k]|`` (once elimination
+    overflows, a NaN is never larger); each entry becomes ``u - m * r`` and
+    each right-hand side ``y - m * y_k``; back-substitution subtracts the
+    ``_dot`` of each row's tail.  Entries below a pivot are never read again
+    and are not updated.
     """
     n = len(U)
     floor = PIVOT_RTOL * max(abs(x) for row in U for x in row)
     for k in range(n):
-        piv = k + _argmax([abs(U[i][k]) for i in range(k, n)])
+        piv = max(range(k, n), key=lambda i: abs(U[i][k]))
         if abs(U[piv][k]) <= floor:
             raise SingularMatrix(f"pivot {U[piv][k]:.3e} below threshold in column {k}")
         U[k], U[piv] = U[piv], U[k]
@@ -228,12 +255,7 @@ def _solve_rows(U: list[list[float]], y: list[float]) -> np.ndarray:
     x = [0.0] * n
     for k in range(n - 1, -1, -1):
         r = U[k]
-        if k >= n - 2:  # NumPy's dot of one term is 0.0 + product, of none 0.0
-            dot = 0.0 + r[k + 1] * x[k + 1] if k == n - 2 else 0.0
-        else:  # NumPy's own dot: its BLAS may fuse the multiply-adds
-            with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN pass silently
-                dot = float(np.dot(r[k + 1 :], x[k + 1 :]))
-        x[k] = (y[k] - dot) / r[k]
+        x[k] = (y[k] - _dot(r[k + 1 :], x[k + 1 :])) / r[k]
     return np.array(x)
 
 
@@ -246,12 +268,12 @@ def hyperplane_basis(normal) -> np.ndarray:
     w = np.asarray(normal, dtype=float)
     if w.ndim != 1:
         raise ValueError("normal must be a vector")
-    nrm = float(np.linalg.norm(w))
+    nrm = _length(w)
     if nrm == 0.0:
         raise ZeroNormal("hyperplane normal is zero")
     h = w.copy()
     h[0] += nrm if w[0] >= 0.0 else -nrm
-    H = np.eye(w.size) - 2.0 * np.outer(h, h) / float(h @ h)
+    H = np.eye(w.size) - 2.0 * np.outer(h, h) / _dot(h, h)
     return H[:, 1:]
 
 
@@ -405,9 +427,8 @@ def _char_term_sums(r: list[list[float]]) -> list[float]:
 def _condition(t: EigenTriple) -> float:
     """Wilkinson's s(lam) = |u . v| / (|u| |v|) of a simple value."""
     def sides(u, v):
-        return abs(float(u @ v)), math.sqrt(float(u @ u)) * math.sqrt(float(v @ v))
-    with np.errstate(over="ignore"):
-        uv, norms = _scaled_sides(sides, t.left, t.right)
+        return abs(_dot(u, v)), _length(u) * _length(v)
+    uv, norms = _scaled_sides(sides, t.left, t.right)
     return uv / norms
 
 
@@ -417,7 +438,8 @@ def _scaled_sides(sides, *factors: np.ndarray) -> tuple[float, float]:
     scale is not ``_full_precision``, and no factor is zero, they are taken
     again on each factor divided by the power of two above its largest
     entry (``_rescaled``), so wherever the plain form works no bit changes.
-    The caller turns NumPy's overflow warnings off."""
+    A caller whose ``sides`` takes NumPy products turns NumPy's overflow
+    warnings off."""
     lhs, rhs = sides(*factors)
     if not (lhs < math.inf and _full_precision(rhs)) and all(f.any() for f in factors):
         lhs, rhs = sides(*(_rescaled(f)[0] for f in factors))
@@ -441,15 +463,14 @@ def _rescaled(v: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _norm(A: np.ndarray) -> float:
-    """Frobenius norm; summed for ``A / 2^e`` and scaled back when the
-    squares of ``A`` overflow."""
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(A))
+    """Frobenius norm, ``_length(A)``; summed for ``A / 2^e`` and scaled
+    back when the squares of ``A`` overflow."""
+    norm = _length(A)
     if math.isfinite(norm):
         return norm
     B, e = _rescaled(A)
     try:
-        return math.ldexp(float(np.linalg.norm(B)), e)
+        return math.ldexp(_length(B), e)
     except OverflowError as exc:
         raise IllConditioned("the Frobenius norm of the matrix overflows") from exc
 
@@ -522,7 +543,7 @@ def _char_coeffs(r: list[list[float]]) -> list[float]:
     """Coefficients below the leading 1 of the characteristic polynomial."""
     if len(r) == 2:
         return [-(r[0][0] + r[1][1]), _det_rows(r)]
-    tr = 0.0 + r[0][0] + r[1][1] + r[2][2]  # summed from +0.0 as np.trace does
+    tr = r[0][0] + r[1][1] + r[2][2]
     e2 = (
         r[0][0] * r[1][1] - r[0][1] * r[1][0]
         + r[0][0] * r[2][2] - r[0][2] * r[2][0]
@@ -614,7 +635,10 @@ def _cluster(
                     assigned[j] = True
                     group.append(roots[j])
                     frontier.append(j)
-        mean = _mean(group)
+        total = group[0]
+        for z in group[1:]:
+            total += z
+        mean = complex(total.real / len(group), total.imag / len(group))
         if abs(mean.imag) <= thr:
             reals.append((mean.real, len(group)))
         elif mean.imag > 0.0:
@@ -622,60 +646,37 @@ def _cluster(
     return reals, uppers
 
 
-def _mean(zs: list[complex]) -> complex:
-    """NumPy's complex mean, bit for bit: each part summed pairwise and added
-    to +0.0, then times 1 / size, so a lone -0.0 root has mean +0.0."""
-    scale = 1.0 / len(zs)
-    return complex((0.0 + _pairwise([z.real for z in zs])) * scale,
-                   (0.0 + _pairwise([z.imag for z in zs])) * scale)
-
-
-def _pairwise(xs: list[float]) -> float:
-    """NumPy's pairwise sum of one part of a complex array: in order below
-    four terms, four running sums up to 64 terms, and two halves above."""
-    m = len(xs)
-    if m < 4:
-        total = 0.0
-        for x in xs:
-            total += x
-        return total
-    if m > 64:
-        half = (m - m % 8) // 2
-        return _pairwise(xs[:half]) + _pairwise(xs[half:])
-    acc = xs[:4]
-    i = 4
-    while i < m - m % 4:
-        acc = [acc[k] + xs[i + k] for k in range(4)]
-        i += 4
-    total = (acc[0] + acc[1]) + (acc[2] + acc[3])
-    for x in xs[i:]:
-        total += x
-    return total
-
-
 def _eigen_vectors(A: np.ndarray, lam: float, mult: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Left and right eigenvectors at the real root ``lam`` of multiplicity
+    ``mult``, and whether they are canonical.
+
+    They are read off the row and column of the largest entry of
+    ``adj(lam I - A)``, which is ``right left^T`` for a simple root and,
+    up to 3x3, spans the eigenvectors of a multiple root that is not
+    semisimple; only a simple root's factors are canonical, the others come
+    back unit-norm.  Where that adjugate is zero (a semisimple root), or is
+    not read above 3x3 (a multiple root), the vectors are SVD null vectors.
+    """
     n = A.shape[0]
-    if mult == 1:
-        # adj(lam I - A) = right left^T, read off its largest entry's row and column
-        if n <= 3:
-            B = _adj_rows(_shifted_rows(A.tolist(), lam))
-        else:
-            B = _adj(lam * np.eye(n) - A).tolist()
-        i, j = divmod(_argmax([abs(x) for row in B for x in row]), n)
-        piv = B[i][j]
-        if piv != 0.0 and math.isfinite(piv):
-            left = np.array([x / piv for x in B[i]])
-            return _read_only(left), _read_only(np.array([row[j] for row in B])), True
-        if not math.isfinite(piv):
+    M = _shifted_rows(A.tolist(), lam)
+    if mult == 1 or n <= 3:
+        B = _adj_rows(M) if n <= 3 else _adj(np.array(M)).tolist()
+        canonical = mult == 1
+        if not all(math.isfinite(x) for row in B for x in row):
             # adj(lam I - A) overflows, so its canonical factors cannot be
             # stored; adj of lam I - A over 2^e has the same row and column
             # directions
-            B = _adj(_rescaled(lam * np.eye(n) - A)[0])
-            i, j = divmod(int(np.argmax(np.abs(B))), n)
-            if B[i, j] != 0.0:
-                return _read_only(_sign_fixed(B[i, :])), _read_only(_sign_fixed(B[:, j])), False
-    # multiplicity above one, or a degenerate adjugate: SVD null vectors
-    U, _, Vt = np.linalg.svd(lam * np.eye(n) - A)
+            B = _adj(_rescaled(np.array(M))[0]).tolist()
+            canonical = False
+        mags = [abs(x) for row in B for x in row]
+        i, j = divmod(mags.index(max(mags)), n)
+        piv = B[i][j]
+        if piv != 0.0:
+            left, right = np.array(B[i]), np.array([row[j] for row in B])
+            if canonical:
+                return _read_only(left / piv), _read_only(right), True
+            return _read_only(_sign_fixed(left)), _read_only(_sign_fixed(right)), False
+    U, _, Vt = np.linalg.svd(np.array(M))
     return _read_only(_sign_fixed(U[:, -1])), _read_only(_sign_fixed(Vt[-1, :])), False
 
 
@@ -685,7 +686,11 @@ def _read_only(v: np.ndarray) -> np.ndarray:
 
 
 def _sign_fixed(v: np.ndarray) -> np.ndarray:
-    w = v / float(np.linalg.norm(v))
+    """The nonzero ``v`` at unit norm, its first significant component
+    positive.  It is normalized from ``_rescaled(v)``, so that no square
+    over- or underflows."""
+    v = _rescaled(v)[0]
+    w = v / _length(v)
     for comp in w:
         if abs(comp) > 1e-12:
             return -w if comp < 0.0 else w

@@ -85,10 +85,11 @@ def _pieces(A_L, d_L, A_R, d_R, c, t: float) -> _Pieces:
 # ...) + d_i`` and the side test is ``((c_0 x_0 + c_1 x_1) + ...) < t``; every
 # product and sum is rounded once and none is fused.  One orbit steps on
 # Python floats (_kernel); many points step as NumPy elementwise operations
-# over the point axis (_step_rows, _left_rows), which also give the
-# itinerary of an orbit's stored points.  Neither CPython floats nor ufuncs
-# contract to FMA, so the two layouts give the same bits, and no BLAS call
-# is made: the bits do not depend on the BLAS build or the CPU.
+# over the point axis (_step_rows, _left_rows, through linalg._rows_dot),
+# which also give the itinerary of an orbit's stored points.  Neither
+# CPython floats nor ufuncs contract to FMA, so the two layouts give the
+# same bits, and no BLAS call is made: the bits do not depend on the BLAS
+# build or the CPU.  Every other inner product of the package sums alike.
 
 
 @cache
@@ -136,10 +137,7 @@ def _kernel(n: int):
 def _left_rows(p: _Pieces, X: np.ndarray) -> np.ndarray:
     """The kernel's side test on each row of ``X`` ``(P, n)``, as elementwise
     operations over the rows: True where the left piece applies."""
-    s = p.c[0] * X[:, 0]
-    for j in range(1, X.shape[1]):
-        s += p.c[j] * X[:, j]
-    return s < p.t
+    return linalg._rows_dot(X, p.c) < p.t
 
 
 def _step_rows(p: _Pieces, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -148,17 +146,15 @@ def _step_rows(p: _Pieces, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stepping it alone.  Returns the images and the left-piece mask."""
     left = _left_rows(p, X)
     M = np.where(left[:, None, None], p.A_L, p.A_R)
-    Y = M[:, :, 0] * X[:, :1]
-    for j in range(1, X.shape[1]):
-        Y += M[:, :, j] * X[:, j : j + 1]
+    Y = linalg._rows_dot(M, X[:, None, :])
     Y += np.where(left[:, None], p.d_L, p.d_R)
     return Y, left
 
 
 def _norms(X: np.ndarray) -> np.ndarray:
     """Euclidean norm of each vector along the last axis, bit-identical to
-    ``np.linalg.norm`` of that vector alone."""
-    return np.sqrt(np.matmul(X[..., None, :], X[..., :, None]))[..., 0, 0]
+    ``linalg._length`` of that vector alone."""
+    return np.sqrt(linalg._rows_dot(X, X))
 
 
 class _TwoPieces:
@@ -287,20 +283,16 @@ def validate_continuity(pwl: PwlMap) -> np.ndarray:
     """
     dA = pwl.A_R - pwl.A_L
     c = pwl.c
-    with np.errstate(over="ignore"):
-        cc = float(c @ c)
+    cc = linalg._dot(c, c)
     if linalg._full_precision(cc):
-        q = p = dA @ c / cc
+        q = p = linalg._rows_dot(dA, c) / cc
     else:  # c . c under- or overflows: fit q = 2^e p to c / 2^e instead
         c, e = linalg._rescaled(c)
-        q = dA @ c / float(c @ c)
+        q = linalg._rows_dot(dA, c) / linalg._dot(c, c)
         with np.errstate(over="ignore"):
             p = np.ldexp(q, -e)
     R = dA - np.outer(q, c)
-    with np.errstate(over="ignore"):
-        resid, scale = float(np.linalg.norm(R)), float(np.linalg.norm(dA))
-    if not math.isfinite(resid + scale):  # past about 1e154: take them on rescaled entries
-        resid, scale = linalg._norm(R), linalg._norm(dA)
+    resid, scale = linalg._norm(R), linalg._norm(dA)  # rescaled past about 1e154
     if resid > CONTINUITY_TOL * max(1.0, scale):
         raise NotContinuous(
             f"A_R - A_L is not a rank-one update along c (residual {resid:.3e})"
@@ -408,11 +400,11 @@ class FixedPoints:
 
 
 def _fixed_point(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Fixed point of ``x -> A x + b``, bit for bit ``linalg.solve(np.eye(n) - A, b)``.
+    """Fixed point of ``x -> A x + b``, ``linalg.solve`` of ``(I - A) x = b``.
 
-    The rows of ``I - A`` are built on Python floats as NumPy rounds them and
-    go to the elimination without a second validation: the piece is finite,
-    so ``I - A`` is.  Raises SingularMatrix when 1 is an eigenvalue of ``A``.
+    The rows of ``I - A`` are built on Python floats and go to the
+    elimination without a second validation: the piece is finite, so
+    ``I - A`` is.  Raises SingularMatrix when 1 is an eigenvalue of ``A``.
     """
     return linalg._solve_rows(linalg._shifted_rows(A.tolist(), 1.0), b.tolist())
 
@@ -437,7 +429,7 @@ def fixed_points(pwl: PwlMap) -> FixedPoints:
                 reason="1 is an eigenvalue of the piece matrix",
             )
             continue
-        margin = float(pwl.c @ pt)
+        margin = linalg._dot(pwl.c, pt)  # the step's side test
         admissible = margin >= 0.0 if key == "right" else margin < 0.0
         pt.setflags(write=False)
         infos[key] = FixedPointInfo(

@@ -19,14 +19,11 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    Escaped,
     HypothesisViolated,
     IllConditioned,
     MultipleZero,
     NoFixedPoint,
-    NonFinite,
     NonTransversal,
-    NoReturn,
     NotSingular,
     SingularMatrix,
 )
@@ -48,7 +45,6 @@ from .pwlmap import (
 __all__ = [
     "AffineHyperplane",
     "Chart",
-    "InducedMapResult",
     "InducedSample",
     "InducedSamples",
     "ReducedPwlMap",
@@ -56,7 +52,6 @@ __all__ = [
     "UnitModulusReport",
     "classify_unit_modulus",
     "detect_shared_eigenvalue",
-    "induced_map",
     "plane_chart",
     "reduced_orbit",
     "restrict_to_manifold",
@@ -88,19 +83,19 @@ class AffineHyperplane:
     @classmethod
     def from_normal_point(cls, normal, point) -> "AffineHyperplane":
         w = np.asarray(normal, dtype=float)
-        if float(np.linalg.norm(w)) == 0.0:
+        if linalg._length(w) == 0.0:
             raise ValueError("hyperplane normal is zero")
         w = linalg._sign_fixed(w)
         p = np.array(point, dtype=float)
         w.setflags(write=False)
         p.setflags(write=False)
-        return cls(normal=w, base_point=p, offset=float(w @ p))
+        return cls(normal=w, base_point=p, offset=linalg._dot(w, p))
 
     def signed_distance(self, x) -> float:
-        return float(self.normal @ np.asarray(x, dtype=float)) - self.offset
+        return linalg._dot(self.normal, np.asarray(x, dtype=float)) - self.offset
 
     def distances(self, X) -> np.ndarray:
-        return np.asarray(X, dtype=float) @ self.normal - self.offset
+        return linalg._rows_dot(X, self.normal) - self.offset
 
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         X = np.asarray(x, dtype=float)[None]
@@ -118,10 +113,8 @@ class Chart:
         return self.lift_many(np.asarray(xi, dtype=float)[None])[0]
 
     def lift_many(self, Xi) -> np.ndarray:
-        """``lift`` of each row, bit for bit: a stacked product, not one gemm."""
-        Xi = np.asarray(Xi, dtype=float)
-        basis = np.broadcast_to(self.basis, (len(Xi), *self.basis.shape))
-        return self.base + (basis @ Xi[:, :, None])[:, :, 0]
+        """``lift`` of each row: ``base + basis xi``."""
+        return self.base + linalg._rows_dot(np.asarray(Xi, dtype=float)[:, None, :], self.basis)
 
     def project(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -130,10 +123,9 @@ class Chart:
         return self.project_many(x[None])[0]
 
     def project_many(self, X) -> np.ndarray:
-        """``project`` of each row, bit for bit."""
-        X = np.asarray(X, dtype=float)
-        basis_t = np.broadcast_to(self.basis.T, (len(X), *self.basis.T.shape))
-        return (basis_t @ (X - self.base)[:, :, None])[:, :, 0]
+        """``project`` of each row: ``basis^T (x - base)``."""
+        return linalg._rows_dot((np.asarray(X, dtype=float) - self.base)[:, None, :],
+                                self.basis.T)
 
 
 def plane_chart(plane: AffineHyperplane) -> Chart:
@@ -195,10 +187,10 @@ class SharedEigReduction:
     other_shared: tuple[float, ...] = ()
 
     def deviation(self, x) -> float:
-        return float(self.left @ np.asarray(x, dtype=float)) - self.offset
+        return linalg._dot(self.left, np.asarray(x, dtype=float)) - self.offset
 
     def deviation_many(self, X) -> np.ndarray:
-        return np.asarray(X, dtype=float) @ self.left - self.offset
+        return linalg._rows_dot(X, self.left) - self.offset
 
 
 def detect_shared_eigenvalue(pwl: PwlMap, tol: float = 1e-9) -> SharedEigReduction | None:
@@ -239,11 +231,11 @@ def detect_shared_eigenvalue(pwl: PwlMap, tol: float = 1e-9) -> SharedEigReducti
                 f"shared eigenvalue {first.value:.6g}: {_hypothesis_failure(pwl, first, tol)}"
             )
     lam, u, v = tr.value, tr.left, tr.right
-    offset = float(u @ pwl.b) / (1.0 - lam)
+    offset = linalg._dot(u, pwl.b) / (1.0 - lam)
     try:
         base = _fixed_point(pwl.A_R, pwl.b)
     except SingularMatrix:  # 1 in the right spectrum: any zero of the deviation functional works
-        base = u * (offset / float(u @ u))
+        base = u * (offset / linalg._dot(u, u))
     manifold = AffineHyperplane.from_normal_point(u, base)
     with np.errstate(over="ignore"):
         transversal = _transversal(u, pwl.c, tol)
@@ -267,10 +259,11 @@ def _negligible(tol: float, *factors: np.ndarray) -> bool:
     homogeneous in each factor: ``linalg._scaled_sides`` takes them.  The
     caller turns NumPy's overflow warnings off."""
     def sides(*fs):
-        norms = [float(np.linalg.norm(f)) for f in fs]
+        norms = [linalg._length(f) for f in fs]
         if len(fs) == 2:
-            return abs(float(fs[0] @ fs[1])), tol * norms[0] * norms[1]
-        return abs(float(fs[0] @ fs[1] @ fs[2])), tol * (norms[1] * norms[0] * norms[2])
+            return abs(linalg._dot(fs[0], fs[1])), tol * norms[0] * norms[1]
+        xb = linalg._rows_dot(fs[1].T, fs[0])
+        return abs(linalg._dot(xb, fs[2])), tol * (norms[1] * norms[0] * norms[2])
     lhs, rhs = linalg._scaled_sides(sides, *factors)
     return lhs <= rhs
 
@@ -304,28 +297,27 @@ def _transversal(u: np.ndarray, c: np.ndarray, tol: float) -> bool:
     ``linalg._full_precision`` it runs on ``c`` divided by a power of two
     instead.  ``u`` is a left eigenvector, with largest entry 1 or of unit
     norm.  The caller turns NumPy's overflow warnings off."""
-    cc = float(c @ c)
+    cc = linalg._dot(c, c)
     if not linalg._full_precision(cc):
         c, _ = linalg._rescaled(c)
-        cc = float(c @ c)
-    rej = u - c * (float(u @ c) / cc)
-    return float(np.linalg.norm(rej)) > tol * float(np.linalg.norm(u))
+        cc = linalg._dot(c, c)
+    rej = u - c * (linalg._dot(u, c) / cc)
+    return linalg._length(rej) > tol * linalg._length(u)
 
 
 def _build_restricted(pwl: PwlMap, u: np.ndarray, base: np.ndarray) -> ReducedPwlMap:
     B = linalg.hyperplane_basis(u)
     chart = Chart(base=np.array(base, dtype=float), basis=B)
-    m_l = B.T @ pwl.A_L @ B
-    d_l = B.T @ (pwl.A_L @ base + pwl.b - base)
-    m_r = B.T @ pwl.A_R @ B
-    d_r = B.T @ (pwl.A_R @ base + pwl.b - base)
+    m_l, m_r = (linalg._matmul(linalg._matmul(B.T, A), B) for A in (pwl.A_L, pwl.A_R))
+    d_l, d_r = (linalg._rows_dot(B.T, linalg._rows_dot(A, base) + pwl.b - base)
+                for A in (pwl.A_L, pwl.A_R))
     return ReducedPwlMap(
         matrix_left=m_l,
         offset_left=d_l,
         matrix_right=m_r,
         offset_right=d_r,
-        switch_normal=B.T @ pwl.c,
-        switch_offset=float(pwl.c @ base),
+        switch_normal=linalg._rows_dot(B.T, pwl.c),
+        switch_offset=linalg._dot(pwl.c, base),
         chart=chart,
     )
 
@@ -372,18 +364,12 @@ def zero_eig_reduction(pwl: PwlMap, tol: float = 1e-9) -> AffineHyperplane:
         raise NoFixedPoint("1 is an eigenvalue of A_L, the left piece has no fixed point") from exc
     plane = AffineHyperplane.from_normal_point(w, y)
     # planarity of the range: w A_L ~ 0 and w . (b - y) ~ 0
-    r1 = float(np.linalg.norm(plane.normal @ pwl.A_L)) / (1.0 + float(np.linalg.norm(pwl.A_L)))
-    r2 = abs(float(plane.normal @ pwl.b) - plane.offset) / (1.0 + float(np.linalg.norm(pwl.b)))
+    r1 = linalg._length(linalg._rows_dot(pwl.A_L.T, plane.normal))
+    r1 /= 1.0 + linalg._length(pwl.A_L)
+    r2 = abs(plane.signed_distance(pwl.b)) / (1.0 + linalg._length(pwl.b))
     if max(r1, r2) > 1e3 * tol:
         raise IllConditioned("the range of the left piece is not planar within tolerance")
     return plane
-
-
-@dataclass(frozen=True, eq=False)
-class InducedMapResult:
-    image: np.ndarray
-    return_time: int
-    itinerary: tuple[str, ...]
 
 
 # Per-sample outcome codes of _first_returns, indexing _STATUSES.
@@ -393,8 +379,7 @@ _STATUSES = ("no_return", "ok", "escaped", "non_finite")
 
 def _on_plane(plane: AffineHyperplane, Y: np.ndarray, r: np.ndarray, tol: float) -> np.ndarray:
     """``plane.contains`` for each row of ``Y`` with norm ``r``."""
-    N = np.broadcast_to(plane.normal, (len(Y), 1, plane.normal.size))
-    return np.abs((N @ Y[:, :, None])[:, 0, 0] - plane.offset) <= tol * (1.0 + r)
+    return np.abs(plane.distances(Y)) <= tol * (1.0 + r)
 
 
 def _first_returns(pwl, plane, X, j_max, escape_radius, membership_tol):
@@ -414,7 +399,7 @@ def _first_returns(pwl, plane, X, j_max, escape_radius, membership_tol):
     images = np.empty((P, n))
     times = np.zeros(P, dtype=int)
     last_left = np.zeros(P, dtype=bool)
-    # Overflow ends in an escape or NonFinite below, not in a warning.
+    # Overflow ends in an escaped or non-finite status below, not in a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         if not _on_plane(plane, X, _norms(X), membership_tol).all():
             raise ValueError("start point is not on the section")
@@ -444,35 +429,6 @@ def _first_returns(pwl, plane, X, j_max, escape_radius, membership_tol):
 def _itinerary(return_time: int, last_left: bool) -> tuple[str, ...]:
     # Every step before the last is a right step: a left step returns at once.
     return (RIGHT,) * (return_time - 1) + (LEFT if last_left else RIGHT,)
-
-
-def induced_map(
-    pwl: PwlMap,
-    plane: AffineHyperplane,
-    x,
-    j_max: int = J_MAX,
-    escape_radius: float = ESCAPE_RADIUS,
-    membership_tol: float = MEMBERSHIP_TOL,
-) -> InducedMapResult:
-    """First return to ``plane`` of the orbit starting at ``x`` (on the plane).
-
-    The plane is the range of the left piece, so a step taken with the left
-    piece returns immediately without a tolerance test; any other step
-    returns when the membership test ``|normal . y - offset| <= tol (1 + |y|)``
-    passes.
-    """
-    status, images, times, last_left = _first_returns(
-        pwl, plane, np.asarray(x, dtype=float)[None], j_max, escape_radius, membership_tol
-    )
-    j = int(times[0])
-    if status[0] == _ESCAPED:
-        raise Escaped(f"excursion left |x| <= {escape_radius:g} after {j} steps")
-    if status[0] == _NON_FINITE:
-        raise NonFinite(f"excursion iterate {j} is not finite")
-    if status[0] == _RUNNING:
-        raise NoReturn(f"no return to the section within {j_max} iterations")
-    return InducedMapResult(image=images[0], return_time=j,
-                            itinerary=_itinerary(j, last_left[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -540,8 +496,10 @@ def sample_induced(
 
     All points are stepped together in the columnar layout of the step, as
     elementwise operations over the points, so each sample is bit-identical
-    to ``induced_map`` on its lifted point.  Failures are recorded per
-    sample instead of aborting the sweep.  The result holds the outcome
+    to stepping its lifted point alone.  A grid point's first return to the
+    plane follows the map until a step by the left piece, whose range the
+    plane is, or until ``|normal . y - offset| <= tol (1 + |y|)``.  Failures
+    are recorded per sample instead of aborting the sweep.  The result holds the outcome
     columns as they come out of the stepping; its per-sample
     ``InducedSample`` views are built only when read.
     """

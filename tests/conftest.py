@@ -74,11 +74,20 @@ def rng():
 
 
 def _in_order(coeffs, x):
-    """``((coeffs[0] x[0] + coeffs[1] x[1]) + ...)`` on Python floats."""
-    total = coeffs[0] * x[0]
-    for a, v in zip(coeffs[1:], x[1:]):
-        total = total + a * v
+    """``((coeffs[0] x[0] + coeffs[1] x[1]) + ...)`` on Python floats, every
+    product and sum rounded once; 0.0 without terms."""
+    total = 0.0
+    for i, (a, v) in enumerate(zip(coeffs, x)):
+        term = float(a) * float(v)
+        total = term if i == 0 else total + term
     return total
+
+
+def reference_norm(x) -> float:
+    """Euclidean norm of the entries of ``x``, the root of their in-order sum
+    of squares."""
+    flat = np.ravel(x).tolist()
+    return math.sqrt(_in_order(flat, flat))
 
 
 def reference_step(A_L, d_L, A_R, d_R, c, t, x):
@@ -94,20 +103,20 @@ def reference_step(A_L, d_L, A_R, d_R, c, t, x):
 
 def reference_contains(plane, x, tol):
     """Plane membership of one point, ``|normal . x - offset| <= tol (1 + |x|)``,
-    with a 1-D dot and ``np.linalg.norm``, apart from the sampler's stacked
-    products."""
+    with in-order sums on Python floats, apart from the sampler's columns."""
     x = np.asarray(x, dtype=float)
-    return abs(float(plane.normal @ x) - plane.offset) <= tol * (1.0 + float(np.linalg.norm(x)))
+    return abs(_in_order(plane.normal, x) - plane.offset) <= tol * (1.0 + reference_norm(x))
 
 
 def reference_lift(chart, xi):
-    """Chart coordinates to a point, ``base + basis xi``, one matrix-vector product."""
-    return chart.base + chart.basis @ np.asarray(xi, dtype=float)
+    """Chart coordinates to a point, ``base + basis xi``, one in-order sum per row."""
+    return chart.base + np.array([_in_order(row, xi) for row in chart.basis], dtype=float)
 
 
 def reference_project(chart, x):
-    """A point to chart coordinates, ``basis^T (x - base)``, one matrix-vector product."""
-    return chart.basis.T @ (np.asarray(x, dtype=float) - chart.base)
+    """A point to chart coordinates, ``basis^T (x - base)``, one in-order sum per column."""
+    d = np.asarray(x, dtype=float) - chart.base
+    return np.array([_in_order(col, d) for col in chart.basis.T], dtype=float)
 
 
 def pieces(m):
@@ -120,8 +129,8 @@ def pieces(m):
 
 
 def reference_orbit(A_L, d_L, A_R, d_R, c, t, x0, n_transient, n_keep, escape_radius):
-    """The one-point orbit loop, kept as the oracle of ``orbit``: a NumPy
-    norm and escape test before every step, a per-point itinerary write and
+    """The one-point orbit loop, kept as the oracle of ``orbit``: an
+    in-order norm and escape test before every step, a per-point itinerary write and
     ``reference_step`` on the pieces ``A_L, d_L, A_R, d_R, c, t``.  Returns
     points, itinerary, transient_discarded and escape_index, or raises
     NonFinite."""
@@ -132,7 +141,7 @@ def reference_orbit(A_L, d_L, A_R, d_R, c, t, x0, n_transient, n_keep, escape_ra
     escape_index = None
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_transient + n_keep):
-            r = float(np.linalg.norm(x))
+            r = reference_norm(x)
             if r > escape_radius:
                 escape_index = k
                 break
@@ -183,12 +192,12 @@ def reference_detect_shared(pwl, tol=1e-9):
         raise HypothesisViolated(f"shared eigenvalue {val:.6g}: {failure}")
     tr, _ = chosen
     lam, u, v = tr.value, tr.left, tr.right
-    offset = float(u @ pwl.b) / (1.0 - lam)
+    offset = _in_order(u, pwl.b) / (1.0 - lam)
     fp = fixed_points(pwl)
     if fp.right.point is not None:
         base = fp.right.point
     else:
-        base = u * (offset / float(u @ u))
+        base = u * (offset / _in_order(u, u))
     manifold = AffineHyperplane.from_normal_point(u, base)
     transversal = reduction._transversal(u, pwl.c, tol)
     restricted = reduction._build_restricted(pwl, u, base) if transversal else None
@@ -203,8 +212,8 @@ def _reference_failure(pwl, tr, tl, tol):
         return "algebraic multiplicity exceeds one"
     if abs(1.0 - tr.value) <= tol * (1.0 + abs(tr.value)):
         return "the shared eigenvalue equals one"
-    cv = abs(float(pwl.c @ tr.right))
-    if cv <= tol * float(np.linalg.norm(pwl.c)) * float(np.linalg.norm(tr.right)):
+    cv = abs(_in_order(pwl.c, tr.right))
+    if cv <= tol * reference_norm(pwl.c) * reference_norm(tr.right):
         return "the right eigenvector is orthogonal to the switching normal"
     return None
 
@@ -216,10 +225,11 @@ def det_lemma_sides(a, q, r) -> tuple[float, float]:
 
 
 def reference_solve(a, rhs):
-    """The NumPy elimination that ``solve`` replaced, kept as its oracle:
-    partial pivoting by ``np.argmax``, row updates by ``np.outer`` and a
-    NumPy dot per row in the back-substitution.  Overflow and invalid
-    operations run silently."""
+    """Gaussian elimination on NumPy arrays, the oracle of ``solve``: the
+    pivot is the first row whose ``|entry|`` no later row exceeds (so a NaN,
+    once elimination overflows, never displaces an earlier pivot), row
+    updates by ``np.outer`` and an in-order sum per row tail in the
+    back-substitution.  Overflow and invalid operations run silently."""
     A = np.asarray(a, dtype=float)
     b = np.asarray(rhs, dtype=float).copy()
     n = A.shape[0]
@@ -227,7 +237,10 @@ def reference_solve(a, rhs):
     floor = linalg.PIVOT_RTOL * float(np.max(np.abs(A)))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
-            piv = k + int(np.argmax(np.abs(U[k:, k])))
+            piv = k
+            for i in range(k + 1, n):
+                if abs(U[i, k]) > abs(U[piv, k]):
+                    piv = i
             if abs(U[piv, k]) <= floor:
                 raise SingularMatrix(f"pivot {U[piv, k]:.3e} below threshold in column {k}")
             if piv != k:
@@ -238,7 +251,7 @@ def reference_solve(a, rhs):
             b[k + 1 :] -= mult * b[k]
         x = np.empty(n)
         for k in range(n - 1, -1, -1):
-            x[k] = (b[k] - U[k, k + 1 :] @ x[k + 1 :]) / U[k, k]
+            x[k] = (b[k] - _in_order(U[k, k + 1 :], x[k + 1 :])) / U[k, k]
     return x
 
 
@@ -280,10 +293,12 @@ def reference_adjugate(a):
 
 
 # ---------------------------------------------------------------------------
-# The NumPy forms of ``real_eigen`` and its helpers that the scalar closed
-# forms replaced, kept as bit-identity oracles: every closed form up to 3x3
-# on NumPy scalars and arrays, realness decided at ``|imag| <= thr``, and the
-# SVD adjugate above 3x3.
+# ``real_eigen`` and its helpers on NumPy scalars and arrays, kept as
+# bit-identity oracles of the scalar forms: every closed form up to 3x3,
+# realness decided at ``|imag| <= thr``, in-order sums for the trace, the
+# cluster means, the norms and the condition numbers, and the SVD adjugate
+# above 3x3.  Where a plain form over- or underflows they raise instead of
+# rescaling.
 
 _REF_KEEP = {n: np.array([[k for k in range(n) if k != d] for d in range(n)]) for n in (2, 3)}
 _REF_SIGN = {n: (-1.0) ** np.add.outer(np.arange(n), np.arange(n)) for n in (2, 3)}
@@ -333,7 +348,7 @@ def reference_char_roots(a) -> np.ndarray:
         tr = float(A[0, 0] + A[1, 1])
         return _reference_quadratic_roots(-tr, _reference_closed_det(A))
     if n == 3:
-        tr = float(np.trace(A))
+        tr = float(A[0, 0] + A[1, 1] + A[2, 2])
         e2 = float(
             A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
             + A[0, 0] * A[2, 2] - A[0, 2] * A[2, 0]
@@ -408,33 +423,56 @@ def _reference_cluster(roots: np.ndarray, thr: float) -> list[tuple[complex, int
                     assigned[j] = True
                     group.append(j)
                     frontier.append(j)
-        out.append((complex(np.mean(roots[group])), len(group)))
+        total = roots[group[0]]
+        for j in group[1:]:
+            total = total + roots[j]
+        out.append((complex(total.real / len(group), total.imag / len(group)), len(group)))
     return out
+
+
+def _reference_unit(v: np.ndarray) -> np.ndarray:
+    """``v`` over a power of two near its largest entry, then at unit norm
+    with its first component above 1e-12 in magnitude positive."""
+    v = np.ldexp(v, -math.frexp(float(np.abs(v).max()))[1])
+    w = v / reference_norm(v)
+    first = next((x for x in w if abs(x) > 1e-12), 1.0)
+    return -w if first < 0.0 else w
 
 
 def _reference_eigen_vectors(A: np.ndarray, lam: float, mult: int):
     n = A.shape[0]
-    M = lam * np.eye(n) - A
-    if mult == 1:
+    M = -A
+    M[np.diag_indices(n)] = lam - np.diag(A)
+    if mult == 1 or n <= 3:
         B = _reference_vectorised_adjugate(M)
         i, j = np.unravel_index(int(np.argmax(np.abs(B))), B.shape)
         piv = B[i, j]
         if piv != 0.0 and np.isfinite(piv):
-            return B[i, :] / piv, B[:, j].copy(), True
+            if mult == 1:
+                return B[i, :] / piv, B[:, j].copy(), True
+            return _reference_unit(B[i, :]), _reference_unit(B[:, j]), False
     U, _, Vt = np.linalg.svd(M)
-    return linalg._sign_fixed(U[:, -1]), linalg._sign_fixed(Vt[-1, :]), False
+    return _reference_unit(U[:, -1]), _reference_unit(Vt[-1, :]), False
 
 
 def _reference_condition(t) -> float:
     u, v = t.left, t.right
-    return abs(float(u @ v)) / (math.sqrt(float(u @ u)) * math.sqrt(float(v @ v)))
+    uv, uu, vv = _in_order(u, v), _in_order(u, u), _in_order(v, v)
+    scale = math.sqrt(uu) * math.sqrt(vv)
+    if not (math.isfinite(uv) and np.finfo(float).tiny <= scale < math.inf):
+        raise ArithmeticError("s(lam) is out of range without rescaling")
+    return abs(uv) / scale
 
 
 def reference_real_eigen(a) -> linalg.Spectrum:
-    """``real_eigen`` as the NumPy forms computed it."""
+    """``real_eigen`` on NumPy forms; raises where a plain form is out of
+    range."""
     A = np.asarray(a, dtype=float)
     roots = reference_char_roots(A)
-    thr = linalg.CLUSTER_RTOL * (1.0 + float(np.linalg.norm(A)))
+    norm = reference_norm(A)
+    if not math.isfinite(norm):
+        raise ArithmeticError("the Frobenius norm overflows without rescaling")
+    thr = linalg.CLUSTER_RTOL * (1.0 + norm)
     triples, pairs = [], []
     for val, mult in _reference_cluster(roots, thr):
         if abs(val.imag) <= thr:
@@ -447,7 +485,6 @@ def reference_real_eigen(a) -> linalg.Spectrum:
     triples.sort(key=lambda t: t.value)
     pairs.sort(key=lambda p: (p.real, p.imag))
     # the merge decision itself is linalg's; this oracle checks the forms
-    norm = float(np.linalg.norm(A))
     out = []
     prev_s = math.inf
     for t in triples:

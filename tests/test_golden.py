@@ -6,8 +6,11 @@ CSV and JSON that ``pwldyn induced`` wrote for the two singular-left normal
 forms before the induced sampler returned columns, and the output of
 ``orbit``, ``portrait``, ``restrict`` and ``scan`` on the reference maps
 from before the package stated its public names once, so a change that
-moves any printed digit fails here.  They pin one NumPy build: another build
-may round a last digit of ``cos`` or LAPACK differently.
+moves any printed digit fails here.  ``analyze_shared_3d.json``,
+``analyze_matrix_3d.json`` and ``restrict_shared_3d.csv`` were written again
+when every inner product came to take the step's in-order sum.  No output
+here depends on the BLAS kernel (``test_blas_kernels.py`` runs this file
+under each); another C library may still round a last digit of ``cos``.
 """
 from __future__ import annotations
 

@@ -1,7 +1,8 @@
 """Every module-level import of the package is used or re-exported, every
 module-level private name is referenced somewhere in the package, every
 dataclass field is read somewhere, every public name of a library module is
-exported by the package, and no module imports SciPy."""
+exported by the package, no module imports SciPy, and no inner product goes
+through BLAS outside the LAPACK sites above 3x3."""
 from __future__ import annotations
 
 import ast
@@ -197,3 +198,59 @@ def test_package_names_resolve():
     assert len(set(pwldyn.__all__)) == len(pwldyn.__all__)
     for name in pwldyn.__all__:
         getattr(pwldyn, name)
+
+
+# Names through which NumPy may hand an inner product to BLAS, whose kernels
+# sum in an order of their own: as functions (``np.dot``, ``np.linalg.norm``)
+# and as array methods (``x.dot``).
+BLAS_NAMES = {"dot", "matmul", "inner", "vdot", "einsum", "norm"}
+
+# The functions of each module that may still use them: the product inside
+# the SVD adjugate, taken only above 3x3 where LAPACK decides the bits anyway.
+BLAS_ALLOWED = {"linalg.py": {"_adj"}}
+
+
+def blas_products(source: str, allowed: set[str] = frozenset()) -> list[str]:
+    """Every ``@`` or ``@=`` and every use of a name in ``BLAS_NAMES``, as an
+    attribute or an imported name, outside the functions named in
+    ``allowed``; each with its enclosing function."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        what = None
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            what = "@"
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            what = f".{node.attr}"
+        elif isinstance(node, ast.alias) and node.name.split(".")[-1] in BLAS_NAMES:
+            what = f"import {node.name}"
+        if what and func not in allowed:
+            found.append(f"{what} in {func or '<module>'} (line {node.lineno})")
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_inner_products_keep_one_rounding_rule(path):
+    allowed = BLAS_ALLOWED.get(path.name, set())
+    assert blas_products(path.read_text(encoding="utf-8"), allowed) == []
+
+
+def test_guard_sees_a_blas_product():
+    source = ("import numpy as np\n"
+              "from numpy.linalg import norm\n"
+              "def f(a, b):\n"
+              "    return a @ b + np.dot(a, b) + a.dot(b)\n"
+              "def _adj(a):\n"
+              "    a @= a\n"
+              "    return np.matmul(a, a)\n"
+              "x = np.linalg.norm(np.einsum('i,i', a, a)) + _dot(a, a)\n")
+    assert blas_products(source, {"_adj"}) == [
+        "import norm in <module> (line 2)", "@ in f (line 4)", ".dot in f (line 4)",
+        ".dot in f (line 4)", ".norm in <module> (line 8)", ".einsum in <module> (line 8)"]
+    assert len(blas_products(source)) == 8

@@ -431,21 +431,21 @@ def _systems(draw):
 
 def _solve_outcome(f, a, b):
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # NumPy's dot of inf and NaN
-            return f(a, b).tobytes()
+        return f(a, b).tobytes()
     except SingularMatrix as exc:
         return str(exc)
 
 
 @settings(max_examples=200, deadline=None)
 @given(system=_systems())
-# NumPy's dot of one term is +0.0 where -1.0 * 0.0 is -0.0
+# a row tail of one term keeps its product's sign: -1.0 * 0.0 is -0.0
 @example(system=(np.array([[1.0, -1.0], [0.0, 1.0]]), np.array([-0.0, 0.0])))
-# a dot of two terms with fused multiply-adds differs from a Python sum
+# a row tail of two terms, which a fused multiply-add would round once
 @example(system=(np.array([[3.0, 4.0 / 7.0, 4.0 / 7.0], [0.0, 5.0, -1.0], [0.0, 0.0, 7.0]]),
                  np.array([0.0, -2.0 / 3.0, -4.0 / 3.0])))
 @example(system=(np.array([[1.7e308, -1.7e308], [-1.7e308, -1.7e308]]), np.array([1.0, 1.0])))
-# in column 2 the first NaN is the pivot, not the zero below it
+# elimination leaves a zero over a NaN in column 2: a NaN is never the
+# larger, so the column is singular
 @example(system=(np.array([[-1e308, -1e308, 0.0, -1.7e308], [1e308, 1.7e308, 0.0, 0.0],
                            [0.0, 0.0, 0.0, -1e308], [-1.7e308, 1.7e308, 0.0, -1.7e308]]),
                  np.ones(4)))
@@ -511,7 +511,7 @@ def test_quadratic_roots_near_double_root(c, delta):
 
 
 # ---------------------------------------------------------------------------
-# real_eigen against the NumPy forms it replaced, bit for bit
+# real_eigen against its NumPy-form oracle, bit for bit
 
 
 def _spectrum_bytes(spec):
@@ -616,7 +616,7 @@ def test_real_eigen_bit_identical_large(a):
 
 
 def test_real_eigen_bit_identical_at_four_or_more_fold_values(rng):
-    # NumPy's mean sums four or more roots pairwise
+    # the mean of four or more roots, summed in order
     for _ in range(100):
         n = int(rng.integers(4, 9))
         k = int(rng.integers(4, n + 1))
@@ -637,7 +637,7 @@ def test_real_eigen_bit_identical_at_special_spectra():
                         tr=0.0, dr=0.0, sr=0.0)).A_L
         for r, s in DOUBLE_ROOTS
     ] + [np.array([[r, 1.0], [0.0, r]]) for r in (-1.0, 0.0, 0.5)] + [DEFECTIVE_3D]
-    # singular pieces whose zero root is -0.0, which the mean turns into +0.0
+    # singular pieces whose zero root is -0.0, which the mean keeps
     signed_zero = [np.array([[-0.0]]), np.array([[-0.0, 1.0], [0.0, 2.0]])]
     assert all(_signed_zero_root(a) for a in signed_zero)
     pairs = [np.array([[x, -y], [y, x]]) for x in (0.0, -0.5, 2.0) for y in (1e-3, 1.0, 3.0)]

@@ -31,6 +31,7 @@ from conftest import (
     FLAT_LEFT_2D,
     SHARED_2D,
     pieces,
+    reference_norm,
     reference_orbit,
     reference_step,
     shared_3d_params,
@@ -340,14 +341,14 @@ def test_orbit_escape_radius_at_the_cheap_test_bound(n):
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(2, 5), P=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
 def test_orbits_escape_radius_at_an_iterate_norm(n, P, seed):
-    # An escape radius equal to the NumPy norm of some iterate puts the
+    # An escape radius equal to the in-order norm of some iterate puts the
     # escape test on its boundary: a norm rounded any other way moves the
     # escape index.
     rng = np.random.default_rng(seed)
     maps = [_random_continuous_map(rng, n, 0.95) for _ in range(P)]
     X0 = rng.standard_normal((P, n))
     pts, _, _, _ = reference_orbit(*pieces(maps[0]), X0[0], 0, 300, 1e12)
-    radius = float(np.linalg.norm(pts[rng.integers(len(pts))]))
+    radius = reference_norm(pts[rng.integers(len(pts))])
     for pwl, x0 in zip(maps, X0):
         res = orbit(pwl, x0, 0, 300, radius)
         ref_pts, _, _, escape_index = reference_orbit(*pieces(pwl), x0, 0, 300, radius)
@@ -493,6 +494,27 @@ def test_fixed_point_borderline():
     assert fp.right.admissible
     assert fp.left.borderline
     assert not fp.left.admissible
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_admissible_flag_is_the_side_test(n):
+    # c . pt = 0 and b = (I - A_R) pt put both fixed points on the switching
+    # plane up to rounding, where a margin summed in another order than the
+    # step's side test can have the other sign.
+    rng = np.random.default_rng(n)
+    checked = 0
+    for _ in range(500):
+        a_r = rng.standard_normal((n, n))
+        c = rng.standard_normal(n)
+        pt = rng.standard_normal(n)
+        pt -= c * (pt @ c) / (c @ c)
+        pwl = PwlMap(a_r - np.outer(rng.standard_normal(n), c), a_r, pt - a_r @ pt, c)
+        fp = fixed_points(pwl)
+        for info, side in ((fp.right, "R"), (fp.left, "L")):
+            if info.point is not None:
+                assert info.admissible == (pwl.side(info.point) == side)
+                checked += 1
+    assert checked == 1000
 
 
 def test_shared_3d_params_continuity():

@@ -12,15 +12,12 @@ from hypothesis import strategies as st
 from pwldyn import (
     AffineHyperplane,
     BcnfParams,
-    Escaped,
     HypothesisViolated,
     InducedSample,
     InducedSamples,
     MultipleZero,
     NoFixedPoint,
-    NonFinite,
     NonTransversal,
-    NoReturn,
     NotSingular,
     PwlMap,
     bcnf,
@@ -28,7 +25,6 @@ from pwldyn import (
     default_x0,
     detect_shared_eigenvalue,
     fixed_points,
-    induced_map,
     orbit,
     plane_chart,
     reduced_orbit,
@@ -48,6 +44,7 @@ from conftest import (
     reference_contains,
     reference_detect_shared,
     reference_lift,
+    reference_norm,
     reference_project,
     reference_step,
     shared_3d_params,
@@ -624,26 +621,35 @@ def test_zero_overlap_with_shared_reduction():
 # induced return map
 
 
+def _induced_at(pwl, plane, x, **options):
+    """The one sample of ``sample_induced`` at the point ``x`` of the plane,
+    its image lifted back to the ambient space when it returned."""
+    chart = plane_chart(plane)
+    sample = sample_induced(pwl, plane, [chart.project(x)], chart=chart, **options)[0]
+    image = None if sample.image is None else chart.lift(sample.image)
+    return sample, image
+
+
 def test_induced_map_left_start(flat_left_map):
     plane = zero_eig_reduction(flat_left_map)
-    res = induced_map(flat_left_map, plane, np.array([-0.5, 0.0]))
+    res, image = _induced_at(flat_left_map, plane, np.array([-0.5, 0.0]))
     assert res.return_time == 1
     assert res.itinerary == ("L",)
-    assert res.image == pytest.approx([0.35, 0.0], abs=1e-12)
+    assert image == pytest.approx([0.35, 0.0], abs=1e-12)
 
 
 def test_induced_map_right_start(flat_left_map):
     plane = zero_eig_reduction(flat_left_map)
-    res = induced_map(flat_left_map, plane, np.array([0.5, 0.0]))
+    res, image = _induced_at(flat_left_map, plane, np.array([0.5, 0.0]))
     assert res.return_time == 3
     assert res.itinerary == ("R", "R", "L")
-    assert res.image == pytest.approx([0.329, 0.0], abs=1e-12)
+    assert image == pytest.approx([0.329, 0.0], abs=1e-12)
 
 
 def test_induced_map_first_return_is_minimal(flat_left_map):
     plane = zero_eig_reduction(flat_left_map)
     x = np.array([0.5, 0.0])
-    res = induced_map(flat_left_map, plane, x)
+    res, _ = _induced_at(flat_left_map, plane, x)
     y = x.copy()
     for _ in range(res.return_time - 1):
         y = flat_left_map(y)
@@ -651,9 +657,11 @@ def test_induced_map_first_return_is_minimal(flat_left_map):
 
 
 def test_induced_map_rejects_off_plane(flat_left_map):
+    # grid points lifted by the chart of another plane start off the section
     plane = zero_eig_reduction(flat_left_map)
-    with pytest.raises(ValueError):
-        induced_map(flat_left_map, plane, np.array([0.5, 0.3]))
+    other = plane_chart(AffineHyperplane.from_normal_point([0.0, 1.0], [0.0, 0.3]))
+    with pytest.raises(ValueError, match="start point is not on the section"):
+        sample_induced(flat_left_map, plane, [[0.5]], chart=other)
 
 
 def test_induced_map_fixed_point_on_plane():
@@ -667,18 +675,18 @@ def test_induced_map_fixed_point_on_plane():
     star = fixed_points(pwl).right.point
     assert star == pytest.approx([7.0 / 3.0, 28.0 / 15.0], abs=1e-12)
     assert plane.contains(star)
-    res = induced_map(pwl, plane, star)
+    res, image = _induced_at(pwl, plane, star)
     assert res.return_time == 1
     assert res.itinerary == ("R",)
-    assert res.image == pytest.approx(star, abs=1e-10)
+    assert image == pytest.approx(star, abs=1e-10)
 
 
 def test_induced_map_failure_statuses(flat_left_map):
     plane = zero_eig_reduction(flat_left_map)
-    with pytest.raises(NoReturn):
-        induced_map(flat_left_map, plane, np.array([0.5, 0.0]), j_max=2)
-    with pytest.raises(Escaped):
-        induced_map(flat_left_map, plane, np.array([1e6, 0.0]), escape_radius=1e3)
+    capped, _ = _induced_at(flat_left_map, plane, np.array([0.5, 0.0]), j_max=2)
+    assert (capped.status, capped.return_time, capped.image) == ("no_return", None, None)
+    far, _ = _induced_at(flat_left_map, plane, np.array([1e6, 0.0]), escape_radius=1e3)
+    assert (far.status, far.return_time, far.image) == ("escaped", None, None)
 
 
 def test_induced_map_left_step_overflow_is_non_finite():
@@ -687,10 +695,12 @@ def test_induced_map_left_step_overflow_is_non_finite():
     a_l = np.array([[1e300, 0.0], [0.0, 0.0]])
     pwl = PwlMap(a_l, a_l, np.zeros(2), np.array([1.0, 0.0]))
     plane = AffineHyperplane.from_normal_point([0.0, 1.0], [0.0, 0.0])
-    with pytest.raises(NonFinite, match=r"^excursion iterate 1 is not finite$"):
-        induced_map(pwl, plane, np.array([-1e10, 0.0]), escape_radius=np.inf)
-    with pytest.raises(Escaped):
-        induced_map(pwl, plane, np.array([-1e10, 0.0]))
+    chart = plane_chart(plane)
+    grid = [chart.project([-1e10, 0.0])]
+    unbounded = sample_induced(pwl, plane, grid, chart=chart, escape_radius=np.inf)
+    assert (unbounded.status.tolist(), unbounded.steps.tolist()) == (["non_finite"], [1])
+    bounded = sample_induced(pwl, plane, grid, chart=chart)
+    assert (bounded.status.tolist(), bounded.steps.tolist()) == (["escaped"], [1])
 
 
 def test_sample_induced(flat_left_map):
@@ -796,13 +806,13 @@ def test_result_objects_compare_by_identity():
     red = detect_shared_eigenvalue(bcnf(shared_3d_params()))
     objects = [
         flat, orbit(flat, default_x0(flat), 10, 10), fp.right, fp, spectrum.real[0], spectrum,
-        plane, chart, red.restricted, red, induced_map(flat, plane, chart.lift(samples.points[i])),
-        samples[i], scan(FLAT_LEFT_3D, "dr", [0.5, 1.0], n_transient=10, n_keep=10),
+        plane, chart, red.restricted, red, samples[i],
+        scan(FLAT_LEFT_3D, "dr", [0.5, 1.0], n_transient=10, n_keep=10),
     ]
     assert [type(obj).__name__ for obj in objects] == [
         "PwlMap", "OrbitData", "FixedPointInfo", "FixedPoints", "EigenTriple", "Spectrum",
         "AffineHyperplane", "Chart", "ReducedPwlMap", "SharedEigReduction",
-        "InducedMapResult", "InducedSample", "ScanResult"]
+        "InducedSample", "ScanResult"]
     for obj in objects:
         twin = copy.copy(obj)  # the same field values in another object
         assert (obj == obj) is True and (obj != obj) is False
@@ -828,7 +838,7 @@ def _reference_excursion(pwl, plane, x, j_max, escape_radius, tol):
             sym = "L" if left else "R"
             syms.append(sym)
             y = np.array(image)
-            r = math.sqrt(y @ y)
+            r = reference_norm(y)
             if r > escape_radius:
                 return "escaped", y, j, tuple(syms)
             if not math.isfinite(r):
@@ -836,17 +846,6 @@ def _reference_excursion(pwl, plane, x, j_max, escape_radius, tol):
             if sym == "L" or reference_contains(plane, y, tol):
                 return "ok", y, j, tuple(syms)
     return "no_return", y, 0, tuple(syms)
-
-
-def _reference_induced(pwl, plane, x, j_max, escape_radius, tol):
-    status, y, j, syms = _reference_excursion(pwl, plane, x, j_max, escape_radius, tol)
-    if status == "escaped":
-        raise Escaped(f"excursion left |x| <= {escape_radius:g} after {j} steps")
-    if status == "non_finite":
-        raise NonFinite(f"excursion iterate {j} is not finite")
-    if status == "no_return":
-        raise NoReturn(f"no return to the section within {j_max} iterations")
-    return y, j, syms
 
 
 def _reference_samples(pwl, plane, chart, grid, j_max, escape_radius, tol):
@@ -915,17 +914,6 @@ def test_sample_induced_matches_reference_loop(n, seed, count, j_max, escape_rad
     nan_row = np.full(n - 1, np.nan).tobytes()
     for row, r in zip(got.images, ref):
         assert row.tobytes() == (nan_row if r[1] is None else r[1].tobytes())
-
-
-def test_induced_map_matches_reference_loop(flat_left_map):
-    plane = zero_eig_reduction(flat_left_map)
-    chart = plane_chart(plane)
-    for xi in np.linspace(-6.0, 2.0, 41):
-        x = chart.lift([xi])
-        y, j, syms = _reference_induced(flat_left_map, plane, x, 100, 1e12, 1e-9)
-        res = induced_map(flat_left_map, plane, x, j_max=100)
-        assert res.image.tobytes() == y.tobytes()
-        assert (res.return_time, res.itinerary) == (j, syms)
 
 
 def test_reduced_map_rows_match_points(shared_map, rng):
