@@ -7,8 +7,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptyCloud, NonFinite
+from .errors import EmptyCloud, NonFinite, PwldynError, _record
 from .pwlmap import ESCAPE_RADIUS, BcnfParams, OrbitData, PwlMap, bcnf, orbit
+from .reduction import detect_shared_eigenvalue
 
 __all__ = [
     "ScanResult",
@@ -256,6 +257,22 @@ class ScanResult:
     consecutive_hausdorff: tuple[float, ...]
     errors: tuple[str | None, ...]
 
+    def plane_distances(self, tol: float = 1e-9) -> tuple[float, ...]:
+        """Per value, the largest ``|distance|`` from its cloud to the plane of
+        ``detect_shared_eigenvalue(map, tol)``, run here and not in ``scan``;
+        NaN where the cloud is None or empty, nothing is shared or it raises."""
+        out = []
+        for pwl, cloud in zip(self.maps, self.clouds):
+            red = None
+            if cloud is not None and cloud.points.shape[0]:
+                try:
+                    red = detect_shared_eigenvalue(pwl, tol)
+                except PwldynError:
+                    pass
+            out.append(float("nan") if red is None
+                       else float(np.max(np.abs(red.manifold.distances(cloud.points)))))
+        return tuple(out)
+
 
 def scan(
     base: BcnfParams,
@@ -289,7 +306,7 @@ def scan(
             errors.append(None)
         except NonFinite as exc:
             clouds.append(None)
-            errors.append(f"{type(exc).__name__}: {exc}")
+            errors.append(_record(exc))
     # each cloud is indexed once and serves both of its neighbours
     dists: list[float] = []
     prev = None

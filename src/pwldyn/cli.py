@@ -20,7 +20,7 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -32,26 +32,15 @@ from .errors import (
     IllConditioned,
     NoReturn,
     NotContinuous,
-    NotSingular,
-    PwldynError,
     ReductionError,
     UnsupportedDimension,
+    _record,
 )
-from .linalg import Spectrum, real_eigen
-from .pwlmap import (
-    ESCAPE_RADIUS,
-    BcnfParams,
-    PwlMap,
-    _norms,
-    bcnf,
-    fixed_points,
-    orbit,
-    validate_continuity,
-)
+from .pwlmap import ESCAPE_RADIUS, BcnfParams, PwlMap, _norms, bcnf, orbit
 from .reduction import (
     _itinerary,
     _on_plane,
-    classify_unit_modulus,
+    analyze,
     detect_shared_eigenvalue,
     plane_chart,
     restrict_to_manifold,
@@ -290,7 +279,7 @@ def _emit_csv(header: list[str], rows: list, out: str | None) -> None:
 # report builders
 
 
-def _spectrum_dict(spec: Spectrum) -> dict:
+def _spectrum_dict(spec) -> dict:
     return {
         "real": [
             {
@@ -302,15 +291,7 @@ def _spectrum_dict(spec: Spectrum) -> dict:
             }
             for t in spec.real
         ],
-        "complex_pairs": [
-            {
-                "real": p.real,
-                "imag": p.imag,
-                "modulus": p.modulus,
-                "multiplicity": p.multiplicity,
-            }
-            for p in spec.complex_pairs
-        ],
+        "complex_pairs": [asdict(p) for p in spec.complex_pairs],
     }
 
 
@@ -364,58 +345,51 @@ def _shared_dict(red) -> dict:
     }
 
 
+def _record_dict(value, to_dict):
+    """``to_dict(value)``, ``{"error": value}`` for an error record, None for None."""
+    if isinstance(value, str):
+        return {"error": value}
+    return None if value is None else to_dict(value)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_analyze(cfg: RunConfig, out: str | None) -> int:
+def cmd_analyze(cfg: RunConfig, out: str | None) -> None:
     pwl = build_map(cfg)
-    report: dict = {
+    report = analyze(pwl, cfg.tol)
+    payload = {
         "map": {
             "n": pwl.n,
             "A_L": pwl.A_L.tolist(),
             "A_R": pwl.A_R.tolist(),
             "b": pwl.b.tolist(),
             "c": pwl.c.tolist(),
-        }
+        },
+        "continuity": _record_dict(report.p, lambda p: {"p": p.tolist()}),
+        "eigenvalues": {
+            "L": _spectrum_dict(report.spectrum_left),
+            "R": _spectrum_dict(report.spectrum_right),
+        },
+        "fixed_points": {
+            "right": _fixed_point_dict(report.fixed_points.right),
+            "left": _fixed_point_dict(report.fixed_points.left),
+        },
+        "shared_eigenvalue": _record_dict(report.shared, _shared_dict),
+        "zero_eigenvalue": _record_dict(report.zero_plane, _plane_dict),
+        "unit_modulus": [asdict(r) for r in report.unit_modulus],
     }
-    try:
-        report["continuity"] = {"p": validate_continuity(pwl).tolist()}
-    except NotContinuous as exc:
-        report["continuity"] = {"error": f"NotContinuous: {exc}"}
-    report["eigenvalues"] = {
-        "L": _spectrum_dict(real_eigen(pwl.A_L)),
-        "R": _spectrum_dict(real_eigen(pwl.A_R)),
-    }
-    fp = fixed_points(pwl)
-    report["fixed_points"] = {
-        "right": _fixed_point_dict(fp.right),
-        "left": _fixed_point_dict(fp.left),
-    }
-    try:
-        red = detect_shared_eigenvalue(pwl, cfg.tol)
-        report["shared_eigenvalue"] = None if red is None else _shared_dict(red)
-    except PwldynError as exc:
-        report["shared_eigenvalue"] = {"error": f"{type(exc).__name__}: {exc}"}
-    try:
-        plane = zero_eig_reduction(pwl, cfg.tol)
-        report["zero_eigenvalue"] = _plane_dict(plane)
-    except NotSingular:
-        report["zero_eigenvalue"] = None
-    except PwldynError as exc:
-        report["zero_eigenvalue"] = {"error": f"{type(exc).__name__}: {exc}"}
-    report["unit_modulus"] = [
-        {
-            "side": r.side,
-            "kind": r.kind,
-            "value": r.value,
-            "theta": r.theta,
-            "resonant": r.resonant,
-        }
-        for r in classify_unit_modulus(pwl, cfg.tol)
-    ]
-    _emit_json(report, out)
-    return EXIT_OK
+    _emit_json(payload, out)
+
+
+class _Failed(Exception):
+    """A run that ends without a result: exit 3 with this message."""
+
+
+def _require_points(orb) -> None:
+    if orb.points.shape[0] == 0:
+        raise _Failed(f"orbit escaped at step {orb.escape_index} before any retained point")
 
 
 def _x0(cfg: RunConfig, pwl: PwlMap) -> np.ndarray | tuple[float, ...]:
@@ -423,17 +397,11 @@ def _x0(cfg: RunConfig, pwl: PwlMap) -> np.ndarray | tuple[float, ...]:
     return default_x0(pwl) if cfg.x0 is None else cfg.x0
 
 
-def cmd_orbit(cfg: RunConfig, out: str | None, portrait: bool) -> int:
+def cmd_orbit(cfg: RunConfig, out: str | None, portrait: bool) -> None:
     pwl = build_map(cfg)
-    x0 = _x0(cfg, pwl)
-    if portrait:
-        orb = orbit(pwl, x0, cfg.transient, cfg.keep, cfg.escape_radius)
-    else:
-        orb = orbit(pwl, x0, 0, cfg.transient + cfg.keep, cfg.escape_radius)
-    if orb.points.shape[0] == 0:
-        print(f"error: orbit escaped at step {orb.escape_index} before any retained point",
-              file=sys.stderr)
-        return EXIT_DYNAMICS
+    transient, keep = (cfg.transient, cfg.keep) if portrait else (0, cfg.transient + cfg.keep)
+    orb = orbit(pwl, _x0(cfg, pwl), transient, keep, cfg.escape_radius)
+    _require_points(orb)
     coords = [f"x{i + 1}" for i in range(pwl.n)]
     if cfg.format == "json":
         payload = {
@@ -446,13 +414,12 @@ def cmd_orbit(cfg: RunConfig, out: str | None, portrait: bool) -> int:
         if not portrait:
             payload["first_index"] = 0
         _emit_json(payload, out)
-        return EXIT_OK
+        return
     rows = _point_rows(orb)
     if portrait:
         _emit_csv(coords + ["symbol"], rows, out)
     else:
         _emit_csv(["k"] + coords + ["symbol"], [[k, *row] for k, row in enumerate(rows)], out)
-    return EXIT_OK
 
 
 def _point_rows(orb) -> list[list]:
@@ -463,7 +430,7 @@ def _point_rows(orb) -> list[list]:
     return rows
 
 
-def cmd_restrict(cfg: RunConfig, out: str | None) -> int:
+def cmd_restrict(cfg: RunConfig, out: str | None) -> None:
     grid = None if cfg.grid is None else _parse_grid(cfg.grid, 1)
     pwl = build_map(cfg)
     red = detect_shared_eigenvalue(pwl, cfg.tol)
@@ -474,11 +441,11 @@ def cmd_restrict(cfg: RunConfig, out: str | None) -> int:
         raise ValueError(f"--grid needs a one-dimensional restriction, not {rmap.dimension}-D")
     orb = orbit(rmap, rmap.chart.project(_x0(cfg, pwl)), cfg.transient, cfg.keep,
                 cfg.escape_radius)
-    if grid is None and rmap.dimension == 1 and orb.points.shape[0] > 0:
-        grid = _box_grid(orb.points, 0.05, 512)
-    cobweb = None
-    if grid is not None:
-        cobweb = {"x": grid[:, 0].tolist(), "fx": rmap(grid)[:, 0].tolist()}
+    if grid is None:
+        _require_points(orb)  # an explicit grid's cobweb is a result without points
+        if rmap.dimension == 1:
+            grid = _box_grid(orb.points, 0.05, 512)
+    cobweb = None if grid is None else {"x": grid[:, 0].tolist(), "fx": rmap(grid)[:, 0].tolist()}
     if cfg.format == "json":
         payload = {
             "shared": _shared_dict(red),
@@ -491,13 +458,12 @@ def cmd_restrict(cfg: RunConfig, out: str | None) -> int:
             "cobweb": cobweb,
         }
         _emit_json(payload, out)
-        return EXIT_OK
+        return
     if cobweb is not None:
         _emit_csv(["x", "fx"], list(zip(cobweb["x"], cobweb["fx"])), out)
     else:
         coords = [f"xi{i + 1}" for i in range(rmap.dimension)]
         _emit_csv(coords + ["symbol"], _point_rows(orb), out)
-    return EXIT_OK
 
 
 def _parse_grid_axis(spec: str) -> tuple[float, float, int]:
@@ -556,7 +522,7 @@ def _default_induced_grid(pwl, plane, chart, cfg: RunConfig) -> np.ndarray:
     return _box_grid(chart.project_many(cloud.points[mask]), 0.02, count)
 
 
-def cmd_induced(cfg: RunConfig, out: str | None) -> int:
+def cmd_induced(cfg: RunConfig, out: str | None) -> None:
     pwl = build_map(cfg)
     if pwl.n < 2:
         raise UnsupportedDimension(
@@ -564,16 +530,13 @@ def cmd_induced(cfg: RunConfig, out: str | None) -> int:
         )
     plane = zero_eig_reduction(pwl, cfg.tol)
     chart = plane_chart(plane)
-    if cfg.grid is not None:
-        grid = _parse_grid(cfg.grid, pwl.n - 1)
-    else:
-        grid = _default_induced_grid(pwl, plane, chart, cfg)
+    grid = (_default_induced_grid(pwl, plane, chart, cfg) if cfg.grid is None
+            else _parse_grid(cfg.grid, pwl.n - 1))
     samples = sample_induced(pwl, plane, grid, chart=chart, escape_radius=cfg.escape_radius,
                              membership_tol=cfg.tol)
     ok = (samples.status == "ok").tolist()
     if not any(ok):
-        print("error: every grid sample failed to return to the section", file=sys.stderr)
-        return EXIT_DYNAMICS
+        raise _Failed("every grid sample failed to return to the section")
     points = samples.points.tolist()
     images = [image if good else None for image, good in zip(samples.images.tolist(), ok)]
     steps = [step if good else None for step, good in zip(samples.steps.tolist(), ok)]
@@ -590,7 +553,7 @@ def cmd_induced(cfg: RunConfig, out: str | None) -> int:
             ],
         }
         _emit_json(payload, out)
-        return EXIT_OK
+        return
     d = pwl.n - 1
     header = (
         [f"in{i + 1}" for i in range(d)]
@@ -603,10 +566,9 @@ def cmd_induced(cfg: RunConfig, out: str | None) -> int:
         for point, image, step, code in zip(points, images, steps, status)
     ]
     _emit_csv(header, rows, out)
-    return EXIT_OK
 
 
-def cmd_scan(cfg: RunConfig, out: str | None) -> int:
+def cmd_scan(cfg: RunConfig, out: str | None) -> None:
     base = build_bcnf_params(cfg)
     if cfg.param is None:
         raise ValueError("scan needs --param")
@@ -622,31 +584,18 @@ def cmd_scan(cfg: RunConfig, out: str | None) -> int:
         escape_radius=cfg.escape_radius,
     )
     if all(result.errors):  # an escaped orbit is a result, not an error
-        print(f"error: the orbit failed at every value, first with {result.errors[0]}",
-              file=sys.stderr)
-        return EXIT_DYNAMICS
+        raise _Failed(f"the orbit failed at every value, first with {result.errors[0]}")
     n = base.dim
     rows = []
-    for i, (v, pwl, cloud) in enumerate(zip(result.values, result.maps, result.clouds)):
-        plane_stat = float("nan")
-        try:
-            red = detect_shared_eigenvalue(pwl, cfg.tol)
-        except PwldynError:
-            red = None
-        if red is not None and cloud is not None and cloud.points.shape[0] > 0:
-            plane_stat = float(np.max(np.abs(red.manifold.distances(cloud.points))))
-        if cloud is None or cloud.points.shape[0] == 0:
-            size = 0 if cloud is not None else None
-            bbox = [float("nan")] * (2 * n)
-            escaped = cloud.escaped if cloud is not None else None
-        else:
-            size = cloud.points.shape[0]
+    for v, cloud, dist, prev, error in zip(
+            result.values, result.clouds, result.plane_distances(cfg.tol),
+            (float("nan"), *result.consecutive_hausdorff), result.errors):
+        size = None if cloud is None else cloud.points.shape[0]
+        if size:
             bbox = cloud.points.min(axis=0).tolist() + cloud.points.max(axis=0).tolist()
-            escaped = cloud.escaped
-        prev = result.consecutive_hausdorff[i - 1] if i > 0 else float("nan")
-        rows.append(
-            [v, size, escaped, *bbox, plane_stat, prev, result.errors[i]]
-        )
+        else:
+            bbox = [float("nan")] * (2 * n)
+        rows.append([v, size, None if cloud is None else cloud.escaped, *bbox, dist, prev, error])
     header = (
         ["value", "cloud_size", "escaped"]
         + [f"min_x{i + 1}" for i in range(n)]
@@ -661,9 +610,8 @@ def cmd_scan(cfg: RunConfig, out: str | None) -> int:
             "rows": [dict(zip(header, row)) for row in rows],
         }
         _emit_json(payload, out)
-        return EXIT_OK
+        return
     _emit_csv(header, rows, out)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +619,7 @@ def cmd_scan(cfg: RunConfig, out: str | None) -> int:
 
 
 class Command(NamedTuple):
-    run: Callable[[RunConfig, str | None], int]
+    run: Callable[[RunConfig, str | None], None]  # writes the result or raises
     format: str  # default output format
     help: str
     settings: tuple[str, ...]  # the RunConfig fields it reads; only these are flags
@@ -748,7 +696,8 @@ def main(argv=None) -> int:
         cfg = resolve_config(args, args.command)
         if args.dump_config:
             _write_text(dump_config(cfg), args.dump_config)
-        return COMMANDS[args.command].run(cfg, args.out)
+        COMMANDS[args.command].run(cfg, args.out)
+        return EXIT_OK
     except (ValueError, UnsupportedDimension, NotContinuous, OSError,
             configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -756,9 +705,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # settings too large for this machine: a usage error
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DynamicsError, IllConditioned) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except _Failed as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DYNAMICS
-    except ReductionError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_REDUCTION
+    except (DynamicsError, IllConditioned, ReductionError) as exc:
+        print(f"error: {_record(exc)}", file=sys.stderr)
+        return EXIT_REDUCTION if isinstance(exc, ReductionError) else EXIT_DYNAMICS

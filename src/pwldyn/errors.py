@@ -87,3 +87,8 @@ class NoFixedPoint(ReductionError):
 
 class EmptyCloud(PwldynError):
     """A distance was requested between point clouds with no points."""
+
+
+def _record(exc: Exception) -> str:
+    """``"Type: message"``, the record a result keeps of an error in place of a value."""
+    return f"{type(exc).__name__}: {exc}"

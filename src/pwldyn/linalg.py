@@ -264,15 +264,16 @@ def hyperplane_basis(normal) -> np.ndarray:
 
     The basis comes from the Householder reflector sending the normal to a
     coordinate axis, so identical input always yields the identical basis.
+    It is built from ``_rescaled(normal)``, exactly: no square over- or underflows.
     """
     w = np.asarray(normal, dtype=float)
     if w.ndim != 1:
         raise ValueError("normal must be a vector")
-    nrm = _length(w)
-    if nrm == 0.0:
+    if not w.any():
         raise ZeroNormal("hyperplane normal is zero")
-    h = w.copy()
-    h[0] += nrm if w[0] >= 0.0 else -nrm
+    h = _rescaled(w)[0]
+    nrm = _length(h)
+    h[0] += nrm if h[0] >= 0.0 else -nrm
     H = np.eye(w.size) - 2.0 * np.outer(h, h) / _dot(h, h)
     return H[:, 1:]
 

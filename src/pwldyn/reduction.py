@@ -24,13 +24,17 @@ from .errors import (
     MultipleZero,
     NoFixedPoint,
     NonTransversal,
+    NotContinuous,
     NotSingular,
+    PwldynError,
     SingularMatrix,
+    _record,
 )
 from .pwlmap import (
     ESCAPE_RADIUS,
     LEFT,
     RIGHT,
+    FixedPoints,
     PwlMap,
     _fixed_point,
     _norms,
@@ -38,6 +42,7 @@ from .pwlmap import (
     _Pieces,
     _step_rows,
     _TwoPieces,
+    fixed_points,
     orbit,
     validate_continuity,
 )
@@ -47,9 +52,11 @@ __all__ = [
     "Chart",
     "InducedSample",
     "InducedSamples",
+    "MapReport",
     "ReducedPwlMap",
     "SharedEigReduction",
     "UnitModulusReport",
+    "analyze",
     "classify_unit_modulus",
     "detect_shared_eigenvalue",
     "plane_chart",
@@ -83,7 +90,7 @@ class AffineHyperplane:
     @classmethod
     def from_normal_point(cls, normal, point) -> "AffineHyperplane":
         w = np.asarray(normal, dtype=float)
-        if linalg._length(w) == 0.0:
+        if not w.any():
             raise ValueError("hyperplane normal is zero")
         w = linalg._sign_fixed(w)
         p = np.array(point, dtype=float)
@@ -91,15 +98,8 @@ class AffineHyperplane:
         p.setflags(write=False)
         return cls(normal=w, base_point=p, offset=linalg._dot(w, p))
 
-    def signed_distance(self, x) -> float:
-        return linalg._dot(self.normal, np.asarray(x, dtype=float)) - self.offset
-
     def distances(self, X) -> np.ndarray:
         return linalg._rows_dot(X, self.normal) - self.offset
-
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        X = np.asarray(x, dtype=float)[None]
-        return bool(_on_plane(self, X, _norms(X), tol)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,11 +109,8 @@ class Chart:
     base: np.ndarray
     basis: np.ndarray  # (n, n-1), orthonormal columns
 
-    def lift(self, xi) -> np.ndarray:
-        return self.lift_many(np.asarray(xi, dtype=float)[None])[0]
-
     def lift_many(self, Xi) -> np.ndarray:
-        """``lift`` of each row: ``base + basis xi``."""
+        """The ambient point ``base + basis xi`` of each row ``xi``."""
         return self.base + linalg._rows_dot(np.asarray(Xi, dtype=float)[:, None, :], self.basis)
 
     def project(self, x) -> np.ndarray:
@@ -173,8 +170,8 @@ class SharedEigReduction:
     """Invariant-plane data for an eigenvalue shared by both pieces.
 
     ``left``/``right`` are the adjugate-scaled eigenvectors of the right
-    piece; :meth:`deviation` is the affine functional that vanishes on the
-    invariant plane and is multiplied by ``value`` under one map step.
+    piece; :meth:`deviation_many` is the affine functional that vanishes on
+    the invariant plane and is multiplied by ``value`` under one map step.
     """
 
     value: float
@@ -185,9 +182,6 @@ class SharedEigReduction:
     transversal: bool
     restricted: ReducedPwlMap | None
     other_shared: tuple[float, ...] = ()
-
-    def deviation(self, x) -> float:
-        return linalg._dot(self.left, np.asarray(x, dtype=float)) - self.offset
 
     def deviation_many(self, X) -> np.ndarray:
         return linalg._rows_dot(X, self.left) - self.offset
@@ -366,7 +360,7 @@ def zero_eig_reduction(pwl: PwlMap, tol: float = 1e-9) -> AffineHyperplane:
     # planarity of the range: w A_L ~ 0 and w . (b - y) ~ 0
     r1 = linalg._length(linalg._rows_dot(pwl.A_L.T, plane.normal))
     r1 /= 1.0 + linalg._length(pwl.A_L)
-    r2 = abs(plane.signed_distance(pwl.b)) / (1.0 + linalg._length(pwl.b))
+    r2 = abs(plane.distances(pwl.b[None])[0]) / (1.0 + linalg._length(pwl.b))
     if max(r1, r2) > 1e3 * tol:
         raise IllConditioned("the range of the left piece is not planar within tolerance")
     return plane
@@ -378,7 +372,7 @@ _STATUSES = ("no_return", "ok", "escaped", "non_finite")
 
 
 def _on_plane(plane: AffineHyperplane, Y: np.ndarray, r: np.ndarray, tol: float) -> np.ndarray:
-    """``plane.contains`` for each row of ``Y`` with norm ``r``."""
+    """The class's membership test for each row of ``Y``, with norm ``r``."""
     return np.abs(plane.distances(Y)) <= tol * (1.0 + r)
 
 
@@ -561,3 +555,47 @@ def classify_unit_modulus(pwl: PwlMap, tol: float = 1e-9) -> list[UnitModulusRep
                 resonant = any(abs(theta - ang) <= tol for ang in RESONANT_ANGLES)
                 out.append(UnitModulusReport(side, "NS", value=None, theta=theta, resonant=resonant))
     return out
+
+
+# ---------------------------------------------------------------------------
+# one report per map
+
+
+@dataclass(frozen=True, eq=False)
+class MapReport:
+    """What ``analyze`` finds on one map.  ``p`` (NotContinuous), ``shared``
+    (any PwldynError) and ``zero_plane`` (any but NotSingular, which gives
+    None) hold the record ``"Type: message"`` of such an error in place of
+    their value."""
+
+    p: np.ndarray | str
+    spectrum_left: linalg.Spectrum
+    spectrum_right: linalg.Spectrum
+    fixed_points: FixedPoints
+    shared: SharedEigReduction | str | None
+    zero_plane: AffineHyperplane | str | None
+    unit_modulus: tuple[UnitModulusReport, ...]
+
+
+def analyze(pwl: PwlMap, tol: float = 1e-9) -> MapReport:
+    """Continuity, spectra, fixed points, both reductions and unit-modulus
+    reports of ``pwl``, in that order; an error ``MapReport`` does not
+    record propagates.  ``real_eigen``'s memo decomposes each piece once."""
+    try:
+        p = validate_continuity(pwl)
+    except NotContinuous as exc:
+        p = _record(exc)
+    spectra = linalg.real_eigen(pwl.A_L), linalg.real_eigen(pwl.A_R)
+    fixed = fixed_points(pwl)
+    try:
+        shared = detect_shared_eigenvalue(pwl, tol)
+    except PwldynError as exc:
+        shared = _record(exc)
+    try:
+        zero_plane = zero_eig_reduction(pwl, tol)
+    except NotSingular:
+        zero_plane = None
+    except PwldynError as exc:
+        zero_plane = _record(exc)
+    return MapReport(p, *spectra, fixed, shared, zero_plane,
+                     tuple(classify_unit_modulus(pwl, tol)))

@@ -35,6 +35,20 @@ FLAT_LEFT_2D = BcnfParams(dim=2, tl=1.3, dl=0.0, tr=-1.4, dr=1.5)
 # Three-dimensional analogue with a singular left piece.
 FLAT_LEFT_3D = BcnfParams(dim=3, tl=1.6, dl=0.0, sl=0.8, tr=-1.5, dr=1.0, sr=0.0)
 
+# A_L is the defective piece DEFECTIVE_3D of test_linalg, whose double root
+# -2 is merged from two simple ones; A_R = A_L + (1.5, -1, 0.5) e1^T has the
+# same defective double root, so detection reports a hypothesis violation.
+MATRIX_3D = """3
+-1 0 0
+2 -2 -1.5
+-0.5 0 -2
+0.5 0 0
+1 -2 -1.5
+0 0 -2
+1 0.5 -0.25
+1 0 0
+"""
+
 
 def shared_3d_params() -> BcnfParams:
     """Tune the left determinant so the left piece picks up the real

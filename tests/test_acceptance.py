@@ -169,7 +169,7 @@ def test_criterion_5_singular_piece_collapse(capsys):
             x = rng.uniform(-4.0, 4.0, pwl.n)
             x[0] = -abs(x[0]) - 1e-9
             y = pwl(x)
-            assert abs(plane.signed_distance(y)) <= 1e-10
+            assert abs(plane.distances(y[None])[0]) <= 1e-10
     _report(capsys, 5, "singular piece plane collapse", t0, 2.0)
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from pwldyn import (
+    ESCAPE_RADIUS,
     BcnfParams,
     EmptyCloud,
     NonFinite,
+    PwldynError,
     PwlMap,
     attractor,
     bcnf,
@@ -289,6 +292,44 @@ def test_scan_refinement_tightens_steps():
         maxima.append(max(result.consecutive_hausdorff))
     assert maxima[1] <= maxima[0] + 1e-12
     assert maxima[2] <= maxima[1] + 1e-12
+
+
+def _plane_distances_per_value(result, tol):
+    """The per-value loop ``plane_distances`` replaces: detection on every
+    map, then the largest distance from a non-empty cloud to the plane."""
+    out = []
+    for pwl, cloud in zip(result.maps, result.clouds):
+        stat = float("nan")
+        try:
+            red = detect_shared_eigenvalue(pwl, tol)
+        except PwldynError:
+            red = None
+        if red is not None and cloud is not None and cloud.points.shape[0] > 0:
+            stat = float(np.max(np.abs(red.manifold.distances(cloud.points))))
+        out.append(stat)
+    return out
+
+
+@pytest.mark.parametrize("base, values, escape_radius, finite", [
+    # shared, nothing shared, escaped before the first kept point
+    (SHARED_2D, [2.2, 2.1, 30.0], ESCAPE_RADIUS, [True, False, False]),
+    # shared, then a non-finite orbit (None cloud)
+    (SHARED_2D, [2.2, 30.0], np.inf, [True, False]),
+    # detection raises HypothesisViolated (the shared eigenvalue is one)
+    (BcnfParams(dim=2, tl=1.5, dl=0.5, tr=0.5, dr=-0.5), [1.5, 1.4], ESCAPE_RADIUS,
+     [False, False]),
+    (shared_3d_params(), [shared_3d_params().tl, 0.3], ESCAPE_RADIUS, [True, False]),
+])
+@pytest.mark.parametrize("tol", [1e-9, 1e-3])
+def test_scan_plane_distances_match_the_per_value_loop(base, values, escape_radius, finite,
+                                                       tol):
+    result = scan(base, "tl", values, n_transient=100, n_keep=200, escape_radius=escape_radius)
+    got = result.plane_distances(tol)
+    assert np.array(got).tobytes() == np.array(_plane_distances_per_value(result, tol)).tobytes()
+    assert [math.isfinite(d) for d in got] == finite
+    assert all(type(d) is float for d in got)
+    if escape_radius == np.inf:
+        assert result.clouds[1] is None
 
 
 @settings(max_examples=60, deadline=None)

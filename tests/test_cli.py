@@ -303,6 +303,17 @@ def test_restrict_grid_cobweb_without_orbit_points(capsys):
     assert [float(r[0]) for r in rows[1:]] == payload["cobweb"]["x"]
 
 
+@pytest.mark.parametrize("args", [ANCHOR, SHARED_3D_ARGS], ids=["1-D chart", "2-D chart"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_restrict_orbit_escaping_before_any_point_exits_3(capsys, args, fmt):
+    # without --grid there is no cobweb to report, as orbit and portrait
+    code = main(["restrict", *args, "--escape-radius", "1e-300", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: orbit escaped at step 0 before any retained point\n"
+
+
 def test_restrict_no_shared_eigenvalue():
     assert main(["restrict", "--dim", "2", "--tl", "1.5", "--dl", "0.4",
                  "--tr", "-1.3", "--dr", "-0.3"]) == 4

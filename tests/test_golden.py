@@ -20,23 +20,16 @@ import pytest
 
 from pwldyn.cli import main
 
-from conftest import FLAT_LEFT_2D, FLAT_LEFT_3D, SHARED_2D, bcnf_argv, shared_3d_params
+from conftest import (
+    FLAT_LEFT_2D,
+    FLAT_LEFT_3D,
+    MATRIX_3D,
+    SHARED_2D,
+    bcnf_argv,
+    shared_3d_params,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
-
-# A_L is the defective piece DEFECTIVE_3D of test_linalg, whose double root
-# -2 is merged from two simple ones; A_R = A_L + (1.5, -1, 0.5) e1^T has the
-# same defective double root, so detection reports a hypothesis violation.
-MATRIX_3D = """3
--1 0 0
-2 -2 -1.5
--0.5 0 -2
-0.5 0 0
-1 -2 -1.5
-0 0 -2
-1 0.5 -0.25
-1 0 0
-"""
 
 
 def _argv(name: str, tmp_path: Path) -> list[str]:

@@ -1,8 +1,9 @@
 """Every module-level import of the package is used or re-exported, every
 module-level private name is referenced somewhere in the package, every
 dataclass field is read somewhere, every public name of a library module is
-exported by the package, no module imports SciPy, and no inner product goes
-through BLAS outside the LAPACK sites above 3x3."""
+exported by the package, no module imports SciPy, no inner product goes
+through BLAS outside the LAPACK sites above 3x3, and no subcommand of the
+command-line front end catches an exception."""
 from __future__ import annotations
 
 import ast
@@ -254,3 +255,39 @@ def test_guard_sees_a_blas_product():
         "import norm in <module> (line 2)", "@ in f (line 4)", ".dot in f (line 4)",
         ".dot in f (line 4)", ".norm in <module> (line 8)", ".einsum in <module> (line 8)"]
     assert len(blas_products(source)) == 8
+
+
+def commands_with_try(source: str) -> list[str]:
+    """The ``cmd_*`` functions of the module that hold a ``try`` statement,
+    nested ones included: only ``main`` maps exceptions to exit codes."""
+    tries = (ast.Try, getattr(ast, "TryStar", ast.Try))
+    return [f"{node.name} (line {node.lineno})" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")
+            and any(isinstance(inner, tries) for inner in ast.walk(node))]
+
+
+def test_subcommands_leave_exceptions_to_main():
+    assert commands_with_try((PACKAGE / "cli.py").read_text(encoding="utf-8")) == []
+
+
+def test_guard_sees_a_subcommand_catching():
+    source = ("def cmd_a(cfg):\n"
+              "    try:\n"
+              "        run()\n"
+              "    except ValueError:\n"
+              "        pass\n"
+              "def cmd_b(cfg):\n"
+              "    if cfg:\n"
+              "        with open(cfg) as fh:\n"
+              "            try:\n"
+              "                fh.read()\n"
+              "            finally:\n"
+              "                pass\n"
+              "def cmd_c(cfg):\n"
+              "    return run(cfg)\n"
+              "def main():\n"
+              "    try:\n"
+              "        cmd_c(1)\n"
+              "    except ValueError:\n"
+              "        return 2\n")
+    assert commands_with_try(source) == ["cmd_a (line 1)", "cmd_b (line 6)"]

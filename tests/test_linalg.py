@@ -362,6 +362,17 @@ def test_hyperplane_basis_deterministic():
     assert np.array_equal(b1, b2)
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1e200])
+@pytest.mark.parametrize("unit", [[1.0, 0.0], [0.0, -1.0], [math.sqrt(0.5), math.sqrt(0.5)],
+                                  [0.6, -0.8], [1 / 3, 2 / 3, -2 / 3]])
+def test_hyperplane_basis_of_a_normal_whose_squares_under_or_overflow(scale, unit):
+    unit = np.array(unit)
+    basis = hyperplane_basis(scale * unit)
+    assert np.abs(basis.T @ basis - np.eye(unit.size - 1)).max() <= 1e-15
+    assert np.abs(unit @ basis).max() <= 1e-15
+    assert basis == pytest.approx(hyperplane_basis(unit), abs=1e-15)
+
+
 def test_hyperplane_basis_zero_normal():
     with pytest.raises(ZeroNormal):
         hyperplane_basis(np.zeros(3))

@@ -13,13 +13,16 @@ from pwldyn import (
     AffineHyperplane,
     BcnfParams,
     HypothesisViolated,
+    IllConditioned,
     InducedSample,
     InducedSamples,
     MultipleZero,
     NoFixedPoint,
     NonTransversal,
     NotSingular,
+    PwldynError,
     PwlMap,
+    analyze,
     bcnf,
     classify_unit_modulus,
     default_x0,
@@ -31,14 +34,16 @@ from pwldyn import (
     restrict_to_manifold,
     sample_induced,
     scan,
+    validate_continuity,
     zero_eig_reduction,
 )
 from pwldyn import linalg, reduction
-from pwldyn.cli import main
+from pwldyn.cli import main, read_matrix_file
 
 from conftest import (
     FLAT_LEFT_2D,
     FLAT_LEFT_3D,
+    MATRIX_3D,
     SHARED_2D,
     bcnf_argv,
     reference_contains,
@@ -79,27 +84,25 @@ def test_manifold_through_fixed_point(shared_map):
     red = detect_shared_eigenvalue(shared_map)
     star = fixed_points(shared_map).right.point
     assert red.manifold.base_point == pytest.approx(star, abs=1e-12)
-    assert abs(red.manifold.signed_distance(star)) <= 1e-14
+    assert abs(red.manifold.distances(star[None])[0]) <= 1e-14
 
 
 def test_deviation_values(shared_map):
     red = detect_shared_eigenvalue(shared_map)
-    assert red.deviation(np.array([0.5, 0.15])) == pytest.approx(0.0, abs=1e-14)
-    assert red.deviation(np.zeros(2)) == pytest.approx(-0.25, abs=1e-14)
     # left . right stays away from zero for a transversal pair
     assert float(red.left @ red.right) == pytest.approx(1.7, abs=1e-12)
-    shifted = np.array([0.5, 0.15]) + red.right
-    assert red.deviation(shifted) == pytest.approx(1.7, abs=1e-12)
+    on_plane = np.array([0.5, 0.15])
+    values = red.deviation_many(np.array([on_plane, np.zeros(2), on_plane + red.right]))
+    assert values[:2] == pytest.approx([0.0, -0.25], abs=1e-14)
+    assert values[2] == pytest.approx(1.7, abs=1e-12)
 
 
 def test_deviation_contracts(shared_map, rng):
     red = detect_shared_eigenvalue(shared_map)
-    lam = red.value
-    for _ in range(300):
-        x = rng.uniform(-3.0, 3.0, 2)
-        before = red.deviation(x)
-        after = red.deviation(shared_map(x))
-        assert abs(after - lam * before) <= 1e-12 * (1.0 + abs(before))
+    X = rng.uniform(-3.0, 3.0, (300, 2))
+    before = red.deviation_many(X)
+    after = red.deviation_many(np.array([shared_map(x) for x in X]))
+    assert (np.abs(after - red.value * before) <= 1e-12 * (1.0 + np.abs(before))).all()
 
 
 def test_left_vector_transfers(shared_map):
@@ -116,8 +119,8 @@ def test_restriction_one_step_conjugacy(shared_map, rng):
     chart = rmap.chart
     for _ in range(500):
         xi = rng.uniform(-5.0, 5.0, 1)
-        x = chart.lift(xi)
-        assert abs(red.deviation(x)) <= 1e-12
+        x = reference_lift(chart, xi)
+        assert abs(red.deviation_many(x[None])[0]) <= 1e-12
         assert rmap.side(xi) == shared_map.side(x)
         direct = chart.project(shared_map(x))
         assert np.abs(rmap(xi) - direct).max() <= 1e-10
@@ -327,15 +330,15 @@ def test_shared_value_double_in_left_piece(rng):
     assert red.other_shared == ()
     for a in (pwl.A_L, pwl.A_R):
         assert np.abs(red.left @ a - red.value * red.left).max() <= 1e-12
-    for _ in range(500):
-        x = rng.uniform(-3.0, 3.0, 2)
-        before = red.deviation(x)
-        assert abs(red.deviation(pwl(x)) - red.value * before) <= 1e-12 * (1.0 + abs(before))
+    X = rng.uniform(-3.0, 3.0, (500, 2))
+    before = red.deviation_many(X)
+    after = red.deviation_many(np.array([pwl(x) for x in X]))
+    assert (np.abs(after - red.value * before) <= 1e-12 * (1.0 + np.abs(before))).all()
     rmap = restrict_to_manifold(red)
     assert rmap.slopes() == pytest.approx((0.5, -1.5), abs=1e-12)
     for _ in range(500):
         xi = rng.uniform(-5.0, 5.0, 1)
-        x = rmap.chart.lift(xi)
+        x = reference_lift(rmap.chart, xi)
         assert rmap.side(xi) == pwl.side(x)
         assert np.abs(rmap(xi) - rmap.chart.project(pwl(x))).max() <= 1e-10
 
@@ -599,7 +602,7 @@ def test_left_branch_lands_on_plane(flat_left_map, flat_left_map_3d, rng):
             x = rng.uniform(-4.0, 4.0, pwl.n)
             x[0] = -abs(x[0]) - 1e-6
             y = pwl(x)
-            assert abs(plane.signed_distance(y)) <= 1e-10 * (1.0 + np.linalg.norm(y))
+            assert abs(plane.distances(y[None])[0]) <= 1e-10 * (1.0 + np.linalg.norm(y))
 
 
 def test_zero_overlap_with_shared_reduction():
@@ -626,7 +629,7 @@ def _induced_at(pwl, plane, x, **options):
     its image lifted back to the ambient space when it returned."""
     chart = plane_chart(plane)
     sample = sample_induced(pwl, plane, [chart.project(x)], chart=chart, **options)[0]
-    image = None if sample.image is None else chart.lift(sample.image)
+    image = None if sample.image is None else reference_lift(chart, sample.image)
     return sample, image
 
 
@@ -653,7 +656,7 @@ def test_induced_map_first_return_is_minimal(flat_left_map):
     y = x.copy()
     for _ in range(res.return_time - 1):
         y = flat_left_map(y)
-        assert not plane.contains(y)
+        assert not reference_contains(plane, y, 1e-9)
 
 
 def test_induced_map_rejects_off_plane(flat_left_map):
@@ -674,7 +677,7 @@ def test_induced_map_fixed_point_on_plane():
     plane = zero_eig_reduction(pwl)
     star = fixed_points(pwl).right.point
     assert star == pytest.approx([7.0 / 3.0, 28.0 / 15.0], abs=1e-12)
-    assert plane.contains(star)
+    assert reference_contains(plane, star, 1e-9)
     res, image = _induced_at(pwl, plane, star)
     assert res.return_time == 1
     assert res.itinerary == ("R",)
@@ -715,7 +718,7 @@ def test_sample_induced(flat_left_map):
     for s in samples:
         assert s.image is not None
         assert s.return_time >= 1
-        assert plane.contains(chart.lift(s.image))
+        assert reference_contains(plane, reference_lift(chart, s.image), 1e-9)
     capped = sample_induced(flat_left_map, plane, grid, chart=chart, j_max=1)
     statuses = {s.status for s in capped}
     assert "no_return" in statuses
@@ -955,9 +958,21 @@ def test_hyperplane_normalization():
     )
     assert plane.normal == pytest.approx([0.0, 1.0], abs=1e-15)
     assert plane.offset == pytest.approx(3.0, abs=1e-15)
-    assert plane.signed_distance(np.array([5.0, 4.0])) == pytest.approx(1.0)
-    assert plane.contains(np.array([9.0, 3.0]))
-    assert not plane.contains(np.array([9.0, 3.1]))
+    X = np.array([[5.0, 4.0], [9.0, 3.0], [9.0, 3.1]])
+    assert plane.distances(X) == pytest.approx([1.0, 0.0, 0.1])
+    assert reduction._on_plane(plane, X, np.linalg.norm(X, axis=1), 1e-9).tolist() == [
+        False, True, False]
+
+
+@pytest.mark.parametrize("normal, unit", [
+    ([1e-170, 0.0], [1.0, 0.0]),
+    ([0.0, -1e-170], [0.0, 1.0]),
+    ([1e200, 1e200], [math.sqrt(0.5), math.sqrt(0.5)]),
+])
+def test_hyperplane_from_a_normal_whose_squares_under_or_overflow(normal, unit):
+    plane = AffineHyperplane.from_normal_point(normal, [2.0, 3.0])
+    assert plane.normal == pytest.approx(unit, abs=1e-15)
+    assert plane.offset == pytest.approx(2.0 * unit[0] + 3.0 * unit[1], abs=1e-15)
 
 
 def test_chart_roundtrip(rng):
@@ -1041,3 +1056,78 @@ def test_classify_both_sides():
     pwl = bcnf(BcnfParams(dim=2, tl=1.5, dl=0.5, tr=0.0, dr=1.0))
     kinds = {(r.side, r.kind) for r in classify_unit_modulus(pwl)}
     assert kinds == {("L", "SN"), ("R", "NS")}
+
+
+# ---------------------------------------------------------------------------
+# one report per map
+
+
+def _record_of(call, *args) -> str:
+    """The ``"Type: message"`` record of the error ``call(*args)`` raises."""
+    with pytest.raises(PwldynError) as info:
+        call(*args)
+    return f"{type(info.value).__name__}: {info.value}"
+
+
+def test_analyze_records_a_discontinuous_map():
+    pwl = PwlMap([[0.0, 1.0], [0.0, 0.0]], [[0.5, 1.0], [-0.3, 0.2]], [1.0, 0.0], [1.0, 0.0])
+    report = analyze(pwl)
+    assert report.p == _record_of(validate_continuity, pwl)
+    assert report.p.startswith("NotContinuous: ")
+    # detection checks continuity first; the nilpotent left piece has a double zero
+    assert report.shared == report.p
+    assert report.zero_plane.startswith("MultipleZero: ")
+    assert report.fixed_points.right.point is not None
+
+
+def test_analyze_records_a_multiple_zero():
+    pwl = PwlMap([[0.0, 1.0], [0.0, 0.0]], [[0.5, 1.0], [-0.3, 0.0]], [1.0, 0.0], [1.0, 0.0])
+    report = analyze(pwl)
+    assert report.p.tolist() == validate_continuity(pwl).tolist()
+    assert report.zero_plane == _record_of(zero_eig_reduction, pwl)
+    assert report.zero_plane.startswith("MultipleZero: ")
+
+
+def test_analyze_records_a_hypothesis_violation(tmp_path):
+    path = tmp_path / "map.txt"
+    path.write_text(MATRIX_3D)
+    pwl = read_matrix_file(str(path))
+    report = analyze(pwl)
+    assert report.shared == _record_of(detect_shared_eigenvalue, pwl)
+    assert report.shared == ("HypothesisViolated: shared eigenvalue -2: "
+                             "algebraic multiplicity exceeds one")
+    assert report.zero_plane is None  # NotSingular is no record
+
+
+def test_analyze_gives_the_values_of_the_calls(shared_map):
+    report = analyze(shared_map)
+    assert report.zero_plane is None
+    red = detect_shared_eigenvalue(shared_map)
+    assert (report.shared.value, report.shared.left.tolist()) == (red.value, red.left.tolist())
+    assert report.spectrum_left is linalg.real_eigen(shared_map.A_L)
+    assert report.spectrum_right is linalg.real_eigen(shared_map.A_R)
+    assert report.fixed_points.right.point.tolist() == (
+        fixed_points(shared_map).right.point.tolist())
+    assert report.unit_modulus == ()
+    flat = bcnf(FLAT_LEFT_2D)
+    plane = analyze(flat).zero_plane
+    assert (plane.normal.tolist(), plane.offset) == (
+        zero_eig_reduction(flat).normal.tolist(), zero_eig_reduction(flat).offset)
+
+
+def test_analyze_passes_other_errors_on():
+    huge = np.array([[1e308, 1e308], [-1e308, 1e308]])
+    with pytest.raises(IllConditioned):
+        analyze(PwlMap(huge, huge, [1.0, 0.0], [0.0, 1.0]))
+
+
+def test_analyze_decomposes_each_piece_once(rng):
+    # a map no other test has decomposed: the memo misses once per piece
+    a_l = rng.standard_normal((4, 4))
+    pwl = PwlMap(a_l, a_l + np.outer(rng.standard_normal(4), [1.0, 0.0, 0.0, 0.0]),
+                 rng.standard_normal(4), [1.0, 0.0, 0.0, 0.0])
+    before = linalg._spectrum.cache_info()
+    analyze(pwl)
+    after = linalg._spectrum.cache_info()
+    assert after.misses - before.misses == 2
+    assert after.hits > before.hits
