@@ -318,6 +318,7 @@ def _plane_distances_per_value(result, tol):
     # detection raises HypothesisViolated (the shared eigenvalue is one)
     (BcnfParams(dim=2, tl=1.5, dl=0.5, tr=0.5, dr=-0.5), [1.5, 1.4], ESCAPE_RADIUS,
      [False, False]),
+    # 3-D: shared at the tuned map, not at tl = 0.3
     (shared_3d_params(), [shared_3d_params().tl, 0.3], ESCAPE_RADIUS, [True, False]),
 ])
 @pytest.mark.parametrize("tol", [1e-9, 1e-3])

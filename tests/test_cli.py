@@ -306,7 +306,7 @@ def test_restrict_grid_cobweb_without_orbit_points(capsys):
 @pytest.mark.parametrize("args", [ANCHOR, SHARED_3D_ARGS], ids=["1-D chart", "2-D chart"])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_restrict_orbit_escaping_before_any_point_exits_3(capsys, args, fmt):
-    # without --grid there is no cobweb to report, as orbit and portrait
+    # without --grid nothing is left to report: exit 3, as orbit and portrait do
     code = main(["restrict", *args, "--escape-radius", "1e-300", "--format", fmt])
     captured = capsys.readouterr()
     assert code == 3
