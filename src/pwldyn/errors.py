@@ -3,7 +3,6 @@
 __all__ = [
     "DynamicsError",
     "EmptyCloud",
-    "Escaped",
     "HypothesisViolated",
     "IllConditioned",
     "MultipleZero",
@@ -51,10 +50,6 @@ class DynamicsError(PwldynError):
 
 class NonFinite(DynamicsError):
     """An orbit iterate overflowed to a non-finite value."""
-
-
-class Escaped(DynamicsError):
-    """An excursion left the escape radius before returning to the section."""
 
 
 class NoReturn(DynamicsError):

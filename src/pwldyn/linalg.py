@@ -35,7 +35,9 @@ scales (an exception, or a non-finite or subnormal value), they are
 computed again on data rescaled by powers of two; wherever they succeed no
 bit changes.  So is the adjugate that an eigenvector is read off, when it
 overflows; its canonical scaling cannot be stored then, and the vectors come
-back unit-norm.
+back unit-norm.  These are the package's only such retries: the decisions
+of the other modules reach them through ``_scaled_sides``, ``_well_scaled``
+and ``_adjugate_at``.
 """
 from __future__ import annotations
 
@@ -212,6 +214,16 @@ def _adj_rows(r: list[list[float]]) -> list[list[float]]:
 def _shifted_rows(r: list[list[float]], lam: float) -> list[list[float]]:
     """Rows of ``lam I - A`` from the rows ``r`` of ``A``."""
     return [[lam - a if i == j else -a for j, a in enumerate(row)] for i, row in enumerate(r)]
+
+
+def _adjugate_at(M: list[list[float]]) -> tuple[list[list[float]], bool]:
+    """Rows of ``adj(M)`` and False for the rows ``M`` of ``lam I - A``; where
+    that overflows, rows of ``adj(_rescaled(M))``, of the same row and column
+    directions, and True."""
+    B = _adj_rows(M) if len(M) <= 3 else _adj(np.array(M)).tolist()
+    if all(math.isfinite(x) for row in B for x in row):
+        return B, False
+    return _adj(_rescaled(np.array(M))[0]).tolist(), True
 
 
 def solve(a, rhs) -> np.ndarray:
@@ -398,9 +410,8 @@ def _rounding_split(A: np.ndarray, norm: float, lo: float, hi: float, s: float) 
     eps = np.finfo(float).eps
     if A.shape[0] > 3:
         return (hi - lo) * s <= DEFECTIVE_SPLIT * eps * norm
-    r = A.tolist()
-    e = math.frexp(max(abs(x) for row in r for x in row))[1]
-    r = [[math.ldexp(x, -e) for x in row] for row in r]
+    B, e = _rescaled(A)
+    r = B.tolist()
     mu = math.ldexp(0.5 * (lo + hi), -e)
     p = bound = 1.0
     for c, g in zip(_char_coeffs(r), _char_term_sums(r)):
@@ -439,8 +450,9 @@ def _scaled_sides(sides, *factors: np.ndarray) -> tuple[float, float]:
     scale is not ``_full_precision``, and no factor is zero, they are taken
     again on each factor divided by the power of two above its largest
     entry (``_rescaled``), so wherever the plain form works no bit changes.
-    A caller whose ``sides`` takes NumPy products turns NumPy's overflow
-    warnings off."""
+    ``sides`` computes on Python floats (``_dot``), which overflow to inf,
+    and add inf to -inf to NaN, without a warning: either only sends the
+    plain form to the rescaled one."""
     lhs, rhs = sides(*factors)
     if not (lhs < math.inf and _full_precision(rhs)) and all(f.any() for f in factors):
         lhs, rhs = sides(*(_rescaled(f)[0] for f in factors))
@@ -452,6 +464,14 @@ def _full_precision(s: float) -> bool:
     keeps full precision; the one test after which a scale-free decision is
     taken again on data rescaled by powers of two."""
     return _TINY <= s < math.inf
+
+
+def _well_scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(v, 0)`` where ``v . v`` is ``_full_precision``, else
+    ``_rescaled(v)``: ``v / 2^e`` and ``e``, whose ``v . v`` is."""
+    if _full_precision(_dot(v, v)):
+        return v, 0
+    return _rescaled(v)
 
 
 def _rescaled(v: np.ndarray) -> tuple[np.ndarray, int]:
@@ -501,7 +521,7 @@ def _char_roots(A: np.ndarray) -> list[complex]:
         except (ArithmeticError, ValueError):
             roots = [complex(math.nan)]
         if not _finite(roots):
-            coeffs, k = _scaled_char_poly(r)
+            coeffs, k = _scaled_char_poly(A)
             try:
                 roots = [complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
                          for z in _poly_roots(coeffs)]
@@ -520,22 +540,21 @@ def _poly_roots(coeffs: list[float]) -> list[complex]:
     return _quadratic_roots(*coeffs) if len(coeffs) == 2 else _cubic_roots(*coeffs)
 
 
-def _scaled_char_poly(r: list[list[float]]) -> tuple[list[float], int]:
-    """Coefficients of the characteristic polynomial of the 2x2 or 3x3
-    matrix with rows ``r`` (nonzero) as a polynomial in ``y = x / 2^k``,
-    and ``k``.
+def _scaled_char_poly(A: np.ndarray) -> tuple[list[float], int]:
+    """Coefficients of the characteristic polynomial of the nonzero 2x2 or
+    3x3 matrix ``A`` as a polynomial in ``y = x / 2^k``, and ``k``.
 
-    The rows are first divided by the power of two just above their largest
-    entry, which bounds coefficient ``i`` by 6, and coefficient ``i`` is then
-    divided by ``2^(i k')`` for the power of two ``2^k'`` just above the
-    roots' scale ``max |coefficient_i|^(1/i)``, which brings every
-    coefficient to at most 1 and one of them to at least 1/8, so that the
-    degree-six discriminant of the cubic stays representable.  Both steps
-    are exact up to subnormal coefficients, so the roots ``2^k y`` are those
-    of the matrix.
+    The matrix is first divided by the power of two just above its largest
+    entry (``_rescaled``), which bounds coefficient ``i`` by 6, and
+    coefficient ``i`` is then divided by ``2^(i k')`` for the power of two
+    ``2^k'`` just above the roots' scale ``max |coefficient_i|^(1/i)``,
+    which brings every coefficient to at most 1 and one of them to at least
+    1/8, so that the degree-six discriminant of the cubic stays
+    representable.  Both steps are exact up to subnormal coefficients, so
+    the roots ``2^k y`` are those of the matrix.
     """
-    e = math.frexp(max(abs(x) for row in r for x in row))[1]
-    coeffs = _char_coeffs([[math.ldexp(x, -e) for x in row] for row in r])
+    B, e = _rescaled(A)
+    coeffs = _char_coeffs(B.tolist())
     k = math.frexp(max(abs(c) ** (1.0 / i) for i, c in enumerate(coeffs, 1)))[1]
     return [math.ldexp(c, -i * k) for i, c in enumerate(coeffs, 1)], e + k
 
@@ -661,14 +680,8 @@ def _eigen_vectors(A: np.ndarray, lam: float, mult: int) -> tuple[np.ndarray, np
     n = A.shape[0]
     M = _shifted_rows(A.tolist(), lam)
     if mult == 1 or n <= 3:
-        B = _adj_rows(M) if n <= 3 else _adj(np.array(M)).tolist()
-        canonical = mult == 1
-        if not all(math.isfinite(x) for row in B for x in row):
-            # adj(lam I - A) overflows, so its canonical factors cannot be
-            # stored; adj of lam I - A over 2^e has the same row and column
-            # directions
-            B = _adj(_rescaled(np.array(M))[0]).tolist()
-            canonical = False
+        B, rescaled = _adjugate_at(M)
+        canonical = mult == 1 and not rescaled  # overflowed factors cannot be stored
         mags = [abs(x) for row in B for x in row]
         i, j = divmod(mags.index(max(mags)), n)
         piv = B[i][j]

@@ -282,14 +282,10 @@ def validate_continuity(pwl: PwlMap) -> np.ndarray:
     relative to ``max(1, ||A_R - A_L||)``, otherwise NotContinuous is raised.
     """
     dA = pwl.A_R - pwl.A_L
-    c = pwl.c
-    cc = linalg._dot(c, c)
-    if linalg._full_precision(cc):
-        q = p = linalg._rows_dot(dA, c) / cc
-    else:  # c . c under- or overflows: fit q = 2^e p to c / 2^e instead
-        c, e = linalg._rescaled(c)
-        q = linalg._rows_dot(dA, c) / linalg._dot(c, c)
-        with np.errstate(over="ignore"):
+    c, e = linalg._well_scaled(pwl.c)  # c / 2^e, whose fit is q = 2^e p
+    q = p = linalg._rows_dot(dA, c) / linalg._dot(c, c)
+    if e:
+        with np.errstate(over="ignore"):  # p past the float range is inf
             p = np.ldexp(q, -e)
     R = dA - np.outer(q, c)
     resid, scale = linalg._norm(R), linalg._norm(dA)  # rescaled past about 1e154

@@ -205,25 +205,22 @@ def detect_shared_eigenvalue(pwl: PwlMap, tol: float = 1e-9) -> SharedEigReducti
     naming the failure of the first.
     """
     p = validate_continuity(pwl)
-    # the decisions' plain norms and dot products overflow past about 1e154;
-    # they are then taken again on rescaled vectors, with no warning
-    with np.errstate(over="ignore"):
-        shared = [t for t in linalg.real_eigen(pwl.A_R).real if _is_shared(pwl, p, t, tol)]
-        tied_to: list[float] = []
-        for mag in sorted(abs(t.value) for t in shared):
-            if not tied_to or mag - tied_to[-1] > tol * (1.0 + mag):
-                tied_to.append(mag)
-        shared.sort(key=lambda t: (max(m for m in tied_to if m <= abs(t.value)), -t.value))
-        if not shared:
-            return None
-        for tr in shared:
-            if _hypothesis_failure(pwl, tr, tol) is None:
-                break
-        else:
-            first = shared[0]
-            raise HypothesisViolated(
-                f"shared eigenvalue {first.value:.6g}: {_hypothesis_failure(pwl, first, tol)}"
-            )
+    shared = [t for t in linalg.real_eigen(pwl.A_R).real if _is_shared(pwl, p, t, tol)]
+    tied_to: list[float] = []
+    for mag in sorted(abs(t.value) for t in shared):
+        if not tied_to or mag - tied_to[-1] > tol * (1.0 + mag):
+            tied_to.append(mag)
+    shared.sort(key=lambda t: (max(m for m in tied_to if m <= abs(t.value)), -t.value))
+    if not shared:
+        return None
+    for tr in shared:
+        if _hypothesis_failure(pwl, tr, tol) is None:
+            break
+    else:
+        first = shared[0]
+        raise HypothesisViolated(
+            f"shared eigenvalue {first.value:.6g}: {_hypothesis_failure(pwl, first, tol)}"
+        )
     lam, u, v = tr.value, tr.left, tr.right
     offset = linalg._dot(u, pwl.b) / (1.0 - lam)
     try:
@@ -231,8 +228,7 @@ def detect_shared_eigenvalue(pwl: PwlMap, tol: float = 1e-9) -> SharedEigReducti
     except SingularMatrix:  # 1 in the right spectrum: any zero of the deviation functional works
         base = u * (offset / linalg._dot(u, u))
     manifold = AffineHyperplane.from_normal_point(u, base)
-    with np.errstate(over="ignore"):
-        transversal = _transversal(u, pwl.c, tol)
+    transversal = _transversal(u, pwl.c, tol)
     restricted = _build_restricted(pwl, u, base) if transversal else None
     others = tuple(t.value for t in shared if t is not tr)
     return SharedEigReduction(
@@ -250,13 +246,12 @@ def detect_shared_eigenvalue(pwl: PwlMap, tol: float = 1e-9) -> SharedEigReducti
 def _negligible(tol: float, *factors: np.ndarray) -> bool:
     """Whether ``|x . y| <= tol |x| |y|`` for the factors ``(x, y)``, or
     ``|x^T B y| <= tol |B| |x| |y|`` for ``(x, B, y)``.  Both sides are
-    homogeneous in each factor: ``linalg._scaled_sides`` takes them.  The
-    caller turns NumPy's overflow warnings off."""
+    homogeneous in each factor: ``linalg._scaled_sides`` takes them."""
     def sides(*fs):
         norms = [linalg._length(f) for f in fs]
         if len(fs) == 2:
             return abs(linalg._dot(fs[0], fs[1])), tol * norms[0] * norms[1]
-        xb = linalg._rows_dot(fs[1].T, fs[0])
+        xb = [linalg._dot(col, fs[0]) for col in fs[1].T.tolist()]
         return abs(linalg._dot(xb, fs[2])), tol * (norms[1] * norms[0] * norms[2])
     lhs, rhs = linalg._scaled_sides(sides, *factors)
     return lhs <= rhs
@@ -266,11 +261,8 @@ def _is_shared(pwl: PwlMap, p: np.ndarray, t: linalg.EigenTriple, tol: float) ->
     """Whether ``det(t.value I - A_L) = c^T adj(t.value I - A_R) p`` vanishes."""
     if t.canonical:  # adj(t.value I - A_R) = right left^T: test each factor
         return _negligible(tol, t.left, p) or _negligible(tol, pwl.c, t.right)
-    M = t.value * np.eye(pwl.n) - pwl.A_R
-    B = linalg.adjugate(M)
-    if not np.isfinite(B).all():  # the test is homogeneous in B
-        B = linalg.adjugate(linalg._rescaled(M)[0])
-    return _negligible(tol, pwl.c, B, p)
+    B, _ = linalg._adjugate_at(linalg._shifted_rows(pwl.A_R.tolist(), t.value))
+    return _negligible(tol, pwl.c, np.array(B), p)
 
 
 def _hypothesis_failure(pwl: PwlMap, tr: linalg.EigenTriple, tol: float) -> str | None:
@@ -287,15 +279,11 @@ def _hypothesis_failure(pwl: PwlMap, tr: linalg.EigenTriple, tol: float) -> str 
 
 def _transversal(u: np.ndarray, c: np.ndarray, tol: float) -> bool:
     """Whether ``u`` has a component off ``c`` above ``tol |u|``.  The test
-    does not change when ``c`` is scaled, so where ``c . c`` is not
-    ``linalg._full_precision`` it runs on ``c`` divided by a power of two
-    instead.  ``u`` is a left eigenvector, with largest entry 1 or of unit
-    norm.  The caller turns NumPy's overflow warnings off."""
-    cc = linalg._dot(c, c)
-    if not linalg._full_precision(cc):
-        c, _ = linalg._rescaled(c)
-        cc = linalg._dot(c, c)
-    rej = u - c * (linalg._dot(u, c) / cc)
+    does not change when ``c`` is scaled, so it runs on
+    ``linalg._well_scaled(c)``.  ``u`` is a left eigenvector, with largest
+    entry 1 or of unit norm."""
+    c, _ = linalg._well_scaled(c)
+    rej = u - c * (linalg._dot(u, c) / linalg._dot(c, c))
     return linalg._length(rej) > tol * linalg._length(u)
 
 

@@ -9,7 +9,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 from scipy.optimize import linear_sum_assignment
 
 from pwldyn import (

@@ -20,7 +20,7 @@ import pytest
 from pwldyn import bcnf, cli
 from pwldyn.cli import main
 
-from conftest import SHARED_2D, shared_3d_params
+from conftest import shared_3d_params
 
 ANCHOR = ["--dim", "2", "--tl", "2.2", "--dl", "0.4", "--tr", "-1.3", "--dr", "-0.3"]
 FLAT = ["--dim", "2", "--tl", "1.3", "--dl", "0.0", "--tr", "-1.4", "--dr", "1.5"]
@@ -650,7 +650,7 @@ run("scan", *ANCHOR, "--param", "tl", "--values", "2.1,2.2", "--transient", "100
 """
 
 
-def test_scipy_spatial_imported_only_by_hausdorff(tmp_path):
+def test_no_subcommand_imports_scipy(tmp_path):
     # No subcommand imports SciPy, not even scan, whose Hausdorff distances
     # are computed in NumPy.
     out = str(tmp_path / "out")

@@ -1,9 +1,11 @@
-"""Every module-level import of the package is used or re-exported, every
-module-level private name is referenced somewhere in the package, every
-dataclass field is read somewhere, every public name of a library module is
-exported by the package, no module imports SciPy, no inner product goes
-through BLAS outside the LAPACK sites above 3x3, and no subcommand of the
-command-line front end catches an exception."""
+"""Every module-level import of the package and of its tests is used or
+re-exported, every module-level private name is referenced somewhere in the
+package, every dataclass field is read somewhere, every public name of a
+library module is exported by the package, no module imports SciPy, no
+inner product goes through BLAS outside the LAPACK sites above 3x3, only
+``linalg`` rescales for over- and underflow, shared-eigenvalue detection
+turns no NumPy warning off, and no subcommand of the command-line front end
+catches an exception."""
 from __future__ import annotations
 
 import ast
@@ -15,6 +17,7 @@ import pytest
 import pwldyn
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pwldyn"
+TESTS = Path(__file__).resolve().parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -45,7 +48,8 @@ def unused_imports(source: str) -> list[str]:
                   if name not in used and name not in exported)
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -255,6 +259,57 @@ def test_guard_sees_a_blas_product():
         "import norm in <module> (line 2)", "@ in f (line 4)", ".dot in f (line 4)",
         ".dot in f (line 4)", ".norm in <module> (line 8)", ".einsum in <module> (line 8)"]
     assert len(blas_products(source)) == 8
+
+
+# The retry of a scale-free decision on data rescaled by powers of two, which
+# keeps it finite and in full precision at extreme scales, lives in linalg;
+# other modules reach it through ``_scaled_sides``, ``_well_scaled`` and
+# ``_adjugate_at``.
+RESCALE_NAMES = {"_rescaled", "_full_precision"}
+
+
+def rescale_uses(source: str) -> list[str]:
+    """Every use of a name in ``RESCALE_NAMES``, as a name, an attribute or
+    an imported name, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in RESCALE_NAMES:
+            found.append((node.lineno, f"{name} (line {node.lineno})"))
+    return [what for _, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "linalg.py"),
+                         ids=lambda p: p.name)
+def test_only_linalg_rescales(path):
+    assert rescale_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_guard_sees_a_rescale_outside_linalg():
+    source = ("from .linalg import _rescaled\n"
+              "from . import linalg\n"
+              "def f(c):\n"
+              "    if not linalg._full_precision(linalg._dot(c, c)):\n"
+              "        c = _rescaled(c)[0]\n"
+              "    return linalg._well_scaled(c)\n")
+    assert rescale_uses(source) == [
+        "_rescaled (line 1)", "_full_precision (line 4)", "_rescaled (line 5)"]
+
+
+def test_detection_turns_no_warnings_off():
+    # its decisions sum on Python floats, which overflow without a warning
+    tree = ast.parse((PACKAGE / "reduction.py").read_text(encoding="utf-8"))
+    detect = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                  and node.name == "detect_shared_eigenvalue")
+    assert not [node.lineno for node in ast.walk(detect)
+                if isinstance(node, ast.Attribute) and node.attr == "errstate"]
 
 
 def commands_with_try(source: str) -> list[str]:

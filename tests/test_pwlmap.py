@@ -28,8 +28,6 @@ from pwldyn import (
 from pwldyn import pwlmap
 
 from conftest import (
-    FLAT_LEFT_2D,
-    SHARED_2D,
     pieces,
     reference_norm,
     reference_orbit,

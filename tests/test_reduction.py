@@ -542,12 +542,29 @@ def test_plus_minus_tie_goes_to_the_positive_value(qseed):
 
 
 @settings(max_examples=100, deadline=None)
-@given(pwl=_planted, scale=st.sampled_from([1e-6, 1e-3, 1e3, 1e6]))
+@given(pwl=_planted, scale=st.sampled_from([2.0**-540, 2.0**-520, 1e-6, 1e-3, 1e3, 1e6,
+                                            2.0**520, 2.0**560]))
 def test_detection_invariant_under_switching_normal_scale(pwl, scale):
     # c -> scale c leaves the map unchanged (p -> p / scale), so every
-    # decision must stay the same.
+    # decision must stay the same.  At the scales 2^-540, 2^-520, 2^520 and
+    # 2^560, c . c is zero, subnormal or past the float range, and the
+    # decisions take the rescaled forms.
     assume(_well_separated(pwl))
     _assert_same_detection(pwl, PwlMap(pwl.A_L, pwl.A_R, pwl.b, scale * pwl.c))
+
+
+def test_detection_where_adjugate_products_overflow():
+    # A_R has the defective double root 2 s, whose adjugate has entries near
+    # 1e301 in equal rows 0 and 1; c has entries 2^30 of opposite sign there,
+    # so the plain c^T B adds inf to -inf.  The decision is taken on the
+    # rescaled factors, with no warning, and agrees with the one on c / 2^40.
+    s = 2.0**500
+    A_R = s * np.array([[1.0, 1.0, 0.0], [-1.0, 3.0, 0.0], [0.0, 0.0, 5.0]])
+    c = 2.0**30 * np.array([1.0, -1.0, 1.0])
+    A_L = A_R - np.outer(s * 2.0**-30 * np.array([0.5, 0.25, 1.0]), c)
+    for k in (0, 40):
+        with pytest.raises(HypothesisViolated, match="multiplicity exceeds one"):
+            detect_shared_eigenvalue(PwlMap(A_L, A_R, np.ones(3), np.ldexp(c, -k)))
 
 
 def test_plane_normal_sign_rule():
