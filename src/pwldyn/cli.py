@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedDimension,
     _record,
 )
-from .pwlmap import ESCAPE_RADIUS, BcnfParams, PwlMap, _norms, bcnf, orbit
+from .pwlmap import ESCAPE_RADIUS, BcnfParams, PwlMap, _check_lengths, _norms, bcnf, orbit
 from .reduction import (
     _itinerary,
     _on_plane,
@@ -399,6 +399,7 @@ def _x0(cfg: RunConfig, pwl: PwlMap) -> np.ndarray | tuple[float, ...]:
 
 def cmd_orbit(cfg: RunConfig, out: str | None, portrait: bool) -> None:
     pwl = build_map(cfg)
+    _check_lengths(cfg.transient, cfg.keep)
     transient, keep = (cfg.transient, cfg.keep) if portrait else (0, cfg.transient + cfg.keep)
     orb = orbit(pwl, _x0(cfg, pwl), transient, keep, cfg.escape_radius)
     _require_points(orb)

@@ -36,8 +36,8 @@ computed again on data rescaled by powers of two; wherever they succeed no
 bit changes.  So is the adjugate that an eigenvector is read off, when it
 overflows; its canonical scaling cannot be stored then, and the vectors come
 back unit-norm.  These are the package's only such retries: the decisions
-of the other modules reach them through ``_scaled_sides``, ``_well_scaled``
-and ``_adjugate_at``.
+of the other modules reach them through ``_scaled_sides``, ``_well_scaled``,
+``_difference`` and ``_adjugate_at``.
 """
 from __future__ import annotations
 
@@ -472,6 +472,18 @@ def _well_scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
     if _full_precision(_dot(v, v)):
         return v, 0
     return _rescaled(v)
+
+
+def _difference(B: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(B - A, 0)``, or ``(B / 2^e - A / 2^e, e)`` where ``B - A`` could
+    overflow, with ``2^e`` the power of two just above the largest magnitude
+    in ``A`` and ``B`` (``_rescaled``).  Below ``2^1023`` the magnitude of a
+    difference of two entries is at most ``2^1024 - 2^971``, which rounds to
+    a finite value."""
+    if max(map(abs, A.ravel().tolist() + B.ravel().tolist())) < 2.0**1023:
+        return B - A, 0
+    (B, A), e = _rescaled(np.stack((B, A)))
+    return B - A, e
 
 
 def _rescaled(v: np.ndarray) -> tuple[np.ndarray, int]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import NamedTuple
 
@@ -46,9 +46,11 @@ CONTINUITY_TOL = 1e-10
 # Default radius beyond which an orbit or excursion counts as escaped.
 ESCAPE_RADIUS = 1e12
 
-# Iterates stepped between two escape tests of an orbit.  Transient iterates
-# are buffered for one chunk only, so memory stays O((n_keep + chunk) n).
+# Kept iterates stepped between two escape tests of an orbit.  The transient
+# is not stored, so memory stays O((n_keep + chunk) n).
 _CHUNK = 256
+# Most step kernels held at once, one per coefficient pattern.
+_KERNELS = 64
 # Largest coordinate bound of the cheap escape test; the squares of smaller
 # coordinates cannot overflow.
 _QUIET_MAX = 1e150
@@ -63,7 +65,9 @@ class _Pieces(NamedTuple):
     zero only when they cancel, so it has the sign of the exact sum.
     ``flat`` holds every entry as a Python float in the order the kernel
     takes them: ``A_L`` by rows, ``d_L``, ``A_R`` by rows, ``d_R``, ``c``
-    and ``t``.  Build it with :func:`_pieces`.
+    and ``t``.  ``pattern`` has one symbol per entry of ``flat``: ``1`` for
+    1.0, ``0`` for 0.0, ``-`` for -0.0 and ``.`` for any other value.
+    Build it with :func:`_pieces`.
     """
 
     A_L: np.ndarray
@@ -73,12 +77,15 @@ class _Pieces(NamedTuple):
     c: np.ndarray
     t: float
     flat: tuple[float, ...]
+    pattern: str
 
 
 def _pieces(A_L, d_L, A_R, d_R, c, t: float) -> _Pieces:
     arrays = [np.asarray(a, dtype=float) for a in (A_L, d_L, A_R, d_R, c)]
     flat = (*chain.from_iterable(a.ravel().tolist() for a in arrays), float(t))
-    return _Pieces(*arrays, float(t), flat)
+    pattern = "".join("1" if a == 1.0 else "." if a else "-" if math.copysign(1.0, a) < 0 else "0"
+                      for a in flat)
+    return _Pieces(*arrays, float(t), flat, pattern)
 
 
 # The step.  Each image row is the in-order sum ``((a_i0 x_0 + a_i1 x_1) +
@@ -90,32 +97,63 @@ def _pieces(A_L, d_L, A_R, d_R, c, t: float) -> _Pieces:
 # CPython floats nor ufuncs contract to FMA, so the two layouts give the
 # same bits, and no BLAS call is made: the bits do not depend on the BLAS
 # build or the CPU.  Every other inner product of the package sums alike.
+#
+# ``orbit`` steps with a kernel folded for the map's exact zeros and ones:
+# a 1.0 coefficient contributes ``x_j`` unmultiplied, and the term of a 0.0
+# or -0.0 coefficient is dropped, except in an image row whose offset is
+# -0.0.  On finite points the bits are the same.  ``1.0 * x`` is ``x``; a
+# zero coefficient's term is a zero, and adding a zero to a nonzero sum
+# leaves it unchanged, so dropping one can change only the sign of a zero
+# partial sum.  Adding an offset other than -0.0 erases that sign (``-0.0 +
+# 0.0`` is ``0.0``), and the side test ``... < t`` ignores it; ``s + -0.0``
+# keeps the sign of a zero ``s``, so such rows keep their zero terms.  On
+# inf or NaN a zero term can be NaN (``0.0 * inf``), so everything else that
+# steps, where a caller may pass such points, keeps the generic arithmetic;
+# an orbit stops at its first non-finite iterate and keeps no later one.
 
 
-@cache
-def _kernel(n: int):
-    """The step of an ``n``-dimensional map on Python floats, unrolled.
+@lru_cache(maxsize=_KERNELS)
+def _kernel(n: int, pattern: str = ""):
+    """The step of an ``n``-dimensional map on Python floats, unrolled,
+    as two loops ``(steps, skip)`` over the coefficients ``_Pieces.flat``.
 
     ``steps(flat, x, k, out)`` takes ``k`` steps from the point ``x`` (``n``
-    floats) with the coefficients ``_Pieces.flat``, appends the coordinates
-    of each point it steps to the list ``out`` and returns the last image as
-    a tuple.  Python floats overflow to inf and NaN without raising.
+    floats), appends the coordinates of each point it steps to the list
+    ``out`` and returns the last image as a tuple.  ``skip(flat, x, k, q)``
+    stores nothing: it tests each iterate ``x_i`` (``x_0 = x``) before
+    stepping it and returns ``(i, x_i)`` for the first with a coordinate
+    outside ``(-q, q)``, a NaN one included, or ``(k, x_k)``.  Python floats
+    overflow to inf and NaN without raising.
+
+    ``pattern`` is the map's ``_Pieces.pattern``, whose exact zeros and ones
+    the step folds (see the comment above); the empty pattern, the default,
+    folds nothing and gives the generic arithmetic.
     """
     xs = [f"x{j}" for j in range(n)]
     point = "".join(f"{x}, " for x in xs)
 
-    def row(coeffs):  # Python's + groups to the left: the in-order sum
-        return " + ".join(f"{a} * {x}" for a, x in zip(coeffs, xs))
-
     def matrix(s):
         return [[f"{s}{i}_{j}" for j in range(n)] for i in range(n)]
-
-    def image(s):
-        return "".join(f"{row(r)} + {s}{i}, " for i, r in enumerate(matrix(s)))
 
     normal = [f"c{j}" for j in range(n)]
     names = [*chain.from_iterable(matrix("L")), *(f"L{i}" for i in range(n)),
              *chain.from_iterable(matrix("R")), *(f"R{i}" for i in range(n)), *normal, "t"]
+    kind = dict(zip(names, pattern))
+
+    def terms(coeffs, fold_zeros=True):
+        return [x if kind.get(a) == "1" else f"{a} * {x}" for a, x in zip(coeffs, xs)
+                if not (fold_zeros and kind.get(a) in ("0", "-"))]
+
+    def image(s):  # Python's + groups to the left: the in-order sum
+        return "".join(" + ".join([*terms(row, kind.get(f"{s}{i}") != "-"), f"{s}{i}"]) + ", "
+                       for i, row in enumerate(matrix(s)))
+
+    step = [
+        f"        if {' + '.join(terms(normal)) or '0.0'} < t:",
+        f"            {point}= {image('L')}",
+        "        else:",
+        f"            {point}= {image('R')}",
+    ]
     source = "\n".join([
         "def steps(flat, x, k, out):",
         f"    {', '.join(names)} = flat",
@@ -123,15 +161,21 @@ def _kernel(n: int):
         "    put = out.append",
         "    for _ in range(k):",
         *(f"        put({x})" for x in xs),
-        f"        if {row(normal)} < t:",
-        f"            {point}= {image('L')}",
-        "        else:",
-        f"            {point}= {image('R')}",
+        *step,
         f"    return {point}",
+        "def skip(flat, x, k, q):",
+        f"    {', '.join(names)} = flat",
+        f"    {point}= x",
+        "    m = -q",
+        "    for i in range(k):",
+        f"        if not ({' and '.join(f'm < {x} < q' for x in xs)}):",
+        f"            return i, ({point})",
+        *step,
+        f"    return k, ({point})",
     ])
     namespace: dict = {}
-    exec(compile(source, f"<pwldyn step, n = {n}>", "exec"), namespace)
-    return namespace["steps"]
+    exec(compile(source, f"<pwldyn step, n = {n}, pattern {pattern!r}>", "exec"), namespace)
+    return namespace["steps"], namespace["skip"]
 
 
 def _left_rows(p: _Pieces, X: np.ndarray) -> np.ndarray:
@@ -184,7 +228,7 @@ class _TwoPieces:
         each row bit-identical to calling the map on it alone."""
         x = self._checked(x)
         if x.ndim == 1:
-            return np.array(_kernel(x.size)(self._pieces.flat, x.tolist(), 1, []))
+            return np.array(_kernel(x.size)[0](self._pieces.flat, x.tolist(), 1, []))
         return _step_rows(self._pieces, x)[0]
 
 
@@ -280,16 +324,19 @@ def validate_continuity(pwl: PwlMap) -> np.ndarray:
 
     The residual of the factorization must stay below ``CONTINUITY_TOL``
     relative to ``max(1, ||A_R - A_L||)``, otherwise NotContinuous is raised.
+    Where ``A_R - A_L`` would overflow, both pieces are divided by one power
+    of two first (``linalg._difference``), and ``p`` past the float range is
+    inf.
     """
-    dA = pwl.A_R - pwl.A_L
-    c, e = linalg._well_scaled(pwl.c)  # c / 2^e, whose fit is q = 2^e p
+    dA, a = linalg._difference(pwl.A_R, pwl.A_L)  # (A_R - A_L) / 2^a
+    c, e = linalg._well_scaled(pwl.c)  # c / 2^e, whose fit is q = 2^(e - a) p
     q = p = linalg._rows_dot(dA, c) / linalg._dot(c, c)
-    if e:
+    if a != e:
         with np.errstate(over="ignore"):  # p past the float range is inf
-            p = np.ldexp(q, -e)
+            p = np.ldexp(q, a - e)
     R = dA - np.outer(q, c)
     resid, scale = linalg._norm(R), linalg._norm(dA)  # rescaled past about 1e154
-    if resid > CONTINUITY_TOL * max(1.0, scale):
+    if resid > CONTINUITY_TOL * max(math.ldexp(1.0, -a), scale):
         raise NotContinuous(
             f"A_R - A_L is not a rank-one update along c (residual {resid:.3e})"
         )
@@ -323,19 +370,21 @@ def orbit(
     image of ``points[k]`` and ``itinerary[k]`` records which piece applies
     at ``points[k]``.
 
-    The kernel steps a chunk of iterates on Python floats, then the chunk is
-    tested at once: iterate ``k`` escapes when its norm exceeds
-    ``escape_radius`` and is non-finite otherwise when the norm is not
-    finite.  A chunk whose coordinates all lie below ``quiet`` needs no
-    norms: each computed norm is then finite and at most ``sqrt(n)
-    max|x_i| (1 + (n + 2) eps)``, below the radius.  Iterates past the stop
-    are garbage and are not kept.  The itinerary is the side test on the
-    kept points, in the columnar layout.
+    Iterate ``k`` escapes when its norm (``linalg._length``, or ``_norms``
+    with the same bits) exceeds ``escape_radius`` and is non-finite
+    otherwise when the norm is not finite.  An iterate whose coordinates
+    all lie below ``quiet`` needs no norm: its computed norm is finite and
+    at most ``sqrt(n) max|x_i| (1 + (n + 2) eps)``, below the radius.  The
+    transient is stepped without storing it, each iterate tested against
+    that box and given its norm only outside it.  The kept iterates are
+    stepped a chunk at a time into ``points``, and a chunk with a
+    coordinate outside the box gets the norms of all its iterates.
+    Iterates past the stop are garbage and are not kept.  The step is
+    folded for the map's exact zeros and ones (``_kernel``), which keeps the
+    generic bits on every iterate up to the stop.  The itinerary is the
+    side test on the kept points, in the columnar layout.
     """
-    if n_transient < 0:
-        raise ValueError("n_transient must be non-negative")
-    if n_keep < 1:
-        raise ValueError("n_keep must be at least 1")
+    _check_lengths(n_transient, n_keep)
     if not escape_radius > 0.0:
         raise ValueError("escape_radius must be positive")
     p = pwl._pieces
@@ -343,31 +392,44 @@ def orbit(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n,):
         raise ValueError(f"x0 must be a vector of length {n}")
-    steps = _kernel(n)
+    steps, skip = _kernel(n, p.pattern)
     quiet = min(escape_radius, _QUIET_MAX) / math.sqrt(n) * (1.0 - 16 * n * _EPS)
     pts = np.empty((n_keep, n))
     x = x0.tolist()
-    total = n_transient + n_keep
     stop = None
+    done = 0  # transient iterates tested
+    while done < n_transient:
+        i, x = skip(p.flat, x, n_transient - done, quiet)
+        done += i
+        if done == n_transient:
+            break
+        r = linalg._length(list(x))
+        if r > escape_radius:
+            stop = done
+            pts = pts[:0]
+            break
+        if not math.isfinite(r):
+            raise NonFinite(f"orbit iterate {done} is not finite")
+        x = steps(p.flat, x, 1, [])
+        done += 1
     # Overflow ends in an escape or NonFinite below, not in a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in chain(range(0, n_transient, _CHUNK), range(n_transient, total, _CHUNK)):
-            k = min(lo + _CHUNK, n_transient if lo < n_transient else total) - lo
+        for lo in range(0, len(pts), _CHUNK):
+            k = min(lo + _CHUNK, n_keep) - lo
             coords: list[float] = []
             x = steps(p.flat, x, k, coords)
             buf = np.fromiter(coords, float, k * n).reshape(k, n)
-            if lo >= n_transient:
-                pts[lo - n_transient : lo - n_transient + k] = buf
+            pts[lo : lo + k] = buf
             if np.abs(buf).max() < quiet:  # NaN is not below it
                 continue
             r = _norms(buf)
             bad = (r > escape_radius) | ~np.isfinite(r)
             if bad.any():
                 i = int(bad.argmax())
-                stop = lo + i
+                stop = n_transient + lo + i
                 if not r[i] > escape_radius:
                     raise NonFinite(f"orbit iterate {stop} is not finite")
-                pts = pts[: max(0, stop - n_transient)]
+                pts = pts[: lo + i]
                 break
         lefts = _left_rows(p, pts)
     return OrbitData(
@@ -377,6 +439,15 @@ def orbit(
         escaped=stop is not None,
         escape_index=stop,
     )
+
+
+def _check_lengths(n_transient: int, n_keep: int) -> None:
+    """Raise ValueError unless an orbit can discard ``n_transient`` iterates
+    and keep ``n_keep``."""
+    if n_transient < 0:
+        raise ValueError("n_transient must be non-negative")
+    if n_keep < 1:
+        raise ValueError("n_keep must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from pwldyn import (
     determinant,
     fixed_points,
     linalg,
+    pwlmap,
     real_eigen,
     reduction,
     validate_continuity,
@@ -169,6 +171,47 @@ def reference_orbit(A_L, d_L, A_R, d_R, c, t, x0, n_transient, n_keep, escape_ra
             x = np.array(image)
     discarded = n_transient if escape_index is None else min(n_transient, escape_index)
     return pts[:kept], its[:kept], discarded, escape_index
+
+
+def reference_chunked_orbit(two_pieces, x0, n_transient, n_keep, escape_radius):
+    """The chunked orbit loop that ``orbit`` folded, kept as its oracle:
+    the generic kernel (``pwlmap._kernel(n)``) steps and stores every
+    iterate, the transient's too, and each chunk of ``pwlmap._CHUNK`` is
+    tested at once, with norms only when a coordinate leaves the ``quiet``
+    box.  Returns points, itinerary, transient_discarded and escape_index of
+    the map or restricted map ``two_pieces``, or raises NonFinite."""
+    p = two_pieces._pieces
+    n = p.c.size
+    steps = pwlmap._kernel(n)[0]
+    quiet = (min(escape_radius, pwlmap._QUIET_MAX) / math.sqrt(n)
+             * (1.0 - 16 * n * pwlmap._EPS))
+    pts = np.empty((n_keep, n))
+    x = np.asarray(x0, dtype=float).tolist()
+    total = n_transient + n_keep
+    stop = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in chain(range(0, n_transient, pwlmap._CHUNK),
+                        range(n_transient, total, pwlmap._CHUNK)):
+            k = min(lo + pwlmap._CHUNK, n_transient if lo < n_transient else total) - lo
+            coords: list[float] = []
+            x = steps(p.flat, x, k, coords)
+            buf = np.fromiter(coords, float, k * n).reshape(k, n)
+            if lo >= n_transient:
+                pts[lo - n_transient : lo - n_transient + k] = buf
+            if np.abs(buf).max() < quiet:
+                continue
+            r = pwlmap._norms(buf)
+            bad = (r > escape_radius) | ~np.isfinite(r)
+            if bad.any():
+                i = int(bad.argmax())
+                stop = lo + i
+                if not r[i] > escape_radius:
+                    raise NonFinite(f"orbit iterate {stop} is not finite")
+                pts = pts[: max(0, stop - n_transient)]
+                break
+        lefts = pwlmap._left_rows(p, pts)
+    discarded = n_transient if stop is None else min(n_transient, stop)
+    return pts, np.where(lefts, LEFT, RIGHT), discarded, stop
 
 
 def reference_detect_shared(pwl, tol=1e-9):

@@ -63,6 +63,17 @@ def test_analyze_shared(capsys):
     assert values == pytest.approx([-1.5, 0.2], abs=1e-12)
 
 
+def test_analyze_where_the_pieces_differ_past_the_float_range(capsys):
+    # A_R - A_L = -2e308 e1 e1^T overflows: the map is continuous, and no
+    # NumPy warning reaches stderr
+    code = main(["analyze", "--dim", "2", "--tl", "1e308", "--dl", "1e308",
+                 "--tr", "-1e308", "--dr", "1e308"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert json.loads(captured.out)["continuity"] == {"p": [-np.inf, 0.0]}
+
+
 def test_analyze_flat_left(capsys):
     code, report = run_json(capsys, ["analyze", *FLAT])
     assert code == 0
@@ -422,6 +433,24 @@ def test_non_finite_x0_rejected(capsys, command, form):
 def test_restrict_x0_of_wrong_length(capsys):
     assert main(["restrict", *ANCHOR, "--x0", "1,2,3"]) == 2
     assert capsys.readouterr().err == "error: x0 must be a vector of length 2\n"
+
+
+@pytest.mark.parametrize("command", ["orbit", "portrait", "restrict", "induced", "scan"])
+@pytest.mark.parametrize("lengths, message", [
+    (["--transient", "-1"], "n_transient must be non-negative"),
+    (["--transient", "2", "--keep", "-1"], "n_keep must be at least 1"),
+    (["--keep", "0"], "n_keep must be at least 1"),
+], ids=["transient -1", "keep -1", "keep 0"])
+def test_negative_orbit_lengths_rejected(capsys, command, lengths, message):
+    # ``orbit`` writes the transient and the kept points alike, and checks
+    # each length, not their sum
+    spec = FLAT if command == "induced" else ANCHOR
+    sweep = ["--param", "tl", "--values", "2.2"] if command == "scan" else []
+    code = exit_code([command, *spec, *sweep, *lengths])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 BAD_SETTINGS = [("--tol", v) for v in ("nan", "0", "-1", "inf")] + [

@@ -4,17 +4,20 @@ package, every dataclass field is read somewhere, every public name of a
 library module is exported by the package, no module imports SciPy, no
 inner product goes through BLAS outside the LAPACK sites above 3x3, only
 ``linalg`` rescales for over- and underflow, shared-eigenvalue detection
-turns no NumPy warning off, and no subcommand of the command-line front end
-catches an exception."""
+turns no NumPy warning off, no subcommand of the command-line front end
+catches an exception, and only the step kernel generator runs generated
+code, from a cache of fixed size."""
 from __future__ import annotations
 
 import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pwldyn
+from pwldyn import PwlMap, orbit, pwlmap
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pwldyn"
 TESTS = Path(__file__).resolve().parent
@@ -346,3 +349,57 @@ def test_guard_sees_a_subcommand_catching():
               "    except ValueError:\n"
               "        return 2\n")
     assert commands_with_try(source) == ["cmd_a (line 1)", "cmd_b (line 6)"]
+
+
+# Builtins that run source text as code, and the functions that may call
+# them: the generator of the unrolled step, one kernel per coefficient
+# pattern.
+CODEGEN_NAMES = {"exec", "eval", "compile"}
+CODEGEN_ALLOWED = {"pwlmap.py": {"_kernel"}}
+
+
+def codegen_calls(source: str, allowed: set[str] = frozenset()) -> list[str]:
+    """Every use of a name in ``CODEGEN_NAMES`` outside the functions named
+    in ``allowed``, with its enclosing function; ``re.compile`` and other
+    attributes of that name are not the builtin."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Name) and node.id in CODEGEN_NAMES and func not in allowed:
+            found.append(f"{node.id} in {func or '<module>'} (line {node.lineno})")
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_kernel_generator_runs_generated_code(path):
+    allowed = CODEGEN_ALLOWED.get(path.name, set())
+    assert codegen_calls(path.read_text(encoding="utf-8"), allowed) == []
+
+
+def test_guard_sees_generated_code():
+    source = ("import re\n"
+              "exec('x = 1')\n"
+              "def f(s):\n"
+              "    return eval(s), re.compile(s)\n"
+              "def _kernel(n):\n"
+              "    run = compile('pass', '<k>', 'exec')\n")
+    assert codegen_calls(source, {"_kernel"}) == ["exec in <module> (line 2)", "eval in f (line 4)"]
+    assert len(codegen_calls(source)) == 3
+
+
+def test_kernel_cache_stays_at_its_fixed_size():
+    # 200 maps, each with its own pattern of exact zeros in the pieces, each
+    # compile a kernel; the cache keeps a fixed number of them.
+    limit = pwlmap._kernel.cache_parameters()["maxsize"]
+    assert limit is not None and limit < 200
+    for mask in range(200):
+        zeros = np.array([mask >> k & 1 for k in range(8)], dtype=bool).reshape(2, 2, 2)
+        A_L, A_R = np.where(zeros, 0.0, 0.5)
+        orbit(PwlMap(A_L, A_R, np.ones(2), np.array([1.0, 1.0])), np.zeros(2), 0, 1)
+    assert pwlmap._kernel.cache_info().currsize == limit

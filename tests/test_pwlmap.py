@@ -29,6 +29,7 @@ from pwldyn import pwlmap
 
 from conftest import (
     pieces,
+    reference_chunked_orbit,
     reference_norm,
     reference_orbit,
     reference_step,
@@ -98,6 +99,21 @@ def test_continuity_rejects_mismatch(shared_map):
     broken = PwlMap(shared_map.A_L, a_r, shared_map.b, shared_map.c)
     with pytest.raises(NotContinuous):
         validate_continuity(broken)
+
+
+def test_continuity_decided_where_the_difference_overflows():
+    # A_R - A_L overflows in its (0, 0) entry; the residual 1e300 against
+    # |A_R - A_L| = 2e308 is about 5e-9 relative, above CONTINUITY_TOL.
+    broken = PwlMap([[1e308, 0], [0, 1]], [[-1e308, 1e300], [0, 1]], [0, 0], [1, 0])
+    with pytest.raises(NotContinuous):
+        validate_continuity(broken)
+    # without the off-diagonal entry the map is continuous, and p = -2e308
+    # lies past the float range
+    p = validate_continuity(PwlMap([[1e308, 0], [0, 1]], [[-1e308, 0], [0, 1]], [0, 0], [1, 0]))
+    assert p.tolist() == [-math.inf, 0.0]
+    # the decision on rescaled pieces keeps the bits of p where it is finite
+    p = validate_continuity(PwlMap([[1e308]], [[2e307]], [0], [1]))
+    assert p.tolist() == [2e307 - 1e308]
 
 
 def test_continuity_on_switching_plane(rng):
@@ -239,6 +255,132 @@ def test_orbit_matches_reference_loop(n, seed, scale, n_transient, n_keep, escap
     assert got.transient_discarded == discarded
     assert got.escape_index == escape_index
     assert got.escaped == (escape_index is not None)
+
+
+def _planted(rng, values, choices, weights):
+    """``values`` with each entry replaced, at the given weights, by one of
+    ``choices``; the entry itself where the choice is None."""
+    pick = rng.choice(len(choices), size=values.shape, p=weights)
+    out = values.copy()
+    for k, value in enumerate(choices):
+        if value is not None:
+            out[pick == k] = value
+    return out
+
+
+def _map_with_exact_entries(rng, n, scale, reduced):
+    """A random map, or restricted map, on R^n whose matrices and normal
+    carry planted exact 0.0, -0.0 and 1.0 entries and whose offsets carry
+    planted 0.0 and -0.0, the entries a folded step treats apart."""
+    coeffs = [None, 0.0, -0.0, 1.0]
+    weights = [0.4, 0.2, 0.2, 0.2]
+    A_L, A_R = (_planted(rng, rng.standard_normal((n, n)) * (scale / np.sqrt(n)),
+                         coeffs, weights) for _ in range(2))
+    c = _planted(rng, rng.standard_normal(n), coeffs, weights)
+    d_L, d_R = (_planted(rng, rng.standard_normal(n), [None, 0.0, -0.0], [0.4, 0.3, 0.3])
+                for _ in range(2))
+    if not reduced:
+        return PwlMap(A_L, A_R, d_L, c if c.any() else np.eye(n)[0])
+    return ReducedPwlMap(
+        matrix_left=A_L, offset_left=d_L, matrix_right=A_R, offset_right=d_R,
+        switch_normal=c, switch_offset=float(rng.choice([0.0, -0.0, rng.standard_normal()])),
+        chart=plane_chart(AffineHyperplane.from_normal_point(np.ones(n + 1), np.zeros(n + 1))),
+    )
+
+
+def assert_orbit_matches_chunked_loop(two_pieces, x0, n_transient, n_keep, escape_radius):
+    try:
+        pts, its, discarded, escape_index = reference_chunked_orbit(
+            two_pieces, x0, n_transient, n_keep, escape_radius)
+    except NonFinite as exc:
+        with pytest.raises(NonFinite, match=f"^{exc}$"):
+            orbit(two_pieces, x0, n_transient, n_keep, escape_radius)
+        return None
+    got = orbit(two_pieces, x0, n_transient, n_keep, escape_radius)
+    assert got.points.shape == pts.shape
+    assert got.points.tobytes() == pts.tobytes()
+    assert got.itinerary.dtype == its.dtype
+    assert np.array_equal(got.itinerary, its)
+    assert got.transient_discarded == discarded
+    assert got.escape_index == escape_index
+    assert got.escaped is (escape_index is not None)
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([0.5, 0.95, 1.05, 2.0, 8.0]),
+    reduced=st.booleans(),
+    n_transient=st.integers(0, 600),
+    n_keep=st.integers(1, 600),
+    escape_radius=st.sampled_from([10.0, 1e12, 1e200, np.inf]),
+)
+def test_folded_orbit_matches_the_generic_chunked_loop(n, seed, scale, reduced, n_transient,
+                                                       n_keep, escape_radius):
+    # The kernel folded for exact zeros and ones, with the transient tested
+    # iterate by iterate, against the generic kernel tested chunk by chunk:
+    # the same bits, down to the sign of a zero coordinate, and the same
+    # stop.  Starts carry exact zeros of both signs, and some are NaN or
+    # far outside the box in which no norm is needed.
+    rng = np.random.default_rng(seed)
+    two_pieces = _map_with_exact_entries(rng, n, scale, reduced)
+    x0 = _planted(rng, rng.standard_normal(n), [None, 0.0, -0.0], [0.6, 0.2, 0.2])
+    x0 *= rng.choice([1.0, 1.0, 1e160, np.nan])
+    assert_orbit_matches_chunked_loop(two_pieces, x0, n_transient, n_keep, escape_radius)
+
+
+def test_folded_orbit_keeps_the_sign_of_a_zero_row_with_offset_minus_zero():
+    # The second image row is 0.0 x_0 + 0.0 x_1 + -0.0: +0.0 wherever one
+    # coordinate is positive.  A step that dropped its zero terms would give
+    # -0.0, the offset alone.
+    A = np.array([[0.5, 1.0], [0.0, 0.0]])
+    pwl = PwlMap(A, A, np.array([1.0, -0.0]), np.array([1.0, 0.0]))
+    for n_transient in (0, 1, 300):
+        got = assert_orbit_matches_chunked_loop(pwl, np.array([0.3, 0.2]), n_transient, 5, 1e12)
+        assert not np.signbit(got.points[:, 1]).any()
+
+
+# Stop indices s next to the end t of the transient, to the edges t + 256 k
+# of the kept chunks, and to the edge 256 of a chunk of the reference loop
+# inside the transient.
+STOPS = sorted({(t, s) for t in (0, 1, 300) for edge in (t, t + 256, t + 512, 256)
+                for s in (edge - 1, edge, edge + 1) if s >= 0})
+
+
+@pytest.mark.parametrize("n_transient, s", STOPS, ids=[f"t={t}, s={s}" for t, s in STOPS])
+def test_orbit_stops_around_the_transient_and_chunk_boundaries(n_transient, s):
+    # Doubling from 2^-s (1, 1) escapes the unit ball at iterate s, and
+    # doubling from 2^(512 - s) (1, 1) overflows |x|^2 at iterate s, which
+    # with an infinite radius is NonFinite.  Before that it leaves the
+    # box (about 2^498) in which no norm is needed, inside the radius.  The
+    # step folds the zeros off the diagonal and in the offset.
+    two = 2.0 * np.eye(2)
+    pwl = PwlMap(two, two, np.zeros(2), np.array([1.0, 0.0]))
+    got = assert_orbit_matches_chunked_loop(pwl, np.full(2, 2.0**-s), n_transient, 600, 1.0)
+    assert got.escape_index == s
+    with pytest.raises(NonFinite, match=f"^orbit iterate {s} is not finite$"):
+        orbit(pwl, np.full(2, 2.0 ** (512 - s)), n_transient, 600, np.inf)
+    assert_orbit_matches_chunked_loop(pwl, np.full(2, 2.0 ** (512 - s)), n_transient, 600, np.inf)
+
+
+def test_transient_outside_the_quiet_box_inside_the_radius():
+    # The quarter turn keeps (8, 0) at norm 8, inside the radius 10, but
+    # every iterate has a coordinate outside the box of side 10 / sqrt(2) in
+    # which no norm is needed, so each transient iterate gets its norm.
+    # Halving from 1e153 leaves the box of the radius 1e200 (side 1e150 /
+    # sqrt(2)) for the first 11 iterates.
+    turn = np.array([[0.0, -1.0], [1.0, 0.0]])
+    half = 0.5 * np.eye(2)
+    for A, x0, radius, tested in [(turn, [8.0, 0.0], 10.0, 300),
+                                  (half, [1e153, -1e153], 1e200, 11)]:
+        pwl = PwlMap(A, A, np.zeros(2), np.array([1.0, 0.0]))
+        got = assert_orbit_matches_chunked_loop(pwl, np.array(x0), 300, 10, radius)
+        assert not got.escaped
+        with mock.patch.object(pwlmap.linalg, "_length", wraps=pwlmap.linalg._length) as length:
+            orbit(pwl, np.array(x0), 300, 10, radius)
+        assert length.call_count == tested
 
 
 def _random_continuous_map(rng, n, scale):
@@ -420,8 +562,8 @@ def test_side_matches_itinerary_near_the_plane(n, seed, ulps):
 
 
 def test_orbit_huge_transient_allocates_one_chunk():
-    # The escape test runs per chunk, so a transient far beyond memory is fine
-    # as long as the orbit escapes.
+    # The transient is stepped without storing it, so one far beyond memory
+    # is fine as long as the orbit escapes.
     two = 2.0 * np.eye(2)
     pwl = PwlMap(two, two, np.zeros(2), np.array([1.0, 0.0]))
     orb = orbit(pwl, np.array([1.0, 1.0]), n_transient=10**15, n_keep=5,
