@@ -292,8 +292,7 @@ def scan(
     for both of its neighbours, and gets NaN wherever either neighbour is
     empty.
     """
-    allowed = {"tl", "dl", "tr", "dr"} | ({"sl", "sr"} if base.dim == 3 else set())
-    if parameter not in allowed:
+    if parameter not in base.coefficients:
         raise ValueError(f"unknown scan parameter {parameter!r} for dimension {base.dim}")
     vals = tuple(float(v) for v in values)
     maps = tuple(bcnf(replace(base, **{parameter: v})) for v in vals)

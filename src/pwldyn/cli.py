@@ -20,7 +20,7 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -36,9 +36,9 @@ from .errors import (
     UnsupportedDimension,
     _record,
 )
-from .pwlmap import ESCAPE_RADIUS, BcnfParams, PwlMap, _check_lengths, _norms, bcnf, orbit
+from .pwlmap import (ESCAPE_RADIUS, NORMAL_FORM, BcnfParams, PwlMap, _check_lengths, _norms,
+                     bcnf, orbit)
 from .reduction import (
-    _itinerary,
     _on_plane,
     analyze,
     detect_shared_eigenvalue,
@@ -60,6 +60,7 @@ _MAP_KEYS = ("dim", "tl", "dl", "sl", "tr", "dr", "sr")
 
 # Largest sampling grid accepted, checked before anything is allocated.
 MAX_GRID_SAMPLES = 10**6
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -88,7 +89,8 @@ class RunConfig:
     Each field is one setting: flag ``--a-b`` is key ``a_b`` of its section.
     """
 
-    dim: int | None = _setting("map", int, choices=("2", "3"), help="normal-form dimension")
+    dim: int | None = _setting("map", int, choices=tuple(map(str, NORMAL_FORM)),
+                               help="normal-form dimension")
     tl: float | None = _setting("map", float, help="left trace")
     dl: float | None = _setting("map", float, help="left determinant")
     sl: float | None = _setting("map", float, help="left second trace (dimension 3)")
@@ -227,13 +229,7 @@ def build_bcnf_params(cfg: RunConfig) -> BcnfParams:
         raise ValueError(
             "no map specification: give --dim with coefficients, --matrix-file, or --config"
         )
-    required = ["tl", "dl", "tr", "dr"] + (["sl", "sr"] if cfg.dim == 3 else [])
-    missing = [k for k in required if getattr(cfg, k) is None]
-    if missing:
-        raise ValueError(f"missing normal-form coefficients: {', '.join(missing)}")
-    return BcnfParams(
-        dim=cfg.dim, tl=cfg.tl, dl=cfg.dl, tr=cfg.tr, dr=cfg.dr, sl=cfg.sl, sr=cfg.sr
-    )
+    return BcnfParams(**{key: getattr(cfg, key) for key in _MAP_KEYS})
 
 
 def build_map(cfg: RunConfig) -> PwlMap:
@@ -291,42 +287,30 @@ def _spectrum_dict(spec) -> dict:
             }
             for t in spec.real
         ],
-        "complex_pairs": [asdict(p) for p in spec.complex_pairs],
+        "complex_pairs": [_fields_dict(p) for p in spec.complex_pairs],
     }
+
+
+def _fields_dict(record) -> dict:
+    """The fields of a library record by name, in their order, arrays as lists."""
+    values = {f.name: getattr(record, f.name) for f in fields(record)}
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
 
 
 def _fixed_point_dict(info) -> dict:
-    if info.point is None:
-        return {"point": None, "admissible": None, "borderline": False, "reason": info.reason}
-    return {
-        "point": info.point.tolist(),
-        "admissible": info.admissible,
-        "borderline": info.borderline,
-    }
+    """The fields of a ``FixedPointInfo``, its reason only where it has one."""
+    payload = _fields_dict(info)
+    if info.reason is None:
+        del payload["reason"]
+    return payload
 
 
-def _plane_dict(plane) -> dict:
-    return {
-        "normal": plane.normal.tolist(),
-        "base_point": plane.base_point.tolist(),
-        "offset": plane.offset,
-    }
+def _chart_dict(chart) -> dict:
+    return {"base_point": chart.base.tolist(), "basis": chart.basis.tolist()}
 
 
 def _restricted_dict(rmap) -> dict:
-    payload = {
-        "dimension": rmap.dimension,
-        "matrix_left": rmap.matrix_left.tolist(),
-        "offset_left": rmap.offset_left.tolist(),
-        "matrix_right": rmap.matrix_right.tolist(),
-        "offset_right": rmap.offset_right.tolist(),
-        "switch_normal": rmap.switch_normal.tolist(),
-        "switch_offset": rmap.switch_offset,
-        "chart": {
-            "base_point": rmap.chart.base.tolist(),
-            "basis": rmap.chart.basis.tolist(),
-        },
-    }
+    payload = {"dimension": rmap.dimension, **_fields_dict(rmap), "chart": _chart_dict(rmap.chart)}
     if rmap.dimension == 1:
         payload["slopes"] = list(rmap.slopes())
     return payload
@@ -339,7 +323,7 @@ def _shared_dict(red) -> dict:
         "left_eigenvector": red.left.tolist(),
         "right_eigenvector": red.right.tolist(),
         "offset": red.offset,
-        "manifold": _plane_dict(red.manifold),
+        "manifold": _fields_dict(red.manifold),
         "transversal": red.transversal,
         "restricted": None if red.restricted is None else _restricted_dict(red.restricted),
     }
@@ -360,13 +344,7 @@ def cmd_analyze(cfg: RunConfig, out: str | None) -> None:
     pwl = build_map(cfg)
     report = analyze(pwl, cfg.tol)
     payload = {
-        "map": {
-            "n": pwl.n,
-            "A_L": pwl.A_L.tolist(),
-            "A_R": pwl.A_R.tolist(),
-            "b": pwl.b.tolist(),
-            "c": pwl.c.tolist(),
-        },
+        "map": {"n": pwl.n, **_fields_dict(pwl)},
         "continuity": _record_dict(report.p, lambda p: {"p": p.tolist()}),
         "eigenvalues": {
             "L": _spectrum_dict(report.spectrum_left),
@@ -377,8 +355,8 @@ def cmd_analyze(cfg: RunConfig, out: str | None) -> None:
             "left": _fixed_point_dict(report.fixed_points.left),
         },
         "shared_eigenvalue": _record_dict(report.shared, _shared_dict),
-        "zero_eigenvalue": _record_dict(report.zero_plane, _plane_dict),
-        "unit_modulus": [asdict(r) for r in report.unit_modulus],
+        "zero_eigenvalue": _record_dict(report.zero_plane, _fields_dict),
+        "unit_modulus": [_fields_dict(r) for r in report.unit_modulus],
     }
     _emit_json(payload, out)
 
@@ -495,18 +473,26 @@ def _parse_grid(spec: str, dims: int) -> np.ndarray:
 
 
 def _grid_points(specs) -> np.ndarray:
-    """Points of the product grid of ``(lo, hi, count)`` axes, one per row."""
-    axes = [np.linspace(lo, hi, count) for lo, hi, count in specs]
+    """Points of the product grid of ``(lo, hi, count)`` axes, one per row.
+    Each axis is ``np.linspace(lo, hi, count)``, or twice the axis between
+    ``lo / 2`` and ``hi / 2`` where ``hi - lo`` overflows."""
+    axes = [np.linspace(lo, hi, count) if math.isfinite(hi - lo)
+            else 2.0 * np.linspace(0.5 * lo, 0.5 * hi, count) for lo, hi, count in specs]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.column_stack([m.ravel() for m in mesh])
 
 
 def _box_grid(coords: np.ndarray, pad: float, count: int) -> np.ndarray:
     """Grid of ``count`` points per axis over the bounding box of the rows of
-    ``coords``, widened on each side by ``pad`` times its width plus 1e-9."""
-    lo, hi = coords.min(axis=0), coords.max(axis=0)
-    margin = pad * (hi - lo) + 1e-9
-    return _grid_points([(a, b, count) for a, b in zip(lo - margin, hi + margin)])
+    ``coords``, widened on each side by ``pad`` times its width plus 1e-9
+    and cut at the largest float."""
+    specs = []
+    for a, b in zip(coords.min(axis=0).tolist(), coords.max(axis=0).tolist()):
+        # pad (b - a) bit for bit wherever that is finite: halving is exact
+        # down to 2^-1021, and a width below that vanishes next to 1e-9
+        margin = 2.0 * (pad * (0.5 * b - 0.5 * a)) + 1e-9
+        specs.append((max(a - margin, -_FLOAT_MAX), min(b + margin, _FLOAT_MAX), count))
+    return _grid_points(specs)
 
 
 def _default_induced_grid(pwl, plane, chart, cfg: RunConfig) -> np.ndarray:
@@ -535,23 +521,13 @@ def cmd_induced(cfg: RunConfig, out: str | None) -> None:
             else _parse_grid(cfg.grid, pwl.n - 1))
     samples = sample_induced(pwl, plane, grid, chart=chart, escape_radius=cfg.escape_radius,
                              membership_tol=cfg.tol)
-    ok = (samples.status == "ok").tolist()
-    if not any(ok):
+    if not (samples.status == "ok").any():
         raise _Failed("every grid sample failed to return to the section")
-    points = samples.points.tolist()
-    images = [image if good else None for image, good in zip(samples.images.tolist(), ok)]
-    steps = [step if good else None for step, good in zip(samples.steps.tolist(), ok)]
-    status = samples.status.tolist()
     if cfg.format == "json":
         payload = {
-            "plane": _plane_dict(plane),
-            "chart": {"base_point": chart.base.tolist(), "basis": chart.basis.tolist()},
-            "samples": [
-                {"point": point, "image": image, "return_time": step,
-                 "itinerary": list(_itinerary(step, left)) if good else None, "status": code}
-                for point, image, step, left, good, code in zip(
-                    points, images, steps, samples.last_left.tolist(), ok, status)
-            ],
+            "plane": _fields_dict(plane),
+            "chart": _chart_dict(chart),
+            "samples": [_fields_dict(s) for s in samples],
         }
         _emit_json(payload, out)
         return
@@ -563,8 +539,9 @@ def cmd_induced(cfg: RunConfig, out: str | None) -> None:
     )
     failed = [None] * d
     rows = [
-        [*point, *(failed if image is None else image), step, code]
-        for point, image, step, code in zip(points, images, steps, status)
+        [*s.point.tolist(), *(failed if s.image is None else s.image.tolist()), s.return_time,
+         s.status]
+        for s in samples
     ]
     _emit_csv(header, rows, out)
 

@@ -37,7 +37,7 @@ bit changes.  So is the adjugate that an eigenvector is read off, when it
 overflows; its canonical scaling cannot be stored then, and the vectors come
 back unit-norm.  These are the package's only such retries: the decisions
 of the other modules reach them through ``_scaled_sides``, ``_well_scaled``,
-``_difference`` and ``_adjugate_at``.
+``_rank_one_fit`` and ``_adjugate_at``.
 """
 from __future__ import annotations
 
@@ -474,16 +474,36 @@ def _well_scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
     return _rescaled(v)
 
 
-def _difference(B: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, int]:
-    """``(B - A, 0)``, or ``(B / 2^e - A / 2^e, e)`` where ``B - A`` could
-    overflow, with ``2^e`` the power of two just above the largest magnitude
-    in ``A`` and ``B`` (``_rescaled``).  Below ``2^1023`` the magnitude of a
-    difference of two entries is at most ``2^1024 - 2^971``, which rounds to
-    a finite value."""
+def _rank_one_fit(B: np.ndarray, A: np.ndarray,
+                  c: np.ndarray) -> tuple[np.ndarray, float, float, int]:
+    """``(p, resid, norm, a)``: the least-squares ``p`` of ``B - A = p c^T``,
+    inf past the float range, and the Frobenius norms of its residual and
+    of ``B - A``, both divided by ``2^a``.
+
+    The fit is taken on ``D = B - A`` and ``_well_scaled(c)``; where an
+    entry reaches ``2^1023``, below which a difference is finite, on ``B``
+    and ``A`` divided by the power of two above their largest magnitude.
+    Where the fit or its residual overflows, it is taken again on ``D`` and
+    ``c`` each ``_rescaled``, where the fit is at most ``4 n`` in magnitude.
+    """
     if max(map(abs, A.ravel().tolist() + B.ravel().tolist())) < 2.0**1023:
-        return B - A, 0
-    (B, A), e = _rescaled(np.stack((B, A)))
-    return B - A, e
+        D, a = B - A, 0
+    else:
+        (B, A), a = _rescaled(np.stack((B, A)))
+        D = B - A
+    c0, (c, e) = c, _well_scaled(c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for retry in (False, True):
+            if retry:
+                (D, k), (c, e) = _rescaled(D), _rescaled(c0)
+                a += k
+            q = _rows_dot(D, c) / _dot(c, c)
+            resid = _norm(D - np.outer(q, c))
+            if math.isfinite(resid):
+                break
+        if a != e:  # the fit of D / 2^a and c / 2^e is 2^(e - a) p
+            q = np.ldexp(q, a - e)
+    return q, resid, _norm(D), a
 
 
 def _rescaled(v: np.ndarray) -> tuple[np.ndarray, int]:

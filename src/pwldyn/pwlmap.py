@@ -8,7 +8,7 @@ rank-one update along ``c``, which :func:`validate_continuity` checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from itertools import chain
 from typing import NamedTuple
@@ -21,6 +21,7 @@ from .errors import NonFinite, NotContinuous, SingularMatrix, UnsupportedDimensi
 __all__ = [
     "ESCAPE_RADIUS",
     "LEFT",
+    "NORMAL_FORM",
     "RIGHT",
     "BcnfParams",
     "FixedPointInfo",
@@ -225,11 +226,13 @@ class _TwoPieces:
 
     def __call__(self, x) -> np.ndarray:
         """Image of a point ``(n,)``, or of each row of a ``(P, n)`` array,
-        each row bit-identical to calling the map on it alone."""
+        each row bit-identical to calling the map on it alone; past the float
+        range an image is inf or NaN, without a warning."""
         x = self._checked(x)
-        if x.ndim == 1:
+        if x.ndim == 1:  # Python floats overflow without a warning
             return np.array(_kernel(x.size)[0](self._pieces.flat, x.tolist(), 1, []))
-        return _step_rows(self._pieces, x)[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _step_rows(self._pieces, x)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,12 +278,21 @@ class PwlMap(_TwoPieces):
     map_points = _TwoPieces.__call__
 
 
+# The normal form's coefficients per dimension.  Each piece is the companion
+# matrix ``np.eye(dim, k=1)`` with first column (t, -d) in dimension 2 and
+# (t, -s, d) in dimension 3: its trace, second trace and determinant, which
+# ``BcnfParams`` names with the suffix ``l`` or ``r`` of the piece.
+NORMAL_FORM = {2: ("t", "d"), 3: ("t", "s", "d")}
+
+
 @dataclass(frozen=True)
 class BcnfParams:
     """Border-collision normal form coefficients.
 
     ``tl``/``tr`` are the traces, ``dl``/``dr`` the determinants and, in
-    dimension 3, ``sl``/``sr`` the second traces of the two pieces.
+    dimension 3, ``sl``/``sr`` the second traces of the two pieces.  Raises
+    UnsupportedDimension outside ``NORMAL_FORM`` and ValueError unless
+    exactly the dimension's coefficients are given.
     """
 
     dim: int
@@ -291,32 +303,37 @@ class BcnfParams:
     sl: float | None = None
     sr: float | None = None
 
+    def __post_init__(self):
+        if self.dim not in NORMAL_FORM:
+            dims = " and ".join(map(str, NORMAL_FORM))
+            raise UnsupportedDimension(f"normal form exists for dimensions {dims}, not {self.dim}")
+        given = {key for key, value in vars(self).items() if value is not None}
+        missing = [key for key in self.coefficients if key not in given]
+        if missing:
+            raise ValueError(f"missing normal-form coefficients: {', '.join(missing)}")
+        if not given <= {"dim", *self.coefficients}:
+            raise ValueError("second traces sl/sr are only meaningful in dimension 3")
+
+    @property
+    def coefficients(self) -> tuple[str, ...]:
+        """The fields that the normal form of ``dim`` takes, in field order."""
+        return _COEFFICIENTS[self.dim]
+
+
+_COEFFICIENTS = {dim: tuple(f.name for f in fields(BcnfParams) if f.name[:-1] in column)
+                 for dim, column in NORMAL_FORM.items()}
+
 
 def bcnf(params: BcnfParams) -> PwlMap:
-    """Build the normal-form map for the given coefficients (dimension 2 or 3)."""
-    if params.dim == 2:
-        if params.sl is not None or params.sr is not None:
-            raise ValueError("second traces sl/sr are only meaningful in dimension 3")
-        A_L = np.array([[params.tl, 1.0], [-params.dl, 0.0]])
-        A_R = np.array([[params.tr, 1.0], [-params.dr, 0.0]])
-        e1 = np.array([1.0, 0.0])
-    elif params.dim == 3:
-        if params.sl is None or params.sr is None:
-            raise ValueError("dimension 3 requires the second traces sl and sr")
-        A_L = np.array([
-            [params.tl, 1.0, 0.0],
-            [-params.sl, 0.0, 1.0],
-            [params.dl, 0.0, 0.0],
-        ])
-        A_R = np.array([
-            [params.tr, 1.0, 0.0],
-            [-params.sr, 0.0, 1.0],
-            [params.dr, 0.0, 0.0],
-        ])
-        e1 = np.array([1.0, 0.0, 0.0])
-    else:
-        raise UnsupportedDimension(f"normal form exists for dimensions 2 and 3, not {params.dim}")
-    return PwlMap(A_L, A_R, e1, e1.copy())
+    """Build the normal-form map for the given coefficients (``NORMAL_FORM``)."""
+    column = NORMAL_FORM[params.dim]  # one coefficient per dimension
+    pieces = []
+    for side in "lr":
+        A = np.eye(len(column), k=1)
+        A[:, 0] = [(-1) ** i * getattr(params, k + side) for i, k in enumerate(column)]
+        pieces.append(A)
+    e1 = np.eye(len(column))[0]
+    return PwlMap(*pieces, e1, e1)
 
 
 def validate_continuity(pwl: PwlMap) -> np.ndarray:
@@ -324,18 +341,11 @@ def validate_continuity(pwl: PwlMap) -> np.ndarray:
 
     The residual of the factorization must stay below ``CONTINUITY_TOL``
     relative to ``max(1, ||A_R - A_L||)``, otherwise NotContinuous is raised.
-    Where ``A_R - A_L`` would overflow, both pieces are divided by one power
-    of two first (``linalg._difference``), and ``p`` past the float range is
-    inf.
+    Where ``A_R - A_L`` or the fit would overflow, both are taken on data
+    divided by powers of two (``linalg._rank_one_fit``), and ``p`` past the
+    float range is inf.
     """
-    dA, a = linalg._difference(pwl.A_R, pwl.A_L)  # (A_R - A_L) / 2^a
-    c, e = linalg._well_scaled(pwl.c)  # c / 2^e, whose fit is q = 2^(e - a) p
-    q = p = linalg._rows_dot(dA, c) / linalg._dot(c, c)
-    if a != e:
-        with np.errstate(over="ignore"):  # p past the float range is inf
-            p = np.ldexp(q, a - e)
-    R = dA - np.outer(q, c)
-    resid, scale = linalg._norm(R), linalg._norm(dA)  # rescaled past about 1e154
+    p, resid, scale, a = linalg._rank_one_fit(pwl.A_R, pwl.A_L, pwl.c)
     if resid > CONTINUITY_TOL * max(math.ldexp(1.0, -a), scale):
         raise NotContinuous(
             f"A_R - A_L is not a rank-one update along c (residual {resid:.3e})"
@@ -350,8 +360,12 @@ class OrbitData:
     points: np.ndarray
     itinerary: np.ndarray
     transient_discarded: int
-    escaped: bool
     escape_index: int | None = None
+
+    @property
+    def escaped(self) -> bool:
+        """Whether the orbit left the ball of its escape radius, at ``escape_index``."""
+        return self.escape_index is not None
 
 
 def orbit(
@@ -436,7 +450,6 @@ def orbit(
         points=pts,
         itinerary=np.where(lefts, LEFT, RIGHT),
         transient_discarded=n_transient if stop is None else min(n_transient, stop),
-        escaped=stop is not None,
         escape_index=stop,
     )
 

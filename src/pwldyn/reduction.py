@@ -10,8 +10,6 @@ boundary-crossing type.
 """
 from __future__ import annotations
 
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -179,9 +177,13 @@ class SharedEigReduction:
     right: np.ndarray
     offset: float
     manifold: AffineHyperplane
-    transversal: bool
     restricted: ReducedPwlMap | None
     other_shared: tuple[float, ...] = ()
+
+    @property
+    def transversal(self) -> bool:
+        """Whether the plane crosses the switching plane transversally: ``restricted`` is set."""
+        return self.restricted is not None
 
     def deviation_many(self, X) -> np.ndarray:
         return linalg._rows_dot(X, self.left) - self.offset
@@ -228,8 +230,7 @@ def detect_shared_eigenvalue(pwl: PwlMap, tol: float = 1e-9) -> SharedEigReducti
     except SingularMatrix:  # 1 in the right spectrum: any zero of the deviation functional works
         base = u * (offset / linalg._dot(u, u))
     manifold = AffineHyperplane.from_normal_point(u, base)
-    transversal = _transversal(u, pwl.c, tol)
-    restricted = _build_restricted(pwl, u, base) if transversal else None
+    restricted = _build_restricted(pwl, u, base) if _transversal(u, pwl.c, tol) else None
     others = tuple(t.value for t in shared if t is not tr)
     return SharedEigReduction(
         value=lam,
@@ -237,7 +238,6 @@ def detect_shared_eigenvalue(pwl: PwlMap, tol: float = 1e-9) -> SharedEigReducti
         right=v,
         offset=offset,
         manifold=manifold,
-        transversal=transversal,
         restricted=restricted,
         other_shared=others,
     )
@@ -408,11 +408,6 @@ def _first_returns(pwl, plane, X, j_max, escape_radius, membership_tol):
     return status, images, times, last_left
 
 
-def _itinerary(return_time: int, last_left: bool) -> tuple[str, ...]:
-    # Every step before the last is a right step: a left step returns at once.
-    return (RIGHT,) * (return_time - 1) + (LEFT if last_left else RIGHT,)
-
-
 @dataclass(frozen=True, eq=False)
 class InducedSample:
     point: np.ndarray
@@ -423,7 +418,7 @@ class InducedSample:
 
 
 @dataclass(frozen=True, eq=False)
-class InducedSamples(Sequence):
+class InducedSamples:
     """Outcomes of ``sample_induced``, one read-only column per field.
 
     ``points`` and ``images`` are ``(P, d)`` chart coordinates, an image row
@@ -431,8 +426,8 @@ class InducedSamples(Sequence):
     each sample finished (0 while still running at ``j_max``), ``last_left``
     whether that step was taken by the left piece, and ``status`` the
     outcome ("ok", "no_return", "escaped" or "non_finite").  Counters are
-    reductions over these columns.  As a sequence it gives one
-    ``InducedSample`` per grid point, built when it is read.
+    reductions over these columns.  Iterating gives one ``InducedSample``
+    per grid point, built when it is read.
     """
 
     points: np.ndarray
@@ -444,23 +439,14 @@ class InducedSamples(Sequence):
     def __len__(self) -> int:
         return len(self.status)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(self._views(i))
-        i = operator.index(i)
-        if not -len(self) <= i < len(self):
-            raise IndexError("induced sample index out of range")
-        return next(self._views(slice(i, i + 1 or None)))
-
     def __iter__(self):
-        return self._views(slice(None))
-
-    def _views(self, rows: slice):
         for point, image, step, left, status in zip(
-                self.points[rows], self.images[rows], self.steps[rows].tolist(),
-                self.last_left[rows].tolist(), self.status[rows].tolist()):
+                self.points, self.images, self.steps.tolist(), self.last_left.tolist(),
+                self.status.tolist()):
             if status == "ok":
-                yield InducedSample(point, image, step, _itinerary(step, left), status)
+                # every step before the last is a right step: a left step returns at once
+                itinerary = (RIGHT,) * (step - 1) + (LEFT if left else RIGHT,)
+                yield InducedSample(point, image, step, itinerary, status)
             else:
                 yield InducedSample(point, None, None, None, status)
 
@@ -483,7 +469,7 @@ def sample_induced(
     plane is, or until ``|normal . y - offset| <= tol (1 + |y|)``.  Failures
     are recorded per sample instead of aborting the sweep.  The result holds the outcome
     columns as they come out of the stepping; its per-sample
-    ``InducedSample`` views are built only when read.
+    ``InducedSample`` records are built only when iterated.
     """
     if chart is None:
         chart = plane_chart(plane)

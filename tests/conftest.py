@@ -260,8 +260,7 @@ def reference_detect_shared(pwl, tol=1e-9):
     restricted = reduction._build_restricted(pwl, u, base) if transversal else None
     others = tuple(t.value for t, _ in cands if t is not tr)
     return SharedEigReduction(value=lam, left=u, right=v, offset=offset,
-                              manifold=manifold, transversal=transversal,
-                              restricted=restricted, other_shared=others)
+                              manifold=manifold, restricted=restricted, other_shared=others)
 
 
 def _reference_failure(pwl, tr, tl, tol):

@@ -187,9 +187,10 @@ def test_criterion_6_induced_map_expands(capsys):
     coords = chart.project_many(cloud.points[on_plane])[:, 0]
     grid = np.linspace(coords.min(), coords.max(), 2000)[:, None]
     samples = sample_induced(pwl, plane, grid, chart=chart)
-    assert all(s.status == "ok" for s in samples)
+    items = list(samples)
+    assert all(s.status == "ok" for s in items)
     checked = 0
-    for s0, s1 in zip(samples, samples[1:]):
+    for s0, s1 in zip(items, items[1:]):
         if s0.itinerary != s1.itinerary:
             continue
         slope = (s1.image[0] - s0.image[0]) / (s1.point[0] - s0.point[0])

@@ -16,6 +16,8 @@ except ImportError:  # not on Windows
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pwldyn import bcnf, cli
 from pwldyn.cli import main
@@ -72,6 +74,44 @@ def test_analyze_where_the_pieces_differ_past_the_float_range(capsys):
     assert code == 0
     assert captured.err == ""
     assert json.loads(captured.out)["continuity"] == {"p": [-np.inf, 0.0]}
+
+
+def test_analyze_and_restrict_where_the_fit_overflows(tmp_path, capsys):
+    # |A_R - A_L| / |c| is past the float range.  The overflowed fit let this
+    # discontinuous map through: analyze reported the shared eigenvalue
+    # -1e307, which A_L does not have, and restrict exited 0.
+    path = tmp_path / "map.txt"
+    path.write_text("2\n1e307 0\n0 1\n-1e307 1e300\n0 1\n0 0\n1e-150 0\n")
+    message = "A_R - A_L is not a rank-one update along c (residual 4.450e-08)"
+    assert main(["analyze", "--matrix-file", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["continuity"] == {"error": f"NotContinuous: {message}"}
+    assert report["shared_eigenvalue"] == {"error": f"NotContinuous: {message}"}
+    assert main(["restrict", "--matrix-file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, ini, message", [
+    (["analyze", *ANCHOR, "--sl", "0.5"], None,
+     "second traces sl/sr are only meaningful in dimension 3"),
+    (["orbit", "--dim", "3", "--tl", "1", "--dl", "1", "--tr", "1", "--dr", "1"], None,
+     "missing normal-form coefficients: sl, sr"),
+    (["scan", *ANCHOR, "--param", "sl", "--values", "1"], None,
+     "unknown scan parameter 'sl' for dimension 2"),
+    (["analyze"], "[map]\ndim = 4\ntl = 1\ndl = 1\ntr = 1\ndr = 1\n",
+     "normal form exists for dimensions 2 and 3, not 4"),
+], ids=["second-traces", "missing", "scan-parameter", "dimension"])
+def test_normal_form_messages(tmp_path, capsys, argv, ini, message):
+    if ini is not None:
+        path = tmp_path / "run.ini"
+        path.write_text(ini)
+        argv = [*argv, "--config", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_analyze_flat_left(capsys):
@@ -323,6 +363,50 @@ def test_restrict_orbit_escaping_before_any_point_exits_3(capsys, args, fmt):
     assert code == 3
     assert captured.out == ""
     assert captured.err == "error: orbit escaped at step 0 before any retained point\n"
+
+
+@pytest.mark.parametrize("argv, out", [
+    # the span hi - lo overflows; the points were nan, inf, 1e308 with three
+    # RuntimeWarnings
+    (["restrict", *ANCHOR, "--grid=-1e308:1e308:3", "--format", "csv"],
+     "x,fx\n-1e+308,1.5000000000000002e+308\n0.0,0.0\n1e+308,inf\n"),
+    # here the warnings came before "error: start point is not on the section"
+    (["induced", *FLAT, "--grid=-1e308:1e308:5"],
+     "in1,out1,j,status\n-1e+308,,,escaped\n-5e+307,,,escaped\n0.0,0.0,1,ok\n"
+     "5e+307,,,escaped\n1e+308,,,escaped\n"),
+    # a finite span whose last image overflows, which warned
+    (["restrict", *ANCHOR, "--grid=0:1.7e308:3", "--format", "csv"],
+     "x,fx\n0.0,0.0\n8.5e+307,1.7000000000000003e+308\n1.7e+308,inf\n"),
+], ids=["restrict-span", "induced-span", "restrict-image"])
+def test_grid_past_the_float_range(capsys, argv, out):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, "")
+
+
+def test_box_grid_past_the_float_range():
+    # the margins widen the box past the float range: cut at the largest float
+    big = float(np.finfo(float).max)
+    grid = cli._box_grid(np.array([[-1e308, -1.7e308], [1e308, 1.7e308]]), 0.05, 3)
+    axes = [sorted(set(grid[:, j].tolist())) for j in range(2)]
+    assert axes[0] == [-1e308 - 1e307, 0.0, 1e308 + 1e307]
+    assert axes[1] == [-big, 0.0, big]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 2), min_size=1,
+                max_size=4), st.sampled_from([0.02, 0.05]))
+def test_box_grid_keeps_the_bits_of_finite_boxes(rows, pad):
+    # the box grid as it was computed, wherever that stays finite
+    coords = np.array(rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = coords.min(axis=0), coords.max(axis=0)
+        margin = pad * (hi - lo) + 1e-9
+        a, b = lo - margin, hi + margin
+        assume(np.isfinite(b - a).all())
+    axes = [np.linspace(x, y, 5) for x, y in zip(a, b)]
+    want = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+    assert cli._box_grid(coords, pad, 5).tobytes() == want.tobytes()
 
 
 def test_restrict_no_shared_eigenvalue():

@@ -266,8 +266,8 @@ def test_guard_sees_a_blas_product():
 
 # The retry of a scale-free decision on data rescaled by powers of two, which
 # keeps it finite and in full precision at extreme scales, lives in linalg;
-# other modules reach it through ``_scaled_sides``, ``_well_scaled`` and
-# ``_adjugate_at``.
+# other modules reach it through ``_scaled_sides``, ``_well_scaled``,
+# ``_rank_one_fit`` and ``_adjugate_at``.
 RESCALE_NAMES = {"_rescaled", "_full_precision"}
 
 

@@ -28,6 +28,9 @@ from pwldyn import (
 from pwldyn import pwlmap
 
 from conftest import (
+    FLAT_LEFT_2D,
+    FLAT_LEFT_3D,
+    SHARED_2D,
     pieces,
     reference_chunked_orbit,
     reference_norm,
@@ -80,12 +83,43 @@ def test_bcnf_char_poly(shared_map):
 
 
 def test_bcnf_rejects_other_dims():
-    with pytest.raises(UnsupportedDimension):
+    with pytest.raises(UnsupportedDimension,
+                       match="^normal form exists for dimensions 2 and 3, not 4$"):
         bcnf(BcnfParams(dim=4, tl=1.0, dl=1.0, tr=1.0, dr=1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="^second traces sl/sr are only meaningful in dimension 3$"):
         bcnf(BcnfParams(dim=2, tl=1.0, dl=1.0, tr=1.0, dr=1.0, sl=0.5, sr=0.5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^missing normal-form coefficients: sl, sr$"):
         bcnf(BcnfParams(dim=3, tl=1.0, dl=1.0, tr=1.0, dr=1.0))
+    with pytest.raises(ValueError, match="^missing normal-form coefficients: dl, sr$"):
+        BcnfParams(dim=3, tl=1.0, dl=None, tr=1.0, dr=1.0, sl=0.5)
+
+
+def _literal_bcnf(p: BcnfParams) -> tuple[np.ndarray, ...]:
+    """The normal form written out entry by entry, as the library once built it."""
+    if p.dim == 2:
+        return (np.array([[p.tl, 1.0], [-p.dl, 0.0]]), np.array([[p.tr, 1.0], [-p.dr, 0.0]]),
+                np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+    return (np.array([[p.tl, 1.0, 0.0], [-p.sl, 0.0, 1.0], [p.dl, 0.0, 0.0]]),
+            np.array([[p.tr, 1.0, 0.0], [-p.sr, 0.0, 1.0], [p.dr, 0.0, 0.0]]),
+            np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("params", [
+    SHARED_2D, FLAT_LEFT_2D, FLAT_LEFT_3D, shared_3d_params(),
+    BcnfParams(dim=2, tl=0.0, dl=0.0, tr=-0.0, dr=-0.0),
+    BcnfParams(dim=2, tl=1.0, dl=-1.0, tr=0.0, dr=1e-300),
+    BcnfParams(dim=3, tl=0.0, dl=0.0, sl=0.0, tr=-0.0, dr=-0.0, sr=-0.0),
+    BcnfParams(dim=3, tl=1.0, dl=-0.0, sl=1.0, tr=-1.0, dr=0.0, sr=-1.0),
+], ids=lambda p: ",".join(f"{k}={v!r}" for k, v in vars(p).items() if v is not None))
+def test_bcnf_is_the_literal_companion_form(params):
+    # byte for byte, so each -0.0 that -dl or -sl puts in a piece is kept:
+    # the step kernels are keyed on the exact zeros of the coefficients
+    pwl = bcnf(params)
+    got = (pwl.A_L, pwl.A_R, pwl.b, pwl.c)
+    for a, b in zip(got, _literal_bcnf(params)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert pwl._pieces.pattern == PwlMap(*_literal_bcnf(params))._pieces.pattern
 
 
 def test_continuity_vector(shared_map):
@@ -114,6 +148,24 @@ def test_continuity_decided_where_the_difference_overflows():
     # the decision on rescaled pieces keeps the bits of p where it is finite
     p = validate_continuity(PwlMap([[1e308]], [[2e307]], [0], [1]))
     assert p.tolist() == [2e307 - 1e308]
+
+
+def test_continuity_decided_where_the_fit_overflows():
+    # |A_R - A_L| / |c| is past the float range: the fit q overflowed, the
+    # residual was inf - inf and NaN > bound accepted the map.  Its residual
+    # 1e300 against |A_R - A_L| = 2e307 is 5e-8 relative.
+    broken = PwlMap([[1e307, 0], [0, 1]], [[-1e307, 1e300], [0, 1]], [0, 0], [1e-150, 0])
+    with pytest.raises(NotContinuous, match=r"residual 4\.450e-08"):
+        validate_continuity(broken)
+    # the continuous variant: p = -2e457 lies past the float range (warnings
+    # are errors in this suite)
+    p = validate_continuity(PwlMap([[1e307, 0], [0, 1]], [[-1e307, 0], [0, 1]], [0, 0],
+                                   [1e-150, 0]))
+    assert p.tolist() == [-math.inf, 0.0]
+    # the products of A_R - A_L with a large c overflowed, and p came out -inf
+    p = validate_continuity(PwlMap([[1e307, 0], [0, 1]], [[-1e307, 0], [0, 1]], [0, 0],
+                                   [1e100, 0]))
+    assert p.tolist() == [-2e207, 0.0]
 
 
 def test_continuity_on_switching_plane(rng):

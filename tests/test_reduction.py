@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import collections.abc
 import copy
+import dataclasses
 import math
 from unittest import mock
 
@@ -645,7 +647,7 @@ def _induced_at(pwl, plane, x, **options):
     """The one sample of ``sample_induced`` at the point ``x`` of the plane,
     its image lifted back to the ambient space when it returned."""
     chart = plane_chart(plane)
-    sample = sample_induced(pwl, plane, [chart.project(x)], chart=chart, **options)[0]
+    (sample,) = sample_induced(pwl, plane, [chart.project(x)], chart=chart, **options)
     image = None if sample.image is None else reference_lift(chart, sample.image)
     return sample, image
 
@@ -758,24 +760,28 @@ def _same_sample(a, b) -> bool:
     return key(a) == key(b)
 
 
-def test_induced_samples_sequence_protocol(flat_left_map):
+def test_induced_samples_len_and_iteration(flat_left_map):
     samples = _mixed_samples(flat_left_map)
     assert isinstance(samples, InducedSamples)
+    assert not isinstance(samples, collections.abc.Sequence)
+    assert not hasattr(samples, "__getitem__")
     assert len(samples) == 21
     items = list(samples)
     assert len(items) == 21
     assert all(type(s) is InducedSample for s in items)
+    # each pass builds new records of the same samples, row by row
+    assert all(a is not b and _same_sample(a, b) for a, b in zip(items, samples))
     for i, s in enumerate(items):
-        assert _same_sample(samples[i], s)
-        assert _same_sample(samples[i - 21], s)
-    sliced = samples[3:17:4]
-    assert isinstance(sliced, list) and len(sliced) == 4
-    assert all(_same_sample(a, b) for a, b in zip(sliced, items[3:17:4]))
-    assert samples[30:] == []
-    for i in (21, -22):
-        with pytest.raises(IndexError):
-            samples[i]
-    # the views have Python fields, as the list of samples had
+        assert s.point.tobytes() == samples.points[i].tobytes()
+        assert s.status == samples.status[i]
+        if s.status == "ok":
+            assert s.image.tobytes() == samples.images[i].tobytes()
+            assert s.return_time == samples.steps[i]
+            assert s.itinerary == ("R",) * (s.return_time - 1) + (
+                "L" if samples.last_left[i] else "R",)
+        else:
+            assert s.image is None and s.return_time is None and s.itinerary is None
+    # the records have Python fields, as the list of samples had
     for s in items:
         assert type(s.status) is str
         assert s.return_time is None or type(s.return_time) is int
@@ -789,7 +795,7 @@ def test_induced_samples_columns_are_read_only(flat_left_map):
         assert not column.flags.writeable
         with pytest.raises(ValueError):
             column[0] = column[1]
-    assert not samples[0].point.flags.writeable
+    assert not next(iter(samples)).point.flags.writeable
 
 
 def test_induced_samples_columns_agree_with_views(flat_left_map):
@@ -809,8 +815,27 @@ def test_sample_induced_without_chart(flat_left_map):
     plane = zero_eig_reduction(flat_left_map)
     samples = sample_induced(flat_left_map, plane, np.linspace(-1.0, 1.0, 11))
     assert all(s.status == "ok" for s in samples)
-    assert samples[0].point.shape == (1,)
-    assert samples[0].image.shape == (1,)
+    first = next(iter(samples))
+    assert first.point.shape == (1,)
+    assert first.image.shape == (1,)
+
+
+def test_flags_derive_from_the_fields_they_restate():
+    # escaped is escape_index set, transversal is restricted set; neither is
+    # stored, so neither can disagree with the field it restates
+    two = 2.0 * np.eye(2)
+    growing = PwlMap(two, two, np.zeros(2), np.array([1.0, 0.0]))
+    orbits = [orbit(growing, np.ones(2), 0, 100, 1e3), orbit(growing, np.ones(2), 5, 5, 1e3),
+              orbit(bcnf(SHARED_2D), default_x0(bcnf(SHARED_2D)), 10, 10)]
+    assert [(o.escaped, o.escape_index) for o in orbits] == [(True, 10), (False, None),
+                                                             (False, None)]
+    parallel = PwlMap(np.diag([0.2, 2.0]) - np.outer([0.0, 0.3], [1.0, 0.0]), np.diag([0.2, 2.0]),
+                      np.ones(2), np.array([1.0, 0.0]))
+    reductions = [detect_shared_eigenvalue(bcnf(SHARED_2D)), detect_shared_eigenvalue(parallel)]
+    assert [(r.transversal, r.restricted is not None) for r in reductions] == [(True, True),
+                                                                               (False, False)]
+    for cls, flag in ((type(orbits[0]), "escaped"), (type(reductions[0]), "transversal")):
+        assert flag not in {f.name for f in dataclasses.fields(cls)}
 
 
 def test_result_objects_compare_by_identity():
@@ -820,13 +845,13 @@ def test_result_objects_compare_by_identity():
     plane = zero_eig_reduction(flat)
     chart = plane_chart(plane)
     samples = sample_induced(flat, plane, [[0.0, 0.0], [1.0, 2.0], [3.0, 4.0]], chart=chart)
-    i = samples.status.tolist().index("ok")
+    sample = next(s for s in samples if s.status == "ok")
     fp = fixed_points(flat)
     spectrum = linalg.real_eigen(flat.A_R)
     red = detect_shared_eigenvalue(bcnf(shared_3d_params()))
     objects = [
         flat, orbit(flat, default_x0(flat), 10, 10), fp.right, fp, spectrum.real[0], spectrum,
-        plane, chart, red.restricted, red, samples[i],
+        plane, chart, red.restricted, red, sample,
         scan(FLAT_LEFT_3D, "dr", [0.5, 1.0], n_transient=10, n_keep=10),
     ]
     assert [type(obj).__name__ for obj in objects] == [
@@ -839,8 +864,9 @@ def test_result_objects_compare_by_identity():
         assert (obj == twin) is False and (obj != twin) is True
         assert (obj in [twin, obj]) is True and (obj in [twin]) is False
         assert hash(obj) == hash(obj) and len({obj, twin, obj}) == 2
-    assert (samples[i] == samples[i]) is False  # two views of one sample
-    assert (samples[i] in samples) is False
+    again = next(s for s in samples if s.status == "ok")
+    assert (sample == again) is False  # two records of one sample
+    assert (sample in samples) is False
 
 
 def _reference_excursion(pwl, plane, x, j_max, escape_radius, tol):
@@ -952,9 +978,9 @@ def test_induced_slopes_expand(flat_left_map):
     plane = zero_eig_reduction(flat_left_map)
     chart = plane_chart(plane)
     grid = np.linspace(-8.0, 2.0, 400)[:, None]
-    samples = sample_induced(flat_left_map, plane, grid, chart=chart)
+    items = list(sample_induced(flat_left_map, plane, grid, chart=chart))
     checked = 0
-    for s0, s1 in zip(samples, samples[1:]):
+    for s0, s1 in zip(items, items[1:]):
         if s0.status != "ok" or s1.status != "ok":
             continue
         if s0.itinerary != s1.itinerary:
