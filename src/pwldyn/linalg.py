@@ -29,22 +29,25 @@ the BLAS build or the CPU.  Above 3x3 LAPACK's ``eigvals``, ``svd`` and
 ``real_eigen`` remembers the spectra of the last two matrices it decomposed,
 the two pieces of the map being analysed, so the several analyses of one map
 decompose each piece once.  The vectors it returns are read-only, because
-every caller that asks again for one matrix shares them.  Where the closed
-forms, the Frobenius norm or an eigenvalue condition number fail at extreme
-scales (an exception, or a non-finite or subnormal value), they are
-computed again on data rescaled by powers of two; wherever they succeed no
-bit changes.  So is the adjugate that an eigenvector is read off, when it
-overflows; its canonical scaling cannot be stored then, and the vectors come
-back unit-norm.  These are the package's only such retries: the decisions
-of the other modules reach them through ``_scaled_sides``, ``_well_scaled``,
-``_rank_one_fit`` and ``_adjugate_at``.
+every caller that asks again for one matrix shares them.
+
+Every scale-free decision is taken once, in an exact power-of-two frame
+(``_rescaled``; Higham, *Accuracy and Stability of Numerical Algorithms*,
+2.1) where nothing over- or underflows: a decomposition's matrix, largest
+entry in [1/2, 1), and a map's pieces, ``c`` and fit ``p`` (``_Frame``).
+Values go back out times the power of two, canonical right vectors times
+its (n - 1)-th power where exact.  LAPACK's ``eigvals`` scales internally
+and takes the true scale.  No other module scales data.
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,8 +96,6 @@ DEFECTIVE_SPLIT = 100.0
 # solve raises SingularMatrix at a pivot this small relative to the largest
 # entry of the matrix.
 PIVOT_RTOL = 1e-12
-
-_TINY = float(np.finfo(float).tiny)
 
 
 def _dot(x, y) -> float:
@@ -216,14 +217,16 @@ def _shifted_rows(r: list[list[float]], lam: float) -> list[list[float]]:
     return [[lam - a if i == j else -a for j, a in enumerate(row)] for i, row in enumerate(r)]
 
 
-def _adjugate_at(M: list[list[float]]) -> tuple[list[list[float]], bool]:
-    """Rows of ``adj(M)`` and False for the rows ``M`` of ``lam I - A``; where
-    that overflows, rows of ``adj(_rescaled(M))``, of the same row and column
-    directions, and True."""
-    B = _adj_rows(M) if len(M) <= 3 else _adj(np.array(M)).tolist()
-    if all(math.isfinite(x) for row in B for x in row):
-        return B, False
-    return _adj(_rescaled(np.array(M))[0]).tolist(), True
+def _adjugate_at(M: list[list[float]]) -> list[list[float]]:
+    """Rows of ``adj(M)`` for the rows ``M`` of ``mu I - F``, ``F`` a frame and
+    ``|mu| < n`` its eigenvalue: by Hadamard's inequality no entry exceeds
+    ``(n + sqrt(n))^(n - 1)``, below 2^1024 up to n = 141, else IllConditioned."""
+    if len(M) <= 3:
+        return _adj_rows(M)
+    B = _adj(np.array(M))
+    if not np.isfinite(B).all():
+        raise IllConditioned("the adjugate at an eigenvalue passes the float range")
+    return B.tolist()
 
 
 def solve(a, rhs) -> np.ndarray:
@@ -300,11 +303,11 @@ class EigenTriple:
 
     For a simple eigenvalue the vectors are scaled so that
     ``outer(right, left) == adjugate(value * I - A)`` and ``canonical`` is
-    True.  When that adjugate degenerates (multiplicity above one), or
-    overflows, the vectors fall back to unit norm with the first significant
-    component positive and ``canonical`` is False.  The vectors are read-only:
-    ``real_eigen`` hands the same triple to every caller that asks about the
-    same matrix.
+    True.  When that adjugate degenerates (multiplicity above one), or its
+    scale is past the float range or subnormal, the vectors fall back to unit
+    norm with the first significant component positive and ``canonical`` is
+    False.  The vectors are read-only: ``real_eigen`` hands the same triple
+    to every caller that asks about the same matrix.
     """
 
     value: float
@@ -312,6 +315,11 @@ class EigenTriple:
     right: np.ndarray
     multiplicity: int
     canonical: bool
+
+    @functools.cached_property
+    def _direction(self) -> np.ndarray:
+        """``right`` in its frame (``_rescaled``), as decisions take it."""
+        return _rescaled(self.right)[0]
 
 
 @dataclass(frozen=True)
@@ -349,7 +357,7 @@ def real_eigen(a) -> Spectrum:
     The spectra of the last two matrices decomposed are remembered, keyed by
     the matrix bytes (so ``-0.0`` and ``+0.0`` differ), and asking again for
     one of them returns the same Spectrum object.  Raises IllConditioned
-    when a characteristic root or the norm is not finite.
+    when a characteristic root is not finite.
     """
     A = _as_square(a)
     return _spectrum(A.tobytes(), A.shape[0])
@@ -362,36 +370,44 @@ def _spectrum(key: bytes, n: int) -> Spectrum:
     Two entries hold the two pieces of one map, which ``pwldyn analyze`` and
     the detections it calls each ask for up to three times.  Threads that
     miss on one matrix at once may each compute it; the results are equal.
+    All is computed on the frame ``F = A / 2^e`` (``_rescaled``), where
+    ``1 + ||A||_F`` is ``2^-e + ||F||_F``; values go back out times ``2^e``.
     """
     A = np.frombuffer(key).reshape(n, n)
-    norm = _norm(A)
-    reals, uppers = _cluster(_char_roots(A), CLUSTER_RTOL * (1.0 + norm))
+    F, e = _rescaled(A)
+    norm = _length(F)
+    reals, uppers = _cluster(_char_roots(A, F, e), CLUSTER_RTOL * (math.ldexp(1.0, -e) + norm))
     triples: list[EigenTriple] = []
-    for lam, mult in reals:
-        left, right, canonical = _eigen_vectors(A, lam, mult)
-        triples.append(EigenTriple(lam, left, right, mult, canonical))
-    pairs = [ComplexPair(z.real, z.imag, abs(z), mult) for z, mult in uppers]
+    try:
+        for lam, mult in reals:
+            left, right, canonical = _eigen_vectors(F, e, lam, mult)
+            triples.append(EigenTriple(math.ldexp(lam, e), left, right, mult, canonical))
+        pairs = [ComplexPair(math.ldexp(z.real, e), math.ldexp(z.imag, e),
+                             math.ldexp(abs(z), e), mult) for z, mult in uppers]
+    except OverflowError as exc:
+        raise IllConditioned("a characteristic root is past the float range") from exc
     triples.sort(key=lambda t: t.value)
     pairs.sort(key=lambda p: (p.real, p.imag))
-    return Spectrum(_merge_defective(A, norm, triples), tuple(pairs))
+    return Spectrum(_merge_defective(F, e, norm, triples), tuple(pairs))
 
 
-def _merge_defective(A: np.ndarray, norm: float,
+def _merge_defective(F: np.ndarray, e: int, norm: float,
                      triples: list[EigenTriple]) -> tuple[EigenTriple, ...]:
     """Merge each adjacent pair of simple values that is a defective double
     root split by rounding into their mean with multiplicity two, left to
-    right: both s(lam) below ``DEFECTIVE_S`` and ``_rounding_split`` true,
-    ``norm`` being ``||A||_F``."""
+    right: both s(lam) below ``DEFECTIVE_S`` and ``_rounding_split`` true.
+    ``F = A / 2^e`` is the frame of the triples' matrix and ``norm`` its
+    Frobenius norm."""
     if sum(t.multiplicity == 1 for t in triples) < 2:
         return tuple(triples)
     out: list[EigenTriple] = []
     prev_s = math.inf  # s(lam) of out[-1] if it is simple and not merged
     for t in triples:
         s = _condition(t) if t.multiplicity == 1 else math.inf
-        if max(s, prev_s) < DEFECTIVE_S and _rounding_split(A, norm, out[-1].value, t.value,
+        if max(s, prev_s) < DEFECTIVE_S and _rounding_split(F, e, norm, out[-1].value, t.value,
                                                              min(s, prev_s)):
-            lam = 0.5 * (out[-1].value + t.value)
-            left, right, canonical = _eigen_vectors(A, lam, 2)
+            lam = 0.5 * out[-1].value + 0.5 * t.value  # their mean, which cannot overflow
+            left, right, canonical = _eigen_vectors(F, e, math.ldexp(lam, -e), 2)
             out[-1] = EigenTriple(lam, left, right, 2, canonical)
             prev_s = math.inf
         else:
@@ -400,19 +416,18 @@ def _merge_defective(A: np.ndarray, norm: float,
     return tuple(out)
 
 
-def _rounding_split(A: np.ndarray, norm: float, lo: float, hi: float, s: float) -> bool:
+def _rounding_split(F: np.ndarray, e: int, norm: float, lo: float, hi: float, s: float) -> bool:
     """Whether rounding can have split one double root into ``lo < hi``,
     ``s`` being the smaller condition number (see ``DEFECTIVE_SPLIT``).
 
-    On the closed forms the test runs on ``A / 2^e`` and ``mu / 2^e``, 2^e
-    the power of two just above the largest entry: both sides are
-    homogeneous of degree n, and nothing overflows."""
+    Both sides are homogeneous: they are taken in the frame ``F = A / 2^e``
+    of ``_spectrum``, of Frobenius norm ``norm``, where nothing overflows."""
     eps = np.finfo(float).eps
-    if A.shape[0] > 3:
+    lo, hi = math.ldexp(lo, -e), math.ldexp(hi, -e)
+    if F.shape[0] > 3:
         return (hi - lo) * s <= DEFECTIVE_SPLIT * eps * norm
-    B, e = _rescaled(A)
-    r = B.tolist()
-    mu = math.ldexp(0.5 * (lo + hi), -e)
+    r = F.tolist()
+    mu = 0.5 * (lo + hi)
     p = bound = 1.0
     for c, g in zip(_char_coeffs(r), _char_term_sums(r)):
         p = p * mu + c
@@ -437,158 +452,93 @@ def _char_term_sums(r: list[list[float]]) -> list[float]:
 
 
 def _condition(t: EigenTriple) -> float:
-    """Wilkinson's s(lam) = |u . v| / (|u| |v|) of a simple value."""
-    def sides(u, v):
-        return abs(_dot(u, v)), _length(u) * _length(v)
-    uv, norms = _scaled_sides(sides, t.left, t.right)
-    return uv / norms
+    """Wilkinson's s(lam) = |u . v| / (|u| |v|) of a simple value, on its
+    left vector, whose largest entry is 1, and its right ``_direction``."""
+    return abs(_dot(t.left, t._direction)) / (_length(t.left) * _length(t._direction))
 
 
-def _scaled_sides(sides, *factors: np.ndarray) -> tuple[float, float]:
-    """``sides(*factors)``: a quantity and the scale it is measured against,
-    both homogeneous in each factor.  Where the quantity overflows, or the
-    scale is not ``_full_precision``, and no factor is zero, they are taken
-    again on each factor divided by the power of two above its largest
-    entry (``_rescaled``), so wherever the plain form works no bit changes.
-    ``sides`` computes on Python floats (``_dot``), which overflow to inf,
-    and add inf to -inf to NaN, without a warning: either only sends the
-    plain form to the rescaled one."""
-    lhs, rhs = sides(*factors)
-    if not (lhs < math.inf and _full_precision(rhs)) and all(f.any() for f in factors):
-        lhs, rhs = sides(*(_rescaled(f)[0] for f in factors))
-    return lhs, rhs
+class _Frame(NamedTuple):
+    """A map's decision data (``PwlMap._frame``): ``A_R`` over the ``2^a``
+    that brings the pieces' largest entry into [1/2, 1), ``unit = 2^-a``,
+    and ``c`` and ``p``, the least-squares fit of ``A_R - A_L = p c^T``, each
+    over its own.  ``fit`` is ``p`` at the true scale, read-only, inf past
+    the float range; ``resid`` and ``delta`` are the Frobenius norms of the
+    fit's residual and of ``A_R - A_L``, over ``2^a``."""
+
+    A_R: np.ndarray
+    unit: float
+    c: np.ndarray
+    p: np.ndarray
+    fit: np.ndarray
+    resid: float
+    delta: float
 
 
-def _full_precision(s: float) -> bool:
-    """Whether ``s`` is finite and not subnormal, so that a quotient by it
-    keeps full precision; the one test after which a scale-free decision is
-    taken again on data rescaled by powers of two."""
-    return _TINY <= s < math.inf
-
-
-def _well_scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
-    """``(v, 0)`` where ``v . v`` is ``_full_precision``, else
-    ``_rescaled(v)``: ``v / 2^e`` and ``e``, whose ``v . v`` is."""
-    if _full_precision(_dot(v, v)):
-        return v, 0
-    return _rescaled(v)
-
-
-def _rank_one_fit(B: np.ndarray, A: np.ndarray,
-                  c: np.ndarray) -> tuple[np.ndarray, float, float, int]:
-    """``(p, resid, norm, a)``: the least-squares ``p`` of ``B - A = p c^T``,
-    inf past the float range, and the Frobenius norms of its residual and
-    of ``B - A``, both divided by ``2^a``.
-
-    The fit is taken on ``D = B - A`` and ``_well_scaled(c)``; where an
-    entry reaches ``2^1023``, below which a difference is finite, on ``B``
-    and ``A`` divided by the power of two above their largest magnitude.
-    Where the fit or its residual overflows, it is taken again on ``D`` and
-    ``c`` each ``_rescaled``, where the fit is at most ``4 n`` in magnitude.
-    """
-    if max(map(abs, A.ravel().tolist() + B.ravel().tolist())) < 2.0**1023:
-        D, a = B - A, 0
-    else:
-        (B, A), a = _rescaled(np.stack((B, A)))
-        D = B - A
-    c0, (c, e) = c, _well_scaled(c)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for retry in (False, True):
-            if retry:
-                (D, k), (c, e) = _rescaled(D), _rescaled(c0)
-                a += k
-            q = _rows_dot(D, c) / _dot(c, c)
-            resid = _norm(D - np.outer(q, c))
-            if math.isfinite(resid):
-                break
-        if a != e:  # the fit of D / 2^a and c / 2^e is 2^(e - a) p
-            q = np.ldexp(q, a - e)
-    return q, resid, _norm(D), a
+def _map_frame(A_L: np.ndarray, A_R: np.ndarray, c: np.ndarray) -> _Frame:
+    """The ``_Frame`` of the map with pieces ``A_L``, ``A_R`` and normal ``c``."""
+    (F_L, F_R), a = _rescaled(np.stack((A_L, A_R)))
+    D = F_R - F_L
+    c, e = _rescaled(c)
+    q = _rows_dot(D, c) / _dot(c, c)
+    with np.errstate(over="ignore"):  # past the float range the fit is inf
+        fit = np.ldexp(q, a - e)
+    fit.setflags(write=False)
+    return _Frame(F_R.copy(), math.ldexp(1.0, -a), c, _rescaled(q)[0], fit,
+                  _length(D - np.outer(q, c)), _length(D))
 
 
 def _rescaled(v: np.ndarray) -> tuple[np.ndarray, int]:
     """``(v / 2^e, e)``, ``2^e`` the power of two just above the largest
-    magnitude in the nonzero ``v``: its largest entry lies in [0.5, 1), so
-    its squares neither overflow nor all underflow.  Dividing by a power of
-    two is exact for every entry that stays normal."""
-    e = math.frexp(max(map(abs, v.ravel().tolist())))[1]
+    magnitude in ``v``, at least the smallest normal one's: the largest
+    entry lies in [0.5, 1) unless all are subnormal, so no square overflows
+    or all underflow.  That is exact for every entry that stays normal."""
+    e = max(math.frexp(max(map(abs, v.ravel().tolist())))[1], sys.float_info.min_exp)
     return np.ldexp(v, -e), e
 
 
-def _norm(A: np.ndarray) -> float:
-    """Frobenius norm, ``_length(A)``; summed for ``A / 2^e`` and scaled
-    back when the squares of ``A`` overflow."""
-    norm = _length(A)
-    if math.isfinite(norm):
-        return norm
-    B, e = _rescaled(A)
-    try:
-        return math.ldexp(_length(B), e)
-    except OverflowError as exc:
-        raise IllConditioned("the Frobenius norm of the matrix overflows") from exc
-
-
-def _char_roots(A: np.ndarray) -> list[complex]:
-    """Roots of the characteristic polynomial; raises IllConditioned when
-    one is not finite.
-
-    Up to 3x3 the closed forms run on the coefficients as they are.  Where
-    they raise (``p * m`` underflowing to zero, the square root of an
-    underflowed negative, ``a**3`` overflowing) or return a non-finite root,
-    they run again on ``_scaled_char_poly``, so wherever they succeed no bit
-    changes.
-    """
+def _char_roots(A: np.ndarray, F: np.ndarray, e: int) -> list[complex]:
+    """Roots of the characteristic polynomial of the frame ``F = A / 2^e``:
+    LAPACK's roots of ``A`` over ``2^e`` above 3x3, up to 3x3 the closed
+    forms on ``_scaled_char_poly``, since a frame can still have roots far
+    below 1.  Raises IllConditioned when a root is not finite."""
     n = A.shape[0]
     if n > 3:
         try:
             roots = np.asarray(np.linalg.eigvals(A), dtype=complex).tolist()
         except np.linalg.LinAlgError as exc:
             raise IllConditioned(f"eigenvalue iteration did not converge: {exc}") from exc
+        roots = [complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in roots]
     elif n == 1:
-        roots = [complex(A[0, 0])]
+        roots = [complex(F[0, 0])]
     else:
-        r = A.tolist()
+        coeffs, k = _scaled_char_poly(F.tolist())
         try:
-            roots = _poly_roots(_char_coeffs(r))
-        except (ArithmeticError, ValueError):
-            roots = [complex(math.nan)]
-        if not _finite(roots):
-            coeffs, k = _scaled_char_poly(A)
-            try:
-                roots = [complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
-                         for z in _poly_roots(coeffs)]
-            except (ArithmeticError, ValueError) as exc:
-                raise IllConditioned(f"a characteristic root is out of range: {exc}") from exc
-    if not _finite(roots):
+            roots = [complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+                     for z in _poly_roots(coeffs)]
+        except (ArithmeticError, ValueError) as exc:
+            raise IllConditioned(f"a characteristic root is out of range: {exc}") from exc
+    if not all(map(cmath.isfinite, roots)):
         raise IllConditioned("a characteristic root is not finite")
     return roots
-
-
-def _finite(roots: list[complex]) -> bool:
-    return all(math.isfinite(z.real) and math.isfinite(z.imag) for z in roots)
 
 
 def _poly_roots(coeffs: list[float]) -> list[complex]:
     return _quadratic_roots(*coeffs) if len(coeffs) == 2 else _cubic_roots(*coeffs)
 
 
-def _scaled_char_poly(A: np.ndarray) -> tuple[list[float], int]:
-    """Coefficients of the characteristic polynomial of the nonzero 2x2 or
-    3x3 matrix ``A`` as a polynomial in ``y = x / 2^k``, and ``k``.
+def _scaled_char_poly(r: list[list[float]]) -> tuple[list[float], int]:
+    """Coefficients of the characteristic polynomial of the 2x2 or 3x3
+    frame with rows ``r`` as a polynomial in ``y = x / 2^k``, and ``k``.
 
-    The matrix is first divided by the power of two just above its largest
-    entry (``_rescaled``), which bounds coefficient ``i`` by 6, and
-    coefficient ``i`` is then divided by ``2^(i k')`` for the power of two
-    ``2^k'`` just above the roots' scale ``max |coefficient_i|^(1/i)``,
-    which brings every coefficient to at most 1 and one of them to at least
-    1/8, so that the degree-six discriminant of the cubic stays
-    representable.  Both steps are exact up to subnormal coefficients, so
-    the roots ``2^k y`` are those of the matrix.
+    Coefficient ``i``, at most 6 in a frame, is divided by ``2^(i k)`` for
+    the power of two ``2^k`` just above the roots' scale ``max
+    |coefficient_i|^(1/i)``: every coefficient is then at most 1 and one at
+    least 1/8, so the cubic's degree-six discriminant stays representable.
+    That is exact up to subnormal coefficients.
     """
-    B, e = _rescaled(A)
-    coeffs = _char_coeffs(B.tolist())
+    coeffs = _char_coeffs(r)
     k = math.frexp(max(abs(c) ** (1.0 / i) for i, c in enumerate(coeffs, 1)))[1]
-    return [math.ldexp(c, -i * k) for i, c in enumerate(coeffs, 1)], e + k
+    return [math.ldexp(c, -i * k) for i, c in enumerate(coeffs, 1)], k
 
 
 def _char_coeffs(r: list[list[float]]) -> list[float]:
@@ -698,29 +648,34 @@ def _cluster(
     return reals, uppers
 
 
-def _eigen_vectors(A: np.ndarray, lam: float, mult: int) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Left and right eigenvectors at the real root ``lam`` of multiplicity
-    ``mult``, and whether they are canonical.
+def _eigen_vectors(F: np.ndarray, e: int, lam: float,
+                   mult: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Left and right eigenvectors of ``A`` at the real root ``lam`` of
+    multiplicity ``mult`` of its frame ``F = A / 2^e``, read-only, and
+    whether they are canonical.
 
     They are read off the row and column of the largest entry of
-    ``adj(lam I - A)``, which is ``right left^T`` for a simple root and,
-    up to 3x3, spans the eigenvectors of a multiple root that is not
-    semisimple; only a simple root's factors are canonical, the others come
-    back unit-norm.  Where that adjugate is zero (a semisimple root), or is
-    not read above 3x3 (a multiple root), the vectors are SVD null vectors.
+    ``adj(lam I - F)`` (``_adjugate_at``), which is ``right left^T`` for a
+    simple root and, up to 3x3, spans the eigenvectors of a multiple root
+    that is not semisimple.  A simple root's factors are canonical, the
+    right one times ``2^(e (n - 1))`` where that is exact; others come back
+    unit-norm.  Where that adjugate is zero (a semisimple root), or is not
+    read above 3x3 (a multiple root), they are SVD null vectors.
     """
-    n = A.shape[0]
-    M = _shifted_rows(A.tolist(), lam)
+    n = F.shape[0]
+    M = _shifted_rows(F.tolist(), lam)
     if mult == 1 or n <= 3:
-        B, rescaled = _adjugate_at(M)
-        canonical = mult == 1 and not rescaled  # overflowed factors cannot be stored
+        B = _adjugate_at(M)
         mags = [abs(x) for row in B for x in row]
         i, j = divmod(mags.index(max(mags)), n)
         piv = B[i][j]
         if piv != 0.0:
             left, right = np.array(B[i]), np.array([row[j] for row in B])
-            if canonical:
-                return _read_only(left / piv), _read_only(right), True
+            if mult == 1:
+                with np.errstate(over="ignore"):  # past the float range it is inf
+                    scaled = np.ldexp(right, e * (n - 1))
+                if (np.ldexp(scaled, -e * (n - 1)) == right).all():
+                    return _read_only(left / piv), _read_only(scaled), True
             return _read_only(_sign_fixed(left)), _read_only(_sign_fixed(right)), False
     U, _, Vt = np.linalg.svd(np.array(M))
     return _read_only(_sign_fixed(U[:, -1])), _read_only(_sign_fixed(Vt[-1, :])), False

@@ -275,6 +275,10 @@ class PwlMap(_TwoPieces):
     def _pieces(self) -> _Pieces:
         return _pieces(self.A_L, self.b, self.A_R, self.b, self.c, 0.0)
 
+    @cached_property
+    def _frame(self):
+        return linalg._map_frame(self.A_L, self.A_R, self.c)
+
     map_points = _TwoPieces.__call__
 
 
@@ -340,17 +344,14 @@ def validate_continuity(pwl: PwlMap) -> np.ndarray:
     """Return the rank-one update direction ``p`` with ``A_R - A_L = p c^T``.
 
     The residual of the factorization must stay below ``CONTINUITY_TOL``
-    relative to ``max(1, ||A_R - A_L||)``, otherwise NotContinuous is raised.
-    Where ``A_R - A_L`` or the fit would overflow, both are taken on data
-    divided by powers of two (``linalg._rank_one_fit``), and ``p`` past the
-    float range is inf.
+    relative to ``max(1, ||A_R - A_L||)``, decided in the map's ``_frame``,
+    or NotContinuous names it.  ``p`` is read-only, inf past the float range.
     """
-    p, resid, scale, a = linalg._rank_one_fit(pwl.A_R, pwl.A_L, pwl.c)
-    if resid > CONTINUITY_TOL * max(math.ldexp(1.0, -a), scale):
-        raise NotContinuous(
-            f"A_R - A_L is not a rank-one update along c (residual {resid:.3e})"
-        )
-    return p
+    frame = pwl._frame
+    if frame.resid > CONTINUITY_TOL * max(frame.unit, frame.delta):
+        resid = frame.resid / frame.unit  # at the map's scale, inf past the float range
+        raise NotContinuous(f"A_R - A_L is not a rank-one update along c (residual {resid:.3e})")
+    return frame.fit
 
 
 @dataclass(frozen=True, eq=False)

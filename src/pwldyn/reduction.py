@@ -206,8 +206,9 @@ def detect_shared_eigenvalue(pwl: PwlMap, tol: float = 1e-9) -> SharedEigReducti
     ``other_shared``.  When none meets them raises HypothesisViolated
     naming the failure of the first.
     """
-    p = validate_continuity(pwl)
-    shared = [t for t in linalg.real_eigen(pwl.A_R).real if _is_shared(pwl, p, t, tol)]
+    validate_continuity(pwl)
+    frame = pwl._frame
+    shared = [t for t in linalg.real_eigen(pwl.A_R).real if _is_shared(frame, t, tol)]
     tied_to: list[float] = []
     for mag in sorted(abs(t.value) for t in shared):
         if not tied_to or mag - tied_to[-1] > tol * (1.0 + mag):
@@ -216,12 +217,12 @@ def detect_shared_eigenvalue(pwl: PwlMap, tol: float = 1e-9) -> SharedEigReducti
     if not shared:
         return None
     for tr in shared:
-        if _hypothesis_failure(pwl, tr, tol) is None:
+        if _hypothesis_failure(frame, tr, tol) is None:
             break
     else:
         first = shared[0]
         raise HypothesisViolated(
-            f"shared eigenvalue {first.value:.6g}: {_hypothesis_failure(pwl, first, tol)}"
+            f"shared eigenvalue {first.value:.6g}: {_hypothesis_failure(frame, first, tol)}"
         )
     lam, u, v = tr.value, tr.left, tr.right
     offset = linalg._dot(u, pwl.b) / (1.0 - lam)
@@ -230,7 +231,7 @@ def detect_shared_eigenvalue(pwl: PwlMap, tol: float = 1e-9) -> SharedEigReducti
     except SingularMatrix:  # 1 in the right spectrum: any zero of the deviation functional works
         base = u * (offset / linalg._dot(u, u))
     manifold = AffineHyperplane.from_normal_point(u, base)
-    restricted = _build_restricted(pwl, u, base) if _transversal(u, pwl.c, tol) else None
+    restricted = _build_restricted(pwl, u, base) if _transversal(u, frame.c, tol) else None
     others = tuple(t.value for t in shared if t is not tr)
     return SharedEigReduction(
         value=lam,
@@ -245,44 +246,40 @@ def detect_shared_eigenvalue(pwl: PwlMap, tol: float = 1e-9) -> SharedEigReducti
 
 def _negligible(tol: float, *factors: np.ndarray) -> bool:
     """Whether ``|x . y| <= tol |x| |y|`` for the factors ``(x, y)``, or
-    ``|x^T B y| <= tol |B| |x| |y|`` for ``(x, B, y)``.  Both sides are
-    homogeneous in each factor: ``linalg._scaled_sides`` takes them."""
-    def sides(*fs):
-        norms = [linalg._length(f) for f in fs]
-        if len(fs) == 2:
-            return abs(linalg._dot(fs[0], fs[1])), tol * norms[0] * norms[1]
-        xb = [linalg._dot(col, fs[0]) for col in fs[1].T.tolist()]
-        return abs(linalg._dot(xb, fs[2])), tol * (norms[1] * norms[0] * norms[2])
-    lhs, rhs = linalg._scaled_sides(sides, *factors)
-    return lhs <= rhs
+    ``|x^T B y| <= tol |B| |x| |y|`` for ``(x, B, y)``: homogeneous in each
+    factor, each taken from a frame, where nothing over- or underflows."""
+    norms = [linalg._length(f) for f in factors]
+    if len(factors) == 2:
+        return abs(linalg._dot(*factors)) <= tol * norms[0] * norms[1]
+    xb = [linalg._dot(col, factors[0]) for col in factors[1].T.tolist()]
+    return abs(linalg._dot(xb, factors[2])) <= tol * (norms[1] * norms[0] * norms[2])
 
 
-def _is_shared(pwl: PwlMap, p: np.ndarray, t: linalg.EigenTriple, tol: float) -> bool:
-    """Whether ``det(t.value I - A_L) = c^T adj(t.value I - A_R) p`` vanishes."""
+def _is_shared(frame, t: linalg.EigenTriple, tol: float) -> bool:
+    """Whether ``det(t.value I - A_L) = c^T adj(t.value I - A_R) p``
+    vanishes, on the map's ``frame``."""
     if t.canonical:  # adj(t.value I - A_R) = right left^T: test each factor
-        return _negligible(tol, t.left, p) or _negligible(tol, pwl.c, t.right)
-    B, _ = linalg._adjugate_at(linalg._shifted_rows(pwl.A_R.tolist(), t.value))
-    return _negligible(tol, pwl.c, np.array(B), p)
+        return _negligible(tol, t.left, frame.p) or _negligible(tol, frame.c, t._direction)
+    B = linalg._adjugate_at(linalg._shifted_rows(frame.A_R.tolist(), t.value * frame.unit))
+    return _negligible(tol, frame.c, np.array(B), frame.p)
 
 
-def _hypothesis_failure(pwl: PwlMap, tr: linalg.EigenTriple, tol: float) -> str | None:
-    # a simple value whose adjugate overflows has unit-norm vectors, not the
-    # canonical ones, and they fix the same plane
+def _hypothesis_failure(frame, tr: linalg.EigenTriple, tol: float) -> str | None:
+    # a simple value whose adjugate's scale passes the float range has
+    # unit-norm vectors, not the canonical ones, and they fix the same plane
     if tr.multiplicity > 1:
         return "algebraic multiplicity exceeds one"
     if abs(1.0 - tr.value) <= tol * (1.0 + abs(tr.value)):
         return "the shared eigenvalue equals one"
-    if _negligible(tol, pwl.c, tr.right):
+    if _negligible(tol, frame.c, tr._direction):
         return "the right eigenvector is orthogonal to the switching normal"
     return None
 
 
 def _transversal(u: np.ndarray, c: np.ndarray, tol: float) -> bool:
     """Whether ``u`` has a component off ``c`` above ``tol |u|``.  The test
-    does not change when ``c`` is scaled, so it runs on
-    ``linalg._well_scaled(c)``.  ``u`` is a left eigenvector, with largest
-    entry 1 or of unit norm."""
-    c, _ = linalg._well_scaled(c)
+    does not change when ``c`` is scaled; it takes the map's framed ``c``.
+    ``u`` is a left eigenvector, with largest entry 1 or of unit norm."""
     rej = u - c * (linalg._dot(u, c) / linalg._dot(c, c))
     return linalg._length(rej) > tol * linalg._length(u)
 

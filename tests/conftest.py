@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from itertools import chain
 
 import numpy as np
@@ -353,8 +354,8 @@ def reference_adjugate(a):
 # bit-identity oracles of the scalar forms: every closed form up to 3x3,
 # realness decided at ``|imag| <= thr``, in-order sums for the trace, the
 # cluster means, the norms and the condition numbers, and the SVD adjugate
-# above 3x3.  Where a plain form over- or underflows they raise instead of
-# rescaling.
+# above 3x3, all in the frame of ``reference_frame``.  Where a plain form
+# over- or underflows there they raise.
 
 _REF_KEEP = {n: np.array([[k for k in range(n) if k != d] for d in range(n)]) for n in (2, 3)}
 _REF_SIGN = {n: (-1.0) ** np.add.outer(np.arange(n), np.arange(n)) for n in (2, 3)}
@@ -495,17 +496,26 @@ def _reference_unit(v: np.ndarray) -> np.ndarray:
     return -w if first < 0.0 else w
 
 
-def _reference_eigen_vectors(A: np.ndarray, lam: float, mult: int):
-    n = A.shape[0]
-    M = -A
-    M[np.diag_indices(n)] = lam - np.diag(A)
+def _reference_eigen_vectors(F: np.ndarray, e: int, lam: float, mult: int):
+    """The vectors at the root ``lam`` of the frame ``F = A / 2^e``: a
+    simple root's right vector times ``2^(e (n - 1))`` on Python floats,
+    unit-norm vectors where that product is not exact."""
+    n = F.shape[0]
+    M = -F
+    M[np.diag_indices(n)] = lam - np.diag(F)
     if mult == 1 or n <= 3:
         B = _reference_vectorised_adjugate(M)
         i, j = np.unravel_index(int(np.argmax(np.abs(B))), B.shape)
         piv = B[i, j]
         if piv != 0.0 and np.isfinite(piv):
-            if mult == 1:
-                return B[i, :] / piv, B[:, j].copy(), True
+            k = e * (n - 1)
+            column = B[:, j].tolist()
+            try:
+                right = [math.ldexp(x, k) for x in column]
+            except OverflowError:
+                right = None
+            if mult == 1 and right is not None and [math.ldexp(x, -k) for x in right] == column:
+                return B[i, :] / piv, np.array(right), True
             return _reference_unit(B[i, :]), _reference_unit(B[:, j]), False
     U, _, Vt = np.linalg.svd(M)
     return _reference_unit(U[:, -1]), _reference_unit(Vt[-1, :]), False
@@ -520,24 +530,42 @@ def _reference_condition(t) -> float:
     return abs(uv) / scale
 
 
-def reference_real_eigen(a) -> linalg.Spectrum:
-    """``real_eigen`` on NumPy forms; raises where a plain form is out of
-    range."""
+def reference_frame(a) -> tuple[np.ndarray, int]:
+    """``(a / 2^e, e)``, ``2^e`` the power of two just above the largest
+    magnitude of ``a`` but at least ``2^min_exp``: the frame in which
+    ``real_eigen`` decides."""
     A = np.asarray(a, dtype=float)
-    roots = reference_char_roots(A)
-    norm = reference_norm(A)
-    if not math.isfinite(norm):
-        raise ArithmeticError("the Frobenius norm overflows without rescaling")
-    thr = linalg.CLUSTER_RTOL * (1.0 + norm)
+    e = max(int(np.frexp(np.abs(A).max())[1]), sys.float_info.min_exp)
+    return np.ldexp(A, -e), e
+
+
+def reference_frame_roots(a) -> np.ndarray:
+    """Characteristic roots of the frame of ``a``: the NumPy closed forms on
+    the frame up to 3x3, LAPACK's roots of ``a`` divided by ``2^e`` above."""
+    F, e = reference_frame(a)
+    if F.shape[0] <= 3:
+        return reference_char_roots(F)
+    return np.array([complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e))
+                     for z in np.linalg.eigvals(np.asarray(a, dtype=float)).tolist()])
+
+
+def reference_real_eigen(a) -> linalg.Spectrum:
+    """``real_eigen`` on NumPy forms in the frame of ``a``
+    (``reference_frame``); raises where a plain form is out of range."""
+    F, e = reference_frame(a)
+    roots = reference_frame_roots(a)
+    norm = reference_norm(F)
+    thr = linalg.CLUSTER_RTOL * (math.ldexp(1.0, -e) + norm)
     triples, pairs = [], []
     for val, mult in _reference_cluster(roots, thr):
         if abs(val.imag) <= thr:
             lam = float(val.real)
-            left, right, canonical = _reference_eigen_vectors(A, lam, mult)
-            triples.append(linalg.EigenTriple(lam, left, right, mult, canonical))
+            left, right, canonical = _reference_eigen_vectors(F, e, lam, mult)
+            triples.append(linalg.EigenTriple(math.ldexp(lam, e), left, right, mult, canonical))
         elif val.imag > 0.0:
-            pairs.append(linalg.ComplexPair(float(val.real), float(val.imag),
-                                            float(abs(val)), mult))
+            pairs.append(linalg.ComplexPair(math.ldexp(float(val.real), e),
+                                            math.ldexp(float(val.imag), e),
+                                            math.ldexp(float(abs(val)), e), mult))
     triples.sort(key=lambda t: t.value)
     pairs.sort(key=lambda p: (p.real, p.imag))
     # the merge decision itself is linalg's; this oracle checks the forms
@@ -546,10 +574,10 @@ def reference_real_eigen(a) -> linalg.Spectrum:
     for t in triples:
         s = _reference_condition(t) if t.multiplicity == 1 else math.inf
         if max(s, prev_s) < linalg.DEFECTIVE_S and linalg._rounding_split(
-                A, norm, out[-1].value, t.value, min(s, prev_s)):
-            lam = 0.5 * (out[-1].value + t.value)
-            left, right, canonical = _reference_eigen_vectors(A, lam, 2)
-            out[-1] = linalg.EigenTriple(lam, left, right, 2, canonical)
+                F, e, norm, out[-1].value, t.value, min(s, prev_s)):
+            mu = 0.5 * (math.ldexp(out[-1].value, -e) + math.ldexp(t.value, -e))
+            left, right, canonical = _reference_eigen_vectors(F, e, mu, 2)
+            out[-1] = linalg.EigenTriple(math.ldexp(mu, e), left, right, 2, canonical)
             prev_s = math.inf
         else:
             out.append(t)

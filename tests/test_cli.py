@@ -65,15 +65,42 @@ def test_analyze_shared(capsys):
     assert values == pytest.approx([-1.5, 0.2], abs=1e-12)
 
 
-def test_analyze_where_the_pieces_differ_past_the_float_range(capsys):
-    # A_R - A_L = -2e308 e1 e1^T overflows: the map is continuous, and no
-    # NumPy warning reaches stderr
-    code = main(["analyze", "--dim", "2", "--tl", "1e308", "--dl", "1e308",
-                 "--tr", "-1e308", "--dr", "1e308"])
+_CUBIC_OVERFLOW = [[1.0, 2.0, 0.0], [0.0, 1e110, 3.0], [1.0, 0.0, 2.0]]
+_EIGENVECTOR_OVERFLOW = [[1e160, 2e160], [3e160, 1e161]]
+
+
+def _identity_but_first_column(x: float) -> np.ndarray:
+    A = np.eye(3)
+    A[:, 0] = x
+    return A
+
+
+# Maps each of which once over- or underflowed on the way to its report.
+# c = e1, b = e1 and p = (A_R - A_L) e1.
+@pytest.mark.parametrize("A_L, A_R, p", [
+    # A_R - A_L = -2e308 e1 e1^T overflows: the map is continuous
+    ([[1e308, 1.0], [-1e308, 0.0]], [[-1e308, 1.0], [-1e308, 0.0]], [-np.inf, 0.0]),
+    # every entry of A_R - A_L is finite, its Frobenius norm is not (exit 3)
+    (_identity_but_first_column(8e307), _identity_but_first_column(-8e307), [-1.6e308] * 3),
+    # the closed-form cubic: p * m underflows, the square root of an
+    # underflowed negative, a**3 overflows (tracebacks, exit 1)
+    (np.diag([0.0, 0.0, 1.2416809e-139]), np.diag([0.0, 0.0, 1.2416809e-139]), [0.0] * 3),
+    ([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0046794e-131], [0.0, 1.0, 0.0]],
+     [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0046794e-131], [0.0, 1.0, 0.0]], [0.0] * 3),
+    (_CUBIC_OVERFLOW, _CUBIC_OVERFLOW, [0.0] * 3),
+    # the squares of the adjugate-scaled right eigenvector overflow
+    (_EIGENVECTOR_OVERFLOW, [[1e160, 2e160], [4e160, 1e161]], [0.0, 4e160 - 3e160]),
+], ids=["difference", "norm", "cubic-underflow", "cubic-domain", "cubic-overflow",
+        "eigenvector-squares"])
+def test_analyze_at_the_edges_of_the_float_range(tmp_path, capsys, A_L, A_R, p):
+    # a report and no NumPy warning on stderr
+    path = tmp_path / "map.txt"
+    e1 = np.eye(len(p))[0]
+    _write_map(path, A_L, A_R, e1, e1)
+    code = main(["analyze", "--matrix-file", str(path)])
     captured = capsys.readouterr()
-    assert code == 0
-    assert captured.err == ""
-    assert json.loads(captured.out)["continuity"] == {"p": [-np.inf, 0.0]}
+    assert (code, captured.err) == (0, "")
+    assert json.loads(captured.out)["continuity"] == {"p": p}
 
 
 def test_analyze_and_restrict_where_the_fit_overflows(tmp_path, capsys):
@@ -82,7 +109,7 @@ def test_analyze_and_restrict_where_the_fit_overflows(tmp_path, capsys):
     # -1e307, which A_L does not have, and restrict exited 0.
     path = tmp_path / "map.txt"
     path.write_text("2\n1e307 0\n0 1\n-1e307 1e300\n0 1\n0 0\n1e-150 0\n")
-    message = "A_R - A_L is not a rank-one update along c (residual 4.450e-08)"
+    message = "A_R - A_L is not a rank-one update along c (residual 1.000e+300)"
     assert main(["analyze", "--matrix-file", str(path)]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""

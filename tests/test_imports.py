@@ -3,10 +3,11 @@ re-exported, every module-level private name is referenced somewhere in the
 package, every dataclass field is read somewhere, every public name of a
 library module is exported by the package, no module imports SciPy, no
 inner product goes through BLAS outside the LAPACK sites above 3x3, only
-``linalg`` rescales for over- and underflow, shared-eigenvalue detection
+``linalg`` scales data into a frame, shared-eigenvalue detection
 turns no NumPy warning off, no subcommand of the command-line front end
-catches an exception, and only the step kernel generator runs generated
-code, from a cache of fixed size."""
+catches an exception, only the step kernel generator runs generated code,
+from a cache of fixed size, and every source file parses with the Python
+3.10 grammar."""
 from __future__ import annotations
 
 import ast
@@ -264,11 +265,12 @@ def test_guard_sees_a_blas_product():
     assert len(blas_products(source)) == 8
 
 
-# The retry of a scale-free decision on data rescaled by powers of two, which
-# keeps it finite and in full precision at extreme scales, lives in linalg;
-# other modules reach it through ``_scaled_sides``, ``_well_scaled``,
-# ``_rank_one_fit`` and ``_adjugate_at``.
-RESCALE_NAMES = {"_rescaled", "_full_precision"}
+# Every scale-free decision is taken in an exact power-of-two frame, which
+# only linalg builds: ``_rescaled`` divides data by a power of two, and a
+# ``_Frame`` holds a map's decision data so divided.  Other modules read a
+# map's frame (``PwlMap._frame``) and an eigenvector's direction
+# (``EigenTriple._direction``) and never scale data themselves.
+RESCALE_NAMES = {"_rescaled", "_Frame"}
 
 
 def rescale_uses(source: str) -> list[str]:
@@ -298,12 +300,12 @@ def test_only_linalg_rescales(path):
 def test_guard_sees_a_rescale_outside_linalg():
     source = ("from .linalg import _rescaled\n"
               "from . import linalg\n"
-              "def f(c):\n"
-              "    if not linalg._full_precision(linalg._dot(c, c)):\n"
-              "        c = _rescaled(c)[0]\n"
-              "    return linalg._well_scaled(c)\n")
+              "def f(c, q):\n"
+              "    frame = linalg._Frame(*linalg._rescaled(q))\n"
+              "    c = _rescaled(c)[0]\n"
+              "    return frame, linalg._map_frame(c, c, c)\n")
     assert rescale_uses(source) == [
-        "_rescaled (line 1)", "_full_precision (line 4)", "_rescaled (line 5)"]
+        "_rescaled (line 1)", "_Frame (line 4)", "_rescaled (line 4)", "_rescaled (line 5)"]
 
 
 def test_detection_turns_no_warnings_off():
@@ -403,3 +405,21 @@ def test_kernel_cache_stays_at_its_fixed_size():
         A_L, A_R = np.where(zeros, 0.0, 0.5)
         orbit(PwlMap(A_L, A_R, np.ones(2), np.array([1.0, 1.0])), np.zeros(2), 0, 1)
     assert pwlmap._kernel.cache_info().currsize == limit
+
+
+# CI also runs the suite on Python 3.10, the declared minimum.  Parsing with
+# its grammar here catches newer syntax, such as ``except*``, on any
+# interpreter.
+SOURCES = sorted([*PACKAGE.parent.rglob("*.py"), *TESTS.rglob("*.py")])
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.relative_to(TESTS.parent).as_posix())
+def test_sources_parse_with_the_python_3_10_grammar(path):
+    ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+def test_python_3_10_grammar_rejects_except_star():
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    ast.parse(source)
+    with pytest.raises(SyntaxError):
+        ast.parse(source, feature_version=(3, 10))

@@ -34,9 +34,13 @@ from conftest import (
     det_lemma_sides,
     reference_adjugate,
     reference_char_roots,
+    reference_frame,
+    reference_frame_roots,
     reference_real_eigen,
     reference_solve,
 )
+
+EPS = float(np.finfo(float).eps)
 
 
 def test_determinant_closed_form():
@@ -333,6 +337,18 @@ def test_rounding_split_jordan_blocks_merge(seed, n):
     assert near == [2] or (near == [] and len(spec.complex_pairs) == 1)
 
 
+# [[1, 1], [k, 1]] has the roots 1 -+ sqrt(k), both with s(lam) about
+# 2 sqrt(k), far below DEFECTIVE_S.  The characteristic polynomial at their
+# midpoint 1 is -k, against a rounding bound of about 4 eps: at k = 120 eps
+# they are a double root split by rounding for DEFECTIVE_SPLIT = 100 but not
+# for 10, and at k = 1200 eps for 1000 but not for 100.
+@pytest.mark.parametrize("scale", [1.0, 2.0**500])
+@pytest.mark.parametrize("k, mults", [(4 * 30 * EPS, [2]), (4 * 300 * EPS, [1, 1])])
+def test_defective_split_threshold(k, mults, scale):
+    spec = real_eigen(scale * np.array([[1.0, 1.0], [k, 1.0]]))
+    assert [t.multiplicity for t in spec.real] == mults
+
+
 def test_real_eigen_takes_only_the_matrix():
     assert list(inspect.signature(real_eigen).parameters) == ["a"]
 
@@ -539,8 +555,9 @@ def _near_axis_pair(a) -> bool:
     more than half of it away: the NumPy forms gave two simple real values
     there, the scalar forms one of multiplicity two."""
     try:
-        thr = linalg.CLUSTER_RTOL * (1.0 + np.linalg.norm(a))
-        roots = reference_char_roots(a)
+        F, e = reference_frame(a)
+        thr = linalg.CLUSTER_RTOL * (math.ldexp(1.0, -e) + np.linalg.norm(F))
+        roots = reference_frame_roots(a)
     except (ArithmeticError, ValueError, RuntimeWarning):
         return False
     return any(thr / 2.0 < abs(z.imag) <= thr for z in roots)
@@ -551,7 +568,7 @@ def _reference_or_none(a):
     (under- or overflow, warnings being errors here) or a root or value they
     give is not finite (a NaN root was dropped, not reported)."""
     try:
-        roots = reference_char_roots(a)
+        roots = reference_frame_roots(a)
         spec = reference_real_eigen(a)
     except (ArithmeticError, ValueError, RuntimeWarning):
         return None
@@ -582,7 +599,7 @@ def _assert_near_numpy(a):
 def _assert_bit_identical(a):
     want = _reference_or_none(a)
     if want is None:
-        # the NumPy forms failed at these scales; the rescaled forms return
+        # the NumPy forms failed at these scales; the frame returns
         _assert_near_numpy(a)
     else:
         assert _spectrum_bytes(real_eigen(a)) == _spectrum_bytes(want)
@@ -703,9 +720,9 @@ def test_analyze_decomposes_each_piece_once(monkeypatch, tmp_path):
     calls = []
     char_roots = linalg._char_roots
 
-    def counting(A):
+    def counting(A, F, e):
         calls.append(A.tobytes())
-        return char_roots(A)
+        return char_roots(A, F, e)
 
     monkeypatch.setattr(linalg, "_char_roots", counting)
     linalg._spectrum.cache_clear()

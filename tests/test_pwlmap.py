@@ -145,7 +145,7 @@ def test_continuity_decided_where_the_difference_overflows():
     # lies past the float range
     p = validate_continuity(PwlMap([[1e308, 0], [0, 1]], [[-1e308, 0], [0, 1]], [0, 0], [1, 0]))
     assert p.tolist() == [-math.inf, 0.0]
-    # the decision on rescaled pieces keeps the bits of p where it is finite
+    # the decision in the map's frame keeps the bits of p where it is finite
     p = validate_continuity(PwlMap([[1e308]], [[2e307]], [0], [1]))
     assert p.tolist() == [2e307 - 1e308]
 
@@ -153,9 +153,10 @@ def test_continuity_decided_where_the_difference_overflows():
 def test_continuity_decided_where_the_fit_overflows():
     # |A_R - A_L| / |c| is past the float range: the fit q overflowed, the
     # residual was inf - inf and NaN > bound accepted the map.  Its residual
-    # 1e300 against |A_R - A_L| = 2e307 is 5e-8 relative.
+    # 1e300 against |A_R - A_L| = 2e307 is 5e-8 relative; the message names
+    # the residual at the map's scale.
     broken = PwlMap([[1e307, 0], [0, 1]], [[-1e307, 1e300], [0, 1]], [0, 0], [1e-150, 0])
-    with pytest.raises(NotContinuous, match=r"residual 4\.450e-08"):
+    with pytest.raises(NotContinuous, match=r"residual 1\.000e\+300"):
         validate_continuity(broken)
     # the continuous variant: p = -2e457 lies past the float range (warnings
     # are errors in this suite)
@@ -166,6 +167,32 @@ def test_continuity_decided_where_the_fit_overflows():
     p = validate_continuity(PwlMap([[1e307, 0], [0, 1]], [[-1e307, 0], [0, 1]], [0, 0],
                                    [1e100, 0]))
     assert p.tolist() == [-2e207, 0.0]
+
+
+def test_continuity_decided_where_the_norm_of_the_difference_overflows():
+    # Every entry of A_R - A_L is -1.6e308 or 0, each finite and below 2^1023,
+    # but the Frobenius norm of that difference passes the float range: the
+    # check raised IllConditioned on this continuous map.
+    A_L, A_R = np.eye(3), np.eye(3)
+    A_L[:, 0], A_R[:, 0] = 8e307, -8e307
+    p = validate_continuity(PwlMap(A_L, A_R, np.zeros(3), [1.0, 0.0, 0.0]))
+    assert p.tolist() == [-1.6e308] * 3
+
+
+# A_R - A_L = diag(size, r) leaves the residual r of the fit along c = e1.
+# At half its threshold CONTINUITY_TOL max(1, |A_R - A_L|), CONTINUITY_TOL
+# being 1e-10, the map is continuous and at twice it is not, on either side
+# of |A_R - A_L| = 1.
+@pytest.mark.parametrize("size", [2.0**-20, 1.0, 2.0**20])
+@pytest.mark.parametrize("ratio", [0.5, 2.0])
+def test_continuity_threshold(size, ratio):
+    r = ratio * 1e-10 * max(1.0, size)
+    pwl = PwlMap(np.zeros((2, 2)), np.diag([size, r]), [0.0, 0.0], [1.0, 0.0])
+    if ratio < 1.0:
+        assert validate_continuity(pwl).tolist() == [size, 0.0]
+    else:
+        with pytest.raises(NotContinuous):
+            validate_continuity(pwl)
 
 
 def test_continuity_on_switching_plane(rng):

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pwldyn import (
@@ -190,8 +190,8 @@ def test_non_transversal_parallel_normal():
 @pytest.mark.parametrize("k", [525, 530])
 def test_non_transversal_at_subnormal_scale(k):
     # c parallel to the left eigenvector of the shared value 0.2, scaled so
-    # that c . c = 2^(-2k) is subnormal: dividing by it loses precision, so
-    # c is rescaled first, as past the other end of the float range.
+    # that c . c = 2^(-2k) is subnormal: dividing by it would lose
+    # precision, so the decision takes c in its frame, with c . c near 1.
     for seed in range(100):
         g = np.random.default_rng(seed)
         Q, _ = np.linalg.qr(g.standard_normal((3, 3)))
@@ -550,16 +550,64 @@ def test_detection_invariant_under_switching_normal_scale(pwl, scale):
     # c -> scale c leaves the map unchanged (p -> p / scale), so every
     # decision must stay the same.  At the scales 2^-540, 2^-520, 2^520 and
     # 2^560, c . c is zero, subnormal or past the float range, and the
-    # decisions take the rescaled forms.
+    # decisions take c in its frame.
     assume(_well_separated(pwl))
     _assert_same_detection(pwl, PwlMap(pwl.A_L, pwl.A_R, pwl.b, scale * pwl.c))
+
+
+def _golden_maps() -> list[PwlMap]:
+    """The five maps of the golden files."""
+    v = np.array(MATRIX_3D.split()[1:], dtype=float)
+    matrix_3d = PwlMap(v[:9].reshape(3, 3), v[9:18].reshape(3, 3), v[18:21], v[21:])
+    params = (SHARED_2D, shared_3d_params(), FLAT_LEFT_2D, FLAT_LEFT_3D)
+    return [*(bcnf(p) for p in params), matrix_3d]
+
+
+def _verdicts_of_scaled_pieces(pwl: PwlMap, k: int):
+    """What ``analyze`` decides on ``pwl`` with both pieces times ``2^k``,
+    every value divided by ``2^k``."""
+    report = analyze(PwlMap(math.ldexp(1.0, k) * pwl.A_L, math.ldexp(1.0, k) * pwl.A_R,
+                            pwl.b, pwl.c))
+
+    def values(spec):
+        return ([(math.ldexp(t.value, -k), t.multiplicity) for t in spec.real],
+                [(math.ldexp(z.real, -k), math.ldexp(z.imag, -k), math.ldexp(z.modulus, -k),
+                  z.multiplicity) for z in spec.complex_pairs])
+
+    p = report.p if isinstance(report.p, str) else np.ldexp(report.p, -k).tolist()
+    shared = report.shared
+    if isinstance(shared, str):  # "Type: shared eigenvalue <value>: <failure>"
+        shared = shared.rsplit(": ", 1)[-1]
+    elif shared is not None:
+        shared = (math.ldexp(shared.value, -k), shared.transversal,
+                  [math.ldexp(v, -k) for v in shared.other_shared])
+    zero = report.zero_plane
+    if zero is not None and (not isinstance(zero, str) or zero.startswith("NoFixedPoint")):
+        zero = "simple zero"
+    return p, values(report.spectrum_left), values(report.spectrum_right), shared, zero
+
+
+# Both pieces times 2^k: each decomposition and the map's frame are those of
+# k = 0, so every verdict is the same and every value exactly 2^k times its
+# own.  The zero plane passes through the left piece's fixed point, and
+# whether 1 is in that piece's spectrum is decided at the true scale
+# (linalg.solve's pivot), so the zero-plane verdict compared is the
+# singular piece's: a simple zero, another error, or none.  Negative k waits
+# for a relative cluster threshold: CLUSTER_RTOL (1 + |A|_F) is absolute
+# below |A|_F = 1 and merges all roots of a 2x2 at 2^-500.
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(0, 1000))
+@example(k=1000)
+def test_verdicts_invariant_under_power_of_two_scaling_of_the_pieces(k):
+    for pwl in _golden_maps():
+        assert _verdicts_of_scaled_pieces(pwl, k) == _verdicts_of_scaled_pieces(pwl, 0)
 
 
 def test_detection_where_adjugate_products_overflow():
     # A_R has the defective double root 2 s, whose adjugate has entries near
     # 1e301 in equal rows 0 and 1; c has entries 2^30 of opposite sign there,
-    # so the plain c^T B adds inf to -inf.  The decision is taken on the
-    # rescaled factors, with no warning, and agrees with the one on c / 2^40.
+    # so the plain c^T B adds inf to -inf.  The decision is taken in the
+    # map's frame, with no warning, and agrees with the one on c / 2^40.
     s = 2.0**500
     A_R = s * np.array([[1.0, 1.0, 0.0], [-1.0, 3.0, 0.0], [0.0, 0.0, 5.0]])
     c = 2.0**30 * np.array([1.0, -1.0, 1.0])
@@ -1159,7 +1207,8 @@ def test_analyze_gives_the_values_of_the_calls(shared_map):
 
 
 def test_analyze_passes_other_errors_on():
-    huge = np.array([[1e308, 1e308], [-1e308, 1e308]])
+    # the eigenvalue 3e308 is past the float range
+    huge = np.full((2, 2), 1.5e308)
     with pytest.raises(IllConditioned):
         analyze(PwlMap(huge, huge, [1.0, 0.0], [0.0, 1.0]))
 
