@@ -20,7 +20,7 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -275,26 +275,14 @@ def _emit_csv(header: list[str], rows: list, out: str | None) -> None:
 # report builders
 
 
-def _spectrum_dict(spec) -> dict:
-    return {
-        "real": [
-            {
-                "value": t.value,
-                "multiplicity": t.multiplicity,
-                "canonical": t.canonical,
-                "left": t.left.tolist(),
-                "right": t.right.tolist(),
-            }
-            for t in spec.real
-        ],
-        "complex_pairs": [_fields_dict(p) for p in spec.complex_pairs],
-    }
-
-
-def _fields_dict(record) -> dict:
-    """The fields of a library record by name, in their order, arrays as lists."""
-    values = {f.name: getattr(record, f.name) for f in fields(record)}
-    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
+def _fields_dict(value):
+    """A library value as JSON data: a record as the dict of its fields by
+    name, in their order, tuples and arrays as lists, recursively."""
+    if is_dataclass(value):
+        return {f.name: _fields_dict(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_fields_dict(v) for v in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
 def _fixed_point_dict(info) -> dict:
@@ -347,8 +335,8 @@ def cmd_analyze(cfg: RunConfig, out: str | None) -> None:
         "map": {"n": pwl.n, **_fields_dict(pwl)},
         "continuity": _record_dict(report.p, lambda p: {"p": p.tolist()}),
         "eigenvalues": {
-            "L": _spectrum_dict(report.spectrum_left),
-            "R": _spectrum_dict(report.spectrum_right),
+            "L": _fields_dict(report.spectrum_left),
+            "R": _fields_dict(report.spectrum_right),
         },
         "fixed_points": {
             "right": _fixed_point_dict(report.fixed_points.right),

@@ -146,10 +146,7 @@ def _as_square(a) -> np.ndarray:
 
 def determinant(a) -> float:
     """Determinant, via closed forms for n <= 3 and LAPACK's LU above."""
-    return _det(_as_square(a))
-
-
-def _det(A: np.ndarray) -> float:
+    A = _as_square(a)
     if A.shape[0] > 3:
         with np.errstate(over="ignore"):  # past the float range it is inf, as the closed forms are
             return float(np.linalg.det(A))
@@ -311,10 +308,10 @@ class EigenTriple:
     """
 
     value: float
-    left: np.ndarray
-    right: np.ndarray
     multiplicity: int
     canonical: bool
+    left: np.ndarray
+    right: np.ndarray
 
     @functools.cached_property
     def _direction(self) -> np.ndarray:
@@ -381,7 +378,8 @@ def _spectrum(key: bytes, n: int) -> Spectrum:
     try:
         for lam, mult in reals:
             left, right, canonical = _eigen_vectors(F, e, lam, mult)
-            triples.append(EigenTriple(math.ldexp(lam, e), left, right, mult, canonical))
+            triples.append(EigenTriple(value=math.ldexp(lam, e), multiplicity=mult,
+                                       canonical=canonical, left=left, right=right))
         pairs = [ComplexPair(math.ldexp(z.real, e), math.ldexp(z.imag, e),
                              math.ldexp(abs(z), e), mult) for z, mult in uppers]
     except OverflowError as exc:
@@ -408,7 +406,8 @@ def _merge_defective(F: np.ndarray, e: int, norm: float,
                                                              min(s, prev_s)):
             lam = 0.5 * out[-1].value + 0.5 * t.value  # their mean, which cannot overflow
             left, right, canonical = _eigen_vectors(F, e, math.ldexp(lam, -e), 2)
-            out[-1] = EigenTriple(lam, left, right, 2, canonical)
+            out[-1] = EigenTriple(value=lam, multiplicity=2, canonical=canonical,
+                                  left=left, right=right)
             prev_s = math.inf
         else:
             out.append(t)
@@ -514,16 +513,12 @@ def _char_roots(A: np.ndarray, F: np.ndarray, e: int) -> list[complex]:
         coeffs, k = _scaled_char_poly(F.tolist())
         try:
             roots = [complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
-                     for z in _poly_roots(coeffs)]
+                     for z in (_quadratic_roots if n == 2 else _cubic_roots)(*coeffs)]
         except (ArithmeticError, ValueError) as exc:
             raise IllConditioned(f"a characteristic root is out of range: {exc}") from exc
     if not all(map(cmath.isfinite, roots)):
         raise IllConditioned("a characteristic root is not finite")
     return roots
-
-
-def _poly_roots(coeffs: list[float]) -> list[complex]:
-    return _quadratic_roots(*coeffs) if len(coeffs) == 2 else _cubic_roots(*coeffs)
 
 
 def _scaled_char_poly(r: list[list[float]]) -> tuple[list[float], int]:

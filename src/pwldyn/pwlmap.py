@@ -120,11 +120,14 @@ def _kernel(n: int, pattern: str = ""):
 
     ``steps(flat, x, k, out)`` takes ``k`` steps from the point ``x`` (``n``
     floats), appends the coordinates of each point it steps to the list
-    ``out`` and returns the last image as a tuple.  ``skip(flat, x, k, q)``
-    stores nothing: it tests each iterate ``x_i`` (``x_0 = x``) before
-    stepping it and returns ``(i, x_i)`` for the first with a coordinate
-    outside ``(-q, q)``, a NaN one included, or ``(k, x_k)``.  Python floats
-    overflow to inf and NaN without raising.
+    ``out`` and returns the last image as a tuple.
+    ``skip(flat, x, k, q, radius)`` stores nothing: it tests each iterate
+    ``x_i`` (``x_0 = x``) before stepping it, and one with a coordinate
+    outside ``(-q, q)``, a NaN one included, gets its norm ``r``, the
+    in-order ``sqrt(x_0 * x_0 + x_1 * x_1 + ...)`` of ``linalg._length``.
+    It returns ``(i, x_i, r)`` for the first iterate with ``r > radius`` or
+    ``r`` not finite, or ``(k, x_k, None)``.  Python floats overflow to inf
+    and NaN without raising.
 
     ``pattern`` is the map's ``_Pieces.pattern``, whose exact zeros and ones
     the step folds (see the comment above); the empty pattern, the default,
@@ -164,17 +167,19 @@ def _kernel(n: int, pattern: str = ""):
         *(f"        put({x})" for x in xs),
         *step,
         f"    return {point}",
-        "def skip(flat, x, k, q):",
+        "def skip(flat, x, k, q, radius):",
         f"    {', '.join(names)} = flat",
         f"    {point}= x",
         "    m = -q",
         "    for i in range(k):",
         f"        if not ({' and '.join(f'm < {x} < q' for x in xs)}):",
-        f"            return i, ({point})",
+        f"            r = sqrt({' + '.join(f'{x} * {x}' for x in xs)})",
+        "            if r > radius or not r < inf:",
+        f"                return i, ({point}), r",
         *step,
-        f"    return k, ({point})",
+        f"    return k, ({point}), None",
     ])
-    namespace: dict = {}
+    namespace: dict = {"sqrt": math.sqrt, "inf": math.inf}
     exec(compile(source, f"<pwldyn step, n = {n}, pattern {pattern!r}>", "exec"), namespace)
     return namespace["steps"], namespace["skip"]
 
@@ -385,19 +390,18 @@ def orbit(
     image of ``points[k]`` and ``itinerary[k]`` records which piece applies
     at ``points[k]``.
 
-    Iterate ``k`` escapes when its norm (``linalg._length``, or ``_norms``
-    with the same bits) exceeds ``escape_radius`` and is non-finite
-    otherwise when the norm is not finite.  An iterate whose coordinates
-    all lie below ``quiet`` needs no norm: its computed norm is finite and
-    at most ``sqrt(n) max|x_i| (1 + (n + 2) eps)``, below the radius.  The
-    transient is stepped without storing it, each iterate tested against
-    that box and given its norm only outside it.  The kept iterates are
+    Iterate ``k`` escapes when its norm (the bits of ``linalg._length``)
+    exceeds ``escape_radius`` and is non-finite otherwise when the norm is
+    not finite.  An iterate whose coordinates all lie below ``quiet`` needs
+    no norm: its computed norm is finite and at most ``sqrt(n) max|x_i| (1 +
+    (n + 2) eps)``, below the radius.  The transient is one ``skip`` call
+    of ``_kernel``, which decides its stop unstored.  The kept iterates are
     stepped a chunk at a time into ``points``, and a chunk with a
-    coordinate outside the box gets the norms of all its iterates.
-    Iterates past the stop are garbage and are not kept.  The step is
-    folded for the map's exact zeros and ones (``_kernel``), which keeps the
-    generic bits on every iterate up to the stop.  The itinerary is the
-    side test on the kept points, in the columnar layout.
+    coordinate outside the box gets the ``_norms`` of all its iterates.
+    Both phases leave through one stop.  The step is folded for the map's
+    exact zeros and ones (``_kernel``), which keeps the generic bits on
+    every iterate up to the stop.  The itinerary is the side test on the
+    kept points, in the columnar layout.
     """
     _check_lengths(n_transient, n_keep)
     if not escape_radius > 0.0:
@@ -410,26 +414,11 @@ def orbit(
     steps, skip = _kernel(n, p.pattern)
     quiet = min(escape_radius, _QUIET_MAX) / math.sqrt(n) * (1.0 - 16 * n * _EPS)
     pts = np.empty((n_keep, n))
-    x = x0.tolist()
-    stop = None
-    done = 0  # transient iterates tested
-    while done < n_transient:
-        i, x = skip(p.flat, x, n_transient - done, quiet)
-        done += i
-        if done == n_transient:
-            break
-        r = linalg._length(list(x))
-        if r > escape_radius:
-            stop = done
-            pts = pts[:0]
-            break
-        if not math.isfinite(r):
-            raise NonFinite(f"orbit iterate {done} is not finite")
-        x = steps(p.flat, x, 1, [])
-        done += 1
+    i, x, r = skip(p.flat, x0.tolist(), n_transient, quiet, escape_radius)
+    stop = i if i < n_transient else None
     # Overflow ends in an escape or NonFinite below, not in a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, len(pts), _CHUNK):
+        for lo in range(0, n_keep if stop is None else 0, _CHUNK):
             k = min(lo + _CHUNK, n_keep) - lo
             coords: list[float] = []
             x = steps(p.flat, x, k, coords)
@@ -437,15 +426,16 @@ def orbit(
             pts[lo : lo + k] = buf
             if np.abs(buf).max() < quiet:  # NaN is not below it
                 continue
-            r = _norms(buf)
-            bad = (r > escape_radius) | ~np.isfinite(r)
+            norms = _norms(buf)
+            bad = (norms > escape_radius) | ~np.isfinite(norms)
             if bad.any():
                 i = int(bad.argmax())
-                stop = n_transient + lo + i
-                if not r[i] > escape_radius:
-                    raise NonFinite(f"orbit iterate {stop} is not finite")
-                pts = pts[: lo + i]
+                stop, r = n_transient + lo + i, norms[i]
                 break
+        if stop is not None:
+            if not r > escape_radius:
+                raise NonFinite(f"orbit iterate {stop} is not finite")
+            pts = pts[: max(stop - n_transient, 0)]
         lefts = _left_rows(p, pts)
     return OrbitData(
         points=pts,

@@ -401,18 +401,29 @@ def reference_char_roots(a) -> np.ndarray:
     n = A.shape[0]
     if n == 1:
         return np.array([complex(A[0, 0])])
-    if n == 2:
-        tr = float(A[0, 0] + A[1, 1])
-        return _reference_quadratic_roots(-tr, _reference_closed_det(A))
-    if n == 3:
-        tr = float(A[0, 0] + A[1, 1] + A[2, 2])
-        e2 = float(
-            A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-            + A[0, 0] * A[2, 2] - A[0, 2] * A[2, 0]
-            + A[1, 1] * A[2, 2] - A[1, 2] * A[2, 1]
-        )
-        return _reference_cubic_roots(-tr, e2, -_reference_closed_det(A))
+    if n <= 3:
+        return _reference_poly_roots(_reference_char_coeffs(A))
     return np.asarray(np.linalg.eigvals(A), dtype=complex)
+
+
+def _reference_char_coeffs(A: np.ndarray) -> list[float]:
+    """Coefficients below the leading 1 of the characteristic polynomial of
+    a 2x2 or 3x3 matrix."""
+    if A.shape[0] == 2:
+        return [-float(A[0, 0] + A[1, 1]), _reference_closed_det(A)]
+    tr = float(A[0, 0] + A[1, 1] + A[2, 2])
+    e2 = float(
+        A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+        + A[0, 0] * A[2, 2] - A[0, 2] * A[2, 0]
+        + A[1, 1] * A[2, 2] - A[1, 2] * A[2, 1]
+    )
+    return [-tr, e2, -_reference_closed_det(A)]
+
+
+def _reference_poly_roots(coeffs: list[float]) -> np.ndarray:
+    if len(coeffs) == 2:
+        return _reference_quadratic_roots(*coeffs)
+    return _reference_cubic_roots(*coeffs)
 
 
 def _reference_quadratic_roots(a: float, b: float) -> np.ndarray:
@@ -540,11 +551,20 @@ def reference_frame(a) -> tuple[np.ndarray, int]:
 
 
 def reference_frame_roots(a) -> np.ndarray:
-    """Characteristic roots of the frame of ``a``: the NumPy closed forms on
-    the frame up to 3x3, LAPACK's roots of ``a`` divided by ``2^e`` above."""
+    """Characteristic roots of the frame of ``a``: LAPACK's roots of ``a``
+    divided by ``2^e`` above 3x3; up to 3x3 the NumPy closed forms on the
+    frame's characteristic polynomial in ``y = x / 2^k``, ``2^k`` the power
+    of two just above the roots' scale ``max |coefficient_i|^(1/i)``, so
+    that roots far below 1 do not underflow the discriminant."""
     F, e = reference_frame(a)
-    if F.shape[0] <= 3:
+    if F.shape[0] == 1:
         return reference_char_roots(F)
+    if F.shape[0] <= 3:
+        coeffs = _reference_char_coeffs(F)
+        k = math.frexp(max(abs(c) ** (1.0 / i) for i, c in enumerate(coeffs, 1)))[1]
+        roots = _reference_poly_roots([math.ldexp(c, -i * k) for i, c in enumerate(coeffs, 1)])
+        return np.array([complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+                         for z in roots.tolist()])
     return np.array([complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e))
                      for z in np.linalg.eigvals(np.asarray(a, dtype=float)).tolist()])
 
@@ -561,7 +581,8 @@ def reference_real_eigen(a) -> linalg.Spectrum:
         if abs(val.imag) <= thr:
             lam = float(val.real)
             left, right, canonical = _reference_eigen_vectors(F, e, lam, mult)
-            triples.append(linalg.EigenTriple(math.ldexp(lam, e), left, right, mult, canonical))
+            triples.append(linalg.EigenTriple(value=math.ldexp(lam, e), multiplicity=mult,
+                                              canonical=canonical, left=left, right=right))
         elif val.imag > 0.0:
             pairs.append(linalg.ComplexPair(math.ldexp(float(val.real), e),
                                             math.ldexp(float(val.imag), e),
@@ -577,7 +598,8 @@ def reference_real_eigen(a) -> linalg.Spectrum:
                 F, e, norm, out[-1].value, t.value, min(s, prev_s)):
             mu = 0.5 * (math.ldexp(out[-1].value, -e) + math.ldexp(t.value, -e))
             left, right, canonical = _reference_eigen_vectors(F, e, mu, 2)
-            out[-1] = linalg.EigenTriple(math.ldexp(mu, e), left, right, 2, canonical)
+            out[-1] = linalg.EigenTriple(value=math.ldexp(mu, e), multiplicity=2,
+                                         canonical=canonical, left=left, right=right)
             prev_s = math.inf
         else:
             out.append(t)

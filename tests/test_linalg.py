@@ -349,6 +349,19 @@ def test_defective_split_threshold(k, mults, scale):
     assert [t.multiplicity for t in spec.real] == mults
 
 
+# [[1, t], [0, 1 + 3e-7]] with t = 3e-7 / theta has the simple roots 1 and
+# 1 + 3e-7 with s(lam) about theta, split by a rounding-sized amount: they
+# merge into one double root at theta = 5e-6 for DEFECTIVE_S = 1e-5 but not
+# for 1e-6, and stay apart at theta = 2e-5 for 1e-5 but not for 1e-4.
+@pytest.mark.parametrize("theta, mults", [(5e-6, [2]), (2e-5, [1, 1])])
+def test_defective_condition_threshold(theta, mults):
+    spec = real_eigen(np.array([[1.0, 3e-7 / theta], [0.0, 1.0 + 3e-7]]))
+    assert [t.multiplicity for t in spec.real] == mults
+    for t in spec.real:
+        if t.multiplicity == 1:
+            assert linalg._condition(t) == pytest.approx(theta, rel=0.01)
+
+
 def test_real_eigen_takes_only_the_matrix():
     assert list(inspect.signature(real_eigen).parameters) == ["a"]
 
@@ -425,6 +438,18 @@ def test_solve_graded_matches_numpy(rng):
         skeel = np.abs(np.linalg.inv(a)) @ (np.abs(a) @ np.abs(want))
         assert np.max(np.abs(got - want)) <= 1e3 * eps * np.max(skeel)
     assert 0 < rejected < 300
+
+
+# The pivot d of diag(1, d) against the floor PIVOT_RTOL * 1 = 1e-12: at
+# 5e-13 singular for PIVOT_RTOL = 1e-12 but not for 1e-13, at 2e-12 solved
+# for 1e-12 but not for 1e-11.
+@pytest.mark.parametrize("d, singular", [(5e-13, True), (2e-12, False)])
+def test_pivot_threshold(d, singular):
+    if singular:
+        with pytest.raises(SingularMatrix):
+            solve([[1.0, 0.0], [0.0, d]], [1.0, 1.0])
+    else:
+        assert solve([[1.0, 0.0], [0.0, d]], [1.0, 1.0]).tolist() == [1.0, 1.0 / d]
 
 
 def test_solve_singular():

@@ -444,22 +444,65 @@ def test_orbit_stops_around_the_transient_and_chunk_boundaries(n_transient, s):
     assert_orbit_matches_chunked_loop(pwl, np.full(2, 2.0 ** (512 - s)), n_transient, 600, np.inf)
 
 
+def _counted_skips(calls):
+    """A stand-in for ``pwlmap._kernel`` whose ``skip`` records the length
+    ``k`` of each call in ``calls``."""
+    kernel_of = pwlmap._kernel
+
+    def kernel(n, pattern=""):
+        steps, skip = kernel_of(n, pattern)
+
+        def counted(flat, x, k, q, radius):
+            calls.append(k)
+            return skip(flat, x, k, q, radius)
+        return steps, counted
+    return kernel
+
+
 def test_transient_outside_the_quiet_box_inside_the_radius():
     # The quarter turn keeps (8, 0) at norm 8, inside the radius 10, but
     # every iterate has a coordinate outside the box of side 10 / sqrt(2) in
-    # which no norm is needed, so each transient iterate gets its norm.
-    # Halving from 1e153 leaves the box of the radius 1e200 (side 1e150 /
-    # sqrt(2)) for the first 11 iterates.
+    # which no norm is needed, so each of its 10 000 transient iterates gets
+    # its norm.  Halving from 1e153 leaves the box of the radius 1e200 (side
+    # 1e150 / sqrt(2)) for the first 11 iterates.  Either way the whole
+    # transient is one ``skip`` call, which takes those norms itself.
     turn = np.array([[0.0, -1.0], [1.0, 0.0]])
     half = 0.5 * np.eye(2)
-    for A, x0, radius, tested in [(turn, [8.0, 0.0], 10.0, 300),
-                                  (half, [1e153, -1e153], 1e200, 11)]:
+    for A, x0, radius, n_transient in [(turn, [8.0, 0.0], 10.0, 10_000),
+                                       (half, [1e153, -1e153], 1e200, 300)]:
         pwl = PwlMap(A, A, np.zeros(2), np.array([1.0, 0.0]))
-        got = assert_orbit_matches_chunked_loop(pwl, np.array(x0), 300, 10, radius)
+        got = assert_orbit_matches_chunked_loop(pwl, np.array(x0), n_transient, 10, radius)
         assert not got.escaped
-        with mock.patch.object(pwlmap.linalg, "_length", wraps=pwlmap.linalg._length) as length:
-            orbit(pwl, np.array(x0), 300, 10, radius)
-        assert length.call_count == tested
+        pts, its, _, _ = reference_orbit(*pieces(pwl), np.array(x0), n_transient, 10, radius)
+        assert got.points.tobytes() == pts.tobytes()
+        assert np.array_equal(got.itinerary, its)
+        calls: list[int] = []
+        with mock.patch.object(pwlmap, "_kernel", _counted_skips(calls)):
+            again = orbit(pwl, np.array(x0), n_transient, 10, radius)
+        assert calls == [n_transient]
+        assert again.points.tobytes() == got.points.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1.0, 1e-160, 0.9e154, 1e154, 1.1e154, np.nan]),
+    folded=st.booleans(),
+)
+def test_skip_norm_has_the_bits_of_length(n, seed, scale, folded):
+    # With an empty box (q = 0) and a negative radius every iterate gets its
+    # norm and stops the loop at once: ``r`` must be ``linalg._length`` of
+    # the start, bit for bit, also where the squares overflow or are NaN.
+    rng = np.random.default_rng(seed)
+    p = _map_with_exact_entries(rng, n, 1.0, False)._pieces
+    skip = pwlmap._kernel(n, p.pattern if folded else "")[1]
+    x = _planted(rng, rng.standard_normal(n), [None, 0.0, -0.0, 1.0], [0.5, 0.2, 0.1, 0.2])
+    x *= scale * rng.choice([1.0, -1.0], n)
+    i, y, r = skip(p.flat, x.tolist(), 5, 0.0, -1.0)
+    assert i == 0
+    assert np.array(y).tobytes() == x.tobytes()
+    assert np.float64(r).tobytes() == np.float64(pwlmap.linalg._length(x.tolist())).tobytes()
 
 
 def _random_continuous_map(rng, n, scale):
@@ -555,6 +598,32 @@ def test_orbit_escape_radius_at_the_cheap_test_bound(n):
     with mock.patch.object(pwlmap, "_norms", wraps=pwlmap._norms) as norms:
         assert not orbit(pwl, x0, 0, steps, 2.0 * top).escaped
     assert norms.call_count == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_transient_escape_radius_at_the_cheap_test_bound(n):
+    # The climb above as a transient with a short keep: ``skip``'s norms
+    # decide the late iterates against radii within a few ulps of sqrt(n)
+    # max|x_i| of the last iterates, as the reference loop does.
+    a, steps = 0.7, 5000
+    eye = np.eye(n)
+    pwl = PwlMap(0.99 * eye, 0.99 * eye, np.full(n, 0.01 * a), eye[0])
+    x0 = np.zeros(n)
+    pts, _, _, _ = reference_orbit(*pieces(pwl), x0, 0, steps, 1e12)
+    top = math.sqrt(n) * float(np.abs(pts[-1]).max())
+    escapes = set()
+    for ulps in range(-3, 4):
+        radius = top + ulps * math.ulp(top)
+        ref_pts, ref_its, discarded, escape_index = reference_orbit(
+            *pieces(pwl), x0, steps, 3, radius)
+        got = orbit(pwl, x0, steps, 3, radius)
+        assert got.escape_index == escape_index
+        assert got.transient_discarded == discarded
+        assert got.points.tobytes() == ref_pts.tobytes()
+        assert np.array_equal(got.itinerary, ref_its)
+        escapes.add(escape_index)
+    assert None in escapes
+    assert any(e is not None and e < steps for e in escapes)
 
 
 @settings(max_examples=100, deadline=None)
@@ -713,6 +782,17 @@ def test_fixed_point_borderline():
     assert fp.right.admissible
     assert fp.left.borderline
     assert not fp.left.admissible
+
+
+# x -> x / 2 + beta has its fixed point 2 beta, that far from the switching
+# plane x = 0: borderline at beta = 2.5e-13 for BORDERLINE_ATOL = 1e-12 but
+# not for 1e-13, and not at beta = 1e-12 for 1e-12 but for 1e-11.
+@pytest.mark.parametrize("beta, borderline", [(2.5e-13, True), (1e-12, False)])
+def test_borderline_threshold(beta, borderline):
+    fp = fixed_points(PwlMap([[0.5]], [[0.5]], [beta], [1.0]))
+    assert fp.right.point.tolist() == [2.0 * beta]
+    assert fp.right.admissible
+    assert fp.right.borderline is borderline
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

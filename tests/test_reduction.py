@@ -734,6 +734,23 @@ def test_induced_map_rejects_off_plane(flat_left_map):
         sample_induced(flat_left_map, plane, [[0.5]], chart=other)
 
 
+# The plane's chart moved off it along the normal by k * 1e-9 (1 + |base|):
+# the lifted start is on the section at k = 0.5 for MEMBERSHIP_TOL = 1e-9
+# but not for 1e-10, and off it at k = 2 for 1e-9 but not for 1e-8.
+@pytest.mark.parametrize("k, on_section", [(0.5, True), (2.0, False)])
+def test_membership_threshold(flat_left_map, k, on_section):
+    plane = zero_eig_reduction(flat_left_map)
+    chart = plane_chart(plane)
+    shift = k * 1e-9 * (1.0 + np.linalg.norm(chart.base))
+    moved = dataclasses.replace(chart, base=chart.base + shift * plane.normal)
+    if on_section:
+        (sample,) = sample_induced(flat_left_map, plane, [[0.0]], chart=moved)
+        assert sample.status == "ok"
+    else:
+        with pytest.raises(ValueError, match="start point is not on the section"):
+            sample_induced(flat_left_map, plane, [[0.0]], chart=moved)
+
+
 def test_induced_map_fixed_point_on_plane():
     # The right piece keeps a fixed point on the image plane; the induced
     # map returns it unchanged after a single step.
