@@ -9,14 +9,15 @@ eigenvectors of a real root are read off the adjugate of ``value * I - A``,
 which fixes the relative scaling of a simple root's vectors.  Two adjacent
 real roots whose eigenvalue condition numbers ``s = |u . v| / (|u| |v|)``
 are both tiny, and which lie no farther apart than rounding splits a double
-root, are one defective double root.
+root, are one defective double root; up to 3x3 the split is tested first
+and ``s`` taken only for a pair that passes.
 
 Every public function validates its matrix once and passes the validated
 array to the private helpers.  The closed forms up to 3x3, the Newton
-polish of cubic roots, the clustering of roots, the eigenvector readout and
-the Gaussian elimination of ``solve`` run on Python floats and complex
-numbers (``A.tolist()``): at these sizes NumPy's per-call overhead, not the
-arithmetic, would dominate.
+polish of cubic roots, the clustering of roots, the eigenvector readout
+(each vector becomes an array once) and the Gaussian elimination of
+``solve`` run on Python floats and complex numbers (``A.tolist()``): at
+these sizes NumPy's per-call overhead, not the arithmetic, would dominate.
 
 Every inner product of the package is the step's in-order sum
 ``(x_0 y_0 + x_1 y_1) + ...``, each product and each sum rounded once and
@@ -28,8 +29,10 @@ the BLAS build or the CPU.  Above 3x3 LAPACK's ``eigvals``, ``svd`` and
 
 ``real_eigen`` remembers the spectra of the last two matrices it decomposed,
 the two pieces of the map being analysed, so the several analyses of one map
-decompose each piece once.  The vectors it returns are read-only, because
-every caller that asks again for one matrix shares them.
+decompose each piece once.  It checks the shape on every call and scans the
+entries for non-finite ones once per decomposition, as they enter the memo.
+The vectors it returns are read-only: every caller that asks again for one
+matrix shares them.
 
 Every scale-free decision is taken once, in an exact power-of-two frame
 (``_rescaled``; Higham, *Accuracy and Stability of Numerical Algorithms*,
@@ -42,6 +45,7 @@ and takes the true scale.  No other module scales data.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import math
 import operator
@@ -133,12 +137,16 @@ def _matmul(A, B) -> np.ndarray:
     return _rows_dot(np.asarray(A, dtype=float)[:, None, :], np.asarray(B, dtype=float).T)
 
 
-def _as_square(a) -> np.ndarray:
+def _square(a) -> np.ndarray:
     A = np.asarray(a, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if A.shape[0] < 1:
         raise ValueError("empty matrix")
+    return A
+
+
+def _finite(A: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix entries must be finite")
     return A
@@ -146,7 +154,7 @@ def _as_square(a) -> np.ndarray:
 
 def determinant(a) -> float:
     """Determinant, via closed forms for n <= 3 and LAPACK's LU above."""
-    A = _as_square(a)
+    A = _finite(_square(a))
     if A.shape[0] > 3:
         with np.errstate(over="ignore"):  # past the float range it is inf, as the closed forms are
             return float(np.linalg.det(A))
@@ -176,7 +184,7 @@ def adjugate(a) -> np.ndarray:
     by it, so the adjugate stays accurate at rank n - 1 and is exactly zero
     when two singular values are.
     """
-    return _adj(_as_square(a))
+    return _adj(_finite(_square(a)))
 
 
 def _adj(A: np.ndarray) -> np.ndarray:
@@ -232,7 +240,7 @@ def solve(a, rhs) -> np.ndarray:
     Raises SingularMatrix when a pivot falls below ``PIVOT_RTOL`` relative to
     the largest entry of ``A``.
     """
-    A = _as_square(a)
+    A = _finite(_square(a))
     b = np.asarray(rhs, dtype=float)
     if b.shape != (A.shape[0],):
         raise ValueError("right-hand side must be a vector matching the matrix size")
@@ -353,10 +361,10 @@ def real_eigen(a) -> Spectrum:
 
     The spectra of the last two matrices decomposed are remembered, keyed by
     the matrix bytes (so ``-0.0`` and ``+0.0`` differ), and asking again for
-    one of them returns the same Spectrum object.  Raises IllConditioned
-    when a characteristic root is not finite.
+    one of them returns the same Spectrum object; only its shape is checked
+    again.  Raises IllConditioned when a characteristic root is not finite.
     """
-    A = _as_square(a)
+    A = _square(a)
     return _spectrum(A.tobytes(), A.shape[0])
 
 
@@ -370,7 +378,7 @@ def _spectrum(key: bytes, n: int) -> Spectrum:
     All is computed on the frame ``F = A / 2^e`` (``_rescaled``), where
     ``1 + ||A||_F`` is ``2^-e + ||F||_F``; values go back out times ``2^e``.
     """
-    A = np.frombuffer(key).reshape(n, n)
+    A = _finite(np.frombuffer(key).reshape(n, n))  # a failed scan is not cached
     F, e = _rescaled(A)
     norm = _length(F)
     reals, uppers = _cluster(_char_roots(A, F, e), CLUSTER_RTOL * (math.ldexp(1.0, -e) + norm))
@@ -394,16 +402,18 @@ def _merge_defective(F: np.ndarray, e: int, norm: float,
     """Merge each adjacent pair of simple values that is a defective double
     root split by rounding into their mean with multiplicity two, left to
     right: both s(lam) below ``DEFECTIVE_S`` and ``_rounding_split`` true.
-    ``F = A / 2^e`` is the frame of the triples' matrix and ``norm`` its
-    Frobenius norm."""
+    Up to 3x3 that split test does not take s, so it goes first and s is
+    taken only for a pair that passes it.  ``F = A / 2^e`` is the frame of
+    the triples' matrix and ``norm`` its Frobenius norm."""
     if sum(t.multiplicity == 1 for t in triples) < 2:
         return tuple(triples)
     out: list[EigenTriple] = []
-    prev_s = math.inf  # s(lam) of out[-1] if it is simple and not merged
+    prev_s = math.inf  # s(lam) of out[-1] if simple and not merged (up to 3x3 0.0, not taken)
     for t in triples:
-        s = _condition(t) if t.multiplicity == 1 else math.inf
-        if max(s, prev_s) < DEFECTIVE_S and _rounding_split(F, e, norm, out[-1].value, t.value,
-                                                             min(s, prev_s)):
+        s = math.inf if t.multiplicity > 1 else _condition(t) if F.shape[0] > 3 else 0.0
+        if (max(s, prev_s) < DEFECTIVE_S
+                and _rounding_split(F, e, norm, out[-1].value, t.value, min(s, prev_s))
+                and (F.shape[0] > 3 or max(_condition(out[-1]), _condition(t)) < DEFECTIVE_S)):
             lam = 0.5 * out[-1].value + 0.5 * t.value  # their mean, which cannot overflow
             left, right, canonical = _eigen_vectors(F, e, math.ldexp(lam, -e), 2)
             out[-1] = EigenTriple(value=lam, multiplicity=2, canonical=canonical,
@@ -417,11 +427,11 @@ def _merge_defective(F: np.ndarray, e: int, norm: float,
 
 def _rounding_split(F: np.ndarray, e: int, norm: float, lo: float, hi: float, s: float) -> bool:
     """Whether rounding can have split one double root into ``lo < hi``,
-    ``s`` being the smaller condition number (see ``DEFECTIVE_SPLIT``).
+    ``s`` the smaller condition number, read above 3x3 (``DEFECTIVE_SPLIT``).
 
     Both sides are homogeneous: they are taken in the frame ``F = A / 2^e``
     of ``_spectrum``, of Frobenius norm ``norm``, where nothing overflows."""
-    eps = np.finfo(float).eps
+    eps = sys.float_info.epsilon
     lo, hi = math.ldexp(lo, -e), math.ldexp(hi, -e)
     if F.shape[0] > 3:
         return (hi - lo) * s <= DEFECTIVE_SPLIT * eps * norm
@@ -665,27 +675,27 @@ def _eigen_vectors(F: np.ndarray, e: int, lam: float,
         i, j = divmod(mags.index(max(mags)), n)
         piv = B[i][j]
         if piv != 0.0:
-            left, right = np.array(B[i]), np.array([row[j] for row in B])
-            if mult == 1:
-                with np.errstate(over="ignore"):  # past the float range it is inf
-                    scaled = np.ldexp(right, e * (n - 1))
-                if (np.ldexp(scaled, -e * (n - 1)) == right).all():
-                    return _read_only(left / piv), _read_only(scaled), True
+            left, right, k = B[i], [row[j] for row in B], e * (n - 1)
+            with contextlib.suppress(OverflowError):  # a scale past the float range is not exact
+                scaled = [math.ldexp(x, k) for x in right]
+                if mult == 1 and [math.ldexp(x, -k) for x in scaled] == right:
+                    return _read_only([x / piv for x in left]), _read_only(scaled), True
             return _read_only(_sign_fixed(left)), _read_only(_sign_fixed(right)), False
     U, _, Vt = np.linalg.svd(np.array(M))
     return _read_only(_sign_fixed(U[:, -1])), _read_only(_sign_fixed(Vt[-1, :])), False
 
 
-def _read_only(v: np.ndarray) -> np.ndarray:
+def _read_only(v) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
     v.setflags(write=False)
     return v
 
 
-def _sign_fixed(v: np.ndarray) -> np.ndarray:
+def _sign_fixed(v) -> np.ndarray:
     """The nonzero ``v`` at unit norm, its first significant component
     positive.  It is normalized from ``_rescaled(v)``, so that no square
     over- or underflows."""
-    v = _rescaled(v)[0]
+    v = _rescaled(np.asarray(v))[0]
     w = v / _length(v)
     for comp in w:
         if abs(comp) > 1e-12:

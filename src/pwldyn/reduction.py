@@ -248,11 +248,12 @@ def _negligible(tol: float, *factors: np.ndarray) -> bool:
     """Whether ``|x . y| <= tol |x| |y|`` for the factors ``(x, y)``, or
     ``|x^T B y| <= tol |B| |x| |y|`` for ``(x, B, y)``: homogeneous in each
     factor, each taken from a frame, where nothing over- or underflows."""
-    norms = [linalg._length(f) for f in factors]
-    if len(factors) == 2:
-        return abs(linalg._dot(*factors)) <= tol * norms[0] * norms[1]
-    xb = [linalg._dot(col, factors[0]) for col in factors[1].T.tolist()]
-    return abs(linalg._dot(xb, factors[2])) <= tol * (norms[1] * norms[0] * norms[2])
+    flat = [f.ravel().tolist() for f in factors]
+    norms = [linalg._length(f) for f in flat]
+    if len(flat) == 2:
+        return abs(linalg._dot(*flat)) <= tol * norms[0] * norms[1]
+    xb = [linalg._dot(col, flat[0]) for col in factors[1].T.tolist()]
+    return abs(linalg._dot(xb, flat[2])) <= tol * (norms[1] * norms[0] * norms[2])
 
 
 def _is_shared(frame, t: linalg.EigenTriple, tol: float) -> bool:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -218,9 +219,17 @@ def test_hausdorff_rejects_non_finite(bad):
     cloud = np.ones((4, 2))
     cloud[2, 1] = bad
     for a, b in ((cloud, good), (good, cloud)):
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(ValueError, match="^point clouds must have finite coordinates$") as info:
             hausdorff(a, b)
         assert "\n" not in str(info.value)
+
+
+def test_hausdorff_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="^clouds of dimension 2 and 3 have no distance$"):
+        hausdorff(np.zeros((4, 2)), np.zeros((4, 3)))
+    with pytest.raises(ValueError, match=re.escape(
+            "expected points of shape (count, dimension), got (2, 2, 2)")):
+        hausdorff(np.zeros((2, 2, 2)), np.zeros((4, 2)))
 
 
 def test_scan_bounded_family():

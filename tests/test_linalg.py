@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import re
 import sys
 import threading
 
@@ -29,6 +30,7 @@ from pwldyn.linalg import _cubic_roots, _quadratic_roots
 from conftest import (
     FLAT_LEFT_2D,
     FLAT_LEFT_3D,
+    MATRIX_3D,
     SHARED_2D,
     bcnf_argv,
     det_lemma_sides,
@@ -38,6 +40,7 @@ from conftest import (
     reference_frame_roots,
     reference_real_eigen,
     reference_solve,
+    shared_3d_params,
 )
 
 EPS = float(np.finfo(float).eps)
@@ -700,18 +703,94 @@ def test_real_eigen_bit_identical_at_special_spectra():
         _assert_bit_identical(a)
 
 
-def test_real_eigen_validates_once(monkeypatch):
+def _counting(monkeypatch, name: str) -> list:
+    """Replace ``linalg.<name>`` by a wrapper that records each call's first argument."""
     calls = []
-    as_square = linalg._as_square
+    inner = getattr(linalg, name)
 
-    def counting(a):
-        calls.append(a)
-        return as_square(a)
+    def counted(*args):
+        calls.append(args[0])
+        return inner(*args)
 
-    monkeypatch.setattr(linalg, "_as_square", counting)
-    spec = real_eigen(np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 3.0]]))
-    assert [t.multiplicity for t in spec.real] == [1, 1, 1]
-    assert len(calls) == 1
+    monkeypatch.setattr(linalg, name, counted)
+    return calls
+
+
+def test_real_eigen_scans_each_decomposition_once(monkeypatch):
+    a = np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 3.0]])
+    linalg._spectrum.cache_clear()  # the first call misses the memo
+    shapes, scans = _counting(monkeypatch, "_square"), _counting(monkeypatch, "_finite")
+    first = real_eigen(a)
+    assert [t.multiplicity for t in first.real] == [1, 1, 1]
+    assert (len(shapes), len(scans)) == (1, 1)
+    assert real_eigen(a) is first  # a memo hit checks the shape, not the entries
+    assert (len(shapes), len(scans)) == (2, 1)
+
+
+@pytest.mark.parametrize("a, message", [
+    (np.zeros((2, 3)), "expected a square matrix, got shape (2, 3)"),
+    (np.zeros((0, 0)), "empty matrix"),
+    (np.array([[1.0, np.inf], [0.0, 1.0]]), "matrix entries must be finite"),
+])
+def test_real_eigen_input_messages(a, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        real_eigen(a)
+
+
+def test_real_eigen_caches_no_failed_scan():
+    # the finite matrix just decomposed does not shield the NaN one, and the
+    # failure is not remembered: the second call scans and raises again
+    nan = np.array([[1.0, 0.0], [0.0, np.nan]])
+    real_eigen(np.array([[1.0, 0.0], [0.0, 2.0]]))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            real_eigen(nan)
+
+
+_SCALE_BACK = np.array([[1.0, 2.0, 0.0], [0.5, 3.0, 1.0], [0.0, 1.0, -2.0]])
+
+
+@pytest.mark.parametrize("a, canonical", [
+    # 2^(2e) passes the float range: no right vector scales back
+    (np.ldexp(_SCALE_BACK, 600), [False, False, False]),
+    # the first right vector's scale-back is subnormal and inexact
+    (np.ldexp(np.array([[1.0, 0.0, 0.0], [1e-300, 2.0, 0.0], [0.0, 0.0, 3.0]]), -20),
+     [False, True, True]),
+], ids=["overflow", "subnormal"])
+def test_eigen_vector_scale_back_edges(a, canonical):
+    spec = real_eigen(a)
+    assert [t.canonical for t in spec.real] == canonical
+    assert _spectrum_bytes(spec) == _spectrum_bytes(reference_real_eigen(a))
+
+
+def test_eigen_vector_scale_back_in_range():
+    # at 2^300 every scale-back is exact: the triples are those of the
+    # unscaled matrix, values times 2^300 and right vectors times 2^600 (the
+    # oracle's unscaled s(lam) overflows there, so it checks the base)
+    base, spec = real_eigen(_SCALE_BACK), real_eigen(np.ldexp(_SCALE_BACK, 300))
+    assert _spectrum_bytes(base) == _spectrum_bytes(reference_real_eigen(_SCALE_BACK))
+    assert [t.canonical for t in spec.real] == [True, True, True]
+    for t, u in zip(base.real, spec.real):
+        assert u.value == math.ldexp(t.value, 300)
+        assert u.left.tobytes() == t.left.tobytes()
+        assert u.right.tobytes() == np.ldexp(t.right, 600).tobytes()
+
+
+def test_condition_taken_only_where_the_split_test_passes(monkeypatch):
+    # up to 3x3 s(lam) is taken only for a pair of simple values that
+    # rounding may have split; the adjacent roots of these pieces are not one
+    v = np.array(MATRIX_3D.split()[1:], dtype=float)
+    pieces = [m for p in (SHARED_2D, shared_3d_params(), FLAT_LEFT_2D, FLAT_LEFT_3D)
+              for m in (bcnf(p).A_L, bcnf(p).A_R)] + [v[9:18].reshape(3, 3)]
+    calls = _counting(monkeypatch, "_condition")
+    for a in pieces:
+        linalg._spectrum.cache_clear()
+        real_eigen(a)
+        assert calls == []
+    linalg._spectrum.cache_clear()
+    spec = real_eigen(DEFECTIVE_3D)  # MATRIX_3D's left piece: its pair is one
+    assert len(calls) == 2
+    assert [(t.value, t.multiplicity) for t in spec.real] == [(-2.0, 2), (-1.0000000000000002, 1)]
 
 
 def test_close_conjugate_pair_is_never_two_real_values():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -243,9 +244,9 @@ def test_map_data_immutable(shared_map):
 
 def test_pwlmap_validation():
     eye = np.eye(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("A_L must be square, got shape (2, 3)")):
         PwlMap(np.ones((2, 3)), eye, np.zeros(2), np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^A_L and A_R must have the same shape$"):
         PwlMap(eye, np.eye(3), np.zeros(2), np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         PwlMap(eye, eye, np.zeros(3), np.array([1.0, 0.0]))
@@ -255,6 +256,9 @@ def test_pwlmap_validation():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         PwlMap(bad, eye, np.zeros(2), np.array([1.0, 0.0]))
+    pwl = PwlMap(eye, eye, np.zeros(2), np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match=re.escape("points must have 2 coordinates, got shape (3,)")):
+        pwl(np.zeros(3))
 
 
 def test_orbit_at_fixed_point_exact():

@@ -1230,13 +1230,17 @@ def test_analyze_passes_other_errors_on():
         analyze(PwlMap(huge, huge, [1.0, 0.0], [0.0, 1.0]))
 
 
-def test_analyze_decomposes_each_piece_once(rng):
+def test_analyze_decomposes_each_piece_once(rng, monkeypatch):
     # a map no other test has decomposed: the memo misses once per piece
     a_l = rng.standard_normal((4, 4))
     pwl = PwlMap(a_l, a_l + np.outer(rng.standard_normal(4), [1.0, 0.0, 0.0, 0.0]),
                  rng.standard_normal(4), [1.0, 0.0, 0.0, 0.0])
+    roots = []
+    char_roots = linalg._char_roots
+    monkeypatch.setattr(linalg, "_char_roots", lambda *args: roots.append(args) or char_roots(*args))
     before = linalg._spectrum.cache_info()
     analyze(pwl)
     after = linalg._spectrum.cache_info()
     assert after.misses - before.misses == 2
+    assert len(roots) == 2
     assert after.hits > before.hits
