@@ -243,19 +243,22 @@ def build_map(cfg: RunConfig) -> PwlMap:
 
 
 def _write_text(text: str, out: str | None) -> None:
+    """Write to stdout, or rename a temporary file to ``out``; errors name ``out``."""
     if out is None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(out))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pwldyn-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pwldyn-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            os.replace(tmp, out)
+        except BaseException:
             os.unlink(tmp)
-        raise
+            raise
+    except OSError as exc:
+        raise OSError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _emit_json(payload, out: str | None) -> None:

@@ -28,11 +28,11 @@ the BLAS build or the CPU.  Above 3x3 LAPACK's ``eigvals``, ``svd`` and
 ``det`` and the matrix product inside the SVD adjugate remain.
 
 ``real_eigen`` remembers the spectra of the last two matrices it decomposed,
-the two pieces of the map being analysed, so the several analyses of one map
-decompose each piece once.  It checks the shape on every call and scans the
-entries for non-finite ones once per decomposition, as they enter the memo.
-The vectors it returns are read-only: every caller that asks again for one
-matrix shares them.
+keyed by their bytes, not held on a map: it serves one map's analyses and a
+sweep's maps that keep a piece's bytes.  It checks the shape on every call
+and scans the entries for non-finite ones once per decomposition, as they
+enter the memo.  The vectors it returns are read-only: every caller that
+asks again for one matrix shares them.
 
 Every scale-free decision is taken once, in an exact power-of-two frame
 (``_rescaled``; Higham, *Accuracy and Stability of Numerical Algorithms*,

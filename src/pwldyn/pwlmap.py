@@ -284,6 +284,26 @@ class PwlMap(_TwoPieces):
     def _frame(self):
         return linalg._map_frame(self.A_L, self.A_R, self.c)
 
+    @cached_property
+    def _fixed_points(self) -> FixedPoints:
+        """Both pieces' ``fixed_points``: one solve of ``(I - A) x = b`` per
+        piece, the one test of 1 in its spectrum.  The rows of ``I - A`` are
+        not validated again: the piece is finite, so ``I - A`` is."""
+        infos = []
+        for A, right in ((self.A_R, True), (self.A_L, False)):
+            try:
+                pt = linalg._solve_rows(linalg._shifted_rows(A.tolist(), 1.0), self.b.tolist())
+            except SingularMatrix:
+                infos.append(FixedPointInfo(point=None, admissible=None, borderline=False,
+                                            reason="1 is an eigenvalue of the piece matrix"))
+                continue
+            margin = linalg._dot(self.c, pt)  # the step's side test
+            pt.setflags(write=False)
+            admissible = margin >= 0.0 if right else margin < 0.0
+            infos.append(FixedPointInfo(point=pt, admissible=admissible,
+                                        borderline=abs(margin) < BORDERLINE_ATOL))
+        return FixedPoints(*infos)
+
     map_points = _TwoPieces.__call__
 
 
@@ -470,42 +490,12 @@ class FixedPoints:
     left: FixedPointInfo
 
 
-def _fixed_point(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Fixed point of ``x -> A x + b``, ``linalg.solve`` of ``(I - A) x = b``.
-
-    The rows of ``I - A`` are built on Python floats and go to the
-    elimination without a second validation: the piece is finite, so
-    ``I - A`` is.  Raises SingularMatrix when 1 is an eigenvalue of ``A``.
-    """
-    return linalg._solve_rows(linalg._shifted_rows(A.tolist(), 1.0), b.tolist())
-
-
 def fixed_points(pwl: PwlMap) -> FixedPoints:
-    """Fixed points of both pieces with admissibility flags.
+    """Fixed points of both pieces with admissibility flags, solved once per map.
 
     The right piece's fixed point is admissible when ``c . x >= 0``, the
     left piece's when ``c . x < 0``; the flag always reports the runtime
     sign test.  Points within ``BORDERLINE_ATOL`` of the switching plane
     are additionally flagged borderline.
     """
-    infos = {}
-    for key, A in (("right", pwl.A_R), ("left", pwl.A_L)):
-        try:
-            pt = _fixed_point(A, pwl.b)
-        except SingularMatrix:
-            infos[key] = FixedPointInfo(
-                point=None,
-                admissible=None,
-                borderline=False,
-                reason="1 is an eigenvalue of the piece matrix",
-            )
-            continue
-        margin = linalg._dot(pwl.c, pt)  # the step's side test
-        admissible = margin >= 0.0 if key == "right" else margin < 0.0
-        pt.setflags(write=False)
-        infos[key] = FixedPointInfo(
-            point=pt,
-            admissible=admissible,
-            borderline=abs(margin) < BORDERLINE_ATOL,
-        )
-    return FixedPoints(right=infos["right"], left=infos["left"])
+    return pwl._fixed_points

@@ -25,7 +25,6 @@ from .errors import (
     NotContinuous,
     NotSingular,
     PwldynError,
-    SingularMatrix,
     _record,
 )
 from .pwlmap import (
@@ -34,7 +33,6 @@ from .pwlmap import (
     RIGHT,
     FixedPoints,
     PwlMap,
-    _fixed_point,
     _norms,
     _pieces,
     _Pieces,
@@ -226,9 +224,8 @@ def detect_shared_eigenvalue(pwl: PwlMap, tol: float = 1e-9) -> SharedEigReducti
         )
     lam, u, v = tr.value, tr.left, tr.right
     offset = linalg._dot(u, pwl.b) / (1.0 - lam)
-    try:
-        base = _fixed_point(pwl.A_R, pwl.b)
-    except SingularMatrix:  # 1 in the right spectrum: any zero of the deviation functional works
+    base = fixed_points(pwl).right.point
+    if base is None:  # 1 in the right spectrum: any zero of the deviation functional works
         base = u * (offset / linalg._dot(u, u))
     manifold = AffineHyperplane.from_normal_point(u, base)
     restricted = _build_restricted(pwl, u, base) if _transversal(u, frame.c, tol) else None
@@ -324,9 +321,9 @@ def zero_eig_reduction(pwl: PwlMap, tol: float = 1e-9) -> AffineHyperplane:
     """Hyperplane carrying the range of the left piece.
 
     Requires the left matrix to be singular with a simple zero eigenvalue and
-    1 outside its spectrum.  The returned plane passes through the left
-    piece's fixed point with the left null vector as normal; every point of
-    the left half-space maps onto it in one step.
+    1 outside its spectrum (else NoFixedPoint).  The plane passes through the
+    left piece's ``fixed_points`` entry with the left null vector as normal;
+    every point of the left half-space maps onto it in one step.
     """
     det_l = linalg.determinant(pwl.A_L)
     if abs(det_l) > tol:
@@ -338,10 +335,9 @@ def zero_eig_reduction(pwl: PwlMap, tol: float = 1e-9) -> AffineHyperplane:
     if len(zeros) > 1 or zeros[0].multiplicity > 1:
         raise MultipleZero("zero is an eigenvalue of A_L with multiplicity above one")
     w = zeros[0].left
-    try:
-        y = _fixed_point(pwl.A_L, pwl.b)
-    except SingularMatrix as exc:
-        raise NoFixedPoint("1 is an eigenvalue of A_L, the left piece has no fixed point") from exc
+    y = fixed_points(pwl).left.point
+    if y is None:
+        raise NoFixedPoint("1 is an eigenvalue of A_L, the left piece has no fixed point")
     plane = AffineHyperplane.from_normal_point(w, y)
     # planarity of the range: w A_L ~ 0 and w . (b - y) ~ 0
     r1 = linalg._length(linalg._rows_dot(pwl.A_L.T, plane.normal))
@@ -552,7 +548,7 @@ class MapReport:
 def analyze(pwl: PwlMap, tol: float = 1e-9) -> MapReport:
     """Continuity, spectra, fixed points, both reductions and unit-modulus
     reports of ``pwl``, in that order; an error ``MapReport`` does not
-    record propagates.  ``real_eigen``'s memo decomposes each piece once."""
+    record propagates.  Each piece is decomposed (``real_eigen``'s memo) and solved once."""
     try:
         p = validate_continuity(pwl)
     except NotContinuous as exc:

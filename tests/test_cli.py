@@ -869,3 +869,20 @@ def test_out_files_atomic(tmp_path):
     assert rows[0][0] == "k"
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".pwldyn-")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dump-config"])
+@pytest.mark.parametrize("target, reason", [
+    ("missing/a.json", "No such file or directory"),
+    ("directory", "Is a directory"),
+])
+def test_write_error_names_the_given_path(tmp_path, capsys, flag, target, reason):
+    (tmp_path / "directory").mkdir()
+    path = str(tmp_path / target)
+    errors = []
+    for _ in range(2):
+        assert main(["analyze", *ANCHOR, flag, path]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors == [f"error: cannot write {path}: {reason}\n"] * 2
+    assert [p.name for p in tmp_path.iterdir()] == ["directory"]
+    assert list((tmp_path / "directory").iterdir()) == []

@@ -273,9 +273,8 @@ def test_detection_decomposes_only_the_right_piece(shared_map):
         assert spy.call_args.args[0] is pwl.A_R
 
 
-def test_analyze_solves_three_systems(monkeypatch, tmp_path):
-    # fixed_points solves both pieces; detection solves only the right one
-    # and zero_eig_reduction none, as A_L is not singular
+def _count_solves(monkeypatch) -> list[int]:
+    """The size of each ``linalg._solve_rows`` system solved from now on."""
     calls = []
     solve_rows = linalg._solve_rows
 
@@ -284,8 +283,32 @@ def test_analyze_solves_three_systems(monkeypatch, tmp_path):
         return solve_rows(rows, rhs, *args)
 
     monkeypatch.setattr(linalg, "_solve_rows", counting)
+    return calls
+
+
+def test_analyze_solves_each_piece_once(monkeypatch, tmp_path):
+    # the map solves both pieces' fixed points once; detection and the
+    # zero-eigenvalue plane read them
+    calls = _count_solves(monkeypatch)
     assert main(["analyze", *bcnf_argv(SHARED_2D), "--out", str(tmp_path / "a.json")]) == 0
-    assert calls == [2, 2, 2]
+    assert calls == [2, 2]
+
+
+def test_fixed_points_solved_once_per_map(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    for params in (SHARED_2D, shared_3d_params(), FLAT_LEFT_2D, FLAT_LEFT_3D):
+        pwl = bcnf(params)
+        report = analyze(pwl)
+        assert calls == [params.dim] * 2
+        calls.clear()
+        assert fixed_points(pwl) is report.fixed_points
+        assert analyze(pwl).fixed_points is report.fixed_points
+        for call in (detect_shared_eigenvalue, zero_eig_reduction):
+            try:
+                call(pwl)
+            except PwldynError:
+                pass
+        assert calls == []
 
 
 def _planted_4d(scale: float) -> PwlMap:
@@ -658,7 +681,8 @@ def test_zero_eig_multiple_zero():
 
 def test_zero_eig_no_fixed_point():
     pwl = bcnf(BcnfParams(dim=2, tl=1.0, dl=0.0, tr=-1.4, dr=1.5))
-    with pytest.raises(NoFixedPoint):
+    with pytest.raises(NoFixedPoint,
+                       match="^1 is an eigenvalue of A_L, the left piece has no fixed point$"):
         zero_eig_reduction(pwl)
 
 
