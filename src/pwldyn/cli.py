@@ -261,17 +261,17 @@ def _write_text(text: str, out: str | None) -> None:
         raise OSError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
-def _emit_json(payload, out: str | None) -> None:
-    _write_text(json.dumps(payload, indent=2) + "\n", out)
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
 
 
-def _emit_csv(header: list[str], rows: list, out: str | None) -> None:
+def _csv(header: list[str], rows: list) -> str:
     """Header and rows of Python scalars in one pass; None is written empty."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    _write_text(buf.getvalue(), out)
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +331,10 @@ def _record_dict(value, to_dict):
 # subcommands
 
 
-def cmd_analyze(cfg: RunConfig, out: str | None) -> None:
+def cmd_analyze(cfg: RunConfig) -> str:
     pwl = build_map(cfg)
     report = analyze(pwl, cfg.tol)
-    payload = {
+    return _json({
         "map": {"n": pwl.n, **_fields_dict(pwl)},
         "continuity": _record_dict(report.p, lambda p: {"p": p.tolist()}),
         "eigenvalues": {
@@ -348,8 +348,7 @@ def cmd_analyze(cfg: RunConfig, out: str | None) -> None:
         "shared_eigenvalue": _record_dict(report.shared, _shared_dict),
         "zero_eigenvalue": _record_dict(report.zero_plane, _fields_dict),
         "unit_modulus": [_fields_dict(r) for r in report.unit_modulus],
-    }
-    _emit_json(payload, out)
+    })
 
 
 class _Failed(Exception):
@@ -366,7 +365,7 @@ def _x0(cfg: RunConfig, pwl: PwlMap) -> np.ndarray | tuple[float, ...]:
     return default_x0(pwl) if cfg.x0 is None else cfg.x0
 
 
-def cmd_orbit(cfg: RunConfig, out: str | None, portrait: bool) -> None:
+def cmd_orbit(cfg: RunConfig, portrait: bool) -> str:
     pwl = build_map(cfg)
     _check_lengths(cfg.transient, cfg.keep)
     transient, keep = (cfg.transient, cfg.keep) if portrait else (0, cfg.transient + cfg.keep)
@@ -383,13 +382,11 @@ def cmd_orbit(cfg: RunConfig, out: str | None, portrait: bool) -> None:
         }
         if not portrait:
             payload["first_index"] = 0
-        _emit_json(payload, out)
-        return
+        return _json(payload)
     rows = _point_rows(orb)
     if portrait:
-        _emit_csv(coords + ["symbol"], rows, out)
-    else:
-        _emit_csv(["k"] + coords + ["symbol"], [[k, *row] for k, row in enumerate(rows)], out)
+        return _csv(coords + ["symbol"], rows)
+    return _csv(["k"] + coords + ["symbol"], [[k, *row] for k, row in enumerate(rows)])
 
 
 def _point_rows(orb) -> list[list]:
@@ -400,7 +397,7 @@ def _point_rows(orb) -> list[list]:
     return rows
 
 
-def cmd_restrict(cfg: RunConfig, out: str | None) -> None:
+def cmd_restrict(cfg: RunConfig) -> str:
     grid = None if cfg.grid is None else _parse_grid(cfg.grid, 1)
     pwl = build_map(cfg)
     red = detect_shared_eigenvalue(pwl, cfg.tol)
@@ -417,7 +414,7 @@ def cmd_restrict(cfg: RunConfig, out: str | None) -> None:
             grid = _box_grid(orb.points, 0.05, 512)
     cobweb = None if grid is None else {"x": grid[:, 0].tolist(), "fx": rmap(grid)[:, 0].tolist()}
     if cfg.format == "json":
-        payload = {
+        return _json({
             "shared": _shared_dict(red),
             "reduced": _restricted_dict(rmap),
             "orbit": {
@@ -426,14 +423,10 @@ def cmd_restrict(cfg: RunConfig, out: str | None) -> None:
                 "escaped": orb.escaped,
             },
             "cobweb": cobweb,
-        }
-        _emit_json(payload, out)
-        return
+        })
     if cobweb is not None:
-        _emit_csv(["x", "fx"], list(zip(cobweb["x"], cobweb["fx"])), out)
-    else:
-        coords = [f"xi{i + 1}" for i in range(rmap.dimension)]
-        _emit_csv(coords + ["symbol"], _point_rows(orb), out)
+        return _csv(["x", "fx"], list(zip(cobweb["x"], cobweb["fx"])))
+    return _csv([f"xi{i + 1}" for i in range(rmap.dimension)] + ["symbol"], _point_rows(orb))
 
 
 def _parse_grid_axis(spec: str) -> tuple[float, float, int]:
@@ -500,7 +493,7 @@ def _default_induced_grid(pwl, plane, chart, cfg: RunConfig) -> np.ndarray:
     return _box_grid(chart.project_many(cloud.points[mask]), 0.02, count)
 
 
-def cmd_induced(cfg: RunConfig, out: str | None) -> None:
+def cmd_induced(cfg: RunConfig) -> str:
     pwl = build_map(cfg)
     if pwl.n < 2:
         raise UnsupportedDimension(
@@ -515,13 +508,11 @@ def cmd_induced(cfg: RunConfig, out: str | None) -> None:
     if not (samples.status == "ok").any():
         raise _Failed("every grid sample failed to return to the section")
     if cfg.format == "json":
-        payload = {
+        return _json({
             "plane": _fields_dict(plane),
             "chart": _chart_dict(chart),
             "samples": [_fields_dict(s) for s in samples],
-        }
-        _emit_json(payload, out)
-        return
+        })
     d = pwl.n - 1
     header = (
         [f"in{i + 1}" for i in range(d)]
@@ -534,10 +525,10 @@ def cmd_induced(cfg: RunConfig, out: str | None) -> None:
          s.status]
         for s in samples
     ]
-    _emit_csv(header, rows, out)
+    return _csv(header, rows)
 
 
-def cmd_scan(cfg: RunConfig, out: str | None) -> None:
+def cmd_scan(cfg: RunConfig) -> str:
     base = build_bcnf_params(cfg)
     if cfg.param is None:
         raise ValueError("scan needs --param")
@@ -572,15 +563,13 @@ def cmd_scan(cfg: RunConfig, out: str | None) -> None:
         + ["plane_dist_max", "hausdorff_prev", "error"]
     )
     if cfg.format == "json":
-        payload = {
+        return _json({
             "parameter": result.parameter,
             "values": list(result.values),
             "consecutive_hausdorff": list(result.consecutive_hausdorff),
             "rows": [dict(zip(header, row)) for row in rows],
-        }
-        _emit_json(payload, out)
-        return
-    _emit_csv(header, rows, out)
+        })
+    return _csv(header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +577,7 @@ def cmd_scan(cfg: RunConfig, out: str | None) -> None:
 
 
 class Command(NamedTuple):
-    run: Callable[[RunConfig, str | None], None]  # writes the result or raises
+    run: Callable[[RunConfig], str]  # the output text, or raises
     format: str  # default output format
     help: str
     settings: tuple[str, ...]  # the RunConfig fields it reads; only these are flags
@@ -665,7 +654,7 @@ def main(argv=None) -> int:
         cfg = resolve_config(args, args.command)
         if args.dump_config:
             _write_text(dump_config(cfg), args.dump_config)
-        COMMANDS[args.command].run(cfg, args.out)
+        _write_text(COMMANDS[args.command].run(cfg), args.out)
         return EXIT_OK
     except (ValueError, UnsupportedDimension, NotContinuous, OSError,
             configparser.Error) as exc:

@@ -40,6 +40,10 @@ RIGHT = "R"
 # A fixed point closer to the switching plane than this is flagged borderline.
 BORDERLINE_ATOL = 1e-12
 
+# Why a piece has no fixed point, as ``FixedPointInfo.reason`` gives it.
+_EIGENVALUE_ONE = "1 is an eigenvalue of the piece matrix"
+_PAST_FLOAT_RANGE = "the solve of (I - A) x = b leaves the float range"
+
 # Largest residual of A_R - A_L = p c^T, relative to max(1, ||A_R - A_L||),
 # that validate_continuity accepts.
 CONTINUITY_TOL = 1e-10
@@ -287,15 +291,18 @@ class PwlMap(_TwoPieces):
     @cached_property
     def _fixed_points(self) -> FixedPoints:
         """Both pieces' ``fixed_points``: one solve of ``(I - A) x = b`` per
-        piece, the one test of 1 in its spectrum.  The rows of ``I - A`` are
-        not validated again: the piece is finite, so ``I - A`` is."""
+        piece, the one test of 1 in its spectrum and of a finite result.  The
+        rows of ``I - A`` are not validated again: the piece is finite."""
         infos = []
         for A, right in ((self.A_R, True), (self.A_L, False)):
             try:
                 pt = linalg._solve_rows(linalg._shifted_rows(A.tolist(), 1.0), self.b.tolist())
+                reason = None if np.isfinite(pt).all() else _PAST_FLOAT_RANGE
             except SingularMatrix:
+                reason = _EIGENVALUE_ONE
+            if reason is not None:
                 infos.append(FixedPointInfo(point=None, admissible=None, borderline=False,
-                                            reason="1 is an eigenvalue of the piece matrix"))
+                                            reason=reason))
                 continue
             margin = linalg._dot(self.c, pt)  # the step's side test
             pt.setflags(write=False)
@@ -476,7 +483,8 @@ def _check_lengths(n_transient: int, n_keep: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class FixedPointInfo:
-    """Fixed point of one affine piece; absent when 1 is an eigenvalue."""
+    """Fixed point of one affine piece; absent, with a ``reason``, when 1 is
+    an eigenvalue or the solve of ``(I - A) x = b`` leaves the float range."""
 
     point: np.ndarray | None
     admissible: bool | None
@@ -493,9 +501,11 @@ class FixedPoints:
 def fixed_points(pwl: PwlMap) -> FixedPoints:
     """Fixed points of both pieces with admissibility flags, solved once per map.
 
-    The right piece's fixed point is admissible when ``c . x >= 0``, the
-    left piece's when ``c . x < 0``; the flag always reports the runtime
-    sign test.  Points within ``BORDERLINE_ATOL`` of the switching plane
-    are additionally flagged borderline.
+    A piece has none, and a ``reason``, when 1 is in its spectrum or when
+    the solve gives an entry that is inf or NaN.  The right piece's fixed
+    point is admissible when ``c . x >= 0``, the left piece's when ``c . x <
+    0``; the flag always reports the runtime sign test.  Points within
+    ``BORDERLINE_ATOL`` of the switching plane are additionally flagged
+    borderline.
     """
     return pwl._fixed_points

@@ -10,6 +10,7 @@ boundary-crossing type.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,6 +34,7 @@ from .pwlmap import (
     RIGHT,
     FixedPoints,
     PwlMap,
+    _EIGENVALUE_ONE,
     _norms,
     _pieces,
     _Pieces,
@@ -202,7 +204,9 @@ def detect_shared_eigenvalue(pwl: PwlMap, tol: float = 1e-9) -> SharedEigReducti
     first one meeting the hypotheses (simple in ``A_R``, not one, ``c .
     right`` not negligible) wins and the rest are listed in
     ``other_shared``.  When none meets them raises HypothesisViolated
-    naming the failure of the first.
+    naming the failure of the first.  Raises IllConditioned, without a
+    warning, when the plane's offset or an entry of the restricted map is
+    past the float range.
     """
     validate_continuity(pwl)
     frame = pwl._frame
@@ -224,8 +228,10 @@ def detect_shared_eigenvalue(pwl: PwlMap, tol: float = 1e-9) -> SharedEigReducti
         )
     lam, u, v = tr.value, tr.left, tr.right
     offset = linalg._dot(u, pwl.b) / (1.0 - lam)
+    if not math.isfinite(offset):  # a finite one gives a finite base point below
+        raise IllConditioned("the invariant plane is past the float range")
     base = fixed_points(pwl).right.point
-    if base is None:  # 1 in the right spectrum: any zero of the deviation functional works
+    if base is None:  # no right fixed point: any zero of the deviation functional works
         base = u * (offset / linalg._dot(u, u))
     manifold = AffineHyperplane.from_normal_point(u, base)
     restricted = _build_restricted(pwl, u, base) if _transversal(u, frame.c, tol) else None
@@ -285,18 +291,23 @@ def _transversal(u: np.ndarray, c: np.ndarray, tol: float) -> bool:
 def _build_restricted(pwl: PwlMap, u: np.ndarray, base: np.ndarray) -> ReducedPwlMap:
     B = linalg.hyperplane_basis(u)
     chart = Chart(base=np.array(base, dtype=float), basis=B)
-    m_l, m_r = (linalg._matmul(linalg._matmul(B.T, A), B) for A in (pwl.A_L, pwl.A_R))
-    d_l, d_r = (linalg._rows_dot(B.T, linalg._rows_dot(A, base) + pwl.b - base)
-                for A in (pwl.A_L, pwl.A_R))
-    return ReducedPwlMap(
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: raised below
+        m_l, m_r = (linalg._matmul(linalg._matmul(B.T, A), B) for A in (pwl.A_L, pwl.A_R))
+        d_l, d_r = (linalg._rows_dot(B.T, linalg._rows_dot(A, base) + pwl.b - base)
+                    for A in (pwl.A_L, pwl.A_R))
+        switch_normal = linalg._rows_dot(B.T, pwl.c)
+    rmap = ReducedPwlMap(
         matrix_left=m_l,
         offset_left=d_l,
         matrix_right=m_r,
         offset_right=d_r,
-        switch_normal=linalg._rows_dot(B.T, pwl.c),
+        switch_normal=switch_normal,
         switch_offset=linalg._dot(pwl.c, base),
         chart=chart,
     )
+    if not all(map(math.isfinite, rmap._pieces.flat)):
+        raise IllConditioned("the restricted map is past the float range")
+    return rmap
 
 
 def restrict_to_manifold(red: SharedEigReduction) -> ReducedPwlMap:
@@ -321,9 +332,12 @@ def zero_eig_reduction(pwl: PwlMap, tol: float = 1e-9) -> AffineHyperplane:
     """Hyperplane carrying the range of the left piece.
 
     Requires the left matrix to be singular with a simple zero eigenvalue and
-    1 outside its spectrum (else NoFixedPoint).  The plane passes through the
-    left piece's ``fixed_points`` entry with the left null vector as normal;
-    every point of the left half-space maps onto it in one step.
+    a left fixed point (else NoFixedPoint, naming the ``fixed_points``
+    reason: 1 in the spectrum, or a solve past the float range).  The plane
+    passes through that fixed point with the left null vector as normal;
+    every point of the left half-space maps onto it in one step.  A
+    planarity residual above ``1e3 * tol``, or one that is not finite,
+    raises IllConditioned.
     """
     det_l = linalg.determinant(pwl.A_L)
     if abs(det_l) > tol:
@@ -335,15 +349,18 @@ def zero_eig_reduction(pwl: PwlMap, tol: float = 1e-9) -> AffineHyperplane:
     if len(zeros) > 1 or zeros[0].multiplicity > 1:
         raise MultipleZero("zero is an eigenvalue of A_L with multiplicity above one")
     w = zeros[0].left
-    y = fixed_points(pwl).left.point
-    if y is None:
+    left = fixed_points(pwl).left
+    if left.reason == _EIGENVALUE_ONE:
         raise NoFixedPoint("1 is an eigenvalue of A_L, the left piece has no fixed point")
-    plane = AffineHyperplane.from_normal_point(w, y)
-    # planarity of the range: w A_L ~ 0 and w . (b - y) ~ 0
-    r1 = linalg._length(linalg._rows_dot(pwl.A_L.T, plane.normal))
+    if left.point is None:
+        raise NoFixedPoint(f"the left piece has no fixed point: {left.reason}")
+    plane = AffineHyperplane.from_normal_point(w, left.point)
+    # planarity of the range: w A_L ~ 0 and w . (b - y) ~ 0, on Python floats,
+    # which overflow without a warning; a NaN residual fails the test too
+    r1 = linalg._length([linalg._dot(col, plane.normal) for col in pwl.A_L.T.tolist()])
     r1 /= 1.0 + linalg._length(pwl.A_L)
-    r2 = abs(plane.distances(pwl.b[None])[0]) / (1.0 + linalg._length(pwl.b))
-    if max(r1, r2) > 1e3 * tol:
+    r2 = abs(linalg._dot(pwl.b, plane.normal) - plane.offset) / (1.0 + linalg._length(pwl.b))
+    if not (r1 <= 1e3 * tol and r2 <= 1e3 * tol):
         raise IllConditioned("the range of the left piece is not planar within tolerance")
     return plane
 

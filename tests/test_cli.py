@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pwldyn import bcnf, cli
+from pwldyn import bcnf, cli, reduction
 from pwldyn.cli import main
 
 from conftest import shared_3d_params
@@ -119,6 +119,69 @@ def test_analyze_and_restrict_where_the_fit_overflows(tmp_path, capsys):
     assert main(["restrict", "--matrix-file", str(path)]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+# Reference maps with b = 1e308 e1 or 1.7e308 e2, A_L = A_R with b = 2^1023
+# e4, and a singular left piece with null vector (1, 1) whose fixed point
+# (1.5e308, 1.5e308) is finite: their fixed-point solves, invariant planes,
+# restricted maps or planarity residuals leave the float range.
+_FAR = {
+    "shared_far": "2\n2.2 1\n-0.4 0\n-1.3 1\n0.3 0\n1e308 0\n1 0\n",
+    "shared_far_e2": "2\n2.2 1\n-0.4 0\n-1.3 1\n0.3 0\n0 1.7e308\n1 0\n",
+    "flat_far": "2\n1.3 1\n0 0\n-1.4 1\n-1.5 0\n1e308 0\n1 0\n",
+    "flat_far_3d": "3\n1.6 1 0\n-0.8 0 1\n0 0 0\n-1.5 1 0\n0 0 1\n1 0 0\n1e308 0 0\n1 0 0\n",
+    "zero4": "4\n" + "0 0 0 0\n0 0 0 -1\n0 0 -1 0\n2 2 0 2\n" * 2
+             + f"0 0 0 {2.0**1023!r}\n1 0 0 0\n",
+    "flat_sum_far": "2\n0.3 -0.2\n-0.3 0.2\n-0.7 -0.2\n-0.3 0.2\n1.35e308 1.65e308\n1 0\n",
+}
+_NO_LEFT_POINT = ("error: NoFixedPoint: the left piece has no fixed point: "
+                  "the solve of (I - A) x = b leaves the float range\n")
+
+
+_FAR_RUNS = [
+    ("shared_far", ["analyze"], 0, ""),
+    ("shared_far", ["restrict"], 3,
+     "error: IllConditioned: the restricted map is past the float range\n"),
+    ("shared_far_e2", ["analyze"], 0, ""),
+    ("shared_far_e2", ["restrict"], 3,
+     "error: IllConditioned: the invariant plane is past the float range\n"),
+    ("flat_far", ["analyze"], 0, ""),
+    ("flat_far", ["induced", "--grid=-1:1:3"], 4, _NO_LEFT_POINT),
+    ("flat_far_3d", ["analyze"], 0, ""),
+    ("flat_far_3d", ["induced", "--grid=-1:1:3,-1:1:3"], 4, _NO_LEFT_POINT),
+    ("flat_sum_far", ["analyze"], 0, ""),
+    ("flat_sum_far", ["induced", "--grid=-1:1:3"], 3,
+     "error: IllConditioned: the range of the left piece is not planar within tolerance\n"),
+    ("zero4", ["analyze"], 0, ""),
+    ("zero4", ["induced", "--grid=-1:1:3,-1:1:3,-1:1:3"], 4, _NO_LEFT_POINT),
+]
+
+
+@pytest.mark.parametrize("name, argv, code, err", _FAR_RUNS,
+                         ids=[f"{name}-{argv[0]}" for name, argv, _, _ in _FAR_RUNS])
+def test_maps_past_the_float_range_end_in_one_line(tmp_path, capsys, name, argv, code, err):
+    # a report or one error line, no warning (an error here) and no inf or NaN printed
+    path = tmp_path / "map.txt"
+    path.write_text(_FAR[name])
+    assert main([*argv, "--matrix-file", str(path)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    assert "NaN" not in captured.out and "Infinity" not in captured.out
+
+
+@pytest.mark.parametrize("name, argv, code, err", [run for run in _FAR_RUNS if run[2]],
+                         ids=[name for name, _, code, _ in _FAR_RUNS if code])
+def test_analyze_records_the_error_past_the_float_range(tmp_path, name, argv, code, err):
+    # the library's report: finite fixed points or none with a reason, and
+    # the failing subcommand's error as the record of its reduction
+    path = tmp_path / "map.txt"
+    path.write_text(_FAR[name])
+    report = reduction.analyze(cli.read_matrix_file(str(path)))
+    for info in (report.fixed_points.left, report.fixed_points.right):
+        assert info.point is None or np.isfinite(info.point).all()
+        assert (info.point is None) == (info.reason is not None)
+    record = report.shared if argv[0] == "restrict" else report.zero_plane
+    assert record == err[len("error: "):-1]
 
 
 @pytest.mark.parametrize("argv, ini, message", [

@@ -46,6 +46,8 @@ def _maps(draw):
     elif kind == "identical":
         p[:] = 0.0
     a_r = a_l + np.outer(p, c)
+    if draw(st.booleans()):  # b near the float range: fixed points and planes past it
+        b = math.ldexp(1.0, draw(st.sampled_from([1000, 1020, 1022]))) * b
     if kind == "scaled":
         k = draw(st.sampled_from([-300, -40, 40, 300]))
         a_l, a_r = math.ldexp(1.0, k) * a_l, math.ldexp(1.0, k) * a_r

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from pwldyn.cli import main
+from pwldyn.cli import COMMANDS, build_parser, main, resolve_config
 
 from conftest import (
     FLAT_LEFT_2D,
@@ -30,6 +30,19 @@ from conftest import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def _assert_golden(argv: list[str], name: str, tmp_path: Path, capsys) -> None:
+    """``main`` writes the golden file's bytes to ``--out``, and the
+    subcommand's ``run`` returns its text and prints nothing."""
+    golden = (GOLDEN / name).read_bytes()
+    out = tmp_path / name
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == golden
+    command = argv[0]
+    text = COMMANDS[command].run(resolve_config(build_parser().parse_args(argv), command))
+    assert text == golden.decode("utf-8")
+    assert capsys.readouterr() == ("", "")
 
 
 def _argv(name: str, tmp_path: Path) -> list[str]:
@@ -44,10 +57,8 @@ def _argv(name: str, tmp_path: Path) -> list[str]:
 
 @pytest.mark.parametrize("name", ["shared_2d", "shared_3d", "flat_left_2d", "flat_left_3d",
                                   "matrix_3d"])
-def test_analyze_bytes_match_golden(tmp_path, name):
-    out = tmp_path / "analyze.json"
-    assert main(["analyze", *_argv(name, tmp_path), "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / f"analyze_{name}.json").read_bytes()
+def test_analyze_bytes_match_golden(tmp_path, capsys, name):
+    _assert_golden(["analyze", *_argv(name, tmp_path)], f"analyze_{name}.json", tmp_path, capsys)
 
 
 # The default grid of a short attractor in a 1-D chart, and explicit grids
@@ -64,11 +75,9 @@ INDUCED = {
 
 
 @pytest.mark.parametrize("name", sorted(INDUCED))
-def test_induced_bytes_match_golden(tmp_path, name):
+def test_induced_bytes_match_golden(tmp_path, capsys, name):
     params, options = INDUCED[name]
-    out = tmp_path / name
-    assert main(["induced", *bcnf_argv(params), *options, "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / f"induced_{name}").read_bytes()
+    _assert_golden(["induced", *bcnf_argv(params), *options], f"induced_{name}", tmp_path, capsys)
 
 
 SHORT = ["--transient", "100", "--keep", "100"]
@@ -99,8 +108,6 @@ ORBITS = {
 
 
 @pytest.mark.parametrize("name", sorted(ORBITS))
-def test_orbit_commands_bytes_match_golden(tmp_path, name):
+def test_orbit_commands_bytes_match_golden(tmp_path, capsys, name):
     command, params, options = ORBITS[name]
-    out = tmp_path / name
-    assert main([command, *bcnf_argv(params), *options, "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+    _assert_golden([command, *bcnf_argv(params), *options], name, tmp_path, capsys)
