@@ -54,8 +54,8 @@ ESCAPE_RADIUS = 1e12
 # Kept iterates stepped between two escape tests of an orbit.  The transient
 # is not stored, so memory stays O((n_keep + chunk) n).
 _CHUNK = 256
-# Most step kernels held at once, one per coefficient pattern.
-_KERNELS = 64
+# Most step functions held at once, one per role and coefficient pattern.
+_KERNELS = 128
 # Largest coordinate bound of the cheap escape test; the squares of smaller
 # coordinates cannot overflow.
 _QUIET_MAX = 1e150
@@ -71,16 +71,11 @@ class _Pieces(NamedTuple):
     ``flat`` holds every entry as a Python float in the order the kernel
     takes them: ``A_L`` by rows, ``d_L``, ``A_R`` by rows, ``d_R``, ``c``
     and ``t``.  ``pattern`` has one symbol per entry of ``flat``: ``1`` for
-    1.0, ``0`` for 0.0, ``-`` for -0.0 and ``.`` for any other value.
-    Build it with :func:`_pieces`.
+    1.0, ``0`` for 0.0, ``-`` for -0.0 and ``.`` for any other value.  ``n``
+    is the dimension.  Build it with :func:`_pieces`.
     """
 
-    A_L: np.ndarray
-    d_L: np.ndarray
-    A_R: np.ndarray
-    d_R: np.ndarray
-    c: np.ndarray
-    t: float
+    n: int
     flat: tuple[float, ...]
     pattern: str
 
@@ -90,18 +85,19 @@ def _pieces(A_L, d_L, A_R, d_R, c, t: float) -> _Pieces:
     flat = (*chain.from_iterable(a.ravel().tolist() for a in arrays), float(t))
     pattern = "".join("1" if a == 1.0 else "." if a else "-" if math.copysign(1.0, a) < 0 else "0"
                       for a in flat)
-    return _Pieces(*arrays, float(t), flat, pattern)
+    return _Pieces(arrays[-1].size, flat, pattern)
 
 
 # The step.  Each image row is the in-order sum ``((a_i0 x_0 + a_i1 x_1) +
 # ...) + d_i`` and the side test is ``((c_0 x_0 + c_1 x_1) + ...) < t``; every
-# product and sum is rounded once and none is fused.  One orbit steps on
-# Python floats (_kernel); many points step as NumPy elementwise operations
-# over the point axis (_step_rows, _left_rows, through linalg._rows_dot),
-# which also give the itinerary of an orbit's stored points.  Neither
-# CPython floats nor ufuncs contract to FMA, so the two layouts give the
-# same bits, and no BLAS call is made: the bits do not depend on the BLAS
-# build or the CPU.  Every other inner product of the package sums alike.
+# product and sum is rounded once and none is fused.  One generator
+# (_kernel) writes these sums once, as text, and every role that steps
+# evaluates that text: on Python floats for one point or one orbit, and on
+# NumPy columns for many points, where each name is a column over the point
+# axis and ``np.where`` picks the piece.  Neither CPython floats nor ufuncs
+# contract to FMA, so the two layouts give the same bits, and no BLAS call is
+# made: the bits do not depend on the BLAS build or the CPU.  Every other
+# inner product of the package sums alike.
 #
 # ``orbit`` steps with a kernel folded for the map's exact zeros and ones:
 # a 1.0 coefficient contributes ``x_j`` unmultiplied, and the term of a 0.0
@@ -116,11 +112,15 @@ def _pieces(A_L, d_L, A_R, d_R, c, t: float) -> _Pieces:
 # steps, where a caller may pass such points, keeps the generic arithmetic;
 # an orbit stops at its first non-finite iterate and keeps no later one.
 
+# Outcome codes of a first return (``_kernel``'s ``returns``).
+_RUNNING, _OK, _ESCAPED, _NON_FINITE = range(4)
+
 
 @lru_cache(maxsize=_KERNELS)
-def _kernel(n: int, pattern: str = ""):
-    """The step of an ``n``-dimensional map on Python floats, unrolled,
-    as two loops ``(steps, skip)`` over the coefficients ``_Pieces.flat``.
+def _kernel(role: str, n: int, pattern: str = ""):
+    """One function of the step of an ``n``-dimensional map, unrolled over
+    the coefficients ``_Pieces.flat``; ``role`` names it, and each role is
+    compiled when it is first asked for.
 
     ``steps(flat, x, k, out)`` takes ``k`` steps from the point ``x`` (``n``
     floats), appends the coordinates of each point it steps to the list
@@ -132,13 +132,29 @@ def _kernel(n: int, pattern: str = ""):
     It returns ``(i, x_i, r)`` for the first iterate with ``r > radius`` or
     ``r`` not finite, or ``(k, x_k, None)``.  Python floats overflow to inf
     and NaN without raising.
+    ``image(flat, x)`` is the image of one point, as a tuple.
+    ``returns(flat, x, j, k, radius, w, off, tol)`` steps ``x``, taken as
+    iterate ``j``, up to iterate ``k``, to its first return to the plane
+    ``w . y = off``.  Each image ``y`` gets its norm ``r`` and is tested in
+    this order: ``r > radius`` (``_ESCAPED``), ``r`` not finite
+    (``_NON_FINITE``), a left step or ``|y . w - off| <= tol (1 + r)``
+    (``_OK``).  It returns ``(code, y, step, left)``, ``left`` True for a
+    left step, or ``(_RUNNING, x, step, False)`` at step ``k`` or at the
+    first image that equals its predecessor, which ``==`` decides: the
+    same image then follows for ever, and no test above reads the sign of
+    a zero.
+    ``rows(flat, X)`` steps each column of ``X`` ``(n, P)`` in the columnar
+    layout; it returns the left-piece mask and the image coordinates as a
+    tuple of ``n`` columns.  ``sides(flat, x)`` is the side test alone, on
+    a point's Python floats or on columns.
 
     ``pattern`` is the map's ``_Pieces.pattern``, whose exact zeros and ones
     the step folds (see the comment above); the empty pattern, the default,
     folds nothing and gives the generic arithmetic.
     """
     xs = [f"x{j}" for j in range(n)]
-    point = "".join(f"{x}, " for x in xs)
+    ys = [f"y{j}" for j in range(n)]
+    point, after = ("".join(f"{v}, " for v in vs) for vs in (xs, ys))
 
     def matrix(s):
         return [[f"{s}{i}_{j}" for j in range(n)] for i in range(n)]
@@ -152,57 +168,76 @@ def _kernel(n: int, pattern: str = ""):
         return [x if kind.get(a) == "1" else f"{a} * {x}" for a, x in zip(coeffs, xs)
                 if not (fold_zeros and kind.get(a) in ("0", "-"))]
 
-    def image(s):  # Python's + groups to the left: the in-order sum
-        return "".join(" + ".join([*terms(row, kind.get(f"{s}{i}") != "-"), f"{s}{i}"]) + ", "
-                       for i, row in enumerate(matrix(s)))
+    def sums(s):  # Python's + groups to the left: the in-order sum
+        return [" + ".join([*terms(row, kind.get(f"{s}{i}") != "-"), f"{s}{i}"])
+                for i, row in enumerate(matrix(s))]
 
-    step = [
-        f"        if {' + '.join(terms(normal)) or '0.0'} < t:",
-        f"            {point}= {image('L')}",
-        "        else:",
-        f"            {point}= {image('R')}",
-    ]
-    source = "\n".join([
-        "def steps(flat, x, k, out):",
-        f"    {', '.join(names)} = flat",
-        f"    {point}= x",
-        "    put = out.append",
-        "    for _ in range(k):",
-        *(f"        put({x})" for x in xs),
-        *step,
-        f"    return {point}",
-        "def skip(flat, x, k, q, radius):",
-        f"    {', '.join(names)} = flat",
-        f"    {point}= x",
-        "    m = -q",
-        "    for i in range(k):",
-        f"        if not ({' and '.join(f'm < {x} < q' for x in xs)}):",
-        f"            r = sqrt({' + '.join(f'{x} * {x}' for x in xs)})",
-        "            if r > radius or not r < inf:",
-        f"                return i, ({point}), r",
-        *step,
-        f"    return k, ({point}), None",
-    ])
-    namespace: dict = {"sqrt": math.sqrt, "inf": math.inf}
-    exec(compile(source, f"<pwldyn step, n = {n}, pattern {pattern!r}>", "exec"), namespace)
-    return namespace["steps"], namespace["skip"]
+    def images(s):
+        return "".join(f"{a}, " for a in sums(s))
 
+    side = f"{' + '.join(terms(normal)) or '0.0'} < t"
 
-def _left_rows(p: _Pieces, X: np.ndarray) -> np.ndarray:
-    """The kernel's side test on each row of ``X`` ``(P, n)``, as elementwise
-    operations over the rows: True where the left piece applies."""
-    return linalg._rows_dot(X, p.c) < p.t
+    def step(to=point, test=side):
+        return [f"        if {test}:", f"            {to}= {images('L')}",
+                "        else:", f"            {to}= {images('R')}"]
 
-
-def _step_rows(p: _Pieces, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One step of each row of ``X`` ``(P, n)``: the kernel's in-order sums
-    as elementwise operations over the rows, so each row is bit-identical to
-    stepping it alone.  Returns the images and the left-piece mask."""
-    left = _left_rows(p, X)
-    M = np.where(left[:, None, None], p.A_L, p.A_R)
-    Y = linalg._rows_dot(M, X[:, None, :])
-    Y += np.where(left[:, None], p.d_L, p.d_R)
-    return Y, left
+    unpack = (f"{', '.join(names[-n - 1:])} = flat[{-n - 1}:]" if role == "sides"  # c and t
+              else f"{', '.join(names)} = flat")
+    head = [f"    {unpack}", f"    {point}= x"]
+    sources = {
+        "steps": [
+            "def steps(flat, x, k, out):",
+            "    put = out.append",
+            "    for _ in range(k):",
+            *(f"        put({x})" for x in xs),
+            *step(),
+            f"    return {point}",
+        ],
+        "skip": [
+            "def skip(flat, x, k, q, radius):",
+            "    m = -q",
+            "    for i in range(k):",
+            f"        if not ({' and '.join(f'm < {x} < q' for x in xs)}):",
+            f"            r = sqrt({' + '.join(f'{x} * {x}' for x in xs)})",
+            "            if r > radius or not r < inf:",
+            f"                return i, ({point}), r",
+            *step(),
+            f"    return k, ({point}), None",
+        ],
+        "image": ["def image(flat, x):", f"    if {side}:", f"        return {images('L')}",
+                  f"    return {images('R')}"],
+        "returns": [
+            "def returns(flat, x, j, k, radius, w, off, tol):",
+            f"    {''.join(f'w{j}, ' for j in range(n))}= w",
+            "    for j in range(j + 1, k + 1):",
+            f"        left = {side}",
+            *step(after, "left"),
+            f"        r = sqrt({' + '.join(f'{y} * {y}' for y in ys)})",
+            "        if r > radius:",
+            f"            return {_ESCAPED}, ({after}), j, left",
+            "        if not r < inf:",
+            f"            return {_NON_FINITE}, ({after}), j, left",
+            f"        if left or abs({' + '.join(f'{y} * w{j}' for j, y in enumerate(ys))}"
+            " - off) <= tol * (1.0 + r):",
+            f"            return {_OK}, ({after}), j, left",
+            f"        if {' and '.join(f'{y} == {x}' for x, y in zip(xs, ys))}:",
+            "            break",
+            f"        {point}= {after}",
+            f"    return {_RUNNING}, ({point}), j, False",
+        ],
+        "rows": [
+            "def rows(flat, x):",
+            f"    left = {side}",
+            "    return left, (" + "".join(f"where(left, {a}, {b}), "
+                                      for a, b in zip(sums("L"), sums("R"))) + ")",
+        ],
+        "sides": ["def sides(flat, x):", f"    return {side}"],
+    }
+    define, *body = sources[role]
+    source = "\n".join([define, *head, *body])
+    namespace: dict = {"sqrt": math.sqrt, "inf": math.inf, "where": np.where}
+    exec(compile(source, f"<pwldyn {role}, n = {n}, pattern {pattern!r}>", "exec"), namespace)
+    return namespace[role]
 
 
 def _norms(X: np.ndarray) -> np.ndarray:
@@ -221,7 +256,7 @@ class _TwoPieces:
     def _checked(self, x) -> np.ndarray:
         """``x`` as a float point ``(n,)`` or rows ``(P, n)`` of the map's dimension."""
         x = np.asarray(x, dtype=float)
-        n = self._pieces.c.size
+        n = self._pieces.n
         if x.ndim not in (1, 2) or x.shape[-1] != n:
             raise ValueError(f"points must have {n} coordinates, got shape {x.shape}")
         return x
@@ -231,7 +266,7 @@ class _TwoPieces:
         x = self._checked(x)
         if x.ndim != 1:
             raise ValueError(f"side takes one point, got shape {x.shape}")
-        return LEFT if _left_rows(self._pieces, x[None])[0] else RIGHT
+        return LEFT if _kernel("sides", x.size)(self._pieces.flat, x.tolist()) else RIGHT
 
     def __call__(self, x) -> np.ndarray:
         """Image of a point ``(n,)``, or of each row of a ``(P, n)`` array,
@@ -239,9 +274,9 @@ class _TwoPieces:
         range an image is inf or NaN, without a warning."""
         x = self._checked(x)
         if x.ndim == 1:  # Python floats overflow without a warning
-            return np.array(_kernel(x.size)[0](self._pieces.flat, x.tolist(), 1, []))
+            return np.array(_kernel("image", x.size)(self._pieces.flat, x.tolist()))
         with np.errstate(over="ignore", invalid="ignore"):
-            return _step_rows(self._pieces, x)[0]
+            return np.stack(_kernel("rows", x.shape[1])(self._pieces.flat, x.T)[1], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -434,11 +469,11 @@ def orbit(
     if not escape_radius > 0.0:
         raise ValueError("escape_radius must be positive")
     p = pwl._pieces
-    n = p.c.size
+    n = p.n
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n,):
         raise ValueError(f"x0 must be a vector of length {n}")
-    steps, skip = _kernel(n, p.pattern)
+    steps, skip = _kernel("steps", n, p.pattern), _kernel("skip", n, p.pattern)
     quiet = min(escape_radius, _QUIET_MAX) / math.sqrt(n) * (1.0 - 16 * n * _EPS)
     pts = np.empty((n_keep, n))
     i, x, r = skip(p.flat, x0.tolist(), n_transient, quiet, escape_radius)
@@ -463,7 +498,7 @@ def orbit(
             if not r > escape_radius:
                 raise NonFinite(f"orbit iterate {stop} is not finite")
             pts = pts[: max(stop - n_transient, 0)]
-        lefts = _left_rows(p, pts)
+        lefts = _kernel("sides", n)(p.flat, pts.T)
     return OrbitData(
         points=pts,
         itinerary=np.where(lefts, LEFT, RIGHT),

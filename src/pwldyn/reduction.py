@@ -34,11 +34,14 @@ from .pwlmap import (
     RIGHT,
     FixedPoints,
     PwlMap,
-    _EIGENVALUE_ONE,
+    _ESCAPED,
+    _kernel,
+    _NON_FINITE,
     _norms,
+    _OK,
     _pieces,
     _Pieces,
-    _step_rows,
+    _RUNNING,
     _TwoPieces,
     fixed_points,
     orbit,
@@ -68,8 +71,13 @@ MEMBERSHIP_TOL = 1e-9
 J_MAX = 10**6
 
 # Grid samples stepped together by the induced sampler; bounds its per-step
-# temporaries, which hold an (n, n) matrix per sample, at any grid size.
+# temporaries, a few columns per sample, at any grid size.
 _BLOCK = 4096
+# Samples of a block still running at or below which each finishes alone on
+# Python floats.  A columnar step costs about as much as 100 rows stepped
+# alone (30-50 us against 0.4-0.5 us a row in 2-D and 3-D), and a row handed
+# over pays its own call too.
+_SCALAR_ROWS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,8 +358,6 @@ def zero_eig_reduction(pwl: PwlMap, tol: float = 1e-9) -> AffineHyperplane:
         raise MultipleZero("zero is an eigenvalue of A_L with multiplicity above one")
     w = zeros[0].left
     left = fixed_points(pwl).left
-    if left.reason == _EIGENVALUE_ONE:
-        raise NoFixedPoint("1 is an eigenvalue of A_L, the left piece has no fixed point")
     if left.point is None:
         raise NoFixedPoint(f"the left piece has no fixed point: {left.reason}")
     plane = AffineHyperplane.from_normal_point(w, left.point)
@@ -365,8 +371,7 @@ def zero_eig_reduction(pwl: PwlMap, tol: float = 1e-9) -> AffineHyperplane:
     return plane
 
 
-# Per-sample outcome codes of _first_returns, indexing _STATUSES.
-_RUNNING, _OK, _ESCAPED, _NON_FINITE = range(4)
+# Per-sample outcome names, indexed by the outcome codes of _first_returns.
 _STATUSES = ("no_return", "ok", "escaped", "non_finite")
 
 
@@ -376,18 +381,24 @@ def _on_plane(plane: AffineHyperplane, Y: np.ndarray, r: np.ndarray, tol: float)
 
 
 def _first_returns(pwl, plane, X, j_max, escape_radius, membership_tol):
-    """First return to ``plane`` of every row of ``X``, stepped together.
+    """First return to ``plane`` of every row of ``X``.
 
     Returns the outcome code, ambient image, the step it finished at and
     the piece of that step (True for left) of each row; a row still running
-    after ``j_max`` steps keeps the code ``_RUNNING`` and step 0.  A step by the left piece returns at once,
-    because the plane is that piece's range; any other step returns when
-    ``|normal . y - offset| <= tol (1 + |y|)``.  Escape and a non-finite
-    image are tested before the return.  Rows step together in the columnar
-    layout of the step (``_step_rows``) and leave the active set as they
-    finish, so each is bit-identical to stepping it alone.
+    after ``j_max`` steps keeps the code ``_RUNNING`` and step 0.  A step by
+    the left piece returns at once, because the plane is that piece's
+    range; any other step returns when ``|normal . y - offset| <= tol (1 +
+    |y|)``.  Escape and a non-finite image are tested before the return.
+    A block of rows steps together in the columnar layout (``_kernel``'s
+    ``rows``), and rows leave it as they finish.  A row whose image equals
+    its predecessor leaves it too, still running: the map is deterministic,
+    so it would never finish.  Once at most ``_SCALAR_ROWS`` rows are left,
+    each runs the rest of its budget alone (``returns``), which applies the
+    same tests in the same order.  So each row is bit-identical to stepping
+    it alone.
     """
     P, n = X.shape
+    flat = pwl._pieces.flat
     status = np.full(P, _RUNNING)
     images = np.empty((P, n))
     times = np.zeros(P, dtype=int)
@@ -396,26 +407,36 @@ def _first_returns(pwl, plane, X, j_max, escape_radius, membership_tol):
     with np.errstate(over="ignore", invalid="ignore"):
         if not _on_plane(plane, X, _norms(X), membership_tol).all():
             raise ValueError("start point is not on the section")
+        w, off = plane.normal.tolist(), plane.offset
         for lo in range(0, P, _BLOCK):
             idx = np.arange(lo, min(lo + _BLOCK, P))
-            Y = X[idx]
-            for j in range(1, j_max + 1):
-                Y, left = _step_rows(pwl._pieces, Y)
-                r = _norms(Y)
-                escaped = r > escape_radius
-                non_finite = ~escaped & ~np.isfinite(r)
-                done = escaped | non_finite | left | _on_plane(plane, Y, r, membership_tol)
-                if not done.any():
+            Y = X[idx].T  # one column per coordinate
+            j = 0
+            while idx.size > _SCALAR_ROWS and j < j_max:
+                j += 1
+                left, cols = _kernel("rows", n)(flat, Y)
+                Z = np.array(cols)
+                r = _norms(Z.T)
+                done = (r > escape_radius) | ~(r < math.inf) | left
+                done |= _on_plane(plane, Z.T, r, membership_tol)
+                going = ~done & (Z != Y).any(axis=0)
+                if going.all():
+                    Y = Z
                     continue
-                code = np.where(escaped, _ESCAPED, np.where(non_finite, _NON_FINITE, _OK))
-                fin = idx[done]
-                status[fin] = code[done]
-                images[fin] = Y[done]
+                fin, rf = idx[done], r[done]
+                status[fin] = np.where(rf > escape_radius, _ESCAPED,
+                                       np.where(rf < math.inf, _OK, _NON_FINITE))
+                images[fin] = Z.T[done]
                 times[fin] = j
                 last_left[fin] = left[done]
-                idx, Y = idx[~done], Y[~done]
-                if not idx.size:
-                    break
+                idx, Y = idx[going], Z[:, going]
+            if idx.size and j < j_max:  # each row left runs the rest of its budget alone
+                returns = _kernel("returns", n)
+                for i, y in zip(idx.tolist(), Y.T.tolist()):
+                    code, images[i], step, left = returns(flat, y, j, j_max, escape_radius,
+                                                          w, off, membership_tol)
+                    if code != _RUNNING:
+                        status[i], times[i], last_left[i] = code, step, left
     return status, images, times, last_left
 
 
@@ -473,14 +494,17 @@ def sample_induced(
 ) -> InducedSamples:
     """Evaluate the induced return map on chart-coordinate grid points.
 
-    All points are stepped together in the columnar layout of the step, as
-    elementwise operations over the points, so each sample is bit-identical
-    to stepping its lifted point alone.  A grid point's first return to the
-    plane follows the map until a step by the left piece, whose range the
-    plane is, or until ``|normal . y - offset| <= tol (1 + |y|)``.  Failures
-    are recorded per sample instead of aborting the sweep.  The result holds the outcome
-    columns as they come out of the stepping; its per-sample
-    ``InducedSample`` records are built only when iterated.
+    A grid point's first return to the plane follows the map until a step
+    by the left piece, whose range the plane is, or until ``|normal . y -
+    offset| <= tol (1 + |y|)``.  Points step together in the columnar layout
+    of the step until few are left, and those finish one by one on Python
+    floats (``_first_returns``); each sample is bit-identical to stepping
+    its lifted point alone.  A sample whose iterate repeats exactly never
+    returns, and it ends there as ``no_return``; one that wanders without
+    repeating runs its whole ``j_max``.  Failures are recorded per sample
+    instead of aborting the sweep.  The result holds the outcome columns as
+    they come out of the stepping; its per-sample ``InducedSample`` records
+    are built only when iterated.
     """
     if chart is None:
         chart = plane_chart(plane)

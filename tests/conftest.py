@@ -176,14 +176,14 @@ def reference_orbit(A_L, d_L, A_R, d_R, c, t, x0, n_transient, n_keep, escape_ra
 
 def reference_chunked_orbit(two_pieces, x0, n_transient, n_keep, escape_radius):
     """The chunked orbit loop that ``orbit`` folded, kept as its oracle:
-    the generic kernel (``pwlmap._kernel(n)``) steps and stores every
+    the generic ``pwlmap._kernel("steps", n)`` steps and stores every
     iterate, the transient's too, and each chunk of ``pwlmap._CHUNK`` is
     tested at once, with norms only when a coordinate leaves the ``quiet``
     box.  Returns points, itinerary, transient_discarded and escape_index of
     the map or restricted map ``two_pieces``, or raises NonFinite."""
     p = two_pieces._pieces
-    n = p.c.size
-    steps = pwlmap._kernel(n)[0]
+    n = p.n
+    steps = pwlmap._kernel("steps", n)
     quiet = (min(escape_radius, pwlmap._QUIET_MAX) / math.sqrt(n)
              * (1.0 - 16 * n * pwlmap._EPS))
     pts = np.empty((n_keep, n))
@@ -210,7 +210,7 @@ def reference_chunked_orbit(two_pieces, x0, n_transient, n_keep, escape_radius):
                     raise NonFinite(f"orbit iterate {stop} is not finite")
                 pts = pts[: max(0, stop - n_transient)]
                 break
-        lefts = pwlmap._left_rows(p, pts)
+        lefts = pwlmap._kernel("sides", n)(p.flat, pts.T)
     discarded = n_transient if stop is None else min(n_transient, stop)
     return pts, np.where(lefts, LEFT, RIGHT), discarded, stop
 

@@ -354,8 +354,8 @@ def test_guard_sees_a_subcommand_catching():
 
 
 # Builtins that run source text as code, and the functions that may call
-# them: the generator of the unrolled step, one kernel per coefficient
-# pattern.
+# them: the generator of the unrolled step, one function per role and
+# coefficient pattern.
 CODEGEN_NAMES = {"exec", "eval", "compile"}
 CODEGEN_ALLOWED = {"pwlmap.py": {"_kernel"}}
 
@@ -397,7 +397,7 @@ def test_guard_sees_generated_code():
 
 def test_kernel_cache_stays_at_its_fixed_size():
     # 200 maps, each with its own pattern of exact zeros in the pieces, each
-    # compile a kernel; the cache keeps a fixed number of them.
+    # compile the orbit's step functions; the cache keeps a fixed number.
     limit = pwlmap._kernel.cache_parameters()["maxsize"]
     assert limit is not None and limit < 200
     for mask in range(200):

@@ -453,13 +453,15 @@ def _counted_skips(calls):
     ``k`` of each call in ``calls``."""
     kernel_of = pwlmap._kernel
 
-    def kernel(n, pattern=""):
-        steps, skip = kernel_of(n, pattern)
+    def kernel(role, n, pattern=""):
+        skip = kernel_of(role, n, pattern)
+        if role != "skip":
+            return skip
 
         def counted(flat, x, k, q, radius):
             calls.append(k)
             return skip(flat, x, k, q, radius)
-        return steps, counted
+        return counted
     return kernel
 
 
@@ -500,7 +502,7 @@ def test_skip_norm_has_the_bits_of_length(n, seed, scale, folded):
     # the start, bit for bit, also where the squares overflow or are NaN.
     rng = np.random.default_rng(seed)
     p = _map_with_exact_entries(rng, n, 1.0, False)._pieces
-    skip = pwlmap._kernel(n, p.pattern if folded else "")[1]
+    skip = pwlmap._kernel("skip", n, p.pattern if folded else "")
     x = _planted(rng, rng.standard_normal(n), [None, 0.0, -0.0, 1.0], [0.5, 0.2, 0.1, 0.2])
     x *= scale * rng.choice([1.0, -1.0], n)
     i, y, r = skip(p.flat, x.tolist(), 5, 0.0, -1.0)

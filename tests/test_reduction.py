@@ -3,6 +3,7 @@ from __future__ import annotations
 import collections.abc
 import copy
 import dataclasses
+import hashlib
 import math
 from unittest import mock
 
@@ -681,8 +682,8 @@ def test_zero_eig_multiple_zero():
 
 def test_zero_eig_no_fixed_point():
     pwl = bcnf(BcnfParams(dim=2, tl=1.0, dl=0.0, tr=-1.4, dr=1.5))
-    with pytest.raises(NoFixedPoint,
-                       match="^1 is an eigenvalue of A_L, the left piece has no fixed point$"):
+    with pytest.raises(NoFixedPoint, match="^the left piece has no fixed point: "
+                                           "1 is an eigenvalue of the piece matrix$"):
         zero_eig_reduction(pwl)
 
 
@@ -1008,12 +1009,15 @@ def _reference_samples(pwl, plane, chart, grid, j_max, escape_radius, tol):
     escape_radius=st.sampled_from([10.0, 1e12, np.inf]),
     tol=st.sampled_from([1e-9, 0.05]),
     block=st.sampled_from([3, reduction._BLOCK]),
+    handoff=st.sampled_from([0, 1, reduction._SCALAR_ROWS, reduction._BLOCK + 1]),
 )
 def test_sample_induced_matches_reference_loop(n, seed, count, j_max, escape_radius, tol,
-                                               block):
+                                               block, handoff):
     # A rank n-1 left piece maps everything onto the plane w . x = w . b, w its
     # left null vector.  Right pieces from contracting to strongly expanding
-    # mix returns, escapes, overflows and j_max caps.
+    # mix returns, escapes, overflows and j_max caps.  The hand-off size runs
+    # the columnar step alone, the one-point loop alone, and the switch from
+    # one to the other.
     rng = np.random.default_rng(seed)
     U = rng.standard_normal((n, n - 1))
     A_L = U @ rng.standard_normal((n - 1, n)) / n
@@ -1026,7 +1030,8 @@ def test_sample_induced_matches_reference_loop(n, seed, count, j_max, escape_rad
     chart = plane_chart(plane)
     grid = rng.uniform(-3.0, 3.0, (count, n - 1))
     ref = _reference_samples(pwl, plane, chart, grid, j_max, escape_radius, tol)
-    with mock.patch.object(reduction, "_BLOCK", block):
+    with mock.patch.object(reduction, "_BLOCK", block), \
+            mock.patch.object(reduction, "_SCALAR_ROWS", handoff):
         got = sample_induced(pwl, plane, grid, chart=chart, j_max=j_max,
                              escape_radius=escape_radius, membership_tol=tol)
     assert len(got) == count
@@ -1043,12 +1048,99 @@ def test_sample_induced_matches_reference_loop(n, seed, count, j_max, escape_rad
     # the columns themselves
     assert got.points.shape == got.images.shape == (count, n - 1)
     assert got.points.tobytes() == grid.tobytes()
+    _assert_columns_hold(got, ref)
+
+
+def _assert_columns_hold(got, ref):
+    """The outcome columns of ``got`` hold ``_reference_samples`` ``ref``
+    bit for bit, an image row NaN where the sample did not return."""
     assert got.status.tolist() == [r[4] for r in ref]
     assert got.steps.tolist() == [r[5] for r in ref]
     assert got.last_left.tolist() == [r[6] for r in ref]
-    nan_row = np.full(n - 1, np.nan).tobytes()
+    nan_row = np.full(got.images.shape[1], np.nan).tobytes()
     for row, r in zip(got.images, ref):
         assert row.tobytes() == (nan_row if r[1] is None else r[1].tobytes())
+
+
+def _counted_steps(counts):
+    """A stand-in for ``reduction._kernel`` whose ``rows`` and ``returns``
+    append to ``counts`` the number of iterates each call steps."""
+    kernel_of = reduction._kernel
+
+    def kernel(role, n, pattern=""):
+        run = kernel_of(role, n, pattern)
+        if role == "rows":
+            def counted(flat, x):
+                counts.append(len(x[0]))
+                return run(flat, x)
+            return counted
+        if role == "returns":
+            def counted(flat, x, j, *rest):
+                out = run(flat, x, j, *rest)
+                counts.append(out[2] - j)  # the step it stopped at, from step j
+                return out
+            return counted
+        return run
+    return kernel
+
+
+@pytest.mark.parametrize("handoff", [0, 1, reduction._SCALAR_ROWS, reduction._BLOCK + 1])
+def test_a_sample_stuck_on_a_signed_zero_repeats_by_value(handoff):
+    # The right piece halves the distance of x0 to 2 and flips the sign of a
+    # zero x1: -0.0 * x0 + -0.5 * x1 + -0.0 is -0.0 at x1 = 0.0 and 0.0 at
+    # x1 = -0.0, where the offset -0.0 keeps the sign of the sum.  The orbit
+    # of (0.5, 0) reaches (2, +-0.0), whose image is == to it but not the
+    # same bytes, and it never returns to the plane x0 = 0.5.  Ending the
+    # sample at that repeat gives the outcome of the reference loop, which
+    # steps the whole budget: no test of a sample reads the sign of a zero.
+    a = np.array([[0.5, 0.0], [-0.0, -0.5]])
+    pwl = PwlMap(a, a, np.array([1.0, -0.0]), np.array([1.0, 0.0]))
+    star = np.array([2.0, 0.0])
+    assert (pwl(star) == star).all() and pwl(star).tobytes() != star.tobytes()
+    assert (pwl(pwl(star)) == star).all() and pwl(pwl(star)).tobytes() == star.tobytes()
+    plane = AffineHyperplane.from_normal_point([1.0, 0.0], [0.5, 0.0])
+    chart = plane_chart(plane)
+    grid = np.zeros((1, 1))
+    ref = _reference_samples(pwl, plane, chart, grid, 300, 1e12, 1e-9)
+    assert ref[0][4] == "no_return"
+    for j_max in (300, reduction.J_MAX):
+        counts: list[int] = []
+        with mock.patch.object(reduction, "_SCALAR_ROWS", handoff), \
+                mock.patch.object(reduction, "_kernel", _counted_steps(counts)):
+            got = sample_induced(pwl, plane, grid, chart=chart, j_max=j_max)
+        _assert_columns_hold(got, ref)
+        assert 50 < sum(counts) < 100  # to the first repeat of (2, +-0.0)
+
+
+# sha256 of the points and images bytes and of the repr of the steps,
+# last_left and status lists, as stepping every sample to its budget gave
+# them at j_max = 3000: the samples that do not return by then never do.
+_STRAGGLER_DIGESTS = {
+    3: "06349babb57d5f53e0292e3ef891cf6dab57061f6fd793e0b409186d74afa421",
+    40: "8ca78a6bbb895c33da7420b79820ad877580eb02ca2ff651f3cb76335a4512e0",
+}
+
+
+@pytest.mark.parametrize("k, no_return", [(3, 2), (40, 400)])
+def test_stragglers_end_at_the_default_budget(k, no_return):
+    # On this 3-D normal form the right fixed point is admissible and
+    # attracting.  A sample that does not return in 2 steps reaches an exact
+    # floating-point fixed point within 77 steps; stepping it to J_MAX =
+    # 10^6 would take a million.  Counted in iterates, not in time, the
+    # samples take at most 100 each.
+    pwl = bcnf(BcnfParams(dim=3, tl=1.6, dl=0.0, sl=0.8, tr=0.5, dr=0.1, sr=0.1))
+    plane = zero_eig_reduction(pwl)
+    axis = np.linspace(-1.0, 1.0, k)
+    grid = np.array([[a, b] for a in axis for b in axis])
+    counts: list[int] = []
+    with mock.patch.object(reduction, "_kernel", _counted_steps(counts)):
+        got = sample_induced(pwl, plane, grid)
+    assert (got.status == "no_return").sum() == no_return
+    digest = hashlib.sha256(got.points.tobytes() + got.images.tobytes())
+    digest.update(repr([got.steps.tolist(), got.last_left.tolist(),
+                        got.status.tolist()]).encode())
+    assert digest.hexdigest() == _STRAGGLER_DIGESTS[k]
+    assert sum(counts) <= 100 * len(grid)
 
 
 def test_reduced_map_rows_match_points(shared_map, rng):
