@@ -37,9 +37,8 @@ from .errors import (
     _record,
 )
 from .pwlmap import (ESCAPE_RADIUS, NORMAL_FORM, BcnfParams, PwlMap, _check_lengths, _norms,
-                     bcnf, orbit)
+                     _on_plane, bcnf, orbit)
 from .reduction import (
-    _on_plane,
     analyze,
     detect_shared_eigenvalue,
     plane_chart,
@@ -438,7 +437,6 @@ def _parse_grid_axis(spec: str) -> tuple[float, float, int]:
         raise ValueError(f"grid bounds must be finite, got {spec!r}")
     if count < 1:
         raise ValueError("grid count must be at least 1")
-    _check_grid_size(count)
     return lo, hi, count
 
 

@@ -7,12 +7,14 @@ half-space maps onto an affine hyperplane in one step, and the first-return
 map induced on that plane is piecewise-linear with expanding pieces.  When an
 eigenvalue sits on the unit circle the map is classified by the matching
 boundary-crossing type.
+
+The reductions are linear algebra on the two pieces; the restricted map and
+the first return step in ``pwlmap``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -34,15 +36,8 @@ from .pwlmap import (
     RIGHT,
     FixedPoints,
     PwlMap,
-    _ESCAPED,
-    _kernel,
-    _NON_FINITE,
-    _norms,
-    _OK,
-    _pieces,
-    _Pieces,
-    _RUNNING,
-    _TwoPieces,
+    ReducedPwlMap,
+    _first_returns,
     fixed_points,
     orbit,
     validate_continuity,
@@ -69,15 +64,6 @@ __all__ = [
 
 MEMBERSHIP_TOL = 1e-9
 J_MAX = 10**6
-
-# Grid samples stepped together by the induced sampler; bounds its per-step
-# temporaries, a few columns per sample, at any grid size.
-_BLOCK = 4096
-# Samples of a block still running at or below which each finishes alone on
-# Python floats.  A columnar step costs about as much as 100 rows stepped
-# alone (30-50 us against 0.4-0.5 us a row in 2-D and 3-D), and a row handed
-# over pays its own call too.
-_SCALAR_ROWS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,38 +123,6 @@ def plane_chart(plane: AffineHyperplane) -> Chart:
 
 # ---------------------------------------------------------------------------
 # shared eigenvalue
-
-
-@dataclass(frozen=True, eq=False)
-class ReducedPwlMap(_TwoPieces):
-    """Restriction of a map to an invariant hyperplane, in chart coordinates.
-
-    The left piece applies where ``switch_normal . xi + switch_offset < 0``,
-    mirroring the ambient switching rule exactly.
-    """
-
-    matrix_left: np.ndarray
-    offset_left: np.ndarray
-    matrix_right: np.ndarray
-    offset_right: np.ndarray
-    switch_normal: np.ndarray
-    switch_offset: float
-    chart: Chart
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix_left.shape[0]
-
-    @cached_property
-    def _pieces(self) -> _Pieces:
-        return _pieces(self.matrix_left, self.offset_left, self.matrix_right,
-                       self.offset_right, self.switch_normal, -self.switch_offset)
-
-    def slopes(self) -> tuple[float, float] | None:
-        """Piece slopes for one-dimensional restrictions, else None."""
-        if self.dimension != 1:
-            return None
-        return float(self.matrix_left[0, 0]), float(self.matrix_right[0, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,75 +325,6 @@ def zero_eig_reduction(pwl: PwlMap, tol: float = 1e-9) -> AffineHyperplane:
     return plane
 
 
-# Per-sample outcome names, indexed by the outcome codes of _first_returns.
-_STATUSES = ("no_return", "ok", "escaped", "non_finite")
-
-
-def _on_plane(plane: AffineHyperplane, Y: np.ndarray, r: np.ndarray, tol: float) -> np.ndarray:
-    """The class's membership test for each row of ``Y``, with norm ``r``."""
-    return np.abs(plane.distances(Y)) <= tol * (1.0 + r)
-
-
-def _first_returns(pwl, plane, X, j_max, escape_radius, membership_tol):
-    """First return to ``plane`` of every row of ``X``.
-
-    Returns the outcome code, ambient image, the step it finished at and
-    the piece of that step (True for left) of each row; a row still running
-    after ``j_max`` steps keeps the code ``_RUNNING`` and step 0.  A step by
-    the left piece returns at once, because the plane is that piece's
-    range; any other step returns when ``|normal . y - offset| <= tol (1 +
-    |y|)``.  Escape and a non-finite image are tested before the return.
-    A block of rows steps together in the columnar layout (``_kernel``'s
-    ``rows``), and rows leave it as they finish.  A row whose image equals
-    its predecessor leaves it too, still running: the map is deterministic,
-    so it would never finish.  Once at most ``_SCALAR_ROWS`` rows are left,
-    each runs the rest of its budget alone (``returns``), which applies the
-    same tests in the same order.  So each row is bit-identical to stepping
-    it alone.
-    """
-    P, n = X.shape
-    flat = pwl._pieces.flat
-    status = np.full(P, _RUNNING)
-    images = np.empty((P, n))
-    times = np.zeros(P, dtype=int)
-    last_left = np.zeros(P, dtype=bool)
-    # Overflow ends in an escaped or non-finite status below, not in a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not _on_plane(plane, X, _norms(X), membership_tol).all():
-            raise ValueError("start point is not on the section")
-        w, off = plane.normal.tolist(), plane.offset
-        for lo in range(0, P, _BLOCK):
-            idx = np.arange(lo, min(lo + _BLOCK, P))
-            Y = X[idx].T  # one column per coordinate
-            j = 0
-            while idx.size > _SCALAR_ROWS and j < j_max:
-                j += 1
-                left, cols = _kernel("rows", n)(flat, Y)
-                Z = np.array(cols)
-                r = _norms(Z.T)
-                done = (r > escape_radius) | ~(r < math.inf) | left
-                done |= _on_plane(plane, Z.T, r, membership_tol)
-                going = ~done & (Z != Y).any(axis=0)
-                if going.all():
-                    Y = Z
-                    continue
-                fin, rf = idx[done], r[done]
-                status[fin] = np.where(rf > escape_radius, _ESCAPED,
-                                       np.where(rf < math.inf, _OK, _NON_FINITE))
-                images[fin] = Z.T[done]
-                times[fin] = j
-                last_left[fin] = left[done]
-                idx, Y = idx[going], Z[:, going]
-            if idx.size and j < j_max:  # each row left runs the rest of its budget alone
-                returns = _kernel("returns", n)
-                for i, y in zip(idx.tolist(), Y.T.tolist()):
-                    code, images[i], step, left = returns(flat, y, j, j_max, escape_radius,
-                                                          w, off, membership_tol)
-                    if code != _RUNNING:
-                        status[i], times[i], last_left[i] = code, step, left
-    return status, images, times, last_left
-
-
 @dataclass(frozen=True, eq=False)
 class InducedSample:
     point: np.ndarray
@@ -516,10 +401,10 @@ def sample_induced(
     status, images, steps, last_left = _first_returns(
         pwl, plane, chart.lift_many(pts), j_max, escape_radius, membership_tol
     )
-    ok = status == _OK
+    ok = status == "ok"
     proj = np.full(pts.shape, np.nan)
     proj[ok] = chart.project_many(images[ok])
-    columns = (pts, proj, steps, last_left, np.array(_STATUSES)[status])
+    columns = (pts, proj, steps, last_left, status)
     for column in columns:
         column.flags.writeable = False
     return InducedSamples(*columns)

@@ -678,6 +678,16 @@ def test_huge_grid_rejected_before_allocating(capsys, argv):
     assert peak < 10**6
 
 
+def test_grid_limit_names_the_product_of_the_axes(capsys):
+    # the first axis alone is past the limit, but the one check is on the
+    # whole grid, before anything is allocated, and names its size
+    code = main(["induced", "--dim", "3", "--tl", "1.6", "--dl", "0.0", "--sl", "0.8",
+                 "--tr", "-1.5", "--dr", "1.0", "--sr", "0.0", "--grid=0:1:2000000,0:1:3"])
+    assert code == 2
+    assert capsys.readouterr().err.endswith(
+        f"grid has 6000000 samples, more than the limit {cli.MAX_GRID_SAMPLES}\n")
+
+
 def _singular_left_map_file(path: Path, n: int, seed: int) -> None:
     """A random continuous map whose left piece has a zero column."""
     rng = np.random.default_rng(seed)

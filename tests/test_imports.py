@@ -3,11 +3,11 @@ re-exported, every module-level private name is referenced somewhere in the
 package, every dataclass field is read somewhere, every public name of a
 library module is exported by the package, no module imports SciPy, no
 inner product goes through BLAS outside the LAPACK sites above 3x3, only
-``linalg`` scales data into a frame, shared-eigenvalue detection
-turns no NumPy warning off, no subcommand of the command-line front end
-catches an exception, only the step kernel generator runs generated code,
-from a cache of fixed size, and every source file parses with the Python
-3.10 grammar."""
+``linalg`` scales data into a frame, only ``pwlmap`` names the step's
+internals, shared-eigenvalue detection turns no NumPy warning off, no
+subcommand of the command-line front end catches an exception, only the
+step kernel generator runs generated code, from a cache of fixed size, and
+every source file parses with the Python 3.10 grammar."""
 from __future__ import annotations
 
 import ast
@@ -273,9 +273,9 @@ def test_guard_sees_a_blas_product():
 RESCALE_NAMES = {"_rescaled", "_Frame"}
 
 
-def rescale_uses(source: str) -> list[str]:
-    """Every use of a name in ``RESCALE_NAMES``, as a name, an attribute or
-    an imported name, in line order."""
+def name_uses(source: str, names: set[str]) -> list[str]:
+    """Every use of one of ``names``, as a name, an attribute or an imported
+    name, in line order."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
@@ -286,7 +286,7 @@ def rescale_uses(source: str) -> list[str]:
             name = node.name
         else:
             continue
-        if name in RESCALE_NAMES:
+        if name in names:
             found.append((node.lineno, f"{name} (line {node.lineno})"))
     return [what for _, what in sorted(found)]
 
@@ -294,7 +294,7 @@ def rescale_uses(source: str) -> list[str]:
 @pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "linalg.py"),
                          ids=lambda p: p.name)
 def test_only_linalg_rescales(path):
-    assert rescale_uses(path.read_text(encoding="utf-8")) == []
+    assert name_uses(path.read_text(encoding="utf-8"), RESCALE_NAMES) == []
 
 
 def test_guard_sees_a_rescale_outside_linalg():
@@ -304,8 +304,33 @@ def test_guard_sees_a_rescale_outside_linalg():
               "    frame = linalg._Frame(*linalg._rescaled(q))\n"
               "    c = _rescaled(c)[0]\n"
               "    return frame, linalg._map_frame(c, c, c)\n")
-    assert rescale_uses(source) == [
+    assert name_uses(source, RESCALE_NAMES) == [
         "_rescaled (line 1)", "_Frame (line 4)", "_rescaled (line 4)", "_rescaled (line 5)"]
+
+
+# Every two-piece map steps in ``pwlmap``: the step generator, the pieces it
+# reads, the first return's outcome codes and its block sizes are named
+# nowhere else.  Other modules step through ``orbit``, a map's call and
+# ``_first_returns``, and read a map's ``_pieces`` coefficients, which is
+# left out of this set: ``reduction`` tests them for finiteness.
+STEP_NAMES = {"_kernel", "_Pieces", "_TwoPieces", "_RUNNING", "_OK", "_ESCAPED", "_NON_FINITE",
+              "_BLOCK", "_SCALAR_ROWS"}
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "pwlmap.py"),
+                         ids=lambda p: p.name)
+def test_only_pwlmap_names_the_step_internals(path):
+    assert name_uses(path.read_text(encoding="utf-8"), STEP_NAMES) == []
+
+
+def test_guard_sees_a_step_internal_outside_pwlmap():
+    source = ("from .pwlmap import _OK, _first_returns\n"
+              "from . import pwlmap\n"
+              "def f(pwl, X):\n"
+              "    step = pwlmap._kernel('rows', 2)(pwl._pieces.flat, X.T)\n"
+              "    return _first_returns(pwl, X)[0] == _OK, pwlmap._BLOCK\n")
+    assert name_uses(source, STEP_NAMES) == [
+        "_OK (line 1)", "_kernel (line 4)", "_BLOCK (line 5)", "_OK (line 5)"]
 
 
 def test_detection_turns_no_warnings_off():

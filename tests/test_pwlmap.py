@@ -340,6 +340,25 @@ def test_orbit_matches_reference_loop(n, seed, scale, n_transient, n_keep, escap
     assert got.escaped == (escape_index is not None)
 
 
+@pytest.mark.parametrize("n", [12, 16])
+def test_orbit_above_8_dimensions_matches_reference_loop(n):
+    # A random continuous map whose pieces both contract; its unrolled step
+    # holds 2 n^2 + 3 n + 1 coefficients.  The orbit, kept from its start,
+    # visits both pieces on its way in and crosses a chunk.
+    rng = np.random.default_rng(n)
+    A_L = rng.standard_normal((n, n)) * (0.5 / np.sqrt(n))
+    c = rng.standard_normal(n)
+    A_R = A_L + np.outer(rng.standard_normal(n), c) * (0.5 / n)
+    assert max(np.abs(np.linalg.eigvals(A)).max() for A in (A_L, A_R)) < 1.0
+    pwl = PwlMap(A_L, A_R, rng.standard_normal(n), c)
+    x0 = rng.standard_normal(n)
+    pts, its, _, escape_index = reference_orbit(*pieces(pwl), x0, 0, 300, 1e12)
+    got = orbit(pwl, x0, 0, 300)
+    assert escape_index is None and set(its) == {pwlmap.LEFT, pwlmap.RIGHT}
+    assert got.points.tobytes() == pts.tobytes()
+    assert np.array_equal(got.itinerary, its)
+
+
 def _planted(rng, values, choices, weights):
     """``values`` with each entry replaced, at the given weights, by one of
     ``choices``; the entry itself where the choice is None."""

@@ -40,7 +40,7 @@ from pwldyn import (
     validate_continuity,
     zero_eig_reduction,
 )
-from pwldyn import linalg, reduction
+from pwldyn import linalg, pwlmap, reduction
 from pwldyn.cli import main, read_matrix_file
 
 from conftest import (
@@ -1008,8 +1008,8 @@ def _reference_samples(pwl, plane, chart, grid, j_max, escape_radius, tol):
     j_max=st.integers(0, 300),
     escape_radius=st.sampled_from([10.0, 1e12, np.inf]),
     tol=st.sampled_from([1e-9, 0.05]),
-    block=st.sampled_from([3, reduction._BLOCK]),
-    handoff=st.sampled_from([0, 1, reduction._SCALAR_ROWS, reduction._BLOCK + 1]),
+    block=st.sampled_from([3, pwlmap._BLOCK]),
+    handoff=st.sampled_from([0, 1, pwlmap._SCALAR_ROWS, pwlmap._BLOCK + 1]),
 )
 def test_sample_induced_matches_reference_loop(n, seed, count, j_max, escape_radius, tol,
                                                block, handoff):
@@ -1030,8 +1030,8 @@ def test_sample_induced_matches_reference_loop(n, seed, count, j_max, escape_rad
     chart = plane_chart(plane)
     grid = rng.uniform(-3.0, 3.0, (count, n - 1))
     ref = _reference_samples(pwl, plane, chart, grid, j_max, escape_radius, tol)
-    with mock.patch.object(reduction, "_BLOCK", block), \
-            mock.patch.object(reduction, "_SCALAR_ROWS", handoff):
+    with mock.patch.object(pwlmap, "_BLOCK", block), \
+            mock.patch.object(pwlmap, "_SCALAR_ROWS", handoff):
         got = sample_induced(pwl, plane, grid, chart=chart, j_max=j_max,
                              escape_radius=escape_radius, membership_tol=tol)
     assert len(got) == count
@@ -1063,9 +1063,9 @@ def _assert_columns_hold(got, ref):
 
 
 def _counted_steps(counts):
-    """A stand-in for ``reduction._kernel`` whose ``rows`` and ``returns``
+    """A stand-in for ``pwlmap._kernel`` whose ``rows`` and ``returns``
     append to ``counts`` the number of iterates each call steps."""
-    kernel_of = reduction._kernel
+    kernel_of = pwlmap._kernel
 
     def kernel(role, n, pattern=""):
         run = kernel_of(role, n, pattern)
@@ -1084,7 +1084,7 @@ def _counted_steps(counts):
     return kernel
 
 
-@pytest.mark.parametrize("handoff", [0, 1, reduction._SCALAR_ROWS, reduction._BLOCK + 1])
+@pytest.mark.parametrize("handoff", [0, 1, pwlmap._SCALAR_ROWS, pwlmap._BLOCK + 1])
 def test_a_sample_stuck_on_a_signed_zero_repeats_by_value(handoff):
     # The right piece halves the distance of x0 to 2 and flips the sign of a
     # zero x1: -0.0 * x0 + -0.5 * x1 + -0.0 is -0.0 at x1 = 0.0 and 0.0 at
@@ -1105,8 +1105,8 @@ def test_a_sample_stuck_on_a_signed_zero_repeats_by_value(handoff):
     assert ref[0][4] == "no_return"
     for j_max in (300, reduction.J_MAX):
         counts: list[int] = []
-        with mock.patch.object(reduction, "_SCALAR_ROWS", handoff), \
-                mock.patch.object(reduction, "_kernel", _counted_steps(counts)):
+        with mock.patch.object(pwlmap, "_SCALAR_ROWS", handoff), \
+                mock.patch.object(pwlmap, "_kernel", _counted_steps(counts)):
             got = sample_induced(pwl, plane, grid, chart=chart, j_max=j_max)
         _assert_columns_hold(got, ref)
         assert 50 < sum(counts) < 100  # to the first repeat of (2, +-0.0)
@@ -1133,7 +1133,7 @@ def test_stragglers_end_at_the_default_budget(k, no_return):
     axis = np.linspace(-1.0, 1.0, k)
     grid = np.array([[a, b] for a in axis for b in axis])
     counts: list[int] = []
-    with mock.patch.object(reduction, "_kernel", _counted_steps(counts)):
+    with mock.patch.object(pwlmap, "_kernel", _counted_steps(counts)):
         got = sample_induced(pwl, plane, grid)
     assert (got.status == "no_return").sum() == no_return
     digest = hashlib.sha256(got.points.tobytes() + got.images.tobytes())
@@ -1184,7 +1184,7 @@ def test_hyperplane_normalization():
     assert plane.offset == pytest.approx(3.0, abs=1e-15)
     X = np.array([[5.0, 4.0], [9.0, 3.0], [9.0, 3.1]])
     assert plane.distances(X) == pytest.approx([1.0, 0.0, 0.1])
-    assert reduction._on_plane(plane, X, np.linalg.norm(X, axis=1), 1e-9).tolist() == [
+    assert pwlmap._on_plane(plane, X, np.linalg.norm(X, axis=1), 1e-9).tolist() == [
         False, True, False]
 
 
