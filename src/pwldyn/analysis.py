@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EmptyCloud, NonFinite, PwldynError, _record
-from .pwlmap import ESCAPE_RADIUS, BcnfParams, OrbitData, PwlMap, bcnf, orbit
+from .pwlmap import ESCAPE_RADIUS, TOL, BcnfParams, OrbitData, PwlMap, bcnf, orbit
 from .reduction import detect_shared_eigenvalue
 
 __all__ = [
@@ -257,7 +257,7 @@ class ScanResult:
     consecutive_hausdorff: tuple[float, ...]
     errors: tuple[str | None, ...]
 
-    def plane_distances(self, tol: float = 1e-9) -> tuple[float, ...]:
+    def plane_distances(self, tol: float = TOL) -> tuple[float, ...]:
         """Per value, the largest ``|distance|`` from its cloud to the plane of
         ``detect_shared_eigenvalue(map, tol)``, run here and not in ``scan``;
         NaN where the cloud is None or empty, nothing is shared or it raises."""

@@ -18,6 +18,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 import tempfile
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -36,16 +37,9 @@ from .errors import (
     UnsupportedDimension,
     _record,
 )
-from .pwlmap import (ESCAPE_RADIUS, NORMAL_FORM, BcnfParams, PwlMap, _check_lengths, _norms,
-                     _on_plane, bcnf, orbit)
-from .reduction import (
-    analyze,
-    detect_shared_eigenvalue,
-    plane_chart,
-    restrict_to_manifold,
-    sample_induced,
-    zero_eig_reduction,
-)
+from .pwlmap import (ESCAPE_RADIUS, NORMAL_FORM, TOL, BcnfParams, PwlMap, _check_lengths, _norms,
+                     _on_plane, bcnf, orbit, plane_chart, sample_induced)
+from .reduction import analyze, detect_shared_eigenvalue, restrict_to_manifold, zero_eig_reduction
 
 __all__ = ["RunConfig", "main"]
 
@@ -109,7 +103,7 @@ class RunConfig:
         help="initial point (default: b nudged off the axis)",
     )
     tol: float = _setting(
-        "tolerances", float, 1e-9, help="detection/membership tolerance (default 1e-9)"
+        "tolerances", float, TOL, help=f"detection/membership tolerance (default {TOL:g})"
     )
     grid: str | None = _setting("sampling", str, metavar="LO:HI:N[,LO:HI:N]", help="sampling grid")
     param: str | None = _setting("sampling", str, choices=_MAP_KEYS[1:], help="scan parameter")
@@ -242,15 +236,24 @@ def build_map(cfg: RunConfig) -> PwlMap:
 
 
 def _write_text(text: str, out: str | None) -> None:
-    """Write to stdout, or rename a temporary file to ``out``; errors name ``out``."""
+    """Write to stdout, or rename a temporary file to ``out``; errors name ``out``.
+    The file gets the mode ``open(out, "w")`` would leave: an existing
+    file's own, else 0o666 less the umask."""
     if out is None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(out))
     try:
+        try:
+            mode = stat.S_IMODE(os.stat(out).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)  # the only way to read it: set it back at once
+            os.umask(umask)
+            mode = 0o666 & ~umask
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pwldyn-")
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                os.chmod(tmp, mode)  # mkstemp makes it 0o600
                 fh.write(text)
             os.replace(tmp, out)
         except BaseException:

@@ -53,7 +53,9 @@ class NonFinite(DynamicsError):
 
 
 class NoReturn(DynamicsError):
-    """No return to the section within the iteration budget."""
+    """The sampled attractor never visits the section, so no default grid
+    of the induced map can be drawn; a sample that does not return within
+    its budget is recorded as ``no_return`` instead."""
 
 
 class ReductionError(PwldynError):

@@ -6,7 +6,8 @@ Continuity across the boundary is equivalent to ``A_R - A_L`` being a
 rank-one update along ``c``, which :func:`validate_continuity` checks.
 
 Every two-piece map, a ``PwlMap`` or a ``ReducedPwlMap``, steps here, on one
-generated step: its calls, its orbits and its first returns to a plane.
+generated step: its calls, its orbits and the first returns of a grid to a
+charted plane (``sample_induced``).
 """
 from __future__ import annotations
 
@@ -14,29 +15,33 @@ import math
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from itertools import chain
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
 from .errors import NonFinite, NotContinuous, SingularMatrix, UnsupportedDimension
 
-if TYPE_CHECKING:
-    from .reduction import AffineHyperplane, Chart
-
 __all__ = [
     "ESCAPE_RADIUS",
     "LEFT",
     "NORMAL_FORM",
     "RIGHT",
+    "AffineHyperplane",
     "BcnfParams",
+    "Chart",
     "FixedPointInfo",
     "FixedPoints",
+    "InducedSample",
+    "InducedSamples",
     "OrbitData",
     "PwlMap",
+    "ReducedPwlMap",
     "bcnf",
     "fixed_points",
     "orbit",
+    "plane_chart",
+    "sample_induced",
     "validate_continuity",
 ]
 
@@ -56,6 +61,12 @@ CONTINUITY_TOL = 1e-10
 
 # Default radius beyond which an orbit or excursion counts as escaped.
 ESCAPE_RADIUS = 1e12
+
+# Default tolerance of every yes/no decision: a shared eigenvalue, a
+# singular piece, an eigenvalue on the unit circle and a point on a plane.
+TOL = 1e-9
+# Default budget of steps of one sample's first return.
+J_MAX = 10**6
 
 # Kept iterates stepped between two escape tests of an orbit.  The transient
 # is not stored, so memory stays O((n_keep + chunk) n).
@@ -128,7 +139,7 @@ def _pieces(A_L, d_L, A_R, d_R, c, t: float) -> _Pieces:
 
 # Outcome codes of a first return (``_kernel``'s ``returns``).
 _RUNNING, _OK, _ESCAPED, _NON_FINITE = range(4)
-# Each outcome's name, indexed by its code, as _first_returns returns it.
+# Each outcome's name, indexed by its code: ``InducedSamples.status``.
 _STATUSES = ("no_return", "ok", "escaped", "non_finite")
 
 
@@ -366,6 +377,61 @@ class PwlMap(_TwoPieces):
 
 
 @dataclass(frozen=True, eq=False)
+class AffineHyperplane:
+    """Hyperplane ``{x : normal . x = offset}`` with a distinguished base point.
+
+    The normal is stored unit length with its first significant component
+    positive, so the membership test ``|normal . x - offset| <= tol (1 + |x|)``
+    does not depend on any eigenvector scaling.
+    """
+
+    normal: np.ndarray
+    base_point: np.ndarray
+    offset: float
+
+    @classmethod
+    def from_normal_point(cls, normal, point) -> "AffineHyperplane":
+        w = np.asarray(normal, dtype=float)
+        if not w.any():
+            raise ValueError("hyperplane normal is zero")
+        w = linalg._sign_fixed(w)
+        p = np.array(point, dtype=float)
+        w.setflags(write=False)
+        p.setflags(write=False)
+        return cls(normal=w, base_point=p, offset=linalg._dot(w, p))
+
+    def distances(self, X) -> np.ndarray:
+        return linalg._rows_dot(X, self.normal) - self.offset
+
+
+@dataclass(frozen=True, eq=False)
+class Chart:
+    """Orthonormal coordinates on an affine hyperplane."""
+
+    base: np.ndarray
+    basis: np.ndarray  # (n, n-1), orthonormal columns
+
+    def lift_many(self, Xi) -> np.ndarray:
+        """The ambient point ``base + basis xi`` of each row ``xi``."""
+        return self.base + linalg._rows_dot(np.asarray(Xi, dtype=float)[:, None, :], self.basis)
+
+    def project(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.shape != self.base.shape:
+            raise ValueError(f"x0 must be a vector of length {self.base.size}")
+        return self.project_many(x[None])[0]
+
+    def project_many(self, X) -> np.ndarray:
+        """``project`` of each row: ``basis^T (x - base)``."""
+        return linalg._rows_dot((np.asarray(X, dtype=float) - self.base)[:, None, :],
+                                self.basis.T)
+
+
+def plane_chart(plane: AffineHyperplane) -> Chart:
+    return Chart(base=plane.base_point, basis=linalg.hyperplane_basis(plane.normal))
+
+
+@dataclass(frozen=True, eq=False)
 class ReducedPwlMap(_TwoPieces):
     """Restriction of a map to an invariant hyperplane, in chart coordinates.
 
@@ -569,23 +635,84 @@ def _on_plane(plane: AffineHyperplane, Y: np.ndarray, r: np.ndarray, tol: float)
     return np.abs(plane.distances(Y)) <= tol * (1.0 + r)
 
 
-def _first_returns(pwl, plane, X, j_max, escape_radius, membership_tol):
-    """First return to ``plane`` of every row of ``X``.
+@dataclass(frozen=True, eq=False)
+class InducedSample:
+    point: np.ndarray
+    image: np.ndarray | None
+    return_time: int | None
+    itinerary: tuple[str, ...] | None
+    status: str  # "ok" | "no_return" | "escaped" | "non_finite"
 
-    Returns the outcome's name, ambient image, the step it finished at and
-    the piece of that step (True for left) of each row; a row still running
-    after ``j_max`` steps is "no_return" at step 0.  A step by the left
-    piece returns at once, because the plane is that piece's range; any
-    other step returns when ``|normal . y - offset| <= tol (1 + |y|)``.
-    Escape and a non-finite image are tested before the return.
-    A block of rows steps together in the columnar layout (``_kernel``'s
-    ``rows``), and rows leave it as they finish.  A row whose image equals
-    its predecessor leaves it too, still running: the map is deterministic,
-    so it would never finish.  Once at most ``_SCALAR_ROWS`` rows are left,
-    each runs the rest of its budget alone (``returns``), which applies the
-    same tests in the same order.  So each row is bit-identical to stepping
-    it alone.
+
+@dataclass(frozen=True, eq=False)
+class InducedSamples:
+    """Outcomes of ``sample_induced``, one read-only column per field.
+
+    ``points`` and ``images`` are ``(P, d)`` chart coordinates, an image row
+    NaN wherever the sample did not return; ``steps`` is the step at which
+    each sample finished (0 while still running at ``j_max``), ``last_left``
+    whether that step was taken by the left piece, and ``status`` the
+    outcome ("ok", "no_return", "escaped" or "non_finite").  Counters are
+    reductions over these columns.  Iterating gives one ``InducedSample``
+    per grid point, built when it is read.
     """
+
+    points: np.ndarray
+    images: np.ndarray
+    steps: np.ndarray
+    last_left: np.ndarray
+    status: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.status)
+
+    def __iter__(self):
+        for point, image, step, left, status in zip(
+                self.points, self.images, self.steps.tolist(), self.last_left.tolist(),
+                self.status.tolist()):
+            if status == "ok":
+                # every step before the last is a right step: a left step returns at once
+                itinerary = (RIGHT,) * (step - 1) + (LEFT if left else RIGHT,)
+                yield InducedSample(point, image, step, itinerary, status)
+            else:
+                yield InducedSample(point, None, None, None, status)
+
+
+def sample_induced(
+    pwl: PwlMap,
+    plane: AffineHyperplane,
+    grid,
+    chart: Chart | None = None,
+    j_max: int = J_MAX,
+    escape_radius: float = ESCAPE_RADIUS,
+    membership_tol: float = TOL,
+) -> InducedSamples:
+    """Evaluate the induced return map on chart-coordinate grid points.
+
+    A grid point's first return to the plane follows the map until a step
+    by the left piece, whose range the plane is, or until ``|normal . y -
+    offset| <= tol (1 + |y|)``; escape and a non-finite image are tested
+    before the return.  A block of lifted points steps together in the
+    columnar layout (``_kernel``'s ``rows``), and points leave it as they
+    finish.  A point whose image equals its predecessor leaves it too,
+    still running: the map is deterministic, so it never returns, and it
+    ends there as ``no_return``; one that wanders without repeating runs its
+    whole ``j_max``.  Once at most ``_SCALAR_ROWS`` points are left, each
+    runs the rest of its budget alone (``returns``), which applies the same
+    tests in the same order.  So each sample is bit-identical to stepping
+    its lifted point alone.  Failures are recorded per sample instead of
+    aborting the sweep.  The result holds the outcome columns as they come
+    out of the stepping; its per-sample ``InducedSample`` records are built
+    only when iterated.
+    """
+    if chart is None:
+        chart = plane_chart(plane)
+    pts = np.array(grid, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if pts.shape[1] != pwl.n - 1:
+        raise ValueError(f"grid points must have {pwl.n - 1} chart coordinates")
+    X = chart.lift_many(pts)
     P, n = X.shape
     flat = pwl._pieces.flat
     status = np.full(P, _RUNNING)
@@ -626,7 +753,13 @@ def _first_returns(pwl, plane, X, j_max, escape_radius, membership_tol):
                                                           w, off, membership_tol)
                     if code != _RUNNING:
                         status[i], times[i], last_left[i] = code, step, left
-    return np.array(_STATUSES)[status], images, times, last_left
+    ok = status == _OK
+    proj = np.full(pts.shape, np.nan)
+    proj[ok] = chart.project_many(images[ok])
+    columns = (pts, proj, times, last_left, np.array(_STATUSES)[status])
+    for column in columns:
+        column.flags.writeable = False
+    return InducedSamples(*columns)
 
 
 @dataclass(frozen=True, eq=False)

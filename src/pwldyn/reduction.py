@@ -8,8 +8,9 @@ map induced on that plane is piecewise-linear with expanding pieces.  When an
 eigenvalue sits on the unit circle the map is classified by the matching
 boundary-crossing type.
 
-The reductions are linear algebra on the two pieces; the restricted map and
-the first return step in ``pwlmap``.
+The reductions are linear algebra on the two pieces: they find the planes and
+build the restricted map.  Both maps, the plane and its chart, and the
+sampler of the first-return map live in ``pwlmap``, which steps them.
 """
 from __future__ import annotations
 
@@ -31,94 +32,30 @@ from .errors import (
     _record,
 )
 from .pwlmap import (
-    ESCAPE_RADIUS,
     LEFT,
     RIGHT,
+    TOL,
+    AffineHyperplane,
+    Chart,
     FixedPoints,
     PwlMap,
     ReducedPwlMap,
-    _first_returns,
     fixed_points,
     orbit,
     validate_continuity,
 )
 
 __all__ = [
-    "AffineHyperplane",
-    "Chart",
-    "InducedSample",
-    "InducedSamples",
     "MapReport",
-    "ReducedPwlMap",
     "SharedEigReduction",
     "UnitModulusReport",
     "analyze",
     "classify_unit_modulus",
     "detect_shared_eigenvalue",
-    "plane_chart",
     "reduced_orbit",
     "restrict_to_manifold",
-    "sample_induced",
     "zero_eig_reduction",
 ]
-
-MEMBERSHIP_TOL = 1e-9
-J_MAX = 10**6
-
-
-@dataclass(frozen=True, eq=False)
-class AffineHyperplane:
-    """Hyperplane ``{x : normal . x = offset}`` with a distinguished base point.
-
-    The normal is stored unit length with its first significant component
-    positive, so the membership test ``|normal . x - offset| <= tol (1 + |x|)``
-    does not depend on any eigenvector scaling.
-    """
-
-    normal: np.ndarray
-    base_point: np.ndarray
-    offset: float
-
-    @classmethod
-    def from_normal_point(cls, normal, point) -> "AffineHyperplane":
-        w = np.asarray(normal, dtype=float)
-        if not w.any():
-            raise ValueError("hyperplane normal is zero")
-        w = linalg._sign_fixed(w)
-        p = np.array(point, dtype=float)
-        w.setflags(write=False)
-        p.setflags(write=False)
-        return cls(normal=w, base_point=p, offset=linalg._dot(w, p))
-
-    def distances(self, X) -> np.ndarray:
-        return linalg._rows_dot(X, self.normal) - self.offset
-
-
-@dataclass(frozen=True, eq=False)
-class Chart:
-    """Orthonormal coordinates on an affine hyperplane."""
-
-    base: np.ndarray
-    basis: np.ndarray  # (n, n-1), orthonormal columns
-
-    def lift_many(self, Xi) -> np.ndarray:
-        """The ambient point ``base + basis xi`` of each row ``xi``."""
-        return self.base + linalg._rows_dot(np.asarray(Xi, dtype=float)[:, None, :], self.basis)
-
-    def project(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != self.base.shape:
-            raise ValueError(f"x0 must be a vector of length {self.base.size}")
-        return self.project_many(x[None])[0]
-
-    def project_many(self, X) -> np.ndarray:
-        """``project`` of each row: ``basis^T (x - base)``."""
-        return linalg._rows_dot((np.asarray(X, dtype=float) - self.base)[:, None, :],
-                                self.basis.T)
-
-
-def plane_chart(plane: AffineHyperplane) -> Chart:
-    return Chart(base=plane.base_point, basis=linalg.hyperplane_basis(plane.normal))
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +88,7 @@ class SharedEigReduction:
         return linalg._rows_dot(X, self.left) - self.offset
 
 
-def detect_shared_eigenvalue(pwl: PwlMap, tol: float = 1e-9) -> SharedEigReduction | None:
+def detect_shared_eigenvalue(pwl: PwlMap, tol: float = TOL) -> SharedEigReduction | None:
     """Find a simple real eigenvalue common to both pieces and build the reduction.
 
     Only ``A_R`` is decomposed.  With ``A_R - A_L = p c^T``, a real
@@ -258,18 +195,18 @@ def _build_restricted(pwl: PwlMap, u: np.ndarray, base: np.ndarray) -> ReducedPw
         d_l, d_r = (linalg._rows_dot(B.T, linalg._rows_dot(A, base) + pwl.b - base)
                     for A in (pwl.A_L, pwl.A_R))
         switch_normal = linalg._rows_dot(B.T, pwl.c)
-    rmap = ReducedPwlMap(
+    switch_offset = linalg._dot(pwl.c, base)
+    if not all(np.isfinite(a).all() for a in (m_l, d_l, m_r, d_r, switch_normal, switch_offset)):
+        raise IllConditioned("the restricted map is past the float range")
+    return ReducedPwlMap(
         matrix_left=m_l,
         offset_left=d_l,
         matrix_right=m_r,
         offset_right=d_r,
         switch_normal=switch_normal,
-        switch_offset=linalg._dot(pwl.c, base),
+        switch_offset=switch_offset,
         chart=chart,
     )
-    if not all(map(math.isfinite, rmap._pieces.flat)):
-        raise IllConditioned("the restricted map is past the float range")
-    return rmap
 
 
 def restrict_to_manifold(red: SharedEigReduction) -> ReducedPwlMap:
@@ -290,7 +227,7 @@ reduced_orbit = orbit  # a restricted map iterates in chart coordinates like any
 # zero eigenvalue
 
 
-def zero_eig_reduction(pwl: PwlMap, tol: float = 1e-9) -> AffineHyperplane:
+def zero_eig_reduction(pwl: PwlMap, tol: float = TOL) -> AffineHyperplane:
     """Hyperplane carrying the range of the left piece.
 
     Requires the left matrix to be singular with a simple zero eigenvalue and
@@ -325,91 +262,6 @@ def zero_eig_reduction(pwl: PwlMap, tol: float = 1e-9) -> AffineHyperplane:
     return plane
 
 
-@dataclass(frozen=True, eq=False)
-class InducedSample:
-    point: np.ndarray
-    image: np.ndarray | None
-    return_time: int | None
-    itinerary: tuple[str, ...] | None
-    status: str  # "ok" | "no_return" | "escaped" | "non_finite"
-
-
-@dataclass(frozen=True, eq=False)
-class InducedSamples:
-    """Outcomes of ``sample_induced``, one read-only column per field.
-
-    ``points`` and ``images`` are ``(P, d)`` chart coordinates, an image row
-    NaN wherever the sample did not return; ``steps`` is the step at which
-    each sample finished (0 while still running at ``j_max``), ``last_left``
-    whether that step was taken by the left piece, and ``status`` the
-    outcome ("ok", "no_return", "escaped" or "non_finite").  Counters are
-    reductions over these columns.  Iterating gives one ``InducedSample``
-    per grid point, built when it is read.
-    """
-
-    points: np.ndarray
-    images: np.ndarray
-    steps: np.ndarray
-    last_left: np.ndarray
-    status: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.status)
-
-    def __iter__(self):
-        for point, image, step, left, status in zip(
-                self.points, self.images, self.steps.tolist(), self.last_left.tolist(),
-                self.status.tolist()):
-            if status == "ok":
-                # every step before the last is a right step: a left step returns at once
-                itinerary = (RIGHT,) * (step - 1) + (LEFT if left else RIGHT,)
-                yield InducedSample(point, image, step, itinerary, status)
-            else:
-                yield InducedSample(point, None, None, None, status)
-
-
-def sample_induced(
-    pwl: PwlMap,
-    plane: AffineHyperplane,
-    grid,
-    chart: Chart | None = None,
-    j_max: int = J_MAX,
-    escape_radius: float = ESCAPE_RADIUS,
-    membership_tol: float = MEMBERSHIP_TOL,
-) -> InducedSamples:
-    """Evaluate the induced return map on chart-coordinate grid points.
-
-    A grid point's first return to the plane follows the map until a step
-    by the left piece, whose range the plane is, or until ``|normal . y -
-    offset| <= tol (1 + |y|)``.  Points step together in the columnar layout
-    of the step until few are left, and those finish one by one on Python
-    floats (``_first_returns``); each sample is bit-identical to stepping
-    its lifted point alone.  A sample whose iterate repeats exactly never
-    returns, and it ends there as ``no_return``; one that wanders without
-    repeating runs its whole ``j_max``.  Failures are recorded per sample
-    instead of aborting the sweep.  The result holds the outcome columns as
-    they come out of the stepping; its per-sample ``InducedSample`` records
-    are built only when iterated.
-    """
-    if chart is None:
-        chart = plane_chart(plane)
-    pts = np.array(grid, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.shape[1] != pwl.n - 1:
-        raise ValueError(f"grid points must have {pwl.n - 1} chart coordinates")
-    status, images, steps, last_left = _first_returns(
-        pwl, plane, chart.lift_many(pts), j_max, escape_radius, membership_tol
-    )
-    ok = status == "ok"
-    proj = np.full(pts.shape, np.nan)
-    proj[ok] = chart.project_many(images[ok])
-    columns = (pts, proj, steps, last_left, status)
-    for column in columns:
-        column.flags.writeable = False
-    return InducedSamples(*columns)
-
-
 # ---------------------------------------------------------------------------
 # unit-modulus classification
 
@@ -434,7 +286,7 @@ class UnitModulusReport:
     resonant: bool
 
 
-def classify_unit_modulus(pwl: PwlMap, tol: float = 1e-9) -> list[UnitModulusReport]:
+def classify_unit_modulus(pwl: PwlMap, tol: float = TOL) -> list[UnitModulusReport]:
     """Report every eigenvalue of either piece within ``tol`` of modulus one."""
     out: list[UnitModulusReport] = []
     for side, A in ((LEFT, pwl.A_L), (RIGHT, pwl.A_R)):
@@ -471,7 +323,7 @@ class MapReport:
     unit_modulus: tuple[UnitModulusReport, ...]
 
 
-def analyze(pwl: PwlMap, tol: float = 1e-9) -> MapReport:
+def analyze(pwl: PwlMap, tol: float = TOL) -> MapReport:
     """Continuity, spectra, fixed points, both reductions and unit-modulus
     reports of ``pwl``, in that order; an error ``MapReport`` does not
     record propagates.  Each piece is decomposed (``real_eigen``'s memo) and solved once."""

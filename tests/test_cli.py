@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -942,6 +943,24 @@ def test_out_files_atomic(tmp_path):
     assert rows[0][0] == "k"
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".pwldyn-")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dump-config"])
+def test_written_files_get_the_mode_open_gives(tmp_path, capsys, flag):
+    # A new file gets 0o666 less the umask and an existing one keeps its
+    # mode, as ``open(path, "w")`` leaves them; not mkstemp's 0o600.
+    new, old = tmp_path / "new", tmp_path / "old"
+    old.write_text("stale")
+    old.chmod(0o640)
+    umask = os.umask(0o022)
+    try:
+        for path in (new, old):
+            assert main(["analyze", *ANCHOR, flag, str(path)]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(new.stat().st_mode) == 0o644
+    assert stat.S_IMODE(old.stat().st_mode) == 0o640
+    assert old.read_text() == new.read_text() != "stale"
 
 
 @pytest.mark.parametrize("flag", ["--out", "--dump-config"])

@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwldyn import cli, reduction
+from pwldyn import cli, pwlmap
 
 _ENTRIES = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0]),
@@ -103,7 +103,7 @@ def test_cli_ends_in_an_exit_code_and_one_line(call):
     command, the_map, options = call
     err = io.StringIO()
     # the induced sampler gives up on a sample after 200 steps, not 10^6
-    sampler = partial(reduction.sample_induced, j_max=200)
+    sampler = partial(pwlmap.sample_induced, j_max=200)
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "sample_induced", sampler):
         path = Path(tmp) / "map.txt"
         _write_map(path, *the_map)

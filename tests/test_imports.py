@@ -4,7 +4,8 @@ package, every dataclass field is read somewhere, every public name of a
 library module is exported by the package, no module imports SciPy, no
 inner product goes through BLAS outside the LAPACK sites above 3x3, only
 ``linalg`` scales data into a frame, only ``pwlmap`` names the step's
-internals, shared-eigenvalue detection turns no NumPy warning off, no
+internals, each module imports only from the layers below it,
+shared-eigenvalue detection turns no NumPy warning off, no
 subcommand of the command-line front end catches an exception, only the
 step kernel generator runs generated code, from a cache of fixed size, and
 every source file parses with the Python 3.10 grammar."""
@@ -311,10 +312,9 @@ def test_guard_sees_a_rescale_outside_linalg():
 # Every two-piece map steps in ``pwlmap``: the step generator, the pieces it
 # reads, the first return's outcome codes and its block sizes are named
 # nowhere else.  Other modules step through ``orbit``, a map's call and
-# ``_first_returns``, and read a map's ``_pieces`` coefficients, which is
-# left out of this set: ``reduction`` tests them for finiteness.
-STEP_NAMES = {"_kernel", "_Pieces", "_TwoPieces", "_RUNNING", "_OK", "_ESCAPED", "_NON_FINITE",
-              "_BLOCK", "_SCALAR_ROWS"}
+# ``sample_induced``.
+STEP_NAMES = {"_kernel", "_Pieces", "_pieces", "_TwoPieces", "_RUNNING", "_OK", "_ESCAPED",
+              "_NON_FINITE", "_BLOCK", "_SCALAR_ROWS"}
 
 
 @pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "pwlmap.py"),
@@ -324,13 +324,61 @@ def test_only_pwlmap_names_the_step_internals(path):
 
 
 def test_guard_sees_a_step_internal_outside_pwlmap():
-    source = ("from .pwlmap import _OK, _first_returns\n"
+    source = ("from .pwlmap import _OK, sample_induced\n"
               "from . import pwlmap\n"
               "def f(pwl, X):\n"
               "    step = pwlmap._kernel('rows', 2)(pwl._pieces.flat, X.T)\n"
-              "    return _first_returns(pwl, X)[0] == _OK, pwlmap._BLOCK\n")
+              "    return sample_induced(pwl, X)[0] == _OK, pwlmap._BLOCK\n")
     assert name_uses(source, STEP_NAMES) == [
-        "_OK (line 1)", "_kernel (line 4)", "_BLOCK (line 5)", "_OK (line 5)"]
+        "_OK (line 1)", "_kernel (line 4)", "_pieces (line 4)", "_BLOCK (line 5)", "_OK (line 5)"]
+
+
+# The library's layers, lowest first: a module imports only from the
+# modules before it, so each can be read and tested with those alone.
+LAYERS = ("errors", "linalg", "pwlmap", "reduction", "analysis", "cli")
+
+
+def upward_imports(module: str, source: str) -> list[str]:
+    """Every import of a package module that is not below ``module`` in
+    ``LAYERS``, anywhere in the source: under ``if TYPE_CHECKING:`` and in
+    function bodies too."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("pwldyn"):
+            names = [node.module.partition(".")[2] or alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name.partition(".")[2] for alias in node.names
+                     if alias.name.startswith("pwldyn.")]
+        else:
+            continue
+        found += [(node.lineno, f"{module} line {node.lineno} -> {name}") for name in names
+                  if name.split(".")[0] in LAYERS
+                  and LAYERS.index(name.split(".")[0]) >= LAYERS.index(module)]
+    return [what for _, what in sorted(found)]
+
+
+def test_modules_import_only_lower_layers():
+    assert sorted(set(LIBRARY_MODULES) | {"cli"}) == sorted(LAYERS)
+    assert [what for module in LAYERS for what in upward_imports(
+        module, (PACKAGE / f"{module}.py").read_text(encoding="utf-8"))] == []
+
+
+def test_guard_sees_an_upward_import():
+    source = ("from typing import TYPE_CHECKING\n"
+              "from . import linalg\n"
+              "from .errors import NonFinite\n"
+              "if TYPE_CHECKING:\n"
+              "    from .reduction import Chart\n"
+              "from . import analysis, errors\n"
+              "def f():\n"
+              "    import pwldyn.cli\n"
+              "    from pwldyn import pwlmap\n")
+    assert upward_imports("pwlmap", source) == [
+        "pwlmap line 5 -> reduction", "pwlmap line 6 -> analysis",
+        "pwlmap line 8 -> cli", "pwlmap line 9 -> pwlmap"]
+    assert upward_imports("cli", source) == ["cli line 8 -> cli"]
 
 
 def test_detection_turns_no_warnings_off():

@@ -760,7 +760,7 @@ def test_induced_map_rejects_off_plane(flat_left_map):
 
 
 # The plane's chart moved off it along the normal by k * 1e-9 (1 + |base|):
-# the lifted start is on the section at k = 0.5 for MEMBERSHIP_TOL = 1e-9
+# the lifted start is on the section at k = 0.5 for TOL = 1e-9
 # but not for 1e-10, and off it at k = 2 for 1e-9 but not for 1e-8.
 @pytest.mark.parametrize("k, on_section", [(0.5, True), (2.0, False)])
 def test_membership_threshold(flat_left_map, k, on_section):
@@ -1103,7 +1103,7 @@ def test_a_sample_stuck_on_a_signed_zero_repeats_by_value(handoff):
     grid = np.zeros((1, 1))
     ref = _reference_samples(pwl, plane, chart, grid, 300, 1e12, 1e-9)
     assert ref[0][4] == "no_return"
-    for j_max in (300, reduction.J_MAX):
+    for j_max in (300, pwlmap.J_MAX):
         counts: list[int] = []
         with mock.patch.object(pwlmap, "_SCALAR_ROWS", handoff), \
                 mock.patch.object(pwlmap, "_kernel", _counted_steps(counts)):
