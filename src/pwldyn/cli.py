@@ -236,26 +236,28 @@ def build_map(cfg: RunConfig) -> PwlMap:
 
 
 def _write_text(text: str, out: str | None) -> None:
-    """Write to stdout, or rename a temporary file to ``out``; errors name ``out``.
-    The file gets the mode ``open(out, "w")`` would leave: an existing
-    file's own, else 0o666 less the umask."""
+    """Write to stdout, or rename a temporary file to where ``open(out, "w")``
+    would write: ``out``, or the file a symlink ``out`` resolves to, which a
+    dangling one creates.  Errors name ``out``.  The file gets the mode
+    ``open(out, "w")`` would leave: an existing file's own, else 0o666 less
+    the umask."""
     if out is None:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(out))
+    path = os.path.realpath(out)
     try:
         try:
-            mode = stat.S_IMODE(os.stat(out).st_mode)
+            mode = stat.S_IMODE(os.stat(path).st_mode)
         except FileNotFoundError:
             umask = os.umask(0)  # the only way to read it: set it back at once
             os.umask(umask)
             mode = 0o666 & ~umask
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pwldyn-")
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".pwldyn-")
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
                 os.chmod(tmp, mode)  # mkstemp makes it 0o600
                 fh.write(text)
-            os.replace(tmp, out)
+            os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
             raise

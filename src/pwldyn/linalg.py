@@ -13,19 +13,21 @@ root, are one defective double root; up to 3x3 the split is tested first
 and ``s`` taken only for a pair that passes.
 
 Every public function validates its matrix once and passes the validated
-array to the private helpers.  The closed forms up to 3x3, the Newton
-polish of cubic roots, the clustering of roots, the eigenvector readout
-(each vector becomes an array once) and the Gaussian elimination of
-``solve`` run on Python floats and complex numbers (``A.tolist()``): at
-these sizes NumPy's per-call overhead, not the arithmetic, would dominate.
+array to the private helpers.  A decomposition reads its matrix once as a
+list of Python floats and frames it as rows; the closed forms up to 3x3,
+the Newton polish of cubic roots, the clustering of roots, the eigenvector
+readout (each vector becomes an array once), the products of singular
+values of the SVD adjugate and the Gaussian elimination of ``solve`` run
+on Python floats and complex numbers: at these sizes NumPy's per-call
+overhead, not the arithmetic, would dominate.
 
 Every inner product of the package is the step's in-order sum
 ``(x_0 y_0 + x_1 y_1) + ...``, each product and each sum rounded once and
-none fused: ``_dot`` on Python floats, ``_rows_dot`` and ``_matmul`` as
-elementwise NumPy sums of columns, which round alike.  Up to 3x3 the only
-LAPACK call is the SVD of a semisimple multiple root, and no bit depends on
-the BLAS build or the CPU.  Above 3x3 LAPACK's ``eigvals``, ``svd`` and
-``det`` and the matrix product inside the SVD adjugate remain.
+none fused: ``_dot`` on Python floats, ``_rows_dot`` as elementwise NumPy
+sums of columns, which round alike.  Up to 3x3 the only LAPACK call is the
+SVD of a semisimple multiple root, and no bit depends on the BLAS build or
+the CPU.  Above 3x3 LAPACK's ``eigvals``, ``svd`` and ``det`` and the
+matrix product inside the SVD adjugate remain.
 
 ``real_eigen`` remembers the spectra of the last two matrices it decomposed,
 keyed by their bytes, not held on a map: it serves one map's analyses and a
@@ -45,8 +47,8 @@ and takes the true scale.  No other module scales data.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import functools
+import itertools
 import math
 import operator
 import sys
@@ -132,11 +134,6 @@ def _rows_dot(X, Y) -> np.ndarray:
     return total
 
 
-def _matmul(A, B) -> np.ndarray:
-    """``A @ B`` of two matrices, each entry ``_dot`` of a row and a column."""
-    return _rows_dot(np.asarray(A, dtype=float)[:, None, :], np.asarray(B, dtype=float).T)
-
-
 def _square(a) -> np.ndarray:
     A = np.asarray(a, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -147,9 +144,16 @@ def _square(a) -> np.ndarray:
 
 
 def _finite(A: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError("matrix entries must be finite")
     return A
+
+
+def _finite_entries(values: list[float]) -> list[float]:
+    """``_finite`` on a matrix's entries as a list of Python floats."""
+    if not all(map(math.isfinite, values)):
+        raise ValueError("matrix entries must be finite")
+    return values
 
 
 def determinant(a) -> float:
@@ -191,13 +195,16 @@ def _adj(A: np.ndarray) -> np.ndarray:
     if A.shape[0] <= 3:
         return np.array(_adj_rows(A.tolist()))
     U, s, Vt = np.linalg.svd(A)
-    # head[i] = s_0 ... s_{i-1} and tail[i] = s_{i+1} ... s_{n-1}; past the
-    # float range they are inf, as the closed forms' products are
+    # head[i] = s_0 ... s_{i-1} and tail[i] = s_{i+1} ... s_{n-1}, multiplied
+    # in np.cumprod's order; past the float range they are inf, as the closed
+    # forms' products are, and Python floats overflow without a warning
+    s = s.tolist()
+    head = [1.0, *itertools.accumulate(s[:-1], operator.mul)]
+    tail = [*itertools.accumulate(s[:0:-1], operator.mul)][::-1] + [1.0]
+    weights = np.array([h * t for h, t in zip(head, tail)])
+    det_u, det_vt = np.linalg.det(np.stack((U, Vt)))
     with np.errstate(over="ignore", invalid="ignore"):
-        head = np.concatenate(([1.0], np.cumprod(s[:-1])))
-        tail = np.concatenate((np.cumprod(s[:0:-1])[::-1], [1.0]))
-        sign = np.sign(np.linalg.det(U) * np.linalg.det(Vt))
-        return (sign * Vt.T * (head * tail)) @ U.T
+        return (np.sign(det_u * det_vt) * Vt.T * weights) @ U.T
 
 
 def _adj_rows(r: list[list[float]]) -> list[list[float]]:
@@ -375,13 +382,17 @@ def _spectrum(key: bytes, n: int) -> Spectrum:
     Two entries hold the two pieces of one map, which ``pwldyn analyze`` and
     the detections it calls each ask for up to three times.  Threads that
     miss on one matrix at once may each compute it; the results are equal.
-    All is computed on the frame ``F = A / 2^e`` (``_rescaled``), where
-    ``1 + ||A||_F`` is ``2^-e + ||F||_F``; values go back out times ``2^e``.
+    The entries are read from ``key`` once as Python floats, and all is
+    computed on the rows ``F`` of their frame ``A / 2^e``, the one
+    ``_rescaled`` takes, where ``1 + ||A||_F`` is ``2^-e + ||F||_F``; values
+    go back out times ``2^e``.  Above 3x3 LAPACK's roots are taken of ``A``.
     """
-    A = _finite(np.frombuffer(key).reshape(n, n))  # a failed scan is not cached
-    F, e = _rescaled(A)
-    norm = _length(F)
-    reals, uppers = _cluster(_char_roots(A, F, e), CLUSTER_RTOL * (math.ldexp(1.0, -e) + norm))
+    entries = _finite_entries(memoryview(key).cast("d").tolist())  # a failed scan is not cached
+    e = _exponent(entries)
+    frame = [math.ldexp(x, -e) for x in entries]
+    F = [frame[i : i + n] for i in range(0, n * n, n)]
+    norm = _length(frame)
+    reals, uppers = _cluster(_char_roots(key, F, e), CLUSTER_RTOL * (math.ldexp(1.0, -e) + norm))
     triples: list[EigenTriple] = []
     try:
         for lam, mult in reals:
@@ -397,23 +408,23 @@ def _spectrum(key: bytes, n: int) -> Spectrum:
     return Spectrum(_merge_defective(F, e, norm, triples), tuple(pairs))
 
 
-def _merge_defective(F: np.ndarray, e: int, norm: float,
+def _merge_defective(F: list[list[float]], e: int, norm: float,
                      triples: list[EigenTriple]) -> tuple[EigenTriple, ...]:
     """Merge each adjacent pair of simple values that is a defective double
     root split by rounding into their mean with multiplicity two, left to
     right: both s(lam) below ``DEFECTIVE_S`` and ``_rounding_split`` true.
     Up to 3x3 that split test does not take s, so it goes first and s is
-    taken only for a pair that passes it.  ``F = A / 2^e`` is the frame of
-    the triples' matrix and ``norm`` its Frobenius norm."""
+    taken only for a pair that passes it.  ``F`` holds the rows of the frame
+    ``A / 2^e`` of the triples' matrix and ``norm`` is its Frobenius norm."""
     if sum(t.multiplicity == 1 for t in triples) < 2:
         return tuple(triples)
     out: list[EigenTriple] = []
     prev_s = math.inf  # s(lam) of out[-1] if simple and not merged (up to 3x3 0.0, not taken)
     for t in triples:
-        s = math.inf if t.multiplicity > 1 else _condition(t) if F.shape[0] > 3 else 0.0
+        s = math.inf if t.multiplicity > 1 else _condition(t) if len(F) > 3 else 0.0
         if (max(s, prev_s) < DEFECTIVE_S
                 and _rounding_split(F, e, norm, out[-1].value, t.value, min(s, prev_s))
-                and (F.shape[0] > 3 or max(_condition(out[-1]), _condition(t)) < DEFECTIVE_S)):
+                and (len(F) > 3 or max(_condition(out[-1]), _condition(t)) < DEFECTIVE_S)):
             lam = 0.5 * out[-1].value + 0.5 * t.value  # their mean, which cannot overflow
             left, right, canonical = _eigen_vectors(F, e, math.ldexp(lam, -e), 2)
             out[-1] = EigenTriple(value=lam, multiplicity=2, canonical=canonical,
@@ -425,20 +436,21 @@ def _merge_defective(F: np.ndarray, e: int, norm: float,
     return tuple(out)
 
 
-def _rounding_split(F: np.ndarray, e: int, norm: float, lo: float, hi: float, s: float) -> bool:
+def _rounding_split(F: list[list[float]], e: int, norm: float, lo: float, hi: float,
+                    s: float) -> bool:
     """Whether rounding can have split one double root into ``lo < hi``,
     ``s`` the smaller condition number, read above 3x3 (``DEFECTIVE_SPLIT``).
 
-    Both sides are homogeneous: they are taken in the frame ``F = A / 2^e``
-    of ``_spectrum``, of Frobenius norm ``norm``, where nothing overflows."""
+    Both sides are homogeneous: they are taken in the frame ``A / 2^e`` of
+    ``_spectrum``, with rows ``F`` and Frobenius norm ``norm``, where nothing
+    overflows."""
     eps = sys.float_info.epsilon
     lo, hi = math.ldexp(lo, -e), math.ldexp(hi, -e)
-    if F.shape[0] > 3:
+    if len(F) > 3:
         return (hi - lo) * s <= DEFECTIVE_SPLIT * eps * norm
-    r = F.tolist()
     mu = 0.5 * (lo + hi)
     p = bound = 1.0
-    for c, g in zip(_char_coeffs(r), _char_term_sums(r)):
+    for c, g in zip(_char_coeffs(F), _char_term_sums(F)):
         p = p * mu + c
         bound = bound * abs(mu) + g
     return abs(p) <= DEFECTIVE_SPLIT * eps * bound
@@ -501,26 +513,33 @@ def _rescaled(v: np.ndarray) -> tuple[np.ndarray, int]:
     magnitude in ``v``, at least the smallest normal one's: the largest
     entry lies in [0.5, 1) unless all are subnormal, so no square overflows
     or all underflow.  That is exact for every entry that stays normal."""
-    e = max(math.frexp(max(map(abs, v.ravel().tolist())))[1], sys.float_info.min_exp)
+    e = _exponent(v.ravel().tolist())
     return np.ldexp(v, -e), e
 
 
-def _char_roots(A: np.ndarray, F: np.ndarray, e: int) -> list[complex]:
-    """Roots of the characteristic polynomial of the frame ``F = A / 2^e``:
-    LAPACK's roots of ``A`` over ``2^e`` above 3x3, up to 3x3 the closed
-    forms on ``_scaled_char_poly``, since a frame can still have roots far
-    below 1.  Raises IllConditioned when a root is not finite."""
-    n = A.shape[0]
+def _exponent(values: list[float]) -> int:
+    """The ``e`` of ``_rescaled`` for the entries ``values``."""
+    return max(math.frexp(max(map(abs, values)))[1], sys.float_info.min_exp)
+
+
+def _char_roots(key: bytes, F: list[list[float]], e: int) -> list[complex]:
+    """Roots of the characteristic polynomial of the frame ``A / 2^e`` with
+    rows ``F``, ``key`` the C-order bytes of ``A``: LAPACK's roots of ``A``
+    over ``2^e`` above 3x3, up to 3x3 the closed forms on
+    ``_scaled_char_poly``, since a frame can still have roots far below 1.
+    Raises IllConditioned when a root is not finite."""
+    n = len(F)
     if n > 3:
+        A = np.frombuffer(key).reshape(n, n)
         try:
             roots = np.asarray(np.linalg.eigvals(A), dtype=complex).tolist()
         except np.linalg.LinAlgError as exc:
             raise IllConditioned(f"eigenvalue iteration did not converge: {exc}") from exc
         roots = [complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in roots]
     elif n == 1:
-        roots = [complex(F[0, 0])]
+        roots = [complex(F[0][0])]
     else:
-        coeffs, k = _scaled_char_poly(F.tolist())
+        coeffs, k = _scaled_char_poly(F)
         try:
             roots = [complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
                      for z in (_quadratic_roots if n == 2 else _cubic_roots)(*coeffs)]
@@ -653,11 +672,11 @@ def _cluster(
     return reals, uppers
 
 
-def _eigen_vectors(F: np.ndarray, e: int, lam: float,
+def _eigen_vectors(F: list[list[float]], e: int, lam: float,
                    mult: int) -> tuple[np.ndarray, np.ndarray, bool]:
     """Left and right eigenvectors of ``A`` at the real root ``lam`` of
-    multiplicity ``mult`` of its frame ``F = A / 2^e``, read-only, and
-    whether they are canonical.
+    multiplicity ``mult`` of its frame ``A / 2^e`` with rows ``F``,
+    read-only, and whether they are canonical.
 
     They are read off the row and column of the largest entry of
     ``adj(lam I - F)`` (``_adjugate_at``), which is ``right left^T`` for a
@@ -667,8 +686,8 @@ def _eigen_vectors(F: np.ndarray, e: int, lam: float,
     unit-norm.  Where that adjugate is zero (a semisimple root), or is not
     read above 3x3 (a multiple root), they are SVD null vectors.
     """
-    n = F.shape[0]
-    M = _shifted_rows(F.tolist(), lam)
+    n = len(F)
+    M = _shifted_rows(F, lam)
     if mult == 1 or n <= 3:
         B = _adjugate_at(M)
         mags = [abs(x) for row in B for x in row]
@@ -676,10 +695,12 @@ def _eigen_vectors(F: np.ndarray, e: int, lam: float,
         piv = B[i][j]
         if piv != 0.0:
             left, right, k = B[i], [row[j] for row in B], e * (n - 1)
-            with contextlib.suppress(OverflowError):  # a scale past the float range is not exact
+            try:
                 scaled = [math.ldexp(x, k) for x in right]
                 if mult == 1 and [math.ldexp(x, -k) for x in scaled] == right:
                     return _read_only([x / piv for x in left]), _read_only(scaled), True
+            except OverflowError:  # a scale past the float range is not exact
+                pass
             return _read_only(_sign_fixed(left)), _read_only(_sign_fixed(right)), False
     U, _, Vt = np.linalg.svd(np.array(M))
     return _read_only(_sign_fixed(U[:, -1])), _read_only(_sign_fixed(Vt[-1, :])), False

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -190,20 +191,26 @@ def _transversal(u: np.ndarray, c: np.ndarray, tol: float) -> bool:
 def _build_restricted(pwl: PwlMap, u: np.ndarray, base: np.ndarray) -> ReducedPwlMap:
     B = linalg.hyperplane_basis(u)
     chart = Chart(base=np.array(base, dtype=float), basis=B)
-    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: raised below
-        m_l, m_r = (linalg._matmul(linalg._matmul(B.T, A), B) for A in (pwl.A_L, pwl.A_R))
-        d_l, d_r = (linalg._rows_dot(B.T, linalg._rows_dot(A, base) + pwl.b - base)
-                    for A in (pwl.A_L, pwl.A_R))
-        switch_normal = linalg._rows_dot(B.T, pwl.c)
-    switch_offset = linalg._dot(pwl.c, base)
-    if not all(np.isfinite(a).all() for a in (m_l, d_l, m_r, d_r, switch_normal, switch_offset)):
+    # B^T A B, B^T (A base + b - base) and B^T c on rows, each entry one
+    # in-order sum (linalg._dot); past the float range: raised below
+    cols, x, b, c = B.T.tolist(), chart.base.tolist(), pwl.b.tolist(), pwl.c.tolist()
+    parts = []
+    for A in (pwl.A_L, pwl.A_R):
+        BtA = [[linalg._dot(col, a) for a in A.T.tolist()] for col in cols]
+        image = [linalg._dot(row, x) + bi - xi for row, bi, xi in zip(A.tolist(), b, x)]
+        parts += [[[linalg._dot(r, col) for col in cols] for r in BtA],
+                  [linalg._dot(col, image) for col in cols]]
+    m_l, d_l, m_r, d_r = parts
+    switch_normal = [linalg._dot(col, c) for col in cols]
+    switch_offset = linalg._dot(c, x)
+    if not all(map(math.isfinite, chain(*m_l, d_l, *m_r, d_r, switch_normal, [switch_offset]))):
         raise IllConditioned("the restricted map is past the float range")
     return ReducedPwlMap(
-        matrix_left=m_l,
-        offset_left=d_l,
-        matrix_right=m_r,
-        offset_right=d_r,
-        switch_normal=switch_normal,
+        matrix_left=np.array(m_l),
+        offset_left=np.array(d_l),
+        matrix_right=np.array(m_r),
+        offset_right=np.array(d_r),
+        switch_normal=np.array(switch_normal),
         switch_offset=switch_offset,
         chart=chart,
     )

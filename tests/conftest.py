@@ -11,7 +11,9 @@ import pytest
 from pwldyn import (
     AffineHyperplane,
     BcnfParams,
+    Chart,
     HypothesisViolated,
+    IllConditioned,
     NonFinite,
     ReducedPwlMap,
     SharedEigReduction,
@@ -258,10 +260,34 @@ def reference_detect_shared(pwl, tol=1e-9):
         base = u * (offset / _in_order(u, u))
     manifold = AffineHyperplane.from_normal_point(u, base)
     transversal = reduction._transversal(u, pwl.c, tol)
-    restricted = reduction._build_restricted(pwl, u, base) if transversal else None
+    restricted = reference_build_restricted(pwl, u, base) if transversal else None
     others = tuple(t.value for t, _ in cands if t is not tr)
     return SharedEigReduction(value=lam, left=u, right=v, offset=offset,
                               manifold=manifold, restricted=restricted, other_shared=others)
+
+
+def _reference_matmul(A, B) -> np.ndarray:
+    """``A @ B`` of two matrices, each entry ``linalg._rows_dot`` of a row and a column."""
+    return linalg._rows_dot(np.asarray(A, dtype=float)[:, None, :], np.asarray(B, dtype=float).T)
+
+
+def reference_build_restricted(pwl, u, base):
+    """``reduction._build_restricted`` as NumPy sums of columns took it, kept
+    as its bit oracle: ``B^T A B`` as two ``_reference_matmul`` products, the
+    offsets ``B^T (A base + b - base)`` and the switch normal ``B^T c`` as
+    ``linalg._rows_dot``; IllConditioned when an entry is not finite."""
+    B = linalg.hyperplane_basis(u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m_l, m_r = (_reference_matmul(_reference_matmul(B.T, A), B) for A in (pwl.A_L, pwl.A_R))
+        d_l, d_r = (linalg._rows_dot(B.T, linalg._rows_dot(A, base) + pwl.b - base)
+                    for A in (pwl.A_L, pwl.A_R))
+        switch_normal = linalg._rows_dot(B.T, pwl.c)
+    switch_offset = linalg._dot(pwl.c, base)
+    if not all(np.isfinite(a).all() for a in (m_l, d_l, m_r, d_r, switch_normal, switch_offset)):
+        raise IllConditioned("the restricted map is past the float range")
+    return ReducedPwlMap(matrix_left=m_l, offset_left=d_l, matrix_right=m_r, offset_right=d_r,
+                         switch_normal=switch_normal, switch_offset=switch_offset,
+                         chart=Chart(base=np.array(base, dtype=float), basis=B))
 
 
 def _reference_failure(pwl, tr, tl, tol):
@@ -388,6 +414,13 @@ def _reference_vectorised_adjugate(a: np.ndarray) -> np.ndarray:
         else:
             cof = minors[..., 0, 0] * minors[..., 1, 1] - minors[..., 0, 1] * minors[..., 1, 0]
         return _REF_SIGN[n] * cof
+    return reference_svd_adjugate(a)
+
+
+def reference_svd_adjugate(a) -> np.ndarray:
+    """The SVD adjugate above 3x3 as NumPy took it, kept as its bit oracle:
+    the products of singular values by ``np.cumprod`` and the sign from two
+    ``np.linalg.det`` calls.  It warns where a product overflows."""
     U, s, Vt = np.linalg.svd(a)
     head = np.concatenate(([1.0], np.cumprod(s[:-1])))
     tail = np.concatenate((np.cumprod(s[:0:-1])[::-1], [1.0]))
@@ -595,7 +628,7 @@ def reference_real_eigen(a) -> linalg.Spectrum:
     for t in triples:
         s = _reference_condition(t) if t.multiplicity == 1 else math.inf
         if max(s, prev_s) < linalg.DEFECTIVE_S and linalg._rounding_split(
-                F, e, norm, out[-1].value, t.value, min(s, prev_s)):
+                F.tolist(), e, norm, out[-1].value, t.value, min(s, prev_s)):
             mu = 0.5 * (math.ldexp(out[-1].value, -e) + math.ldexp(t.value, -e))
             left, right, canonical = _reference_eigen_vectors(F, e, mu, 2)
             out[-1] = linalg.EigenTriple(value=math.ldexp(mu, e), multiplicity=2,

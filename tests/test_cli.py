@@ -964,6 +964,30 @@ def test_written_files_get_the_mode_open_gives(tmp_path, capsys, flag):
 
 
 @pytest.mark.parametrize("flag", ["--out", "--dump-config"])
+def test_written_files_go_through_a_symlink(tmp_path, flag):
+    # As ``open(link, "w")`` writes: the link stays a link and its target
+    # takes the output with its own mode; a dangling link creates its target.
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.write_text("stale")
+    target.chmod(0o640)
+    link.symlink_to("target")
+    (tmp_path / "dangling").symlink_to("fresh")
+    umask = os.umask(0o022)
+    try:
+        for path in (link, tmp_path / "dangling", tmp_path / "plain"):
+            assert main(["analyze", *ANCHOR, flag, str(path)]) == 0
+    finally:
+        os.umask(umask)
+    assert link.is_symlink() and (tmp_path / "dangling").is_symlink()
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert stat.S_IMODE((tmp_path / "fresh").stat().st_mode) == 0o644
+    plain = (tmp_path / "plain").read_text()
+    assert target.read_text() == (tmp_path / "fresh").read_text() == plain != "stale"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "dangling", "fresh", "link", "plain", "target"]
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dump-config"])
 @pytest.mark.parametrize("target, reason", [
     ("missing/a.json", "No such file or directory"),
     ("directory", "Is a directory"),

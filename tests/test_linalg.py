@@ -40,6 +40,7 @@ from conftest import (
     reference_frame_roots,
     reference_real_eigen,
     reference_solve,
+    reference_svd_adjugate,
     shared_3d_params,
 )
 
@@ -106,6 +107,25 @@ def test_adjugate_matches_cofactor_reference(rng, n):
             assert got.tobytes() == want.tobytes()
         else:
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_svd_adjugate_keeps_the_bits_of_cumprod(rng, n):
+    # The products of singular values on Python floats multiply in
+    # np.cumprod's order and one det call takes both signs: the same bits at
+    # rank n - 1, at rank n - 2 (rounded and exact) and times 2^-500, where
+    # the products underflow, and 2^500, where they pass the float range.
+    low = [rng.standard_normal((n, n - 2)) @ rng.standard_normal((n - 2, n)),
+           np.diag([*rng.standard_normal(n - 2), 0.0, 0.0])[rng.permutation(n)]]
+    past_range = 0
+    for k in (0, -500, 500):
+        for m in _adjugate_inputs(rng, n) + low:
+            a = np.ldexp(m, k)
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = reference_svd_adjugate(a)
+            past_range += not np.isfinite(want).all()
+            assert adjugate(a).tobytes() == want.tobytes()
+    assert past_range >= 100
 
 
 def test_adjugate_exactly_zero_at_rank_n_minus_2():
@@ -717,14 +737,19 @@ def _counting(monkeypatch, name: str) -> list:
 
 
 def test_real_eigen_scans_each_decomposition_once(monkeypatch):
-    a = np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 3.0]])
-    linalg._spectrum.cache_clear()  # the first call misses the memo
-    shapes, scans = _counting(monkeypatch, "_square"), _counting(monkeypatch, "_finite")
-    first = real_eigen(a)
-    assert [t.multiplicity for t in first.real] == [1, 1, 1]
-    assert (len(shapes), len(scans)) == (1, 1)
-    assert real_eigen(a) is first  # a memo hit checks the shape, not the entries
-    assert (len(shapes), len(scans)) == (2, 1)
+    # one shape check per call; one scan of the entries and one root finding
+    # per decomposition, on the closed forms and on LAPACK alike
+    calls = [_counting(monkeypatch, name) for name in ("_square", "_finite_entries", "_char_roots")]
+    for n in (2, 3, 5):
+        a = np.diag(np.arange(1.0, n + 1.0)) + np.eye(n, k=1)
+        linalg._spectrum.cache_clear()  # the first call misses the memo
+        first = real_eigen(a)
+        assert [t.multiplicity for t in first.real] == [1] * n
+        assert [len(c) for c in calls] == [1, 1, 1]
+        assert real_eigen(a) is first  # a memo hit checks the shape, not the entries
+        assert [len(c) for c in calls] == [2, 1, 1]
+        for c in calls:
+            c.clear()
 
 
 @pytest.mark.parametrize("a, message", [
@@ -824,9 +849,9 @@ def test_analyze_decomposes_each_piece_once(monkeypatch, tmp_path):
     calls = []
     char_roots = linalg._char_roots
 
-    def counting(A, F, e):
-        calls.append(A.tobytes())
-        return char_roots(A, F, e)
+    def counting(key, F, e):
+        calls.append(key)
+        return char_roots(key, F, e)
 
     monkeypatch.setattr(linalg, "_char_roots", counting)
     linalg._spectrum.cache_clear()

@@ -49,6 +49,7 @@ from conftest import (
     MATRIX_3D,
     SHARED_2D,
     bcnf_argv,
+    reference_build_restricted,
     reference_contains,
     reference_detect_shared,
     reference_lift,
@@ -499,6 +500,32 @@ def _outcome(detect, pwl):
 def test_detection_matches_two_spectrum_reference(pwl):
     assume(_well_separated(pwl))
     assert _outcome(detect_shared_eigenvalue, pwl) == _outcome(reference_detect_shared, pwl)
+
+
+def _restricted_bytes(rm):
+    arrays = (rm.matrix_left, rm.offset_left, rm.matrix_right, rm.offset_right,
+              rm.switch_normal, rm.chart.base, rm.chart.basis)
+    return [a.tobytes() for a in arrays], float(rm.switch_offset).hex()
+
+
+def test_restricted_map_keeps_the_bits_of_the_matmul_form():
+    # the sums on rows are those of NumPy's columns; the hypothesis maps of
+    # the test above compare them through reference_detect_shared
+    for params in (SHARED_2D, shared_3d_params()):
+        pwl = bcnf(params)
+        red = detect_shared_eigenvalue(pwl)
+        want = reference_build_restricted(pwl, red.left, red.restricted.chart.base)
+        assert _restricted_bytes(red.restricted) == _restricted_bytes(want)
+    # past the float range both raise the one message
+    pwl = bcnf(SHARED_2D)
+    u = detect_shared_eigenvalue(pwl).left
+    far = PwlMap(pwl.A_L, pwl.A_R, [1e308, 0.0], pwl.c)
+    messages = []
+    for build in (reduction._build_restricted, reference_build_restricted):
+        with pytest.raises(IllConditioned) as info:
+            build(far, u, np.array([1e308, -1e308]))
+        messages.append(str(info.value))
+    assert messages == ["the restricted map is past the float range"] * 2
 
 
 def _close_sets(a, b, tol: float) -> bool:
