@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -58,6 +59,8 @@ _FIRST_ROUND = 16
 # below 2^14 the peak of scan's keep-10000 pairs falls by under 0.7 MB while
 # searches on concentric circles slow down.
 _WINDOW_BLOCK = 1 << 14
+# A cloud spanning this share of a shared grid's box keeps at least 8 of its own grid's 16 bits.
+_SHARED_SPAN = 2.0**-8
 _EPS = float(np.finfo(float).eps)
 _FLOAT_MAX = float(np.finfo(float).max)
 
@@ -72,28 +75,40 @@ def _morton_tables(k: int) -> list[tuple[np.ndarray, np.ndarray]]:
                   for shift in (i, 8 * k + i)) for i in range(k)]
 
 
+def _joint_box(clouds: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray] | None:
+    """The Morton box ``(lo, hi)`` of two or more non-empty clouds, or None where
+    some cloud's widest halved span is below ``_SHARED_SPAN`` of the box's."""
+    if len(clouds) > 1:
+        rows = (np.ascontiguousarray(c[:, :_MORTON_DIMS].T) for c in clouds)  # rows reduce fast
+        los, his = map(np.array, zip(*[(r.min(axis=1), r.max(axis=1)) for r in rows]))
+        lo, hi = los.min(axis=0)[:, None], his.max(axis=0)[:, None]
+        if (0.5 * his - 0.5 * los).max(axis=1).min() >= _SHARED_SPAN * (0.5 * hi - 0.5 * lo).max():
+            return lo, hi
+    return None
+
+
 class _Indexed:
     """A finite point cloud, sorted twice for exact nearest-neighbour queries.
 
     Points are stored one row per coordinate.  ``morton`` holds them in
-    Morton (Z-curve) order over a 16-bit grid on the cloud's bounding box, so
-    that neighbours in that order are close in space and witness cheap upper
-    bounds.  ``by_axis`` holds them sorted along the coordinate of widest
-    spread, ``axis``: a coordinate difference never exceeds the distance, so
-    one window of that order holds every point within a given distance.
+    Morton (Z-curve) order over a 16-bit grid on ``box`` (the cloud's own
+    bounding box, or one shared by ``_joint_box``), so that neighbours in
+    that order are close in space and witness cheap upper bounds.
+    ``by_axis`` holds them sorted along the coordinate of widest spread,
+    ``axis``: a coordinate difference never exceeds the distance, so one
+    window of that order holds every point within a given distance.
     """
 
-    def __init__(self, points: np.ndarray):
+    def __init__(self, points: np.ndarray, box: tuple[np.ndarray, np.ndarray] | None = None):
         cols = np.ascontiguousarray(points.T)
         self.n, self.m = cols.shape
         lo, hi = cols.min(axis=1), cols.max(axis=1)
         # halved, so that no difference of coordinates overflows
-        half_lo = 0.5 * lo
-        spans = 0.5 * hi - half_lo
-        self.axis = int(spans.argmax())
+        self.axis = int((0.5 * hi - 0.5 * lo).argmax())
         k = min(self.n, _MORTON_DIMS)
-        self._lo, self._hi, self._half_lo = lo[:k, None], hi[:k, None], half_lo[:k, None]
-        span = float(spans[:k].max())
+        self._lo, self._hi = self.box = (lo[:k, None], hi[:k, None]) if box is None else box
+        self._half_lo = 0.5 * self._lo
+        span = float((0.5 * self._hi - self._half_lo).max())
         self._scale = _MORTON_TOP / span if span > _MORTON_TOP / _FLOAT_MAX else 0.0
         codes = self.codes(cols)
         order = codes.argsort()
@@ -115,9 +130,10 @@ class _Indexed:
             code |= low[row & np.uint64(255)] | high[row >> np.uint64(8)]
         return code
 
-    def locate(self, cols: np.ndarray) -> np.ndarray:
-        """Position of each query point's code in this cloud's Morton order."""
-        return self._codes.searchsorted(self.codes(cols))
+    def locate(self, query: _Indexed) -> np.ndarray:
+        """Position of each point of ``query.morton`` in this cloud's Morton order."""
+        codes = query._codes if query.box is self.box else self.codes(query.morton)
+        return self._codes.searchsorted(codes)
 
     def witnessed(self, cols: np.ndarray, pos: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """Squared distance from each query point to the nearest of the points
@@ -127,7 +143,8 @@ class _Indexed:
             h = pos.size // 2
             return np.concatenate([self.witnessed(cols[:, :h], pos[:h], offsets),
                                    self.witnessed(cols[:, h:], pos[h:], offsets)])
-        idx = np.clip(pos + offsets, 0, self.m - 1)
+        idx = pos + offsets
+        np.minimum(np.maximum(idx, 0, out=idx), self.m - 1, out=idx)
         return _sq_dists([q[None, :] for q in cols], [c.take(idx) for c in self.morton]).min(axis=0)
 
     def nearest_within(self, cols: np.ndarray, r2: np.ndarray, bound: np.ndarray) -> np.ndarray:
@@ -155,8 +172,8 @@ class _Indexed:
         best = bound.copy()
         if total:
             offs = ends - lens
-            idx = np.arange(total) - np.repeat(offs - start, lens)
-            d2 = _sq_dists([np.repeat(q, lens) for q in cols], [c.take(idx) for c in self.by_axis])
+            idx = np.arange(total) - (offs - start).repeat(lens)
+            d2 = _sq_dists([q.repeat(lens) for q in cols], [c.take(idx) for c in self.by_axis])
             hit = lens > 0
             best[hit] = np.minimum(best[hit], np.minimum.reduceat(d2, offs[hit]))
         return best
@@ -189,7 +206,7 @@ def _hausdorff_sq(a: _Indexed, b: _Indexed) -> float:
     with np.errstate(over="ignore"):  # squares past 1e308 are inf, as in cdist
         sides = []
         for target, query in ((b, a), (a, b)):
-            pos = target.locate(query.morton)
+            pos = target.locate(query)
             sides.append((target, query.morton, pos, target.witnessed(query.morton, pos, _NEAR)))
         h2 = 0.0
         chunk = _FIRST_ROUND
@@ -197,7 +214,7 @@ def _hausdorff_sq(a: _Indexed, b: _Indexed) -> float:
         while busy:
             busy = False
             for target, cols, pos, bound in sides:
-                live = np.flatnonzero(bound > h2)
+                live = (bound > h2).nonzero()[0]
                 if not live.size:
                     continue
                 busy = True
@@ -227,12 +244,13 @@ def hausdorff(a, b) -> float:
     neighbours are exact, found in NumPy with no tree (see
     ``_hausdorff_sq``), and squared distances are summed as
     ``scipy.spatial.distance.cdist`` sums them, so that up to three
-    dimensions the result equals the brute-force one bit for bit.  Memory
-    is the sorted copies of the two clouds, linear in their sizes, plus at
-    most one block of ``_WINDOW_BLOCK`` candidate pairs, or one query's
-    window where that alone is larger.  Empty clouds raise EmptyCloud; clouds
-    with NaN or infinite coordinates, or of different dimensions, raise
-    ValueError.
+    dimensions the result equals the brute-force one bit for bit.  The two
+    clouds share one Morton grid where ``_joint_box`` allows; the grid sets
+    how fast the search ends, never its result.  Memory is the sorted copies
+    of the two clouds, linear in their sizes, plus at most one block of
+    ``_WINDOW_BLOCK`` candidate pairs, or one query's window where that alone
+    is larger.  Empty clouds raise EmptyCloud; clouds with NaN or infinite
+    coordinates, or of different dimensions, raise ValueError.
     """
     A = _cloud_points(a)
     B = _cloud_points(b)
@@ -245,7 +263,8 @@ def hausdorff(a, b) -> float:
             raise ValueError("point clouds must have finite coordinates")
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"clouds of dimension {A.shape[1]} and {B.shape[1]} have no distance")
-    return math.sqrt(_hausdorff_sq(_Indexed(A), _Indexed(B)))
+    box = _joint_box([A, B])
+    return math.sqrt(_hausdorff_sq(_Indexed(A, box), _Indexed(B, box)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,7 +308,8 @@ def scan(
     A failed orbit (non-finite iterate) is recorded as an error string with
     a None cloud instead of aborting the scan.  The consecutive Hausdorff
     column is ``hausdorff`` of neighbouring clouds, each cloud indexed once
-    for both of its neighbours, and gets NaN wherever either neighbour is
+    for both of its neighbours, on one grid over the sweep where
+    ``_joint_box`` allows it, and gets NaN wherever either neighbour is
     empty.
     """
     if parameter not in base.coefficients:
@@ -306,20 +326,17 @@ def scan(
         except NonFinite as exc:
             clouds.append(None)
             errors.append(_record(exc))
-    # each cloud is indexed once and serves both of its neighbours
-    dists: list[float] = []
-    prev = None
-    for i, cloud in enumerate(clouds):
-        cur = None if cloud is None or cloud.points.shape[0] == 0 else _Indexed(cloud.points)
-        if i:
-            dists.append(float("nan") if prev is None or cur is None
-                         else math.sqrt(_hausdorff_sq(prev, cur)))
-        prev = cur
+    # each cloud is indexed once, on the sweep's grid if any, for both neighbours
+    pts = [None if c is None or c.points.shape[0] == 0 else c.points for c in clouds]
+    box = _joint_box([p for p in pts if p is not None])
+    indexed = (None if p is None else _Indexed(p, box) for p in pts)
+    dists = tuple(float("nan") if a is None or b is None else math.sqrt(_hausdorff_sq(a, b))
+                  for a, b in itertools.pairwise(indexed))
     return ScanResult(
         parameter=parameter,
         values=vals,
         maps=maps,
         clouds=tuple(clouds),
-        consecutive_hausdorff=tuple(dists),
+        consecutive_hausdorff=dists,
         errors=tuple(errors),
     )

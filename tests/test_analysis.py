@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from pwldyn import (
     NonFinite,
     PwldynError,
     PwlMap,
+    analysis,
     attractor,
     bcnf,
     default_x0,
@@ -25,6 +27,8 @@ from pwldyn import (
     hausdorff,
     scan,
 )
+
+from pwldyn.pwlmap import OrbitData
 
 from conftest import SHARED_2D, pieces, reference_orbit, shared_3d_params
 
@@ -169,15 +173,106 @@ def test_hausdorff_flat_input_is_one_dimensional(rng):
     assert hausdorff(a, b) == hausdorff(a[:, None], b[:, None])
 
 
+def _counting_codes():
+    """``_Indexed.codes`` wrapped, so that its ``call_count`` counts the
+    Morton codes computed for a cloud or a query."""
+    return mock.patch.object(analysis._Indexed, "codes", autospec=True,
+                             side_effect=analysis._Indexed.codes)
+
+
 @pytest.mark.parametrize("base", [SHARED_2D, shared_3d_params()], ids=["2d", "3d"])
 def test_hausdorff_matches_brute_force_on_scan_clouds(base):
     values = np.linspace(base.tl - 0.05, base.tl + 0.05, 4)
     for keep in (1000, 3000):
-        result = scan(base, "tl", values, n_transient=500, n_keep=keep)
+        with _counting_codes() as codes:
+            result = scan(base, "tl", values, n_transient=500, n_keep=keep)
+        assert codes.call_count == 4  # the sweep shares one grid
         for left, right, dist in zip(result.clouds, result.clouds[1:],
                                      result.consecutive_hausdorff):
             assert dist == _brute_hausdorff(left.points, right.points)
             assert dist == hausdorff(left, right)
+
+
+def _square(rng, m: int, corner, side: float) -> np.ndarray:
+    """``m`` points in the square of ``side`` at ``corner``, its two extreme
+    corners among them, so that its bounding box is that square."""
+    unit = np.vstack([[0.0, 0.0], [1.0, 1.0], rng.uniform(0.0, 1.0, (m - 2, 2))])
+    return np.asarray(corner, dtype=float) + side * unit
+
+
+def _sweep_clouds(kind: str) -> list[np.ndarray]:
+    """Five 2-D clouds of 200 points, all in the unit square but the middle
+    one, or growing 340 times over the sweep."""
+    rng = np.random.default_rng(31)
+    clouds = [_square(rng, 200, (0.0, 0.0), 1.0) for _ in range(5)]
+    if kind == "span 1/200":
+        clouds[2] = _square(rng, 200, (0.4, 0.4), 1 / 200)
+    elif kind == "span 1/300":
+        clouds[2] = _square(rng, 200, (0.4, 0.4), 1 / 300)
+    elif kind == "far":
+        clouds[2] = clouds[2] + 1e6
+    elif kind == "single point":
+        clouds[2] = clouds[2][2:3]
+    elif kind == "grows":
+        clouds = [340.0 ** (i / 4) * c for i, c in enumerate(clouds)]
+    return clouds
+
+
+def _scan_of(clouds):
+    """``scan`` whose orbits are ``clouds`` (None for a failed orbit), with the
+    number of ``_Indexed.codes`` calls it made."""
+    def fake_orbit(*args):
+        pts = next(it)
+        if pts is None:
+            raise NonFinite("orbit iterate is not finite")
+        return OrbitData(pts, np.zeros(len(pts), dtype=np.int8), 0)
+
+    it = iter(clouds)
+    with mock.patch.object(analysis, "orbit", side_effect=fake_orbit), _counting_codes() as codes:
+        result = scan(SHARED_2D, "tl", np.linspace(2.1, 2.3, len(clouds)))
+    return result, codes.call_count
+
+
+# Sweeps whose clouds each span at least 2^-8 of the sweep's box share its grid.
+@pytest.mark.parametrize("kind, shared", [
+    ("span 1/200", True),
+    ("span 1/300", False),
+    ("far", False),
+    ("single point", False),
+    ("grows", False),
+])
+def test_scan_shares_a_grid_only_under_the_rule(kind, shared):
+    clouds = _sweep_clouds(kind)
+    assert (analysis._joint_box(clouds) is not None) == shared
+    result, calls = _scan_of(clouds)
+    # each cloud's own codes, and on separate grids two queries per pair
+    P = len(clouds)
+    assert calls == (P if shared else P + 2 * (P - 1))
+    for left, right, dist in zip(clouds, clouds[1:], result.consecutive_hausdorff):
+        assert dist == _brute_hausdorff(left, right)
+        assert dist == hausdorff(left, right)
+
+
+def test_scan_codes_each_non_empty_cloud_once_on_a_shared_grid():
+    clouds = _sweep_clouds("span 1/200")
+    clouds.insert(3, None)  # a failed orbit
+    clouds.insert(1, clouds[0][:0])  # an escaped orbit that kept nothing
+    result, calls = _scan_of(clouds)
+    assert calls == 5
+    assert [math.isnan(d) for d in result.consecutive_hausdorff] == [
+        True, True, False, True, True, False]
+
+
+@pytest.mark.parametrize("offset, shared", [(0.5, True), (1e4, False)])
+def test_hausdorff_shares_a_grid_only_under_the_rule(rng, offset, shared):
+    a = rng.standard_normal((300, 2))
+    b = rng.standard_normal((200, 2)) + offset
+    tiny = 1e-3 * rng.standard_normal((50, 2))
+    for x, y, same in ((a, b, shared), (a, tiny, False), (tiny, a, False)):
+        with _counting_codes() as codes:
+            got = hausdorff(x, y)
+        assert codes.call_count == (2 if same else 4)
+        assert got == _brute_hausdorff(x, y)
 
 
 def _concentric_circles(m: int) -> tuple[np.ndarray, np.ndarray]:
