@@ -1,23 +1,23 @@
 """Dense linear algebra for small real matrices.
 
-Determinants and adjugates use cofactor closed forms up to 3x3.  Above that
-the determinant is LAPACK's LU and the adjugate comes from one SVD
-(G. W. Stewart, "On the adjugate matrix", Linear Algebra Appl. 283, 1998),
-which stays accurate at rank n - 1.  Eigenvalues come from
-characteristic-polynomial closed forms up to 3x3 and from LAPACK above that;
-eigenvectors of a real root are read off the adjugate of ``value * I - A``,
-which fixes the relative scaling of a simple root's vectors.  Two adjacent
-real roots whose eigenvalue condition numbers ``s = |u . v| / (|u| |v|)``
-are both tiny, and which lie no farther apart than rounding splits a double
-root, are one defective double root; up to 3x3 the split is tested first
-and ``s`` taken only for a pair that passes.
+Determinants use cofactor closed forms up to 3x3 and LAPACK's LU above.
+One routine, ``_adj``, builds every adjugate on rows: cofactors up to 3x3,
+one SVD above (G. W. Stewart, "On the adjugate matrix", Linear Algebra
+Appl. 283, 1998), which stays accurate at rank n - 1.  Eigenvalues come
+from characteristic-polynomial closed forms up to 3x3 and from LAPACK
+above; eigenvectors of a real root are read off the adjugate of
+``value * I - A``, which fixes the relative scaling of a simple root's
+vectors.  Two adjacent real roots whose eigenvalue condition numbers
+``s = |u . v| / (|u| |v|)`` are both tiny, and which lie no farther apart
+than rounding splits a double root, are one defective double root; up to
+3x3 the split is tested first and ``s`` taken only for a pair that passes.
 
 Every public function validates its matrix once and passes the validated
 array to the private helpers.  A decomposition reads its matrix once as a
 list of Python floats and frames it as rows; the closed forms up to 3x3,
 the Newton polish of cubic roots, the clustering of roots, the eigenvector
 readout (each vector becomes an array once), the products of singular
-values of the SVD adjugate and the Gaussian elimination of ``solve`` run
+values in ``_adj`` and the Gaussian elimination of ``solve`` run
 on Python floats and complex numbers: at these sizes NumPy's per-call
 overhead, not the arithmetic, would dominate.
 
@@ -188,13 +188,26 @@ def adjugate(a) -> np.ndarray:
     by it, so the adjugate stays accurate at rank n - 1 and is exactly zero
     when two singular values are.
     """
-    return _adj(_finite(_square(a)))
+    return np.array(_adj(_finite(_square(a)).tolist()))
 
 
-def _adj(A: np.ndarray) -> np.ndarray:
-    if A.shape[0] <= 3:
-        return np.array(_adj_rows(A.tolist()))
-    U, s, Vt = np.linalg.svd(A)
+def _adj(r: list[list[float]]) -> list[list[float]]:
+    """``adjugate`` of the finite matrix with rows ``r``, as rows."""
+    n = len(r)
+    if n == 1:
+        return [[1.0]]
+    # entry (i, j) is (-1)^(i + j) times the minor without row j and column i
+    if n == 2:
+        (a, b), (c, d) = r
+        return [[d, -b], [-c, a]]
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = r
+        return [
+            [e * i - f * h, -(b * i - c * h), b * f - c * e],
+            [-(d * i - f * g), a * i - c * g, -(a * f - c * d)],
+            [d * h - e * g, -(a * h - b * g), a * e - b * d],
+        ]
+    U, s, Vt = np.linalg.svd(np.array(r))
     # head[i] = s_0 ... s_{i-1} and tail[i] = s_{i+1} ... s_{n-1}, multiplied
     # in np.cumprod's order; past the float range they are inf, as the closed
     # forms' products are, and Python floats overflow without a warning
@@ -204,24 +217,7 @@ def _adj(A: np.ndarray) -> np.ndarray:
     weights = np.array([h * t for h, t in zip(head, tail)])
     det_u, det_vt = np.linalg.det(np.stack((U, Vt)))
     with np.errstate(over="ignore", invalid="ignore"):
-        return (np.sign(det_u * det_vt) * Vt.T * weights) @ U.T
-
-
-def _adj_rows(r: list[list[float]]) -> list[list[float]]:
-    """Adjugate of the 1x1, 2x2 or 3x3 matrix with rows ``r``, as rows."""
-    n = len(r)
-    if n == 1:
-        return [[1.0]]
-    # entry (i, j) is (-1)^(i + j) times the minor without row j and column i
-    if n == 2:
-        (a, b), (c, d) = r
-        return [[d, -b], [-c, a]]
-    (a, b, c), (d, e, f), (g, h, i) = r
-    return [
-        [e * i - f * h, -(b * i - c * h), b * f - c * e],
-        [-(d * i - f * g), a * i - c * g, -(a * f - c * d)],
-        [d * h - e * g, -(a * h - b * g), a * e - b * d],
-    ]
+        return ((np.sign(det_u * det_vt) * Vt.T * weights) @ U.T).tolist()
 
 
 def _shifted_rows(r: list[list[float]], lam: float) -> list[list[float]]:
@@ -233,12 +229,10 @@ def _adjugate_at(M: list[list[float]]) -> list[list[float]]:
     """Rows of ``adj(M)`` for the rows ``M`` of ``mu I - F``, ``F`` a frame and
     ``|mu| < n`` its eigenvalue: by Hadamard's inequality no entry exceeds
     ``(n + sqrt(n))^(n - 1)``, below 2^1024 up to n = 141, else IllConditioned."""
-    if len(M) <= 3:
-        return _adj_rows(M)
-    B = _adj(np.array(M))
-    if not np.isfinite(B).all():
+    B = _adj(M)
+    if len(M) > 3 and not all(math.isfinite(x) for row in B for x in row):
         raise IllConditioned("the adjugate at an eigenvalue passes the float range")
-    return B.tolist()
+    return B
 
 
 def solve(a, rhs) -> np.ndarray:

@@ -147,25 +147,25 @@ def detect_shared_eigenvalue(pwl: PwlMap, tol: float = TOL) -> SharedEigReductio
     )
 
 
-def _negligible(tol: float, *factors: np.ndarray) -> bool:
-    """Whether ``|x . y| <= tol |x| |y|`` for the factors ``(x, y)``, or
-    ``|x^T B y| <= tol |B| |x| |y|`` for ``(x, B, y)``: homogeneous in each
-    factor, each taken from a frame, where nothing over- or underflows."""
-    flat = [f.ravel().tolist() for f in factors]
-    norms = [linalg._length(f) for f in flat]
-    if len(flat) == 2:
-        return abs(linalg._dot(*flat)) <= tol * norms[0] * norms[1]
-    xb = [linalg._dot(col, flat[0]) for col in factors[1].T.tolist()]
-    return abs(linalg._dot(xb, flat[2])) <= tol * (norms[1] * norms[0] * norms[2])
+def _negligible(tol: float, x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether ``|x . y| <= tol |x| |y|``: homogeneous in each vector, each
+    taken from a frame, where nothing over- or underflows."""
+    x, y = x.tolist(), y.tolist()
+    return abs(linalg._dot(x, y)) <= tol * linalg._length(x) * linalg._length(y)
 
 
 def _is_shared(frame, t: linalg.EigenTriple, tol: float) -> bool:
     """Whether ``det(t.value I - A_L) = c^T adj(t.value I - A_R) p``
-    vanishes, on the map's ``frame``."""
-    if t.canonical:  # adj(t.value I - A_R) = right left^T: test each factor
+    vanishes, on the map's ``frame``: for a canonical ``t``, whose adjugate
+    is ``right left^T``, when either factor is ``_negligible``, else when
+    ``|c^T B p| <= tol |B| |c| |p|`` on the rows ``B`` of the adjugate."""
+    if t.canonical:
         return _negligible(tol, t.left, frame.p) or _negligible(tol, frame.c, t._direction)
     B = linalg._adjugate_at(linalg._shifted_rows(frame.A_R.tolist(), t.value * frame.unit))
-    return _negligible(tol, frame.c, np.array(B), frame.p)
+    c, p = frame.c.tolist(), frame.p.tolist()
+    cB = [linalg._dot([row[j] for row in B], c) for j in range(len(B))]
+    norm_b = linalg._length([x for row in B for x in row])
+    return abs(linalg._dot(cB, p)) <= tol * (norm_b * linalg._length(c) * linalg._length(p))
 
 
 def _hypothesis_failure(frame, tr: linalg.EigenTriple, tol: float) -> str | None:

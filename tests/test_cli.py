@@ -558,6 +558,21 @@ def test_induced_every_sample_failed(capsys):
     assert captured.err == "error: every grid sample failed to return to the section\n"
 
 
+@pytest.mark.parametrize("form", [
+    ["--dim", "2", "--tl", "1.3", "--dl", "0", "--tr", "0.5", "--dr", "0.1"],
+    ["--dim", "3", "--tl", "1.6", "--dl", "0", "--sl", "0.8", "--tr", "0.5", "--dr", "0.1",
+     "--sr", "0.1"],
+], ids=["2d", "3d"])
+def test_induced_default_grid_needs_an_attractor_on_the_section(capsys, form):
+    # the attractor is the right piece's stable fixed point: it never enters
+    # the left half-space, so no point of it lies on the section
+    assert main(["induced", *form]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: NoReturn: the sampled attractor never visits the section; "
+                            "give --grid explicitly\n")
+
+
 # Negative values that argparse alone takes for flags: exponent notation,
 # lists, grid specs and non-finite values.
 NEGATIVE_WORDS = [
