@@ -37,8 +37,9 @@ enter the memo.  The vectors it returns are read-only: every caller that
 asks again for one matrix shares them.
 
 Every scale-free decision is taken once, in an exact power-of-two frame
-(``_rescaled``; Higham, *Accuracy and Stability of Numerical Algorithms*,
-2.1) where nothing over- or underflows: a decomposition's matrix, largest
+(``_rescaled`` on arrays, ``_framed`` on lists of Python floats; Higham,
+*Accuracy and Stability of Numerical Algorithms*, 2.1) where nothing over-
+or underflows: a decomposition's matrix, largest
 entry in [1/2, 1), and a map's pieces, ``c`` and fit ``p`` (``_Frame``).
 Values go back out times the power of two, canonical right vectors times
 its (n - 1)-th power where exact.  LAPACK's ``eigvals`` scales internally
@@ -283,20 +284,23 @@ def _solve_rows(U: list[list[float]], y: list[float]) -> np.ndarray:
 def hyperplane_basis(normal) -> np.ndarray:
     """Orthonormal basis of ``{x : normal . x = 0}`` as columns of an n x (n-1) array.
 
-    The basis comes from the Householder reflector sending the normal to a
-    coordinate axis, so identical input always yields the identical basis.
-    It is built from ``_rescaled(normal)``, exactly: no square over- or underflows.
+    The basis comes from the Householder reflector ``I - 2 h h^T / h^T h``
+    sending the normal to a coordinate axis, so identical input always
+    yields the identical basis.  It is built on Python floats from the
+    normal's frame (``_framed``), exactly: no square over- or underflows.
     """
     w = np.asarray(normal, dtype=float)
     if w.ndim != 1:
         raise ValueError("normal must be a vector")
     if not w.any():
         raise ZeroNormal("hyperplane normal is zero")
-    h = _rescaled(w)[0]
+    h = _framed(w.tolist())[0]
     nrm = _length(h)
     h[0] += nrm if h[0] >= 0.0 else -nrm
-    H = np.eye(w.size) - 2.0 * np.outer(h, h) / _dot(h, h)
-    return H[:, 1:]
+    hh = _dot(h, h)
+    # 0.0 - q, not -q: a zero entry off the diagonal is +0.0, as I's is
+    return np.array([[(1.0 if i == j else 0.0) - 2.0 * (hi * hj) / hh for j, hj in enumerate(h)
+                      if j] for i, hi in enumerate(h)])
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +327,9 @@ class EigenTriple:
     right: np.ndarray
 
     @functools.cached_property
-    def _direction(self) -> np.ndarray:
-        """``right`` in its frame (``_rescaled``), as decisions take it."""
-        return _rescaled(self.right)[0]
+    def _direction(self) -> list[float]:
+        """``right`` in its frame (``_framed``), as decisions take it."""
+        return _framed(self.right.tolist())[0]
 
 
 @dataclass(frozen=True)
@@ -381,9 +385,8 @@ def _spectrum(key: bytes, n: int) -> Spectrum:
     ``_rescaled`` takes, where ``1 + ||A||_F`` is ``2^-e + ||F||_F``; values
     go back out times ``2^e``.  Above 3x3 LAPACK's roots are taken of ``A``.
     """
-    entries = _finite_entries(memoryview(key).cast("d").tolist())  # a failed scan is not cached
-    e = _exponent(entries)
-    frame = [math.ldexp(x, -e) for x in entries]
+    # a failed scan is not cached
+    frame, e = _framed(_finite_entries(memoryview(key).cast("d").tolist()))
     F = [frame[i : i + n] for i in range(0, n * n, n)]
     norm = _length(frame)
     reals, uppers = _cluster(_char_roots(key, F, e), CLUSTER_RTOL * (math.ldexp(1.0, -e) + norm))
@@ -514,6 +517,12 @@ def _rescaled(v: np.ndarray) -> tuple[np.ndarray, int]:
 def _exponent(values: list[float]) -> int:
     """The ``e`` of ``_rescaled`` for the entries ``values``."""
     return max(math.frexp(max(map(abs, values)))[1], sys.float_info.min_exp)
+
+
+def _framed(values: list[float]) -> tuple[list[float], int]:
+    """``_rescaled`` on a list of Python floats: each entry over ``2^e``, and ``e``."""
+    e = _exponent(values)
+    return [math.ldexp(x, -e) for x in values], e
 
 
 def _char_roots(key: bytes, F: list[list[float]], e: int) -> list[complex]:
@@ -697,7 +706,8 @@ def _eigen_vectors(F: list[list[float]], e: int, lam: float,
                 pass
             return _read_only(_sign_fixed(left)), _read_only(_sign_fixed(right)), False
     U, _, Vt = np.linalg.svd(np.array(M))
-    return _read_only(_sign_fixed(U[:, -1])), _read_only(_sign_fixed(Vt[-1, :])), False
+    return (_read_only(_sign_fixed(U[:, -1].tolist())),
+            _read_only(_sign_fixed(Vt[-1, :].tolist())), False)
 
 
 def _read_only(v) -> np.ndarray:
@@ -706,13 +716,14 @@ def _read_only(v) -> np.ndarray:
     return v
 
 
-def _sign_fixed(v) -> np.ndarray:
-    """The nonzero ``v`` at unit norm, its first significant component
-    positive.  It is normalized from ``_rescaled(v)``, so that no square
-    over- or underflows."""
-    v = _rescaled(np.asarray(v))[0]
-    w = v / _length(v)
+def _sign_fixed(v: list[float]) -> list[float]:
+    """The nonzero vector ``v`` at unit norm, its first significant component
+    positive.  It is normalized from its frame (``_framed``), so that no
+    square over- or underflows."""
+    v = _framed(v)[0]
+    norm = _length(v)
+    w = [x / norm for x in v]
     for comp in w:
         if abs(comp) > 1e-12:
-            return -w if comp < 0.0 else w
+            return [-x for x in w] if comp < 0.0 else w
     return w

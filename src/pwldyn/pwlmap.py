@@ -119,10 +119,11 @@ def _pieces(A_L, d_L, A_R, d_R, c, t: float) -> _Pieces:
 # (_kernel) writes these sums once, as text, and every role that steps
 # evaluates that text: on Python floats for one point or one orbit, and on
 # NumPy columns for many points, where each name is a column over the point
-# axis and ``np.where`` picks the piece.  Neither CPython floats nor ufuncs
-# contract to FMA, so the two layouts give the same bits, and no BLAS call is
-# made: the bits do not depend on the BLAS build or the CPU.  Every other
-# inner product of the package sums alike.
+# axis and ``np.where`` picks the piece.  The induced sampler's return tests
+# are written once as well, for both layouts.  Neither CPython floats nor
+# ufuncs contract to FMA, so the two layouts give the same bits, and no BLAS
+# call is made: the bits do not depend on the BLAS build or the CPU.  Every
+# other inner product of the package sums alike.
 #
 # ``orbit`` steps with a kernel folded for the map's exact zeros and ones:
 # a 1.0 coefficient contributes ``x_j`` unmultiplied, and the term of a 0.0
@@ -159,7 +160,9 @@ def _kernel(role: str, n: int, pattern: str = ""):
     It returns ``(i, x_i, r)`` for the first iterate with ``r > radius`` or
     ``r`` not finite, or ``(k, x_k, None)``.  Python floats overflow to inf
     and NaN without raising.
-    ``image(flat, x)`` is the image of one point, as a tuple.
+    ``image(flat, x)`` is the image of one point, written item by item
+    into a fresh float array; a map holds this role (``_image``) for its
+    one-point calls.
     ``returns(flat, x, j, k, radius, w, off, tol)`` steps ``x``, taken as
     iterate ``j``, up to iterate ``k``, to its first return to the plane
     ``w . y = off``.  Each image ``y`` gets its norm ``r`` and is tested in
@@ -172,13 +175,21 @@ def _kernel(role: str, n: int, pattern: str = ""):
     a zero.
     ``rows(flat, X)`` steps each column of ``X`` ``(n, P)`` in the columnar
     layout; it returns the left-piece mask and the image coordinates as a
-    tuple of ``n`` columns.  ``sides(flat, x)`` is the side test alone, on
-    a point's Python floats or on columns.
+    tuple of ``n`` columns.  ``block(flat, X, radius, w, off, tol)`` is one
+    step of ``returns`` on such columns, from the same text: it returns the
+    mask, the image columns, their norms ``r``, the mask of images that end
+    a first return (``r > radius``, ``r`` not finite, a left step or on the
+    plane) and the mask of the others that do not repeat their column.
+    ``sides(flat, x)`` is the side test alone, on a point's Python floats or
+    on columns.
 
     ``pattern`` is the map's ``_Pieces.pattern``, whose exact zeros and ones
     the step folds (see the comment above); the empty pattern, the default,
-    folds nothing and gives the generic arithmetic.
+    folds nothing and gives the generic arithmetic.  A map with no
+    coordinates has no step: ValueError.
     """
+    if n < 1:
+        raise ValueError("a map with no coordinates has no step")
     xs = [f"x{j}" for j in range(n)]
     ys = [f"y{j}" for j in range(n)]
     point, after = ("".join(f"{v}, " for v in vs) for vs in (xs, ys))
@@ -203,6 +214,11 @@ def _kernel(role: str, n: int, pattern: str = ""):
         return "".join(f"{a}, " for a in sums(s))
 
     side = f"{' + '.join(terms(normal)) or '0.0'} < t"
+    # the return tests of an image y of x, as Python floats or as columns
+    norm = f"sqrt({' + '.join(f'{y} * {y}' for y in ys)})"
+    near = f"abs({' + '.join(f'{y} * w{j}' for j, y in enumerate(ys))} - off) <= tol * (1.0 + r)"
+    repeats = [f"{y} == {x}" for x, y in zip(xs, ys)]
+    normal_w = f"    {''.join(f'w{j}, ' for j in range(n))}= w"
 
     def step(to=point, test=side):
         return [f"        if {test}:", f"            {to}= {images('L')}",
@@ -231,23 +247,29 @@ def _kernel(role: str, n: int, pattern: str = ""):
             *step(),
             f"    return k, ({point}), None",
         ],
-        "image": ["def image(flat, x):", f"    if {side}:", f"        return {images('L')}",
-                  f"    return {images('R')}"],
+        "image": [
+            "def image(flat, x):",
+            f"    y = empty({n})",
+            f"    if {side}:",
+            *(f"        y[{i}] = {a}" for i, a in enumerate(sums("L"))),
+            "    else:",
+            *(f"        y[{i}] = {a}" for i, a in enumerate(sums("R"))),
+            "    return y",
+        ],
         "returns": [
             "def returns(flat, x, j, k, radius, w, off, tol):",
-            f"    {''.join(f'w{j}, ' for j in range(n))}= w",
+            normal_w,
             "    for j in range(j + 1, k + 1):",
             f"        left = {side}",
             *step(after, "left"),
-            f"        r = sqrt({' + '.join(f'{y} * {y}' for y in ys)})",
+            f"        r = {norm}",
             "        if r > radius:",
             f"            return {_ESCAPED}, ({after}), j, left",
             "        if not r < inf:",
             f"            return {_NON_FINITE}, ({after}), j, left",
-            f"        if left or abs({' + '.join(f'{y} * w{j}' for j, y in enumerate(ys))}"
-            " - off) <= tol * (1.0 + r):",
+            f"        if left or {near}:",
             f"            return {_OK}, ({after}), j, left",
-            f"        if {' and '.join(f'{y} == {x}' for x, y in zip(xs, ys))}:",
+            f"        if {' and '.join(repeats)}:",
             "            break",
             f"        {point}= {after}",
             f"    return {_RUNNING}, ({point}), j, False",
@@ -258,11 +280,23 @@ def _kernel(role: str, n: int, pattern: str = ""):
             "    return left, (" + "".join(f"where(left, {a}, {b}), "
                                       for a, b in zip(sums("L"), sums("R"))) + ")",
         ],
+        "block": [
+            "def block(flat, x, radius, w, off, tol):",
+            normal_w,
+            f"    left = {side}",
+            f"    {after}= " + "".join(f"where(left, {a}, {b}), "
+                                     for a, b in zip(sums("L"), sums("R"))),
+            f"    r = {norm}",
+            f"    done = (r > radius) | ~(r < inf) | left | ({near})",
+            f"    going = ~(done | ({' & '.join(f'({e})' for e in repeats)}))",
+            f"    return left, ({after}), r, done, going",
+        ],
         "sides": ["def sides(flat, x):", f"    return {side}"],
     }
     define, *body = sources[role]
     source = "\n".join([define, *head, *body])
-    namespace: dict = {"sqrt": math.sqrt, "inf": math.inf, "where": np.where}
+    namespace: dict = {"sqrt": np.sqrt if role == "block" else math.sqrt, "inf": math.inf,
+                       "where": np.where, "empty": np.empty}
     exec(compile(source, f"<pwldyn {role}, n = {n}, pattern {pattern!r}>", "exec"), namespace)
     return namespace[role]
 
@@ -295,15 +329,23 @@ class _TwoPieces:
             raise ValueError(f"side takes one point, got shape {x.shape}")
         return LEFT if _kernel("sides", x.size)(self._pieces.flat, x.tolist()) else RIGHT
 
+    @cached_property
+    def _image(self):
+        """``_kernel``'s ``image`` of the map's dimension, held for its calls."""
+        return _kernel("image", self._pieces.n)
+
     def __call__(self, x) -> np.ndarray:
         """Image of a point ``(n,)``, or of each row of a ``(P, n)`` array,
-        each row bit-identical to calling the map on it alone; past the float
-        range an image is inf or NaN, without a warning."""
+        each row bit-identical to calling the map on it alone, but for the
+        sign of a NaN; past the float range an image is inf or NaN, without
+        a warning.  One point is stepped on Python floats (``image``)."""
+        x = np.asarray(x, dtype=float)
+        p = self._pieces
+        if x.shape == (p.n,):  # Python floats overflow without a warning
+            return self._image(p.flat, x.tolist())
         x = self._checked(x)
-        if x.ndim == 1:  # Python floats overflow without a warning
-            return np.array(_kernel("image", x.size)(self._pieces.flat, x.tolist()))
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.stack(_kernel("rows", x.shape[1])(self._pieces.flat, x.T)[1], axis=-1)
+            return np.stack(_kernel("rows", x.shape[1])(p.flat, x.T)[1], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,7 +436,7 @@ class AffineHyperplane:
         w = np.asarray(normal, dtype=float)
         if not w.any():
             raise ValueError("hyperplane normal is zero")
-        w = linalg._sign_fixed(w)
+        w = np.array(linalg._sign_fixed(w.tolist()))
         p = np.array(point, dtype=float)
         w.setflags(write=False)
         p.setflags(write=False)
@@ -411,9 +453,14 @@ class Chart:
     base: np.ndarray
     basis: np.ndarray  # (n, n-1), orthonormal columns
 
+    # Both maps sum coordinate by coordinate over whole columns of points, so
+    # that NumPy's inner loops run along the points, not along the 1-8
+    # coordinates of one point; the sums are ``_rows_dot``'s all the same.
     def lift_many(self, Xi) -> np.ndarray:
         """The ambient point ``base + basis xi`` of each row ``xi``."""
-        return self.base + linalg._rows_dot(np.asarray(Xi, dtype=float)[:, None, :], self.basis)
+        Xi = np.asarray(Xi, dtype=float)
+        columns = self.base[:, None] + linalg._rows_dot(Xi[None], self.basis[:, None])
+        return np.ascontiguousarray(columns.T)
 
     def project(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -423,8 +470,8 @@ class Chart:
 
     def project_many(self, X) -> np.ndarray:
         """``project`` of each row: ``basis^T (x - base)``."""
-        return linalg._rows_dot((np.asarray(X, dtype=float) - self.base)[:, None, :],
-                                self.basis.T)
+        D = np.asarray(X, dtype=float) - self.base
+        return np.ascontiguousarray(linalg._rows_dot(D[None], self.basis.T[:, None]).T)
 
 
 def plane_chart(plane: AffineHyperplane) -> Chart:
@@ -693,11 +740,12 @@ def sample_induced(
     by the left piece, whose range the plane is, or until ``|normal . y -
     offset| <= tol (1 + |y|)``; escape and a non-finite image are tested
     before the return.  A block of lifted points steps together in the
-    columnar layout (``_kernel``'s ``rows``), and points leave it as they
-    finish.  A point whose image equals its predecessor leaves it too,
-    still running: the map is deterministic, so it never returns, and it
-    ends there as ``no_return``; one that wanders without repeating runs its
-    whole ``j_max``.  Once at most ``_SCALAR_ROWS`` points are left, each
+    columnar layout (``_kernel``'s ``block``, which also tests the images),
+    one array per coordinate, and points leave it as they finish.  A point
+    whose image equals its predecessor leaves it too, still running: the
+    map is deterministic, so it never returns, and it ends there as
+    ``no_return``; one that wanders without repeating runs its whole
+    ``j_max``.  Once at most ``_SCALAR_ROWS`` points are left, each
     runs the rest of its budget alone (``returns``), which applies the same
     tests in the same order.  So each sample is bit-identical to stepping
     its lifted point alone.  Failures are recorded per sample instead of
@@ -716,7 +764,9 @@ def sample_induced(
     P, n = X.shape
     flat = pwl._pieces.flat
     status = np.full(P, _RUNNING)
-    images = np.empty((P, n))
+    # one row per coordinate, as the columnar step reads and writes them:
+    # NumPy copies a 1-D selection several times faster than a 2-D one
+    images = np.empty((n, P))
     times = np.zeros(P, dtype=int)
     last_left = np.zeros(P, dtype=bool)
     # Overflow ends in an escaped or non-finite status below, not in a warning.
@@ -724,38 +774,35 @@ def sample_induced(
         if not _on_plane(plane, X, _norms(X), membership_tol).all():
             raise ValueError("start point is not on the section")
         w, off = plane.normal.tolist(), plane.offset
+        block = _kernel("block", n)
+        coords = np.ascontiguousarray(X.T)
         for lo in range(0, P, _BLOCK):
             idx = np.arange(lo, min(lo + _BLOCK, P))
-            Y = X[idx].T  # one column per coordinate
+            Y = [x[lo : lo + _BLOCK] for x in coords]  # the block's columns
             j = 0
             while idx.size > _SCALAR_ROWS and j < j_max:
                 j += 1
-                left, cols = _kernel("rows", n)(flat, Y)
-                Z = np.array(cols)
-                r = _norms(Z.T)
-                done = (r > escape_radius) | ~(r < math.inf) | left
-                done |= _on_plane(plane, Z.T, r, membership_tol)
-                going = ~done & (Z != Y).any(axis=0)
+                left, Y, r, done, going = block(flat, Y, escape_radius, w, off, membership_tol)
                 if going.all():
-                    Y = Z
                     continue
                 fin, rf = idx[done], r[done]
                 status[fin] = np.where(rf > escape_radius, _ESCAPED,
                                        np.where(rf < math.inf, _OK, _NON_FINITE))
-                images[fin] = Z.T[done]
+                for image, y in zip(images, Y):
+                    image[fin] = y[done]
                 times[fin] = j
                 last_left[fin] = left[done]
-                idx, Y = idx[going], Z[:, going]
+                idx, Y = idx[going], [y[going] for y in Y]
             if idx.size and j < j_max:  # each row left runs the rest of its budget alone
                 returns = _kernel("returns", n)
-                for i, y in zip(idx.tolist(), Y.T.tolist()):
-                    code, images[i], step, left = returns(flat, y, j, j_max, escape_radius,
-                                                          w, off, membership_tol)
+                for i, x in zip(idx.tolist(), zip(*[y.tolist() for y in Y])):
+                    code, images[:, i], step, left = returns(flat, x, j, j_max, escape_radius,
+                                                             w, off, membership_tol)
                     if code != _RUNNING:
                         status[i], times[i], last_left[i] = code, step, left
     ok = status == _OK
     proj = np.full(pts.shape, np.nan)
-    proj[ok] = chart.project_many(images[ok])
+    proj[ok] = chart.project_many(images[:, ok].T)
     columns = (pts, proj, times, last_left, np.array(_STATUSES)[status])
     for column in columns:
         column.flags.writeable = False

@@ -147,10 +147,10 @@ def detect_shared_eigenvalue(pwl: PwlMap, tol: float = TOL) -> SharedEigReductio
     )
 
 
-def _negligible(tol: float, x: np.ndarray, y: np.ndarray) -> bool:
-    """Whether ``|x . y| <= tol |x| |y|``: homogeneous in each vector, each
-    taken from a frame, where nothing over- or underflows."""
-    x, y = x.tolist(), y.tolist()
+def _negligible(tol: float, x, y) -> bool:
+    """Whether ``|x . y| <= tol |x| |y|`` for the arrays or lists ``x`` and
+    ``y``: homogeneous in each vector, each taken from a frame, where nothing
+    over- or underflows."""
     return abs(linalg._dot(x, y)) <= tol * linalg._length(x) * linalg._length(y)
 
 
@@ -183,7 +183,11 @@ def _hypothesis_failure(frame, tr: linalg.EigenTriple, tol: float) -> str | None
 def _transversal(u: np.ndarray, c: np.ndarray, tol: float) -> bool:
     """Whether ``u`` has a component off ``c`` above ``tol |u|``.  The test
     does not change when ``c`` is scaled; it takes the map's framed ``c``.
-    ``u`` is a left eigenvector, with largest entry 1 or of unit norm."""
+    ``u`` is a left eigenvector, with largest entry 1 or of unit norm.  In
+    1-D ``u`` is parallel to ``c`` and the plane is a point, whatever the
+    rounding residue of the component off ``c``: never transversal."""
+    if u.size == 1:
+        return False
     rej = u - c * (linalg._dot(u, c) / linalg._dot(c, c))
     return linalg._length(rej) > tol * linalg._length(u)
 

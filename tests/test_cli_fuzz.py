@@ -13,7 +13,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pwldyn import cli, pwlmap
@@ -99,6 +99,10 @@ def _calls(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(call=_calls())
+# a 1-D map whose shared value's plane is a point: at this tol the rounding
+# residue of its normal off c once built a 0-dimensional restriction
+@example(call=("restrict", (1, np.zeros((1, 1)), np.zeros((1, 1)), np.zeros(1), np.array([0.001])),
+               ["--transient", "20", "--keep", "40", "--tol=1e-300"]))
 def test_cli_ends_in_an_exit_code_and_one_line(call):
     command, the_map, options = call
     err = io.StringIO()

@@ -237,6 +237,36 @@ def test_map_points_matches_loop(shared_map, rng):
         assert shared_map(x).tobytes() == y.tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), reduced=st.booleans())
+def test_one_point_call_has_the_bits_of_the_rows_call(n, seed, reduced):
+    # Points of signed zeros, infinities, NaN and coordinates whose images
+    # overflow, on maps with planted exact zeros and ones.  Each one-point
+    # image is a fresh, writable float64 array.  Where two NaNs meet, the
+    # sign of the NaN that comes out is not specified: NumPy may take the
+    # operands of a sum in the other order, so NaNs compare as NaNs.
+    def bits(v):
+        return np.where(np.isnan(v), np.nan, v).tobytes()
+
+    rng = np.random.default_rng(seed)
+    two_pieces = _map_with_exact_entries(rng, n, 2.0, reduced)
+    pts = _planted(rng, rng.standard_normal((40, n)),
+                   [None, 0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308],
+                   [0.3, 0.15, 0.15, 0.1, 0.1, 0.05, 0.075, 0.075])
+    rows = two_pieces(pts)
+    images = [two_pieces(x) for x in pts]
+    for image, row in zip(images, rows):
+        assert image.dtype == np.float64 and image.shape == (n,)
+        assert image.flags.writeable and image.flags.owndata
+        assert bits(image) == bits(row)
+    assert len({id(image) for image in images}) == len(images)
+    # a list takes the one-point path too, and other shapes raise
+    assert two_pieces(pts[0].tolist()).tobytes() == images[0].tobytes()
+    for bad in (np.zeros(n + 1), np.zeros((2, n + 1)), np.zeros((1, 1, n)), 0.0):
+        with pytest.raises(ValueError, match="coordinates"):
+            two_pieces(bad)
+
+
 def test_map_data_immutable(shared_map):
     with pytest.raises(ValueError):
         shared_map.A_L[0, 0] = 9.9

@@ -207,6 +207,34 @@ def test_non_transversal_at_subnormal_scale(k):
             restrict_to_manifold(red)
 
 
+@pytest.mark.parametrize("tol", [1e-300, 1e-9, 0.5])
+def test_one_dimensional_map_is_never_restricted(tol, tmp_path, capsys):
+    # In 1-D the shared value's plane is a point.  At tol = 1e-300 the
+    # rounding residue of u off c (u = 1, c = 0.001 in its frame) once passed
+    # as transversal, and the 0-dimensional restriction crashed `restrict`.
+    pwl = PwlMap([[0.0]], [[0.0]], [0.0], [0.001])
+    red = detect_shared_eigenvalue(pwl, tol)
+    assert red.value == 0.0
+    assert not red.transversal and red.restricted is None
+    with pytest.raises(NonTransversal):
+        restrict_to_manifold(red)
+    path = tmp_path / "one.txt"
+    path.write_text("1\n0.0\n0.0\n0.0\n0.001\n")
+    assert main(["restrict", "--matrix-file", str(path), f"--tol={tol!r}"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: NonTransversal: ") and len(err.splitlines()) == 1
+
+
+def test_a_map_with_no_coordinates_has_no_step():
+    none = np.zeros((0, 0))
+    rmap = pwlmap.ReducedPwlMap(none, np.zeros(0), none, np.zeros(0), np.zeros(0), 0.0,
+                                pwlmap.Chart(np.zeros(1), np.zeros((1, 0))))
+    for call in (lambda: reduced_orbit(rmap, np.zeros(0), 10, 10), lambda: rmap(np.zeros(0)),
+                 lambda: rmap(np.zeros((3, 0))), lambda: rmap.side(np.zeros(0))):
+        with pytest.raises(ValueError, match="^a map with no coordinates has no step$"):
+            call()
+
+
 def test_hypothesis_shared_value_one():
     a_r = np.diag([1.0, 0.3])
     c = np.array([0.0, 1.0])
@@ -1037,14 +1065,17 @@ def _reference_samples(pwl, plane, chart, grid, j_max, escape_radius, tol):
     tol=st.sampled_from([1e-9, 0.05]),
     block=st.sampled_from([3, pwlmap._BLOCK]),
     handoff=st.sampled_from([0, 1, pwlmap._SCALAR_ROWS, pwlmap._BLOCK + 1]),
+    span=st.sampled_from([3.0, 1e160, 4e307]),
 )
 def test_sample_induced_matches_reference_loop(n, seed, count, j_max, escape_radius, tol,
-                                               block, handoff):
+                                               block, handoff, span):
     # A rank n-1 left piece maps everything onto the plane w . x = w . b, w its
     # left null vector.  Right pieces from contracting to strongly expanding
-    # mix returns, escapes, overflows and j_max caps.  The hand-off size runs
-    # the columnar step alone, the one-point loop alone, and the switch from
-    # one to the other.
+    # mix returns, escapes, overflows and j_max caps.  On grids spanning 1e160
+    # and 4e307 the norm of an image, or the image itself, passes the float
+    # range: every status, non_finite too, comes up on each path.  The
+    # hand-off size runs the columnar step alone, the one-point loop alone,
+    # and the switch from one to the other.
     rng = np.random.default_rng(seed)
     U = rng.standard_normal((n, n - 1))
     A_L = U @ rng.standard_normal((n - 1, n)) / n
@@ -1055,7 +1086,7 @@ def test_sample_induced_matches_reference_loop(n, seed, count, j_max, escape_rad
     w = np.linalg.svd(U.T)[2][-1]
     plane = AffineHyperplane.from_normal_point(w, b)
     chart = plane_chart(plane)
-    grid = rng.uniform(-3.0, 3.0, (count, n - 1))
+    grid = rng.uniform(-span, span, (count, n - 1))
     ref = _reference_samples(pwl, plane, chart, grid, j_max, escape_radius, tol)
     with mock.patch.object(pwlmap, "_BLOCK", block), \
             mock.patch.object(pwlmap, "_SCALAR_ROWS", handoff):
@@ -1089,17 +1120,66 @@ def _assert_columns_hold(got, ref):
         assert row.tobytes() == (nan_row if r[1] is None else r[1].tobytes())
 
 
+def _bits(v):
+    """The bytes of ``v`` with every NaN made the one NaN: where two NaNs
+    meet, NumPy and Python floats may keep either one's sign."""
+    return np.where(np.isnan(v), np.nan, v).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_block_tests_match_the_one_point_returns(n):
+    # The sampler's columnar step and return tests (``block``) against one
+    # step of the one-point ``returns``, column by column.  The columns end
+    # in every status: escaped, non-finite (an inf or NaN coordinate, or
+    # +inf and -inf together, whose distance to the plane is NaN), returned
+    # by a left step or on the plane, and still running, by an exact repeat
+    # of every coordinate (a right piece I x + 0) or not.
+    rng = np.random.default_rng(n)
+    block, returns = pwlmap._kernel("block", n), pwlmap._kernel("returns", n)
+    seen = collections.Counter()
+    for trial in range(60):
+        c = rng.standard_normal(n)
+        A_R = np.eye(n) if trial % 3 == 0 else rng.standard_normal((n, n)) * 2.0
+        b = np.zeros(n) if trial % 3 == 0 else rng.standard_normal(n)
+        flat = PwlMap(A_R - np.outer(rng.standard_normal(n), c), A_R, b, c)._pieces.flat
+        X = rng.standard_normal((50, n)) * rng.choice([1.0, 1e3, 4e307], (50, 1))
+        X = np.where(rng.random((50, n)) < 0.1, rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan],
+                                                          (50, n)), X)
+        w = rng.standard_normal(n)
+        w /= np.linalg.norm(w)
+        off, radius, tol = rng.standard_normal(), rng.choice([10.0, 1e12, np.inf]), 0.05
+        with np.errstate(over="ignore", invalid="ignore"):
+            left, cols, r, done, going = block(flat, X.T, radius, w.tolist(), off, tol)
+        for i, x in enumerate(X.tolist()):
+            code, y, step, was_left = returns(flat, x, 0, 1, radius, w.tolist(), off, tol)
+            image = np.array([col[i] for col in cols])
+            repeat = (image == x).all()
+            assert step == 1
+            if not repeat:  # a repeat returns its predecessor, equal by value
+                assert _bits(image) == _bits(np.array(y))
+            assert r[i].tobytes() == np.float64(reference_norm(image)).tobytes()
+            assert done[i] == (code != pwlmap._RUNNING)
+            assert going[i] == (code == pwlmap._RUNNING and not repeat)
+            if done[i]:  # the sampler's status of a finished column
+                assert left[i] == was_left
+                assert code == (pwlmap._ESCAPED if r[i] > radius else
+                                pwlmap._OK if r[i] < np.inf else pwlmap._NON_FINITE)
+            seen["repeat" if going[i] != (code == pwlmap._RUNNING) else
+                 pwlmap._STATUSES[code]] += 1
+    assert set(seen) == {*pwlmap._STATUSES, "repeat"}, seen
+
+
 def _counted_steps(counts):
-    """A stand-in for ``pwlmap._kernel`` whose ``rows`` and ``returns``
+    """A stand-in for ``pwlmap._kernel`` whose ``block`` and ``returns``
     append to ``counts`` the number of iterates each call steps."""
     kernel_of = pwlmap._kernel
 
     def kernel(role, n, pattern=""):
         run = kernel_of(role, n, pattern)
-        if role == "rows":
-            def counted(flat, x):
+        if role == "block":
+            def counted(flat, x, *rest):
                 counts.append(len(x[0]))
-                return run(flat, x)
+                return run(flat, x, *rest)
             return counted
         if role == "returns":
             def counted(flat, x, j, *rest):
