@@ -37,8 +37,8 @@ from .errors import (
     UnsupportedDimension,
     _record,
 )
-from .pwlmap import (ESCAPE_RADIUS, NORMAL_FORM, TOL, BcnfParams, PwlMap, _check_lengths, _norms,
-                     _on_plane, bcnf, orbit, plane_chart, sample_induced)
+from .pwlmap import (ESCAPE_RADIUS, NORMAL_FORM, TOL, BcnfParams, PwlMap, _check_lengths, bcnf,
+                     orbit, plane_chart, sample_induced)
 from .reduction import analyze, detect_shared_eigenvalue, restrict_to_manifold, zero_eig_reduction
 
 __all__ = ["RunConfig", "main"]
@@ -53,6 +53,8 @@ _MAP_KEYS = ("dim", "tl", "dl", "sl", "tr", "dr", "sr")
 
 # Largest sampling grid accepted, checked before anything is allocated.
 MAX_GRID_SAMPLES = 10**6
+# Most orbit coordinates a command keeps, checked before the orbit is stepped.
+MAX_ORBIT_FLOATS = 10**7
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
@@ -373,6 +375,7 @@ def cmd_orbit(cfg: RunConfig, portrait: bool) -> str:
     pwl = build_map(cfg)
     _check_lengths(cfg.transient, cfg.keep)
     transient, keep = (cfg.transient, cfg.keep) if portrait else (0, cfg.transient + cfg.keep)
+    _check_orbit_size(keep * pwl.n)
     orb = orbit(pwl, _x0(cfg, pwl), transient, keep, cfg.escape_radius)
     _require_points(orb)
     coords = [f"x{i + 1}" for i in range(pwl.n)]
@@ -404,6 +407,7 @@ def _point_rows(orb) -> list[list]:
 def cmd_restrict(cfg: RunConfig) -> str:
     grid = None if cfg.grid is None else _parse_grid(cfg.grid, 1)
     pwl = build_map(cfg)
+    _check_orbit_size(cfg.keep * (pwl.n - 1))
     red = detect_shared_eigenvalue(pwl, cfg.tol)
     if red is None:
         raise ReductionError("no eigenvalue is shared by the two pieces at this tolerance")
@@ -450,6 +454,11 @@ def _check_grid_size(total: int) -> None:
         raise ValueError(f"grid has {total} samples, more than the limit {MAX_GRID_SAMPLES}")
 
 
+def _check_orbit_size(floats: int) -> None:
+    if floats > MAX_ORBIT_FLOATS:
+        raise ValueError(f"orbits keep {floats} floats, more than the limit {MAX_ORBIT_FLOATS}")
+
+
 def _parse_grid(spec: str, dims: int) -> np.ndarray:
     parts = spec.split(",")
     if len(parts) != dims:
@@ -489,8 +498,9 @@ def _default_induced_grid(pwl, plane, chart, cfg: RunConfig) -> np.ndarray:
     dims = pwl.n - 1
     count = 500 if dims == 1 else 40
     _check_grid_size(count**dims)
+    _check_orbit_size(cfg.keep * pwl.n)
     cloud = attractor(pwl, default_x0(pwl), cfg.transient, cfg.keep, cfg.escape_radius)
-    mask = _on_plane(plane, cloud.points, _norms(cloud.points), cfg.tol)
+    mask = plane.contains(cloud.points, cfg.tol)
     if not np.any(mask):
         raise NoReturn("the sampled attractor never visits the section; give --grid explicitly")
     return _box_grid(chart.project_many(cloud.points[mask]), 0.02, count)
@@ -537,6 +547,7 @@ def cmd_scan(cfg: RunConfig) -> str:
         raise ValueError("scan needs --param")
     if not cfg.values:
         raise ValueError("scan needs a non-empty --values list")
+    _check_orbit_size(len(cfg.values) * cfg.keep * base.dim)
     result = scan(
         base,
         cfg.param,

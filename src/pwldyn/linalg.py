@@ -37,7 +37,7 @@ enter the memo.  The vectors it returns are read-only: every caller that
 asks again for one matrix shares them.
 
 Every scale-free decision is taken once, in an exact power-of-two frame
-(``_rescaled`` on arrays, ``_framed`` on lists of Python floats; Higham,
+(``_framed``, on lists of Python floats; Higham,
 *Accuracy and Stability of Numerical Algorithms*, 2.1) where nothing over-
 or underflows: a decomposition's matrix, largest
 entry in [1/2, 1), and a map's pieces, ``c`` and fit ``p`` (``_Frame``).
@@ -382,7 +382,7 @@ def _spectrum(key: bytes, n: int) -> Spectrum:
     miss on one matrix at once may each compute it; the results are equal.
     The entries are read from ``key`` once as Python floats, and all is
     computed on the rows ``F`` of their frame ``A / 2^e``, the one
-    ``_rescaled`` takes, where ``1 + ||A||_F`` is ``2^-e + ||F||_F``; values
+    ``_framed`` takes, where ``1 + ||A||_F`` is ``2^-e + ||F||_F``; values
     go back out times ``2^e``.  Above 3x3 LAPACK's roots are taken of ``A``.
     """
     # a failed scan is not cached
@@ -476,17 +476,18 @@ def _condition(t: EigenTriple) -> float:
 
 
 class _Frame(NamedTuple):
-    """A map's decision data (``PwlMap._frame``): ``A_R`` over the ``2^a``
-    that brings the pieces' largest entry into [1/2, 1), ``unit = 2^-a``,
-    and ``c`` and ``p``, the least-squares fit of ``A_R - A_L = p c^T``, each
-    over its own.  ``fit`` is ``p`` at the true scale, read-only, inf past
-    the float range; ``resid`` and ``delta`` are the Frobenius norms of the
-    fit's residual and of ``A_R - A_L``, over ``2^a``."""
+    """A map's decision data (``PwlMap._frame``) on Python floats: the rows
+    ``A_R`` over the ``2^a`` that brings the pieces' largest entry into
+    [1/2, 1), ``unit = 2^-a``, and ``c`` and ``p``, the least-squares fit of
+    ``A_R - A_L = p c^T``, each over its own.  ``fit`` is ``p`` at the true
+    scale, a read-only array, inf past the float range; ``resid`` and
+    ``delta`` are the Frobenius norms of the fit's residual and of
+    ``A_R - A_L``, over ``2^a``."""
 
-    A_R: np.ndarray
+    A_R: list[list[float]]
     unit: float
-    c: np.ndarray
-    p: np.ndarray
+    c: list[float]
+    p: list[float]
     fit: np.ndarray
     resid: float
     delta: float
@@ -494,34 +495,28 @@ class _Frame(NamedTuple):
 
 def _map_frame(A_L: np.ndarray, A_R: np.ndarray, c: np.ndarray) -> _Frame:
     """The ``_Frame`` of the map with pieces ``A_L``, ``A_R`` and normal ``c``."""
-    (F_L, F_R), a = _rescaled(np.stack((A_L, A_R)))
-    D = F_R - F_L
-    c, e = _rescaled(c)
-    q = _rows_dot(D, c) / _dot(c, c)
+    n = len(c)
+    F, a = _framed(A_L.ravel().tolist() + A_R.ravel().tolist())
+    D = [r - l for l, r in zip(F, F[n * n :])]
+    c, e = _framed(c.tolist())
+    rows = [D[i : i + n] for i in range(0, n * n, n)]
+    cc = _dot(c, c)
+    q = [_dot(row, c) / cc for row in rows]
     with np.errstate(over="ignore"):  # past the float range the fit is inf
         fit = np.ldexp(q, a - e)
     fit.setflags(write=False)
-    return _Frame(F_R.copy(), math.ldexp(1.0, -a), c, _rescaled(q)[0], fit,
-                  _length(D - np.outer(q, c)), _length(D))
-
-
-def _rescaled(v: np.ndarray) -> tuple[np.ndarray, int]:
-    """``(v / 2^e, e)``, ``2^e`` the power of two just above the largest
-    magnitude in ``v``, at least the smallest normal one's: the largest
-    entry lies in [0.5, 1) unless all are subnormal, so no square overflows
-    or all underflow.  That is exact for every entry that stays normal."""
-    e = _exponent(v.ravel().tolist())
-    return np.ldexp(v, -e), e
-
-
-def _exponent(values: list[float]) -> int:
-    """The ``e`` of ``_rescaled`` for the entries ``values``."""
-    return max(math.frexp(max(map(abs, values)))[1], sys.float_info.min_exp)
+    resid = _length([d - qi * cj for row, qi in zip(rows, q) for d, cj in zip(row, c)])
+    return _Frame([F[i : i + n] for i in range(n * n, 2 * n * n, n)], math.ldexp(1.0, -a), c,
+                  _framed(q)[0], fit, resid, _length(D))
 
 
 def _framed(values: list[float]) -> tuple[list[float], int]:
-    """``_rescaled`` on a list of Python floats: each entry over ``2^e``, and ``e``."""
-    e = _exponent(values)
+    """``([x / 2^e for x in values], e)``, ``2^e`` the power of two just
+    above the largest magnitude in ``values``, at least the smallest normal
+    one's: the largest entry lies in [0.5, 1) unless all are subnormal, so
+    no square overflows or all underflow.  That is exact for every entry
+    that stays normal."""
+    e = max(math.frexp(max(map(abs, values)))[1], sys.float_info.min_exp)
     return [math.ldexp(x, -e) for x in values], e
 
 

@@ -423,8 +423,8 @@ class AffineHyperplane:
     """Hyperplane ``{x : normal . x = offset}`` with a distinguished base point.
 
     The normal is stored unit length with its first significant component
-    positive, so the membership test ``|normal . x - offset| <= tol (1 + |x|)``
-    does not depend on any eigenvector scaling.
+    positive, so the membership test ``contains``, ``|normal . x - offset|
+    <= tol (1 + |x|)``, does not depend on any eigenvector scaling.
     """
 
     normal: np.ndarray
@@ -444,6 +444,10 @@ class AffineHyperplane:
 
     def distances(self, X) -> np.ndarray:
         return linalg._rows_dot(X, self.normal) - self.offset
+
+    def contains(self, X, tol: float) -> np.ndarray:
+        """The membership test for each row of ``X``."""
+        return np.abs(self.distances(X)) <= tol * (1.0 + _norms(X))
 
 
 @dataclass(frozen=True, eq=False)
@@ -677,11 +681,6 @@ def _check_lengths(n_transient: int, n_keep: int) -> None:
         raise ValueError("n_keep must be at least 1")
 
 
-def _on_plane(plane: AffineHyperplane, Y: np.ndarray, r: np.ndarray, tol: float) -> np.ndarray:
-    """``AffineHyperplane``'s membership test for each row of ``Y``, with norm ``r``."""
-    return np.abs(plane.distances(Y)) <= tol * (1.0 + r)
-
-
 @dataclass(frozen=True, eq=False)
 class InducedSample:
     point: np.ndarray
@@ -771,7 +770,7 @@ def sample_induced(
     last_left = np.zeros(P, dtype=bool)
     # Overflow ends in an escaped or non-finite status below, not in a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        if not _on_plane(plane, X, _norms(X), membership_tol).all():
+        if not plane.contains(X, membership_tol).all():
             raise ValueError("start point is not on the section")
         w, off = plane.normal.tolist(), plane.offset
         block = _kernel("block", n)

@@ -161,8 +161,8 @@ def _is_shared(frame, t: linalg.EigenTriple, tol: float) -> bool:
     ``|c^T B p| <= tol |B| |c| |p|`` on the rows ``B`` of the adjugate."""
     if t.canonical:
         return _negligible(tol, t.left, frame.p) or _negligible(tol, frame.c, t._direction)
-    B = linalg._adjugate_at(linalg._shifted_rows(frame.A_R.tolist(), t.value * frame.unit))
-    c, p = frame.c.tolist(), frame.p.tolist()
+    B = linalg._adjugate_at(linalg._shifted_rows(frame.A_R, t.value * frame.unit))
+    c, p = frame.c, frame.p
     cB = [linalg._dot([row[j] for row in B], c) for j in range(len(B))]
     norm_b = linalg._length([x for row in B for x in row])
     return abs(linalg._dot(cB, p)) <= tol * (norm_b * linalg._length(c) * linalg._length(p))
@@ -180,7 +180,7 @@ def _hypothesis_failure(frame, tr: linalg.EigenTriple, tol: float) -> str | None
     return None
 
 
-def _transversal(u: np.ndarray, c: np.ndarray, tol: float) -> bool:
+def _transversal(u: np.ndarray, c: list[float], tol: float) -> bool:
     """Whether ``u`` has a component off ``c`` above ``tol |u|``.  The test
     does not change when ``c`` is scaled; it takes the map's framed ``c``.
     ``u`` is a left eigenvector, with largest entry 1 or of unit norm.  In
@@ -188,7 +188,8 @@ def _transversal(u: np.ndarray, c: np.ndarray, tol: float) -> bool:
     rounding residue of the component off ``c``: never transversal."""
     if u.size == 1:
         return False
-    rej = u - c * (linalg._dot(u, c) / linalg._dot(c, c))
+    k = linalg._dot(u, c) / linalg._dot(c, c)
+    rej = [x - y * k for x, y in zip(u.tolist(), c)]
     return linalg._length(rej) > tol * linalg._length(u)
 
 

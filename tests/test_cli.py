@@ -694,6 +694,42 @@ def test_huge_grid_rejected_before_allocating(capsys, argv):
     assert peak < 10**6
 
 
+@pytest.mark.parametrize("argv, floats", [
+    (["portrait", *ANCHOR, "--keep"], 2),
+    (["orbit", *ANCHOR, "--transient", "0", "--keep"], 2),
+    (["restrict", *ANCHOR, "--keep"], 1),
+    (["induced", *FLAT, "--keep"], 2),
+    (["scan", *ANCHOR, "--param", "tl", "--values", "2.2,2.0", "--keep"], 4),
+], ids=["portrait", "orbit", "restrict", "induced", "scan"])
+def test_orbit_limit_at_its_boundary(monkeypatch, capsys, argv, floats):
+    # each command keeps ``floats`` coordinates per kept iterate: the orbit
+    # at the limit runs, one more iterate is rejected with one line
+    monkeypatch.setattr(cli, "MAX_ORBIT_FLOATS", 600)
+    keep = 600 // floats
+    assert main([*argv, str(keep)]) == 0
+    capsys.readouterr()
+    assert main([*argv, str(keep + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: orbits keep {(keep + 1) * floats} floats, more than the limit 600\n")
+
+
+def test_huge_orbit_rejected_before_allocating(capsys):
+    # 2e11 floats: the 1.5 TiB orbit buffer is never asked for
+    tracemalloc.start()
+    try:
+        code = main(["portrait", *ANCHOR, "--keep", "100000000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (f"error: orbits keep 200000000000 floats, more than the limit "
+                   f"{cli.MAX_ORBIT_FLOATS}\n")
+    assert peak < 10**6
+
+
 def test_grid_limit_names_the_product_of_the_axes(capsys):
     # the first axis alone is past the limit, but the one check is on the
     # whole grid, before anything is allocated, and names its size
@@ -908,10 +944,14 @@ def _limit_address_space():
     ["scan", *ANCHOR, "--param", "tl", "--values", "1,2", "--keep", "200000000"],
 ], ids=["portrait", "scan"])
 def test_memory_error_is_a_usage_error(tmp_path, argv):
+    # the orbit limit rejects these orbits before they allocate, so the
+    # child lifts it to reach the allocation that fails
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    script = ("import sys\nfrom pwldyn import cli\ncli.MAX_ORBIT_FLOATS = 10**12\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
     proc = subprocess.run(
-        [sys.executable, "-m", "pwldyn", *argv, "--out", str(tmp_path / "out.csv")],
+        [sys.executable, "-c", script, *argv, "--out", str(tmp_path / "out.csv")],
         capture_output=True, text=True, env=env, timeout=120,
         preexec_fn=_limit_address_space)
     assert proc.returncode == 2

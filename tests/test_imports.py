@@ -267,11 +267,11 @@ def test_guard_sees_a_blas_product():
 
 
 # Every scale-free decision is taken in an exact power-of-two frame, which
-# only linalg builds: ``_rescaled`` (an array) and ``_framed`` (a list of
-# floats) divide data by a power of two, and a ``_Frame`` holds a map's
-# decision data so divided.  Other modules read a map's frame
-# (``PwlMap._frame``) and an eigenvector's direction
-# (``EigenTriple._direction``) and never scale data themselves.
+# only linalg builds: ``_framed`` divides a list of floats by a power of two,
+# and a ``_Frame`` holds a map's decision data so divided.  Other modules
+# read a map's frame (``PwlMap._frame``) and an eigenvector's direction
+# (``EigenTriple._direction``) and never scale data themselves.  The
+# retired array form ``_rescaled`` stays forbidden by name.
 RESCALE_NAMES = {"_rescaled", "_framed", "_Frame"}
 
 

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import collections
+import hashlib
 import inspect
 import math
+import random
 import re
 import sys
 import threading
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 from pwldyn import (
     BcnfParams,
     IllConditioned,
+    PwlMap,
     SingularMatrix,
     ZeroNormal,
     adjugate,
@@ -942,3 +946,49 @@ def test_real_eigen_threads_share_the_memo(rng):
     assert errors == []
     assert [len(g) for g in got] == [rounds] * 8
     assert all(spec == want[j] for g in got for j, spec in g)
+
+
+# ---------------------------------------------------------------------------
+# the map's decision frame
+
+
+def _frame_maps():
+    """Seeded maps ``A_R = A_L + D + E`` built entry by entry on Python
+    floats: ``D = pm cm^T`` at scale ``2^sD``, ``c = cm`` at ``2^sc``, so the
+    true fit is ``pm 2^(sD - sc)``, inf past the float range; ``E`` is a
+    non-rank-one perturbation in some maps, and entries may be signed zeros."""
+    gen = random.Random(3517)
+    scales = (-1070, -1000, -600, -40, 0, 40, 600, 1000)
+
+    def entry():
+        return gen.choice((0.0, -0.0)) if gen.random() < 0.15 else gen.uniform(-1.0, 1.0)
+
+    for n in range(1, 9):
+        for _ in range(40):
+            sa, sd, sc, se = (gen.choice(scales) for _ in range(4))
+            A_L = [[math.ldexp(entry(), sa) for _ in range(n)] for _ in range(n)]
+            pm, cm = [entry() for _ in range(n)], [entry() for _ in range(n)]
+            if not any(cm):
+                cm[gen.randrange(n)] = gen.choice((1.0, -0.5))
+            c = [math.ldexp(x, sc) for x in cm]
+            if not any(c):  # cm underflowed at 2^sc
+                c[0] = math.ldexp(1.0, sc)
+            perturbed = gen.random() < 0.3
+            A_R = [[a + math.ldexp(p * q, sd) + (math.ldexp(entry(), se) if perturbed else 0.0)
+                    for a, q in zip(row, cm)] for row, p in zip(A_L, pm)]
+            yield PwlMap(A_L, A_R, [0.0] * n, c)
+
+
+def test_map_frame_bits_are_pinned():
+    # sha256 of every field of ``PwlMap._frame`` over the maps above, each
+    # field read as float64 bytes in row-major order
+    digest = hashlib.sha256()
+    fields = collections.Counter()
+    for pwl in _frame_maps():
+        frame = pwl._frame
+        for value in frame:
+            digest.update(np.asarray(value, dtype=float).tobytes())
+        fields["inf fit"] += bool(np.isinf(frame.fit).any())
+        fields["resid"] += frame.resid > 0.0
+    assert fields["inf fit"] and fields["resid"]
+    assert digest.hexdigest() == "8bdfc639c2e619e067d3ce7b8bca96ab361dcc17a0d9dc4f2d9c56ae92cd82a4"

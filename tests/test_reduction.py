@@ -59,6 +59,9 @@ from conftest import (
     shared_3d_params,
 )
 
+EPS = float(np.finfo(float).eps)
+
+
 # ---------------------------------------------------------------------------
 # shared eigenvalue
 
@@ -1169,6 +1172,36 @@ def test_block_tests_match_the_one_point_returns(n):
     assert set(seen) == {*pwlmap._STATUSES, "repeat"}, seen
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_block_return_test_is_the_plane_membership(n):
+    # ``block``'s return test of a right step at radius inf, on images of
+    # finite norm, against ``AffineHyperplane.contains`` of the image rows:
+    # one membership rule in two layouts.  The images lie k eps off the
+    # plane, |k| <= 40, on both sides of the threshold of 4 eps (1 + |y|).
+    rng = np.random.default_rng(40 + n)
+    block = pwlmap._kernel("block", n)
+    verdicts = collections.Counter()
+    for _ in range(20):
+        A_R = 2.0 * np.linalg.qr(rng.standard_normal((n, n)))[0]
+        b, c = rng.standard_normal(n), rng.standard_normal(n)
+        flat = PwlMap(A_R - np.outer(rng.standard_normal(n), c), A_R, b, c)._pieces.flat
+        plane = AffineHyperplane.from_normal_point(rng.standard_normal(n), rng.standard_normal(n))
+        ks = rng.integers(-40, 41, 200)
+        tangent = rng.standard_normal((200, n))
+        tangent -= np.outer(tangent @ plane.normal, plane.normal)
+        targets = plane.base_point + tangent + np.outer(ks * EPS, plane.normal)
+        X = np.linalg.solve(A_R, (targets - b).T)
+        left, cols, r, done, going = block(flat, X, np.inf, plane.normal.tolist(), plane.offset,
+                                           4.0 * EPS)
+        right = ~left
+        images = np.array(cols).T[right]
+        assert np.isfinite(r[right]).all()
+        on = plane.contains(images, 4.0 * EPS)
+        assert done[right].tolist() == on.tolist()
+        verdicts.update(on.tolist())
+    assert verdicts[True] and verdicts[False]
+
+
 def _counted_steps(counts):
     """A stand-in for ``pwlmap._kernel`` whose ``block`` and ``returns``
     append to ``counts`` the number of iterates each call steps."""
@@ -1291,8 +1324,7 @@ def test_hyperplane_normalization():
     assert plane.offset == pytest.approx(3.0, abs=1e-15)
     X = np.array([[5.0, 4.0], [9.0, 3.0], [9.0, 3.1]])
     assert plane.distances(X) == pytest.approx([1.0, 0.0, 0.1])
-    assert pwlmap._on_plane(plane, X, np.linalg.norm(X, axis=1), 1e-9).tolist() == [
-        False, True, False]
+    assert plane.contains(X, 1e-9).tolist() == [False, True, False]
 
 
 @pytest.mark.parametrize("normal, unit", [
