@@ -5,7 +5,9 @@ two pieces share an eigenvalue, restricts the dynamics to the resulting
 invariant plane, constructs the induced return map when one piece is
 singular, and classifies eigenvalues on the unit circle.  Its public names
 are those of its library modules, each listed once in the module's
-``__all__``.
+``__all__``: the paper's objects; the machinery behind them stays in its
+module.  The modules ``errors``, ``linalg``, ``pwlmap``, ``reduction``,
+``analysis`` and ``cli`` are layers, each importing only from those before.
 """
 from . import analysis, errors, linalg, pwlmap, reduction
 from .analysis import *

@@ -1,4 +1,4 @@
-"""Attractor sampling, cloud distances, and one-parameter scans."""
+"""Attractor sampling, exact cloud distances without SciPy, and one-parameter scans."""
 from __future__ import annotations
 
 import functools

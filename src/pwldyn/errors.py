@@ -14,9 +14,7 @@ __all__ = [
     "NotSingular",
     "PwldynError",
     "ReductionError",
-    "SingularMatrix",
     "UnsupportedDimension",
-    "ZeroNormal",
 ]
 
 
@@ -25,19 +23,12 @@ class PwldynError(Exception):
 
 
 class IllConditioned(PwldynError):
-    """An eigenvalue computation failed to converge or lost all accuracy."""
-
-
-class ZeroNormal(PwldynError):
-    """A hyperplane normal was zero."""
-
-
-class SingularMatrix(PwldynError):
-    """A linear solve hit a pivot below the singularity threshold."""
+    """An eigenvalue computation failed to converge or lost all accuracy, a plane or
+    a restricted map is past the float range, or a singular piece's range is not planar."""
 
 
 class UnsupportedDimension(PwldynError):
-    """Normal-form construction is only available in dimensions 2 and 3."""
+    """A normal form outside dimensions 2 and 3, or ``induced`` on a 1-D map (a point section)."""
 
 
 class NotContinuous(PwldynError):
@@ -79,7 +70,7 @@ class MultipleZero(ReductionError):
 
 
 class NoFixedPoint(ReductionError):
-    """One is an eigenvalue, so the required fixed point does not exist."""
+    """No required fixed point: 1 is an eigenvalue, or the solve leaves the float range."""
 
 
 class EmptyCloud(PwldynError):

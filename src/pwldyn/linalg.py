@@ -7,19 +7,19 @@ Appl. 283, 1998), which stays accurate at rank n - 1.  Eigenvalues come
 from characteristic-polynomial closed forms up to 3x3 and from LAPACK
 above; eigenvectors of a real root are read off the adjugate of
 ``value * I - A``, which fixes the relative scaling of a simple root's
-vectors.  Two adjacent real roots whose eigenvalue condition numbers
-``s = |u . v| / (|u| |v|)`` are both tiny, and which lie no farther apart
-than rounding splits a double root, are one defective double root; up to
-3x3 the split is tested first and ``s`` taken only for a pair that passes.
+vectors.  ``real_eigen`` merges a defective double root that rounding
+split, and remembers the spectra of the last two matrices it decomposed.
 
-Every public function validates its matrix once and passes the validated
-array to the private helpers.  A decomposition reads its matrix once as a
-list of Python floats and frames it as rows; the closed forms up to 3x3,
-the Newton polish of cubic roots, the clustering of roots, the eigenvector
-readout (each vector becomes an array once), the products of singular
-values in ``_adj`` and the Gaussian elimination of ``solve`` run
-on Python floats and complex numbers: at these sizes NumPy's per-call
-overhead, not the arithmetic, would dominate.
+``adjugate`` and ``determinant`` check that their matrix is square and
+finite, ``real_eigen`` the shape on every call and the entries once per
+decomposition; the private helpers take rows of a finite matrix, as their
+callers hold them.  A decomposition reads its matrix once as a list of
+Python floats and frames it as rows; the closed forms, the Newton polish
+of cubic roots, the clustering of roots, the eigenvector readout (each
+vector becomes an array once), the products of singular values in
+``_adj`` and the Gaussian elimination of ``_solve_rows`` run on Python
+floats and complex numbers: at these sizes NumPy's per-call overhead, not
+the arithmetic, would dominate.
 
 Every inner product of the package is the step's in-order sum
 ``(x_0 y_0 + x_1 y_1) + ...``, each product and each sum rounded once and
@@ -29,21 +29,14 @@ SVD of a semisimple multiple root, and no bit depends on the BLAS build or
 the CPU.  Above 3x3 LAPACK's ``eigvals``, ``svd`` and ``det`` and the
 matrix product inside the SVD adjugate remain.
 
-``real_eigen`` remembers the spectra of the last two matrices it decomposed,
-keyed by their bytes, not held on a map: it serves one map's analyses and a
-sweep's maps that keep a piece's bytes.  It checks the shape on every call
-and scans the entries for non-finite ones once per decomposition, as they
-enter the memo.  The vectors it returns are read-only: every caller that
-asks again for one matrix shares them.
-
 Every scale-free decision is taken once, in an exact power-of-two frame
-(``_framed``, on lists of Python floats; Higham,
-*Accuracy and Stability of Numerical Algorithms*, 2.1) where nothing over-
-or underflows: a decomposition's matrix, largest
-entry in [1/2, 1), and a map's pieces, ``c`` and fit ``p`` (``_Frame``).
-Values go back out times the power of two, canonical right vectors times
-its (n - 1)-th power where exact.  LAPACK's ``eigvals`` scales internally
-and takes the true scale.  No other module scales data.
+(``_framed``; Higham, *Accuracy and Stability of Numerical Algorithms*, 2.1)
+where nothing over- or underflows: a decomposition's matrix, largest entry
+in [1/2, 1), and a map's pieces, ``c`` and fit ``p`` (``_Frame``).  Values
+go back out times the power of two, canonical right vectors times its
+(n - 1)-th power where exact.  LAPACK's ``eigvals`` scales internally and
+takes the true scale.  No other module scales data; the dynamics, the fixed
+points and the unit-modulus and "equals one" tests stay at the true scale.
 """
 from __future__ import annotations
 
@@ -58,20 +51,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IllConditioned, SingularMatrix, ZeroNormal
+from .errors import IllConditioned
 
 __all__ = [
-    "CLUSTER_RTOL",
-    "DEFECTIVE_S",
-    "DEFECTIVE_SPLIT",
     "ComplexPair",
     "EigenTriple",
     "Spectrum",
-    "adjugate",
-    "determinant",
-    "hyperplane_basis",
     "real_eigen",
-    "solve",
 ]
 
 # Roots closer than this (relative to 1 + the Frobenius norm) are merged into
@@ -100,7 +86,7 @@ DEFECTIVE_S = 1e-5
 # read 1.5e15 on the closed forms, where the LAPACK rule would read 72.
 DEFECTIVE_SPLIT = 100.0
 
-# solve raises SingularMatrix at a pivot this small relative to the largest
+# _solve_rows gives no solution at a pivot this small relative to the largest
 # entry of the matrix.
 PIVOT_RTOL = 1e-12
 
@@ -236,22 +222,10 @@ def _adjugate_at(M: list[list[float]]) -> list[list[float]]:
     return B
 
 
-def solve(a, rhs) -> np.ndarray:
-    """Solve ``A x = rhs`` by Gaussian elimination with partial pivoting.
-
-    Raises SingularMatrix when a pivot falls below ``PIVOT_RTOL`` relative to
-    the largest entry of ``A``.
-    """
-    A = _finite(_square(a))
-    b = np.asarray(rhs, dtype=float)
-    if b.shape != (A.shape[0],):
-        raise ValueError("right-hand side must be a vector matching the matrix size")
-    return _solve_rows(A.tolist(), b.tolist())
-
-
-def _solve_rows(U: list[list[float]], y: list[float]) -> np.ndarray:
-    """``solve`` on the rows of a finite matrix and a right-hand side, both
-    Python lists, which it overwrites.
+def _solve_rows(U: list[list[float]], y: list[float]) -> np.ndarray | None:
+    """``U x = y`` solved by Gaussian elimination with partial pivoting on the
+    rows of a finite matrix and a right-hand side, Python lists that it
+    overwrites; None at a pivot at or below ``PIVOT_RTOL`` times ``max |U|``.
 
     The pivot is the first largest ``|U[i][k]|`` (once elimination
     overflows, a NaN is never larger); each entry becomes ``u - m * r`` and
@@ -264,7 +238,7 @@ def _solve_rows(U: list[list[float]], y: list[float]) -> np.ndarray:
     for k in range(n):
         piv = max(range(k, n), key=lambda i: abs(U[i][k]))
         if abs(U[piv][k]) <= floor:
-            raise SingularMatrix(f"pivot {U[piv][k]:.3e} below threshold in column {k}")
+            return None
         U[k], U[piv] = U[piv], U[k]
         y[k], y[piv] = y[piv], y[k]
         r, d, yk = U[k], U[k][k], y[k]
@@ -288,13 +262,9 @@ def hyperplane_basis(normal) -> np.ndarray:
     sending the normal to a coordinate axis, so identical input always
     yields the identical basis.  It is built on Python floats from the
     normal's frame (``_framed``), exactly: no square over- or underflows.
+    Its callers pass a nonzero finite normal: a checked plane's or an eigenvector.
     """
-    w = np.asarray(normal, dtype=float)
-    if w.ndim != 1:
-        raise ValueError("normal must be a vector")
-    if not w.any():
-        raise ZeroNormal("hyperplane normal is zero")
-    h = _framed(w.tolist())[0]
+    h = _framed(np.asarray(normal, dtype=float).tolist())[0]
     nrm = _length(h)
     h[0] += nrm if h[0] >= 0.0 else -nrm
     hh = _dot(h, h)
@@ -365,9 +335,10 @@ def real_eigen(a) -> Spectrum:
     (``DEFECTIVE_SPLIT``) become one value of multiplicity two.
 
     The spectra of the last two matrices decomposed are remembered, keyed by
-    the matrix bytes (so ``-0.0`` and ``+0.0`` differ), and asking again for
-    one of them returns the same Spectrum object; only its shape is checked
-    again.  Raises IllConditioned when a characteristic root is not finite.
+    the matrix bytes (so ``-0.0`` and ``+0.0`` differ), not held on a map,
+    so that a sweep's maps that keep a piece's bytes share its spectrum;
+    asking again returns the same Spectrum object, checking only the shape.
+    Raises IllConditioned when a characteristic root is not finite.
     """
     A = _square(a)
     return _spectrum(A.tobytes(), A.shape[0])

@@ -11,6 +11,8 @@ boundary-crossing type.
 The reductions are linear algebra on the two pieces: they find the planes and
 build the restricted map.  Both maps, the plane and its chart, and the
 sampler of the first-return map live in ``pwlmap``, which steps them.
+Detection decides on the map's frame (``PwlMap._frame``): its verdicts, and
+continuity's, hold for both pieces times ``2^k``, ``k >= 0``, or ``c`` rescaled.
 """
 from __future__ import annotations
 
@@ -242,19 +244,15 @@ reduced_orbit = orbit  # a restricted map iterates in chart coordinates like any
 def zero_eig_reduction(pwl: PwlMap, tol: float = TOL) -> AffineHyperplane:
     """Hyperplane carrying the range of the left piece.
 
-    Requires the left matrix to be singular with a simple zero eigenvalue and
-    a left fixed point (else NoFixedPoint, naming the ``fixed_points``
-    reason: 1 in the spectrum, or a solve past the float range).  The plane
-    passes through that fixed point with the left null vector as normal;
-    every point of the left half-space maps onto it in one step.  A
-    planarity residual above ``1e3 * tol``, or one that is not finite,
-    raises IllConditioned.
+    Requires one simple real eigenvalue of the left matrix within ``tol`` of
+    zero, an absolute test (else NotSingular or MultipleZero), and a left
+    fixed point (else NoFixedPoint, naming the ``fixed_points`` reason: 1 in
+    the spectrum, or a solve past the float range).  The plane passes
+    through that fixed point with the left null vector as normal; every
+    point of the left half-space maps onto it in one step.  A planarity
+    residual above ``1e3 * tol``, or not finite, raises IllConditioned.
     """
-    det_l = linalg.determinant(pwl.A_L)
-    if abs(det_l) > tol:
-        raise NotSingular(f"det A_L = {det_l:.3e} exceeds the tolerance {tol:.1e}")
-    spec_l = linalg.real_eigen(pwl.A_L)
-    zeros = [t for t in spec_l.real if abs(t.value) <= tol]
+    zeros = [t for t in linalg.real_eigen(pwl.A_L).real if abs(t.value) <= tol]
     if not zeros:
         raise NotSingular("no real eigenvalue of A_L within tolerance of zero")
     if len(zeros) > 1 or zeros[0].multiplicity > 1:

@@ -17,10 +17,7 @@ from pwldyn import (
     NonFinite,
     ReducedPwlMap,
     SharedEigReduction,
-    SingularMatrix,
-    adjugate,
     bcnf,
-    determinant,
     fixed_points,
     linalg,
     pwlmap,
@@ -28,6 +25,7 @@ from pwldyn import (
     reduction,
     validate_continuity,
 )
+from pwldyn.linalg import adjugate, determinant
 from pwldyn.pwlmap import LEFT, RIGHT
 
 # Two-piece normal form with the left piece sharing the eigenvalue 0.2
@@ -308,11 +306,13 @@ def det_lemma_sides(a, q, r) -> tuple[float, float]:
 
 
 def reference_solve(a, rhs):
-    """Gaussian elimination on NumPy arrays, the oracle of ``solve``: the
-    pivot is the first row whose ``|entry|`` no later row exceeds (so a NaN,
-    once elimination overflows, never displaces an earlier pivot), row
-    updates by ``np.outer`` and an in-order sum per row tail in the
-    back-substitution.  Overflow and invalid operations run silently."""
+    """Gaussian elimination on NumPy arrays, the oracle of
+    ``linalg._solve_rows``: the pivot is the first row whose ``|entry|`` no
+    later row exceeds (so a NaN, once elimination overflows, never displaces
+    an earlier pivot), None at a pivot at or below ``PIVOT_RTOL`` times the
+    largest entry, row updates by ``np.outer`` and an in-order sum per row
+    tail in the back-substitution.  Overflow and invalid operations run
+    silently."""
     A = np.asarray(a, dtype=float)
     b = np.asarray(rhs, dtype=float).copy()
     n = A.shape[0]
@@ -325,7 +325,7 @@ def reference_solve(a, rhs):
                 if abs(U[i, k]) > abs(U[piv, k]):
                     piv = i
             if abs(U[piv, k]) <= floor:
-                raise SingularMatrix(f"pivot {U[piv, k]:.3e} below threshold in column {k}")
+                return None
             if piv != k:
                 U[[k, piv]] = U[[piv, k]]
                 b[[k, piv]] = b[[piv, k]]

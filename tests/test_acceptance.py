@@ -15,7 +15,6 @@ from pwldyn import (
     BcnfParams,
     HypothesisViolated,
     PwlMap,
-    adjugate,
     attractor,
     bcnf,
     classify_unit_modulus,
@@ -29,6 +28,7 @@ from pwldyn import (
     zero_eig_reduction,
 )
 from pwldyn.cli import main
+from pwldyn.linalg import adjugate
 
 from conftest import FLAT_LEFT_2D, FLAT_LEFT_3D, SHARED_2D, det_lemma_sides, shared_3d_params
 

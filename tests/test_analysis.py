@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from pwldyn import (
-    ESCAPE_RADIUS,
     BcnfParams,
     EmptyCloud,
     NonFinite,
@@ -28,7 +27,7 @@ from pwldyn import (
     scan,
 )
 
-from pwldyn.pwlmap import OrbitData
+from pwldyn.pwlmap import ESCAPE_RADIUS, OrbitData
 
 from conftest import SHARED_2D, pieces, reference_orbit, shared_3d_params
 

@@ -204,6 +204,27 @@ def test_package_exports_each_library_name_once():
     assert len(set(names)) == len(names)
 
 
+# The package's surface is the paper's objects: the map, its pieces'
+# spectra, the three reductions with their planes, charts and records, the
+# scan, and the errors that the command line maps to exit codes.
+PUBLIC_API = {
+    "AffineHyperplane", "BcnfParams", "Chart", "ComplexPair", "DynamicsError", "EigenTriple",
+    "EmptyCloud", "FixedPointInfo", "FixedPoints", "HypothesisViolated", "IllConditioned",
+    "InducedSample", "InducedSamples", "MapReport", "MultipleZero", "NoFixedPoint", "NoReturn",
+    "NonFinite", "NonTransversal", "NotContinuous", "NotSingular", "OrbitData", "PwlMap",
+    "PwldynError", "ReducedPwlMap", "ReductionError", "ScanResult", "SharedEigReduction",
+    "Spectrum", "UnitModulusReport", "UnsupportedDimension", "analyze", "attractor", "bcnf",
+    "classify_unit_modulus", "default_x0", "detect_shared_eigenvalue", "fixed_points",
+    "hausdorff", "orbit", "plane_chart", "real_eigen", "reduced_orbit", "restrict_to_manifold",
+    "sample_induced", "scan", "validate_continuity", "zero_eig_reduction",
+}
+
+
+def test_package_exports_the_pinned_names():
+    assert len(PUBLIC_API) == 48
+    assert set(pwldyn.__all__) == PUBLIC_API
+
+
 def test_package_names_resolve():
     assert len(set(pwldyn.__all__)) == len(pwldyn.__all__)
     for name in pwldyn.__all__:

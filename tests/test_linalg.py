@@ -14,22 +14,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from pwldyn import (
-    BcnfParams,
-    IllConditioned,
-    PwlMap,
-    SingularMatrix,
-    ZeroNormal,
-    adjugate,
-    bcnf,
-    determinant,
-    hyperplane_basis,
-    real_eigen,
-    solve,
-)
+from pwldyn import BcnfParams, IllConditioned, PwlMap, bcnf, real_eigen
 from pwldyn import linalg
 from pwldyn.cli import main
-from pwldyn.linalg import _cubic_roots, _quadratic_roots
+from pwldyn.linalg import _cubic_roots, _quadratic_roots, adjugate, determinant, hyperplane_basis
 
 from conftest import (
     FLAT_LEFT_2D,
@@ -429,9 +417,10 @@ def test_hyperplane_basis_of_a_normal_whose_squares_under_or_overflow(scale, uni
     assert basis == pytest.approx(hyperplane_basis(unit), abs=1e-15)
 
 
-def test_hyperplane_basis_zero_normal():
-    with pytest.raises(ZeroNormal):
-        hyperplane_basis(np.zeros(3))
+def _solve(a, rhs):
+    """``linalg._solve_rows`` on fresh rows of ``a`` and ``rhs``."""
+    return linalg._solve_rows(np.asarray(a, dtype=float).tolist(),
+                              np.asarray(rhs, dtype=float).tolist())
 
 
 def test_solve_matches_numpy(rng):
@@ -439,7 +428,7 @@ def test_solve_matches_numpy(rng):
         for _ in range(20):
             a = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
             rhs = rng.standard_normal(n)
-            assert np.allclose(solve(a, rhs), np.linalg.solve(a, rhs), atol=1e-10)
+            assert np.allclose(_solve(a, rhs), np.linalg.solve(a, rhs), atol=1e-10)
 
 
 def test_solve_graded_matches_numpy(rng):
@@ -456,9 +445,8 @@ def test_solve_graded_matches_numpy(rng):
         a = rows[:, None] * rng.standard_normal((n, n)) * cols[None, :]
         rhs = rng.standard_normal(n)
         want = np.linalg.solve(a, rhs)
-        try:
-            got = solve(a, rhs)
-        except SingularMatrix:
+        got = _solve(a, rhs)
+        if got is None:
             rejected += 1
             assert np.linalg.cond(a) >= 1e12 / (n * 2.0 ** (n - 1))
             continue
@@ -473,16 +461,14 @@ def test_solve_graded_matches_numpy(rng):
 @pytest.mark.parametrize("d, singular", [(5e-13, True), (2e-12, False)])
 def test_pivot_threshold(d, singular):
     if singular:
-        with pytest.raises(SingularMatrix):
-            solve([[1.0, 0.0], [0.0, d]], [1.0, 1.0])
+        assert _solve([[1.0, 0.0], [0.0, d]], [1.0, 1.0]) is None
     else:
-        assert solve([[1.0, 0.0], [0.0, d]], [1.0, 1.0]).tolist() == [1.0, 1.0 / d]
+        assert _solve([[1.0, 0.0], [0.0, d]], [1.0, 1.0]).tolist() == [1.0, 1.0 / d]
 
 
 def test_solve_singular():
     a = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(SingularMatrix):
-        solve(a, np.array([1.0, 1.0]))
+    assert _solve(a, np.array([1.0, 1.0])) is None
 
 
 _SOLVE_ENTRIES = st.one_of(
@@ -509,10 +495,8 @@ def _systems(draw):
 
 
 def _solve_outcome(f, a, b):
-    try:
-        return f(a, b).tobytes()
-    except SingularMatrix as exc:
-        return str(exc)
+    x = f(a, b)
+    return None if x is None else x.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -530,7 +514,7 @@ def _solve_outcome(f, a, b):
                  np.ones(4)))
 def test_solve_matches_reference_bit_for_bit(system):
     a, b = system
-    assert _solve_outcome(solve, a, b) == _solve_outcome(reference_solve, a, b)
+    assert _solve_outcome(_solve, a, b) == _solve_outcome(reference_solve, a, b)
 
 
 @pytest.mark.parametrize("a, b", [
@@ -544,7 +528,7 @@ def test_solve_matches_reference_bit_for_bit(system):
 ])
 def test_solve_overflowing_elimination_does_not_warn(a, b):
     # warnings are errors in this suite
-    assert solve(a, b).tobytes() == reference_solve(a, b).tobytes()
+    assert _solve(a, b).tobytes() == reference_solve(a, b).tobytes()
 
 
 def test_large_eigen_backend_failure(monkeypatch):

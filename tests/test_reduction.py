@@ -708,6 +708,18 @@ def test_plane_normal_sign_rule():
         AffineHyperplane.from_normal_point([0.0, 0.0], [1.0, 1.0])
 
 
+@pytest.mark.parametrize("normal, point", [
+    ([math.nan, 1.0], [0.0, 0.0]),
+    ([math.inf, 0.0], [0.0, 0.0]),
+    ([-math.inf, 2.0, 1.0], [0.0, 0.0, 0.0]),
+    ([1.0, 0.0], [math.inf, 0.0]),
+    ([0.0, 1.0], [0.0, math.nan]),
+])
+def test_plane_rejects_non_finite_data(normal, point):
+    with pytest.raises(ValueError, match="finite"):
+        AffineHyperplane.from_normal_point(normal, point)
+
+
 # ---------------------------------------------------------------------------
 # zero eigenvalue
 

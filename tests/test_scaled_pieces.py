@@ -20,15 +20,16 @@ Each map is scaled by a power of two, which is exact, and built without
 ``@``.  Every count of an outcome other than the planted one is a known
 defect: the decisions of a singular piece use absolute thresholds.
 
-- NoFixedPoint of the ``FLAT_LEFT`` maps above ``k = 39``: ``solve``
-  takes a pivot of ``I - A_L`` below ``PIVOT_RTOL`` times its largest
-  entry as 1 in the spectrum.
+- NoFixedPoint of the ``FLAT_LEFT`` maps above ``k = 39``: the solve of
+  ``I - A_L`` takes a pivot below ``PIVOT_RTOL`` times its largest entry
+  as 1 in the spectrum.
 - NotSingular and MultipleZero below ``k = -26``: ``real_eigen`` merges
   roots within ``CLUSTER_RTOL (1 + ||A||_F)``, absolute below
   ``||A||_F = 1``; the merged root is NotSingular while its mean exceeds
   ``tol``, and a multiple zero below that.
-- NotSingular of ``diag(s, 1e-15 s)`` above ``k = 9``: ``|det A_L| <=
-  tol`` is absolute.
+- NotSingular of ``diag(s, 1e-15 s)`` above ``k = 19``: the zero
+  eigenvalue's test ``|lambda| <= tol`` is absolute, and ``1e-15 2^20``
+  exceeds ``tol``.
 
 A change that makes one of these decisions scale-relative lowers its counts
 in the same commit.
@@ -51,7 +52,7 @@ SCALED_OUTCOMES = {
     "flat_left_2d": {PLANE: 66, "NoFixedPoint": 21, "NotSingular": 3, "MultipleZero": 31},
     "flat_left_3d": {PLANE: 66, "NoFixedPoint": 21, "NotSingular": 2, "MultipleZero": 32},
     "diag_regular": {"NotSingular": 71, "MultipleZero": 10},
-    "diag_singular": {PLANE: 35, "NoFixedPoint": 1, "NotSingular": 33, "MultipleZero": 12},
+    "diag_singular": {PLANE: 45, "NoFixedPoint": 1, "NotSingular": 23, "MultipleZero": 12},
 }
 
 
