@@ -9,7 +9,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EmptyCloud, NonFinite, PwldynError, _record
-from .pwlmap import ESCAPE_RADIUS, TOL, BcnfParams, OrbitData, PwlMap, bcnf, orbit
+from .pwlmap import (ESCAPE_RADIUS, TOL, BcnfParams, OrbitData, PwlMap, _check_orbit_size, bcnf,
+                     orbit)
 from .reduction import detect_shared_eigenvalue
 
 __all__ = [
@@ -310,11 +311,14 @@ def scan(
     column is ``hausdorff`` of neighbouring clouds, each cloud indexed once
     for both of its neighbours, on one grid over the sweep where
     ``_joint_box`` allows it, and gets NaN wherever either neighbour is
-    empty.
+    empty.  The sweep keeps ``len(values) n_keep n`` coordinates in all, at
+    most ``pwlmap.MAX_ORBIT_FLOATS``, checked before any orbit is stepped;
+    each orbit checks its escape radius and lengths as ``orbit`` does.
     """
+    vals = tuple(float(v) for v in values)
+    _check_orbit_size(len(vals) * n_keep * base.dim)
     if parameter not in base.coefficients:
         raise ValueError(f"unknown scan parameter {parameter!r} for dimension {base.dim}")
-    vals = tuple(float(v) for v in values)
     maps = tuple(bcnf(replace(base, **{parameter: v})) for v in vals)
     clouds: list[OrbitData | None] = []
     errors: list[str | None] = []
@@ -332,11 +336,5 @@ def scan(
     indexed = (None if p is None else _Indexed(p, box) for p in pts)
     dists = tuple(float("nan") if a is None or b is None else math.sqrt(_hausdorff_sq(a, b))
                   for a, b in itertools.pairwise(indexed))
-    return ScanResult(
-        parameter=parameter,
-        values=vals,
-        maps=maps,
-        clouds=tuple(clouds),
-        consecutive_hausdorff=dists,
-        errors=tuple(errors),
-    )
+    return ScanResult(parameter=parameter, values=vals, maps=maps, clouds=tuple(clouds),
+                      consecutive_hausdorff=dists, errors=tuple(errors))

@@ -53,8 +53,6 @@ _MAP_KEYS = ("dim", "tl", "dl", "sl", "tr", "dr", "sr")
 
 # Largest sampling grid accepted, checked before anything is allocated.
 MAX_GRID_SAMPLES = 10**6
-# Most orbit coordinates a command keeps, checked before the orbit is stepped.
-MAX_ORBIT_FLOATS = 10**7
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
@@ -177,15 +175,15 @@ def resolve_config(args: argparse.Namespace, command: str) -> RunConfig:
     elif not inline.keys().isdisjoint(_MAP_KEYS):
         inline["matrix_file"] = None
     cfg = replace(cfg, **inline)
+    # a key the command does not read is ignored, so one file serves every command
+    reads = COMMANDS[command].settings
     if cfg.format is None:
         cfg.format = COMMANDS[command].format
-    if cfg.format not in ("csv", "json"):
+    if "format" in reads and cfg.format not in ("csv", "json"):
         raise ValueError(f"unknown output format {cfg.format!r}")
-    if not (math.isfinite(cfg.tol) and cfg.tol > 0.0):
+    if "tol" in reads and not (math.isfinite(cfg.tol) and cfg.tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {cfg.tol!r}")
-    if not cfg.escape_radius > 0.0:
-        raise ValueError(f"escape radius must be positive, got {cfg.escape_radius!r}")
-    if cfg.x0 is not None and not all(map(math.isfinite, cfg.x0)):
+    if "x0" in reads and cfg.x0 is not None and not all(map(math.isfinite, cfg.x0)):
         raise ValueError(f"x0 must be finite, got {','.join(map(repr, cfg.x0))}")
     return cfg
 
@@ -375,7 +373,6 @@ def cmd_orbit(cfg: RunConfig, portrait: bool) -> str:
     pwl = build_map(cfg)
     _check_lengths(cfg.transient, cfg.keep)
     transient, keep = (cfg.transient, cfg.keep) if portrait else (0, cfg.transient + cfg.keep)
-    _check_orbit_size(keep * pwl.n)
     orb = orbit(pwl, _x0(cfg, pwl), transient, keep, cfg.escape_radius)
     _require_points(orb)
     coords = [f"x{i + 1}" for i in range(pwl.n)]
@@ -407,15 +404,16 @@ def _point_rows(orb) -> list[list]:
 def cmd_restrict(cfg: RunConfig) -> str:
     grid = None if cfg.grid is None else _parse_grid(cfg.grid, 1)
     pwl = build_map(cfg)
-    _check_orbit_size(cfg.keep * (pwl.n - 1))
     red = detect_shared_eigenvalue(pwl, cfg.tol)
     if red is None:
         raise ReductionError("no eigenvalue is shared by the two pieces at this tolerance")
     rmap = restrict_to_manifold(red)
     if grid is not None and rmap.dimension != 1:
         raise ValueError(f"--grid needs a one-dimensional restriction, not {rmap.dimension}-D")
-    orb = orbit(rmap, rmap.chart.project(_x0(cfg, pwl)), cfg.transient, cfg.keep,
-                cfg.escape_radius)
+    # the CSV of an explicit grid is its cobweb alone, and needs no orbit
+    if cfg.format == "json" or grid is None:
+        orb = orbit(rmap, rmap.chart.project(_x0(cfg, pwl)), cfg.transient, cfg.keep,
+                    cfg.escape_radius)
     if grid is None:
         _require_points(orb)  # an explicit grid's cobweb is a result without points
         if rmap.dimension == 1:
@@ -452,11 +450,6 @@ def _parse_grid_axis(spec: str) -> tuple[float, float, int]:
 def _check_grid_size(total: int) -> None:
     if total > MAX_GRID_SAMPLES:
         raise ValueError(f"grid has {total} samples, more than the limit {MAX_GRID_SAMPLES}")
-
-
-def _check_orbit_size(floats: int) -> None:
-    if floats > MAX_ORBIT_FLOATS:
-        raise ValueError(f"orbits keep {floats} floats, more than the limit {MAX_ORBIT_FLOATS}")
 
 
 def _parse_grid(spec: str, dims: int) -> np.ndarray:
@@ -498,7 +491,6 @@ def _default_induced_grid(pwl, plane, chart, cfg: RunConfig) -> np.ndarray:
     dims = pwl.n - 1
     count = 500 if dims == 1 else 40
     _check_grid_size(count**dims)
-    _check_orbit_size(cfg.keep * pwl.n)
     cloud = attractor(pwl, default_x0(pwl), cfg.transient, cfg.keep, cfg.escape_radius)
     mask = plane.contains(cloud.points, cfg.tol)
     if not np.any(mask):
@@ -547,16 +539,8 @@ def cmd_scan(cfg: RunConfig) -> str:
         raise ValueError("scan needs --param")
     if not cfg.values:
         raise ValueError("scan needs a non-empty --values list")
-    _check_orbit_size(len(cfg.values) * cfg.keep * base.dim)
-    result = scan(
-        base,
-        cfg.param,
-        cfg.values,
-        x0=cfg.x0,
-        n_transient=cfg.transient,
-        n_keep=cfg.keep,
-        escape_radius=cfg.escape_radius,
-    )
+    result = scan(base, cfg.param, cfg.values, x0=cfg.x0, n_transient=cfg.transient,
+                  n_keep=cfg.keep, escape_radius=cfg.escape_radius)
     if all(result.errors):  # an escaped orbit is a result, not an error
         raise _Failed(f"the orbit failed at every value, first with {result.errors[0]}")
     n = base.dim

@@ -61,8 +61,10 @@ ESCAPE_RADIUS = 1e12
 # Default tolerance of every yes/no decision: a shared eigenvalue, a
 # singular piece, an eigenvalue on the unit circle and a point on a plane.
 TOL = 1e-9
-# Default budget of steps of one sample's first return.
+# Budget of steps of one sample's first return, read when ``sample_induced`` runs.
 J_MAX = 10**6
+# Most coordinates an orbit keeps, checked before they are allocated.
+MAX_ORBIT_FLOATS = 10**7
 
 # Kept iterates stepped between two escape tests of an orbit.  The transient
 # is not stored, so memory stays O((n_keep + chunk) n).
@@ -612,7 +614,9 @@ def orbit(
     the ball of radius ``escape_radius``; a non-finite iterate that slips past
     that test (NaN only) raises NonFinite.  ``points[k+1]`` is always the
     image of ``points[k]`` and ``itinerary[k]`` records which piece applies
-    at ``points[k]``.
+    at ``points[k]``.  The radius must be positive (``inf`` is), and the
+    ``n_keep n`` kept coordinates at most ``MAX_ORBIT_FLOATS``; either is
+    checked, with the lengths, before anything is stepped or allocated.
 
     Iterate ``k`` escapes when its norm (the bits of ``linalg._length``)
     exceeds ``escape_radius`` and is non-finite otherwise when the norm is
@@ -627,11 +631,11 @@ def orbit(
     every iterate up to the stop.  The itinerary is the side test on the
     kept points, in the columnar layout.
     """
+    _check_radius(escape_radius)
     _check_lengths(n_transient, n_keep)
-    if not escape_radius > 0.0:
-        raise ValueError("escape_radius must be positive")
     p = pwl._pieces
     n = p.n
+    _check_orbit_size(n_keep * n)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n,):
         raise ValueError(f"x0 must be a vector of length {n}")
@@ -678,6 +682,16 @@ def _check_lengths(n_transient: int, n_keep: int) -> None:
         raise ValueError("n_keep must be at least 1")
 
 
+def _check_orbit_size(floats: int) -> None:
+    if floats > MAX_ORBIT_FLOATS:
+        raise ValueError(f"orbits keep {floats} floats, more than the limit {MAX_ORBIT_FLOATS}")
+
+
+def _check_radius(r: float) -> None:
+    if not r > 0.0:  # NaN too
+        raise ValueError(f"escape radius must be positive, got {r!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class InducedSample:
     point: np.ndarray
@@ -693,7 +707,7 @@ class InducedSamples:
 
     ``points`` and ``images`` are ``(P, d)`` chart coordinates, an image row
     NaN wherever the sample did not return; ``steps`` is the step at which
-    each sample finished (0 while still running at ``j_max``), ``last_left``
+    each sample finished (0 while still running at ``J_MAX``), ``last_left``
     whether that step was taken by the left piece, and ``status`` the
     outcome ("ok", "no_return", "escaped" or "non_finite").  Counters are
     reductions over these columns.  Iterating gives one ``InducedSample``
@@ -726,7 +740,6 @@ def sample_induced(
     plane: AffineHyperplane,
     grid,
     chart: Chart | None = None,
-    j_max: int = J_MAX,
     escape_radius: float = ESCAPE_RADIUS,
     membership_tol: float = TOL,
 ) -> InducedSamples:
@@ -741,12 +754,15 @@ def sample_induced(
     whose image equals its predecessor leaves it too, still running: the
     map is deterministic, so it never returns, and it ends there as
     ``no_return``; one that wanders without repeating runs its whole
-    ``j_max``.  Once at most ``_SCALAR_ROWS`` points are left, each
-    runs the rest of its budget alone (``returns``), which applies the same
-    tests in the same order.  So each sample is bit-identical to stepping
-    its lifted point alone.  Failures are recorded per sample instead of
-    aborting the sweep, in the columns of an ``InducedSamples``.
+    budget, the ``J_MAX`` steps that the module holds at the call.  Once at
+    most ``_SCALAR_ROWS`` points are left, each runs the rest of its budget
+    alone (``returns``), which applies the same tests in the same order.
+    So each sample is bit-identical to stepping its lifted point alone.
+    Failures are recorded per sample instead of aborting the sweep, in the
+    columns of an ``InducedSamples``.  The escape radius must be positive,
+    as for ``orbit``.
     """
+    _check_radius(escape_radius)
     if chart is None:
         chart = plane_chart(plane)
     pts = np.array(grid, dtype=float)
@@ -774,7 +790,7 @@ def sample_induced(
             idx = np.arange(lo, min(lo + _BLOCK, P))
             Y = [x[lo : lo + _BLOCK] for x in coords]  # the block's columns
             j = 0
-            while idx.size > _SCALAR_ROWS and j < j_max:
+            while idx.size > _SCALAR_ROWS and j < J_MAX:
                 j += 1
                 left, Y, r, done, going = block(flat, Y, escape_radius, w, off, membership_tol)
                 if going.all():
@@ -787,10 +803,10 @@ def sample_induced(
                 times[fin] = j
                 last_left[fin] = left[done]
                 idx, Y = idx[going], [y[going] for y in Y]
-            if idx.size and j < j_max:  # each row left runs the rest of its budget alone
+            if idx.size and j < J_MAX:  # each row left runs the rest of its budget alone
                 returns = _kernel("returns", n)
                 for i, x in zip(idx.tolist(), zip(*[y.tolist() for y in Y])):
-                    code, images[:, i], step, left = returns(flat, x, j, j_max, escape_radius,
+                    code, images[:, i], step, left = returns(flat, x, j, J_MAX, escape_radius,
                                                              w, off, membership_tol)
                     if code != _RUNNING:
                         status[i], times[i], last_left[i] = code, step, left

@@ -27,6 +27,7 @@ from pwldyn import (
     scan,
 )
 
+from pwldyn import pwlmap
 from pwldyn.pwlmap import ESCAPE_RADIUS, OrbitData
 
 from conftest import SHARED_2D, pieces, reference_orbit, shared_3d_params
@@ -374,6 +375,17 @@ def test_scan_rejects_bad_parameter():
         scan(SHARED_2D, "sl", [0.1])
     with pytest.raises(ValueError):
         scan(SHARED_2D, "mu", [0.1])
+
+
+def test_scan_limit_checked_before_any_orbit(monkeypatch):
+    # a sweep keeps len(values) n_keep n coordinates in all
+    monkeypatch.setattr(pwlmap, "MAX_ORBIT_FLOATS", 600)
+    result = scan(SHARED_2D, "tl", [2.2, 2.0], n_transient=10, n_keep=150)
+    assert [c.points.shape for c in result.clouds] == [(150, 2)] * 2
+    with mock.patch.object(analysis, "orbit") as stepped, pytest.raises(
+            ValueError, match="^orbits keep 604 floats, more than the limit 600$"):
+        scan(SHARED_2D, "tl", [2.2, 2.0], n_transient=10, n_keep=151)
+    stepped.assert_not_called()
 
 
 def test_scan_deterministic():

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pwldyn import bcnf, cli, reduction
+from pwldyn import bcnf, cli, pwlmap, reduction
 from pwldyn.cli import main
 
 from conftest import shared_3d_params
@@ -704,7 +704,7 @@ def test_huge_grid_rejected_before_allocating(capsys, argv):
 def test_orbit_limit_at_its_boundary(monkeypatch, capsys, argv, floats):
     # each command keeps ``floats`` coordinates per kept iterate: the orbit
     # at the limit runs, one more iterate is rejected with one line
-    monkeypatch.setattr(cli, "MAX_ORBIT_FLOATS", 600)
+    monkeypatch.setattr(pwlmap, "MAX_ORBIT_FLOATS", 600)
     keep = 600 // floats
     assert main([*argv, str(keep)]) == 0
     capsys.readouterr()
@@ -726,8 +726,46 @@ def test_huge_orbit_rejected_before_allocating(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err == (f"error: orbits keep 200000000000 floats, more than the limit "
-                   f"{cli.MAX_ORBIT_FLOATS}\n")
+                   f"{pwlmap.MAX_ORBIT_FLOATS}\n")
     assert peak < 10**6
+
+
+def test_induced_escape_radius_checked_by_the_sampler(capsys):
+    # an explicit grid steps no attractor: the sampler checks the radius
+    assert main(["induced", *FLAT, "--grid=-1:1:3", "--escape-radius", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: escape radius must be positive, got 0.0\n")
+
+
+NOT_SHARED = "ReductionError: no eigenvalue is shared by the two pieces at this tolerance"
+NOT_SINGULAR = "NotSingular: no real eigenvalue of A_L within tolerance of zero"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["restrict", *FLAT, "--escape-radius", "0"], NOT_SHARED),
+    (["restrict", *FLAT, "--keep", "100000000"], NOT_SHARED),
+    (["induced", *ANCHOR, "--escape-radius", "nan"], NOT_SINGULAR),
+], ids=["restrict radius", "restrict keep", "induced radius"])
+def test_orbit_settings_checked_where_they_are_read(capsys, argv, message):
+    # the reduction fails before the orbit or the sampler reads them: no
+    # eigenvalue of FLAT is shared, and the left piece of ANCHOR is regular
+    assert main(argv) == 4
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("options", [
+    ["--x0", "1e6,0", "--escape-radius", "inf"],
+    ["--keep", "100000000"],
+], ids=["non-finite orbit", "oversized orbit"])
+def test_restrict_grid_csv_steps_no_orbit(capsys, options):
+    # the CSV of an explicit grid is its cobweb alone, so the orbit that
+    # would overflow or pass the limit is never stepped
+    grid = "--grid=-1:1.5:11"
+    code, report = run_json(capsys, ["restrict", *ANCHOR, grid])
+    assert code == 0
+    assert main(["restrict", *ANCHOR, *options, grid, "--format", "csv"]) == 0
+    cobweb = report["cobweb"]
+    assert capsys.readouterr() == ("x,fx\n" + "".join(
+        f"{x!r},{fx!r}\n" for x, fx in zip(cobweb["x"], cobweb["fx"])), "")
 
 
 def test_grid_limit_names_the_product_of_the_axes(capsys):
@@ -948,8 +986,8 @@ def test_memory_error_is_a_usage_error(tmp_path, argv):
     # child lifts it to reach the allocation that fails
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
-    script = ("import sys\nfrom pwldyn import cli\ncli.MAX_ORBIT_FLOATS = 10**12\n"
-              "sys.exit(cli.main(sys.argv[1:]))\n")
+    script = ("import sys\nfrom pwldyn import cli, pwlmap\n"
+              "pwlmap.MAX_ORBIT_FLOATS = 10**12\nsys.exit(cli.main(sys.argv[1:]))\n")
     proc = subprocess.run(
         [sys.executable, "-c", script, *argv, "--out", str(tmp_path / "out.csv")],
         capture_output=True, text=True, env=env, timeout=120,

@@ -8,7 +8,6 @@ import contextlib
 import io
 import math
 import tempfile
-from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -107,8 +106,7 @@ def test_cli_ends_in_an_exit_code_and_one_line(call):
     command, the_map, options = call
     err = io.StringIO()
     # the induced sampler gives up on a sample after 200 steps, not 10^6
-    sampler = partial(pwlmap.sample_induced, j_max=200)
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "sample_induced", sampler):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(pwlmap, "J_MAX", 200):
         path = Path(tmp) / "map.txt"
         _write_map(path, *the_map)
         argv = [command, "--matrix-file", str(path), *options, "--out", str(Path(tmp) / "out")]

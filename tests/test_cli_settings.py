@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -242,6 +243,22 @@ def test_config_file_is_shared_across_commands(tmp_path):
     assert main(["analyze", *ANCHOR, "--out", str(tmp_path / "a.json")]) == 0
     assert main(["analyze", "--config", str(dump), "--out", str(tmp_path / "b.json")]) == 0
     assert (tmp_path / "b.json").read_bytes() == (tmp_path / "a.json").read_bytes()
+
+
+@pytest.mark.parametrize("command, text, golden", [
+    ("analyze", "[orbit]\nescape_radius = 0\n", "analyze_shared_2d.json"),
+    ("analyze", "[orbit]\nx0 = nan,1\n", "analyze_shared_2d.json"),
+    ("portrait", "[tolerances]\ntol = -1\n", "portrait_shared_2d.csv"),
+], ids=["analyze escape_radius", "analyze x0", "portrait tol"])
+def test_unread_keys_are_not_range_checked(tmp_path, capsys, command, text, golden):
+    # a value out of range under a key the command does not read is ignored
+    # like any other value there
+    config = tmp_path / "run.ini"
+    config.write_text(text)
+    short = ["--transient", "100", "--keep", "100"] if command == "portrait" else []
+    assert main([command, *ANCHOR, *short, "--config", str(config)]) == 0
+    expected = (Path(__file__).parent / "golden" / golden).read_text(encoding="utf-8")
+    assert capsys.readouterr() == (expected, "")
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["scan", "--help"]])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -793,6 +794,45 @@ def test_orbit_argument_validation(shared_map):
         orbit(shared_map, np.zeros(2), n_keep=0)
     with pytest.raises(ValueError):
         orbit(shared_map, np.zeros(2), escape_radius=0.0)
+
+
+def _limit_message(floats: int, limit: int) -> str:
+    return f"^orbits keep {floats} floats, more than the limit {limit}$"
+
+
+def test_orbit_limit_in_the_library(shared_map, monkeypatch):
+    # n_keep n kept coordinates at most, checked before they are allocated:
+    # the 1.5 TiB of 10^11 kept points is never asked for
+    x0 = np.array([0.3, -0.2])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=_limit_message(2 * 10**11, 10**7)):
+            orbit(shared_map, x0, 0, 10**11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    monkeypatch.setattr(pwlmap, "MAX_ORBIT_FLOATS", 600)
+    assert orbit(shared_map, x0, 10, 300).points.shape == (300, 2)
+    with pytest.raises(ValueError, match=_limit_message(602, 600)):
+        orbit(shared_map, x0, 10, 301)
+
+
+def test_reduced_orbit_limit_counts_chart_coordinates(shared_map, monkeypatch):
+    # the 1-D restriction keeps one coordinate per point, not two
+    monkeypatch.setattr(pwlmap, "MAX_ORBIT_FLOATS", 600)
+    rmap = restrict_to_manifold(detect_shared_eigenvalue(shared_map))
+    xi = rmap.chart.project(np.array([0.3, -0.2]))
+    assert reduced_orbit(rmap, xi, 10, 600).points.shape == (600, 1)
+    with pytest.raises(ValueError, match=_limit_message(601, 600)):
+        reduced_orbit(rmap, xi, 10, 601)
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, -math.inf, math.nan])
+def test_orbit_rejects_a_radius_that_is_not_positive(shared_map, radius):
+    message = f"escape radius must be positive, got {radius!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        orbit(shared_map, np.zeros(2), 0, 1, radius)
 
 
 def test_fixed_points_shared(shared_map):

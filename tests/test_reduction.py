@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import hashlib
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -865,7 +866,8 @@ def test_induced_map_fixed_point_on_plane():
 
 def test_induced_map_failure_statuses(flat_left_map):
     plane = zero_eig_reduction(flat_left_map)
-    capped, _ = _induced_at(flat_left_map, plane, np.array([0.5, 0.0]), j_max=2)
+    with mock.patch.object(pwlmap, "J_MAX", 2):
+        capped, _ = _induced_at(flat_left_map, plane, np.array([0.5, 0.0]))
     assert (capped.status, capped.return_time, capped.image) == ("no_return", None, None)
     far, _ = _induced_at(flat_left_map, plane, np.array([1e6, 0.0]), escape_radius=1e3)
     assert (far.status, far.return_time, far.image) == ("escaped", None, None)
@@ -898,9 +900,20 @@ def test_sample_induced(flat_left_map):
         assert s.image is not None
         assert s.return_time >= 1
         assert reference_contains(plane, reference_lift(chart, s.image), 1e-9)
-    capped = sample_induced(flat_left_map, plane, grid, chart=chart, j_max=1)
+    with mock.patch.object(pwlmap, "J_MAX", 1):
+        capped = sample_induced(flat_left_map, plane, grid, chart=chart)
     statuses = {s.status for s in capped}
     assert "no_return" in statuses
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, -math.inf, math.nan])
+def test_sample_induced_rejects_a_radius_that_is_not_positive(flat_left_map, radius):
+    # with orbit's check and message: compared with a NaN radius no sample
+    # would escape, and past a radius of 0 every one would at its first step
+    plane = zero_eig_reduction(flat_left_map)
+    message = f"escape radius must be positive, got {radius!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sample_induced(flat_left_map, plane, np.linspace(-1.0, 1.0, 5), escape_radius=radius)
 
 
 def _mixed_samples(flat_left_map):
@@ -908,7 +921,8 @@ def _mixed_samples(flat_left_map):
     no_return."""
     plane = zero_eig_reduction(flat_left_map)
     grid = np.linspace(-5.0, 1.0, 21)
-    samples = sample_induced(flat_left_map, plane, grid, j_max=2, escape_radius=4.0)
+    with mock.patch.object(pwlmap, "J_MAX", 2):
+        samples = sample_induced(flat_left_map, plane, grid, escape_radius=4.0)
     assert {"ok", "escaped", "no_return"} <= set(samples.status.tolist())
     return samples
 
@@ -1104,9 +1118,10 @@ def test_sample_induced_matches_reference_loop(n, seed, count, j_max, escape_rad
     grid = rng.uniform(-span, span, (count, n - 1))
     ref = _reference_samples(pwl, plane, chart, grid, j_max, escape_radius, tol)
     with mock.patch.object(pwlmap, "_BLOCK", block), \
-            mock.patch.object(pwlmap, "_SCALAR_ROWS", handoff):
-        got = sample_induced(pwl, plane, grid, chart=chart, j_max=j_max,
-                             escape_radius=escape_radius, membership_tol=tol)
+            mock.patch.object(pwlmap, "_SCALAR_ROWS", handoff), \
+            mock.patch.object(pwlmap, "J_MAX", j_max):
+        got = sample_induced(pwl, plane, grid, chart=chart, escape_radius=escape_radius,
+                             membership_tol=tol)
     assert len(got) == count
     for s, (xi, image, j, syms, status, _, _) in zip(got, ref):
         assert s.point.tobytes() == xi.tobytes()
@@ -1258,8 +1273,9 @@ def test_a_sample_stuck_on_a_signed_zero_repeats_by_value(handoff):
     for j_max in (300, pwlmap.J_MAX):
         counts: list[int] = []
         with mock.patch.object(pwlmap, "_SCALAR_ROWS", handoff), \
-                mock.patch.object(pwlmap, "_kernel", _counted_steps(counts)):
-            got = sample_induced(pwl, plane, grid, chart=chart, j_max=j_max)
+                mock.patch.object(pwlmap, "_kernel", _counted_steps(counts)), \
+                mock.patch.object(pwlmap, "J_MAX", j_max):
+            got = sample_induced(pwl, plane, grid, chart=chart)
         _assert_columns_hold(got, ref)
         assert 50 < sum(counts) < 100  # to the first repeat of (2, +-0.0)
 
